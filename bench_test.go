@@ -1,14 +1,12 @@
 package sparselu
 
-// One benchmark per table and figure of the paper's evaluation section.
-// The benchmarks default to the reduced-order suite so `go test -bench=.`
-// finishes quickly; set SPARSELU_BENCH_FULL=1 to run the full-size
-// Table 1 matrices (several minutes). cmd/paperbench prints the actual
-// rows/series of each table and figure.
+// One benchmark per table and figure of the paper's evaluation section,
+// on the reduced-order suite so `go test -bench=.` finishes quickly.
+// cmd/paperbench prints the actual rows/series of each table and figure
+// (full-size without -small); full-size timings are bench/'s job.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -29,18 +27,11 @@ func orderingForGP(a *sparse.CSC) sparse.Perm {
 	return ordering.ColumnOrdering(a.PermuteRows(tr.RowPerm), ordering.MinDegreeATA)
 }
 
-func benchSuite() []matgen.Spec {
-	if os.Getenv("SPARSELU_BENCH_FULL") != "" {
-		return matgen.Suite()
-	}
-	return matgen.SmallSuite()
-}
-
 // BenchmarkTable1SymbolicFill regenerates Table 1: the structural
 // pipeline (transversal, minimum degree on AᵀA, static symbolic
 // factorization). The fill ratio |Ā|/|A| is reported as a metric.
 func BenchmarkTable1SymbolicFill(b *testing.B) {
-	for _, spec := range benchSuite() {
+	for _, spec := range matgen.SmallSuite() {
 		b.Run(spec.Name, func(b *testing.B) {
 			a := spec.Gen()
 			var fill float64
@@ -58,11 +49,11 @@ func BenchmarkTable1SymbolicFill(b *testing.B) {
 }
 
 // BenchmarkTable2Factorization regenerates Table 2: the parallel numeric
-// factorization at P ∈ {1,2,4,8} workers (real goroutine execution,
-// task-level scheduling). On a single-core host the wall time will not
-// scale; the simulated Table 2 comes from cmd/paperbench.
+// factorization at P ∈ {1,2,4,8} workers (real goroutine execution). On
+// a single-core host the wall time will not scale; the simulated Table 2
+// comes from cmd/paperbench.
 func BenchmarkTable2Factorization(b *testing.B) {
-	for _, spec := range benchSuite() {
+	for _, spec := range matgen.SmallSuite() {
 		a := spec.Gen()
 		s, err := core.Analyze(a, core.DefaultOptions())
 		if err != nil {
@@ -70,10 +61,9 @@ func BenchmarkTable2Factorization(b *testing.B) {
 		}
 		for _, p := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/P=%d", spec.Name, p), func(b *testing.B) {
-				sp := *s
-				sp.Opts.Workers = p
+				nopts := &core.NumericOptions{Workers: p}
 				for i := 0; i < b.N; i++ {
-					if _, err := core.FactorizeGlobal(&sp, a); err != nil {
+					if _, err := core.FactorizeWithOpts(s, a, nopts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -85,7 +75,7 @@ func BenchmarkTable2Factorization(b *testing.B) {
 // BenchmarkTable3Supernodes regenerates Table 3: the supernode counts of
 // the L/U partition without and with postordering, reported as metrics.
 func BenchmarkTable3Supernodes(b *testing.B) {
-	for _, spec := range benchSuite() {
+	for _, spec := range matgen.SmallSuite() {
 		b.Run(spec.Name, func(b *testing.B) {
 			a := spec.Gen()
 			var sn, snpo int
@@ -124,11 +114,10 @@ func BenchmarkFactorize(b *testing.B) {
 	}
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sherman3/P=%d", p), func(b *testing.B) {
-			sp := *s
-			sp.Opts.Workers = p
+			nopts := &core.NumericOptions{Workers: p}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.FactorizeGlobal(&sp, a); err != nil {
+				if _, err := core.FactorizeWithOpts(s, a, nopts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -141,7 +130,7 @@ func BenchmarkFactorize(b *testing.B) {
 // simulates both task graphs on the Origin 2000 model and reports the
 // improvement 1 − T(eforest)/T(S*) as a metric per processor count.
 func benchFigure(b *testing.B, names []string, procs []int) {
-	specs := experiments.FilterSpecs(benchSuite(), names)
+	specs := experiments.FilterSpecs(matgen.SmallSuite(), names)
 	for _, spec := range specs {
 		a := spec.Gen()
 		s, err := core.Analyze(a, core.DefaultOptions())
@@ -187,7 +176,7 @@ func BenchmarkFig6TaskGraph(b *testing.B) {
 // with and without postordering — the BLAS-3 benefit of larger
 // supernodes (DESIGN.md ablation 1).
 func BenchmarkAblationPostorder(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	for _, post := range []bool{false, true} {
 		name := "postorder=off"
@@ -216,7 +205,7 @@ func BenchmarkAblationPostorder(b *testing.B) {
 // ablation 3): wider supernodes mean fewer, bigger BLAS-3 calls but
 // more explicit zeros.
 func BenchmarkAblationAmalgamation(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	for _, maxSize := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("maxsize=%d", maxSize), func(b *testing.B) {
@@ -240,7 +229,7 @@ func BenchmarkAblationAmalgamation(b *testing.B) {
 // BenchmarkAblationOrdering compares fill across ordering methods
 // (DESIGN ablation 5).
 func BenchmarkAblationOrdering(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	for _, cfg := range []struct {
 		name string
@@ -269,7 +258,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 // ablation 4): task-level scheduling is what lets independent-subtree
 // updates overlap.
 func BenchmarkAblationSchedulers(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	s, err := core.Analyze(a, core.DefaultOptions())
 	if err != nil {
@@ -304,7 +293,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 // against the static and column-etree bounds — the Section 3 remark
 // that the column etree "substantially overestimates" the structures.
 func BenchmarkStructureBounds(b *testing.B) {
-	specs := benchSuite()[:2]
+	specs := matgen.SmallSuite()[:2]
 	var rows []experiments.BoundsRow
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -323,7 +312,7 @@ func BenchmarkStructureBounds(b *testing.B) {
 // baseline factorization (SuperLU-class algorithm) for comparison with
 // BenchmarkTable2Factorization.
 func BenchmarkGilbertPeierlsBaseline(b *testing.B) {
-	for _, spec := range benchSuite()[:3] {
+	for _, spec := range matgen.SmallSuite()[:3] {
 		b.Run(spec.Name, func(b *testing.B) {
 			a := spec.Gen()
 			q := orderingForGP(a)
@@ -340,7 +329,7 @@ func BenchmarkGilbertPeierlsBaseline(b *testing.B) {
 // BenchmarkAblation2DMapping compares the 1-D block-column mapping with
 // the 2-D grid mapping the paper names as future work (simulated P=8).
 func BenchmarkAblation2DMapping(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	s, err := core.Analyze(a, core.DefaultOptions())
 	if err != nil {
@@ -375,7 +364,7 @@ func BenchmarkAblation2DMapping(b *testing.B) {
 // BenchmarkSolve measures the level-scheduled triangular-solve phase
 // at P ∈ {1, 4} solve workers (single right-hand side).
 func BenchmarkSolve(b *testing.B) {
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	f, err := core.Factorize(a, core.DefaultOptions())
 	if err != nil {
@@ -387,10 +376,10 @@ func BenchmarkSolve(b *testing.B) {
 	}
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("%s/P=%d", spec.Name, p), func(b *testing.B) {
-			f.S.Opts.SolveWorkers = p
+			nopts := &core.NumericOptions{SolveWorkers: p}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Solve(rhs); err != nil {
+				if _, err := f.SolveWith(rhs, nopts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -404,7 +393,7 @@ func BenchmarkSolve(b *testing.B) {
 // the scalar loop is the headline number of the solve-engine PR.
 func BenchmarkSolveMany(b *testing.B) {
 	const nrhs = 16
-	spec := benchSuite()[0]
+	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
 	f, err := core.Factorize(a, core.DefaultOptions())
 	if err != nil {
@@ -418,11 +407,11 @@ func BenchmarkSolveMany(b *testing.B) {
 		}
 	}
 	b.Run(fmt.Sprintf("%s/loop-of-solves", spec.Name), func(b *testing.B) {
-		f.S.Opts.SolveWorkers = 1
+		nopts := &core.NumericOptions{SolveWorkers: 1}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for r := range bs {
-				if _, err := f.Solve(bs[r]); err != nil {
+				if _, err := f.SolveWith(bs[r], nopts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -430,10 +419,10 @@ func BenchmarkSolveMany(b *testing.B) {
 	})
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("%s/blocked/P=%d", spec.Name, p), func(b *testing.B) {
-			f.S.Opts.SolveWorkers = p
+			nopts := &core.NumericOptions{SolveWorkers: p}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.SolveMany(bs); err != nil {
+				if _, err := f.SolveManyWith(bs, nopts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,31 +1,28 @@
 #!/bin/sh
 # The local/CI gate, split into stages so CI can attribute failures:
 #
-#   ./check.sh lint    # gofmt, vet, build, lucheck -audit
-#   ./check.sh test    # race-enabled test suite
-#   ./check.sh chaos   # fault-injection / cancellation stress, -race, repeated
-#   ./check.sh service # sluserver chaos suite under -race + live HTTP smoke
-#   ./check.sh bench   # paperbench small suite + regression compare
-#   ./check.sh [all]   # everything above (the default)
+#   ./check.sh lint        # gofmt, vet, build (bench/ too), lucheck -audit
+#   ./check.sh test        # race-enabled test suite
+#   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
+#   ./check.sh service     # sluserver chaos suite under -race + live HTTP smoke
+#   ./check.sh bench [ref] # the benchmark of record (BENCHMARK.json, bench/)
+#   ./check.sh [all]       # everything above (the default)
 #
-# The bench stage runs the dense-kernel benchmarks (both kernel modes:
-# the bitwise Dgemm and the relaxed DgemmFast) into
-# bench-out/kernel-bench.txt, writes bench-out/BENCH_small.json (suite
-# wall times in both kernel modes + kernel GFLOPS, including the
-# _fastmath entries) plus a Chrome trace and the analyze-time tile
-# autotuner's per-host report (bench-out/autotune.json: probed cache
-# sizes, chosen MC/KC/NC/NB), then fails if suite wall time or any
-# kernel regressed more than SPARSELU_BENCH_TOL (default 0.25) against
-# the committed BENCH_small.json baseline, or if the mean worker
-# utilization at the highest worker count fell below the baseline's
-# committed utilization_floor (a bitwise-mode metric).
-# SPARSELU_BENCH_REPS (default 3) controls repetitions per
-# configuration; SPARSELU_KERNEL_BENCHTIME (default 300ms) the Go
-# benchmark time per kernel size.
+# The bench stage runs bench/'s self-test, then one of two things. Given
+# a base ref it is a gate: the ref is checked out into a temporary git
+# worktree, every workload runs three times on each side (base and head
+# alternating, untraced, reports under bench-out/base and
+# bench-out/head), and bench/run.sh -compare fails the stage when an
+# end-to-end metric of head is worse than base's by more than its
+# BENCHMARK.json bound or an operation failed — not when head is better.
+# Without a ref it only collects artifacts: one traced run per workload
+# into bench-out/, failing on a failed operation. See bench/README.md
+# for what a 25 % bound can and cannot resolve on a shared host.
 set -eu
 cd "$(dirname "$0")"
 
 stage="${1:-all}"
+bench_ref="${2:-}"
 
 lint() {
 	echo "==> gofmt"
@@ -41,6 +38,11 @@ lint() {
 
 	echo "==> go build"
 	go build ./...
+
+	# bench/ is a module of its own: ./... above does not reach it, so an
+	# API removal that breaks the benchmark of record would pass unseen.
+	echo "==> go vet + go build (bench/)"
+	(cd bench && go vet . && go build -o /dev/null .)
 
 	echo "==> lucheck -audit"
 	go run ./cmd/lucheck -audit ./...
@@ -129,27 +131,61 @@ service_stage() {
 	echo "service smoke passed at $smoke_addr"
 }
 
+bench_workloads="refactor_blocky refactor_finegrain fresh_patterns solve_stream"
+
 bench() {
-	echo "==> kernel benchmarks, both kernel modes (output kept as CI artifact)"
+	echo "==> bench self-test"
+	(cd bench && go test .)
+
+	rm -rf bench-out
 	mkdir -p bench-out
-	go test -run '^$' -bench 'BenchmarkDgemm$|BenchmarkDgemmFast$|BenchmarkDtrsm$|BenchmarkDgetrfStatic$' \
-		-benchtime "${SPARSELU_KERNEL_BENCHTIME:-300ms}" \
-		./internal/blas/ | tee bench-out/kernel-bench.txt
+	if [ -z "$bench_ref" ]; then
+		echo "==> bench: one traced run per workload (artifacts in bench-out/)"
+		for w in $bench_workloads; do
+			bash bench/run.sh --workload "$w" --seed 1 --seconds 33 --trace 1 \
+				-out "$PWD/bench-out" | tee "bench-out/$w.txt"
+			case "$(tail -n 1 "bench-out/$w.txt")" in
+			*'"failed":0,'*) ;;
+			*)
+				echo "bench: $w had failed operations" >&2
+				exit 1
+				;;
+			esac
+		done
+		return
+	fi
 
-	echo "==> solve benchmarks (output kept as CI artifact)"
-	go test -run '^$' -bench 'BenchmarkSolve$|BenchmarkSolveMany$' \
-		-benchtime "${SPARSELU_KERNEL_BENCHTIME:-300ms}" \
-		. | tee bench-out/solve-bench.txt
-
-	echo "==> paperbench (small suite, both kernel modes, regression gate)"
-	go run ./cmd/paperbench \
-		-bench bench-out/BENCH_small.json \
-		-benchtrace bench-out/trace_small.json \
-		-autotunereport bench-out/autotune.json \
-		-small \
-		-reps "${SPARSELU_BENCH_REPS:-3}" \
-		-compare BENCH_small.json \
-		-tolerance "${SPARSELU_BENCH_TOL:-0.25}"
+	echo "==> bench: head against $bench_ref, 3 alternating runs per workload"
+	base=$(mktemp -d)
+	trap 'git worktree remove --force "$base" 2>/dev/null || true; rm -rf "$base"' EXIT
+	git worktree add --detach "$base" "$bench_ref"
+	bench_side() { # <checkout> <set> <workload>
+		bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$PWD/bench-out/$2"
+	}
+	for i in 1 2 3; do
+		for w in $bench_workloads; do
+			if [ "$i" -eq 2 ]; then
+				bench_side . head "$w"
+				bench_side "$base" base "$w"
+			else
+				bench_side "$base" base "$w"
+				bench_side . head "$w"
+			fi
+		done
+	done
+	# -compare also exits 1 when head is better by more than the bound
+	# (it is an A/A comparator); only a breach or a failed operation
+	# fails the gate.
+	status=0
+	bash bench/run.sh -compare bench-out/base bench-out/head >bench-out/compare.txt || status=$?
+	cat bench-out/compare.txt
+	if grep -Eq 'BREACH|FAILED' bench-out/compare.txt; then
+		exit 1
+	fi
+	if [ "$status" -ne 0 ] && ! grep -q 'B better' bench-out/compare.txt; then
+		echo "bench: the comparator failed" >&2
+		exit 1
+	fi
 }
 
 case "$stage" in

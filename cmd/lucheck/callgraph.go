@@ -17,8 +17,9 @@ package main
 //     to a call is treated as callable from the caller — conservative
 //     for callbacks like sort.Slice whose bodies we cannot see.
 //
-// Closures handed to the sched executors (sched.Execute*) and `go`
-// statements inside the worker packages are recorded as worker roots:
+// Closures handed to the sched executors (sched.Run, sched.Execute*)
+// and `go` statements inside the worker packages are recorded as worker
+// roots:
 // everything reachable from them runs on a worker goroutine, which is
 // what the interprocedural shared-capture rule needs to know. Each
 // call edge also records whether a sync lock is lexically held at the
@@ -286,7 +287,7 @@ func (g *callGraph) edgesForCall(node *cgNode, call *ast.CallExpr, locked bool, 
 	// record caller→value edges, and mark sched executor arguments as
 	// worker roots (the executor invokes them once per task from its
 	// worker goroutines).
-	workerSink := g.isSchedExecute(pi, call)
+	workerSink := isSchedExecutor(pi, call, g.schedPath)
 	for _, arg := range call.Args {
 		for _, t := range g.funcValue(pi, arg) {
 			g.addEdge(node, t, call, locked)
@@ -297,19 +298,16 @@ func (g *callGraph) edgesForCall(node *cgNode, call *ast.CallExpr, locked bool, 
 	}
 }
 
-// isSchedExecute reports whether the call targets one of the sched
-// executors (sched.Execute*), whose function arguments are per-task
-// worker bodies.
-func (g *callGraph) isSchedExecute(pi *pkgInfo, call *ast.CallExpr) bool {
+// isSchedExecutor reports whether the call targets one of the sched
+// executors (sched.Run, sched.Execute*), whose function arguments are
+// per-task worker bodies.
+func isSchedExecutor(pi *pkgInfo, call *ast.CallExpr, schedPath string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !strings.HasPrefix(sel.Sel.Name, "Execute") {
+	if !ok || (sel.Sel.Name != "Run" && !strings.HasPrefix(sel.Sel.Name, "Execute")) {
 		return false
 	}
 	obj := pi.info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == g.schedPath
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == schedPath
 }
 
 // addEdge appends one edge, deduplicating exact repeats.

@@ -10,7 +10,7 @@ package main
 //	func bump(p *int) { *p++ }        // unlocked shared write
 //
 // This rule follows the pointer interprocedurally. Starting from the
-// worker roots of the call graph (closures handed to sched.Execute*,
+// worker roots of the call graph (closures handed to sched.Run/Execute*,
 // goroutine bodies in the worker packages), every call argument of the
 // form &v — where v is declared outside the worker body, i.e. captured
 // by reference or package-level — taints the callee's parameter. The

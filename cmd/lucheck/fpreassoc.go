@@ -11,7 +11,7 @@ package main
 //     its variable downward. The upper-triangular solve kernels are
 //     pinned descending by design and are whitelisted per file.
 //   - worker-order: a compound float accumulation into a variable
-//     declared outside a goroutine body or a sched.Execute* closure.
+//     declared outside a goroutine body or a sched.Run/Execute* closure.
 //     Even under a lock the additions happen in task-completion order,
 //     which varies with the worker count — a lock makes it race-free,
 //     not deterministic.

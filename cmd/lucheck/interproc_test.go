@@ -226,7 +226,7 @@ func TestAllowJustification(t *testing.T) {
 }
 
 // TestCallGraph pins the call-graph construction on the cgfix fixture:
-// method values and closures handed to sched.ExecuteCancelable become
+// method values and closures handed to sched.Run / sched.Execute become
 // worker roots, interface calls dispatch to every satisfying concrete
 // method, and function values flow through variables.
 func TestCallGraph(t *testing.T) {
@@ -247,13 +247,13 @@ func TestCallGraph(t *testing.T) {
 		}
 	}
 
-	// Method value c.tick → sched.ExecuteCancelable: worker root.
+	// Method value c.tick → sched.Run: worker root.
 	ticks := nodesByName["tick"]
 	if len(ticks) != 1 || !ticks[0].workerRoot {
 		t.Errorf("tick: want 1 worker-root node, got %d (root=%v)", len(ticks), len(ticks) == 1 && ticks[0].workerRoot)
 	}
 
-	// Closure literal → sched.ExecuteCancelable: worker root.
+	// Closure literal → sched.Execute: worker root.
 	if len(closureRoots) != 1 {
 		t.Errorf("closure worker roots: got %d, want 1", len(closureRoots))
 	}

@@ -48,8 +48,8 @@ package main
 //     packages the same ban applies inside goroutine bodies launched
 //     with `go func`, where an allocation would run once per task. In
 //     the sched-client packages (internal/core) it also applies inside
-//     function literals handed to the sched executors
-//     (sched.Execute*) — those closures are the per-task worker bodies
+//     function literals handed to the sched executors (sched.Run,
+//     sched.Execute*) — those closures are the per-task worker bodies
 //     of the numeric and solve hot paths even though the `go` statement
 //     lives in internal/sched.
 //   - request-ctx: in the request-serving packages (internal/server),
@@ -827,24 +827,16 @@ func (p *pass) hotAllocGoroutines(f *ast.File) {
 }
 
 // hotAllocSchedClosures applies the hot-alloc ban inside function
-// literals passed directly to the sched executors (sched.Execute*):
-// those closures are the per-task worker bodies of the numeric and
-// solve hot paths — the executor calls them once per task from its
-// worker goroutines — even though the `go` statement itself lives in
-// internal/sched, out of the goroutine-body scan's sight.
+// literals passed directly to the sched executors (sched.Run,
+// sched.Execute*): those closures are the per-task worker bodies of the
+// numeric and solve hot paths — the executor calls them once per task
+// from its worker goroutines — even though the `go` statement itself
+// lives in internal/sched, out of the goroutine-body scan's sight.
 func (p *pass) hotAllocSchedClosures(f *ast.File) {
 	schedPath := p.cfg.modPath + "/internal/sched"
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !strings.HasPrefix(sel.Sel.Name, "Execute") {
-			return true
-		}
-		obj := p.pi.info.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != schedPath {
+		if !ok || !isSchedExecutor(p.pi, call, schedPath) {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/sparse"
+	"repro/internal/taskgraph"
 )
 
 // MutatePattern writes the protected storage fields of a CSC matrix
@@ -114,10 +115,11 @@ func HotAlloc(n int) float64 {
 // executor launches the goroutines). Scoped only as a workers package
 // it stays silent (see TestHotAllocSchedClosureScope); scoped as a
 // hot-path package the whole-file scan reports it like any other.
-func SchedWorkerAlloc(lv *sched.Levels, results []float64) {
-	sched.ExecuteLevels(lv, 2, func(worker, task int) {
+func SchedWorkerAlloc(g *taskgraph.Graph, results []float64) error {
+	return sched.Run(g, sched.RunOptions{Procs: 2}, func(task int) error {
 		scratch := make([]float64, task+1) // want hot-alloc
 		results[task] = float64(len(scratch))
+		return nil
 	})
 }
 

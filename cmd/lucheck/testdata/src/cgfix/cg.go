@@ -10,8 +10,8 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// counter's tick method is handed to the cancelable executor as a
-// METHOD VALUE: the call graph must mark it a worker root.
+// counter's tick method is handed to sched.Run as a METHOD VALUE: the
+// call graph must mark it a worker root.
 type counter struct{ n int }
 
 func (c *counter) tick(id int) error {
@@ -19,16 +19,16 @@ func (c *counter) tick(id int) error {
 	return nil
 }
 
-// RunMethodValue passes c.tick to sched.ExecuteCancelable.
+// RunMethodValue passes c.tick to sched.Run.
 func RunMethodValue(g *taskgraph.Graph, c *counter) error {
-	return sched.ExecuteCancelable(g, nil, 2, nil, nil, nil, c.tick)
+	return sched.Run(g, sched.RunOptions{Procs: 2}, c.tick)
 }
 
-// RunClosure passes a literal to the cancelable executor: the literal's
-// node must be a worker root.
+// RunClosure passes a literal to the plain form sched.Execute: the
+// literal's node must be a worker root.
 func RunClosure(g *taskgraph.Graph) error {
 	hits := 0
-	err := sched.ExecuteCancelable(g, nil, 1, nil, nil, nil, func(id int) error {
+	err := sched.Execute(g, nil, 1, nil, func(id int) error {
 		hits = id
 		return nil
 	})

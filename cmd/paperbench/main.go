@@ -11,12 +11,6 @@
 //	                                # the Origin 2000 simulator
 //	paperbench -procs 1,2,4,8,16    # processor counts for table 2
 //	paperbench -ablation            # the DESIGN.md ablation studies
-//	paperbench -bench BENCH_small.json -small
-//	                                # machine-readable benchmark report
-//	                                # (wall time, realized critical path,
-//	                                # per-worker utilization)
-//	paperbench -bench out.json -small -compare BENCH_small.json
-//	                                # fail if wall time regressed >25%
 //
 // The default mode is the deterministic discrete-event simulator with an
 // Origin 2000 machine model; see DESIGN.md for why that substitution
@@ -43,14 +37,6 @@ func main() {
 		modeStr  = flag.String("mode", "sim", "timing mode: sim (Origin 2000 simulator) or real (wall clock)")
 		procsStr = flag.String("procs", "1,2,4,8", "processor counts")
 		ablation = flag.Bool("ablation", false, "run the ablation studies from DESIGN.md")
-
-		benchOut   = flag.String("bench", "", "run the real-execution benchmark suite and write BENCH JSON to this file")
-		reps       = flag.Int("reps", 3, "benchmark repetitions per configuration (the fastest is reported)")
-		compare    = flag.String("compare", "", "with -bench: compare against this baseline JSON and fail on regression")
-		tolerance  = flag.Float64("tolerance", 0.25, "with -compare: allowed fractional wall-time regression")
-		utilFloor  = flag.Float64("utilfloor", 0.95, "with -bench: mean-utilization floor committed into the report; when set explicitly with -compare, overrides the baseline's floor")
-		benchTrace = flag.String("benchtrace", "", "with -bench: write a Chrome trace of one benchmark run to this file")
-		tuneOut    = flag.String("autotunereport", "", "with -bench: write the analyze-time tile autotuner's choices (probed cache sizes, selected MC/KC/NC/NB) as JSON to this file")
 	)
 	flag.Parse()
 
@@ -67,40 +53,8 @@ func main() {
 		fatalf("%v", err)
 	}
 	specs := matgen.Suite()
-	suite := "full"
 	if *smallSz {
 		specs = matgen.SmallSuite()
-		suite = "small"
-	}
-
-	if *benchOut != "" {
-		report, err := runBench(specs, suite, procs, *reps, *benchOut, *benchTrace, *utilFloor)
-		if err != nil {
-			fatalf("bench: %v", err)
-		}
-		fmt.Printf("bench: %d entries (%s suite, procs %v, %d reps) written to %s\n",
-			len(report.Entries), suite, procs, *reps, *benchOut)
-		if *tuneOut != "" {
-			if err := writeAutotuneReport(*tuneOut); err != nil {
-				fatalf("bench: autotune report: %v", err)
-			}
-			fmt.Printf("bench: autotune report written to %s\n", *tuneOut)
-		}
-		if *compare != "" {
-			// The gate uses the baseline's committed floor; an explicit
-			// -utilfloor on the command line overrides it (the default
-			// value only seeds new reports).
-			override := 0.0
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "utilfloor" {
-					override = *utilFloor
-				}
-			})
-			if err := compareBench(report, *compare, *tolerance, override); err != nil {
-				fatalf("bench: %v", err)
-			}
-		}
-		return
 	}
 
 	if !*all && *table == 0 && *figure == 0 && !*ablation {

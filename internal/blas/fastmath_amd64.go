@@ -12,14 +12,6 @@ package blas
 // on detectAVX2 and only adds the FMA3 feature bit.
 var useFMA3 = detectFMA3()
 
-// HasAVX2 and HasFMA3 report which assembly micro-kernels are active
-// on this host (diagnostics: the benchmark harness records them in its
-// autotune report).
-func HasAVX2() bool { return useAVX2 }
-
-// HasFMA3 reports whether the FastMath FMA micro-kernel is active.
-func HasFMA3() bool { return useFMA3 }
-
 func detectFMA3() bool {
 	if !useAVX2 {
 		return false

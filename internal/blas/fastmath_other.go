@@ -7,13 +7,6 @@
 
 package blas
 
-// HasAVX2 and HasFMA3 report which assembly micro-kernels are active:
-// none on this architecture.
-func HasAVX2() bool { return false }
-
-// HasFMA3 reports whether the FastMath FMA micro-kernel is active.
-func HasFMA3() bool { return false }
-
 // microKernel4x8Fast is the portable FastMath dispatch: no assembly
 // kernel on this architecture.
 func microKernel4x8Fast(kc int, pa, pb []float64, c []float64, ldc int) {

@@ -18,7 +18,7 @@ const allocBudget = 64
 
 // measureExecAllocs runs one numeric phase on a fresh factorization
 // and returns the heap objects allocated during the execution itself.
-func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, global bool, procs int) (allocs uint64, tasks int) {
+func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, owners sched.Assignment, procs int) (allocs uint64, tasks int) {
 	t.Helper()
 	f, err := newFactorization(s, a, resolveNumOpts(s, nil))
 	if err != nil {
@@ -28,16 +28,11 @@ func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, global bool, pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := sched.BlockCyclic(s.BlockSym.N, procs)
 	run := f.runTask
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if global {
-		err = sched.ExecuteGlobalCancelable(s.Graph, procs, prio, nil, nil, run)
-	} else {
-		err = sched.ExecuteCancelable(s.Graph, owner, procs, prio, nil, nil, run)
-	}
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: procs, Owners: owners, Prio: prio}, run)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +66,12 @@ func TestNumericPhaseZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		global bool
+		owners sched.Assignment
 	}{
-		{"owner-mapped", false},
-		{"task-level", true},
+		{"owner-mapped", sched.BlockCyclic(s.BlockSym.N, procs)},
+		{"task-level", nil},
 	} {
-		allocs, tasks := measureExecAllocs(t, s, a, tc.global, procs)
+		allocs, tasks := measureExecAllocs(t, s, a, tc.owners, procs)
 		if tasks < 100 {
 			t.Fatalf("%s: only %d tasks; matrix too small for the test to mean anything", tc.name, tasks)
 		}

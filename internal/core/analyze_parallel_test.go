@@ -204,7 +204,7 @@ func TestReanalyzeDeltaIdentical(t *testing.T) {
 // verifySymbolicUsable factorizes and solves through the Symbolic to
 // prove the patched analysis drives the numeric phase end to end.
 func verifySymbolicUsable(s *Symbolic, a *sparse.CSC) error {
-	f, err := FactorizeGlobal(s, a)
+	f, err := FactorizeWith(s, a)
 	if err != nil {
 		return err
 	}

@@ -129,12 +129,8 @@ type Options struct {
 // Amalgamation, Verify) stay on Options: they are baked into the
 // Symbolic and changing them requires a fresh Analyze.
 //
-// A nil *NumericOptions passed to FactorizeWithOpts means "read the
-// per-call fields from the Symbolic's recorded Options at call time" —
-// the historical behavior, kept for callers that retune s.Opts between
-// factorizations. Long-lived services sharing one Symbolic across
-// goroutines must pass explicit NumericOptions instead, so the shared
-// analysis is never written after publication.
+// A nil *NumericOptions passed to FactorizeWithOpts means the per-call
+// fields of the Options the analysis was created with.
 type NumericOptions struct {
 	// Workers is the numeric-phase worker count (values < 1 mean 1).
 	Workers int

@@ -117,21 +117,10 @@ type Factorization struct {
 	// concurrent solves on one factorization each check out their own,
 	// so steady-state solves allocate nothing beyond their results.
 	solveWS sync.Pool
-	// nopts freezes the per-call numeric options this factorization was
-	// created with (FactorizeWithOpts). Nil means the legacy path: the
-	// solve-time knobs are re-read from S.Opts on every call, so
-	// existing callers that retune s.Opts between solves keep working.
-	// Service callers always set it, which is what makes one Symbolic
-	// safely shareable across concurrent requests.
-	nopts *NumericOptions
-}
-
-// numOpts resolves the per-call numeric options of solve-time paths.
-func (f *Factorization) numOpts() NumericOptions {
-	if f.nopts != nil {
-		return *f.nopts
-	}
-	return f.S.Opts.numeric()
+	// nopts is the per-call numeric options this factorization was
+	// created with, resolved once by FactorizeWithOpts; solves without
+	// an explicit override run under them.
+	nopts NumericOptions
 }
 
 // Singular reports whether any panel hit an exactly zero pivot.
@@ -211,38 +200,40 @@ func Factorize(a *sparse.CSC, opts *Options) (*Factorization, error) {
 	return FactorizeWith(s, a)
 }
 
-// FactorizeWith performs the numeric factorization of a using an
-// existing analysis (a must have the structure the analysis was computed
-// from). The per-call numeric state (workers, pivot policy, deadline,
-// …) is re-read from the analysis options at every call — the
-// historical single-caller contract. Concurrent callers sharing one
-// Symbolic should use FactorizeWithOpts instead.
+// FactorizeWith is FactorizeWithOpts under the analysis options (a must
+// have the structure the analysis was computed from).
 func FactorizeWith(s *Symbolic, a *sparse.CSC) (*Factorization, error) {
 	return FactorizeWithOpts(s, a, nil)
 }
 
-// FactorizeWithOpts is FactorizeWith with explicit per-call numeric
-// options: the Symbolic is treated as immutable shared input and every
-// piece of per-call state (worker counts, pivot policy, equilibration,
-// deadline, cancellation, tracing) comes from nopts, so any number of
-// goroutines may factor through one analysis concurrently. A nil nopts
-// falls back to the Symbolic's recorded options, preserving the legacy
-// retune-s.Opts-between-calls behavior.
+// FactorizeWithOpts performs the numeric factorization of a using an
+// existing analysis. The Symbolic is treated as immutable shared input
+// and every piece of per-call state (worker counts, pivot policy,
+// equilibration, deadline, cancellation, tracing) comes from nopts, so
+// any number of goroutines may factor through one analysis
+// concurrently. A nil nopts means the options the analysis was created
+// with, read once here; either way the factorization keeps the resolved
+// value for its solves.
 func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Factorization, error) {
 	eff := resolveNumOpts(s, nopts)
 	f, err := newFactorization(s, a, eff)
 	if err != nil {
 		return nil, err
 	}
-	f.nopts = nopts
-	owner := sched.BlockCyclic(s.BlockSym.N, eff.Workers)
 	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
 	if err != nil {
 		return nil, err
 	}
 	cancel, stop := numericCanceler(eff.Timeout, eff.Cancel)
 	defer stop()
-	if err := sched.ExecuteCancelable(s.Graph, owner, eff.Workers, prio, eff.Trace, cancel, f.runTask); err != nil {
+	err = sched.Run(s.Graph, sched.RunOptions{
+		Procs:  eff.Workers,
+		Owners: sched.BlockCyclic(s.BlockSym.N, eff.Workers),
+		Prio:   prio,
+		Trace:  eff.Trace,
+		Cancel: cancel,
+	}, f.runTask)
+	if err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -253,8 +244,8 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 // Options when nopts is nil.
 func resolveNumOpts(s *Symbolic, nopts *NumericOptions) NumericOptions {
 	if nopts == nil {
-		legacy := s.Opts.numeric()
-		return legacy.withDefaults()
+		recorded := s.Opts.numeric()
+		nopts = &recorded
 	}
 	return nopts.withDefaults()
 }
@@ -279,29 +270,6 @@ func numericCanceler(timeout time.Duration, cancel *sched.Canceler) (*sched.Canc
 // uncancelled hot path allocates no closure.
 func noopStop() {}
 
-// FactorizeGlobal is FactorizeWith with task-level scheduling: workers
-// pull any ready task from a shared queue instead of owning block
-// columns, matching the paper's RAPID runtime on shared memory.
-// Unordered tasks touch disjoint rows (the branch property), so the
-// concurrent writes are race-free for both dependence-graph variants.
-func FactorizeGlobal(s *Symbolic, a *sparse.CSC) (*Factorization, error) {
-	eff := resolveNumOpts(s, nil)
-	f, err := newFactorization(s, a, eff)
-	if err != nil {
-		return nil, err
-	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		return nil, err
-	}
-	cancel, stop := numericCanceler(eff.Timeout, eff.Cancel)
-	defer stop()
-	if err := sched.ExecuteGlobalCancelable(s.Graph, eff.Workers, prio, eff.Trace, cancel, f.runTask); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // newFactorization allocates the block storage and scatters the numeric
 // values of the permuted matrix into it. eff carries the resolved
 // per-call numeric options; only the Symbolic's structural fields are
@@ -319,6 +287,7 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		policy:    eff.PivotPolicy,
 		fast:      eff.FastMath,
 		perturbed: make([][]int, nb),
+		nopts:     eff,
 	}
 	f.badCol.Store(-1)
 	part := s.Part

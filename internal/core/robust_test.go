@@ -168,12 +168,11 @@ func TestPanicInUpdateTaskAborts(t *testing.T) {
 	}
 	inj := faultinject.New()
 	inj.Set(updateID, faultinject.Fault{Mode: faultinject.Panic})
-	owner := sched.BlockCyclic(s.BlockSym.N, 8)
 	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sched.ExecuteCancelable(s.Graph, owner, 8, prio, nil, nil, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Owners: sched.BlockCyclic(s.BlockSym.N, 8), Prio: prio}, inj.Wrap(f.runTask, nil))
 	var te *sched.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *sched.TaskError", err)
@@ -227,7 +226,7 @@ func TestPoisonNaNTripsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sched.ExecuteGlobalCancelable(s.Graph, 8, prio, nil, nil, inj.Wrap(f.runTask, poison))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, poison))
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -260,7 +259,7 @@ func TestInjectorTransparencyBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.ExecuteGlobalCancelable(s.Graph, 8, prio, nil, nil, inj.Wrap(f.runTask, nil)); err != nil {
+	if err := sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Fired() != 0 {
@@ -305,7 +304,7 @@ func TestTimeoutCancelsFactorization(t *testing.T) {
 	}
 	cancel, stop := numericCanceler(s.Opts.Timeout, s.Opts.Cancel)
 	defer stop()
-	err = sched.ExecuteGlobalCancelable(s.Graph, 8, prio, nil, cancel, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio, Cancel: cancel}, inj.Wrap(f.runTask, nil))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -335,8 +334,8 @@ func TestCancelOptionWiredThroughFactorize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FactorizeGlobal(s, a); !errors.Is(err, sched.ErrCanceled) {
-		t.Fatalf("FactorizeGlobal err = %v", err)
+	if _, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4, Cancel: cancel}); !errors.Is(err, sched.ErrCanceled) {
+		t.Fatalf("FactorizeWithOpts err = %v", err)
 	}
 }
 
@@ -369,7 +368,7 @@ func TestSeededFaultSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sched.ExecuteGlobalCancelable(s.Graph, 8, prio, nil, nil, inj.Wrap(f.runTask, nil))
+		err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil))
 		var te *sched.TaskError
 		if !errors.As(err, &te) {
 			t.Fatalf("seed %d: err = %v, want *sched.TaskError", seed, err)

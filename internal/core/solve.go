@@ -46,19 +46,14 @@ func (f *Factorization) putWorkspace(ws *SolveWorkspace) { f.solveWS.Put(ws) }
 // solveOpts resolves the per-call state of one solve: worker count,
 // trace recorder and cancellation signal. An explicit override wins
 // (the SolveWith/SolveManyWith paths, one override per request in the
-// solve service); otherwise factorizations created through
-// FactorizeWithOpts use their frozen per-call options, and the legacy
-// path re-reads them from the Symbolic's recorded Options at solve
-// time, so existing callers can retune s.Opts between solves. The
-// returned stop func disarms the deadline timer of this solve.
+// solve service); otherwise the solve runs under the options the
+// factorization was created with. The returned stop func disarms the
+// deadline timer of this solve.
 func (f *Factorization) solveOpts(override *NumericOptions) (procs int, rec *trace.Recorder, cancel *sched.Canceler, stop func()) {
-	var o NumericOptions
+	o := f.nopts
 	if override != nil {
-		o = *override
-	} else {
-		o = f.numOpts()
+		o = override.withDefaults()
 	}
-	o = o.withDefaults()
 	cancel, stop = numericCanceler(o.Timeout, o.Cancel)
 	return o.SolveWorkers, o.Trace, cancel, stop
 }

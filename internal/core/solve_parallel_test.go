@@ -134,7 +134,9 @@ func checkSolveBitwise(t *testing.T, name string, f *Factorization, rng *rand.Ra
 	wantXT := serialSolveTransposeRef(f, b)
 	wantXS := serialSolveManyRef(f, bs)
 	for _, p := range solveWorkerCounts {
-		f.S.Opts.SolveWorkers = p
+		// SolveTranspose has no per-call override, so retune the
+		// factorization's own frozen options.
+		f.nopts.SolveWorkers = p
 		x, err := f.Solve(b)
 		if err != nil {
 			t.Fatalf("%s P=%d: %v", name, p, err)
@@ -217,7 +219,7 @@ func TestSolveBitwisePoisonNaN(t *testing.T) {
 	wantX := serialSolveRef(f, b)
 	wantXT := serialSolveTransposeRef(f, b)
 	for _, p := range solveWorkerCounts {
-		f.S.Opts.SolveWorkers = p
+		f.nopts.SolveWorkers = p
 		x, err := f.Solve(b)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)

@@ -51,11 +51,9 @@ var DefaultProcs = []int{1, 2, 4, 8}
 // prepared caches everything derivable from one matrix so the individual
 // experiments do not repeat the expensive analysis.
 type prepared struct {
-	name   string
-	a      *sparse.CSC
-	sym    *core.Symbolic // postordered, eforest graph
-	graphS *taskgraph.Graph
-	costsS *taskgraph.CostModel
+	a    *sparse.CSC
+	sym  *core.Symbolic // postordered, eforest graph
+	symS *core.Symbolic // the same analysis under the S* graph
 }
 
 func prepare(spec matgen.Spec) (*prepared, error) {
@@ -65,14 +63,10 @@ func prepare(spec matgen.Spec) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	gs := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
-	return &prepared{
-		name:   spec.Name,
-		a:      a,
-		sym:    s,
-		graphS: gs,
-		costsS: taskgraph.NewCostModel(gs, s.BlockSym, s.Part),
-	}, nil
+	sStar := *s
+	sStar.Graph = taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
+	sStar.Costs = taskgraph.NewCostModel(sStar.Graph, s.BlockSym, s.Part)
+	return &prepared{a: a, sym: s, symS: &sStar}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -142,7 +136,7 @@ func Table2(specs []matgen.Spec, procs []int, mode Mode) ([]Table2Row, error) {
 		}
 		row := Table2Row{Name: spec.Name, Procs: procs}
 		for _, np := range procs {
-			secs, err := timeFactorization(p, p.sym.Graph, p.sym.Costs, np, mode)
+			secs, err := timeFactorization(p.sym, p.a, np, mode)
 			if err != nil {
 				return nil, fmt.Errorf("%s P=%d: %w", spec.Name, np, err)
 			}
@@ -156,32 +150,26 @@ func Table2(specs []matgen.Spec, procs []int, mode Mode) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// timeFactorization returns the time of the numeric phase under the
-// given task graph and processor count. Both modes use task-level
-// scheduling (any task on any processor), matching the paper's RAPID
-// runtime on the shared-memory Origin 2000; the 1-D block-column owner
-// mapping remains available through the sched package for ablations.
-func timeFactorization(p *prepared, g *taskgraph.Graph, cm *taskgraph.CostModel, procs int, mode Mode) (float64, error) {
+// timeFactorization returns the time of the numeric phase of s (its
+// task graph and cost model) on procs processors. Sim schedules at task
+// level (any task on any processor), matching the paper's RAPID runtime
+// on the shared-memory Origin 2000; Real is the work-stealing executor,
+// seeded by the 1-D block-column owner mapping.
+func timeFactorization(s *core.Symbolic, a *sparse.CSC, procs int, mode Mode) (float64, error) {
 	if mode == Sim {
 		// Inspector-executor model of RAPID: static schedule from the
 		// estimated costs, in-order execution with ±50% deterministic
 		// per-task time deviation (cache/NUMA variability on the
 		// Origin 2000). Both graph variants see identical task times.
-		res, err := sched.SimulateStatic(g, cm, sched.Origin2000(procs), sched.PanelWords(g, cm),
+		res, err := sched.SimulateStatic(s.Graph, s.Costs, sched.Origin2000(procs), sched.PanelWords(s.Graph, s.Costs),
 			sched.Perturb{Amplitude: 0.5, Seed: 2000})
 		if err != nil {
 			return 0, err
 		}
 		return res.Makespan, nil
 	}
-	// Real: run the numeric phase on a copy of the analysis with the
-	// requested worker count and graph.
-	s := *p.sym
-	s.Graph = g
-	s.Costs = cm
-	s.Opts.Workers = procs
 	start := time.Now()
-	if _, err := core.FactorizeGlobal(&s, p.a); err != nil {
+	if _, err := core.FactorizeWithOpts(s, a, &core.NumericOptions{Workers: procs}); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
@@ -313,11 +301,11 @@ func Figure(specs []matgen.Spec, procs []int, mode Mode) ([]FigureRow, error) {
 		}
 		row := FigureRow{Name: spec.Name, Procs: procs}
 		for _, np := range procs {
-			tOld, err := timeFactorization(p, p.graphS, p.costsS, np, mode)
+			tOld, err := timeFactorization(p.symS, p.a, np, mode)
 			if err != nil {
 				return nil, err
 			}
-			tNew, err := timeFactorization(p, p.sym.Graph, p.sym.Costs, np, mode)
+			tNew, err := timeFactorization(p.sym, p.a, np, mode)
 			if err != nil {
 				return nil, err
 			}

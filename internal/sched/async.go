@@ -10,10 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the asynchronous data-flow engine behind Execute and
-// ExecuteGlobal — the fan-both-style replacement (after Jacquelin et
-// al., arXiv:1608.00044) for the mutex-and-condition ready-queue engine
-// the earlier PRs used:
+// This file is the asynchronous data-flow engine behind Run — the
+// fan-both-style replacement (after Jacquelin et al., arXiv:1608.00044)
+// for the mutex-and-condition ready-queue engine the earlier PRs used:
 //
 //   - every task carries an atomic remaining-dependence counter seeded
 //     from the graph's in-degrees; a completing task decrements its
@@ -60,6 +59,10 @@ type asyncEngine struct {
 
 	// deps[id] is the remaining-dependence counter of task id.
 	deps []atomic.Int32
+	// readyAt[id], kept in traced runs only, is the latest stamped end
+	// among the completed predecessors of id, so that a span never
+	// starts before a span it depends on ended.
+	readyAt []atomic.Int64
 	// deques[p] is worker p's Chase–Lev deque.
 	deques []deque
 	// remaining counts tasks that have not completed successfully.
@@ -78,8 +81,8 @@ type asyncEngine struct {
 // round-robin over the workers in priority order — task-level
 // scheduling); tasks released during the run always join the releasing
 // worker's deque. prio orders the initial seeding so the first claims
-// are the highest-priority ready tasks. The caller has validated procs
-// and prio.
+// are the highest-priority ready tasks. Run has validated procs and
+// prio.
 func executeAsync(g *taskgraph.Graph, procs int, rec *trace.Recorder, cancel *Canceler,
 	place []int, prio []float64, run func(id int) error) error {
 	if cancel == nil {
@@ -90,6 +93,9 @@ func executeAsync(g *taskgraph.Graph, procs int, rec *trace.Recorder, cancel *Ca
 	e.cond = sync.NewCond(&e.mu)
 	e.remaining.Store(int64(nt))
 	e.deps = make([]atomic.Int32, nt)
+	if rec != nil {
+		e.readyAt = make([]atomic.Int64, nt)
+	}
 	for _, succ := range g.Succ {
 		for _, s := range succ {
 			e.deps[s].Add(1)
@@ -205,6 +211,11 @@ func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 		start := claimed
 		if start < 0 {
 			start = e.rec.Now()
+		} else if r := e.readyAt[id].Load(); r > start {
+			// A worker stamps its end before it decrements, so on a
+			// handoff the last decrementer's stamp can be the earlier of
+			// two predecessors' ends (a fresh Now() cannot).
+			start = r
 		}
 		err = safeRun(e.run, id)
 		kind, col := traceKindCol(&e.g.Tasks[id])
@@ -243,6 +254,9 @@ func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 	pushed := false
 	d := &e.deques[p]
 	for _, s := range e.g.Succ[id] {
+		if e.readyAt != nil {
+			storeMax(&e.readyAt[s], end)
+		}
 		if e.deps[s].Add(-1) == 0 {
 			if next < 0 {
 				next = s
@@ -260,6 +274,15 @@ func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 		e.wakeOne()
 	}
 	return next, end
+}
+
+// storeMax raises a to at least v.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		if cur := a.Load(); cur >= v || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // stealOrPark searches the other workers' deques for work, parking

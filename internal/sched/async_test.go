@@ -160,7 +160,7 @@ func TestAsyncStarvationTermination(t *testing.T) {
 			return Execute(g, BlockCyclic(g.N, 8), 8, nil, run)
 		}},
 		{"global-steal", func() error {
-			return ExecuteGlobal(g, 8, nil, run)
+			return Run(g, RunOptions{Procs: 8}, run)
 		}},
 	} {
 		for i := range ran {
@@ -195,7 +195,7 @@ func TestAsyncChainOrderTraced(t *testing.T) {
 		g, _ := buildGraph(t, 48, 0.1, 42, variant)
 		nt := g.NumTasks()
 		rec := trace.New(8)
-		if err := ExecuteGlobalTraced(g, 8, nil, rec, func(id int) error { return nil }); err != nil {
+		if err := Run(g, RunOptions{Procs: 8, Trace: rec}, func(id int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		start := make([]int64, nt)

@@ -121,7 +121,7 @@ func TestCancellationLatencyExact(t *testing.T) {
 		<-release
 		return nil
 	}
-	err := ExecuteGlobalCancelable(g, procs, prio, nil, cancel, run)
+	err := Run(g, RunOptions{Procs: procs, Prio: prio, Cancel: cancel}, run)
 	var te *TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *TaskError", err)
@@ -168,7 +168,7 @@ func TestCancellationLatencyPanic(t *testing.T) {
 		<-release
 		return nil
 	}
-	err := ExecuteGlobalCancelable(g, procs, prio, nil, cancel, run)
+	err := Run(g, RunOptions{Procs: procs, Prio: prio, Cancel: cancel}, run)
 	var te *TaskError
 	if !errors.As(err, &te) || te.ID != 0 {
 		t.Fatalf("err = %v, want *TaskError for task 0", err)
@@ -199,7 +199,7 @@ func TestExternalCancelStopsExecution(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- ExecuteCancelable(g, BlockCyclic(g.N, procs), procs, nil, nil, cancel, run)
+		done <- Run(g, RunOptions{Procs: procs, Owners: BlockCyclic(g.N, procs), Cancel: cancel}, run)
 	}()
 	for i := 0; i < procs; i++ {
 		<-arrived
@@ -228,7 +228,7 @@ func TestAbortTraceEvent(t *testing.T) {
 	g := syntheticUpdates(4)
 	rec := trace.New(2)
 	boom := errors.New("boom")
-	err := ExecuteGlobalTraced(g, 2, nil, rec, func(id int) error {
+	err := Run(g, RunOptions{Procs: 2, Trace: rec}, func(id int) error {
 		if id == 2 {
 			return boom
 		}
@@ -259,7 +259,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	cause := errors.New("gave up early")
 	cancel.Cancel(cause)
 	ran := false
-	err := ExecuteGlobalCancelable(g, 2, nil, nil, cancel, func(id int) error {
+	err := Run(g, RunOptions{Procs: 2, Cancel: cancel}, func(id int) error {
 		ran = true
 		return nil
 	})

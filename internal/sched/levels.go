@@ -60,11 +60,11 @@ func (lv *Levels) Reversed() *Levels {
 // deterministic. procs ≤ 1 (or a schedule smaller than procs shrinks
 // the worker count accordingly) runs inline on the calling goroutine.
 //
-// Unlike ExecuteCancelable there is no error or cancellation path:
-// the triangular solves this executor carries have none (singularity
-// is decided at factorization time, non-finite values propagate
-// deterministically), which keeps the per-level barrier free of the
-// cancellation machinery and the hot loop free of atomics.
+// Unlike Run there is no error or cancellation path: the triangular
+// solves this executor carries have none (singularity is decided at
+// factorization time, non-finite values propagate deterministically),
+// which keeps the per-level barrier free of the cancellation machinery
+// and the hot loop free of atomics.
 func ExecuteLevels(lv *Levels, procs int, run func(worker, task int)) {
 	if procs > lv.NumTasks() {
 		procs = lv.NumTasks()

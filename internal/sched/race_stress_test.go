@@ -7,8 +7,10 @@
 // same block column touch disjoint rows, so the parallel factorization
 // must be bitwise identical to the serial one — not merely close. Run
 // under `go test -race ./internal/sched/...` this doubles as the
-// lock-discipline proof for both the owner-mapped and the global
-// task-stealing executor.
+// lock-discipline proof for the work-stealing executor. The same sweep
+// under task-level seeding (RunOptions.Owners nil) needs the numeric
+// task body, which core does not export: it is
+// core.TestTaskLevelSeedingParity.
 package sched_test
 
 import (
@@ -90,23 +92,15 @@ func TestWorkerPoolRaceStress(t *testing.T) {
 
 			for _, workers := range []int{2, 4, 8} {
 				s.Opts.Workers = workers
-				for _, exec := range []struct {
-					name string
-					run  func() (*core.Factorization, error)
-				}{
-					{"owner-mapped", func() (*core.Factorization, error) { return core.FactorizeWith(s, sys.a) }},
-					{"global-steal", func() (*core.Factorization, error) { return core.FactorizeGlobal(s, sys.a) }},
-				} {
-					f, err := exec.run()
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", exec.name, workers, err)
-					}
-					got := solveBitwise(t, f, sys.a.NCols)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s workers=%d: x[%d] = %g, serial %g — parallel result is not bitwise identical",
-								exec.name, workers, i, got[i], want[i])
-						}
+				f, err := core.FactorizeWith(s, sys.a)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				got := solveBitwise(t, f, sys.a.NCols)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d: x[%d] = %g, serial %g — parallel result is not bitwise identical",
+							workers, i, got[i], want[i])
 					}
 				}
 			}
@@ -120,7 +114,7 @@ func TestWorkerPoolRaceStress(t *testing.T) {
 //
 //   - a near-singular system under PivotPerturb must produce bitwise
 //     identical factors (checked through Solve) and the identical
-//     perturbation record at every worker count and in both executors;
+//     perturbation record at every worker count;
 //   - a NaN-poisoned input must abort with ErrNonFinite wrapped in a
 //     *sched.TaskError at every worker count — the non-finite guard
 //     survives the stealing engine's arbitrary claim orders.
@@ -148,31 +142,22 @@ func TestAsyncParityRobustVariants(t *testing.T) {
 
 		for _, workers := range procsSweep {
 			s.Opts.Workers = workers
-			for _, exec := range []struct {
-				name string
-				run  func() (*core.Factorization, error)
-			}{
-				{"owner-mapped", func() (*core.Factorization, error) { return core.FactorizeWith(s, a) }},
-				{"global-steal", func() (*core.Factorization, error) { return core.FactorizeGlobal(s, a) }},
-			} {
-				f, err := exec.run()
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", exec.name, workers, err)
-				}
-				if f.PivotPerturbations() != ref.PivotPerturbations() {
-					t.Fatalf("%s workers=%d: %d perturbations, serial %d",
-						exec.name, workers, f.PivotPerturbations(), ref.PivotPerturbations())
-				}
-				if got := fmt.Sprint(f.PerturbedColumns()); got != wantPerturbed {
-					t.Fatalf("%s workers=%d: perturbed columns %s, serial %s",
-						exec.name, workers, got, wantPerturbed)
-				}
-				got := solveBitwise(t, f, a.NCols)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s workers=%d: x[%d] = %g, serial %g — not bitwise identical",
-							exec.name, workers, i, got[i], want[i])
-					}
+			f, err := core.FactorizeWith(s, a)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if f.PivotPerturbations() != ref.PivotPerturbations() {
+				t.Fatalf("workers=%d: %d perturbations, serial %d",
+					workers, f.PivotPerturbations(), ref.PivotPerturbations())
+			}
+			if got := fmt.Sprint(f.PerturbedColumns()); got != wantPerturbed {
+				t.Fatalf("workers=%d: perturbed columns %s, serial %s", workers, got, wantPerturbed)
+			}
+			got := solveBitwise(t, f, a.NCols)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d: x[%d] = %g, serial %g — not bitwise identical",
+						workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -191,21 +176,13 @@ func TestAsyncParityRobustVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, exec := range []struct {
-				name string
-				run  func() (*core.Factorization, error)
-			}{
-				{"owner-mapped", func() (*core.Factorization, error) { return core.FactorizeWith(s, a) }},
-				{"global-steal", func() (*core.Factorization, error) { return core.FactorizeGlobal(s, a) }},
-			} {
-				_, err := exec.run()
-				if !errors.Is(err, core.ErrNonFinite) {
-					t.Fatalf("%s workers=%d: err = %v, want ErrNonFinite", exec.name, workers, err)
-				}
-				var te *sched.TaskError
-				if !errors.As(err, &te) {
-					t.Fatalf("%s workers=%d: err = %v, want *sched.TaskError", exec.name, workers, err)
-				}
+			_, err = core.FactorizeWith(s, a)
+			if !errors.Is(err, core.ErrNonFinite) {
+				t.Fatalf("workers=%d: err = %v, want ErrNonFinite", workers, err)
+			}
+			var te *sched.TaskError
+			if !errors.As(err, &te) {
+				t.Fatalf("workers=%d: err = %v, want *sched.TaskError", workers, err)
 			}
 		}
 	})

@@ -7,7 +7,7 @@
 //     per-task dependence counters, per-worker Chase–Lev work-stealing
 //     deques and a counter-based termination detector instead of level
 //     barriers, with the 1-D ownership (or a global priority order)
-//     deciding only the initial placement of ready tasks, or
+//     deciding only the initial placement of ready tasks (Run), or
 //   - deterministically, by a discrete-event machine simulator with a
 //     flop-rate and message-latency model of the Origin 2000, used to
 //     regenerate the paper's figures reproducibly.
@@ -144,47 +144,55 @@ func (q *priorityQueue) Less(i, j int) bool {
 }
 func (q *priorityQueue) Swap(i, j int) { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
 
-// Execute runs every task of g exactly once with the dependence order
-// respected, using one goroutine per processor. The 1-D ownership
-// mapping decides where ready tasks are seeded; once running, idle
-// workers steal from busy ones, so ownership is an affinity hint, not
-// mutual exclusion — two tasks of one block column may run
-// concurrently when the dependence graph leaves them unordered, which
-// is bitwise-safe because such tasks write disjoint rows (the branch
-// property; the orderings that matter are dependence edges). run is
-// called with the task id; it must be safe for concurrent invocation
-// on tasks the graph leaves unordered. prio orders each worker's
-// initial claims (nil means bottom levels with unit weights).
+// RunOptions is everything an execution takes besides the graph and the
+// task body.
+type RunOptions struct {
+	// Procs is the number of workers, one goroutine each (must be ≥ 1).
+	Procs int
+	// Owners seeds every initially ready task on the worker owning its
+	// destination block column (the paper's 1-D mapping). Nil selects
+	// task-level scheduling instead, RAPID's mode on shared memory: the
+	// ready tasks are dealt round-robin over the workers by priority
+	// rank, so the first Procs claims are exactly the Procs highest-
+	// priority ready tasks.
+	Owners Assignment
+	// Prio orders each worker's initial claims; nil means bottom levels
+	// with unit weights.
+	Prio []float64
+	// Trace optionally records every task execution with its worker id,
+	// kind, destination column and start/stop timestamps; it must have
+	// at least Procs buffers. Nil costs one predictable branch per task.
+	Trace *trace.Recorder
+	// Cancel is an optional external stop signal (a caller-side
+	// deadline, a failure in a sibling execution).
+	Cancel *Canceler
+}
+
+// Run executes every task of g exactly once with the dependence order
+// respected. Seeding (RunOptions.Owners) decides only where the ready
+// tasks start; once running, idle workers steal from busy ones, so
+// ownership is an affinity hint, not mutual exclusion — two tasks of
+// one block column may run concurrently when the dependence graph
+// leaves them unordered, which is bitwise-safe because such tasks write
+// disjoint rows (the branch property; the orderings that matter are
+// dependence edges). run is called with the task id; it must be safe
+// for concurrent invocation on tasks the graph leaves unordered.
 //
 // The first task failure observed by any worker — a non-nil error from
-// run, or a panic in the task body — stops the execution and is
-// returned as a *TaskError carrying the task id.
-func Execute(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, run func(id int) error) error {
-	return ExecuteCancelable(g, owner, procs, prio, nil, nil, run)
-}
-
-// ExecuteTraced is Execute with an optional event recorder: when rec is
-// non-nil, every task execution is recorded with its worker id, kind,
-// destination column and start/stop timestamps. A nil rec costs one
-// predictable branch per task.
-func ExecuteTraced(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, rec *trace.Recorder, run func(id int) error) error {
-	return ExecuteCancelable(g, owner, procs, prio, rec, nil, run)
-}
-
-// ExecuteCancelable is ExecuteTraced with an optional external cancel
-// signal: when the Canceler trips (a caller-side deadline, a failure in
-// a sibling execution), workers stop claiming new tasks — the check is
-// one atomic load per task claim — and the call returns a *CancelError
-// matching errors.Is(err, ErrCanceled). The first task failure also
-// trips the canceler, so failure latency is O(one running task body)
-// instead of O(the remaining DAG). A nil cancel behaves like Execute.
-func ExecuteCancelable(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, rec *trace.Recorder, cancel *Canceler, run func(id int) error) error {
-	if procs < 1 {
-		return fmt.Errorf("sched: procs = %d", procs)
+// run, or a panic in the task body — stops the execution, trips the
+// canceler (so failure latency is O(one running task body), not O(the
+// remaining DAG)) and is returned as a *TaskError carrying the task id.
+// When the Canceler trips from outside, workers stop claiming new tasks
+// — the check is one atomic load per claim — and the call returns a
+// *CancelError matching errors.Is(err, ErrCanceled).
+func Run(g *taskgraph.Graph, o RunOptions, run func(id int) error) error {
+	if o.Procs < 1 {
+		return fmt.Errorf("sched: procs = %d", o.Procs)
 	}
-	if rec != nil && rec.Workers() < procs {
-		return fmt.Errorf("sched: recorder has %d worker buffers for %d workers", rec.Workers(), procs)
+	if o.Trace != nil && o.Trace.Workers() < o.Procs {
+		return fmt.Errorf("sched: recorder has %d worker buffers for %d workers", o.Trace.Workers(), o.Procs)
 	}
+	prio := o.Prio
 	if prio == nil {
 		var err error
 		prio, err = g.BottomLevels(nil)
@@ -192,5 +200,15 @@ func ExecuteCancelable(g *taskgraph.Graph, owner Assignment, procs int, prio []f
 			return err
 		}
 	}
-	return executeAsync(g, procs, rec, cancel, TaskOwners(g, owner), prio, run)
+	var place []int
+	if o.Owners != nil {
+		place = TaskOwners(g, o.Owners)
+	}
+	return executeAsync(g, o.Procs, o.Trace, o.Cancel, place, prio, run)
+}
+
+// Execute is the plain form of Run: owner-seeded, untraced, no external
+// cancel.
+func Execute(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, run func(id int) error) error {
+	return Run(g, RunOptions{Procs: procs, Owners: owner, Prio: prio}, run)
 }

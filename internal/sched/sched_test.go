@@ -13,6 +13,7 @@ import (
 	"repro/internal/supernode"
 	"repro/internal/symbolic"
 	"repro/internal/taskgraph"
+	"repro/internal/trace"
 )
 
 func randomZeroFreeDiag(n int, density float64, rng *rand.Rand) *sparse.CSC {
@@ -292,12 +293,12 @@ func TestExecuteConvertsPanicToError(t *testing.T) {
 	}
 }
 
-// TestExecuteGlobalReturnsFirstTaskError: same contract for the
-// task-level executor.
-func TestExecuteGlobalReturnsFirstTaskError(t *testing.T) {
+// TestRunTaskLevelReturnsFirstTaskError: same contract under task-level
+// seeding.
+func TestRunTaskLevelReturnsFirstTaskError(t *testing.T) {
 	g, _ := buildGraph(t, 10, 0.15, 95, taskgraph.SStar)
 	boom := errors.New("boom")
-	err := ExecuteGlobal(g, 4, nil, func(id int) error {
+	err := Run(g, RunOptions{Procs: 4}, func(id int) error {
 		if id == 3 {
 			return boom
 		}
@@ -423,6 +424,70 @@ func TestSimulateRejectsBadMachine(t *testing.T) {
 	}
 }
 
+// TestRunContract pins what Run decides once for every caller: argument
+// validation, the nil-Prio default and the two error types.
+func TestRunContract(t *testing.T) {
+	// Ready tasks 0, 1, 2 with unit-weight bottom levels 1, 2, 3
+	// (1 → 5 and 2 → 3 → 4), so the default priority order is visible in
+	// the serial claim order: 2 first, then its chain by handoff.
+	g := &taskgraph.Graph{N: 7, Tasks: make([]taskgraph.Task, 6), Succ: [][]int32{nil, {5}, {3}, {4}, nil, nil}}
+	for i := range g.Tasks {
+		g.Tasks[i] = taskgraph.Task{Kind: taskgraph.Update, K: 0, J: i + 1}
+	}
+	levels, err := g.BottomLevels(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := func(prio []float64) []int {
+		var got []int
+		if err := Run(g, RunOptions{Procs: 1, Prio: prio}, func(id int) error {
+			got = append(got, id)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got, want := fmt.Sprint(order(nil)), fmt.Sprint(order(levels)); got != want || got != "[2 3 4 1 5 0]" {
+		t.Fatalf("nil Prio ran %s, bottom levels ran %s, want [2 3 4 1 5 0]", got, want)
+	}
+	if got := order([]float64{9, 0, 0, 0, 0, 0}); got[0] != 0 {
+		t.Fatalf("explicit Prio ignored: ran %v", got)
+	}
+
+	boom := errors.New("boom")
+	tripped := &Canceler{}
+	tripped.Cancel(boom)
+	ok := func(int) error { return nil }
+	for _, tc := range []struct {
+		name  string
+		o     RunOptions
+		run   func(int) error
+		check func(error) bool
+	}{
+		{"procs < 1", RunOptions{Procs: 0}, ok, func(err error) bool { return err != nil }},
+		{"recorder too small", RunOptions{Procs: 2, Trace: trace.New(1)}, ok, func(err error) bool { return err != nil }},
+		{"recorder large enough", RunOptions{Procs: 2, Trace: trace.New(2)}, ok, func(err error) bool { return err == nil }},
+		{"task failure", RunOptions{Procs: 2}, func(id int) error {
+			if id == 3 {
+				return boom
+			}
+			return nil
+		}, func(err error) bool {
+			var te *TaskError
+			return errors.As(err, &te) && te.ID == 3 && errors.Is(err, boom)
+		}},
+		{"canceled", RunOptions{Procs: 2, Owners: BlockCyclic(g.N, 2), Cancel: tripped}, ok, func(err error) bool {
+			var ce *CancelError
+			return errors.As(err, &ce) && ce.Total == 6 && errors.Is(err, ErrCanceled) && errors.Is(err, boom)
+		}},
+	} {
+		if err := Run(g, tc.o, tc.run); !tc.check(err) {
+			t.Errorf("%s: err = %v", tc.name, err)
+		}
+	}
+}
+
 func TestExecuteRejectsBadProcs(t *testing.T) {
 	g, _ := buildGraph(t, 5, 0.2, 100, taskgraph.SStar)
 	if err := Execute(g, BlockCyclic(g.N, 1), 0, nil, func(int) error { return nil }); err == nil {
@@ -522,11 +587,11 @@ func TestSimulateStaticZeroPerturbMatchesPlanOrder(t *testing.T) {
 	}
 }
 
-func TestExecuteGlobalRunsAllTasks(t *testing.T) {
+func TestRunTaskLevelRunsAllTasks(t *testing.T) {
 	for _, procs := range []int{1, 4, 8} {
 		g, _ := buildGraph(t, 25, 0.12, 113, taskgraph.EForest)
 		var count int64
-		err := ExecuteGlobal(g, procs, nil, func(id int) error {
+		err := Run(g, RunOptions{Procs: procs}, func(id int) error {
 			atomic.AddInt64(&count, 1)
 			return nil
 		})
@@ -539,7 +604,7 @@ func TestExecuteGlobalRunsAllTasks(t *testing.T) {
 	}
 }
 
-func TestExecuteGlobalRespectsDependences(t *testing.T) {
+func TestRunTaskLevelRespectsDependences(t *testing.T) {
 	g, _ := buildGraph(t, 30, 0.1, 114, taskgraph.EForest)
 	pred := make([][]int, g.NumTasks())
 	for id := range g.Succ {
@@ -549,7 +614,7 @@ func TestExecuteGlobalRespectsDependences(t *testing.T) {
 	}
 	var mu sync.Mutex
 	done := make([]bool, g.NumTasks())
-	err := ExecuteGlobal(g, 4, nil, func(id int) error {
+	err := Run(g, RunOptions{Procs: 4}, func(id int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, p := range pred[id] {

@@ -39,6 +39,17 @@ func (m Machine) taskSeconds(flops []float64) []float64 {
 	return out
 }
 
+// check rejects a machine no schedule can be simulated on.
+func (m Machine) check() error {
+	if m.Procs < 1 {
+		return fmt.Errorf("sched: machine with %d processors", m.Procs)
+	}
+	if m.FlopRate <= 0 {
+		return fmt.Errorf("sched: non-positive flop rate")
+	}
+	return nil
+}
+
 // Origin2000 returns the default machine model with the given processor
 // count.
 func Origin2000(procs int) Machine {
@@ -57,6 +68,8 @@ type SimResult struct {
 	Makespan float64
 	// Start and Finish give the simulated time bounds of every task.
 	Start, Finish []float64
+	// Proc is the processor every task ran on.
+	Proc []int
 	// ProcBusy is the total busy time of each processor.
 	ProcBusy []float64
 	// CommEvents counts the cross-processor dependence edges.
@@ -107,11 +120,8 @@ func TaskOwners2D(g *taskgraph.Graph, pr, pc int) []int {
 // SimulateOwners is Simulate with an explicit per-task processor
 // assignment (e.g. from TaskOwners2D).
 func SimulateOwners(g *taskgraph.Graph, cm *taskgraph.CostModel, taskOwner []int, m Machine, commWords func(from, to int) float64) (*SimResult, error) {
-	if m.Procs < 1 {
-		return nil, fmt.Errorf("sched: machine with %d processors", m.Procs)
-	}
-	if m.FlopRate <= 0 {
-		return nil, fmt.Errorf("sched: non-positive flop rate")
+	if err := m.check(); err != nil {
+		return nil, err
 	}
 	nt := g.NumTasks()
 	taskTime := m.taskSeconds(cm.TaskFlops)
@@ -125,6 +135,7 @@ func SimulateOwners(g *taskgraph.Graph, cm *taskgraph.CostModel, taskOwner []int
 	res := &SimResult{
 		Start:    make([]float64, nt),
 		Finish:   make([]float64, nt),
+		Proc:     taskOwner,
 		ProcBusy: make([]float64, m.Procs),
 	}
 	procFree := make([]float64, m.Procs)
@@ -175,12 +186,7 @@ func SimulateOwners(g *taskgraph.Graph, cm *taskgraph.CostModel, taskOwner []int
 		for _, s := range g.Succ[bestID] {
 			arrive := finish
 			if taskOwner[s] != bestProc {
-				vol := 0.0
-				if commWords != nil {
-					vol = commWords(bestID, int(s))
-				}
-				arrive += m.Latency + m.InvBandwidth*vol
-				res.CommEvents++
+				arrive += m.edgeComm(bestID, int(s), commWords)
 			}
 			if arrive > ready[s] {
 				ready[s] = arrive
@@ -191,7 +197,125 @@ func SimulateOwners(g *taskgraph.Graph, cm *taskgraph.CostModel, taskOwner []int
 			}
 		}
 	}
+	res.countCommEvents(g)
 	return res, nil
+}
+
+// arrival is one satisfied dependence of a task whose processor is not
+// fixed in advance: the predecessor's finish time and processor, and the
+// message cost paid if the task runs anywhere else.
+type arrival struct {
+	finish float64
+	proc   int
+	comm   float64
+}
+
+// earliestStart returns when a task with the given arrivals can start on
+// processor p, free from procFree on: panels live in the memory of the
+// processor that produced them (a NUMA machine), so every dependence
+// edge whose endpoints run on different processors costs a message.
+func earliestStart(arrivals []arrival, p int, procFree float64) float64 {
+	start := procFree
+	for _, a := range arrivals {
+		t := a.finish
+		if a.proc != p {
+			t += a.comm
+		}
+		if t > start {
+			start = t
+		}
+	}
+	return start
+}
+
+// edgeComm is the message cost of dependence edge from → to when its
+// endpoints run on different processors.
+func (m Machine) edgeComm(from, to int, commWords func(from, to int) float64) float64 {
+	comm := m.Latency
+	if commWords != nil {
+		comm += m.InvBandwidth * commWords(from, to)
+	}
+	return comm
+}
+
+// SimulateGlobal performs deterministic task-level list scheduling of
+// the graph on the machine — the paper's runtime (RAPID on the
+// cache-coherent Origin 2000) schedules tasks, not block columns, which
+// is what exposes the parallelism the eforest-guided graph adds over
+// S*: ready tasks are taken in descending bottom-level priority and
+// placed on the processor that can start them earliest.
+func SimulateGlobal(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, commWords func(from, to int) float64) (*SimResult, error) {
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	nt := g.NumTasks()
+	taskTime := m.taskSeconds(cm.TaskFlops)
+	prio, err := g.BottomLevels(taskTime)
+	if err != nil {
+		return nil, err
+	}
+	indeg := g.InDegrees()
+	arrivals := make([][]arrival, nt)
+
+	res := &SimResult{
+		Start:    make([]float64, nt),
+		Finish:   make([]float64, nt),
+		Proc:     make([]int, nt),
+		ProcBusy: make([]float64, m.Procs),
+	}
+	procFree := make([]float64, m.Procs)
+
+	ready := priorityQueue{prio: prio}
+	for id, d := range indeg {
+		if d == 0 {
+			heapPush(&ready, id)
+		}
+	}
+
+	for scheduled := 0; scheduled < nt; scheduled++ {
+		if ready.Len() == 0 {
+			return nil, fmt.Errorf("sched: no ready task (cycle?)")
+		}
+		id := heapPopID(&ready)
+		// Choose the processor with the earliest feasible start.
+		bestP, bestStart := 0, 0.0
+		for p := 0; p < m.Procs; p++ {
+			start := earliestStart(arrivals[id], p, procFree[p])
+			if p == 0 || start < bestStart {
+				bestP, bestStart = p, start
+			}
+		}
+		finish := bestStart + taskTime[id]
+		res.Start[id] = bestStart
+		res.Finish[id] = finish
+		res.Proc[id] = bestP
+		res.ProcBusy[bestP] += taskTime[id]
+		procFree[bestP] = finish
+		if finish > res.Makespan {
+			res.Makespan = finish
+		}
+		for _, s := range g.Succ[id] {
+			arrivals[s] = append(arrivals[s], arrival{finish: finish, proc: bestP, comm: m.edgeComm(id, int(s), commWords)})
+			indeg[s]--
+			if indeg[s] == 0 {
+				heapPush(&ready, int(s))
+			}
+		}
+	}
+	res.countCommEvents(g)
+	return res, nil
+}
+
+// countCommEvents sets CommEvents to the number of dependence edges
+// whose endpoints ran on different processors.
+func (r *SimResult) countCommEvents(g *taskgraph.Graph) {
+	for id := range g.Succ {
+		for _, s := range g.Succ[id] {
+			if r.Proc[id] != r.Proc[s] {
+				r.CommEvents++
+			}
+		}
+	}
 }
 
 // PanelWords returns a commWords function for the 1-D mapping: the only

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/taskgraph"
 )
@@ -52,58 +53,44 @@ func (p Perturb) factor(id int) float64 {
 // model, then simulates its in-order execution under the perturbed task
 // times. Returns the executed schedule.
 func SimulateStatic(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, commWords func(from, to int) float64, perturb Perturb) (*SimResult, error) {
-	if m.Procs < 1 {
-		return nil, fmt.Errorf("sched: machine with %d processors", m.Procs)
-	}
-	if m.FlopRate <= 0 {
-		return nil, fmt.Errorf("sched: non-positive flop rate")
-	}
-	nt := g.NumTasks()
-	estTime := m.taskSeconds(cm.TaskFlops)
-
-	// Phase 1 — inspector: static schedule with estimated costs. The
-	// placement policy is the same deterministic HLF as SimulateGlobal,
-	// so both graph variants are scheduled identically well.
-	procSeq, err := planAssign(g, cm, m, commWords)
+	// Phase 1 — inspector: the static schedule is SimulateGlobal's
+	// placement under the estimated costs, so both graph variants are
+	// scheduled identically well. A processor runs one task at a time,
+	// so its planned sequence is its tasks in start order.
+	plan, err := SimulateGlobal(g, cm, m, commWords)
 	if err != nil {
 		return nil, err
 	}
+	nt := g.NumTasks()
+	byStart := make([]int, nt)
+	for id := range byStart {
+		byStart[id] = id
+	}
+	sort.SliceStable(byStart, func(x, y int) bool { return plan.Start[byStart[x]] < plan.Start[byStart[y]] })
+	procSeq := make([][]int, m.Procs)
+	for _, id := range byStart {
+		procSeq[plan.Proc[id]] = append(procSeq[plan.Proc[id]], id)
+	}
 
 	// Phase 2 — executor: run the fixed sequences with perturbed times.
-	actual := make([]float64, nt)
+	actual := m.taskSeconds(cm.TaskFlops)
 	for id := range actual {
-		actual[id] = estTime[id] * perturb.factor(id)
+		actual[id] *= perturb.factor(id)
 	}
 	res := &SimResult{
 		Start:    make([]float64, nt),
 		Finish:   make([]float64, nt),
+		Proc:     plan.Proc,
 		ProcBusy: make([]float64, m.Procs),
-	}
-	procOf := make([]int, nt)
-	for p, seq := range procSeq {
-		for _, id := range seq {
-			procOf[id] = p
-		}
 	}
 	// Event-driven in-order execution: repeatedly advance the processor
 	// whose next task can start earliest.
 	pos := make([]int, m.Procs)
 	procFree := make([]float64, m.Procs)
-	type arrival struct {
-		finish float64
-		proc   int
-		comm   float64
-	}
 	arrivals := make([][]arrival, nt)
-	pending := make([]int, nt)
-	for id := range pending {
-		pending[id] = 0
-	}
-	in := g.InDegrees()
-	copy(pending, in)
+	pending := g.InDegrees()
 
-	done := 0
-	for done < nt {
+	for done := 0; done < nt; done++ {
 		bestP := -1
 		bestStart := 0.0
 		for p := 0; p < m.Procs; p++ {
@@ -114,16 +101,7 @@ func SimulateStatic(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, comm
 			if pending[id] > 0 {
 				continue // a predecessor has not even been executed yet
 			}
-			start := procFree[p]
-			for _, a := range arrivals[id] {
-				t := a.finish
-				if a.proc != p {
-					t += a.comm
-				}
-				if t > start {
-					start = t
-				}
-			}
+			start := earliestStart(arrivals[id], p, procFree[p])
 			if bestP == -1 || start < bestStart {
 				bestP, bestStart = p, start
 			}
@@ -141,81 +119,11 @@ func SimulateStatic(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, comm
 		if finish > res.Makespan {
 			res.Makespan = finish
 		}
-		done++
 		for _, s := range g.Succ[id] {
-			comm := m.Latency
-			if commWords != nil {
-				comm += m.InvBandwidth * commWords(id, int(s))
-			}
-			arrivals[s] = append(arrivals[s], arrival{finish: finish, proc: bestP, comm: comm})
+			arrivals[s] = append(arrivals[s], arrival{finish: finish, proc: bestP, comm: m.edgeComm(id, int(s), commWords)})
 			pending[s]--
-			if procOf[id] != procOf[s] {
-				res.CommEvents++
-			}
 		}
 	}
+	res.countCommEvents(g)
 	return res, nil
-}
-
-// planAssign runs the same deterministic HLF placement as
-// SimulateGlobal and returns the per-processor task sequences.
-func planAssign(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, commWords func(from, to int) float64) ([][]int, error) {
-	nt := g.NumTasks()
-	taskTime := m.taskSeconds(cm.TaskFlops)
-	prio, err := g.BottomLevels(taskTime)
-	if err != nil {
-		return nil, err
-	}
-	indeg := g.InDegrees()
-	type arrival struct {
-		finish float64
-		proc   int
-		comm   float64
-	}
-	arrivals := make([][]arrival, nt)
-	procFree := make([]float64, m.Procs)
-	seq := make([][]int, m.Procs)
-	ready := priorityQueue{prio: prio}
-	for id, d := range indeg {
-		if d == 0 {
-			heapPush(&ready, id)
-		}
-	}
-	for scheduled := 0; scheduled < nt; scheduled++ {
-		if ready.Len() == 0 {
-			return nil, fmt.Errorf("sched: no ready task (cycle?)")
-		}
-		id := heapPopID(&ready)
-		bestP, bestStart := 0, 0.0
-		for p := 0; p < m.Procs; p++ {
-			start := procFree[p]
-			for _, a := range arrivals[id] {
-				t := a.finish
-				if a.proc != p {
-					t += a.comm
-				}
-				if t > start {
-					start = t
-				}
-			}
-			if p == 0 || start < bestStart {
-				bestP, bestStart = p, start
-			}
-		}
-		finish := bestStart + taskTime[id]
-		procFree[bestP] = finish
-		seq[bestP] = append(seq[bestP], id)
-		for _, s := range g.Succ[id] {
-			comm := m.Latency
-			if commWords != nil {
-				comm += m.InvBandwidth * commWords(id, int(s))
-			}
-			arrivals[s] = append(arrivals[s], arrival{finish: finish, proc: bestP, comm: comm})
-			indeg[s]--
-			if indeg[s] == 0 {
-				heapPush(&ready, int(s))
-			}
-		}
-	}
-	return seq, nil
 }

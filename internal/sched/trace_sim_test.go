@@ -18,8 +18,8 @@ import (
 	"repro/internal/trace"
 )
 
-// factorTraced runs the traced global executor on one generated matrix
-// and returns the task graph with the merged trace events.
+// factorTraced runs a traced numeric factorization of one generated
+// matrix and returns the task graph with the merged trace events.
 func factorTraced(t *testing.T, spec matgen.Spec, workers int) (*taskgraph.Graph, []trace.Event) {
 	t.Helper()
 	a := spec.Gen()
@@ -31,7 +31,7 @@ func factorTraced(t *testing.T, spec matgen.Spec, workers int) (*taskgraph.Graph
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
-	if _, err := core.FactorizeGlobal(s, a); err != nil {
+	if _, err := core.FactorizeWith(s, a); err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
 	return s.Graph, rec.Events()
