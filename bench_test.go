@@ -138,7 +138,7 @@ func benchFigure(b *testing.B, names []string, procs []int) {
 			b.Fatal(err)
 		}
 		gS := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
-		cmS := taskgraph.NewCostModel(gS, s.BlockSym, s.Part)
+		cmS := taskgraph.NewCostModel(gS, s.Stored, s.Part)
 		for _, p := range procs {
 			b.Run(fmt.Sprintf("%s/P=%d", spec.Name, p), func(b *testing.B) {
 				var imp float64

@@ -156,9 +156,11 @@ func report(name string, a *sparse.CSC) {
 			s.Part.NumBlocks(), st.AvgBlockWidth, st.MaxBlockWidth)
 		fmt.Printf("  explicit zeros: %d (%.2f%% of stored factor entries)\n",
 			st.ExplicitZeros, 100*st.ExplicitZeroRatio)
+		fmt.Printf("  stored: %d blocks, %d entries; block closure (scheduling only): %d blocks, %d entries\n",
+			st.StoredBlocks, st.StoredEntries, st.BlockNNZ, supernode.DenseEntries(s.BlockSym, s.Part))
 		for _, variant := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
 			g := taskgraph.New(s.BlockSym, s.BlockForest, variant)
-			cm := taskgraph.NewCostModel(g, s.BlockSym, s.Part)
+			cm := taskgraph.NewCostModel(g, s.Stored, s.Part)
 			cp, total, err := g.CriticalPath(cm.TaskFlops)
 			if err != nil {
 				fatalf("%v", err)

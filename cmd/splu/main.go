@@ -23,6 +23,7 @@ import (
 
 	"repro"
 	"repro/internal/matgen"
+	"repro/internal/supernode"
 	"repro/internal/trace"
 )
 
@@ -125,6 +126,9 @@ func main() {
 		st.Supernodes, st.StrictSupernodes, st.SplitBlocks, st.DiagonalBlocks)
 	fmt.Printf("  panel width max %d avg %.1f, explicit zeros %d (%.1f%% of stored entries)\n",
 		st.MaxBlockWidth, st.AvgBlockWidth, st.ExplicitZeros, 100*st.ExplicitZeroRatio)
+	cs := analysis.Symbolic()
+	fmt.Printf("  stored: %d blocks, %d entries; block closure (scheduling only): %d blocks, %d entries\n",
+		cs.Stats.StoredBlocks, cs.Stats.StoredEntries, cs.Stats.BlockNNZ, supernode.DenseEntries(cs.BlockSym, cs.Part))
 	fmt.Printf("  tasks = %d, edges = %d, est. flops = %.3g, critical path = %.3g flops\n",
 		st.Tasks, st.Edges, st.TotalFlops, st.CriticalPathFlops)
 

@@ -37,7 +37,7 @@ func main() {
 
 	for _, variant := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
 		g := taskgraph.New(s.BlockSym, s.BlockForest, variant)
-		cm := taskgraph.NewCostModel(g, s.BlockSym, s.Part)
+		cm := taskgraph.NewCostModel(g, s.Stored, s.Part)
 		cp, total, err := g.CriticalPath(cm.TaskFlops)
 		if err != nil {
 			log.Fatal(err)

@@ -35,16 +35,31 @@ type Symbolic struct {
 	Forest *etree.Forest
 	// Part is the supernode partition (after amalgamation).
 	Part *supernode.Partition
+	// Stored is the block structure of Ā under Part — block (I,J) is
+	// present iff Ā has an entry inside it — split into its L / U / URows
+	// views. It is what the numeric phase allocates and updates, what the
+	// solve schedules chain on and what Costs charges: Ā is closed under
+	// elimination for every pivot sequence, so no entry outside these
+	// blocks ever becomes non-zero.
+	Stored *symbolic.Result
 	// BlockSym is the static symbolic factorization of the supernode
-	// block matrix — the structure the numeric phase allocates and the
-	// task graph is built on.
+	// block matrix: Stored re-closed under George–Ng at block
+	// granularity. It is a scheduling structure only — Graph and
+	// BlockForest are built on it — and a superset of Stored, so the
+	// Theorem-4 graph orders every two tasks that touch a common stored
+	// block; the tasks of its other blocks return at once.
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
 	// Graph is the task dependence graph (variant per Options).
 	Graph *taskgraph.Graph
-	// Costs estimates per-task flops for scheduling and simulation.
+	// Costs estimates per-task flops on Stored for scheduling and
+	// simulation.
 	Costs *taskgraph.CostModel
+	// Prio holds the scheduling priorities of the numeric phase: Graph's
+	// bottom levels under Costs, computed once per pattern. Whoever puts
+	// another Graph or Costs on a copy recomputes it with them.
+	Prio []float64
 	// SolveFwd and SolveBwd are the level-set schedules of the
 	// triangular solves' forward (L̄) and backward (Ū) sweeps: one task
 	// per block column, with columns touching a common block row
@@ -82,6 +97,10 @@ type Symbolic struct {
 	// Sym they are the checkpoint Reanalyze's delta path patches from.
 	inputPattern *sparse.Pattern
 	symPart      *symbolic.Partition
+
+	// layout is the block-column storage layout on Stored, shared by
+	// every factorization of the pattern.
+	layout []colLayout
 }
 
 // StageTime is one entry of the per-stage analyze timing breakdown.
@@ -101,7 +120,7 @@ type AnalysisStats struct {
 	StrictSN     int     // supernode count before amalgamation (Table 3 SN/SNPO)
 	NumTrees     int     // trees in the scalar eforest = diagonal blocks of the BUT form (Table 3 NoBlks)
 	Blocks       int     // N of the block matrix
-	BlockNNZ     int     // structurally nonzero blocks
+	BlockNNZ     int     // blocks of the block-level closure (scheduling only)
 	TaskCount    int
 	EdgeCount    int
 	TotalFlops   float64
@@ -111,8 +130,10 @@ type AnalysisStats struct {
 	SplitBlocks       int     // extra blocks the load-balance Split created
 	MaxBlockWidth     int     // widest supernode block of the final partition
 	AvgBlockWidth     float64 // mean block width of the final partition
-	ExplicitZeros     int     // explicit zeros carried by the dense block storage
-	ExplicitZeroRatio float64 // ExplicitZeros / total stored entries
+	StoredBlocks      int     // blocks that hold an entry of Ā: the ones a factorization allocates
+	StoredEntries     int     // their total dense area
+	ExplicitZeros     int     // StoredEntries − NNZFactors
+	ExplicitZeroRatio float64 // ExplicitZeros / StoredEntries
 	// AnalyzeSeconds is the wall-clock duration of the Analyze (or
 	// Reanalyze) call that produced this Symbolic. It is the only
 	// non-structural field: comparisons across runs must ignore it.
@@ -223,7 +244,7 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 // writes only this struct's fields and is joined via wg before anyone
 // reads them.
 type solveOverlap struct {
-	blockSym           *symbolic.Result
+	stored             *symbolic.Result
 	wg                 sync.WaitGroup
 	solveFwd, solveBwd *sched.Levels
 	err                error
@@ -231,7 +252,7 @@ type solveOverlap struct {
 
 func (ov *solveOverlap) run() {
 	defer ov.wg.Done()
-	ov.solveFwd, ov.solveBwd, ov.err = solveSchedules(ov.blockSym)
+	ov.solveFwd, ov.solveBwd, ov.err = solveSchedules(ov.stored)
 }
 
 // checkpointOverlap builds the Reanalyze checkpoint (the exact input
@@ -286,10 +307,12 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	part := supernode.Split(merged, o.Amalgamation.MaxSize)
 	st.mark("supernodes")
 
-	// Step 5: block structure, closed under block-level elimination so
-	// that the task graph theorems and the numeric phase can rely on the
-	// static fixed-point properties at block granularity.
+	// Step 5: the block structure of Ā, which is what gets stored, and
+	// its closure under block-level elimination, so that the task graph
+	// theorems can rely on the static fixed-point properties at block
+	// granularity.
 	bp := supernode.BlockPattern(sym, part)
+	stored := symbolic.FromPattern(bp)
 	blockSym, err := symbolic.Factor(bp.ToCSC(1))
 	if err != nil {
 		return nil, fmt.Errorf("core: block symbolic factorization: %w", err)
@@ -299,24 +322,24 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 
 	// Steps 6+7: task dependence graph + cost model, and the level-set
 	// schedules of the triangular-solve sweeps. The two are independent
-	// of each other (both read only blockSym), so with AnalyzeWorkers
-	// > 1 the solve schedules build concurrently; each stage's output
-	// is identical either way.
+	// of each other (both only read the block structures), so with
+	// AnalyzeWorkers > 1 the solve schedules build concurrently; each
+	// stage's output is identical either way.
 	var ov *solveOverlap
 	if o.AnalyzeWorkers > 1 {
-		ov = &solveOverlap{blockSym: blockSym}
+		ov = &solveOverlap{stored: stored}
 		ov.wg.Add(1)
 		go ov.run()
 	}
 	graph := taskgraph.New(blockSym, blockForest, o.TaskGraph)
-	costs := taskgraph.NewCostModel(graph, blockSym, part)
+	costs := taskgraph.NewCostModel(graph, stored, part)
 
 	var solveFwd, solveBwd *sched.Levels
 	if ov != nil {
 		ov.wg.Wait()
 		solveFwd, solveBwd, err = ov.solveFwd, ov.solveBwd, ov.err
 	} else {
-		solveFwd, solveBwd, err = solveSchedules(blockSym)
+		solveFwd, solveBwd, err = solveSchedules(stored)
 	}
 	if err != nil {
 		return nil, err
@@ -326,9 +349,16 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	if err != nil {
 		return nil, fmt.Errorf("core: task graph: %w", err)
 	}
+	prio, err := graph.BottomLevels(costs.TaskFlops)
+	if err != nil {
+		return nil, fmt.Errorf("core: task graph: %w", err)
+	}
 	st.mark("task graph + solve schedules")
 
 	if o.Verify {
+		if err := verify.VerifyStoredBlocks(sym, part, stored, blockSym); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		if err := verify.VerifyDAG(graph); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -349,9 +379,10 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	}
 
 	explicitZeros := supernode.ExplicitZeros(sym, part, bp)
+	storedEntries := explicitZeros + sym.NNZ()
 	zeroRatio := 0.0
-	if stored := explicitZeros + sym.NNZ(); stored > 0 {
-		zeroRatio = float64(explicitZeros) / float64(stored)
+	if storedEntries > 0 {
+		zeroRatio = float64(explicitZeros) / float64(storedEntries)
 	}
 
 	s := &Symbolic{
@@ -361,10 +392,12 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 		Sym:          sym,
 		Forest:       forest,
 		Part:         part,
+		Stored:       stored,
 		BlockSym:     blockSym,
 		BlockForest:  blockForest,
 		Graph:        graph,
 		Costs:        costs,
+		Prio:         prio,
 		SolveFwd:     solveFwd,
 		SolveBwd:     solveBwd,
 		SolveFwdT:    solveBwd.Reversed(),
@@ -373,6 +406,7 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 		PatternHash:  PatternHash(a, o),
 		inputPattern: inputPat,
 		symPart:      symPart,
+		layout:       newLayout(stored, part),
 		Opts:         *o,
 		Stats: AnalysisStats{
 			N:            n,
@@ -392,6 +426,8 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 			SplitBlocks:       part.NumBlocks() - merged.NumBlocks(),
 			MaxBlockWidth:     part.MaxSize(),
 			AvgBlockWidth:     part.AvgSize(),
+			StoredBlocks:      stored.NNZ(),
+			StoredEntries:     storedEntries,
 			ExplicitZeros:     explicitZeros,
 			ExplicitZeroRatio: zeroRatio,
 		},

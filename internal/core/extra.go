@@ -114,7 +114,7 @@ func (f *Factorization) bwdStepT(k int, y []float64) {
 	}
 	diag := c.data[c.panelOffset()*w:]
 	blas.Dtrsvt(true, true, w, diag, w, yk) // (unit lower L)ᵀ solve
-	prows := f.panelRows[k]
+	prows := c.panelRows
 	for lc := len(f.ipiv[k]) - 1; lc >= 0; lc-- {
 		if r := f.ipiv[k][lc]; r != lc {
 			y[prows[lc]], y[prows[r]] = y[prows[r]], y[prows[lc]]

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/luerr"
 	"repro/internal/sched"
 	"repro/internal/sparse"
+	"repro/internal/supernode"
+	"repro/internal/symbolic"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
@@ -54,28 +57,72 @@ func (e *SingularError) Error() string {
 // Unwrap exposes the ErrNumericallySingular sentinel to errors.Is.
 func (e *SingularError) Unwrap() error { return ErrNumericallySingular }
 
-// blockCol is the dense stacked storage of one block column: all of its
-// structurally present blocks concatenated by ascending block row, each
-// block dense. The L panel (diagonal block and below) is the contiguous
-// tail, which is what the panel factorization and the TRSM/GEMM kernels
-// operate on.
-type blockCol struct {
+// colLayout is the structural half of one block column's dense stacked
+// storage: the blocks of Symbolic.Stored in that column, concatenated by
+// ascending block row, and where each one starts. The L panel (diagonal
+// block and below) is the contiguous tail, which is what the panel
+// factorization and the TRSM/GEMM kernels operate on. It depends only on
+// the pattern, so it is built once per Symbolic (newLayout) and shared
+// by every factorization.
+type colLayout struct {
 	width     int
-	blockRows []int // ascending block-row ids present in this column
+	blockRows []int // ascending block-row ids stored in this column
 	offsets   []int // row offset of each block within data (parallel to blockRows)
-	// blockOff is the dense block-row directory: blockOff[br] is the row
-	// offset of block row br within data, or -1 when the block is not
-	// present. It replaces a map so the hot update() loop does no
-	// hashing; at one int32 per (block row, block column) pair the whole
-	// directory costs NumBlocks² × 4 bytes, far below the factor storage.
-	blockOff []int32
-	diagIdx  int       // index into blockRows of the diagonal block
-	rows     int       // total scalar rows stacked
-	data     []float64 // rows × width, row-major, lda = width
+	diagIdx   int   // index into blockRows of the diagonal block
+	rows      int   // total scalar rows stacked
+	panelRows []int // global scalar rows of the L panel in stack order
+	dataOff   int   // where the column's values start in a factorization's slab
+}
+
+// blockCol is one block column of a factorization: the shared layout and
+// this factorization's values, a window of its one value slab.
+type blockCol struct {
+	*colLayout
+	data []float64 // rows × width, row-major, lda = width
+}
+
+// newLayout lays the block columns of stored out for the partition.
+func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
+	lay := make([]colLayout, stored.N)
+	blockRows := make([]int, 0, stored.NNZ())
+	offsets := make([]int, 0, stored.NNZ())
+	dataOff := 0
+	for j := range lay {
+		c := &lay[j]
+		c.width = part.Size(j)
+		ublocks := stored.U.Col(j) // rows ≤ j, ends at diagonal
+		c.diagIdx = len(ublocks) - 1
+		lo := len(blockRows)
+		blockRows = append(append(blockRows, ublocks[:c.diagIdx]...), stored.L.Col(j)...)
+		c.blockRows = blockRows[lo:len(blockRows):len(blockRows)]
+		for _, br := range c.blockRows {
+			offsets = append(offsets, c.rows)
+			c.rows += part.Size(br)
+		}
+		c.offsets = offsets[lo:len(offsets):len(offsets)]
+		c.panelRows = make([]int, 0, c.rows-c.panelOffset())
+		for _, br := range c.blockRows[c.diagIdx:] {
+			for g, hi := part.Range(br); g < hi; g++ {
+				c.panelRows = append(c.panelRows, g)
+			}
+		}
+		c.dataOff = dataOff
+		dataOff += c.rows * c.width
+	}
+	return lay
+}
+
+// findBlock returns the index of block row br in the ascending list
+// blockRows, or -1 when the block is not stored.
+func findBlock(blockRows []int, br int) int {
+	if t, ok := slices.BinarySearch(blockRows, br); ok {
+		return t
+	}
+	return -1
 }
 
 // panelOffset returns the row offset where the L panel starts.
-func (c *blockCol) panelOffset() int { return c.offsets[c.diagIdx] }
+func (c *colLayout) panelOffset() int { return c.offsets[c.diagIdx] }
 
 // Factorization holds the numeric factors in supernodal block storage
 // together with the analysis that produced them.
@@ -84,9 +131,8 @@ type Factorization struct {
 	cols []blockCol
 	// ipiv[K] holds the panel-local pivot row indices of block column K:
 	// at local column c, panel row c was swapped with panel row ipiv[K][c].
+	// The rows are windows of one slice of length N.
 	ipiv [][]int
-	// panelRows[K] lists the global scalar rows of panel K in stack order.
-	panelRows [][]int
 	// rscale/cscale hold the equilibration factors (nil when disabled):
 	// the factored matrix is R·A₂·C in the permuted index space.
 	rscale, cscale []float64
@@ -108,11 +154,12 @@ type Factorization struct {
 	// pivots were replaced (written only by task F(K), read after the
 	// execution's completion barrier).
 	perturbed [][]int
-	// perturbScratch[K] is the preallocated buffer task F(K) hands to
+	// perturbScratch is the preallocated buffer, one slot per scalar
+	// column, whose window of panel K task F(K) hands to
 	// blas.DgetrfStatic for panel-local perturbation indices, so Factor
 	// tasks allocate nothing. Nil under PivotFail (fail mode never
 	// records perturbations).
-	perturbScratch [][]int
+	perturbScratch []int
 	// solveWS pools the SolveWorkspace panels of the solve hot path;
 	// concurrent solves on one factorization each check out their own,
 	// so steady-state solves allocate nothing beyond their results.
@@ -220,16 +267,12 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 	if err != nil {
 		return nil, err
 	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		return nil, err
-	}
 	cancel, stop := numericCanceler(eff.Timeout, eff.Cancel)
 	defer stop()
 	err = sched.Run(s.Graph, sched.RunOptions{
 		Procs:  eff.Workers,
 		Owners: sched.BlockCyclic(s.BlockSym.N, eff.Workers),
-		Prio:   prio,
+		Prio:   s.Prio,
 		Trace:  eff.Trace,
 		Cancel: cancel,
 	}, f.runTask)
@@ -270,20 +313,20 @@ func numericCanceler(timeout time.Duration, cancel *sched.Canceler) (*sched.Canc
 // uncancelled hot path allocates no closure.
 func noopStop() {}
 
-// newFactorization allocates the block storage and scatters the numeric
-// values of the permuted matrix into it. eff carries the resolved
-// per-call numeric options; only the Symbolic's structural fields are
-// read, never written.
+// newFactorization allocates the values of the stored blocks — one slab
+// windowed by the Symbolic's layout — and scatters the numeric values of
+// the permuted matrix into it. eff carries the resolved per-call numeric
+// options; only the Symbolic's structural fields are read, never
+// written.
 func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factorization, error) {
 	if a.NRows != s.N || a.NCols != s.N {
 		return nil, fmt.Errorf("core: matrix is %d×%d, analysis is for order %d", a.NRows, a.NCols, s.N)
 	}
-	nb := s.BlockSym.N
+	nb := len(s.layout)
 	f := &Factorization{
 		S:         s,
 		cols:      make([]blockCol, nb),
 		ipiv:      make([][]int, nb),
-		panelRows: make([][]int, nb),
 		policy:    eff.PivotPolicy,
 		fast:      eff.FastMath,
 		perturbed: make([][]int, nb),
@@ -291,39 +334,17 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 	}
 	f.badCol.Store(-1)
 	part := s.Part
-	for j := 0; j < nb; j++ {
-		c := &f.cols[j]
-		c.width = part.Size(j)
-		ublocks := s.BlockSym.U.Col(j) // rows ≤ j, ends at diagonal
-		lblocks := s.BlockSym.L.Col(j) // rows ≥ j, starts at diagonal
-		c.blockRows = make([]int, 0, len(ublocks)+len(lblocks)-1)
-		c.blockRows = append(c.blockRows, ublocks[:len(ublocks)-1]...)
-		c.diagIdx = len(c.blockRows)
-		c.blockRows = append(c.blockRows, lblocks...)
-		c.offsets = make([]int, len(c.blockRows))
-		c.blockOff = make([]int32, nb)
-		for t := range c.blockOff {
-			c.blockOff[t] = -1
-		}
-		off := 0
-		for t, br := range c.blockRows {
-			c.offsets[t] = off
-			c.blockOff[br] = int32(off)
-			off += part.Size(br)
-		}
-		c.rows = off
-		c.data = make([]float64, off*c.width)
-		f.ipiv[j] = make([]int, c.width)
-
-		// Panel row list (global scalar rows of the L part).
-		pr := make([]int, 0, off-c.panelOffset())
-		for t := c.diagIdx; t < len(c.blockRows); t++ {
-			lo, hi := part.Range(c.blockRows[t])
-			for g := lo; g < hi; g++ {
-				pr = append(pr, g)
-			}
-		}
-		f.panelRows[j] = pr
+	entries := 0
+	if nb > 0 {
+		last := &s.layout[nb-1]
+		entries = last.dataOff + last.rows*last.width
+	}
+	data := make([]float64, entries)
+	ipiv := make([]int, s.N)
+	for j := range f.cols {
+		c := &s.layout[j]
+		f.cols[j] = blockCol{colLayout: c, data: data[c.dataOff : c.dataOff+c.rows*c.width]}
+		f.ipiv[j] = ipiv[part.BlockStart[j]:part.BlockStart[j+1]]
 	}
 
 	// Scatter the permuted numeric values, equilibrated if requested.
@@ -348,9 +369,9 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		lc := j - part.BlockStart[bj]
 		rows, vals := ap.Col(j)
 		for k, i := range rows {
-			off, err := f.rowOffset(c, i)
-			if err != nil {
-				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure: %w", i, j, err)
+			off, ok := f.rowOffset(c, i)
+			if !ok {
+				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
 			}
 			c.data[off*c.width+lc] = vals[k]
 		}
@@ -365,24 +386,21 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 			anorm = 1
 		}
 		f.pivotTol = math.Sqrt(eps) * anorm
-		f.perturbScratch = make([][]int, nb)
-		for j := 0; j < nb; j++ {
-			f.perturbScratch[j] = make([]int, f.cols[j].width)
-		}
+		f.perturbScratch = make([]int, s.N)
 	}
 	return f, nil
 }
 
 // rowOffset locates the stacked row offset of global scalar row g in
-// block column c.
-func (f *Factorization) rowOffset(c *blockCol, g int) (int, error) {
+// block column c; ok is false when the row's block is not stored there.
+func (f *Factorization) rowOffset(c *blockCol, g int) (off int, ok bool) {
 	part := f.S.Part
 	bi := part.ColToBlock[g]
-	base := c.blockOff[bi]
-	if base < 0 {
-		return 0, fmt.Errorf("block row %d not present", bi)
+	t := findBlock(c.blockRows, bi)
+	if t < 0 {
+		return 0, false
 	}
-	return int(base) + g - part.BlockStart[bi], nil
+	return c.offsets[t] + g - part.BlockStart[bi], true
 }
 
 // runTask dispatches one task of the dependence graph.
@@ -417,9 +435,10 @@ func (f *Factorization) factorPanel(k int) error {
 	m := c.rows - po
 	panel := c.data[po*w : c.rows*w]
 	ipiv := f.ipiv[k]
+	base := f.S.Part.BlockStart[k]
 	var pbuf []int
 	if f.perturbScratch != nil {
-		pbuf = f.perturbScratch[k]
+		pbuf = f.perturbScratch[base : base+w]
 	}
 	var np, firstZero int
 	if f.fast {
@@ -427,7 +446,6 @@ func (f *Factorization) factorPanel(k int) error {
 	} else {
 		np, firstZero = blas.DgetrfStatic(m, w, panel, w, ipiv, f.pivotTol, pbuf)
 	}
-	base := f.S.Part.BlockStart[k]
 	if firstZero >= 0 {
 		f.noteSingular(base + firstZero)
 	}
@@ -447,38 +465,58 @@ func (f *Factorization) factorPanel(k int) error {
 
 // update performs task U(K, J): replay panel K's pivot interchanges on
 // block column J, solve for the U block with the unit-lower diagonal
-// factor of K, and apply the Schur updates of K's sub-diagonal blocks.
-// A structural mismatch between the analysis and the stored blocks is
-// returned as an error so the executor can report which task failed.
+// factor of K, and apply the Schur updates of K's sub-diagonal blocks —
+// all on the stored blocks only. The graph is built on the block-level
+// closure, a superset: a task whose block (K,J) is not stored has
+// nothing to do, and neither has an interchange or a Schur update whose
+// other block is missing from column J. That drops no non-zero because Ā
+// is closed under elimination for every pivot sequence: the candidate
+// rows of a step share the pivot row's structure to its right, so a row
+// without a block in column J exchanges with a row that is zero there,
+// and (i,k), (k,j) ∈ Ā imply (i,j) ∈ Ā, so a missing target block would
+// only receive products with a structurally zero factor. The first of
+// the two is checked, and its violation returned as an error so the
+// executor can report which task failed.
 func (f *Factorization) update(k, j int) error {
 	colK := &f.cols[k]
 	colJ := &f.cols[j]
+	tk := findBlock(colJ.blockRows, k)
+	if tk < 0 {
+		return nil
+	}
 	wk, wj := colK.width, colJ.width
-	part := f.S.Part
+	bkjOff := colJ.offsets[tk]
 
-	// 1. Replay σ_K on the rows of column J that lie in panel K. All of
-	// panel K's block rows are present in column J because the block
-	// structure is a static fixed point (candidate rows share structure).
-	prows := f.panelRows[k]
+	// 1. Replay σ_K on the rows of column J that lie in panel K. Panel
+	// row c < w_K is row c of the diagonal block, so of block (K,J).
+	prows := colK.panelRows
 	for c, r := range f.ipiv[k] {
 		if r == c {
 			continue
 		}
-		o1, err1 := f.rowOffset(colJ, prows[c])
-		o2, err2 := f.rowOffset(colJ, prows[r])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("core: pivot row of panel %d missing in column %d: %v %v", k, j, err1, err2)
+		rowC := colJ.data[(bkjOff+c)*wj:][:wj]
+		o2, ok := f.rowOffset(colJ, prows[r])
+		if !ok {
+			// Row r is zero throughout column J, so row c must be too
+			// and there is nothing to exchange. A corrupted value is
+			// reported as what it is, not as a structural mismatch.
+			if i := firstNonFinite(rowC); i >= 0 {
+				return fmt.Errorf("core: block (%d,%d) entry (%d,%d) is %v: %w", k, j, c, i, rowC[i], ErrNonFinite)
+			}
+			for _, v := range rowC {
+				if v != 0 {
+					return fmt.Errorf("core: panel %d exchanges row %d with row %d, whose block is missing in column %d, but the former holds %v there",
+						k, prows[c], prows[r], j, v)
+				}
+			}
+			continue
 		}
-		blas.Dswap(wj, colJ.data[o1*wj:], 1, colJ.data[o2*wj:], 1)
+		blas.Dswap(wj, rowC, 1, colJ.data[o2*wj:], 1)
 	}
 
 	// 2. U(K,J) ← L(K,K)⁻¹ · B(K,J).
 	diag := colK.data[colK.panelOffset()*wk:]
-	bkjOff := colJ.blockOff[k]
-	if bkjOff < 0 {
-		return fmt.Errorf("core: block (%d,%d) missing", k, j)
-	}
-	bkj := colJ.data[int(bkjOff)*wj:]
+	bkj := colJ.data[bkjOff*wj:]
 	if f.fast {
 		blas.DtrsmFast(true, true, wk, wj, 1, diag, wk, bkj, wj)
 	} else {
@@ -494,16 +532,23 @@ func (f *Factorization) update(k, j int) error {
 	}
 
 	// 3. B(I,J) ← B(I,J) − L(I,K)·U(K,J) for every sub-diagonal block of
-	// panel K.
+	// panel K whose target is stored: a merge walk over the two ascending
+	// block-row lists, column J's resuming below block K.
+	tj := tk + 1
 	for t := colK.diagIdx + 1; t < len(colK.blockRows); t++ {
 		i := colK.blockRows[t]
-		szI := part.Size(i)
-		lik := colK.data[colK.offsets[t]*wk:]
-		dstOff := colJ.blockOff[i]
-		if dstOff < 0 {
-			return fmt.Errorf("core: update target block (%d,%d) missing", i, j)
+		for tj < len(colJ.blockRows) && colJ.blockRows[tj] < i {
+			tj++
 		}
-		dst := colJ.data[int(dstOff)*wj:]
+		if tj == len(colJ.blockRows) {
+			break
+		}
+		if colJ.blockRows[tj] != i {
+			continue
+		}
+		szI := f.S.Part.Size(i)
+		lik := colK.data[colK.offsets[t]*wk:]
+		dst := colJ.data[colJ.offsets[tj]*wj:]
 		if f.fast {
 			blas.DgemmFast(szI, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
 		} else {

@@ -170,7 +170,7 @@ func (f *Factorization) solveInPlace(y []float64) {
 func (f *Factorization) fwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
-	prows := f.panelRows[k]
+	prows := c.panelRows
 	for lc, r := range f.ipiv[k] {
 		if r != lc {
 			y[prows[lc]], y[prows[r]] = y[prows[r]], y[prows[lc]]
@@ -304,7 +304,7 @@ func (f *Factorization) solveManySerial(y []float64, nrhs int) {
 func (f *Factorization) fwdPanelStep(k int, y []float64, nrhs int) {
 	c := &f.cols[k]
 	w := c.width
-	prows := f.panelRows[k]
+	prows := c.panelRows
 	for lc, rr := range f.ipiv[k] {
 		if rr != lc {
 			blas.Dswap(nrhs, y[prows[lc]*nrhs:], 1, y[prows[rr]*nrhs:], 1)

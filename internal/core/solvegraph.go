@@ -33,18 +33,19 @@ import (
 // overlapping levels.
 
 // solveSchedules derives the level-set schedules of the forward (L̄)
-// and backward (Ū) triangular sweeps from the block symbolic
-// structure. The transpose sweeps use the Reversed() schedules: the
-// transpose tasks touch the same block-row sets in the opposite column
-// order, which is exactly the edge-reversed DAG.
-func solveSchedules(blockSym *symbolic.Result) (fwd, bwd *sched.Levels, err error) {
-	nb := blockSym.N
-	order, off, err := taskgraph.LevelSets(chainByRow(nb, blockSym.L, false))
+// and backward (Ū) triangular sweeps from the stored block structure —
+// the block rows the sweep steps iterate. The transpose sweeps use the
+// Reversed() schedules: the transpose tasks touch the same block-row
+// sets in the opposite column order, which is exactly the edge-reversed
+// DAG.
+func solveSchedules(stored *symbolic.Result) (fwd, bwd *sched.Levels, err error) {
+	nb := stored.N
+	order, off, err := taskgraph.LevelSets(chainByRow(nb, stored.L, false))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: forward solve schedule: %w", err)
 	}
 	fwd = sched.NewLevels(order, off)
-	order, off, err = taskgraph.LevelSets(chainByRow(nb, blockSym.U, true))
+	order, off, err = taskgraph.LevelSets(chainByRow(nb, stored.U, true))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: backward solve schedule: %w", err)
 	}

@@ -65,7 +65,10 @@ func prepare(spec matgen.Spec) (*prepared, error) {
 	}
 	sStar := *s
 	sStar.Graph = taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
-	sStar.Costs = taskgraph.NewCostModel(sStar.Graph, s.BlockSym, s.Part)
+	sStar.Costs = taskgraph.NewCostModel(sStar.Graph, s.Stored, s.Part)
+	if sStar.Prio, err = sStar.Graph.BottomLevels(sStar.Costs.TaskFlops); err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
+	}
 	return &prepared{a: a, sym: s, symS: &sStar}, nil
 }
 

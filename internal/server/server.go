@@ -596,7 +596,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 		sym: sym,
 		m:   m,
 		res: res,
-		bytes: int64(sym.Stats.NNZFactors)*8 +
+		bytes: factorBytes(sym) +
 			int64(m.ColPtr[m.NCols])*16 + int64(m.NCols)*64,
 	}
 	h.bt = newBatcher(res.f, s.cfg.BatchWindow, s.cfg.BatchMax, bnopts)

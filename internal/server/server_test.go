@@ -648,3 +648,44 @@ func TestReanalyzeDeltaOnNearPattern(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryBudgetOnStoredSize pins that a handle is budgeted at what a
+// factorization allocates — the dense values of the stored blocks, not
+// |Ā| — by setting budgets the |Ā|-based estimate would have passed: one
+// below a single handle (the too_large refusal trips) and one between
+// one handle and two (the second factorization evicts the first).
+func TestMemoryBudgetOnStoredSize(t *testing.T) {
+	m := matgen.SmallSuite()[1].Gen()
+	s, ts := newTestServer(t, Config{Workers: 1})
+	sym, err := core.Analyze(m, s.analysisOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrixBytes := int64(m.NNZ())*16 + int64(m.NCols)*64
+	real := factorBytes(sym) + matrixBytes
+	byFill := int64(sym.Stats.NNZFactors)*8 + matrixBytes
+	if factorBytes(sym) < int64(sym.Stats.StoredEntries)*8 || 2*byFill > 3*real/2 {
+		t.Fatalf("estimate %d B for %d stored entries (|Ā|-based %d B): the budgets below need it well above",
+			real, sym.Stats.StoredEntries, byFill)
+	}
+
+	_, ts = newTestServer(t, Config{Workers: 1, MemoryBudget: (byFill + real) / 2})
+	status, body := post(t, ts, "/v1/factorize", factorizeRequest{Matrix: toMatrixJSON(m)}, nil)
+	if status != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte(`"too_large"`)) {
+		t.Fatalf("factorize under a budget below the handle: status %d, body %s", status, body)
+	}
+
+	s, ts = newTestServer(t, Config{Workers: 1, MemoryBudget: 3 * real / 2})
+	first := factorizeOK(t, ts, m, "")
+	second := factorizeOK(t, ts, m, "")
+	if got := s.evictions.Load(); got != 1 {
+		t.Fatalf("%d evictions after two handles of %d B under a budget of %d B, want 1", got, real, 3*real/2)
+	}
+	b := make([]float64, m.NCols)
+	if status, body := post(t, ts, "/v1/solve", solveRequest{FID: first.FID, B: b}, nil); status != http.StatusNotFound {
+		t.Fatalf("solve on the evicted handle: status %d, body %s", status, body)
+	}
+	if status, body := post(t, ts, "/v1/solve", solveRequest{FID: second.FID, B: b}, nil); status != http.StatusOK {
+		t.Fatalf("solve on the kept handle: status %d, body %s", status, body)
+	}
+}

@@ -277,3 +277,20 @@ func ExplicitZeros(sym *symbolic.Result, p *Partition, blocks *sparse.Pattern) i
 	}
 	return stored - sym.NNZ()
 }
+
+// DenseEntries returns the total area of the blocks of the block
+// structure r under p: the entries its dense block storage holds.
+func DenseEntries(r *symbolic.Result, p *Partition) int {
+	total := 0
+	for j := 0; j < r.N; j++ {
+		h := -p.Size(j) // the diagonal block is in both L and U
+		for _, i := range r.L.Col(j) {
+			h += p.Size(i)
+		}
+		for _, i := range r.U.Col(j) {
+			h += p.Size(i)
+		}
+		total += h * p.Size(j)
+	}
+	return total
+}

@@ -381,6 +381,10 @@ func TestExplicitZeros(t *testing.T) {
 	if za < z {
 		t.Fatalf("aggressive amalgamation decreased explicit zeros: %d → %d", z, za)
 	}
+	// The dense area of the block pattern is Ā plus its explicit zeros.
+	if got := DenseEntries(symbolic.FromPattern(bp), p); got != z+sym.NNZ() {
+		t.Fatalf("DenseEntries = %d, want %d explicit zeros + |Ā| %d", got, z, sym.NNZ())
+	}
 }
 
 // Property: partitions returned by StrictPartition and Amalgamate are

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/etree"
 	"repro/internal/matgen"
+	"repro/internal/supernode"
 	"repro/internal/symbolic"
 	"repro/internal/verify"
 )
@@ -33,6 +34,20 @@ var goldenFill = map[string]int{
 	"goodwin-s":  9869,
 }
 
+// goldenStored pins, for the same natural-order factorizations, what the
+// numeric phase stores under the default blocking (fill-ratio
+// amalgamation at 0.25, panels split at 32): the blocks that hold an
+// entry of Ā and their dense area. Both are structural, like the fill.
+var goldenStored = map[string][2]int{
+	"sherman3-s": {316, 27072},
+	"sherman5-s": {144, 49554},
+	"lnsp-s":     {209, 6901},
+	"lns-s":      {169, 7586},
+	"orsreg-s":   {117, 27402},
+	"saylr-s":    {105, 30653},
+	"goodwin-s":  {214, 13244},
+}
+
 func TestPostorderPreservesFillGolden(t *testing.T) {
 	tested := 0
 	for _, spec := range matgen.SmallSuite() {
@@ -49,6 +64,13 @@ func TestPostorderPreservesFillGolden(t *testing.T) {
 		}
 		if got := sym.NNZ(); got != want {
 			t.Errorf("%s: |L̄+Ū| = %d, golden %d", spec.Name, got, want)
+		}
+
+		opts := supernode.AmalgamationOptions{MaxSize: 32, MaxFill: 0.25}
+		part := supernode.Split(supernode.Amalgamate(supernode.StrictPartition(sym), sym, opts), opts.MaxSize)
+		stored := symbolic.FromPattern(supernode.BlockPattern(sym, part))
+		if got := [2]int{stored.NNZ(), supernode.DenseEntries(stored, part)}; got != goldenStored[spec.Name] {
+			t.Errorf("%s: %d stored blocks holding %d entries, golden %v", spec.Name, got[0], got[1], goldenStored[spec.Name])
 		}
 
 		// Theorem 1: refactoring the postorder-permuted matrix yields the

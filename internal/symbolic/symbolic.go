@@ -25,6 +25,7 @@ package symbolic
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/sparse"
 )
@@ -53,6 +54,28 @@ func (r *Result) NNZ() int {
 // paper's Table 1.
 func (r *Result) FillRatio(nnzA int) float64 {
 	return float64(r.NNZ()) / float64(nnzA)
+}
+
+// FromPattern splits a square pattern with sorted columns and a full
+// diagonal into the L / U / URows views of a Result without eliminating
+// anything. It is how a structure that is to be used as it stands — the
+// supernode block pattern of a static factorization — is handed to code
+// written against a Result.
+func FromPattern(p *sparse.Pattern) *Result {
+	n := p.NCols
+	l := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
+	u := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
+	for j := 0; j < n; j++ {
+		col := p.Col(j)
+		d := sort.SearchInts(col, j)
+		if d == len(col) || col[d] != j {
+			panic(fmt.Sprintf("symbolic: FromPattern: diagonal entry %d missing", j))
+		}
+		u.RowInd = append(u.RowInd, col[:d+1]...)
+		l.RowInd = append(l.RowInd, col[d:]...)
+		u.ColPtr[j+1], l.ColPtr[j+1] = len(u.RowInd), len(l.RowInd)
+	}
+	return &Result{N: n, L: l, U: u, URows: u.Transpose()}
 }
 
 // checkSquareZeroFree validates the Factor preconditions.

@@ -20,7 +20,11 @@ type CostModel struct {
 	TaskFlops []float64
 }
 
-// NewCostModel computes the per-task flop estimates for graph g.
+// NewCostModel computes the per-task flop estimates for graph g on the
+// block structure blockSym, which may be sparser than the one g was
+// built on: panel heights are blockSym's, and an Update whose block
+// blockSym does not hold costs nothing (the numeric phase returns from
+// it at once).
 //
 //   - Factor(k): partial-pivoting LU of an m×w panel ≈ m·w² flops.
 //   - Update(k,j): TRSM with the w_k×w_k diagonal block on a w_k×w_j
@@ -46,6 +50,9 @@ func NewCostModel(g *Graph, blockSym *symbolic.Result, part *supernode.Partition
 			m := float64(cm.PanelHeight[t.K])
 			w := float64(cm.Width[t.K])
 			cm.TaskFlops[id] = m * w * w
+			continue
+		}
+		if !blockSym.U.Has(t.K, t.J) {
 			continue
 		}
 		wk := float64(cm.Width[t.K])

@@ -403,6 +403,26 @@ func TestGraphWithBlockedPartition(t *testing.T) {
 	if ge.NumEdges > gs.NumEdges {
 		t.Fatalf("eforest %d edges > S* %d", ge.NumEdges, gs.NumEdges)
 	}
+
+	// Costed on the stored blocks, a graph built on their closure
+	// charges nothing for an update whose block is not stored, no more
+	// than the closure's cost for any task, and less in total.
+	stored := symbolic.FromPattern(bp)
+	if stored.NNZ() == blockSym.NNZ() {
+		t.Fatal("the closure adds no block: pick another seed")
+	}
+	onClosure, onStored := NewCostModel(ge, blockSym, part), NewCostModel(ge, stored, part)
+	for id, task := range ge.Tasks {
+		switch c := onStored.TaskFlops[id]; {
+		case task.Kind == Update && !stored.U.Has(task.K, task.J) && c != 0:
+			t.Fatalf("%v has no stored block but costs %g", task, c)
+		case c > onClosure.TaskFlops[id] || c < 0:
+			t.Fatalf("%v costs %g on the stored blocks, %g on the closure", task, c, onClosure.TaskFlops[id])
+		}
+	}
+	if onStored.TotalFlops() >= onClosure.TotalFlops() {
+		t.Fatalf("total %g on the stored blocks, %g on the closure", onStored.TotalFlops(), onClosure.TotalFlops())
+	}
 }
 
 func TestNewPanicsWithoutForest(t *testing.T) {

@@ -11,6 +11,9 @@
 //     U(k,j) → U(k',j) edge satisfies k' = parent(k), every
 //     U(k,j) → F(j) edge satisfies parent(k) = j, no edge joins
 //     independent subtrees, and no required edge is missing.
+//   - VerifyStoredBlocks: the blocks the numeric phase stores are the
+//     block pattern of Ā, lie inside the block-level closure the task
+//     graph is built on, and leave out no target of two scalar entries.
 //   - VerifyPostorderInvariance: postordering the LU eforest leaves the
 //     static symbolic factorization invariant up to relabeling
 //     (Theorems 1–3): refactoring the symmetrically permuted matrix
@@ -22,6 +25,7 @@ import (
 
 	"repro/internal/etree"
 	"repro/internal/sparse"
+	"repro/internal/supernode"
 	"repro/internal/symbolic"
 	"repro/internal/taskgraph"
 )
@@ -191,14 +195,62 @@ func VerifyPostorderInvariance(a *sparse.CSC, sym *symbolic.Result, f *etree.For
 	if err != nil {
 		return fmt.Errorf("verify: refactoring the postordered matrix: %w", err)
 	}
-	if err := patternsEqual("L̄", relabeled.L, refactored.L); err != nil {
+	if err := patternsEqual("postordered L̄ (Theorem 3)", relabeled.L, refactored.L); err != nil {
 		return err
 	}
-	if err := patternsEqual("Ū", relabeled.U, refactored.U); err != nil {
+	if err := patternsEqual("postordered Ū (Theorem 3)", relabeled.U, refactored.U); err != nil {
 		return err
 	}
 	if relabeled.NNZ() != refactored.NNZ() {
 		return fmt.Errorf("verify: fill changed under postordering: %d vs %d", relabeled.NNZ(), refactored.NNZ())
+	}
+	return nil
+}
+
+// VerifyStoredBlocks checks what lets the numeric phase store and
+// update only the blocks of Ā while it is scheduled on their block-level
+// closure: stored is exactly the block pattern of sym under part; it is
+// contained in closure, so the task graph orders every two tasks that
+// touch a common stored block; and wherever blocks (I,K) and (K,J) with
+// I > K < J are stored and (I,J) is not, no scalar pair (i,k) ∈ L̄,
+// (k,j) ∈ Ū lies inside them — the skipped update would only multiply
+// structural zeros.
+func VerifyStoredBlocks(sym *symbolic.Result, part *supernode.Partition, stored, closure *symbolic.Result) error {
+	want := symbolic.FromPattern(supernode.BlockPattern(sym, part))
+	if err := patternsEqual("stored L blocks", want.L, stored.L); err != nil {
+		return err
+	}
+	if err := patternsEqual("stored U blocks", want.U, stored.U); err != nil {
+		return err
+	}
+	if !sparse.PatternContains(closure.L, stored.L) || !sparse.PatternContains(closure.U, stored.U) {
+		return fmt.Errorf("verify: a stored block is missing from the block-level closure")
+	}
+	// Rows and columns ascend and so do their blocks: comparing with the
+	// block seen last skips block K itself and visits each block pair of
+	// step k once.
+	for k := 0; k < sym.N; k++ {
+		bk := part.ColToBlock[k]
+		lastI := bk
+		for _, i := range sym.L.Col(k) {
+			bi := part.ColToBlock[i]
+			if bi == lastI {
+				continue
+			}
+			lastI = bi
+			lastJ := bk
+			for _, j := range sym.URows.Col(k) {
+				bj := part.ColToBlock[j]
+				if bj == lastJ {
+					continue
+				}
+				lastJ = bj
+				if (bi >= bj && !stored.L.Has(bi, bj)) || (bi < bj && !stored.U.Has(bi, bj)) {
+					return fmt.Errorf("verify: blocks (%d,%d) and (%d,%d) hold l̄(%d,%d) and ū(%d,%d) but block (%d,%d) is not stored",
+						bi, bk, bk, bj, i, k, k, j, bi, bj)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -213,7 +265,7 @@ func patternsEqual(name string, want, got *sparse.Pattern) error {
 	for j := 0; j < want.NCols; j++ {
 		wc, gc := want.Col(j), got.Col(j)
 		if len(wc) != len(gc) {
-			return fmt.Errorf("verify: %s column %d has %d entries, expected %d (Theorem 3 violated)",
+			return fmt.Errorf("verify: %s column %d has %d entries, expected %d",
 				name, j, len(gc), len(wc))
 		}
 		for t := range wc {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/etree"
 	"repro/internal/sparse"
+	"repro/internal/supernode"
 	"repro/internal/symbolic"
 	"repro/internal/taskgraph"
 )
@@ -191,4 +192,68 @@ func TestVerifyDimensionMismatches(t *testing.T) {
 		t.Error("forest size mismatch not detected")
 	}
 	_ = a
+}
+
+// storedAndClosure partitions sym the way the analysis does and returns
+// the block structure that is stored and its block-level closure.
+func storedAndClosure(t *testing.T, sym *symbolic.Result, maxFill float64) (*supernode.Partition, *symbolic.Result, *symbolic.Result) {
+	t.Helper()
+	part := supernode.Amalgamate(supernode.StrictPartition(sym), sym, supernode.AmalgamationOptions{MaxFill: maxFill})
+	bp := supernode.BlockPattern(sym, part)
+	closure, err := symbolic.Factor(bp.ToCSC(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part, symbolic.FromPattern(bp), closure
+}
+
+func TestVerifyStoredBlocksAccepts(t *testing.T) {
+	for _, maxFill := range []float64{0, 0.25, 0.75} {
+		for seed := int64(1); seed <= 6; seed++ {
+			_, sym, _, _ := analysis(t, 60, 0.02, seed, taskgraph.EForest)
+			part, stored, closure := storedAndClosure(t, sym, maxFill)
+			if err := VerifyStoredBlocks(sym, part, stored, closure); err != nil {
+				t.Errorf("fill %g seed %d: %v", maxFill, seed, err)
+			}
+		}
+	}
+}
+
+func TestVerifyStoredBlocksRejects(t *testing.T) {
+	_, sym, _, _ := analysis(t, 60, 0.02, 3, taskgraph.EForest)
+	part, stored, closure := storedAndClosure(t, sym, 0.25)
+	if stored.NNZ() == closure.NNZ() {
+		t.Fatal("the closure adds no block: pick another seed")
+	}
+	// The closure is not what is stored, however safe it would be.
+	if err := VerifyStoredBlocks(sym, part, closure, closure); err == nil || !strings.Contains(err.Error(), "stored") {
+		t.Errorf("closure passed for the stored structure: %v", err)
+	}
+	// A scheduling structure that lacks a stored block orders too little.
+	eye := sparse.NewTriplet(part.NumBlocks(), part.NumBlocks())
+	for k := 0; k < part.NumBlocks(); k++ {
+		eye.Add(k, k, 1)
+	}
+	diagonal := symbolic.FromPattern(sparse.PatternOf(eye.ToCSC()))
+	if err := VerifyStoredBlocks(sym, part, stored, diagonal); err == nil || !strings.Contains(err.Error(), "closure") {
+		t.Errorf("a closure without the stored blocks passed: %v", err)
+	}
+	// A scalar structure that is not closed under elimination: l̄(1,0)
+	// and ū(0,2) without (1,2). Its block pattern leaves out a block
+	// that an update would fill.
+	tr := sparse.NewTriplet(3, 3)
+	for i := 0; i < 3; i++ {
+		tr.Add(i, i, 1)
+	}
+	tr.Add(1, 0, 1)
+	tr.Add(0, 2, 1)
+	a := tr.ToCSC()
+	open := symbolic.FromPattern(sparse.PatternOf(a))
+	closed, err := symbolic.Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyStoredBlocks(open, supernode.Trivial(3), open, closed); err == nil || !strings.Contains(err.Error(), "block (1,2) is not stored") {
+		t.Errorf("an unclosed structure passed: %v", err)
+	}
 }
