@@ -23,14 +23,14 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 // symBytes estimates the bytes a Symbolic retains, for the cache's
 // approx_bytes counter: the scalar symbolic result and the block-level
 // closure (L once, U column- and row-wise, 8-byte indices), the
-// stored-block layout, and the task graph with its id maps, costs and
-// priorities (≈ 120 B a task, 4 B an edge — the largest part on
+// stored-block layout, and the task graph with its costs and
+// priorities (≈ 90 B a task, 4 B an edge — the largest part on
 // fine-grained patterns). Within 10 % of the heap growth measured on the
 // medium suite.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
 	return int64(st.NNZFactors+st.BlockNNZ)*12 + int64(st.StoredBlocks)*40 +
-		int64(st.N)*96 + int64(st.TaskCount)*120 + int64(st.EdgeCount)*4
+		int64(st.N)*96 + int64(st.TaskCount)*90 + int64(st.EdgeCount)*4
 }
 
 // factorBytes estimates the bytes one factorization of a pattern

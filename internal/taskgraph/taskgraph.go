@@ -17,6 +17,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/etree"
 	"repro/internal/symbolic"
@@ -78,9 +79,11 @@ type Graph struct {
 	Tasks   []Task
 	// FactorID[k] is the task id of F(k).
 	FactorID []int
-	// UpdateID[k] maps, for source block k, destination block j to the
-	// task id of U(k, j).
-	UpdateID []map[int]int
+	// updateFirst[k] is the task id of the first update sourced at block
+	// k. The updates of one source are numbered consecutively in
+	// ascending destination order, so U(k, ·) are the ids
+	// updateFirst[k] … updateFirst[k+1]−1 (see Updates, UpdateID).
+	updateFirst []int32
 	// Succ[id] lists the successor task ids of task id.
 	Succ [][]int32
 	// ChainNext[id] is the next task of id's per-destination update
@@ -97,45 +100,56 @@ type Graph struct {
 	NumEdges int
 }
 
-// numTasks counts the task set shared by both variants: one F(k) per
-// block column plus one U(k, j) per off-diagonal block of Ū.
-func buildTasks(blockSym *symbolic.Result) (tasks []Task, factorID []int, updateID []map[int]int) {
+// buildTasks lays out the task set shared by both variants: one F(k) per
+// block column, then one U(k, j) per off-diagonal block of Ū, source by
+// source in ascending destination order.
+func buildTasks(blockSym *symbolic.Result) (tasks []Task, factorID []int, updateFirst []int32) {
 	n := blockSym.N
+	tasks = make([]Task, 0, blockSym.URows.NNZ())
 	factorID = make([]int, n)
-	updateID = make([]map[int]int, n)
+	updateFirst = make([]int32, n+1)
 	for k := 0; k < n; k++ {
 		factorID[k] = len(tasks)
 		tasks = append(tasks, Task{Kind: Factor, K: k})
 	}
 	for k := 0; k < n; k++ {
-		row := blockSym.URows.Col(k) // sorted, row[0] == k
-		if len(row) > 1 {
-			updateID[k] = make(map[int]int, len(row)-1)
-		}
-		for _, j := range row {
-			if j == k {
-				continue
+		updateFirst[k] = int32(len(tasks))
+		for _, j := range blockSym.URows.Col(k) { // sorted, row[0] == k
+			if j != k {
+				tasks = append(tasks, Task{Kind: Update, K: k, J: j})
 			}
-			updateID[k][j] = len(tasks)
-			tasks = append(tasks, Task{Kind: Update, K: k, J: j})
 		}
 	}
-	return tasks, factorID, updateID
+	updateFirst[n] = int32(len(tasks))
+	return tasks, factorID, updateFirst
+}
+
+// Updates returns the id range [lo, hi) of the update tasks sourced at
+// block k; their destinations Tasks[id].J ascend with id.
+func (g *Graph) Updates(k int) (lo, hi int) {
+	return int(g.updateFirst[k]), int(g.updateFirst[k+1])
+}
+
+// UpdateID returns the task id of U(k, j) and whether that task exists.
+func (g *Graph) UpdateID(k, j int) (int, bool) {
+	lo, hi := g.Updates(k)
+	id := lo + sort.Search(hi-lo, func(t int) bool { return g.Tasks[lo+t].J >= j })
+	return id, id < hi && g.Tasks[id].J == j
 }
 
 // New builds the dependence graph of the requested variant over the
 // block symbolic structure. For the EForest variant, f must be the LU
 // eforest of blockSym (etree.LUForest(blockSym)).
 func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
-	tasks, factorID, updateID := buildTasks(blockSym)
+	tasks, factorID, updateFirst := buildTasks(blockSym)
 	g := &Graph{
-		Variant:   v,
-		N:         blockSym.N,
-		Tasks:     tasks,
-		FactorID:  factorID,
-		UpdateID:  updateID,
-		Succ:      make([][]int32, len(tasks)),
-		ChainNext: make([]int32, len(tasks)),
+		Variant:     v,
+		N:           blockSym.N,
+		Tasks:       tasks,
+		FactorID:    factorID,
+		updateFirst: updateFirst,
+		Succ:        make([][]int32, len(tasks)),
+		ChainNext:   make([]int32, len(tasks)),
 	}
 	for i := range g.ChainNext {
 		g.ChainNext[i] = -1
@@ -153,7 +167,7 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 
 	// Shared rule: F(k) → U(k, j) for every update sourced at k.
 	for k := 0; k < g.N; k++ {
-		for _, id := range sortedUpdateIDs(g, k) {
+		for id, hi := g.Updates(k); id < hi; id++ {
 			addEdge(factorID[k], id)
 		}
 	}
@@ -164,11 +178,9 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		// source index, ending at F(j).
 		incoming := make([][]int, g.N) // dest column -> update ids in source order
 		for k := 0; k < g.N; k++ {
-			row := blockSym.URows.Col(k)
-			for _, j := range row {
-				if j != k {
-					incoming[j] = append(incoming[j], updateID[k][j])
-				}
+			for id, hi := g.Updates(k); id < hi; id++ {
+				j := tasks[id].J
+				incoming[j] = append(incoming[j], id)
 			}
 		}
 		// Sources were scanned in ascending k, so each incoming list is
@@ -187,11 +199,8 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 			panic("taskgraph: EForest variant needs the LU eforest")
 		}
 		for k := 0; k < g.N; k++ {
-			for _, j := range blockSym.URows.Col(k) {
-				if j == k {
-					continue
-				}
-				id := updateID[k][j]
+			for id, hi := g.Updates(k); id < hi; id++ {
+				j := tasks[id].J
 				p := f.Parent[k]
 				switch {
 				case p == etree.None:
@@ -201,7 +210,7 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 				case p == j:
 					addChainEdge(id, factorID[j])
 				case p < j:
-					if nid, ok := updateID[p][j]; ok {
+					if nid, ok := g.UpdateID(p, j); ok {
 						addChainEdge(id, nid)
 					} else {
 						// Theorem 1 guarantees U(parent, j) exists when
@@ -220,28 +229,6 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		panic("taskgraph: unknown variant")
 	}
 	return g
-}
-
-// sortedUpdateIDs returns the update task ids sourced at block k in
-// ascending destination order (deterministic edge order).
-func sortedUpdateIDs(g *Graph, k int) []int {
-	m := g.UpdateID[k]
-	if len(m) == 0 {
-		return nil
-	}
-	// Destinations are the tail of URows row k, already sorted when the
-	// tasks were created in that order; ids increase with destination.
-	ids := make([]int, 0, len(m))
-	min := -1
-	for _, id := range m {
-		if min == -1 || id < min {
-			min = id
-		}
-	}
-	for i := 0; i < len(m); i++ {
-		ids = append(ids, min+i)
-	}
-	return ids
 }
 
 // NumTasks returns the number of tasks.
@@ -411,18 +398,21 @@ func (g *Graph) AvgParallelism(cost []float64) float64 {
 // executor as the numeric phase.
 func Independent(n int) *Graph {
 	g := &Graph{
-		Variant:   EForest,
-		N:         n,
-		Tasks:     make([]Task, n),
-		FactorID:  make([]int, n),
-		UpdateID:  make([]map[int]int, n),
-		Succ:      make([][]int32, n),
-		ChainNext: make([]int32, n),
+		Variant:     EForest,
+		N:           n,
+		Tasks:       make([]Task, n),
+		FactorID:    make([]int, n),
+		updateFirst: make([]int32, n+1),
+		Succ:        make([][]int32, n),
+		ChainNext:   make([]int32, n),
 	}
 	for k := 0; k < n; k++ {
 		g.Tasks[k] = Task{Kind: Factor, K: k}
 		g.FactorID[k] = k
 		g.ChainNext[k] = -1
+	}
+	for k := range g.updateFirst {
+		g.updateFirst[k] = int32(n)
 	}
 	return g
 }

@@ -94,6 +94,39 @@ func TestTaskSetsIdentical(t *testing.T) {
 	}
 }
 
+// U(k, j) is the first update id of k plus the position of j among the
+// off-diagonal entries of row k of Ū; blocks outside Ū have no task.
+func TestUpdateIDFollowsURows(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	for trial := 0; trial < 10; trial++ {
+		sym := mustFactor(t, randomZeroFreeDiag(10+rng.Intn(25), 0.12, rng))
+		_, g, _ := bothGraphs(t, sym)
+		for k := 0; k < g.N; k++ {
+			first, hi := g.Updates(k)
+			dests := sym.URows.Col(k)[1:]
+			if hi-first != len(dests) {
+				t.Fatalf("trial %d: Updates(%d) spans %d tasks, row has %d off-diagonal blocks", trial, k, hi-first, len(dests))
+			}
+			pos := 0
+			for j := 0; j < g.N; j++ {
+				id, ok := g.UpdateID(k, j)
+				switch {
+				case pos < len(dests) && dests[pos] == j:
+					if want := (Task{Kind: Update, K: k, J: j}); !ok || id != first+pos || g.Tasks[id] != want {
+						t.Fatalf("trial %d: UpdateID(%d,%d) = %d, %v, want %d", trial, k, j, id, ok, first+pos)
+					}
+					pos++
+				case ok:
+					t.Fatalf("trial %d: UpdateID(%d,%d) = %d for a block outside Ū", trial, k, j, id)
+				}
+			}
+		}
+	}
+	if _, ok := Independent(3).UpdateID(0, 2); ok {
+		t.Fatal("Independent graph reports an update task")
+	}
+}
+
 func TestGraphsAcyclic(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 15; trial++ {
@@ -113,7 +146,8 @@ func TestFactorPrecedesItsUpdates(t *testing.T) {
 	sym := mustFactor(t, randomZeroFreeDiag(20, 0.12, rng))
 	for _, g := range func() []*Graph { a, b, _ := bothGraphs(t, sym); return []*Graph{a, b} }() {
 		for k := 0; k < g.N; k++ {
-			for j, id := range g.UpdateID[k] {
+			for id, hi := g.Updates(k); id < hi; id++ {
+				j := g.Tasks[id].J
 				if !reachable(g, g.FactorID[k], id) {
 					t.Fatalf("%v: F(%d) does not precede U(%d,%d)", g.Variant, k, k, j)
 				}
@@ -133,7 +167,7 @@ func TestPanelUpdatesPrecedeFactor(t *testing.T) {
 		for _, g := range []*Graph{gs, ge} {
 			for k := 0; k < g.N; k++ {
 				for i := 0; i < k; i++ {
-					id, ok := g.UpdateID[i][k]
+					id, ok := g.UpdateID(i, k)
 					if !ok {
 						continue
 					}
@@ -162,7 +196,7 @@ func TestAncestorUpdateOrdering(t *testing.T) {
 				// Collect update tasks targeting j.
 				var srcs []int
 				for i := 0; i < j; i++ {
-					if _, ok := g.UpdateID[i][j]; ok {
+					if _, ok := g.UpdateID(i, j); ok {
 						srcs = append(srcs, i)
 					}
 				}
@@ -171,8 +205,8 @@ func TestAncestorUpdateOrdering(t *testing.T) {
 						if a == b || !f.IsAncestor(b, a) {
 							continue
 						}
-						ia := g.UpdateID[a][j]
-						ib := g.UpdateID[b][j]
+						ia, _ := g.UpdateID(a, j)
+						ib, _ := g.UpdateID(b, j)
 						if !reachable(g, ia, ib) {
 							t.Fatalf("%v trial %d: U(%d,%d) does not precede U(%d,%d)", g.Variant, trial, a, j, b, j)
 						}
@@ -193,8 +227,11 @@ func TestIndependentUpdatesUnorderedInEForest(t *testing.T) {
 	if f.IsAncestor(0, 1) || f.IsAncestor(1, 0) {
 		t.Fatal("example no longer has independent sources 0 and 1")
 	}
-	id0 := ge.UpdateID[0][6]
-	id1 := ge.UpdateID[1][6]
+	id0, ok0 := ge.UpdateID(0, 6)
+	id1, ok1 := ge.UpdateID(1, 6)
+	if !ok0 || !ok1 {
+		t.Fatal("example no longer has U(0,6) and U(1,6)")
+	}
 	if reachable(ge, id0, id1) || reachable(ge, id1, id0) {
 		t.Fatal("eforest graph orders updates from independent subtrees")
 	}
@@ -206,7 +243,7 @@ func TestSStarSerializesAllUpdates(t *testing.T) {
 	// In S*, updates on column 6 form a chain in ascending source order.
 	var prev = -1
 	for i := 0; i < 6; i++ {
-		id, ok := gs.UpdateID[i][6]
+		id, ok := gs.UpdateID(i, 6)
 		if !ok {
 			continue
 		}

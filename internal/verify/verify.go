@@ -31,9 +31,9 @@ import (
 )
 
 // VerifyDAG checks that g is a structurally consistent acyclic task
-// graph: the id indices (FactorID, UpdateID) agree with the task table,
-// every edge stays in range without self-loops or duplicates, NumEdges
-// matches the adjacency, and a topological order exists.
+// graph: the id indices (FactorID, Updates/UpdateID) agree with the task
+// table, every edge stays in range without self-loops or duplicates,
+// NumEdges matches the adjacency, and a topological order exists.
 func VerifyDAG(g *taskgraph.Graph) error {
 	nt := g.NumTasks()
 	if len(g.Succ) != nt {
@@ -50,15 +50,25 @@ func VerifyDAG(g *taskgraph.Graph) error {
 			return fmt.Errorf("verify: FactorID[%d] points at task %v", k, t)
 		}
 	}
-	for k, dests := range g.UpdateID {
-		for j, id := range dests {
-			if id < 0 || id >= nt {
-				return fmt.Errorf("verify: UpdateID[%d][%d] = %d out of range", k, j, id)
-			}
-			if t := g.Tasks[id]; t.Kind != taskgraph.Update || t.K != k || t.J != j {
-				return fmt.Errorf("verify: UpdateID[%d][%d] points at task %v", k, j, t)
+	// The update ranges tile the tasks after the factors, source by
+	// source, each in ascending destination order — what UpdateID's
+	// search relies on.
+	next := g.N
+	for k := 0; k < g.N; k++ {
+		lo, hi := g.Updates(k)
+		if lo != next || hi < lo || hi > nt {
+			return fmt.Errorf("verify: Updates(%d) = [%d, %d), expected to start at %d within %d tasks", k, lo, hi, next, nt)
+		}
+		next = hi
+		for id := lo; id < hi; id++ {
+			t := g.Tasks[id]
+			if t.Kind != taskgraph.Update || t.K != k || t.J <= k || (id > lo && t.J <= g.Tasks[id-1].J) {
+				return fmt.Errorf("verify: Updates(%d) holds task %v at id %d, out of place", k, t, id)
 			}
 		}
+	}
+	if next != nt {
+		return fmt.Errorf("verify: Updates covers tasks up to %d of %d", next, nt)
 	}
 	edges := 0
 	seen := make(map[[2]int]bool)
@@ -147,7 +157,8 @@ func VerifyLeastDependences(g *taskgraph.Graph, f *etree.Forest) error {
 	for k := 0; k < g.N; k++ {
 		fid := g.FactorID[k]
 		p := f.Parent[k]
-		for j, id := range g.UpdateID[k] {
+		for id, hi := g.Updates(k); id < hi; id++ {
+			j := g.Tasks[id].J
 			if !has[[2]int{fid, id}] {
 				return fmt.Errorf("verify: missing edge F(%d) → U(%d,%d)", k, k, j)
 			}
@@ -159,7 +170,7 @@ func VerifyLeastDependences(g *taskgraph.Graph, f *etree.Forest) error {
 					return fmt.Errorf("verify: missing edge U(%d,%d) → F(%d)", k, j, j)
 				}
 			case p < j:
-				nid, ok := g.UpdateID[p][j]
+				nid, ok := g.UpdateID(p, j)
 				if !ok {
 					return fmt.Errorf("verify: U(%d,%d) exists but U(%d,%d) does not (Theorem 1 violated at block level)", k, j, p, j)
 				}

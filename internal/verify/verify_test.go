@@ -88,6 +88,15 @@ func TestVerifyDAGRejectsCorruption(t *testing.T) {
 		{"stale factor index", func(g *taskgraph.Graph) {
 			g.FactorID[0], g.FactorID[1] = g.FactorID[1], g.FactorID[0]
 		}, "FactorID"},
+		{"update out of destination order", func(g *taskgraph.Graph) {
+			// UpdateID searches a source's updates by destination.
+			for k := 0; k < g.N; k++ {
+				if lo, hi := g.Updates(k); hi-lo > 1 {
+					g.Tasks[lo].J, g.Tasks[lo+1].J = g.Tasks[lo+1].J, g.Tasks[lo].J
+					return
+				}
+			}
+		}, "Update"},
 	}
 	for _, c := range corruptions {
 		_, _, _, g := analysis(t, 25, 0.12, 7, taskgraph.EForest)
@@ -124,12 +133,12 @@ func TestVerifyLeastDependencesRejectsExtraAndMissingEdges(t *testing.T) {
 	found := false
 outer:
 	for k := 0; k < g.N && !found; k++ {
-		for j, id := range g.UpdateID[k] {
-			for k2, dests := range g.UpdateID {
+		for id, hi := g.Updates(k); id < hi; id++ {
+			for k2 := 0; k2 < g.N; k2++ {
 				if k2 == k || f.Parent[k] == k2 {
 					continue
 				}
-				if id2, ok := dests[j]; ok && id2 != id {
+				if id2, ok := g.UpdateID(k2, g.Tasks[id].J); ok {
 					g.Succ[id] = append(g.Succ[id], int32(id2))
 					g.NumEdges++
 					found = true
