@@ -213,7 +213,7 @@ func runExample() {
 	part := supernode.StrictPartition(po.Sym)
 	fmt.Printf("L/U supernodes after postordering: %d blocks, starts %v\n\n", part.NumBlocks(), part.BlockStart)
 
-	blockSym, err := symbolic.Factor(supernode.BlockPattern(po.Sym, part).ToCSC(1))
+	blockSym, err := symbolic.FactorPattern(supernode.BlockPattern(po.Sym, part))
 	if err != nil {
 		fatalf("%v", err)
 	}

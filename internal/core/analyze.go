@@ -272,7 +272,7 @@ type checkpointOverlap struct {
 
 func (ck *checkpointOverlap) run() {
 	defer ck.wg.Done()
-	ck.pattern = sparse.PatternOf(ck.aPerm)
+	ck.pattern = sparse.PatternView(ck.aPerm)
 	ck.part = symbolic.PartitionColumns(ck.aPerm, ck.workers)
 }
 
@@ -280,7 +280,8 @@ func (ck *checkpointOverlap) run() {
 // partition on: it is shared by Analyze (after transversal + ordering +
 // symbolic + postorder) and by Reanalyze's delta path (after patching
 // the symbolic result). aPerm is the fully permuted matrix the symbolic
-// result describes.
+// result describes; it is the caller's own copy, and the Reanalyze
+// checkpoint keeps its index arrays.
 func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Perm,
 	sym *symbolic.Result, forest *etree.Forest, st *stageTimer, start trace.Stopwatch) (*Symbolic, error) {
 	n := a.NCols
@@ -305,15 +306,15 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	strict := supernode.StrictPartition(sym)
 	merged := supernode.Amalgamate(strict, sym, o.Amalgamation)
 	part := supernode.Split(merged, o.Amalgamation.MaxSize)
+	// The block structure of Ā under the partition is what gets stored.
+	bp := supernode.BlockPattern(sym, part)
 	st.mark("supernodes")
 
-	// Step 5: the block structure of Ā, which is what gets stored, and
-	// its closure under block-level elimination, so that the task graph
-	// theorems can rely on the static fixed-point properties at block
-	// granularity.
-	bp := supernode.BlockPattern(sym, part)
+	// Step 5: its closure under block-level elimination, so that the
+	// task graph theorems can rely on the static fixed-point properties
+	// at block granularity.
 	stored := symbolic.FromPattern(bp)
-	blockSym, err := symbolic.Factor(bp.ToCSC(1))
+	blockSym, err := symbolic.FactorPattern(bp)
 	if err != nil {
 		return nil, fmt.Errorf("core: block symbolic factorization: %w", err)
 	}
@@ -323,8 +324,9 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	// Steps 6+7: task dependence graph + cost model, and the level-set
 	// schedules of the triangular-solve sweeps. The two are independent
 	// of each other (both only read the block structures), so with
-	// AnalyzeWorkers > 1 the solve schedules build concurrently; each
-	// stage's output is identical either way.
+	// AnalyzeWorkers > 1 the solve schedules build concurrently (and
+	// their stage is only the wait for them); each stage's output is
+	// identical either way.
 	var ov *solveOverlap
 	if o.AnalyzeWorkers > 1 {
 		ov = &solveOverlap{stored: stored}
@@ -333,6 +335,15 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	}
 	graph := taskgraph.New(blockSym, blockForest, o.TaskGraph)
 	costs := taskgraph.NewCostModel(graph, stored, part)
+	cp, total, err := graph.CriticalPath(costs.TaskFlops)
+	if err != nil {
+		return nil, fmt.Errorf("core: task graph: %w", err)
+	}
+	prio, err := graph.BottomLevels(costs.TaskFlops)
+	if err != nil {
+		return nil, fmt.Errorf("core: task graph: %w", err)
+	}
+	st.mark("task graph")
 
 	var solveFwd, solveBwd *sched.Levels
 	if ov != nil {
@@ -344,16 +355,8 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	if err != nil {
 		return nil, err
 	}
-
-	cp, total, err := graph.CriticalPath(costs.TaskFlops)
-	if err != nil {
-		return nil, fmt.Errorf("core: task graph: %w", err)
-	}
-	prio, err := graph.BottomLevels(costs.TaskFlops)
-	if err != nil {
-		return nil, fmt.Errorf("core: task graph: %w", err)
-	}
-	st.mark("task graph + solve schedules")
+	solveFwdT, solveBwdT := solveBwd.Reversed(), solveFwd.Reversed()
+	st.mark("solve schedules")
 
 	if o.Verify {
 		if err := verify.VerifyStoredBlocks(sym, part, stored, blockSym); err != nil {
@@ -374,7 +377,7 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 		ck.wg.Wait()
 		inputPat, symPart = ck.pattern, ck.part
 	} else {
-		inputPat = sparse.PatternOf(aPerm)
+		inputPat = sparse.PatternView(aPerm)
 		symPart = symbolic.PartitionColumns(aPerm, deltaWorkers(o))
 	}
 
@@ -400,8 +403,8 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 		Prio:         prio,
 		SolveFwd:     solveFwd,
 		SolveBwd:     solveBwd,
-		SolveFwdT:    solveBwd.Reversed(),
-		SolveBwdT:    solveFwd.Reversed(),
+		SolveFwdT:    solveFwdT,
+		SolveBwdT:    solveBwdT,
 		SolvePerm:    rowPerm.Compose(symPerm),
 		PatternHash:  PatternHash(a, o),
 		inputPattern: inputPat,

@@ -81,17 +81,25 @@ func TestAnalyzeStageBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.StageSeconds) < 5 {
-		t.Fatalf("StageSeconds has %d entries, want the full breakdown", len(s.StageSeconds))
+	// The cuts are the per-layer metrics' of the benchmark of record:
+	// what a stage is charged here is what its layer is charged there.
+	want := []string{"transversal", "ordering", "symbolic", "postorder", "supernodes",
+		"block symbolic", "task graph", "solve schedules", "checkpoint"}
+	if len(s.StageSeconds) != len(want) {
+		t.Fatalf("StageSeconds has %d entries, want %d: %v", len(s.StageSeconds), len(want), s.StageSeconds)
 	}
-	names := map[string]bool{}
-	for _, st := range s.StageSeconds {
-		names[st.Name] = true
-	}
-	for _, want := range []string{"transversal", "ordering", "symbolic", "postorder"} {
-		if !names[want] {
-			t.Fatalf("StageSeconds missing %q: %v", want, s.StageSeconds)
+	sum := 0.0
+	for i, st := range s.StageSeconds {
+		if st.Name != want[i] {
+			t.Fatalf("stage %d is %q, want %q: %v", i, st.Name, want[i], s.StageSeconds)
 		}
+		if st.Seconds < 0 {
+			t.Fatalf("stage %q took %v s", st.Name, st.Seconds)
+		}
+		sum += st.Seconds
+	}
+	if sum > s.Stats.AnalyzeSeconds {
+		t.Fatalf("stages sum to %v s, more than the call's %v s", sum, s.Stats.AnalyzeSeconds)
 	}
 }
 

@@ -23,10 +23,15 @@ import (
 // here so Reanalyze and the server agree on pattern identity.
 func PatternHash(m *sparse.CSC, opts *Options) string {
 	h := sha256.New()
-	var buf [8]byte
+	// The indices go to the hash a block at a time: one Write per index
+	// costs more than hashing it.
+	buf := make([]byte, 0, 4096)
 	put := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	put(m.NRows)
 	put(m.NCols)
@@ -36,6 +41,7 @@ func PatternHash(m *sparse.CSC, opts *Options) string {
 	for _, r := range m.RowInd {
 		put(r)
 	}
+	h.Write(buf)
 	// The analysis-shaping knobs are part of the identity of a
 	// Symbolic; the per-call numeric fields are not.
 	fmt.Fprintf(h, "|%v|%v|%v|%+v", opts.Ordering, opts.Postorder, opts.TaskGraph, opts.Amalgamation)

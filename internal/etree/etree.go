@@ -30,16 +30,27 @@ type Forest struct {
 func NewForest(parent []int) *Forest {
 	n := len(parent)
 	f := &Forest{Parent: parent, Children: make([][]int, n)}
-	for j := 0; j < n; j++ {
-		p := parent[j]
+	// Child lists are cut from one array: count, then fill. Nodes are
+	// scanned in ascending order, so child and root lists come out
+	// ascending.
+	count := make([]int, n)
+	for _, p := range parent {
+		if p != None {
+			count[p]++
+		}
+	}
+	children := make([]int, 0, n)
+	for j, c := range count {
+		f.Children[j] = children[len(children) : len(children) : len(children)+c]
+		children = children[:len(children)+c]
+	}
+	for j, p := range parent {
 		if p == None {
 			f.Roots = append(f.Roots, j)
-			continue
+		} else {
+			f.Children[p] = append(f.Children[p], j)
 		}
-		f.Children[p] = append(f.Children[p], j)
 	}
-	// Nodes are scanned in ascending order, so child and root lists come
-	// out ascending.
 	return f
 }
 

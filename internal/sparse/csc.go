@@ -75,10 +75,12 @@ func (a *CSC) Col(j int) ([]int, []float64) {
 
 // SortIndices sorts the row indices (and values) within each column.
 func (a *CSC) SortIndices() {
+	ps := &pairSorter{} // one sort.Interface value for all columns
 	for j := 0; j < a.NCols; j++ {
 		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
 		if !sort.IntsAreSorted(a.RowInd[lo:hi]) {
-			sort.Sort(pairSorter{a.RowInd[lo:hi], a.Val[lo:hi]})
+			ps.ind, ps.val = a.RowInd[lo:hi], a.Val[lo:hi]
+			sort.Sort(ps)
 		}
 	}
 }
@@ -205,9 +207,18 @@ func (a *CSC) PermuteCols(q Perm) *CSC {
 	return b
 }
 
-// Permute returns P·A·Qᵀ, permuting rows by p and columns by q.
+// Permute returns P·A·Qᵀ, permuting rows by p and columns by q, in one
+// pass: column j lands at q[j] with its rows relabelled, then sorted.
 func (a *CSC) Permute(p, q Perm) *CSC {
-	return a.PermuteRows(p).PermuteCols(q)
+	if err := CheckPerm(p, a.NRows); err != nil {
+		panic(fmt.Sprintf("sparse: Permute: %v", err))
+	}
+	b := a.PermuteCols(q)
+	for k, i := range b.RowInd {
+		b.RowInd[k] = p[i]
+	}
+	b.SortIndices()
+	return b
 }
 
 // PermuteSym returns P·A·Pᵀ, the symmetric permutation of a square matrix.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,6 +21,12 @@ func PatternOf(a *CSC) *Pattern {
 		ColPtr: append([]int(nil), a.ColPtr...),
 		RowInd: append([]int(nil), a.RowInd...),
 	}
+}
+
+// PatternView is the structure of a sharing a's index arrays, for
+// callers that only read it or own a outright.
+func PatternView(a *CSC) *Pattern {
+	return &Pattern{NRows: a.NRows, NCols: a.NCols, ColPtr: a.ColPtr, RowInd: a.RowInd}
 }
 
 // NNZ returns the number of structural entries.
@@ -48,15 +55,17 @@ func (p *Pattern) Transpose() *Pattern {
 	for _, i := range p.RowInd {
 		t.ColPtr[i+1]++
 	}
-	for i := 0; i < p.NRows; i++ {
-		t.ColPtr[i+1] += t.ColPtr[i]
+	// ColPtr[i+1] holds the start of row i and serves as its fill
+	// cursor: when every row is full it has advanced to the start of row
+	// i+1, which is where it belongs.
+	sum := 0
+	for i := 1; i <= p.NRows; i++ {
+		sum, t.ColPtr[i] = sum+t.ColPtr[i], sum
 	}
-	next := append([]int(nil), t.ColPtr[:p.NRows]...)
 	for j := 0; j < p.NCols; j++ {
-		for k := p.ColPtr[j]; k < p.ColPtr[j+1]; k++ {
-			i := p.RowInd[k]
-			t.RowInd[next[i]] = j
-			next[i]++
+		for _, i := range p.Col(j) {
+			t.RowInd[t.ColPtr[i+1]] = j
+			t.ColPtr[i+1]++
 		}
 	}
 	return t
@@ -78,7 +87,11 @@ func (p *Pattern) ToCSC(v float64) *CSC {
 }
 
 // PermuteSym returns the pattern relabeled symmetrically: entry (i, j)
-// becomes (perm[i], perm[j]). Row indices in the result are sorted.
+// becomes (perm[i], perm[j]). Row indices in the result are sorted. A
+// column is written in its old order and sorted only if the relabelling
+// left it out of order: the permutations this is called with (eforest
+// postorders) keep most columns ascending, and a column-local fix-up
+// stays in cache where bucketing all entries by row and column does not.
 func (p *Pattern) PermuteSym(perm Perm) *Pattern {
 	if p.NRows != p.NCols {
 		panic("sparse: Pattern.PermuteSym on non-square pattern")
@@ -95,14 +108,15 @@ func (p *Pattern) PermuteSym(perm Perm) *Pattern {
 		out.ColPtr[j+1] += out.ColPtr[j]
 	}
 	for j := 0; j < n; j++ {
-		dst := out.ColPtr[perm[j]]
-		for k := p.ColPtr[j]; k < p.ColPtr[j+1]; k++ {
-			out.RowInd[dst] = perm[p.RowInd[k]]
-			dst++
+		dst := out.Col(perm[j])
+		ascending := true
+		for t, i := range p.Col(j) {
+			dst[t] = perm[i]
+			ascending = ascending && (t == 0 || dst[t-1] < dst[t])
 		}
-	}
-	for j := 0; j < n; j++ {
-		sort.Ints(out.RowInd[out.ColPtr[j]:out.ColPtr[j+1]])
+		if !ascending {
+			slices.Sort(dst)
+		}
 	}
 	return out
 }
@@ -114,14 +128,20 @@ func (p *Pattern) PermuteSym(perm Perm) *Pattern {
 // quadratic.
 func ATAPattern(a *CSC) *Pattern {
 	n := a.NCols
-	at := PatternOf(a).Transpose() // rows of A as "columns"
+	at := PatternView(a).Transpose() // rows of A as "columns"
 	marker := make([]int, n)
 	for i := range marker {
 		marker[i] = -1
 	}
-	var colPtr []int
-	var rowInd []int
-	colPtr = make([]int, n+1)
+	// Σ_r |row r|² bounds the entries before deduplication; capped, so
+	// that many near-identical rows cannot inflate the allocation, it
+	// replaces the append-growth copies for the short rows of the suite.
+	bound := 0
+	for r := 0; r < at.NCols; r++ {
+		bound += len(at.Col(r)) * len(at.Col(r))
+	}
+	colPtr := make([]int, n+1)
+	rowInd := make([]int, 0, min(bound, 16*a.NNZ()))
 	// For column j of AᵀA: union of rows(A) structure over rows r with
 	// a_rj ≠ 0, i.e. all columns i such that ∃r: a_ri ≠ 0 and a_rj ≠ 0.
 	for j := 0; j < n; j++ {

@@ -9,6 +9,8 @@
 package supernode
 
 import (
+	"slices"
+
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
@@ -140,6 +142,39 @@ func (o AmalgamationOptions) withDefaults() AmalgamationOptions {
 	return o
 }
 
+// panelUnion keeps |∪ structures| of a running group of consecutive
+// blocks without materializing the union: stamp[i] is the last block
+// that touched index i, and i belongs to the running group iff that
+// block is at or after the group's first.
+type panelUnion struct {
+	stamp []int
+	size  int // |union| over the running group
+}
+
+func newPanelUnion(n int) panelUnion {
+	u := panelUnion{stamp: make([]int, n)}
+	for i := range u.stamp {
+		u.stamp[i] = -1
+	}
+	return u
+}
+
+// add stamps one structure of block k and returns how many of its
+// indices block k had not touched before (own) and how many of those
+// the group starting at block first does not hold either (fresh).
+func (u *panelUnion) add(structure []int, k, first int) (own, fresh int) {
+	for _, i := range structure {
+		if s := u.stamp[i]; s != k {
+			own++
+			if s < first {
+				fresh++
+			}
+			u.stamp[i] = k
+		}
+	}
+	return own, fresh
+}
+
 // Amalgamate greedily merges consecutive supernodes while the explicit
 // zeros introduced into the dense panel storage stay below MaxFill of
 // the merged storage. The policy is purely fill-ratio-driven: there is
@@ -152,54 +187,35 @@ func Amalgamate(p *Partition, sym *symbolic.Result, opts AmalgamationOptions) *P
 	if nb <= 1 {
 		return p
 	}
-
-	type panelStat struct {
-		width int
-		lRows []int // union of L column structures (rows ≥ lo)
-		uCols []int // union of U row structures (cols ≥ lo)
-		lNNZ  int   // Σ |L̄ col| within the group
-		uNNZ  int   // Σ |Ū row| within the group
-	}
-	stat := func(lo, hi int) panelStat {
-		s := panelStat{width: hi - lo}
-		for c := lo; c < hi; c++ {
-			lc := sym.L.Col(c)
-			uc := sym.URows.Col(c)
-			s.lNNZ += len(lc)
-			s.uNNZ += len(uc)
-			s.lRows = sparse.UnionSorted(s.lRows, lc)
-			s.uCols = sparse.UnionSorted(s.uCols, uc)
-		}
-		return s
-	}
-	storage := func(s panelStat) int {
-		return s.width * (len(s.lRows) + len(s.uCols))
-	}
-	actual := func(s panelStat) int { return s.lNNZ + s.uNNZ }
-
-	var starts []int
-	starts = append(starts, 0)
-	cur := stat(p.BlockStart[0], p.BlockStart[1])
-	for k := 1; k < nb; k++ {
+	// The running group [first, k): its width, the sizes of the unions
+	// of its L̄ column and Ū row structures, and its entries of Ā.
+	lRows, uCols := newPanelUnion(p.N), newPanelUnion(p.N)
+	first, width, actual := 0, 0, 0
+	starts := make([]int, 1, nb+1)
+	for k := 0; k < nb; k++ {
 		lo, hi := p.Range(k)
-		next := stat(lo, hi)
-		merged := panelStat{
-			width: cur.width + next.width,
-			lRows: sparse.UnionSorted(cur.lRows, next.lRows),
-			uCols: sparse.UnionSorted(cur.uCols, next.uCols),
-			lNNZ:  cur.lNNZ + next.lNNZ,
-			uNNZ:  cur.uNNZ + next.uNNZ,
+		var ownL, freshL, ownU, freshU, nnz int
+		for c := lo; c < hi; c++ {
+			lc, uc := sym.L.Col(c), sym.URows.Col(c)
+			nnz += len(lc) + len(uc)
+			o, f := lRows.add(lc, k, first)
+			ownL, freshL = ownL+o, freshL+f
+			o, f = uCols.add(uc, k, first)
+			ownU, freshU = ownU+o, freshU+f
 		}
-		if st := storage(merged); st > 0 &&
-			float64(st-actual(merged)) <= opts.MaxFill*float64(st) {
-			cur = merged
-			continue
+		if k > 0 {
+			st := (width + hi - lo) * (lRows.size + freshL + uCols.size + freshU)
+			if st > 0 && float64(st-actual-nnz) <= opts.MaxFill*float64(st) {
+				width, actual = width+hi-lo, actual+nnz
+				lRows.size, uCols.size = lRows.size+freshL, uCols.size+freshU
+				continue
+			}
+			starts = append(starts, lo)
 		}
-		starts = append(starts, lo)
-		cur = next
+		first, width, actual = k, hi-lo, nnz
+		lRows.size, uCols.size = ownL, ownU
 	}
-	starts = append(starts, p.N)
-	return fromStarts(p.N, starts)
+	return fromStarts(p.N, append(starts, p.N))
 }
 
 // Split breaks every block wider than maxWidth into near-equal
@@ -239,29 +255,26 @@ func Split(p *Partition, maxWidth int) *Partition {
 // the submatrix. The diagonal blocks are always present.
 func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
 	nb := p.NumBlocks()
-	t := sparse.NewTriplet(nb, nb)
-	seen := make(map[[2]int]bool)
-	add := func(i, j int) {
-		bi, bj := p.ColToBlock[i], p.ColToBlock[j]
-		key := [2]int{bi, bj}
-		if !seen[key] {
-			seen[key] = true
-			t.Add(bi, bj, 1)
+	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 8*nb)
+	stamp := make([]int, nb) // stamp[I] = J+1 once block (I, J) is listed
+	for bj := 0; bj < nb; bj++ {
+		stamp[bj] = bj + 1
+		rowInd = append(rowInd, bj)
+		lo, hi := p.Range(bj)
+		for j := lo; j < hi; j++ {
+			for _, col := range [2][]int{sym.U.Col(j), sym.L.Col(j)} {
+				for _, i := range col {
+					if bi := p.ColToBlock[i]; stamp[bi] != bj+1 {
+						stamp[bi] = bj + 1
+						rowInd = append(rowInd, bi)
+					}
+				}
+			}
 		}
+		slices.Sort(rowInd[colPtr[bj]:])
+		colPtr[bj+1] = len(rowInd)
 	}
-	for k := 0; k < nb; k++ {
-		t.Add(k, k, 1)
-		seen[[2]int{k, k}] = true
-	}
-	for j := 0; j < sym.N; j++ {
-		for _, i := range sym.L.Col(j) {
-			add(i, j)
-		}
-		for _, i := range sym.U.Col(j) {
-			add(i, j)
-		}
-	}
-	return sparse.PatternOf(t.ToCSC())
+	return &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd}
 }
 
 // ExplicitZeros counts how many explicit zeros the dense-block storage

@@ -42,7 +42,7 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 	if part == nil || oldPat == nil || old == nil {
 		return nil, false, nil
 	}
-	if err := checkSquareZeroFree(aNew); err != nil {
+	if err := checkSquareZeroFree(sparse.PatternView(aNew)); err != nil {
 		return nil, false, err
 	}
 	n := aNew.NCols
@@ -50,7 +50,7 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 		return nil, false, nil
 	}
 
-	atNew := sparse.PatternOf(aNew).Transpose() // Col(r) = row r, sorted
+	atNew := sparse.PatternView(aNew).Transpose() // Col(r) = row r, sorted
 	atOld := oldPat.Transpose()
 
 	nb := len(part.BucketCols)
@@ -111,25 +111,16 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 
 	// Copy the per-column outputs of untouched buckets from the old
 	// result (their inputs are unchanged and bucket eliminations are
-	// independent, so their outputs are unchanged too).
+	// independent, so their outputs are unchanged too). The top engine's
+	// arena holds the copies until pack.
+	top := newEngine(n, out, len(part.TopCols))
 	for b := 0; b < nb; b++ {
 		if affected[b] {
 			continue
 		}
 		for _, k := range part.BucketCols[b] {
-			lc := old.L.Col(int(k))[1:]
-			lcol := make([]int32, len(lc))
-			for t, v := range lc {
-				lcol[t] = int32(v)
-			}
-			ur := old.URows.Col(int(k))
-			urow := make([]int32, len(ur)-1)
-			for t, v := range ur[1:] {
-				urow[t] = int32(v)
-			}
-			out.lCols[k] = lcol
-			out.uRows[k] = urow
-			out.uRowLen[k] = len(ur)
+			out.lCols[k] = top.copyInts(old.L.Col(int(k))[1:])
+			out.uRows[k] = top.copyInts(old.URows.Col(int(k))[1:])
 		}
 	}
 
@@ -138,7 +129,7 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 	var affectedIDs []int32
 	for b := 0; b < nb; b++ {
 		if affected[b] {
-			engines[int32(b)] = newEngine(n, out)
+			engines[int32(b)] = newEngine(n, out, len(part.BucketCols[b]))
 			affectedIDs = append(affectedIDs, int32(b))
 		}
 	}
@@ -151,7 +142,9 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 			continue
 		}
 		if e, ok := engines[b]; ok {
-			e.seedRow(int32(r), row)
+			if err := e.seedRow(int32(r), row); err != nil {
+				return nil, false, err
+			}
 		}
 	}
 	if runner == nil {
@@ -168,7 +161,6 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 	// survivors. Affected buckets hand over their live groups;
 	// untouched buckets' survivors are reconstructed from the old
 	// structures.
-	top := newEngine(n, out)
 	lastJ := make([]int32, n)
 	for i := range lastJ {
 		lastJ[i] = -1
@@ -176,14 +168,20 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 	for b := 0; b < nb; b++ {
 		if e, ok := engines[int32(b)]; ok {
 			for _, g := range e.survivors() {
-				top.seedGroup(g)
+				if err := top.seedGroup(g); err != nil {
+					return nil, false, err
+				}
 			}
 			continue
 		}
-		reconstructSurvivors(old, part, int32(b), lastJ, top)
+		if err := reconstructSurvivors(old, part, int32(b), lastJ, top); err != nil {
+			return nil, false, err
+		}
 	}
 	for _, r := range topRows {
-		top.seedRow(r, atNew.Col(int(r)))
+		if err := top.seedRow(r, atNew.Col(int(r))); err != nil {
+			return nil, false, err
+		}
 	}
 	if err := top.run(part.TopCols); err != nil {
 		return nil, false, err
@@ -199,7 +197,7 @@ func FactorDelta(aNew *sparse.CSC, oldPat *sparse.Pattern, old *Result, part *Pa
 // Ū row j. Rows sharing that last column form one group. lastJ is an
 // n-sized scratch array of -1 shared across calls (row sets of
 // different buckets are disjoint).
-func reconstructSurvivors(old *Result, part *Partition, b int32, lastJ []int32, top *engine) {
+func reconstructSurvivors(old *Result, part *Partition, b int32, lastJ []int32, top *engine) error {
 	cols := part.BucketCols[b]
 	for _, k := range cols {
 		for _, r := range old.L.Col(int(k))[1:] {
@@ -219,11 +217,9 @@ func reconstructSurvivors(old *Result, part *Partition, b int32, lastJ []int32, 
 		if len(members) == 0 {
 			continue
 		}
-		ur := old.URows.Col(int(k))[1:]
-		gcols := make([]int32, len(ur))
-		for t, c := range ur {
-			gcols[t] = int32(c)
+		if err := top.seedGroup(group{members: members, cols: top.copyInts(old.URows.Col(int(k))[1:])}); err != nil {
+			return err
 		}
-		top.seedGroup(&group{alive: true, members: members, cols: gcols})
 	}
+	return nil
 }

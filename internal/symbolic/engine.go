@@ -1,124 +1,181 @@
 package symbolic
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
 
+// The engine's failures: a seed it cannot register, and a step no row
+// group is a candidate at (a structurally zero pivot). Callers match
+// them with errors.Is.
+var (
+	ErrSeed        = errors.New("symbolic: malformed engine seed")
+	ErrNoCandidate = errors.New("symbolic: no candidate rows")
+)
+
 // columns collects the per-column outputs of the elimination: column k
-// of L̄ (rows > k) and row k of Ū (columns > k). Engines running over
-// disjoint column sets write to disjoint slots, so one columns value can
-// be shared by the subtree engines of a parallel factorization.
+// of L̄ (rows > k) and row k of Ū (columns > k), both ascending. Engines
+// running over disjoint column sets write to disjoint slots, so one
+// columns value can be shared by the subtree engines of a parallel
+// factorization. The slices point into engine arenas (or, in a delta
+// factorization, into the previous Result's copies); pack copies them
+// out, so nothing engine-owned outlives the factorization.
 type columns struct {
-	n       int
-	lCols   [][]int32 // column k of L̄ (rows > k; diag added at pack time)
-	uRows   [][]int32 // row k of Ū (cols > k)
-	uRowLen []int     // length of row k of Ū incl diagonal
+	n     int
+	lCols [][]int32
+	uRows [][]int32
 }
 
 func newColumns(n int) *columns {
-	return &columns{
-		n:       n,
-		lCols:   make([][]int32, n),
-		uRows:   make([][]int32, n),
-		uRowLen: make([]int, n),
-	}
+	return &columns{n: n, lCols: make([][]int32, n), uRows: make([][]int32, n)}
 }
 
-// pack assembles the per-column outputs into a Result.
+// pack assembles the per-column outputs into a Result, every slice
+// exact-sized, the diagonal added in front of each column and row.
 func (out *columns) pack() *Result {
-	n := out.n
-	l := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
-	for k := 0; k < n; k++ {
-		l.ColPtr[k+1] = l.ColPtr[k] + 1 + len(out.lCols[k])
-	}
-	l.RowInd = make([]int, l.ColPtr[n])
-	for k := 0; k < n; k++ {
-		p := l.ColPtr[k]
-		l.RowInd[p] = k
-		for t, m := range out.lCols[k] {
-			l.RowInd[p+1+t] = int(m)
+	withDiagonal := func(tails [][]int32) *sparse.Pattern {
+		n := out.n
+		p := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
+		for k, t := range tails {
+			p.ColPtr[k+1] = p.ColPtr[k] + 1 + len(t)
 		}
-	}
-
-	ur := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
-	for k := 0; k < n; k++ {
-		ur.ColPtr[k+1] = ur.ColPtr[k] + out.uRowLen[k]
-	}
-	ur.RowInd = make([]int, ur.ColPtr[n])
-	for k := 0; k < n; k++ {
-		p := ur.ColPtr[k]
-		ur.RowInd[p] = k
-		for t, c := range out.uRows[k] {
-			ur.RowInd[p+1+t] = int(c)
+		p.RowInd = make([]int, p.ColPtr[n])
+		for k, t := range tails {
+			dst := p.RowInd[p.ColPtr[k]:p.ColPtr[k+1]]
+			dst[0] = k
+			for i, v := range t {
+				dst[1+i] = int(v)
+			}
 		}
+		return p
 	}
-	u := ur.Transpose()
-
-	return &Result{N: n, L: l, U: u, URows: ur}
+	ur := withDiagonal(out.uRows)
+	// Transpose is a counting transpose over ascending rows: U's columns
+	// come out sorted.
+	return &Result{N: out.n, L: withDiagonal(out.lCols), U: ur.Transpose(), URows: ur}
 }
 
-// group is a set of rows with identical current structure. Groups only
-// ever merge; stale members (< current step) and stale columns are
-// pruned lazily.
+// group is a set of rows with identical current structure, both lists
+// ascending. cols[0] is the smallest column not yet eliminated — the
+// next step the group is a candidate at. The slices are never written
+// after they are built, only re-sliced, so a step's outputs, a
+// survivor handed to another engine and the group itself may share one
+// backing array. A dead group has no cols.
 type group struct {
-	alive   bool
-	members []int32 // positions (rows); stale members < current k pruned lazily
-	cols    []int32 // sorted structure; stale columns < current k pruned lazily
+	members []int32
+	cols    []int32
 }
+
+// arena hands out int32 slices cut from chunks that double up to
+// arenaChunk entries, so the engine allocates per chunk, not per step,
+// and leaves at most one chunk's worth unused.
+type arena struct {
+	buf []int32 // current chunk: len is the used part
+}
+
+const arenaChunk = 1 << 16
+
+func (a *arena) alloc(n int) []int32 {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]int32, 0, max(n, min(2*cap(a.buf), arenaChunk), 1024))
+	}
+	lo := len(a.buf)
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo+n : lo+n]
+}
+
+// release returns the last n entries of the latest alloc.
+func (a *arena) release(n int) { a.buf = a.buf[:len(a.buf)-n] }
 
 // engine runs the George–Ng group-merging elimination over a set of
-// columns. Row and column indices are always global; an engine touches
-// only the colGroups/marker slots of the columns that appear in its
-// seeded rows' structures, which for a valid partition (see parallel.go)
-// are the engine's own steps plus top-region columns above them.
+// columns. Row and column indices are always global.
+//
+// A live group is registered under its first column only. It cannot be
+// a candidate at an earlier step — it has no earlier column — and at
+// that step it is merged, and the survivor registered under the first
+// column of the union; so the list of a step holds exactly the step's
+// candidates, each once, and a group whose first column is not a step
+// of this engine is never touched: it is a survivor (DESIGN.md §18).
 type engine struct {
-	n         int
-	out       *columns
-	groups    []*group
-	colGroups [][]int32 // col -> group ids whose structure contained it; consumed at that step
-	marker    []int32   // union dedup scratch, init -1
+	n      int
+	out    *columns
+	groups []group
+	next   []int32 // next[g]: the next group registered under the same column; -1 ends the list
+	head   []int32 // head[c]: a live group whose first column is c; -1 if none
+	marker []int32 // union dedup scratch, stamped with the step; init -1
+	mem    arena
 }
 
-func newEngine(n int, out *columns) *engine {
-	m := make([]int32, n)
-	for i := range m {
-		m[i] = -1
+// newEngine returns an engine over n columns writing to out, sized for
+// the given number of seeded groups (a hint: more may follow).
+func newEngine(n int, out *columns, seeds int) *engine {
+	scratch := make([]int32, 2*n)
+	for i := range scratch {
+		scratch[i] = -1
 	}
-	return &engine{
-		n:         n,
-		out:       out,
-		groups:    make([]*group, 0, 2*n),
-		colGroups: make([][]int32, n),
-		marker:    m,
+	return &engine{n: n, out: out, head: scratch[:n], marker: scratch[n:],
+		groups: make([]group, 0, seeds), next: make([]int32, 0, seeds)}
+}
+
+// copyInts copies an index list into the engine's arena.
+func (e *engine) copyInts(v []int) []int32 {
+	c := e.mem.alloc(len(v))
+	for t, x := range v {
+		c[t] = int32(x)
 	}
+	return c
 }
 
 // seedRow adds a singleton group for one row with the given structure
-// (ascending column indices). The cols slice is copied.
-func (e *engine) seedRow(row int32, cols []int) {
-	c := make([]int32, len(cols))
-	for t, v := range cols {
-		c[t] = int32(v)
-	}
-	e.seedGroup(&group{alive: true, members: []int32{row}, cols: c})
+// (ascending column indices).
+func (e *engine) seedRow(row int32, cols []int) error {
+	members := e.mem.alloc(1)
+	members[0] = row
+	return e.seedGroup(group{members: members, cols: e.copyInts(cols)})
 }
 
-// seedGroup adds a pre-built group (used to carry subtree survivors into
-// the top engine). The group is registered under every column of its
-// structure; the engine takes ownership and may mutate it.
-func (e *engine) seedGroup(g *group) {
-	gid := int32(len(e.groups))
-	e.groups = append(e.groups, g)
-	if g.alive && len(g.members) > 0 && len(g.cols) > 0 {
-		for _, c := range g.cols {
-			e.colGroups[c] = append(e.colGroups[c], gid)
+// ascendingIn reports whether v is strictly ascending within [0, n).
+func ascendingIn(v []int32, n int) bool {
+	prev := int32(-1)
+	for _, x := range v {
+		if x <= prev || int(x) >= n {
+			return false
 		}
-	} else {
-		g.alive = false
+		prev = x
 	}
+	return true
+}
+
+// seedGroup adds a pre-built group (a subtree survivor carried into the
+// top engine) and registers it under its first column. The engine reads
+// the group's slices and never writes them.
+func (e *engine) seedGroup(g group) error {
+	if len(g.members) == 0 || len(g.cols) == 0 {
+		return fmt.Errorf("%w: %d rows, %d columns", ErrSeed, len(g.members), len(g.cols))
+	}
+	if !ascendingIn(g.members, e.n) || !ascendingIn(g.cols, e.n) {
+		return fmt.Errorf("%w: rows %v, columns %v not ascending in [0,%d)", ErrSeed, g.members, g.cols, e.n)
+	}
+	e.groups = append(e.groups, g)
+	e.next = append(e.next, -1)
+	e.register(int32(len(e.groups) - 1))
+	return nil
+}
+
+// register files a group under its first column, or retires it when it
+// has run out of rows or columns.
+func (e *engine) register(gid int32) {
+	g := &e.groups[gid]
+	if len(g.members) == 0 || len(g.cols) == 0 {
+		*g = group{}
+		return
+	}
+	c := g.cols[0]
+	e.next[gid] = e.head[c]
+	e.head[c] = gid
 }
 
 // run eliminates the given ascending column list (nil means all columns
@@ -140,109 +197,70 @@ func (e *engine) run(steps []int32) error {
 	return nil
 }
 
-// step eliminates column k: merges all candidate row groups, records
+// step eliminates column k: merges the candidate row groups, records
 // column k of L̄ and row k of Ū, and retires the pivot position.
 func (e *engine) step(k int32) error {
-	// Collect live candidate groups (deduplicated).
-	cand := e.colGroups[k]
-	e.colGroups[k] = nil
-	seen := make(map[int32]bool, len(cand))
-	var live []*group
-	for _, gid := range cand {
-		g := e.groups[gid]
-		if !g.alive || seen[gid] {
-			continue
-		}
-		seen[gid] = true
-		// The group's structure still contains k (merges keep all
-		// columns, so containment persists; stale ids are dead).
-		live = append(live, g)
+	first := e.head[k]
+	if first < 0 {
+		return fmt.Errorf("%w at step %d", ErrNoCandidate, k)
 	}
-	if len(live) == 0 {
-		// Should not happen for a zero-free diagonal.
-		return fmt.Errorf("symbolic: no candidate rows at step %d", k)
-	}
+	e.head[k] = -1
+	g := &e.groups[first]
 
-	// L̄ column k: all members ≥ k of the candidate groups, and the
-	// union of their structures (columns ≥ k).
-	var lcol []int32
-	var union []int32
-	for _, g := range live {
-		w := g.members[:0]
-		for _, m := range g.members {
-			if m >= k {
-				w = append(w, m)
-				if m > k {
-					lcol = append(lcol, m)
-				}
-			}
+	// A lone group passes through: its rows and columns are the step's
+	// outputs as they stand, already ascending.
+	if e.next[first] < 0 {
+		for len(g.members) > 0 && g.members[0] <= k {
+			g.members = g.members[1:]
 		}
-		g.members = w
-		for _, c := range g.cols {
-			if c >= k && e.marker[c] != k {
-				e.marker[c] = k
-				union = append(union, c)
-			}
-		}
-	}
-	sort.Slice(lcol, func(a, b int) bool { return lcol[a] < lcol[b] })
-	sort.Slice(union, func(a, b int) bool { return union[a] < union[b] })
-	e.out.lCols[k] = lcol
-	// union[0] must be k itself.
-	if len(union) == 0 || union[0] != k {
-		return fmt.Errorf("symbolic: step %d union does not start at the diagonal", k)
-	}
-	e.out.uRows[k] = append([]int32(nil), union[1:]...)
-	e.out.uRowLen[k] = len(union)
-
-	// Merge candidates into one surviving group.
-	if len(live) == 1 {
-		surv := live[0]
-		surv.cols = union[1:] // trim eliminated column k
-		// Retire position k from members.
-		w := surv.members[:0]
-		for _, m := range surv.members {
-			if m != k {
-				w = append(w, m)
-			}
-		}
-		surv.members = w
-		if len(surv.members) == 0 || len(surv.cols) == 0 {
-			surv.alive = false
-		}
+		g.cols = g.cols[1:]
+		e.out.lCols[k], e.out.uRows[k] = g.members, g.cols
+		e.register(first)
 		return nil
 	}
-	// Build a fresh merged group.
-	var members []int32
-	for _, g := range live {
-		for _, m := range g.members {
-			if m != k {
+
+	// Several groups: the rows > k of all of them and the union of their
+	// structures beyond k, built in one arena block sized by the sums.
+	nm, nc := 0, 0
+	for id := first; id >= 0; id = e.next[id] {
+		nm += len(e.groups[id].members)
+		nc += len(e.groups[id].cols) - 1
+	}
+	block := e.mem.alloc(nm + nc)
+	members, union := block[:0:nm], block[nm:nm:nm+nc]
+	for id := first; id >= 0; id = e.next[id] {
+		c := &e.groups[id]
+		for _, m := range c.members {
+			if m > k {
 				members = append(members, m)
 			}
 		}
-		g.alive = false
-		g.members = nil
-		g.cols = nil
-	}
-	cols := append([]int32(nil), union[1:]...)
-	surv := &group{alive: len(members) > 0 && len(cols) > 0, members: members, cols: cols}
-	survID := int32(len(e.groups))
-	e.groups = append(e.groups, surv)
-	if surv.alive {
-		for _, c := range cols {
-			e.colGroups[c] = append(e.colGroups[c], survID)
+		for _, col := range c.cols[1:] {
+			if e.marker[col] != k {
+				e.marker[col] = k
+				union = append(union, col)
+			}
 		}
+		*c = group{}
 	}
+	e.mem.release(nc - len(union))
+	slices.Sort(members)
+	slices.Sort(union)
+	e.out.lCols[k], e.out.uRows[k] = members, union
+
+	// The merged group takes the first candidate's slot.
+	*g = group{members: members, cols: union}
+	e.register(first)
 	return nil
 }
 
 // survivors returns the groups still alive after run: rows not yet
 // eliminated, carrying their reduced structures. For a subtree engine
 // these are exactly the rows whose pivot column lies in the top region.
-func (e *engine) survivors() []*group {
-	var out []*group
+func (e *engine) survivors() []group {
+	var out []group
 	for _, g := range e.groups {
-		if g.alive && len(g.members) > 0 {
+		if len(g.cols) > 0 {
 			out = append(out, g)
 		}
 	}

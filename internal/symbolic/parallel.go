@@ -219,7 +219,7 @@ func serialRunner(ntasks int, run func(i int) error) error {
 // serial engine; either way the output is identical to Factor's, which
 // TestFactorParallelIdentical pins over the small suite.
 func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) {
-	if err := checkSquareZeroFree(a); err != nil {
+	if err := checkSquareZeroFree(sparse.PatternView(a)); err != nil {
 		return nil, err
 	}
 	part := PartitionColumns(a, workers)
@@ -230,12 +230,12 @@ func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) 
 		runner = GoRunner(workers)
 	}
 	n := a.NCols
-	at := sparse.PatternOf(a).Transpose() // Col(i) = row i of A
+	at := sparse.PatternView(a).Transpose() // Col(i) = row i of A
 
 	out := newColumns(n)
 	engines := make([]*engine, len(part.BucketCols))
 	for b := range engines {
-		engines[b] = newEngine(n, out)
+		engines[b] = newEngine(n, out, len(part.BucketCols[b]))
 	}
 	var topRows []int32
 	for r := 0; r < n; r++ {
@@ -245,7 +245,9 @@ func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) 
 			topRows = append(topRows, int32(r))
 			continue
 		}
-		engines[b].seedRow(int32(r), row)
+		if err := engines[b].seedRow(int32(r), row); err != nil {
+			return nil, err
+		}
 	}
 	if err := runner(len(engines), func(i int) error {
 		return engines[i].run(part.BucketCols[i])
@@ -255,14 +257,18 @@ func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) 
 
 	// Merge: the survivors of every bucket join the top-region rows in
 	// one final serial elimination of the top columns.
-	top := newEngine(n, out)
+	top := newEngine(n, out, len(part.TopCols))
 	for _, e := range engines {
 		for _, g := range e.survivors() {
-			top.seedGroup(g)
+			if err := top.seedGroup(g); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, r := range topRows {
-		top.seedRow(r, at.Col(int(r)))
+		if err := top.seedRow(r, at.Col(int(r))); err != nil {
+			return nil, err
+		}
 	}
 	if err := top.run(part.TopCols); err != nil {
 		return nil, err

@@ -71,20 +71,26 @@ func FromPattern(p *sparse.Pattern) *Result {
 		if d == len(col) || col[d] != j {
 			panic(fmt.Sprintf("symbolic: FromPattern: diagonal entry %d missing", j))
 		}
-		u.RowInd = append(u.RowInd, col[:d+1]...)
-		l.RowInd = append(l.RowInd, col[d:]...)
-		u.ColPtr[j+1], l.ColPtr[j+1] = len(u.RowInd), len(l.RowInd)
+		u.ColPtr[j+1], l.ColPtr[j+1] = u.ColPtr[j]+d+1, l.ColPtr[j]+len(col)-d
+	}
+	u.RowInd, l.RowInd = make([]int, u.ColPtr[n]), make([]int, l.ColPtr[n])
+	for j := 0; j < n; j++ {
+		col, d := p.Col(j), len(u.Col(j))-1
+		copy(u.Col(j), col[:d+1])
+		copy(l.Col(j), col[d:])
 	}
 	return &Result{N: n, L: l, U: u, URows: u.Transpose()}
 }
 
 // checkSquareZeroFree validates the Factor preconditions.
-func checkSquareZeroFree(a *sparse.CSC) error {
-	if a.NRows != a.NCols {
-		return fmt.Errorf("symbolic: matrix must be square, got %d×%d", a.NRows, a.NCols)
+func checkSquareZeroFree(p *sparse.Pattern) error {
+	if p.NRows != p.NCols {
+		return fmt.Errorf("symbolic: matrix must be square, got %d×%d", p.NRows, p.NCols)
 	}
-	if !a.HasZeroFreeDiagonal() {
-		return fmt.Errorf("symbolic: matrix diagonal has structural zeros; apply a maximum transversal first")
+	for j := 0; j < p.NCols; j++ {
+		if !p.Has(j, j) {
+			return fmt.Errorf("symbolic: matrix diagonal has structural zeros; apply a maximum transversal first")
+		}
 	}
 	return nil
 }
@@ -92,18 +98,24 @@ func checkSquareZeroFree(a *sparse.CSC) error {
 // Factor computes the static symbolic factorization of a square matrix
 // with a zero-free diagonal (run the transversal first if needed).
 func Factor(a *sparse.CSC) (*Result, error) {
-	if err := checkSquareZeroFree(a); err != nil {
+	return FactorPattern(sparse.PatternView(a))
+}
+
+// FactorPattern is Factor on a bare structure (sorted columns): what
+// the closure of a block pattern needs, which has no values to carry.
+func FactorPattern(p *sparse.Pattern) (*Result, error) {
+	if err := checkSquareZeroFree(p); err != nil {
 		return nil, err
 	}
-	n := a.NCols
-
-	// Row structures of A (positions of nonzeros in each row).
-	at := sparse.PatternOf(a).Transpose() // Col(i) = row i of A
+	n := p.NCols
+	rows := p.Transpose() // Col(i) = row i
 
 	out := newColumns(n)
-	e := newEngine(n, out)
+	e := newEngine(n, out, n)
 	for i := 0; i < n; i++ {
-		e.seedRow(int32(i), at.Col(i))
+		if err := e.seedRow(int32(i), rows.Col(i)); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.run(nil); err != nil { // nil steps = all columns 0..n-1
 		return nil, err

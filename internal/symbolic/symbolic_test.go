@@ -72,14 +72,24 @@ func patternsEqual(a, b *sparse.Pattern) bool {
 func TestFactorRejectsBadInput(t *testing.T) {
 	tr := sparse.NewTriplet(2, 3)
 	tr.Add(0, 0, 1)
-	if _, err := Factor(tr.ToCSC()); err == nil {
-		t.Fatal("non-square matrix accepted")
+	_, err := Factor(tr.ToCSC())
+	if err == nil || err.Error() != "symbolic: matrix must be square, got 2×3" {
+		t.Fatalf("non-square matrix: %v", err)
 	}
 	tr2 := sparse.NewTriplet(2, 2)
 	tr2.Add(0, 1, 1)
 	tr2.Add(1, 0, 1)
-	if _, err := Factor(tr2.ToCSC()); err == nil {
-		t.Fatal("matrix with structural zero diagonal accepted")
+	_, err = Factor(tr2.ToCSC())
+	if err == nil || err.Error() != "symbolic: matrix diagonal has structural zeros; apply a maximum transversal first" {
+		t.Fatalf("structurally zero diagonal: %v", err)
+	}
+	// The bare-pattern entry point and the parallel driver check the same
+	// preconditions before any engine is seeded.
+	if _, err2 := FactorPattern(sparse.PatternOf(tr2.ToCSC())); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("FactorPattern on a structurally zero diagonal: %v", err2)
+	}
+	if _, err2 := FactorParallel(tr2.ToCSC(), 4, nil); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("FactorParallel on a structurally zero diagonal: %v", err2)
 	}
 }
 

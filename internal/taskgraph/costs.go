@@ -45,20 +45,24 @@ func NewCostModel(g *Graph, blockSym *symbolic.Result, part *supernode.Partition
 		}
 		cm.PanelHeight[k] = h
 	}
-	for id, t := range g.Tasks {
-		if t.Kind == Factor {
-			m := float64(cm.PanelHeight[t.K])
-			w := float64(cm.Width[t.K])
-			cm.TaskFlops[id] = m * w * w
-			continue
+	for k := 0; k < n; k++ {
+		m, w := float64(cm.PanelHeight[k]), float64(cm.Width[k])
+		cm.TaskFlops[g.FactorID[k]] = m * w * w
+		// The updates sourced at k and the blocks of row k of blockSym's
+		// Ū both ascend in destination: one walk pairs them.
+		held := blockSym.URows.Col(k)
+		for id, hi := g.Updates(k); id < hi; id++ {
+			j := g.Tasks[id].J
+			for len(held) > 0 && held[0] < j {
+				held = held[1:]
+			}
+			if len(held) == 0 || held[0] != j {
+				continue
+			}
+			wj := float64(cm.Width[j])
+			sub := float64(cm.PanelHeight[k] - cm.Width[k])
+			cm.TaskFlops[id] = w*w*wj + 2*sub*w*wj
 		}
-		if !blockSym.U.Has(t.K, t.J) {
-			continue
-		}
-		wk := float64(cm.Width[t.K])
-		wj := float64(cm.Width[t.J])
-		sub := float64(cm.PanelHeight[t.K] - cm.Width[t.K])
-		cm.TaskFlops[id] = wk*wk*wj + 2*sub*wk*wj
 	}
 	return cm
 }

@@ -17,7 +17,9 @@ package taskgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/etree"
 	"repro/internal/symbolic"
@@ -98,6 +100,11 @@ type Graph struct {
 	ChainNext []int32
 	// NumEdges is the total number of dependence edges.
 	NumEdges int
+
+	// sourceOrdered caches sourceOrder's verdict; Tasks and Succ must not
+	// change once a path or order has been asked for.
+	sourceOnce    sync.Once
+	sourceOrdered bool
 }
 
 // buildTasks lays out the task set shared by both variants: one F(k) per
@@ -133,14 +140,36 @@ func (g *Graph) Updates(k int) (lo, hi int) {
 // UpdateID returns the task id of U(k, j) and whether that task exists.
 func (g *Graph) UpdateID(k, j int) (int, bool) {
 	lo, hi := g.Updates(k)
-	id := lo + sort.Search(hi-lo, func(t int) bool { return g.Tasks[lo+t].J >= j })
+	id := g.seek(lo, hi, j)
 	return id, id < hi && g.Tasks[id].J == j
+}
+
+// seek returns the first update id in [from, hi) — a suffix of one
+// source's updates — whose destination is at least j, galloping from
+// from: a cursor moved through a source's updates this way costs the
+// logarithm of each advance, not of the whole list.
+func (g *Graph) seek(from, hi, j int) int {
+	step := 1
+	for from+step <= hi && g.Tasks[from+step-1].J < j {
+		from += step
+		step *= 2
+	}
+	end := min(from+step-1, hi)
+	return from + sort.Search(end-from, func(t int) bool { return g.Tasks[from+t].J >= j })
 }
 
 // New builds the dependence graph of the requested variant over the
 // block symbolic structure. For the EForest variant, f must be the LU
 // eforest of blockSym (etree.LUForest(blockSym)).
+//
+// Every out-degree is known before an edge is looked up — F(k) precedes
+// the updates it sources, and an update has its one chain successor or,
+// sourced at an eforest root, none — so the successor lists are cut
+// from one backing array of exactly NumEdges entries.
 func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
+	if v == EForest && f == nil {
+		panic("taskgraph: EForest variant needs the LU eforest")
+	}
 	tasks, factorID, updateFirst := buildTasks(blockSym)
 	g := &Graph{
 		Variant:     v,
@@ -151,78 +180,79 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		Succ:        make([][]int32, len(tasks)),
 		ChainNext:   make([]int32, len(tasks)),
 	}
+	for k := 0; k < g.N; k++ {
+		lo, hi := g.Updates(k)
+		g.NumEdges += hi - lo
+		if v == SStar || f.Parent[k] != etree.None {
+			g.NumEdges += hi - lo
+		}
+	}
+	edges := make([]int32, g.NumEdges)
 	for i := range g.ChainNext {
 		g.ChainNext[i] = -1
 	}
-	addEdge := func(from, to int) {
-		g.Succ[from] = append(g.Succ[from], int32(to))
-		g.NumEdges++
-	}
-	// addChainEdge adds a dependence edge that is also a link of the
-	// destination's Theorem-4 update chain.
-	addChainEdge := func(from, to int) {
-		addEdge(from, to)
-		g.ChainNext[from] = int32(to)
-	}
 
 	// Shared rule: F(k) → U(k, j) for every update sourced at k.
+	at := 0
 	for k := 0; k < g.N; k++ {
-		for id, hi := g.Updates(k); id < hi; id++ {
-			addEdge(factorID[k], id)
+		lo, hi := g.Updates(k)
+		succ := edges[at : at+hi-lo : at+hi-lo]
+		for t := range succ {
+			succ[t] = int32(lo + t)
 		}
+		g.Succ[factorID[k]] = succ
+		at += hi - lo
+	}
+	// chain records the one successor of update id: a dependence edge
+	// that is also a link of the destination's Theorem-4 update chain.
+	chain := func(id, to int) {
+		edges[at] = int32(to)
+		g.Succ[id] = edges[at : at+1 : at+1]
+		g.ChainNext[id] = int32(to)
+		at++
 	}
 
 	switch v {
 	case SStar:
 		// Serialize the updates of each destination column by ascending
-		// source index, ending at F(j).
-		incoming := make([][]int, g.N) // dest column -> update ids in source order
-		for k := 0; k < g.N; k++ {
+		// source index, ending at F(j): scanning the sources in
+		// descending order, the update last seen for a destination is
+		// the next of its chain.
+		next := make([]int, g.N)
+		copy(next, factorID)
+		for k := g.N - 1; k >= 0; k-- {
 			for id, hi := g.Updates(k); id < hi; id++ {
 				j := tasks[id].J
-				incoming[j] = append(incoming[j], id)
-			}
-		}
-		// Sources were scanned in ascending k, so each incoming list is
-		// already in ascending source order.
-		for j := 0; j < g.N; j++ {
-			chain := incoming[j]
-			for t := 1; t < len(chain); t++ {
-				addChainEdge(chain[t-1], chain[t])
-			}
-			if len(chain) > 0 {
-				addChainEdge(chain[len(chain)-1], factorID[j])
+				chain(id, next[j])
+				next[j] = id
 			}
 		}
 	case EForest:
-		if f == nil {
-			panic("taskgraph: EForest variant needs the LU eforest")
-		}
 		for k := 0; k < g.N; k++ {
+			p := f.Parent[k]
+			if p == etree.None {
+				// k is a root: its updates touch only rows above their
+				// destinations (earlier trees), so nothing waits on them
+				// and they block nothing beyond their factor dependence.
+				continue
+			}
+			// The destinations of k's updates ascend, so one cursor walks
+			// the parent's updates beside them.
+			at, pHi := g.Updates(p)
 			for id, hi := g.Updates(k); id < hi; id++ {
+				// U(k, j) → U(parent(k), j), and → F(j) when parent(k) = j.
+				// Theorem 1 guarantees U(parent, j) exists when the
+				// blocked structure is a static fixed point, and ū_kj ≠ 0
+				// forces parent(k) ≤ j; the conservative edge to F(j)
+				// covers a structure that breaks either.
 				j := tasks[id].J
-				p := f.Parent[k]
-				switch {
-				case p == etree.None:
-					// k is a root: the update touches only rows above j
-					// (earlier trees), so nothing waits on it and it
-					// blocks nothing beyond its own factor dependence.
-				case p == j:
-					addChainEdge(id, factorID[j])
-				case p < j:
-					if nid, ok := g.UpdateID(p, j); ok {
-						addChainEdge(id, nid)
-					} else {
-						// Theorem 1 guarantees U(parent, j) exists when
-						// the blocked structure is a static fixed point;
-						// fall back to the conservative edge otherwise.
-						addChainEdge(id, factorID[j])
+				to := factorID[j]
+				if p < j {
+					if at = g.seek(at, pHi, j); at < pHi && tasks[at].J == j {
+						to = at
 					}
-				default:
-					// parent(k) > j cannot happen: ū_kj ≠ 0 forces
-					// parent(k) ≤ j. Be conservative if it does.
-					addChainEdge(id, factorID[j])
 				}
+				chain(id, to)
 			}
 		}
 	default:
@@ -245,25 +275,47 @@ func (g *Graph) InDegrees() []int {
 	return in
 }
 
-// TopoOrder returns a topological order of the tasks, or an error if the
-// graph has a cycle.
-func (g *Graph) TopoOrder() ([]int, error) {
+// sourceOrder reports whether F(0), U(0,·), F(1), U(1,·), … — source by
+// source, as New lays the ids out — is a topological order of g: every
+// edge leads from F(k) to an update it sources or on to a later source.
+// The graphs of New and Independent are; it is checked, once, because
+// Tasks and Succ are exported, and a hand-built or damaged graph must
+// get Kahn's algorithm and its cycle report instead.
+func (g *Graph) sourceOrder() bool {
+	g.sourceOnce.Do(func() {
+		// Only New and Independent fill updateFirst, and with it the
+		// source-by-source id layout walk relies on.
+		if len(g.updateFirst) != g.N+1 || len(g.Tasks) != int(g.updateFirst[g.N]) {
+			return
+		}
+		rank := func(id int32) int { return 2*g.Tasks[id].K + int(g.Tasks[id].Kind) }
+		for id, succ := range g.Succ {
+			for _, s := range succ {
+				if rank(s) <= rank(int32(id)) {
+					return
+				}
+			}
+		}
+		g.sourceOrdered = true
+	})
+	return g.sourceOrdered
+}
+
+// kahn returns a topological order (sources in ascending id, then first
+// released first), or an error if the graph has a cycle.
+func (g *Graph) kahn() ([]int32, error) {
 	in := g.InDegrees()
-	queue := make([]int, 0, len(in))
+	order := make([]int32, 0, len(in))
 	for id, d := range in {
 		if d == 0 {
-			queue = append(queue, id)
+			order = append(order, int32(id))
 		}
 	}
-	order := make([]int, 0, len(in))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range g.Succ[id] {
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.Succ[order[head]] {
 			in[s]--
 			if in[s] == 0 {
-				queue = append(queue, int(s))
+				order = append(order, s)
 			}
 		}
 	}
@@ -273,26 +325,67 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
+// walk visits every task once, in a topological order or (reverse) in
+// the reverse of one: the source order where it is one — no order is
+// materialized then — and Kahn's otherwise. It fails on a cycle.
+func (g *Graph) walk(reverse bool, visit func(id int32)) error {
+	if !g.sourceOrder() {
+		order, err := g.kahn()
+		if reverse {
+			slices.Reverse(order)
+		}
+		for _, id := range order {
+			visit(id)
+		}
+		return err
+	}
+	if reverse {
+		for k := g.N - 1; k >= 0; k-- {
+			for lo, id := g.Updates(k); id > lo; id-- {
+				visit(int32(id - 1))
+			}
+			visit(int32(g.FactorID[k]))
+		}
+		return nil
+	}
+	for k := 0; k < g.N; k++ {
+		visit(int32(g.FactorID[k]))
+		for id, hi := g.Updates(k); id < hi; id++ {
+			visit(int32(id))
+		}
+	}
+	return nil
+}
+
+// TopoOrder returns a topological order of the tasks, or an error if the
+// graph has a cycle.
+func (g *Graph) TopoOrder() ([]int, error) {
+	order := make([]int, 0, len(g.Tasks))
+	if err := g.walk(false, func(id int32) { order = append(order, int(id)) }); err != nil {
+		return nil, err
+	}
+	return order, nil
+}
+
+// weight returns the cost of task id, 1 under a nil cost vector.
+func weight(cost []float64, id int32) float64 {
+	if cost == nil {
+		return 1
+	}
+	return cost[id]
+}
+
 // CriticalPath returns the length of the longest weighted path through
 // the DAG (the lower bound on parallel execution time) and the total
 // weight, using cost[id] as the weight of task id. cost may be nil, in
 // which case every task weighs 1.
 func (g *Graph) CriticalPath(cost []float64) (cp, total float64, err error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0, 0, err
-	}
-	w := func(id int) float64 {
-		if cost == nil {
-			return 1
-		}
-		return cost[id]
-	}
 	finish := make([]float64, len(g.Tasks))
-	for _, id := range order {
-		f := finish[id] + w(id)
+	err = g.walk(false, func(id int32) {
+		w := weight(cost, id)
+		f := finish[id] + w
 		finish[id] = f
-		total += w(id)
+		total += w
 		if f > cp {
 			cp = f
 		}
@@ -301,6 +394,9 @@ func (g *Graph) CriticalPath(cost []float64) (cp, total float64, err error) {
 				finish[s] = f
 			}
 		}
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	return cp, total, nil
 }
@@ -313,24 +409,14 @@ func (g *Graph) CriticalPath(cost []float64) (cp, total float64, err error) {
 // comparing the two shows how much of the predicted chain the scheduler
 // actually serialized on.
 func (g *Graph) CriticalPathTasks(cost []float64) (path []int, cp float64, err error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	w := func(id int) float64 {
-		if cost == nil {
-			return 1
-		}
-		return cost[id]
-	}
 	finish := make([]float64, len(g.Tasks))
-	pred := make([]int, len(g.Tasks))
+	pred := make([]int32, len(g.Tasks))
 	for i := range pred {
 		pred[i] = -1
 	}
-	bestID := -1
-	for _, id := range order {
-		f := finish[id] + w(id)
+	bestID := int32(-1)
+	err = g.walk(false, func(id int32) {
+		f := finish[id] + weight(cost, id)
 		finish[id] = f
 		if f > cp || (f == cp && (bestID == -1 || id < bestID)) {
 			cp, bestID = f, id
@@ -341,13 +427,14 @@ func (g *Graph) CriticalPathTasks(cost []float64) (path []int, cp float64, err e
 				pred[s] = id
 			}
 		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	for id := bestID; id != -1; id = pred[id] {
-		path = append(path, id)
+		path = append(path, int(id))
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path, cp, nil
 }
 
@@ -357,26 +444,18 @@ func (g *Graph) CriticalPathTasks(cost []float64) (path []int, cp float64, err e
 // critical-path list-scheduling priority. cost may be nil for unit
 // weights.
 func (g *Graph) BottomLevels(cost []float64) ([]float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	w := func(id int) float64 {
-		if cost == nil {
-			return 1
-		}
-		return cost[id]
-	}
 	bl := make([]float64, len(g.Tasks))
-	for t := len(order) - 1; t >= 0; t-- {
-		id := order[t]
+	err := g.walk(true, func(id int32) {
 		best := 0.0
 		for _, s := range g.Succ[id] {
 			if bl[s] > best {
 				best = bl[s]
 			}
 		}
-		bl[id] = best + w(id)
+		bl[id] = best + weight(cost, id)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return bl, nil
 }
