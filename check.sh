@@ -1,7 +1,7 @@
 #!/bin/sh
 # The local/CI gate, split into stages so CI can attribute failures:
 #
-#   ./check.sh lint        # gofmt, vet, build (bench/ too), lucheck -audit
+#   ./check.sh lint        # gofmt, vet, build (bench/ too), lucheck -audit -sarif
 #   ./check.sh test        # race-enabled test suite
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service     # sluserver chaos suite under -race + live HTTP smoke
@@ -44,8 +44,10 @@ lint() {
 	echo "==> go vet + go build (bench/)"
 	(cd bench && go vet . && go build -o /dev/null .)
 
-	echo "==> lucheck -audit"
-	go run ./cmd/lucheck -audit ./...
+	# One checker run: findings and the suppression inventory on stdout,
+	# the same findings as lucheck.sarif for CI's code-scanning upload.
+	echo "==> lucheck -audit -sarif"
+	go run ./cmd/lucheck -audit -sarif lucheck.sarif ./...
 }
 
 test_stage() {

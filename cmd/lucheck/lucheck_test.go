@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,18 +23,13 @@ const fixturePath = "repro/internal/badpkg"
 // fixtureDirs maps each fixture's virtual import path to its
 // testdata/src directory.
 var fixtureDirs = map[string]string{
-	fixturePath:                "badpkg",
-	"repro/fixture/mofix":      "mofix",
-	"repro/fixture/fpfix":      "fpfix",
-	"repro/fixture/fpfast":     "fpfast",
-	"repro/fixture/capfix":     "capfix",
-	"repro/fixture/cgfix":      "cgfix",
-	"repro/fixture/justfix":    "justfix",
-	"repro/fixture/ctxfix":     "ctxfix",
-	"repro/fixture/mutlevels":  "mutlevels",
-	"repro/fixture/mutdescend": "mutdescend",
-	"repro/fixture/mutcapture": "mutcapture",
-	"repro/fixture/workfix":    "workfix",
+	fixturePath:               "badpkg",
+	"repro/fixture/cgfix":     "cgfix",
+	"repro/fixture/ctxfix":    "ctxfix",
+	"repro/fixture/justfix":   "justfix",
+	"repro/fixture/mutlevels": "mutlevels",
+	"repro/fixture/nondetfix": "nondetfix",
+	"repro/fixture/workfix":   "workfix",
 }
 
 var load = struct {
@@ -69,6 +67,65 @@ func loadOnce(t *testing.T) ([]*pkgInfo, *token.FileSet, string) {
 	return load.pkgs, load.fset, load.mod
 }
 
+// fixturePkg returns the loaded fixture package of the given virtual
+// import path.
+func fixturePkg(t *testing.T, path string) *pkgInfo {
+	t.Helper()
+	pkgs, _, _ := loadOnce(t)
+	for _, pi := range pkgs {
+		if pi.path == path {
+			return pi
+		}
+	}
+	t.Fatalf("fixture %s not loaded", path)
+	return nil
+}
+
+// analyzePkg runs the checker on one package in isolation, so a test
+// can scope a fixture into exactly the rule sets it is about.
+func analyzePkg(fset *token.FileSet, pi *pkgInfo, cfg *config) []finding {
+	return analyzeModule(fset, []*pkgInfo{pi}, cfg).findings
+}
+
+// checkWantMarkers compares findings against the `// want <rule>`
+// markers of one fixture dir, line-exact in both directions, and
+// returns the number of markers.
+func checkWantMarkers(t *testing.T, dir string, findings []finding) int {
+	t.Helper()
+	gotLines := map[int]string{}
+	for _, f := range findings {
+		if prev, dup := gotLines[f.pos.Line]; dup && prev != f.rule {
+			t.Errorf("%s line %d: two rules fired (%s, %s)", dir, f.pos.Line, prev, f.rule)
+		}
+		gotLines[f.pos.Line] = f.rule
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "src", dir, "*.go"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("fixture glob %s: %v (%d files, want 1)", dir, err, len(files))
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		idx := strings.Index(line, "// want ")
+		if idx < 0 {
+			continue
+		}
+		marks++
+		rule := strings.TrimSpace(line[idx+len("// want "):])
+		if gotLines[i+1] != rule {
+			t.Errorf("%s:%d: want rule %s, got %q", files[0], i+1, rule, gotLines[i+1])
+		}
+		delete(gotLines, i+1)
+	}
+	for line, rule := range gotLines {
+		t.Errorf("%s: finding %s at line %d has no `// want` marker", dir, rule, line)
+	}
+	return marks
+}
+
 // TestRepoClean is the acceptance gate: the repository itself must have
 // zero findings.
 func TestRepoClean(t *testing.T) {
@@ -82,7 +139,7 @@ func TestRepoClean(t *testing.T) {
 	if len(repo) < 10 {
 		t.Fatalf("loaded only %d packages; module walk is broken", len(repo))
 	}
-	findings := analyzeAll(fset, repo, defaultConfig(mod))
+	findings := analyzeModule(fset, repo, defaultConfig(mod)).findings
 	for _, f := range findings {
 		t.Errorf("unexpected finding: %s", f)
 	}
@@ -92,16 +149,8 @@ func TestRepoClean(t *testing.T) {
 // fixture, that suppression comments are honored, and that legal
 // constructs next to the violations stay silent.
 func TestFixtureViolations(t *testing.T) {
-	pkgs, fset, mod := loadOnce(t)
-	var bad *pkgInfo
-	for _, pi := range pkgs {
-		if pi.path == fixturePath {
-			bad = pi
-		}
-	}
-	if bad == nil {
-		t.Fatal("fixture package not loaded")
-	}
+	_, fset, mod := loadOnce(t)
+	bad := fixturePkg(t, fixturePath)
 
 	cfg := defaultConfig(mod)
 	cfg.numeric[fixturePath] = true
@@ -120,7 +169,6 @@ func TestFixtureViolations(t *testing.T) {
 		"pattern-mutation": 2,
 		"naked-panic":      1,
 		"float-equality":   1,
-		"lock-discipline":  1,
 		"worker-timing":    1,
 		"worker-exit":      2,
 		"hot-alloc":        4,
@@ -138,24 +186,7 @@ func TestFixtureViolations(t *testing.T) {
 	}
 
 	// The `want` comments in the fixture pin the exact lines.
-	wantLines := map[int]string{}
-	for _, f := range findings {
-		wantLines[f.pos.Line] = f.rule
-	}
-	data := readFixture(t)
-	for i, line := range strings.Split(data, "\n") {
-		lineNo := i + 1
-		if idx := strings.Index(line, "// want "); idx >= 0 {
-			rule := strings.TrimSpace(line[idx+len("// want "):])
-			if wantLines[lineNo] != rule {
-				t.Errorf("line %d: want rule %s, got %q", lineNo, rule, wantLines[lineNo])
-			}
-			delete(wantLines, lineNo)
-		}
-	}
-	for line, rule := range wantLines {
-		t.Errorf("finding %s at line %d has no `// want` marker", rule, line)
-	}
+	checkWantMarkers(t, "badpkg", findings)
 }
 
 // TestHotAllocWorkerScope pins the hot-alloc scoping: when the fixture
@@ -165,16 +196,8 @@ func TestFixtureViolations(t *testing.T) {
 // precedence (hotpath subsumes the goroutine scan, no double reports)
 // by its exact per-rule counts.
 func TestHotAllocWorkerScope(t *testing.T) {
-	pkgs, fset, mod := loadOnce(t)
-	var bad *pkgInfo
-	for _, pi := range pkgs {
-		if pi.path == fixturePath {
-			bad = pi
-		}
-	}
-	if bad == nil {
-		t.Fatal("fixture package not loaded")
-	}
+	_, fset, mod := loadOnce(t)
+	bad := fixturePkg(t, fixturePath)
 
 	cfg := defaultConfig(mod)
 	cfg.workers[fixturePath] = true // goroutine-body scan only
@@ -205,16 +228,8 @@ func TestHotAllocWorkerScope(t *testing.T) {
 // the closure passed to sched.ExecuteLevels fires — the top-level make
 // and the goroutine-body allocations are out of that rule's sight.
 func TestHotAllocSchedClosureScope(t *testing.T) {
-	pkgs, fset, mod := loadOnce(t)
-	var bad *pkgInfo
-	for _, pi := range pkgs {
-		if pi.path == fixturePath {
-			bad = pi
-		}
-	}
-	if bad == nil {
-		t.Fatal("fixture package not loaded")
-	}
+	_, fset, mod := loadOnce(t)
+	bad := fixturePkg(t, fixturePath)
 
 	cfg := defaultConfig(mod)
 	cfg.schedClients[fixturePath] = true // sched-closure scan only
@@ -323,56 +338,21 @@ func readFixture(t *testing.T) string {
 // (internal/server) is covered by TestRepoClean keeping the repo
 // itself at zero findings.
 func TestRequestCtxFixture(t *testing.T) {
-	pkgs, fset, mod := loadOnce(t)
+	_, fset, mod := loadOnce(t)
 	const ctxPath = "repro/fixture/ctxfix"
-	var pi *pkgInfo
-	for _, p := range pkgs {
-		if p.path == ctxPath {
-			pi = p
-		}
-	}
-	if pi == nil {
-		t.Fatal("ctxfix fixture not loaded")
-	}
+	pi := fixturePkg(t, ctxPath)
 
 	cfg := defaultConfig(mod)
 	cfg.service[ctxPath] = true
 
-	var got []finding
-	for _, f := range analyzePkg(fset, pi, cfg) {
+	got := analyzePkg(fset, pi, cfg)
+	for _, f := range got {
 		if f.rule != "request-ctx" {
 			t.Errorf("unexpected rule in ctxfix: %s", f)
-			continue
-		}
-		got = append(got, f)
-	}
-
-	data, err := os.ReadFile(filepath.Join("testdata", "src", "ctxfix", "ctxfix.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLines := map[int]bool{}
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, "// want request-ctx") {
-			wantLines[i+1] = true
 		}
 	}
-	if len(wantLines) != 4 {
-		t.Fatalf("fixture has %d want markers, expected 4", len(wantLines))
-	}
-	gotLines := map[int]bool{}
-	for _, f := range got {
-		gotLines[f.pos.Line] = true
-	}
-	for line := range wantLines {
-		if !gotLines[line] {
-			t.Errorf("no request-ctx finding on fixture line %d", line)
-		}
-	}
-	for line := range gotLines {
-		if !wantLines[line] {
-			t.Errorf("unexpected request-ctx finding on fixture line %d", line)
-		}
+	if marks := checkWantMarkers(t, "ctxfix", got); marks != 4 {
+		t.Fatalf("fixture has %d want markers, expected 4", marks)
 	}
 
 	// Scoped out, the rule must not fire at all.
@@ -387,24 +367,16 @@ func TestRequestCtxFixture(t *testing.T) {
 // TestParallelAnalyzeWorkerFixture pins the workers-set extension to
 // the parallel-analyze pools: a package shaped like the subtree fan-out
 // of internal/symbolic / internal/core, but with function-literal
-// goroutine bodies that allocate per task and write shared state
-// outside the lock, must produce exactly the hot-alloc and
-// lock-discipline findings on its `want` lines — and nothing else (the
+// goroutine bodies that allocate per task, must produce exactly the
+// hot-alloc findings on its `want` lines — and nothing else (the
+// unlocked shared write next to them is the race detector's, the
 // locked error publication is the sanctioned pattern). The real
 // scoping of internal/symbolic and internal/core is covered by
 // TestRepoClean keeping the repository itself at zero findings.
 func TestParallelAnalyzeWorkerFixture(t *testing.T) {
-	pkgs, fset, mod := loadOnce(t)
+	_, fset, mod := loadOnce(t)
 	const workPath = "repro/fixture/workfix"
-	var pi *pkgInfo
-	for _, p := range pkgs {
-		if p.path == workPath {
-			pi = p
-		}
-	}
-	if pi == nil {
-		t.Fatal("workfix fixture not loaded")
-	}
+	pi := fixturePkg(t, workPath)
 
 	cfg := defaultConfig(mod)
 	if !cfg.workers[mod+"/internal/symbolic"] || !cfg.workers[mod+"/internal/core"] {
@@ -412,36 +384,391 @@ func TestParallelAnalyzeWorkerFixture(t *testing.T) {
 	}
 	cfg.workers[workPath] = true
 
-	gotLines := map[int]string{}
-	for _, f := range analyzePkg(fset, pi, cfg) {
-		if f.rule != "hot-alloc" && f.rule != "lock-discipline" {
+	got := analyzePkg(fset, pi, cfg)
+	for _, f := range got {
+		if f.rule != "hot-alloc" {
 			t.Errorf("unexpected rule in workfix: %s", f)
-			continue
 		}
-		gotLines[f.pos.Line] = f.rule
+	}
+	if marks := checkWantMarkers(t, "workfix", got); marks != 2 {
+		t.Fatalf("fixture has %d want markers, expected 2", marks)
+	}
+}
+
+// TestNondetSourceFixture pins the nondet-source rule on its fixture:
+// scoped as a contract package, the map range, the two-case select,
+// the math/rand import and both wall-clock reads fire on their `want`
+// lines; the map index, the one-case select and the waived range stay
+// silent. Scoped out, the rule does not fire at all.
+func TestNondetSourceFixture(t *testing.T) {
+	_, fset, mod := loadOnce(t)
+	const ndPath = "repro/fixture/nondetfix"
+	pi := fixturePkg(t, ndPath)
+
+	cfg := defaultConfig(mod)
+	for _, pkg := range []string{"core", "sched", "taskgraph", "symbolic"} {
+		if !cfg.contract[mod+"/internal/"+pkg] {
+			t.Errorf("internal/%s missing from the contract set", pkg)
+		}
+	}
+	cfg.contract[ndPath] = true
+
+	got := analyzePkg(fset, pi, cfg)
+	for _, f := range got {
+		if f.rule != "nondet-source" {
+			t.Errorf("unexpected rule in nondetfix: %s", f)
+		}
+	}
+	if marks := checkWantMarkers(t, "nondetfix", got); marks != 5 {
+		t.Fatalf("fixture has %d want markers, expected 5", marks)
 	}
 
-	data, err := os.ReadFile(filepath.Join("testdata", "src", "workfix", "workfix.go"))
+	if out := analyzePkg(fset, pi, defaultConfig(mod)); len(out) != 0 {
+		t.Errorf("nondet-source fired outside the contract scope: %v", out)
+	}
+}
+
+// TestMutantsDetected asserts the rule catches its seeded mutation of a
+// real-code shape: the taskgraph level-set construction bucketing tasks
+// by ranging over a map.
+func TestMutantsDetected(t *testing.T) {
+	_, fset, mod := loadOnce(t)
+	const mutPath = "repro/fixture/mutlevels"
+	cfg := defaultConfig(mod)
+	cfg.contract[mutPath] = true
+
+	findings := analyzePkg(fset, fixturePkg(t, mutPath), cfg)
+	if checkWantMarkers(t, "mutlevels", findings) == 0 || len(findings) == 0 {
+		t.Errorf("mutant mutlevels not detected")
+	}
+	for _, f := range findings {
+		if f.rule != "nondet-source" {
+			t.Errorf("mutant mutlevels: unexpected rule %s", f.rule)
+		}
+	}
+}
+
+// TestAllowJustification pins the suppression contract: a bare allow
+// still suppresses its target rule but is itself reported, a directive
+// naming no rule is reported, and the justified form is silent.
+func TestAllowJustification(t *testing.T) {
+	_, fset, mod := loadOnce(t)
+	const justPath = "repro/fixture/justfix"
+	cfg := defaultConfig(mod)
+	cfg.contract[justPath] = true
+
+	var just, other []finding
+	for _, f := range analyzePkg(fset, fixturePkg(t, justPath), cfg) {
+		if f.rule == "allow-justification" {
+			just = append(just, f)
+		} else {
+			other = append(other, f)
+		}
+	}
+	if len(other) != 0 {
+		t.Errorf("suppressed rules leaked through: %v", other)
+	}
+	if len(just) != 2 {
+		t.Fatalf("allow-justification: got %d findings, want 2:\n%v", len(just), just)
+	}
+
+	// The findings must sit on the two non-compliant directive lines.
+	data, err := os.ReadFile(filepath.Join("testdata", "src", "justfix", "just.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	markers := 0
+	wantLines := map[int]bool{}
 	for i, line := range strings.Split(string(data), "\n") {
-		idx := strings.Index(line, "// want ")
-		if idx < 0 {
-			continue
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "//lucheck:allow nondet-source" || trimmed == "//lucheck:allow" {
+			wantLines[i+1] = true
 		}
-		markers++
-		rule := strings.TrimSpace(line[idx+len("// want "):])
-		if gotLines[i+1] != rule {
-			t.Errorf("line %d: want rule %s, got %q", i+1, rule, gotLines[i+1])
+	}
+	if len(wantLines) != 2 {
+		t.Fatalf("fixture scan found %d bare directives, want 2", len(wantLines))
+	}
+	for _, f := range just {
+		if !wantLines[f.pos.Line] {
+			t.Errorf("allow-justification at unexpected line %d: %s", f.pos.Line, f)
 		}
-		delete(gotLines, i+1)
 	}
-	if markers != 3 {
-		t.Fatalf("fixture has %d want markers, expected 3", markers)
+}
+
+// TestBuildConstraintSelection pins the loader's per-arch file
+// selection on the cgfix fixture, which declares archTag once per
+// architecture (two filename-suffix variants and a //go:build
+// fallback): exactly one of the three files is loaded.
+func TestBuildConstraintSelection(t *testing.T) {
+	pi := fixturePkg(t, "repro/fixture/cgfix")
+	if len(pi.files) != 1 {
+		t.Fatalf("build-constraint selection: %d cgfix files loaded, want exactly 1", len(pi.files))
 	}
-	for line, rule := range gotLines {
-		t.Errorf("finding %s at line %d has no `want` marker", rule, line)
+	if pi.pkg.Scope().Lookup("archTag") == nil {
+		t.Error("the selected cgfix file does not declare archTag")
+	}
+}
+
+// TestOutputDeterministic pins the reporting order: the same fixtures
+// analysed twice, the second time with the packages in reverse order,
+// render byte-identical text and SARIF. badpkg is scoped as a workers
+// AND a contract package so two rules (worker-timing, nondet-source)
+// fire at one position — the tie the rule and message keys break.
+func TestOutputDeterministic(t *testing.T) {
+	_, fset, mod := loadOnce(t)
+	const workPath, ctxPath = "repro/fixture/workfix", "repro/fixture/ctxfix"
+	pkgs := []*pkgInfo{fixturePkg(t, fixturePath), fixturePkg(t, workPath), fixturePkg(t, ctxPath)}
+
+	cfg := defaultConfig(mod)
+	cfg.numeric[fixturePath] = true
+	cfg.workers[fixturePath] = true
+	cfg.contract[fixturePath] = true
+	cfg.workers[workPath] = true
+	cfg.service[ctxPath] = true
+
+	render := func(findings []finding) (string, string) {
+		var text strings.Builder
+		for _, f := range findings {
+			text.WriteString(f.String() + "\n")
+		}
+		var sarif bytes.Buffer
+		if err := writeSARIF(&sarif, "/", findings); err != nil {
+			t.Fatal(err)
+		}
+		return text.String(), sarif.String()
+	}
+
+	first := analyzeModule(fset, pkgs, cfg).findings
+	text1, sarif1 := render(first)
+	slices.Reverse(pkgs)
+	second := analyzeModule(fset, pkgs, cfg).findings
+	text2, sarif2 := render(second)
+	if text1 != text2 {
+		t.Errorf("text output differs between runs:\n%s\n---\n%s", text1, text2)
+	}
+	if sarif1 != sarif2 {
+		t.Errorf("SARIF output differs between runs")
+	}
+
+	tied := false
+	for i := 1; i < len(first); i++ {
+		if first[i].pos == first[i-1].pos {
+			tied = true
+			if first[i-1].rule >= first[i].rule {
+				t.Errorf("same-position findings not ordered by rule: %s / %s", first[i-1], first[i])
+			}
+		}
+	}
+	if !tied {
+		t.Error("no two findings share a position; the fixture scoping no longer exercises the tie-break")
+	}
+
+	// The order is total: sorting any permutation gives the same list.
+	shuffled := slices.Clone(first)
+	slices.Reverse(shuffled)
+	sortFindings(shuffled)
+	if !slices.Equal(shuffled, first) {
+		t.Error("sortFindings is not a total order over the findings")
+	}
+}
+
+// TestOutputFormats pins the SARIF emission shape.
+func TestOutputFormats(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := []finding{
+		{pos: token.Position{Filename: filepath.Join(root, "internal", "core", "x.go"), Line: 7, Column: 3},
+			rule: "nondet-source", msg: "test message"},
+		{pos: token.Position{Filename: filepath.Join(root, "internal", "blas", "y.go"), Line: 1, Column: 1},
+			rule: "hot-alloc", msg: "second"},
+	}
+
+	var sbuf bytes.Buffer
+	if err := writeSARIF(&sbuf, root, findings); err != nil {
+		t.Fatal(err)
+	}
+	var sarif struct {
+		Schema  string `json:"$schema"`
+		Version string `json:"version"`
+		Runs    []struct {
+			Tool struct {
+				Driver struct {
+					Name  string `json:"name"`
+					Rules []struct {
+						ID string `json:"id"`
+					} `json:"rules"`
+				} `json:"driver"`
+			} `json:"tool"`
+			Results []struct {
+				RuleID    string `json:"ruleId"`
+				RuleIndex int    `json:"ruleIndex"`
+				Level     string `json:"level"`
+				Message   struct {
+					Text string `json:"text"`
+				} `json:"message"`
+				Locations []struct {
+					PhysicalLocation struct {
+						ArtifactLocation struct {
+							URI       string `json:"uri"`
+							URIBaseID string `json:"uriBaseId"`
+						} `json:"artifactLocation"`
+						Region struct {
+							StartLine   int `json:"startLine"`
+							StartColumn int `json:"startColumn"`
+						} `json:"region"`
+					} `json:"physicalLocation"`
+				} `json:"locations"`
+			} `json:"results"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(sbuf.Bytes(), &sarif); err != nil {
+		t.Fatalf("sarif output does not parse: %v\n%s", err, sbuf.String())
+	}
+	if sarif.Version != "2.1.0" || !strings.Contains(sarif.Schema, "sarif-2.1.0") {
+		t.Errorf("sarif version/schema wrong: %q %q", sarif.Version, sarif.Schema)
+	}
+	if len(sarif.Runs) != 1 || sarif.Runs[0].Tool.Driver.Name != "lucheck" {
+		t.Fatalf("sarif runs/tool wrong:\n%s", sbuf.String())
+	}
+	run := sarif.Runs[0]
+	if len(run.Results) != 2 {
+		t.Fatalf("sarif results: got %d, want 2", len(run.Results))
+	}
+	r := run.Results[0]
+	if r.RuleID != "nondet-source" || r.Level != "error" || r.Message.Text != "test message" {
+		t.Errorf("sarif result wrong: %+v", r)
+	}
+	if r.RuleIndex < 0 || r.RuleIndex >= len(run.Tool.Driver.Rules) ||
+		run.Tool.Driver.Rules[r.RuleIndex].ID != "nondet-source" {
+		t.Errorf("sarif ruleIndex does not point at the rule entry")
+	}
+	loc := r.Locations[0].PhysicalLocation
+	if loc.ArtifactLocation.URI != "internal/core/x.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
+		t.Errorf("sarif location wrong: %+v", loc)
+	}
+	if loc.Region.StartLine != 7 || loc.Region.StartColumn != 3 {
+		t.Errorf("sarif region wrong: %+v", loc.Region)
+	}
+
+	// The rules array lists exactly the rules the checker has.
+	var ids []string
+	for _, r := range run.Tool.Driver.Rules {
+		ids = append(ids, r.ID)
+	}
+	want := []string{"pattern-mutation", "naked-panic", "float-equality", "nondet-source", "worker-timing",
+		"worker-exit", "spin-loop", "hot-alloc", "request-ctx", "allow-justification"}
+	if !slices.Equal(ids, want) {
+		t.Errorf("sarif rules array = %v, want %v", ids, want)
+	}
+}
+
+// TestCLIFormatsAndAudit runs the built binary against a throwaway
+// module exercising -sarif and -audit.
+func TestCLIFormatsAndAudit(t *testing.T) {
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "lucheck")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lucheck: %v\n%s", err, out)
+	}
+
+	mod := filepath.Join(tmp, "mod")
+	pkg := filepath.Join(mod, "internal", "oops")
+	if err := os.MkdirAll(pkg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "package oops\n\n" +
+		"func Boom() { panic(\"no prefix here\") }\n\n" +
+		"func Quiet() {\n" +
+		"\t//lucheck:allow naked-panic\n" +
+		"\tpanic(\"also no prefix\")\n" +
+		"}\n"
+	for path, content := range map[string]string{
+		filepath.Join(mod, "go.mod"):  "module fixmod\n\ngo 1.22\n",
+		filepath.Join(pkg, "oops.go"): src,
+	} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(args ...string) (string, int) {
+		cmd := exec.Command(bin, append(args, "./...")...)
+		cmd.Dir = mod
+		out, err := cmd.CombinedOutput()
+		code := 0
+		var exitErr *exec.ExitError
+		if errors.As(err, &exitErr) {
+			code = exitErr.ExitCode()
+		} else if err != nil {
+			t.Fatalf("running lucheck %v: %v\n%s", args, err, out)
+		}
+		return string(out), code
+	}
+
+	// -sarif writes the log to the file and still prints the text lines:
+	// both name the naked panic and the unjustified allow.
+	sarifPath := filepath.Join(tmp, "out.sarif")
+	sout, code := run("-sarif", sarifPath)
+	if code != 1 {
+		t.Fatalf("-sarif exit = %d, want 1\n%s", code, sout)
+	}
+	if !strings.Contains(sout, "[naked-panic]") || !strings.Contains(sout, "[allow-justification]") {
+		t.Errorf("-sarif dropped the text findings from stdout:\n%s", sout)
+	}
+	data, err := os.ReadFile(sarifPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sarif struct {
+		Version string `json:"version"`
+		Runs    []struct {
+			Results []struct {
+				RuleID string `json:"ruleId"`
+			} `json:"results"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &sarif); err != nil {
+		t.Fatalf("sarif file does not parse: %v", err)
+	}
+	if sarif.Version != "2.1.0" || len(sarif.Runs) != 1 {
+		t.Fatalf("sarif file version = %q with %d runs, want 2.1.0 with 1", sarif.Version, len(sarif.Runs))
+	}
+	var rules []string
+	for _, r := range sarif.Runs[0].Results {
+		rules = append(rules, r.RuleID)
+	}
+	if !slices.Equal(rules, []string{"naked-panic", "allow-justification"}) {
+		t.Errorf("sarif file results = %v, want the naked panic then the bare allow", rules)
+	}
+
+	// Audit: the bare allow is inventoried as UNJUSTIFIED and the run
+	// fails.
+	aout, code := run("-audit")
+	if code != 1 {
+		t.Fatalf("-audit exit = %d, want 1\n%s", code, aout)
+	}
+	if !strings.Contains(aout, "1 suppression(s)") || !strings.Contains(aout, "UNJUSTIFIED") {
+		t.Errorf("-audit output missing inventory:\n%s", aout)
+	}
+}
+
+// TestAuditInventory pins the audit listing: every suppression shows
+// up with its justification and the unjustified count is returned.
+func TestAuditInventory(t *testing.T) {
+	root := "/mod"
+	supps := []suppression{
+		{pos: token.Position{Filename: "/mod/a.go", Line: 10}, rules: []string{"nondet-source"}, justification: "keys re-sorted by the caller"},
+		{pos: token.Position{Filename: "/mod/b.go", Line: 4}, rules: []string{"hot-alloc", "float-equality"}},
+	}
+	var buf bytes.Buffer
+	bad := writeAudit(&buf, root, supps)
+	out := buf.String()
+	if bad != 1 {
+		t.Errorf("unjustified count = %d, want 1", bad)
+	}
+	if !strings.Contains(out, "2 suppression(s)") ||
+		!strings.Contains(out, "a.go:10: allow nondet-source — keys re-sorted by the caller") ||
+		!strings.Contains(out, "b.go:4: allow hot-alloc,float-equality — UNJUSTIFIED") {
+		t.Errorf("audit listing wrong:\n%s", out)
 	}
 }

@@ -1,9 +1,10 @@
 // Command lucheck is the project-specific static checker for the
 // parallel sparse LU codebase. It parses and type-checks the whole
-// module with the standard library's go/ast and go/types, builds a
-// module-wide call graph (including method values, interface dispatch
-// and closures handed to the sched executors), and enforces invariants
-// the general tools cannot know about:
+// module with the standard library's go/ast and go/types and makes one
+// syntactic pass over the files, enforcing the invariants whose
+// violation no test, go vet or the race detector would show on an idle
+// host (what those do pin — accumulation order, shared writes in
+// worker goroutines — is left to them; see DESIGN §12):
 //
 //   - pattern-mutation: the CSC/Pattern structure slices (ColPtr,
 //     RowInd) back the *static* symbolic factorization; they may only
@@ -17,40 +18,32 @@
 //     numeric kernels (internal/blas, internal/core, internal/gplu).
 //     Comparisons against constants (singularity tests against zero)
 //     stay legal.
-//   - lock-discipline: goroutine bodies in internal/sched may write
-//     variables shared with the spawner only while a sync lock is held.
-//   - worker-timing: goroutine bodies in internal/sched may not read
-//     the wall clock (time.Now / time.Since) directly; task timing goes
-//     through the internal/trace recorder so traces are the single
-//     source of truth and untraced runs pay no timing cost.
-//   - worker-exit: goroutine bodies in internal/sched may not
+//   - nondet-source: non-test code of the determinism-contract
+//     packages (internal/core, sched, taskgraph, symbolic) may not range
+//     over a map, select over two or more communication cases, import
+//     math/rand or read the wall clock — nothing of nondeterministic
+//     order can enter a schedule that the package cannot produce.
+//   - worker-timing: goroutine bodies in the worker packages
+//     (internal/sched, symbolic, core) may not read the wall clock
+//     (time.Now / time.Since) directly; task timing goes through the
+//     internal/trace recorder so traces are the single source of truth
+//     and untraced runs pay no timing cost.
+//   - worker-exit: goroutine bodies in the worker packages may not
 //     terminate the process (os.Exit, log.Fatal*); failures must flow
 //     through the scheduler's TaskError/cancellation contract so the
 //     caller learns which task failed and the pool shuts down cleanly.
 //   - hot-alloc: the numeric hot path is allocation-free by contract.
 //     internal/blas non-test code may not call make or append at all
 //     (kernel scratch comes from the packing-scratch pool); goroutine
-//     bodies in internal/sched may not either, since anything there
-//     runs once per task. Setup code outside worker closures may
-//     allocate freely.
-//   - map-order: in the determinism-contract packages, values whose
-//     order comes from a nondeterministic source (map iteration,
-//     multi-ready select, time.Now, math/rand) must not flow into
-//     ordered sinks — schedule and level slices, task queues, trace
-//     event streams, stored numeric values — without an intervening
-//     deterministic sort. The taint follows values interprocedurally
-//     through unexported call results.
-//   - fp-reassoc: float accumulation in the numeric packages must
-//     follow the pinned ascending-k order — no summation in descending
-//     loops (outside the whitelisted upper-triangular solves), in
-//     map-range bodies, through permuted index gathers, or into
-//     variables captured by worker closures (task-completion order).
-//   - shared-capture: the interprocedural extension of lock-discipline.
-//     A variable captured by reference (&v handed down a call chain
-//     starting in a worker closure) may be written in the callee only
-//     if a sync lock is held at the write or at some call site on the
-//     chain; mutable package-level variables written from
-//     worker-reachable code get the same check.
+//     bodies in the worker packages may not either, since anything there
+//     runs once per task, and neither may the closures internal/core
+//     hands to the sched executors. Setup code outside worker closures
+//     may allocate freely.
+//   - spin-loop: an unbounded work-polling loop in the worker packages
+//     must block or back off between polls.
+//   - request-ctx: internal/server may not call context.Background or
+//     context.TODO, and every `go` statement there must thread a
+//     cancellation signal.
 //   - allow-justification: every //lucheck:allow must name its rules
 //     and carry a justification ("— <why>"); a bare allow suppresses
 //     but is itself a finding, and -audit lists the full inventory.
@@ -64,31 +57,30 @@
 //
 // Usage:
 //
-//	go run ./cmd/lucheck [-format=text|json|sarif] [-o file] [-audit] ./...
+//	go run ./cmd/lucheck [-audit] [-sarif file] ./...
 //
 // The only accepted package argument is ./... (the checker always
-// analyzes the whole module, starting from the enclosing go.mod). Exit
-// status is 0 when the module is clean and 1 when findings remain;
-// -audit also lists every suppression with its justification.
+// analyzes the whole module, starting from the enclosing go.mod).
+// Findings go to stdout as file:line:col: [rule] message lines; -sarif
+// additionally writes them as a SARIF 2.1.0 log for code scanning, and
+// -audit also lists every suppression with its justification. Exit
+// status is 0 when the module is clean and 1 when findings remain.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/token"
-	"io"
 	"os"
-	"sort"
 )
 
 func main() {
 	var (
-		format  = flag.String("format", "text", "output format: text, json or sarif")
-		outPath = flag.String("o", "", "write findings to this file instead of stdout")
-		audit   = flag.Bool("audit", false, "also inventory every //lucheck:allow suppression")
+		audit     = flag.Bool("audit", false, "also inventory every //lucheck:allow suppression")
+		sarifPath = flag.String("sarif", "", "also write the findings to this file as a SARIF 2.1.0 log")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lucheck [-format=text|json|sarif] [-o file] [-audit] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: lucheck [-audit] [-sarif file] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -97,12 +89,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "usage: lucheck [flags] [./...]  (always checks the whole module)\n")
 			os.Exit(2)
 		}
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "lucheck: unknown -format %q (want text, json or sarif)\n", *format)
-		os.Exit(2)
 	}
 
 	cwd, err := os.Getwd()
@@ -121,48 +107,27 @@ func main() {
 	}
 
 	a := analyzeModule(fset, pkgs, defaultConfig(modPath))
-	findings := a.findings
-	sort.Slice(findings, func(i, j int) bool {
-		x, y := findings[i].pos, findings[j].pos
-		if x.Filename != y.Filename {
-			return x.Filename < y.Filename
-		}
-		if x.Line != y.Line {
-			return x.Line < y.Line
-		}
-		return x.Column < y.Column
-	})
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
+	for _, f := range a.findings {
+		fmt.Println(f)
+	}
+	if *sarifPath != "" {
+		out, err := os.Create(*sarifPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		out = f
-	}
-	switch *format {
-	case "json":
-		if err := writeJSON(out, root, findings); err != nil {
+		if err := writeSARIF(out, root, a.findings); err != nil {
 			fatal(err)
 		}
-	case "sarif":
-		if err := writeSARIF(out, root, findings); err != nil {
+		if err := out.Close(); err != nil {
 			fatal(err)
 		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintln(out, f)
-		}
 	}
-
 	if *audit {
 		writeAudit(os.Stdout, root, a.supps)
 	}
 
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "lucheck: %d finding(s)\n", len(findings))
+	if len(a.findings) > 0 {
+		fmt.Fprintf(os.Stderr, "lucheck: %d finding(s)\n", len(a.findings))
 		os.Exit(1)
 	}
 	noun := "packages"

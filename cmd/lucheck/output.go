@@ -1,18 +1,12 @@
 package main
 
-// Machine-readable output. Three formats share the finding list:
-//
-//   - text: the classic file:line:col: [rule] message lines.
-//   - json: a stable array of {file,line,column,rule,message} objects
-//     with module-relative, forward-slash paths — for scripting.
-//   - sarif: SARIF 2.1.0, the shape GitHub code scanning ingests. Every
-//     rule carries an entry in tool.driver.rules and results reference
-//     it by index; paths are relative to %SRCROOT% so the upload action
-//     can anchor them to the repository checkout.
-//
-// The audit report (-audit) additionally inventories every
-// //lucheck:allow suppression with its justification, so the deliberate
-// exceptions stay reviewable in one listing.
+// Output beside the text lines: the SARIF 2.1.0 log (-sarif), the
+// shape GitHub code scanning ingests — every rule carries an entry in
+// tool.driver.rules and results reference it by index; paths are
+// relative to %SRCROOT% so the upload action can anchor them to the
+// repository checkout — and the audit report (-audit), which
+// inventories every //lucheck:allow suppression with its justification
+// so the deliberate exceptions stay reviewable in one listing.
 
 import (
 	"encoding/json"
@@ -20,6 +14,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // ruleDescriptions names every rule for the SARIF rules array and the
@@ -28,13 +23,12 @@ var ruleDescriptions = []struct{ id, desc string }{
 	{"pattern-mutation", "ColPtr/RowInd writes outside the constructor packages invalidate the static symbolic factorization"},
 	{"naked-panic", "internal packages must panic with a \"<pkg>: ...\"-prefixed message or return an error"},
 	{"float-equality", "==/!= between two non-constant floats in the numeric packages"},
-	{"lock-discipline", "goroutine bodies may write spawner-shared variables only under a sync lock"},
+	{"nondet-source", "determinism-contract packages may not range over a map, select over two or more cases, import math/rand or read the wall clock"},
 	{"worker-timing", "worker goroutines must not read the wall clock directly; timing goes through internal/trace"},
 	{"worker-exit", "worker goroutines must not terminate the process; failures flow through the scheduler's error contract"},
+	{"spin-loop", "unbounded work-polling loops in the worker packages must block or back off between polls"},
 	{"hot-alloc", "the numeric hot path (hot-path files, worker and executor closures) must not call make or append"},
-	{"map-order", "nondeterministically ordered values (map ranges, multi-ready selects, time, rand) must not reach ordered sinks without a sort"},
-	{"fp-reassoc", "float accumulation must follow the pinned ascending-k order: no descending, map-order, permuted-gather or worker-order summation"},
-	{"shared-capture", "variables captured by reference and written in functions called from worker closures need a lock on the write or call chain"},
+	{"request-ctx", "request-serving packages must not use context.Background/TODO, and every goroutine must thread a cancellation signal"},
 	{"allow-justification", "every //lucheck:allow must name its rules and carry a \"— <why>\" justification"},
 }
 
@@ -48,32 +42,6 @@ func relPath(root, name string) string {
 
 func hasDotDotPrefix(rel string) bool {
 	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
-}
-
-// jsonFinding is the -format=json element shape.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// writeJSON emits the findings as a JSON array (never null).
-func writeJSON(w io.Writer, root string, findings []finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:    relPath(root, f.pos.Filename),
-			Line:    f.pos.Line,
-			Column:  f.pos.Column,
-			Rule:    f.rule,
-			Message: f.msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // SARIF 2.1.0 — the minimal subset GitHub code scanning consumes.
@@ -135,7 +103,8 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn"`
 }
 
-// writeSARIF emits the findings as one SARIF 2.1.0 run.
+// writeSARIF emits the findings as one SARIF 2.1.0 run, results in the
+// order given (analyzeModule's reporting order).
 func writeSARIF(w io.Writer, root string, findings []finding) error {
 	ruleIndex := map[string]int{}
 	rules := make([]sarifRule, 0, len(ruleDescriptions))
@@ -165,7 +134,7 @@ func writeSARIF(w io.Writer, root string, findings []finding) error {
 					},
 					Region: sarifRegion{
 						StartLine:   f.pos.Line,
-						StartColumn: maxInt(f.pos.Column, 1),
+						StartColumn: max(f.pos.Column, 1),
 					},
 				},
 			}},
@@ -206,7 +175,7 @@ func writeAudit(w io.Writer, root string, supps []suppression) int {
 	for _, s := range sorted {
 		rules := "<none>"
 		if len(s.rules) > 0 {
-			rules = joinComma(s.rules)
+			rules = strings.Join(s.rules, ",")
 		}
 		just := s.justification
 		if just == "" {
@@ -216,22 +185,4 @@ func writeAudit(w io.Writer, root string, supps []suppression) int {
 		fmt.Fprintf(w, "  %s:%d: allow %s — %s\n", relPath(root, s.pos.Filename), s.pos.Line, rules, just)
 	}
 	return bad
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

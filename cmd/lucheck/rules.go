@@ -1,73 +1,27 @@
 package main
 
-// The project-specific rules. Each rule is scoped by import path (see
-// config) and reports findings that can be suppressed with a trailing
-// or preceding comment of the form
+// The project-specific rules: one syntactic pass over type-checked
+// files. Each rule is scoped by import path (see config) and reports
+// findings that can be suppressed with a trailing or preceding comment
+// of the form
 //
 //	//lucheck:allow <rule>[,<rule>...] — justification
 //
-// Rules:
+// Every rule here guards something whose violation passes the whole
+// test suite on an idle host; invariants a parity, determinism or race
+// test pins (accumulation order, shared writes in worker goroutines)
+// are left to those tests — DESIGN §12 has the record.
 //
-//   - pattern-mutation: the CSC/Pattern structure fields (ColPtr,
-//     RowInd) are the inputs of symbolic analysis; once a matrix leaves
-//     its constructor package, mutating them invalidates the static
-//     symbolic factorization. Writes are allowed only inside the
-//     whitelisted constructor packages. Val (the numeric values) stays
-//     writable — the numeric phase scales and updates it freely.
-//   - naked-panic: library packages (internal/*) must either return
-//     errors or panic with a "<pkg>: ..."-prefixed message so a crash
-//     names the subsystem that detected the broken invariant.
-//   - float-equality: ==/!= between two non-constant floating-point
-//     expressions in the numeric kernels; comparisons against constants
-//     (exact-zero singularity tests, beta == 1 fast paths) are fine.
-//   - lock-discipline: inside goroutines launched by the sched worker
-//     pools, direct writes to variables shared with other goroutines
-//     must happen while a sync.Mutex is held.
-//   - worker-timing: inside goroutines of the worker packages, the wall
-//     clock (time.Now / time.Since) must not be read directly; task
-//     timing goes through the internal/trace recorder so traces stay
-//     the single source of truth and untraced runs pay no timing cost.
-//   - worker-exit: inside goroutines of the worker packages, the
-//     process must not be terminated directly (os.Exit, log.Fatal*).
-//     A worker that kills the process on failure bypasses the
-//     scheduler's error contract: failures surface as a TaskError
-//     through the cancellation path, so the caller learns which task
-//     failed and the remaining workers stop cleanly.
-//   - spin-loop: in the worker packages, an unbounded `for` loop that
-//     polls for work (an atomic .Load, or a pop/steal/claim call) must
-//     block or back off between polls — park on a condition variable,
-//     runtime.Gosched, time.Sleep, a select or a channel operation. A
-//     worker that spins without any of these burns a core while
-//     starved, and with more workers than cores it can starve the very
-//     victim whose deque it is polling.
-//   - hot-alloc: the numeric hot path is allocation-free by contract
-//     (the zero-allocation proof in internal/core pins it). In the
-//     hot-path packages (internal/blas) no non-test code may call make
-//     or append at all — kernel scratch comes from the packing-scratch
-//     pool, everything else from caller-provided buffers. In the worker
-//     packages the same ban applies inside goroutine bodies launched
-//     with `go func`, where an allocation would run once per task. In
-//     the sched-client packages (internal/core) it also applies inside
-//     function literals handed to the sched executors (sched.Run,
-//     sched.Execute*) — those closures are the per-task worker bodies
-//     of the numeric and solve hot paths even though the `go` statement
-//     lives in internal/sched.
-//   - request-ctx: in the request-serving packages (internal/server),
-//     context.Background() and context.TODO() are forbidden — every
-//     operation must run under the request's context so deadlines and
-//     client disconnects reach the numeric kernels — and every `go`
-//     statement must visibly thread a cancellation signal: the spawned
-//     code (or its arguments) must reference a context.Context, a
-//     *sched.Canceler, or perform a channel operation. A detached
-//     goroutine in a long-lived server is a leak the chaos suite's
-//     goroutine accounting would only catch after the fact; the rule
-//     catches it at review time.
+// The package comment in main.go lists the rules; each rule's function
+// below documents its exact shape.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,6 +37,21 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.pos.Filename, f.pos.Line, f.pos.Column, f.rule, f.msg)
 }
 
+// sortFindings puts findings in their one reporting order: position,
+// then rule and message, so two rules firing at one position cannot
+// swap between runs. Text and SARIF output both render this order.
+func sortFindings(fs []finding) {
+	slices.SortFunc(fs, func(x, y finding) int {
+		return cmp.Or(
+			cmp.Compare(x.pos.Filename, y.pos.Filename),
+			cmp.Compare(x.pos.Line, y.pos.Line),
+			cmp.Compare(x.pos.Column, y.pos.Column),
+			cmp.Compare(x.rule, y.rule),
+			cmp.Compare(x.msg, y.msg),
+		)
+	})
+}
+
 // config scopes the rules to package sets.
 type config struct {
 	modPath string
@@ -93,7 +62,8 @@ type config struct {
 	constructors map[string]bool
 	// numeric packages get the float-equality rule.
 	numeric map[string]bool
-	// workers packages get the lock-discipline rule.
+	// workers packages get the goroutine-body rules: worker-timing,
+	// worker-exit, spin-loop and the goroutine variant of hot-alloc.
 	workers map[string]bool
 	// hotpath packages get the whole-file hot-alloc rule (no make or
 	// append anywhere in non-test code); workers packages get the
@@ -109,20 +79,8 @@ type config struct {
 	// cancellation signal.
 	service map[string]bool
 	// contract packages carry the bitwise-determinism contract and get
-	// the map-order taint rule. cmd/lucheck checks itself: its findings
-	// and package walks must be deterministically ordered too.
+	// the nondet-source ban.
 	contract map[string]bool
-	// fpScope packages get the fp-reassoc rule (pinned accumulation
-	// order); fpWhitelist names files (by base name) whose descending
-	// loops ARE the pinned direction — the upper-triangular solves.
-	fpScope     map[string]bool
-	fpWhitelist map[string]bool
-	// sinkFields are the ordered structure fields of the map-order
-	// rule: schedule and level slices, task lists, stored values.
-	sinkFields map[string]bool
-	// sinkPkgs are the packages whose call arguments are ordered sinks
-	// (task queues, schedules, trace event streams).
-	sinkPkgs map[string]bool
 }
 
 // defaultConfig is the rule scoping for this repository.
@@ -139,9 +97,8 @@ func defaultConfig(modPath string) *config {
 			p("internal/blas"): true,
 			p("internal/core"): true,
 			p("internal/gplu"): true,
-			// The command-line tools compute residuals and compare
-			// benchmark times; exact float comparison is as wrong there
-			// as in the kernels.
+			// The command-line tools compute residuals; exact float
+			// comparison is as wrong there as in the kernels.
 			p("cmd/splu"):       true,
 			p("cmd/paperbench"): true,
 			p("cmd/matinfo"):    true,
@@ -168,47 +125,16 @@ func defaultConfig(modPath string) *config {
 			p("internal/sched"):     true,
 			p("internal/taskgraph"): true,
 			p("internal/symbolic"):  true,
-			// Self-check: the checker's own output and package walks
-			// must be deterministic, or its findings flap in CI.
-			p("cmd/lucheck"): true,
-		},
-		fpScope: map[string]bool{
-			p("internal/blas"): true,
-			p("internal/core"): true,
-		},
-		fpWhitelist: map[string]bool{
-			// The upper-triangular kernels are pinned DESCENDING: the
-			// serial backward sweep is their contract order.
-			"level2.go": true,
-			"level3.go": true,
-		},
-		sinkFields: map[string]bool{
-			"Order": true, "Off": true, "Levels": true, "Tasks": true,
-			"Succ": true, "Queue": true, "Prio": true, "Val": true,
-		},
-		sinkPkgs: map[string]bool{
-			p("internal/sched"):     true,
-			p("internal/taskgraph"): true,
-			p("internal/trace"):     true,
 		},
 	}
 }
 
 // analysis is the module-wide state: the suppression index, the
-// suppression inventory (for -audit) and the findings of every rule,
-// intra- and interprocedural.
+// suppression inventory (for -audit) and the findings of every rule.
 type analysis struct {
-	fset    *token.FileSet
-	cfg     *config
-	allowed map[string]map[int]map[string]bool // file -> line -> rules
-	// fpExempt names files whose entire fp scan is waived: a
-	// //lucheck:allow fp-reassoc directive placed BEFORE the package
-	// clause opts the whole file out of the pinned-accumulation-order
-	// contract. That placement is reserved for relaxed-mode kernel
-	// files (the FastMath variants), whose accuracy is enforced by the
-	// componentwise error-bound suite instead of the parity pins; the
-	// usual line-level form still covers single-site waivers.
-	fpExempt map[string]bool
+	fset     *token.FileSet
+	cfg      *config
+	allowed  map[string]map[int]map[string]bool // file -> line -> rules
 	supps    []suppression
 	findings []finding
 }
@@ -221,21 +147,11 @@ type suppression struct {
 	justification string
 }
 
-func newAnalysis(fset *token.FileSet, cfg *config) *analysis {
-	return &analysis{fset: fset, cfg: cfg, allowed: map[string]map[int]map[string]bool{}, fpExempt: map[string]bool{}}
-}
-
-// analyzeAll runs every rule over every package: the per-package
-// syntactic rules, then the interprocedural rules on the module-wide
-// call graph, then the suppression-justification check.
-func analyzeAll(fset *token.FileSet, pkgs []*pkgInfo, cfg *config) []finding {
-	return analyzeModule(fset, pkgs, cfg).findings
-}
-
-// analyzeModule is analyzeAll returning the full analysis state — the
-// -audit mode also wants the suppression inventory.
+// analyzeModule runs every rule over every package, then the
+// suppression-justification check, and returns the findings in
+// reporting order together with the suppression inventory.
 func analyzeModule(fset *token.FileSet, pkgs []*pkgInfo, cfg *config) *analysis {
-	a := newAnalysis(fset, cfg)
+	a := &analysis{fset: fset, cfg: cfg, allowed: map[string]map[int]map[string]bool{}}
 	for _, pi := range pkgs {
 		for _, f := range pi.files {
 			a.indexSuppressions(f)
@@ -244,40 +160,14 @@ func analyzeModule(fset *token.FileSet, pkgs []*pkgInfo, cfg *config) *analysis 
 	for _, pi := range pkgs {
 		a.pkgRules(pi)
 	}
-	cg := buildCallGraph(fset, pkgs, cfg)
-	a.mapOrder(cg)
-	a.fpReassoc(cg)
-	a.sharedCapture(cg)
 	a.checkJustifications()
+	sortFindings(a.findings)
 	return a
 }
 
-// collectSuppressions indexes the whole module's //lucheck:allow
-// comments without running any rules (the -audit mode).
-func collectSuppressions(fset *token.FileSet, pkgs []*pkgInfo, cfg *config) []suppression {
-	a := newAnalysis(fset, cfg)
-	for _, pi := range pkgs {
-		for _, f := range pi.files {
-			a.indexSuppressions(f)
-		}
-	}
-	return a.supps
-}
-
-// analyzePkg runs the per-package rules on one package in isolation
-// (used by the tests to scope fixture packages).
-func analyzePkg(fset *token.FileSet, pi *pkgInfo, cfg *config) []finding {
-	a := newAnalysis(fset, cfg)
-	for _, f := range pi.files {
-		a.indexSuppressions(f)
-	}
-	a.pkgRules(pi)
-	return a.findings
-}
-
-// pkgRules runs the intra-procedural rules on one package.
+// pkgRules runs the rules one package is scoped into.
 func (a *analysis) pkgRules(pi *pkgInfo) {
-	p := &pass{fset: a.fset, pi: pi, cfg: a.cfg, a: a}
+	p := &pass{pi: pi, cfg: a.cfg, a: a}
 	for _, f := range pi.files {
 		if !a.cfg.constructors[pi.path] {
 			p.patternMutation(f)
@@ -288,8 +178,10 @@ func (a *analysis) pkgRules(pi *pkgInfo) {
 		if a.cfg.numeric[pi.path] {
 			p.floatEquality(f)
 		}
+		if a.cfg.contract[pi.path] {
+			p.nondetSource(f)
+		}
 		if a.cfg.workers[pi.path] {
-			p.lockDiscipline(f)
 			p.workerTiming(f)
 			p.workerExit(f)
 			p.spinLoop(f)
@@ -314,10 +206,9 @@ func (a *analysis) pkgRules(pi *pkgInfo) {
 
 // pass carries the per-package analysis state.
 type pass struct {
-	fset *token.FileSet
-	pi   *pkgInfo
-	cfg  *config
-	a    *analysis
+	pi  *pkgInfo
+	cfg *config
+	a   *analysis
 }
 
 // indexSuppressions records the //lucheck:allow comments of a file:
@@ -360,12 +251,6 @@ func (a *analysis) indexSuppressions(f *ast.File) {
 				if r != "" {
 					rules[r] = true
 					ruleList = append(ruleList, r)
-					// A fp-reassoc allow placed before the package clause
-					// waives the whole file's fp scan (relaxed-mode kernel
-					// files); anywhere else it stays a line-level waiver.
-					if r == "fp-reassoc" && c.Pos() < f.Package {
-						a.fpExempt[pos.Filename] = true
-					}
 				}
 			}
 			a.supps = append(a.supps, suppression{
@@ -573,23 +458,47 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// lockDiscipline checks goroutine bodies: a direct write to a variable
-// declared outside the goroutine must happen while a sync lock is held.
-// The tracking is lexical — Lock/Unlock calls toggle a counter along
-// the statement list, and blocks that end in return/break/continue are
-// analyzed on a copy of the state (the early-unlock-and-return idiom).
-// Mutation through calls (heap.Push, atomic.*) is out of scope: the
-// former is guarded by the same lock in this codebase, the latter is
-// safe by construction.
-func (p *pass) lockDiscipline(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
+// nondetSource bans the sources of nondeterministic order from the
+// determinism-contract packages: a range over a map, a select with two
+// or more communication cases (the runtime picks among ready cases at
+// random), an import of math/rand, and a read of the wall clock. The
+// ban is on the source, not on where its value flows: the contract
+// packages build schedules, level sets and task queues, and a package
+// that cannot produce an unordered value cannot put one into them.
+// Indexing a map and a select with one communication case (plus an
+// optional default) stay legal — neither has an order to leak.
+func (p *pass) nondetSource(f *ast.File) {
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path == "math/rand" || path == "math/rand/v2" {
+			p.report(imp.Pos(), "nondet-source",
+				"import of %s in a determinism-contract package; schedules must not depend on random draws", path)
 		}
-		if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
-			lc := &lockChecker{pass: p, fnPos: fl.Pos(), fnEnd: fl.End()}
-			lc.block(fl.Body.List)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.RangeStmt:
+			if t := p.pi.info.TypeOf(st.X); t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					p.report(st.Pos(), "nondet-source",
+						"range over a map in a determinism-contract package; iterate sorted keys or an index-ordered slice")
+				}
+			}
+		case *ast.SelectStmt:
+			comm := 0
+			for _, c := range st.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comm++
+				}
+			}
+			if comm >= 2 {
+				p.report(st.Pos(), "nondet-source",
+					"select with %d communication cases in a determinism-contract package; the runtime picks among ready cases at random", comm)
+			}
+		case *ast.CallExpr:
+			if name := p.clockRead(st); name != "" {
+				p.report(st.Pos(), "nondet-source",
+					"time.%s in a determinism-contract package; the wall clock must not reach a schedule (timing belongs to internal/trace)", name)
+			}
 		}
 		return true
 	})
@@ -602,37 +511,45 @@ func (p *pass) lockDiscipline(f *ast.File) {
 // loop is either duplicated instrumentation or a hidden per-task cost
 // that the nil-recorder overhead guarantee does not account for.
 func (p *pass) workerTiming(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		fl, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	goroutineBodies(f, func(body *ast.BlockStmt) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if name := p.clockRead(call); name != "" {
+					p.report(call.Pos(), "worker-timing",
+						"direct time.%s in a worker goroutine; timing belongs to the internal/trace recorder", name)
+				}
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
-				return true
-			}
-			obj := p.pi.info.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-				return true
-			}
-			p.report(call.Pos(), "worker-timing",
-				"direct time.%s in a worker goroutine; timing belongs to the internal/trace recorder", sel.Sel.Name)
 			return true
 		})
+	})
+}
+
+// goroutineBodies calls fn with the body of every function literal
+// launched by a `go` statement in f — the worker bodies the
+// goroutine-scoped rules look into.
+func goroutineBodies(f *ast.File, fn func(body *ast.BlockStmt)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
+				fn(fl.Body)
+			}
+		}
 		return true
 	})
+}
+
+// clockRead returns "Now" or "Since" when call is time.Now or
+// time.Since, and "" otherwise.
+func (p *pass) clockRead(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Now" && sel.Sel.Name != "Since") {
+		return ""
+	}
+	obj := p.pi.info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
+		return ""
+	}
+	return sel.Sel.Name
 }
 
 // workerExit flags process-terminating calls (os.Exit, log.Fatal*)
@@ -642,16 +559,8 @@ func (p *pass) workerTiming(f *ast.File) {
 // the caller learns which task failed and the remaining workers stop
 // cleanly instead of vanishing mid-factorization.
 func (p *pass) workerExit(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		fl, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
+	goroutineBodies(f, func(body *ast.BlockStmt) {
+		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -674,7 +583,6 @@ func (p *pass) workerExit(f *ast.File) {
 				"%s.%s in a worker goroutine kills the process; fail through the scheduler's error contract instead", obj.Pkg().Path(), sel.Sel.Name)
 			return true
 		})
-		return true
 	})
 }
 
@@ -814,15 +722,8 @@ func (p *pass) hotAllocFile(f *ast.File) {
 // execution engine, while setup code around it may allocate freely
 // (queues and ownership tables are built once per factorization).
 func (p *pass) hotAllocGoroutines(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
-			p.hotAllocIn(fl.Body, "in a worker goroutine runs once per task; hoist it to setup")
-		}
-		return true
+	goroutineBodies(f, func(body *ast.BlockStmt) {
+		p.hotAllocIn(body, "in a worker goroutine runs once per task; hoist it to setup")
 	})
 }
 
@@ -848,6 +749,18 @@ func (p *pass) hotAllocSchedClosures(f *ast.File) {
 	})
 }
 
+// isSchedExecutor reports whether the call targets one of the sched
+// executors (sched.Run, sched.Execute*), whose function arguments are
+// per-task worker bodies.
+func isSchedExecutor(pi *pkgInfo, call *ast.CallExpr, schedPath string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Run" && !strings.HasPrefix(sel.Sel.Name, "Execute")) {
+		return false
+	}
+	obj := pi.info.Uses[sel.Sel]
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == schedPath
+}
+
 // hotAllocIn reports every call to the builtin make or append under n.
 func (p *pass) hotAllocIn(n ast.Node, why string) {
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -865,252 +778,6 @@ func (p *pass) hotAllocIn(n ast.Node, why string) {
 		p.report(call.Pos(), "hot-alloc", "%s %s", id.Name, why)
 		return true
 	})
-}
-
-type lockChecker struct {
-	pass         *pass
-	fnPos, fnEnd token.Pos
-	locked       int
-}
-
-func (lc *lockChecker) block(stmts []ast.Stmt) {
-	for _, s := range stmts {
-		lc.stmt(s)
-	}
-}
-
-// terminates reports whether a block always transfers control out
-// (return, break, continue, goto, or panic as the last statement).
-func terminates(b *ast.BlockStmt) bool {
-	if b == nil || len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (lc *lockChecker) stmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		lc.expr(st.X)
-	case *ast.AssignStmt:
-		if st.Tok != token.DEFINE {
-			for _, lhs := range st.Lhs {
-				lc.checkWrite(lhs)
-			}
-		}
-		for _, rhs := range st.Rhs {
-			lc.expr(rhs)
-		}
-	case *ast.IncDecStmt:
-		lc.checkWrite(st.X)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			lc.stmt(st.Init)
-		}
-		lc.expr(st.Cond)
-		lc.branch(st.Body)
-		if st.Else != nil {
-			if eb, ok := st.Else.(*ast.BlockStmt); ok {
-				lc.branch(eb)
-			} else {
-				lc.stmt(st.Else)
-			}
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			lc.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			lc.expr(st.Cond)
-		}
-		lc.block(st.Body.List)
-		if st.Post != nil {
-			lc.stmt(st.Post)
-		}
-	case *ast.RangeStmt:
-		if st.Tok == token.ASSIGN {
-			if st.Key != nil {
-				lc.checkWrite(st.Key)
-			}
-			if st.Value != nil {
-				lc.checkWrite(st.Value)
-			}
-		}
-		lc.expr(st.X)
-		lc.block(st.Body.List)
-	case *ast.BlockStmt:
-		lc.block(st.List)
-	case *ast.DeferStmt:
-		lc.expr(st.Call.Fun)
-		for _, a := range st.Call.Args {
-			lc.expr(a)
-		}
-	case *ast.GoStmt:
-		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			inner := &lockChecker{pass: lc.pass, fnPos: fl.Pos(), fnEnd: fl.End()}
-			inner.block(fl.Body.List)
-		}
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			lc.stmt(st.Init)
-		}
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				saved := lc.locked
-				lc.block(cc.Body)
-				lc.locked = saved
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				saved := lc.locked
-				lc.block(cc.Body)
-				lc.locked = saved
-			}
-		}
-	case *ast.SelectStmt:
-		for _, clause := range st.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				saved := lc.locked
-				lc.block(cc.Body)
-				lc.locked = saved
-			}
-		}
-	case *ast.LabeledStmt:
-		lc.stmt(st.Stmt)
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			lc.expr(r)
-		}
-	case *ast.SendStmt:
-		lc.expr(st.Chan)
-		lc.expr(st.Value)
-	}
-}
-
-// branch analyzes a conditional block; if the block always leaves the
-// enclosing flow (early unlock-and-return), its lock-state changes do
-// not apply to the statements after the if.
-func (lc *lockChecker) branch(b *ast.BlockStmt) {
-	if terminates(b) {
-		saved := lc.locked
-		lc.block(b.List)
-		lc.locked = saved
-		return
-	}
-	lc.block(b.List)
-}
-
-func (lc *lockChecker) expr(e ast.Expr) {
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		switch lc.lockKind(x) {
-		case "lock":
-			lc.locked++
-			return
-		case "unlock":
-			lc.locked--
-			return
-		}
-		lc.expr(x.Fun)
-		for _, a := range x.Args {
-			lc.expr(a)
-		}
-	case *ast.FuncLit:
-		// A closure (deferred recover handler, callback) establishes its
-		// own locking regime; analyze it independently.
-		inner := &lockChecker{pass: lc.pass, fnPos: x.Pos(), fnEnd: x.End()}
-		inner.block(x.Body.List)
-	case *ast.ParenExpr:
-		lc.expr(x.X)
-	case *ast.UnaryExpr:
-		lc.expr(x.X)
-	case *ast.BinaryExpr:
-		lc.expr(x.X)
-		lc.expr(x.Y)
-	case *ast.IndexExpr:
-		lc.expr(x.X)
-		lc.expr(x.Index)
-	case *ast.SelectorExpr:
-		lc.expr(x.X)
-	case *ast.TypeAssertExpr:
-		lc.expr(x.X)
-	case *ast.StarExpr:
-		lc.expr(x.X)
-	}
-}
-
-// lockKind classifies a call as a sync lock acquisition or release.
-func (lc *lockChecker) lockKind(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	var kind string
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		kind = "lock"
-	case "Unlock", "RUnlock":
-		kind = "unlock"
-	default:
-		return ""
-	}
-	s := lc.pass.pi.info.Selections[sel]
-	if s == nil || s.Obj().Pkg() == nil || s.Obj().Pkg().Path() != "sync" {
-		return ""
-	}
-	return kind
-}
-
-// checkWrite flags an assignment target that resolves to a variable
-// declared outside the goroutine while no lock is held.
-func (lc *lockChecker) checkWrite(e ast.Expr) {
-	base := e
-	for {
-		switch v := base.(type) {
-		case *ast.IndexExpr:
-			lc.expr(v.Index)
-			base = v.X
-		case *ast.ParenExpr:
-			base = v.X
-		case *ast.StarExpr:
-			base = v.X
-		case *ast.SelectorExpr:
-			base = v.X
-		default:
-			id, ok := base.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return
-			}
-			obj := lc.pass.pi.info.Uses[id]
-			if obj == nil {
-				return // defined here: local by construction
-			}
-			vr, ok := obj.(*types.Var)
-			if !ok || vr.IsField() {
-				return
-			}
-			if obj.Pos() >= lc.fnPos && obj.Pos() < lc.fnEnd {
-				return // declared inside the goroutine
-			}
-			if lc.locked <= 0 {
-				lc.pass.report(e.Pos(), "lock-discipline",
-					"write to shared variable %q in a worker goroutine without holding a lock", id.Name)
-			}
-			return
-		}
-	}
 }
 
 // requestCtx enforces context hygiene in the request-serving packages:

@@ -53,27 +53,6 @@ func FloatEq(x, y float64) bool {
 	return x == 0
 }
 
-// RacyWorker writes a shared variable from a goroutine without the
-// lock: one lock-discipline finding. The locked write is legal.
-func RacyWorker() int {
-	var mu sync.Mutex
-	total := 0
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		total++ // want lock-discipline
-	}()
-	go func() {
-		defer wg.Done()
-		mu.Lock()
-		total++
-		mu.Unlock()
-	}()
-	wg.Wait()
-	return total
-}
-
 // TimedWorker reads the wall clock inside a worker goroutine: one
 // worker-timing finding. The reads outside the goroutine are legal.
 func TimedWorker() time.Duration {

@@ -1,5 +1,6 @@
 package cgfix
 
 // archTag's amd64 variant: the loader must pick exactly one of the
-// per-arch files, so the call graph holds exactly one archTag node.
+// per-arch files, or the package declares archTag twice and does not
+// type-check.
 func archTag() string { return "amd64" }

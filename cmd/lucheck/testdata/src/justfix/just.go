@@ -5,15 +5,15 @@
 // package) and must never build as part of the real module.
 package justfix
 
-// S carries an ordered sink field.
+// S carries a task list.
 type S struct{ Tasks []int }
 
-// Collect's map-order violation is suppressed by a BARE allow: the
-// map-order finding must vanish, the allow-justification finding must
-// appear at the directive line.
+// Collect's nondet-source violation is suppressed by a BARE allow: the
+// nondet-source finding must vanish, the allow-justification finding
+// must appear at the directive line.
 func Collect(m map[int]int, s *S) {
+	//lucheck:allow nondet-source
 	for id := range m {
-		//lucheck:allow map-order
 		s.Tasks = append(s.Tasks, id)
 	}
 }
@@ -25,8 +25,8 @@ func orphan() {}
 
 // Justified shows the compliant form: no finding anywhere.
 func Justified(m map[int]int, s *S) {
+	//lucheck:allow nondet-source — fixture: order is rewritten by the caller before use
 	for id := range m {
-		//lucheck:allow map-order — fixture: order is rewritten by the caller before use
 		s.Tasks = append(s.Tasks, id)
 	}
 }

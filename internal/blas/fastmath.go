@@ -8,10 +8,6 @@
 // counts, or hosts. Callers that need reproducibility use the plain
 // Dgemm/Dtrsm/DgetrfStatic entry points, which are untouched by this
 // mode.
-//
-//lucheck:allow fp-reassoc — FastMath kernels are exempt from the
-// bitwise-determinism contract by design: accuracy is enforced by the
-// componentwise error-bound suite, not the parity suite.
 
 package blas
 

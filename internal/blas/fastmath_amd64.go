@@ -1,9 +1,6 @@
 //go:build amd64
 
 // FastMath assembly dispatch. See fastmath.go for the mode's contract.
-//
-//lucheck:allow fp-reassoc — FastMath kernels are exempt from the
-// bitwise-determinism contract by design (see fastmath.go).
 
 package blas
 
