@@ -1,9 +1,11 @@
 package sparselu
 
-// One benchmark per table and figure of the paper's evaluation section,
-// on the reduced-order suite so `go test -bench=.` finishes quickly.
-// cmd/paperbench prints the actual rows/series of each table and figure
-// (full-size without -small); full-size timings are bench/'s job.
+// Benchmarks of the real code behind the paper's tables and the
+// ablations, on the reduced-order suite so `go test -bench=.` finishes
+// quickly. Everything simulated — Table 2 in sim mode, Figures 5–6, the
+// simulated ablations — is printed by cmd/paperbench (full-size without
+// -small) and pinned by its golden test; full-size timings are bench/'s
+// job.
 
 import (
 	"fmt"
@@ -14,9 +16,7 @@ import (
 	"repro/internal/gplu"
 	"repro/internal/matgen"
 	"repro/internal/ordering"
-	"repro/internal/sched"
 	"repro/internal/sparse"
-	"repro/internal/taskgraph"
 	"repro/internal/transversal"
 )
 
@@ -126,52 +126,6 @@ func BenchmarkFactorize(b *testing.B) {
 	}
 }
 
-// benchFigure is shared by the Figure 5 and Figure 6 benchmarks: it
-// simulates both task graphs on the Origin 2000 model and reports the
-// improvement 1 − T(eforest)/T(S*) as a metric per processor count.
-func benchFigure(b *testing.B, names []string, procs []int) {
-	specs := experiments.FilterSpecs(matgen.SmallSuite(), names)
-	for _, spec := range specs {
-		a := spec.Gen()
-		s, err := core.Analyze(a, core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		gS := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
-		cmS := taskgraph.NewCostModel(gS, s.Stored, s.Part)
-		for _, p := range procs {
-			b.Run(fmt.Sprintf("%s/P=%d", spec.Name, p), func(b *testing.B) {
-				var imp float64
-				perturb := sched.Perturb{Amplitude: 0.5, Seed: 2000}
-				for i := 0; i < b.N; i++ {
-					rS, err := sched.SimulateStatic(gS, cmS, sched.Origin2000(p), sched.PanelWords(gS, cmS), perturb)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rE, err := sched.SimulateStatic(s.Graph, s.Costs, sched.Origin2000(p), sched.PanelWords(s.Graph, s.Costs), perturb)
-					if err != nil {
-						b.Fatal(err)
-					}
-					imp = 1 - rE.Makespan/rS.Makespan
-				}
-				b.ReportMetric(100*imp, "improvement-%")
-			})
-		}
-	}
-}
-
-// BenchmarkFig5TaskGraph regenerates Figure 5 (sherman3, sherman5,
-// orsreg1, goodwin).
-func BenchmarkFig5TaskGraph(b *testing.B) {
-	benchFigure(b, experiments.Figure5Matrices, []int{2, 4, 8})
-}
-
-// BenchmarkFig6TaskGraph regenerates Figure 6 (lns3937, lnsp3937,
-// saylr4).
-func BenchmarkFig6TaskGraph(b *testing.B) {
-	benchFigure(b, experiments.Figure6Matrices, []int{2, 4, 8})
-}
-
 // BenchmarkAblationPostorder measures the real serial factorization
 // with and without postordering — the BLAS-3 benefit of larger
 // supernodes (DESIGN.md ablation 1).
@@ -253,42 +207,6 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSchedulers compares the owner-mapped (1-D
-// block-column) simulator against task-level scheduling at P=8 (DESIGN
-// ablation 4): task-level scheduling is what lets independent-subtree
-// updates overlap.
-func BenchmarkAblationSchedulers(b *testing.B) {
-	spec := matgen.SmallSuite()[0]
-	a := spec.Gen()
-	s, err := core.Analyze(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sched.Origin2000(8)
-	b.Run("owner-1D", func(b *testing.B) {
-		var mk float64
-		for i := 0; i < b.N; i++ {
-			res, err := sched.Simulate(s.Graph, s.Costs, sched.BlockCyclic(s.Graph.N, 8), m, sched.PanelWords(s.Graph, s.Costs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			mk = res.Makespan
-		}
-		b.ReportMetric(mk*1e3, "sim-ms")
-	})
-	b.Run("task-level", func(b *testing.B) {
-		var mk float64
-		for i := 0; i < b.N; i++ {
-			res, err := sched.SimulateGlobal(s.Graph, s.Costs, m, sched.PanelWords(s.Graph, s.Costs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			mk = res.Makespan
-		}
-		b.ReportMetric(mk*1e3, "sim-ms")
-	})
-}
-
 // BenchmarkStructureBounds compares the dynamic (Gilbert–Peierls) fill
 // against the static and column-etree bounds — the Section 3 remark
 // that the column etree "substantially overestimates" the structures.
@@ -324,41 +242,6 @@ func BenchmarkGilbertPeierlsBaseline(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation2DMapping compares the 1-D block-column mapping with
-// the 2-D grid mapping the paper names as future work (simulated P=8).
-func BenchmarkAblation2DMapping(b *testing.B) {
-	spec := matgen.SmallSuite()[0]
-	a := spec.Gen()
-	s, err := core.Analyze(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sched.Origin2000(8)
-	b.Run("1D-cyclic", func(b *testing.B) {
-		var mk float64
-		for i := 0; i < b.N; i++ {
-			res, err := sched.Simulate(s.Graph, s.Costs, sched.BlockCyclic(s.Graph.N, 8), m, sched.PanelWords(s.Graph, s.Costs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			mk = res.Makespan
-		}
-		b.ReportMetric(mk*1e3, "sim-ms")
-	})
-	b.Run("2D-4x2", func(b *testing.B) {
-		owners := sched.TaskOwners2D(s.Graph, 4, 2)
-		var mk float64
-		for i := 0; i < b.N; i++ {
-			res, err := sched.SimulateOwners(s.Graph, s.Costs, owners, m, sched.PanelWords(s.Graph, s.Costs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			mk = res.Makespan
-		}
-		b.ReportMetric(mk*1e3, "sim-ms")
-	})
 }
 
 // BenchmarkSolve measures the level-scheduled triangular-solve phase

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,16 +30,26 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and prints the requested
+// tables, figures and ablations to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("paperbench", flag.ExitOnError)
 	var (
-		table    = flag.Int("table", 0, "regenerate table 1, 2 or 3")
-		figure   = flag.Int("figure", 0, "regenerate figure 5 or 6")
-		all      = flag.Bool("all", false, "regenerate every table and figure")
-		smallSz  = flag.Bool("small", false, "use the reduced-order suite")
-		modeStr  = flag.String("mode", "sim", "timing mode: sim (Origin 2000 simulator) or real (wall clock)")
-		procsStr = flag.String("procs", "1,2,4,8", "processor counts")
-		ablation = flag.Bool("ablation", false, "run the ablation studies from DESIGN.md")
+		table    = fs.Int("table", 0, "regenerate table 1, 2 or 3")
+		figure   = fs.Int("figure", 0, "regenerate figure 5 or 6")
+		all      = fs.Bool("all", false, "regenerate every table and figure")
+		smallSz  = fs.Bool("small", false, "use the reduced-order suite")
+		modeStr  = fs.String("mode", "sim", "timing mode: sim (Origin 2000 simulator) or real (wall clock)")
+		procsStr = fs.String("procs", "1,2,4,8", "processor counts")
+		ablation = fs.Bool("ablation", false, "run the ablation studies from DESIGN.md")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
 
 	mode := experiments.Sim
 	switch *modeStr {
@@ -46,11 +57,11 @@ func main() {
 	case "real":
 		mode = experiments.Real
 	default:
-		fatalf("unknown -mode %q (want sim or real)", *modeStr)
+		return fmt.Errorf("unknown -mode %q (want sim or real)", *modeStr)
 	}
 	procs, err := parseProcs(*procsStr)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	specs := matgen.Suite()
 	if *smallSz {
@@ -64,87 +75,83 @@ func main() {
 	if *all || *table == 1 {
 		rows, err := experiments.Table1(specs)
 		if err != nil {
-			fatalf("table 1: %v", err)
+			return fmt.Errorf("table 1: %w", err)
 		}
-		fmt.Print(experiments.FormatTable1(rows))
-		fmt.Println()
+		fmt.Fprintln(out, experiments.FormatTable1(rows))
 	}
 	if *all || *table == 2 {
 		rows, err := experiments.Table2(specs, procs, mode)
 		if err != nil {
-			fatalf("table 2: %v", err)
+			return fmt.Errorf("table 2: %w", err)
 		}
-		fmt.Print(experiments.FormatTable2(rows, mode))
-		fmt.Println()
+		fmt.Fprintln(out, experiments.FormatTable2(rows, mode))
 	}
 	if *all || *table == 3 {
 		rows, err := experiments.Table3(specs)
 		if err != nil {
-			fatalf("table 3: %v", err)
+			return fmt.Errorf("table 3: %w", err)
 		}
-		fmt.Print(experiments.FormatTable3(rows))
-		fmt.Println()
+		fmt.Fprintln(out, experiments.FormatTable3(rows))
 	}
 	figProcs := dropOne(procs)
 	if *all || *figure == 5 {
 		rows, err := experiments.Figure(experiments.FilterSpecs(specs, experiments.Figure5Matrices), figProcs, mode)
 		if err != nil {
-			fatalf("figure 5: %v", err)
+			return fmt.Errorf("figure 5: %w", err)
 		}
-		fmt.Print(experiments.FormatFigure(rows, 5, mode))
-		fmt.Println()
+		fmt.Fprintln(out, experiments.FormatFigure(rows, 5, mode))
 	}
 	if *all || *figure == 6 {
 		rows, err := experiments.Figure(experiments.FilterSpecs(specs, experiments.Figure6Matrices), figProcs, mode)
 		if err != nil {
-			fatalf("figure 6: %v", err)
+			return fmt.Errorf("figure 6: %w", err)
 		}
-		fmt.Print(experiments.FormatFigure(rows, 6, mode))
-		fmt.Println()
+		fmt.Fprintln(out, experiments.FormatFigure(rows, 6, mode))
 	}
 	if *ablation {
-		runAblations(specs, procs)
+		return runAblations(out, specs, procs)
 	}
+	return nil
 }
 
-func runAblations(specs []matgen.Spec, procs []int) {
-	p := 4
-	if len(procs) > 0 {
-		p = procs[len(procs)-1]
-	}
+func runAblations(out io.Writer, specs []matgen.Spec, procs []int) error {
+	p := procs[len(procs)-1]
 	rows, err := experiments.AblationPostorderTime(specs, p)
 	if err != nil {
-		fatalf("ablation postorder: %v", err)
+		return fmt.Errorf("ablation postorder: %w", err)
 	}
-	fmt.Print(experiments.FormatAblation(fmt.Sprintf("Ablation: simulated factorization time (s) with/without postordering, P=%d.", p), rows))
-	fmt.Println()
+	fmt.Fprintln(out, experiments.FormatAblation(fmt.Sprintf("Ablation: simulated factorization time (s) with/without postordering, P=%d.", p), rows))
 
 	am, err := experiments.AblationAmalgamation(specs[0], []int{1, 4, 8, 16, 32, 64}, p)
 	if err != nil {
-		fatalf("ablation amalgamation: %v", err)
+		return fmt.Errorf("ablation amalgamation: %w", err)
 	}
-	fmt.Print(experiments.FormatAblation(fmt.Sprintf("Ablation: amalgamation MaxSize sweep on %s (simulated seconds, P=%d).", specs[0].Name, p), am))
-	fmt.Println()
+	fmt.Fprintln(out, experiments.FormatAblation(fmt.Sprintf("Ablation: amalgamation MaxSize sweep on %s (simulated seconds, P=%d).", specs[0].Name, p), am))
+
+	mp, err := experiments.AblationMapping(specs[0])
+	if err != nil {
+		return fmt.Errorf("ablation mapping: %w", err)
+	}
+	fmt.Fprintln(out, experiments.FormatAblation(fmt.Sprintf("Ablation: task-level scheduling vs fixed mappings on %s (simulated seconds, P=8, executed as planned).", specs[0].Name), mp))
 
 	or, err := experiments.AblationOrdering(specs)
 	if err != nil {
-		fatalf("ablation ordering: %v", err)
+		return fmt.Errorf("ablation ordering: %w", err)
 	}
-	fmt.Print(experiments.FormatAblation("Ablation: fill ratio |Abar|/|A| by ordering method.", or))
-	fmt.Println()
+	fmt.Fprintln(out, experiments.FormatAblation("Ablation: fill ratio |Abar|/|A| by ordering method.", or))
 
 	bounds, err := experiments.StructureBounds(specs)
 	if err != nil {
-		fatalf("structure bounds: %v", err)
+		return fmt.Errorf("structure bounds: %w", err)
 	}
-	fmt.Print(experiments.FormatBounds(bounds))
-	fmt.Println()
+	fmt.Fprintln(out, experiments.FormatBounds(bounds))
 
 	but, err := experiments.BlockUTCheck(specs)
 	if err != nil {
-		fatalf("block upper triangular check: %v", err)
+		return fmt.Errorf("block upper triangular check: %w", err)
 	}
-	fmt.Print(experiments.FormatAblation("Check: block upper triangular decomposition holds; diagonal block counts.", but))
+	fmt.Fprint(out, experiments.FormatAblation("Check: block upper triangular decomposition holds; diagonal block counts.", but))
+	return nil
 }
 
 func parseProcs(s string) ([]int, error) {
@@ -178,9 +185,4 @@ func dropOne(procs []int) []int {
 		out = []int{2, 4, 8}
 	}
 	return out
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paperbench: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -47,8 +47,8 @@ func main() {
 		fmt.Printf("  total work %.3g flops, critical path %.3g flops, avg parallelism %.2f\n",
 			total, cp, total/cp)
 		for _, p := range []int{2, 4, 8} {
-			res, err := sched.SimulateStatic(g, cm, sched.Origin2000(p),
-				sched.PanelWords(g, cm), sched.Perturb{Amplitude: 0.5, Seed: 2000})
+			res, err := sched.Simulate(g, cm, sched.Origin2000(p),
+				sched.PanelWords(g, cm), nil, sched.Perturb{Amplitude: 0.5, Seed: 2000})
 			if err != nil {
 				log.Fatal(err)
 			}

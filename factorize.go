@@ -136,10 +136,12 @@ type Options struct {
 	// variants. The default false keeps the bitwise-deterministic
 	// kernels. Triangular solves are always bitwise.
 	FastMath bool
-	// Timeout bounds the wall-clock duration of the parallel numeric
-	// phase. When it expires the workers stop claiming tasks (one
-	// atomic check per task claim) and factorization returns an error
-	// wrapping ErrDeadlineExceeded. Zero means no limit.
+	// Timeout bounds the wall-clock duration of each bounded phase: the
+	// parallel numeric factorization and every solve call (Solve,
+	// SolveMany, SolveTranspose and the paths routed through them), each
+	// under a fresh deadline. When it expires the workers stop claiming
+	// tasks (one atomic check per task claim) and the call returns an
+	// error wrapping ErrDeadlineExceeded. Zero means no limit.
 	Timeout time.Duration
 }
 
@@ -175,19 +177,21 @@ func (o *Options) toCore() *core.Options {
 		Ordering:       ord,
 		Postorder:      o.Postorder,
 		TaskGraph:      tg,
-		Workers:        o.Workers,
-		SolveWorkers:   o.SolveWorkers,
 		AnalyzeWorkers: o.AnalyzeWorkers,
 		Amalgamation: supernode.AmalgamationOptions{
 			MaxSize: o.MaxSupernode,
 			MaxFill: o.AmalgamationFill,
 		},
-		Equilibrate: o.Equilibrate,
-		Verify:      o.Verify,
-		Trace:       o.Trace,
-		PivotPolicy: core.PivotPolicy(o.PivotPolicy),
-		FastMath:    o.FastMath,
-		Timeout:     o.Timeout,
+		Verify: o.Verify,
+		NumericOptions: core.NumericOptions{
+			Workers:      o.Workers,
+			SolveWorkers: o.SolveWorkers,
+			PivotPolicy:  core.PivotPolicy(o.PivotPolicy),
+			FastMath:     o.FastMath,
+			Equilibrate:  o.Equilibrate,
+			Timeout:      o.Timeout,
+			Trace:        o.Trace,
+		},
 	}
 }
 

@@ -9,112 +9,6 @@
 // lives at a[i*ld+j].
 package blas
 
-import "math"
-
-// Ddot returns xᵀy over n elements with strides incx, incy.
-func Ddot(n int, x []float64, incx int, y []float64, incy int) float64 {
-	var s float64
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		s += x[ix] * y[iy]
-		ix += incx
-		iy += incy
-	}
-	return s
-}
-
-// Daxpy computes y ← αx + y over n elements with strides.
-func Daxpy(n int, alpha float64, x []float64, incx int, y []float64, incy int) {
-	if alpha == 0 {
-		return
-	}
-	if incx == 1 && incy == 1 {
-		x = x[:n]
-		y = y[:n]
-		for i := range x {
-			y[i] += alpha * x[i]
-		}
-		return
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		y[iy] += alpha * x[ix]
-		ix += incx
-		iy += incy
-	}
-}
-
-// Dscal computes x ← αx over n elements with stride incx.
-func Dscal(n int, alpha float64, x []float64, incx int) {
-	if incx == 1 {
-		x = x[:n]
-		for i := range x {
-			x[i] *= alpha
-		}
-		return
-	}
-	ix := 0
-	for i := 0; i < n; i++ {
-		x[ix] *= alpha
-		ix += incx
-	}
-}
-
-// Idamax returns the index (in element counts, not slice offsets) of the
-// element with the largest absolute value among n strided elements, or -1
-// when n ≤ 0.
-func Idamax(n int, x []float64, incx int) int {
-	if n <= 0 {
-		return -1
-	}
-	best, bi := math.Abs(x[0]), 0
-	ix := incx
-	for i := 1; i < n; i++ {
-		if a := math.Abs(x[ix]); a > best {
-			best, bi = a, i
-		}
-		ix += incx
-	}
-	return bi
-}
-
-// Dnrm2 returns the Euclidean norm of n strided elements, guarding
-// against overflow the way the reference BLAS does.
-func Dnrm2(n int, x []float64, incx int) float64 {
-	var scale, ssq float64
-	ssq = 1
-	ix := 0
-	for i := 0; i < n; i++ {
-		if v := x[ix]; v != 0 {
-			a := math.Abs(v)
-			if scale < a {
-				r := scale / a
-				ssq = 1 + ssq*r*r
-				scale = a
-			} else {
-				r := a / scale
-				ssq += r * r
-			}
-		}
-		ix += incx
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// Dcopy copies n strided elements of x into y.
-func Dcopy(n int, x []float64, incx int, y []float64, incy int) {
-	if incx == 1 && incy == 1 {
-		copy(y[:n], x[:n])
-		return
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		y[iy] = x[ix]
-		ix += incx
-		iy += incy
-	}
-}
-
 // Dswap exchanges n strided elements of x and y.
 func Dswap(n int, x []float64, incx int, y []float64, incy int) {
 	ix, iy := 0, 0
@@ -123,15 +17,4 @@ func Dswap(n int, x []float64, incx int, y []float64, incy int) {
 		ix += incx
 		iy += incy
 	}
-}
-
-// Dasum returns the sum of absolute values of n strided elements.
-func Dasum(n int, x []float64, incx int) float64 {
-	var s float64
-	ix := 0
-	for i := 0; i < n; i++ {
-		s += math.Abs(x[ix])
-		ix += incx
-	}
-	return s
 }

@@ -30,21 +30,6 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 	}
 }
 
-// Dger computes the rank-1 update A ← A + α·x·yᵀ on an m×n row-major
-// matrix.
-func Dger(m, n int, alpha float64, x, y []float64, a []float64, lda int) {
-	for i := 0; i < m; i++ {
-		xi := alpha * x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a[i*lda : i*lda+n]
-		for j, v := range y[:n] {
-			row[j] += xi * v
-		}
-	}
-}
-
 // Dtrsvt solves Tᵀ·x = b in place for a dense n×n triangular matrix T
 // stored row-major (so a lower-triangular T yields an upper-triangular
 // solve and vice versa). Used by the transpose solves.

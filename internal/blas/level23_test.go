@@ -74,17 +74,6 @@ func TestDgemvBeta(t *testing.T) {
 	}
 }
 
-func TestDger(t *testing.T) {
-	a := make([]float64, 4) // 2x2 zero
-	Dger(2, 2, 2, []float64{1, 2}, []float64{3, 4}, a, 2)
-	want := []float64{6, 8, 12, 16}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("Dger = %v, want %v", a, want)
-		}
-	}
-}
-
 func TestDtrsvLowerUnit(t *testing.T) {
 	// L = [1 0; 2 1], b = [3, 8] → y = [3, 2]
 	l := []float64{1, 0, 2, 1}

@@ -51,7 +51,11 @@ func (p PivotPolicy) String() string {
 	return "fail"
 }
 
-// Options configures the analysis and factorization.
+// Options configures the analysis and factorization: the fields below
+// shape the analysis and are baked into the Symbolic; the embedded
+// NumericOptions are the per-call fields (o.Workers, o.Trace, … select
+// them), the defaults of every factorization and solve that is not
+// given its own.
 type Options struct {
 	// Ordering selects the fill-reducing ordering (default: minimum
 	// degree on AᵀA, the paper's choice).
@@ -62,17 +66,6 @@ type Options struct {
 	// TaskGraph selects the dependence structure (default: the paper's
 	// eforest-guided graph; SStar is the baseline).
 	TaskGraph taskgraph.Variant
-	// Workers is the number of parallel workers for the numeric phase;
-	// values < 1 mean 1.
-	Workers int
-	// SolveWorkers is the number of parallel workers for the triangular
-	// solves (Solve, SolveMany, SolveTranspose and everything routed
-	// through them: SolveRefined, CondEstimate1). 0 (the default)
-	// inherits Workers; values < 0 mean 1. The solves run one task per
-	// block column on the level-set schedules of Symbolic.SolveFwd/
-	// SolveBwd and are bitwise identical to the serial sweeps at every
-	// worker count.
-	SolveWorkers int
 	// AnalyzeWorkers is the number of parallel workers for the analysis
 	// pipeline itself: the static symbolic factorization runs its
 	// independent column-etree subtrees concurrently through the async
@@ -84,41 +77,14 @@ type Options struct {
 	AnalyzeWorkers int
 	// Amalgamation tunes supernode amalgamation.
 	Amalgamation supernode.AmalgamationOptions
-	// Equilibrate scales rows and columns to unit maxima before
-	// factoring (LAPACK dgeequ style); improves pivots on badly scaled
-	// systems. Solves transparently undo the scaling.
-	Equilibrate bool
 	// Verify enables the debug invariant checks of internal/verify
 	// during analysis: postorder invariance of the symbolic
 	// factorization (Theorems 1–3), task-graph well-formedness, and —
 	// for the eforest variant — the least-dependence property
 	// (Theorem 4). Costs roughly one extra symbolic factorization.
 	Verify bool
-	// Trace optionally records per-task execution events of the numeric
-	// phase. The recorder must have at least Workers buffers. Nil (the
-	// default) disables tracing at the cost of one branch per task.
-	Trace *trace.Recorder
-	// PivotPolicy selects how tiny pivots are handled (default
-	// PivotFail, the historical flag-and-continue contract).
-	PivotPolicy PivotPolicy
-	// FastMath opts the numeric phase into the relaxed kernel mode
-	// (blas.DgemmFast and friends): FMA and reordered accumulation with
-	// no bitwise-reproducibility guarantee. Results satisfy the usual
-	// componentwise backward-error bounds but may differ byte-for-byte
-	// across hosts and kernel variants. The default false keeps the
-	// bitwise-deterministic kernels. Solves are always bitwise.
-	FastMath bool
-	// Timeout bounds the wall-clock duration of the parallel numeric
-	// phase; when it expires the workers stop claiming tasks and
-	// factorization returns an error wrapping ErrDeadlineExceeded.
-	// Zero (the default) means no limit.
-	Timeout time.Duration
-	// Cancel optionally connects the numeric phase to an external
-	// cancellation signal: tripping the canceler makes factorization
-	// return a *sched.CancelError. The same canceler may be shared by
-	// several executions, in which case the first failure anywhere
-	// cancels them all.
-	Cancel *sched.Canceler
+
+	NumericOptions
 }
 
 // NumericOptions is the per-call state of one numeric factorization
@@ -129,49 +95,51 @@ type Options struct {
 // Amalgamation, Verify) stay on Options: they are baked into the
 // Symbolic and changing them requires a fresh Analyze.
 //
-// A nil *NumericOptions passed to FactorizeWithOpts means the per-call
-// fields of the Options the analysis was created with.
+// A nil *NumericOptions passed to FactorizeWithOpts means the
+// NumericOptions of the Options the analysis was created with.
 type NumericOptions struct {
-	// Workers is the numeric-phase worker count (values < 1 mean 1).
+	// Workers is the number of parallel workers for the numeric phase;
+	// values < 1 mean 1.
 	Workers int
-	// SolveWorkers is the triangular-solve worker count; 0 inherits
-	// Workers, values < 0 mean 1.
+	// SolveWorkers is the number of parallel workers for the triangular
+	// solves (Solve, SolveMany, SolveTranspose and everything routed
+	// through them: SolveRefined, CondEstimate1). 0 (the default)
+	// inherits Workers; values < 0 mean 1. The solves run one task per
+	// block column on the level-set schedules of Symbolic.SolveFwd/
+	// SolveBwd and are bitwise identical to the serial sweeps at every
+	// worker count.
 	SolveWorkers int
-	// PivotPolicy selects the response to pivots the static row set
-	// cannot stabilize.
+	// PivotPolicy selects how tiny pivots are handled (default
+	// PivotFail, the historical flag-and-continue contract).
 	PivotPolicy PivotPolicy
-	// FastMath selects the relaxed (non-bitwise, error-bounded) kernel
-	// mode for this factorization's numeric phase. See Options.FastMath.
+	// FastMath opts the numeric phase into the relaxed kernel mode
+	// (blas.DgemmFast and friends): FMA and reordered accumulation with
+	// no bitwise-reproducibility guarantee. Results satisfy the usual
+	// componentwise backward-error bounds but may differ byte-for-byte
+	// across hosts and kernel variants. The default false keeps the
+	// bitwise-deterministic kernels. Solves are always bitwise.
 	FastMath bool
 	// Equilibrate scales rows and columns to unit maxima before
-	// factoring; solves transparently undo the scaling.
+	// factoring (LAPACK dgeequ style); improves pivots on badly scaled
+	// systems. Solves transparently undo the scaling.
 	Equilibrate bool
 	// Timeout bounds the wall-clock duration of each bounded phase: the
 	// parallel numeric factorization AND every solve call (Solve,
 	// SolveMany, SolveTranspose and the paths routed through them). A
-	// fresh deadline timer is armed per phase; expiry surfaces as an
-	// error wrapping ErrDeadlineExceeded. Zero means no limit.
+	// fresh deadline timer is armed per phase; when it expires the
+	// workers stop claiming tasks and the call returns an error wrapping
+	// ErrDeadlineExceeded. Zero (the default) means no limit.
 	Timeout time.Duration
 	// Cancel optionally connects the numeric phase and the solves to an
-	// external cancellation signal.
+	// external cancellation signal: tripping the canceler makes the call
+	// return a *sched.CancelError. The same canceler may be shared by
+	// several executions, in which case the first failure anywhere
+	// cancels them all.
 	Cancel *sched.Canceler
-	// Trace optionally records per-task events (must have at least
-	// Workers buffers).
+	// Trace optionally records per-task execution events. The recorder
+	// must have at least Workers buffers. Nil (the default) disables
+	// tracing at the cost of one branch per task.
 	Trace *trace.Recorder
-}
-
-// numeric extracts the per-call numeric state of o.
-func (o *Options) numeric() NumericOptions {
-	return NumericOptions{
-		Workers:      o.Workers,
-		SolveWorkers: o.SolveWorkers,
-		PivotPolicy:  o.PivotPolicy,
-		FastMath:     o.FastMath,
-		Equilibrate:  o.Equilibrate,
-		Timeout:      o.Timeout,
-		Cancel:       o.Cancel,
-		Trace:        o.Trace,
-	}
 }
 
 // withDefaults normalizes a NumericOptions value.
@@ -193,11 +161,11 @@ func (n *NumericOptions) withDefaults() NumericOptions {
 // experiments.
 func DefaultOptions() *Options {
 	return &Options{
-		Ordering:     ordering.MinDegreeATA,
-		Postorder:    true,
-		TaskGraph:    taskgraph.EForest,
-		Workers:      1,
-		Amalgamation: supernode.AmalgamationOptions{MaxSize: 32, MaxFill: 0.25},
+		Ordering:       ordering.MinDegreeATA,
+		Postorder:      true,
+		TaskGraph:      taskgraph.EForest,
+		Amalgamation:   supernode.AmalgamationOptions{MaxSize: 32, MaxFill: 0.25},
+		NumericOptions: NumericOptions{Workers: 1},
 	}
 }
 

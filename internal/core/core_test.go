@@ -76,11 +76,11 @@ func optionMatrix() []*Options {
 		for _, tg := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
 			for _, w := range []int{1, 3} {
 				out = append(out, &Options{
-					Ordering:     ordering.MinDegreeATA,
-					Postorder:    post,
-					TaskGraph:    tg,
-					Workers:      w,
-					Amalgamation: supernode.AmalgamationOptions{MaxSize: 8, MaxFill: 0.3},
+					Ordering:       ordering.MinDegreeATA,
+					Postorder:      post,
+					TaskGraph:      tg,
+					Amalgamation:   supernode.AmalgamationOptions{MaxSize: 8, MaxFill: 0.3},
+					NumericOptions: NumericOptions{Workers: w},
 				})
 			}
 		}
@@ -390,11 +390,11 @@ func TestQuickPipeline(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		opts := &Options{
-			Ordering:     ordering.Method(rng.Intn(3)),
-			Postorder:    rng.Intn(2) == 0,
-			TaskGraph:    taskgraph.Variant(rng.Intn(2)),
-			Workers:      1 + rng.Intn(4),
-			Amalgamation: supernode.AmalgamationOptions{MaxSize: 1 + rng.Intn(12), MaxFill: rng.Float64()},
+			Ordering:       ordering.Method(rng.Intn(3)),
+			Postorder:      rng.Intn(2) == 0,
+			TaskGraph:      taskgraph.Variant(rng.Intn(2)),
+			NumericOptions: NumericOptions{Workers: 1 + rng.Intn(4)},
+			Amalgamation:   supernode.AmalgamationOptions{MaxSize: 1 + rng.Intn(12), MaxFill: rng.Float64()},
 		}
 		fac, err := Factorize(a, opts)
 		if err != nil {

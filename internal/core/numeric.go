@@ -287,8 +287,7 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 // Options when nopts is nil.
 func resolveNumOpts(s *Symbolic, nopts *NumericOptions) NumericOptions {
 	if nopts == nil {
-		recorded := s.Opts.numeric()
-		nopts = &recorded
+		nopts = &s.Opts.NumericOptions
 	}
 	return nopts.withDefaults()
 }

@@ -4,9 +4,10 @@
 //
 // Table 2 and Figures 5–6 report parallel execution times. Two modes are
 // provided: Real measures wall-clock time of the goroutine executor
-// (meaningful only on a multi-core host), Sim runs the deterministic
-// discrete-event simulator with the Origin 2000 machine model — the
-// documented substitution for the paper's testbed (see DESIGN.md).
+// (meaningful only on a multi-core host), Sim runs sched.Simulate, the
+// deterministic model of the RAPID runtime on the Origin 2000 — the
+// documented substitution for the paper's testbed (see DESIGN.md). Every
+// simulated second, the ablations' included, comes from that one call.
 package experiments
 
 import (
@@ -31,7 +32,7 @@ import (
 type Mode int
 
 const (
-	// Sim uses the discrete-event Origin 2000 simulator (deterministic).
+	// Sim uses the Origin 2000 schedule model (deterministic).
 	Sim Mode = iota
 	// Real measures wall-clock time of the goroutine executor.
 	Real
@@ -164,18 +165,24 @@ func timeFactorization(s *core.Symbolic, a *sparse.CSC, procs int, mode Mode) (f
 		// estimated costs, in-order execution with ±50% deterministic
 		// per-task time deviation (cache/NUMA variability on the
 		// Origin 2000). Both graph variants see identical task times.
-		res, err := sched.SimulateStatic(s.Graph, s.Costs, sched.Origin2000(procs), sched.PanelWords(s.Graph, s.Costs),
-			sched.Perturb{Amplitude: 0.5, Seed: 2000})
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+		return simulate(s, procs, nil, sched.Perturb{Amplitude: 0.5, Seed: 2000})
 	}
 	start := time.Now()
 	if _, err := core.FactorizeWithOpts(s, a, &core.NumericOptions{Workers: procs}); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
+}
+
+// simulate is the one place a simulated second comes from: the makespan
+// of s's task graph on the Origin 2000 model with procs processors (see
+// sched.Simulate for place and perturb).
+func simulate(s *core.Symbolic, procs int, place []int, perturb sched.Perturb) (float64, error) {
+	res, err := sched.Simulate(s.Graph, s.Costs, sched.Origin2000(procs), sched.PanelWords(s.Graph, s.Costs), place, perturb)
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
 }
 
 // FormatTable2 renders the rows like the paper's Table 2.
@@ -358,8 +365,9 @@ type AblationRow struct {
 	Value  float64
 }
 
-// AblationPostorderTime compares simulated factorization time with and
-// without postordering at the given processor count.
+// AblationPostorderTime compares simulated factorization time (the
+// model of Table 2) with and without postordering at the given
+// processor count.
 func AblationPostorderTime(specs []matgen.Spec, procs int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, spec := range specs {
@@ -371,7 +379,7 @@ func AblationPostorderTime(specs []matgen.Spec, procs int) ([]AblationRow, error
 			if err != nil {
 				return nil, err
 			}
-			res, err := sched.Simulate(s.Graph, s.Costs, sched.BlockCyclic(s.Graph.N, procs), sched.Origin2000(procs), sched.PanelWords(s.Graph, s.Costs))
+			secs, err := timeFactorization(s, a, procs, Sim)
 			if err != nil {
 				return nil, err
 			}
@@ -379,14 +387,14 @@ func AblationPostorderTime(specs []matgen.Spec, procs int) ([]AblationRow, error
 			if post {
 				cfg = "postorder=on"
 			}
-			rows = append(rows, AblationRow{Name: spec.Name, Config: cfg, Value: res.Makespan})
+			rows = append(rows, AblationRow{Name: spec.Name, Config: cfg, Value: secs})
 		}
 	}
 	return rows, nil
 }
 
 // AblationAmalgamation sweeps the amalgamation MaxSize and reports
-// supernode count and simulated time.
+// supernode count and simulated time (the model of Table 2).
 func AblationAmalgamation(spec matgen.Spec, sizes []int, procs int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, sz := range sizes {
@@ -397,17 +405,64 @@ func AblationAmalgamation(spec matgen.Spec, sizes []int, procs int) ([]AblationR
 		if err != nil {
 			return nil, err
 		}
-		res, err := sched.Simulate(s.Graph, s.Costs, sched.BlockCyclic(s.Graph.N, procs), sched.Origin2000(procs), sched.PanelWords(s.Graph, s.Costs))
+		secs, err := timeFactorization(s, a, procs, Sim)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationRow{
 			Name:   spec.Name,
 			Config: fmt.Sprintf("maxsize=%d (SN=%d)", sz, s.Stats.Supernodes),
-			Value:  res.Makespan,
+			Value:  secs,
 		})
 	}
 	return rows, nil
+}
+
+// AblationMapping compares, on 8 processors, the task-level schedule of
+// the tables (any task on any processor) with two fixed mappings: the
+// 1-D block-cyclic one of Section 4 (all writers of a block column on
+// its owner) and the 2-D 4×2 grid the paper names as future work. The
+// three plans are executed as planned (no perturbation), so only the
+// mapping differs.
+func AblationMapping(spec matgen.Spec) ([]AblationRow, error) {
+	const procs = 8
+	s, err := core.Analyze(spec.Gen(), core.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	var rows []AblationRow
+	for _, mp := range []struct {
+		name  string
+		place []int
+	}{
+		{"task-level", nil},
+		{"1-D cyclic", sched.TaskOwners(s.Graph, sched.BlockCyclic(s.Graph.N, procs))},
+		{"2-D 4x2", taskOwners2D(s.Graph, 4, 2)},
+	} {
+		secs, err := simulate(s, procs, mp.place, sched.Perturb{})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{Name: spec.Name, Config: "mapping=" + mp.name, Value: secs})
+	}
+	return rows, nil
+}
+
+// taskOwners2D maps tasks onto a pr×pc processor grid: Factor(k) runs on
+// grid(k mod pr, k mod pc) and Update(k, j) on grid(k mod pr, j mod pc),
+// so a panel row is shared by one grid row and a destination column by
+// one grid column.
+func taskOwners2D(g *taskgraph.Graph, pr, pc int) []int {
+	out := make([]int, g.NumTasks())
+	for id, t := range g.Tasks {
+		r := t.K % pr
+		c := t.K % pc
+		if t.Kind == taskgraph.Update {
+			c = t.J % pc
+		}
+		out[id] = r*pc + c
+	}
+	return out
 }
 
 // AblationOrdering compares fill ratios across ordering methods.

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/matgen"
+	"repro/internal/sched"
+	"repro/internal/taskgraph"
 )
 
 func small(t *testing.T) []matgen.Spec {
@@ -148,6 +151,61 @@ func TestAblationAmalgamation(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+}
+
+// TestAblationMapping pins the ablation's conclusion: the task-level
+// schedule of the tables is no slower than either fixed mapping.
+func TestAblationMapping(t *testing.T) {
+	rows, err := AblationMapping(small(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[0].Config != "mapping=task-level" {
+		t.Fatalf("rows = %v", rows)
+	}
+	for _, r := range rows[1:] {
+		if r.Value < rows[0].Value {
+			t.Fatalf("%s (%g s) beats task-level scheduling (%g s)", r.Config, r.Value, rows[0].Value)
+		}
+	}
+}
+
+func TestTaskOwners2D(t *testing.T) {
+	s, err := core.Analyze(small(t)[0].Gen(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.Graph
+	owners := taskOwners2D(g, 2, 2)
+	for id, p := range owners {
+		task := g.Tasks[id]
+		wantRow := task.K % 2
+		wantCol := task.K % 2
+		if task.Kind == taskgraph.Update {
+			wantCol = task.J % 2
+		}
+		if p != wantRow*2+wantCol {
+			t.Fatalf("task %v on proc %d, want %d", task, p, wantRow*2+wantCol)
+		}
+	}
+	res, err := sched.Simulate(g, s.Costs, sched.Origin2000(4), sched.PanelWords(g, s.Costs), owners, sched.Perturb{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan <= 0 {
+		t.Fatal("2D simulation produced no schedule")
+	}
+	// Dependences respected, every task where the grid puts it.
+	for id := range g.Succ {
+		if res.Proc[id] != owners[id] {
+			t.Fatalf("2D: task %d ran on %d, placed on %d", id, res.Proc[id], owners[id])
+		}
+		for _, s := range g.Succ[id] {
+			if res.Start[s] < res.Finish[id]-1e-12 {
+				t.Fatalf("2D: start of %d before finish of %d", s, id)
+			}
+		}
 	}
 }
 

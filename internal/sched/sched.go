@@ -8,14 +8,14 @@
 //     deques and a counter-based termination detector instead of level
 //     barriers, with the 1-D ownership (or a global priority order)
 //     deciding only the initial placement of ready tasks (Run), or
-//   - deterministically, by a discrete-event machine simulator with a
-//     flop-rate and message-latency model of the Origin 2000, used to
+//   - deterministically, by a model of RAPID itself on the Origin 2000
+//     (simulate.go): a list-scheduling inspector and an in-order
+//     executor over a flop-rate and message-latency machine, used to
 //     regenerate the paper's figures reproducibly.
 package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -77,39 +77,6 @@ func BlockCyclic(n, procs int) Assignment {
 	return a
 }
 
-// BalancedColumns assigns block columns to processors by greedy
-// longest-processing-time balancing of the given per-column costs,
-// preserving determinism (ties broken by processor index).
-func BalancedColumns(colCost []float64, procs int) Assignment {
-	n := len(colCost)
-	a := make(Assignment, n)
-	load := make([]float64, procs)
-	// Process columns in descending cost; ties broken by ascending
-	// column index so the assignment is deterministic.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		if colCost[a] != colCost[b] {
-			return colCost[a] > colCost[b]
-		}
-		return a < b
-	})
-	for _, col := range idx {
-		best := 0
-		for p := 1; p < procs; p++ {
-			if load[p] < load[best] {
-				best = p
-			}
-		}
-		a[col] = best
-		load[best] += colCost[col]
-	}
-	return a
-}
-
 // TaskOwners resolves the processor of every task under the 1-D mapping:
 // Factor(k) runs on owner(k) and Update(k, j) runs on owner(j), so all
 // writers of a block column are serialized on its owner.
@@ -124,25 +91,6 @@ func TaskOwners(g *taskgraph.Graph, owner Assignment) []int {
 	}
 	return out
 }
-
-// priorityQueue is a max-heap of task ids by priority, ties by id,
-// operated by heapPush/heapPopID (simulate.go). The int-typed helpers
-// avoid container/heap's interface boxing, which would allocate on
-// every push inside the worker loop.
-type priorityQueue struct {
-	ids  []int
-	prio []float64
-}
-
-func (q *priorityQueue) Len() int { return len(q.ids) }
-func (q *priorityQueue) Less(i, j int) bool {
-	a, b := q.ids[i], q.ids[j]
-	if q.prio[a] != q.prio[b] {
-		return q.prio[a] > q.prio[b]
-	}
-	return a < b
-}
-func (q *priorityQueue) Swap(i, j int) { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
 
 // RunOptions is everything an execution takes besides the graph and the
 // task body.

@@ -53,93 +53,6 @@ func TestBlockCyclic(t *testing.T) {
 	}
 }
 
-func TestBalancedColumns(t *testing.T) {
-	a := BalancedColumns([]float64{10, 1, 1, 1, 1, 1, 5}, 2)
-	load := []float64{0, 0}
-	cost := []float64{10, 1, 1, 1, 1, 1, 5}
-	for i, p := range a {
-		if p < 0 || p > 1 {
-			t.Fatalf("bad proc %d", p)
-		}
-		load[p] += cost[i]
-	}
-	// Perfect split is 10 vs 10.
-	if load[0] != 10 || load[1] != 10 {
-		t.Fatalf("loads = %v, want [10 10]", load)
-	}
-}
-
-// TestBalancedColumnsDeterministicTieBreak pins the processing order of
-// the greedy balancer: descending cost, ties broken by ascending column
-// index, and equal processor loads resolved toward the lowest index.
-// The expected assignment is the hand-traced greedy LPT result; any
-// change to the sort's tie-break changes it.
-func TestBalancedColumnsDeterministicTieBreak(t *testing.T) {
-	cost := []float64{1, 0.5, 4, 1, 0.5, 4, 1}
-	// Processing order must be 2, 5, 0, 3, 6, 1, 4.
-	want := Assignment{0, 1, 0, 1, 1, 1, 0}
-	got := BalancedColumns(cost, 2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("BalancedColumns = %v, want %v", got, want)
-		}
-	}
-
-	// Randomized cross-check against a reference insertion sort with the
-	// same comparator: the sort.Slice replacement must order identically
-	// even with many duplicate costs.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(40)
-		procs := 1 + rng.Intn(5)
-		c := make([]float64, n)
-		for i := range c {
-			c[i] = float64(rng.Intn(4)) // few distinct values → many ties
-		}
-		got := BalancedColumns(c, procs)
-		want := referenceBalanced(c, procs)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: BalancedColumns = %v, want %v (costs %v, procs %d)",
-					trial, got, want, c, procs)
-			}
-		}
-	}
-}
-
-// referenceBalanced is the original insertion-sort implementation, kept
-// as the behavioral oracle for the sort.Slice version.
-func referenceBalanced(colCost []float64, procs int) Assignment {
-	n := len(colCost)
-	a := make(Assignment, n)
-	load := make([]float64, procs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for k := i; k > 0; k-- {
-			x, y := idx[k-1], idx[k]
-			if colCost[x] < colCost[y] || (colCost[x] == colCost[y] && x > y) {
-				idx[k-1], idx[k] = idx[k], idx[k-1]
-			} else {
-				break
-			}
-		}
-	}
-	for _, col := range idx {
-		best := 0
-		for p := 1; p < procs; p++ {
-			if load[p] < load[best] {
-				best = p
-			}
-		}
-		a[col] = best
-		load[best] += colCost[col]
-	}
-	return a
-}
-
 func TestTaskOwners(t *testing.T) {
 	g, _ := buildGraph(t, 12, 0.15, 91, taskgraph.EForest)
 	owner := BlockCyclic(g.N, 3)
@@ -316,7 +229,7 @@ func TestRunTaskLevelReturnsFirstTaskError(t *testing.T) {
 func TestSimulateBasics(t *testing.T) {
 	g, cm := buildGraph(t, 30, 0.1, 96, taskgraph.EForest)
 	m := Origin2000(4)
-	res, err := Simulate(g, cm, BlockCyclic(g.N, 4), m, PanelWords(g, cm))
+	res, err := Simulate(g, cm, m, PanelWords(g, cm), TaskOwners(g, BlockCyclic(g.N, 4)), Perturb{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +257,7 @@ func TestSimulateBasics(t *testing.T) {
 func TestSimulateOneProcEqualsSerialTime(t *testing.T) {
 	g, cm := buildGraph(t, 20, 0.12, 97, taskgraph.EForest)
 	m := Origin2000(1)
-	res, err := Simulate(g, cm, BlockCyclic(g.N, 1), m, PanelWords(g, cm))
+	res, err := Simulate(g, cm, m, PanelWords(g, cm), TaskOwners(g, BlockCyclic(g.N, 1)), Perturb{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +284,7 @@ func TestSimulateSpeedupMonotoneIsh(t *testing.T) {
 	var first float64
 	for _, p := range []int{1, 2, 4, 8} {
 		m := Machine{Procs: p, FlopRate: 180e6}
-		res, err := Simulate(g, cm, BlockCyclic(g.N, p), m, nil)
+		res, err := Simulate(g, cm, m, nil, TaskOwners(g, BlockCyclic(g.N, p)), Perturb{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,11 +311,11 @@ func TestSimulateEForestNotSlowerThanSStar(t *testing.T) {
 		ge, cme := buildGraph(t, 50, 0.07, 990+seed, taskgraph.EForest)
 		owner := BlockCyclic(gs.N, 4)
 		m := Origin2000(4)
-		rs, err := Simulate(gs, cms, owner, m, PanelWords(gs, cms))
+		rs, err := Simulate(gs, cms, m, PanelWords(gs, cms), TaskOwners(gs, owner), Perturb{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := Simulate(ge, cme, owner, m, PanelWords(ge, cme))
+		re, err := Simulate(ge, cme, m, PanelWords(ge, cme), TaskOwners(ge, owner), Perturb{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,11 +329,20 @@ func TestSimulateEForestNotSlowerThanSStar(t *testing.T) {
 
 func TestSimulateRejectsBadMachine(t *testing.T) {
 	g, cm := buildGraph(t, 10, 0.15, 99, taskgraph.SStar)
-	if _, err := Simulate(g, cm, BlockCyclic(g.N, 1), Machine{Procs: 0, FlopRate: 1}, nil); err == nil {
+	if _, err := Simulate(g, cm, Machine{Procs: 0, FlopRate: 1}, nil, nil, Perturb{}); err == nil {
 		t.Fatal("accepted 0 processors")
 	}
-	if _, err := Simulate(g, cm, BlockCyclic(g.N, 1), Machine{Procs: 1}, nil); err == nil {
+	if _, err := Simulate(g, cm, Machine{Procs: 1}, nil, nil, Perturb{}); err == nil {
 		t.Fatal("accepted zero flop rate")
+	}
+	m := Machine{Procs: 2, FlopRate: 1}
+	if _, err := Simulate(g, cm, m, nil, make([]int, g.NumTasks()-1), Perturb{}); err == nil {
+		t.Fatal("accepted a placement shorter than the graph")
+	}
+	place := make([]int, g.NumTasks())
+	place[0] = 2
+	if _, err := Simulate(g, cm, m, nil, place, Perturb{}); err == nil {
+		t.Fatal("accepted a processor outside the machine")
 	}
 }
 
@@ -495,45 +417,10 @@ func TestExecuteRejectsBadProcs(t *testing.T) {
 	}
 }
 
-func TestTaskOwners2D(t *testing.T) {
-	g, cm := buildGraph(t, 30, 0.1, 110, taskgraph.EForest)
-	owners := TaskOwners2D(g, 2, 2)
-	for id, p := range owners {
-		if p < 0 || p >= 4 {
-			t.Fatalf("task %d on proc %d", id, p)
-		}
-		task := g.Tasks[id]
-		wantRow := task.K % 2
-		wantCol := task.K % 2
-		if task.Kind == taskgraph.Update {
-			wantCol = task.J % 2
-		}
-		if p != wantRow*2+wantCol {
-			t.Fatalf("task %v on proc %d, want %d", task, p, wantRow*2+wantCol)
-		}
-	}
-	m := Origin2000(4)
-	res, err := SimulateOwners(g, cm, owners, m, PanelWords(g, cm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("2D simulation produced no schedule")
-	}
-	// Dependences respected.
-	for id := range g.Succ {
-		for _, s := range g.Succ[id] {
-			if res.Start[s] < res.Finish[id]-1e-12 {
-				t.Fatalf("2D: start of %d before finish of %d", s, id)
-			}
-		}
-	}
-}
-
 func TestSimulateStaticBasics(t *testing.T) {
 	g, cm := buildGraph(t, 30, 0.1, 111, taskgraph.EForest)
 	m := Origin2000(4)
-	res, err := SimulateStatic(g, cm, m, PanelWords(g, cm), Perturb{Amplitude: 0.5, Seed: 1})
+	res, err := Simulate(g, cm, m, PanelWords(g, cm), nil, Perturb{Amplitude: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,42 +435,20 @@ func TestSimulateStaticBasics(t *testing.T) {
 		}
 	}
 	// Deterministic across runs.
-	res2, err := SimulateStatic(g, cm, m, PanelWords(g, cm), Perturb{Amplitude: 0.5, Seed: 1})
+	res2, err := Simulate(g, cm, m, PanelWords(g, cm), nil, Perturb{Amplitude: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Makespan != res2.Makespan {
-		t.Fatal("SimulateStatic not deterministic")
+		t.Fatal("Simulate not deterministic")
 	}
 	// Different seed, different makespan (perturbation has effect).
-	res3, err := SimulateStatic(g, cm, m, PanelWords(g, cm), Perturb{Amplitude: 0.5, Seed: 2})
+	res3, err := Simulate(g, cm, m, PanelWords(g, cm), nil, Perturb{Amplitude: 0.5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Makespan == res3.Makespan {
 		t.Fatal("perturbation seed had no effect")
-	}
-}
-
-func TestSimulateStaticZeroPerturbMatchesPlanOrder(t *testing.T) {
-	// With no perturbation, the executed makespan should be close to the
-	// planned greedy makespan (identical policies, in-order execution
-	// can only add waits).
-	g, cm := buildGraph(t, 40, 0.08, 112, taskgraph.EForest)
-	m := Origin2000(4)
-	plan, err := SimulateGlobal(g, cm, m, PanelWords(g, cm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := SimulateStatic(g, cm, m, PanelWords(g, cm), Perturb{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Makespan < plan.Makespan*0.99 {
-		t.Fatalf("in-order execution faster than its own plan: %g vs %g", exec.Makespan, plan.Makespan)
-	}
-	if exec.Makespan > plan.Makespan*1.2 {
-		t.Fatalf("in-order execution much slower than plan: %g vs %g", exec.Makespan, plan.Makespan)
 	}
 }
 
@@ -627,5 +492,62 @@ func TestRunTaskLevelRespectsDependences(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// diamondGraph is 0 → {1, 2} → 3 with unit costs.
+func diamondGraph() (*taskgraph.Graph, *taskgraph.CostModel) {
+	g := &taskgraph.Graph{N: 5, Tasks: make([]taskgraph.Task, 4), Succ: [][]int32{{1, 2}, {3}, {3}, nil}}
+	for i := range g.Tasks {
+		g.Tasks[i] = taskgraph.Task{Kind: taskgraph.Update, K: 0, J: i + 1}
+	}
+	return g, &taskgraph.CostModel{TaskFlops: []float64{1, 1, 1, 1}}
+}
+
+func TestReplayInOrder(t *testing.T) {
+	g, cm := diamondGraph()
+	// 0 at [0,1); 1 and 2 at [1,2); 3 at [2,3).
+	res, err := Replay(g, [][]int32{{0, 1, 3}, {2}}, cm, Machine{Procs: 2, FlopRate: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan != 3 || res.Start[2] != 1 || res.Proc[2] != 1 || res.CommEvents != 2 {
+		t.Fatalf("two workers: %+v", res)
+	}
+	// A message on 0 → 2 and on 2 → 3 delays the tail by twice its cost.
+	res, err = Replay(g, [][]int32{{0, 1, 3}, {2}}, cm, Machine{Procs: 2, FlopRate: 1, Latency: 0.5}, nil)
+	if err != nil || res.Makespan != 4 {
+		t.Fatalf("with latency: makespan %v (%v), want 4", res, err)
+	}
+	// Serial schedule: all four tasks on one worker.
+	res, err = Replay(g, [][]int32{{0, 1, 2, 3}}, cm, Machine{Procs: 1, FlopRate: 1}, nil)
+	if err != nil || res.Makespan != 4 {
+		t.Fatalf("serial: makespan %v (%v), want 4", res, err)
+	}
+}
+
+func TestReplayRejectsBadSchedules(t *testing.T) {
+	g, cm := diamondGraph()
+	one := Machine{Procs: 1, FlopRate: 1}
+	for _, tc := range []struct {
+		name string
+		seqs [][]int32
+		m    Machine
+	}{
+		{"missing task", [][]int32{{0, 1, 2}}, one},
+		{"duplicate task", [][]int32{{0, 1, 2, 3, 3}}, one},
+		{"task id past the graph", [][]int32{{0, 1, 2, 4}}, one},
+		{"negative task id", [][]int32{{0, 1, 2, -1}}, one},
+		// 3 before its predecessors on the only worker: in-order
+		// execution deadlocks.
+		{"deadlocking order", [][]int32{{3, 0, 1, 2}}, one},
+		// Two workers each waiting for a task behind the other's head.
+		{"cross-worker deadlock", [][]int32{{3, 1}, {2, 0}}, Machine{Procs: 2, FlopRate: 1}},
+		{"more sequences than processors", [][]int32{{0, 1}, {2, 3}}, one},
+		{"bad machine", [][]int32{{0, 1, 2, 3}}, Machine{Procs: 1}},
+	} {
+		if _, err := Replay(g, tc.seqs, cm, tc.m, nil); err == nil {
+			t.Errorf("%s not rejected", tc.name)
+		}
 	}
 }

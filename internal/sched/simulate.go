@@ -1,11 +1,27 @@
 package sched
 
 import (
+	"container/heap"
 	"fmt"
-	"math"
 
 	"repro/internal/taskgraph"
 )
+
+// RAPID, the run-time system the paper used, is an inspector/executor:
+// it computes a static schedule (a fixed task order per processor) from
+// estimated task costs before the numeric phase starts, then each
+// processor executes its sequence in order, blocking whenever the next
+// task's dependences are not yet satisfied. On real hardware the actual
+// task times deviate from the estimates (cache misses, NUMA placement,
+// contention), so the fixed order meets delays it did not plan for —
+// and every dependence edge is a channel through which a delay cascades.
+// That is precisely where the paper's leaner eforest-guided graph beats
+// S*: with fewer (and no false) dependences, fewer stalls propagate.
+//
+// This file is that model: one inspector (plan, a priority-ordered list
+// scheduler) and one executor (replay, the in-order run of
+// per-processor sequences). Simulate is plan then replay; Replay is the
+// executor alone, for sequences recorded from a real run.
 
 // Machine models the parallel machine for the discrete-event simulator.
 // The defaults approximate the paper's testbed, a 16-processor SGI
@@ -88,121 +104,90 @@ func (r *SimResult) Efficiency() float64 {
 	return busy / (float64(len(r.ProcBusy)) * r.Makespan)
 }
 
-// Simulate performs deterministic greedy list scheduling of the task
-// graph on the machine: each task runs on the processor owning its
-// destination block column, tasks become ready when all predecessors
-// have finished (plus message time for cross-processor edges), and each
-// processor picks the ready task with the highest priority (descending
-// bottom level computed from the flop costs). commWords(from, to)
-// returns the message volume in words of a cross-processor edge.
-func Simulate(g *taskgraph.Graph, cm *taskgraph.CostModel, owner Assignment, m Machine, commWords func(from, to int) float64) (*SimResult, error) {
-	return SimulateOwners(g, cm, TaskOwners(g, owner), m, commWords)
+// Perturb controls how far the executed task times of Simulate deviate
+// from the estimates the schedule was planned with.
+type Perturb struct {
+	// Amplitude a scales task time by a factor in [1−a, 1+a]. The
+	// default 0 means execution matches the estimates exactly.
+	Amplitude float64
+	// Seed selects the deterministic pseudo-random stream.
+	Seed uint64
 }
 
-// TaskOwners2D maps tasks onto a pr×pc processor grid, the 2-D
-// decomposition the paper names as future work: Factor(k) runs on
-// grid(k mod pr, k mod pc) and Update(k, j) on grid(k mod pr, j mod pc),
-// so a panel row is shared by one grid row and a destination column by
-// one grid column.
-func TaskOwners2D(g *taskgraph.Graph, pr, pc int) []int {
-	out := make([]int, g.NumTasks())
-	for id, t := range g.Tasks {
-		r := t.K % pr
-		c := t.K % pc
-		if t.Kind == taskgraph.Update {
-			c = t.J % pc
-		}
-		out[id] = r*pc + c
+// factor returns the deterministic perturbation factor for task id.
+func (p Perturb) factor(id int) float64 {
+	if p.Amplitude == 0 {
+		return 1
 	}
-	return out
+	// SplitMix64 on (seed, id): cheap, stateless, deterministic.
+	z := p.Seed + 0x9e3779b97f4a7c15*(uint64(id)+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	u := float64(z>>11) / float64(1<<53) // [0,1)
+	return 1 + p.Amplitude*(2*u-1)
 }
 
-// SimulateOwners is Simulate with an explicit per-task processor
-// assignment (e.g. from TaskOwners2D).
-func SimulateOwners(g *taskgraph.Graph, cm *taskgraph.CostModel, taskOwner []int, m Machine, commWords func(from, to int) float64) (*SimResult, error) {
+// Simulate plans a static schedule of the task graph on the machine from
+// the cost model's estimates, then executes it in order under the
+// perturbed task times and returns the executed schedule.
+//
+// The plan is deterministic list scheduling: ready tasks are taken in
+// descending bottom-level priority (ties by task id). A nil place puts
+// each task on the processor that can start it earliest — the paper's
+// runtime (RAPID on the cache-coherent Origin 2000) schedules tasks, not
+// block columns, which is what exposes the parallelism the
+// eforest-guided graph adds over S*. A non-nil place fixes the processor
+// of every task (TaskOwners for the 1-D block-column mapping), so only
+// the order on each processor is left to the planner. words(from, to) is
+// the message volume of a dependence edge whose endpoints run on
+// different processors; nil means latency only.
+//
+// Both graph variants see the same perturbed time for the same task, so
+// a comparison isolates the dependence structure; with the zero Perturb
+// the executed schedule is the plan itself, start for start.
+func Simulate(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, words func(from, to int) float64, place []int, perturb Perturb) (*SimResult, error) {
 	if err := m.check(); err != nil {
 		return nil, err
 	}
-	nt := g.NumTasks()
-	taskTime := m.taskSeconds(cm.TaskFlops)
-	prio, err := g.BottomLevels(taskTime)
+	if place != nil {
+		if len(place) != g.NumTasks() {
+			return nil, fmt.Errorf("sched: placement of %d tasks for a graph of %d", len(place), g.NumTasks())
+		}
+		for id, p := range place {
+			if p < 0 || p >= m.Procs {
+				return nil, fmt.Errorf("sched: task %d placed on processor %d of %d", id, p, m.Procs)
+			}
+		}
+	}
+	times := m.taskSeconds(cm.TaskFlops)
+	seqs, _, _, err := plan(g, times, m, words, place)
 	if err != nil {
 		return nil, err
 	}
+	for id := range times {
+		times[id] *= perturb.factor(id)
+	}
+	return replay(g, seqs, times, m, words)
+}
 
-	indeg := g.InDegrees()
-	ready := make([]float64, nt) // earliest data-ready time
-	res := &SimResult{
-		Start:    make([]float64, nt),
-		Finish:   make([]float64, nt),
-		Proc:     taskOwner,
-		ProcBusy: make([]float64, m.Procs),
+// Replay executes given per-processor task sequences in order, one
+// sequence per processor of m, under the cost model's task times: a task
+// starts when its processor has finished the task before it and every
+// predecessor has finished (plus the message time of a cross-processor
+// edge). It is the executor half of Simulate, for schedules that come
+// from elsewhere — trace.WorkerSequences of a real run. Sequences that
+// miss a task, repeat one, name one outside the graph, or order tasks so
+// that the processors wait on each other forever are an error.
+func Replay(g *taskgraph.Graph, seqs [][]int32, cm *taskgraph.CostModel, m Machine, words func(from, to int) float64) (*SimResult, error) {
+	if err := m.check(); err != nil {
+		return nil, err
 	}
-	procFree := make([]float64, m.Procs)
-	queues := make([]priorityQueue, m.Procs)
-	for p := range queues {
-		queues[p].prio = prio
-	}
-	for id, d := range indeg {
-		if d == 0 {
-			heapPush(&queues[taskOwner[id]], id)
-		}
-	}
-
-	scheduled := 0
-	for scheduled < nt {
-		// Pick the (proc, task) pair with the earliest feasible start;
-		// ties go to higher priority, then lower task id.
-		bestProc, bestID := -1, -1
-		bestStart := math.Inf(1)
-		for p := range queues {
-			if queues[p].Len() == 0 {
-				continue
-			}
-			id := queues[p].ids[0]
-			start := procFree[p]
-			if ready[id] > start {
-				start = ready[id]
-			}
-			if start < bestStart ||
-				(start == bestStart && (bestID == -1 || prio[id] > prio[bestID] ||
-					(prio[id] == prio[bestID] && id < bestID))) {
-				bestProc, bestID, bestStart = p, id, start
-			}
-		}
-		if bestID == -1 {
-			return nil, fmt.Errorf("sched: no ready task with %d of %d scheduled (cycle?)", scheduled, nt)
-		}
-		heapPopID(&queues[bestProc])
-		finish := bestStart + taskTime[bestID]
-		res.Start[bestID] = bestStart
-		res.Finish[bestID] = finish
-		res.ProcBusy[bestProc] += taskTime[bestID]
-		procFree[bestProc] = finish
-		if finish > res.Makespan {
-			res.Makespan = finish
-		}
-		scheduled++
-		for _, s := range g.Succ[bestID] {
-			arrive := finish
-			if taskOwner[s] != bestProc {
-				arrive += m.edgeComm(bestID, int(s), commWords)
-			}
-			if arrive > ready[s] {
-				ready[s] = arrive
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				heapPush(&queues[taskOwner[s]], int(s))
-			}
-		}
-	}
-	res.countCommEvents(g)
-	return res, nil
+	return replay(g, seqs, m.taskSeconds(cm.TaskFlops), m, words)
 }
 
 // arrival is one satisfied dependence of a task whose processor is not
-// fixed in advance: the predecessor's finish time and processor, and the
+// chosen yet: the predecessor's finish time and processor, and the
 // message cost paid if the task runs anywhere else.
 type arrival struct {
 	finish float64
@@ -228,99 +213,145 @@ func earliestStart(arrivals []arrival, p int, procFree float64) float64 {
 	return start
 }
 
-// edgeComm is the message cost of dependence edge from → to when its
-// endpoints run on different processors.
-func (m Machine) edgeComm(from, to int, commWords func(from, to int) float64) float64 {
-	comm := m.Latency
-	if commWords != nil {
-		comm += m.InvBandwidth * commWords(from, to)
-	}
-	return comm
-}
-
-// SimulateGlobal performs deterministic task-level list scheduling of
-// the graph on the machine — the paper's runtime (RAPID on the
-// cache-coherent Origin 2000) schedules tasks, not block columns, which
-// is what exposes the parallelism the eforest-guided graph adds over
-// S*: ready tasks are taken in descending bottom-level priority and
-// placed on the processor that can start them earliest.
-func SimulateGlobal(g *taskgraph.Graph, cm *taskgraph.CostModel, m Machine, commWords func(from, to int) float64) (*SimResult, error) {
-	if err := m.check(); err != nil {
-		return nil, err
+// plan is the inspector: list scheduling of g under the task times.
+// It returns every processor's task sequence in planned order and the
+// planned start and finish of every task. A processor is never handed a
+// task to run before one it already has, so a sequence is also in start
+// order.
+func plan(g *taskgraph.Graph, times []float64, m Machine, words func(from, to int) float64, place []int) (seqs [][]int32, start, finish []float64, err error) {
+	prio, err := g.BottomLevels(times) // also rejects a cyclic graph
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	nt := g.NumTasks()
-	taskTime := m.taskSeconds(cm.TaskFlops)
-	prio, err := g.BottomLevels(taskTime)
-	if err != nil {
-		return nil, err
-	}
-	indeg := g.InDegrees()
+	start = make([]float64, nt)
+	finish = make([]float64, nt)
+	seqs = make([][]int32, m.Procs)
+	procFree := make([]float64, m.Procs)
 	arrivals := make([][]arrival, nt)
+	indeg := g.InDegrees()
+	ready := &priorityQueue{prio: prio}
+	for id, d := range indeg {
+		if d == 0 {
+			ready.ids = append(ready.ids, id)
+		}
+	}
+	heap.Init(ready)
+
+	for ready.Len() > 0 {
+		id := heap.Pop(ready).(int)
+		var p int
+		if place != nil {
+			p = place[id]
+			start[id] = earliestStart(arrivals[id], p, procFree[p])
+		} else {
+			for q := range procFree {
+				if s := earliestStart(arrivals[id], q, procFree[q]); q == 0 || s < start[id] {
+					p, start[id] = q, s
+				}
+			}
+		}
+		finish[id] = start[id] + times[id]
+		procFree[p] = finish[id]
+		seqs[p] = append(seqs[p], int32(id))
+		for _, s := range g.Succ[id] {
+			arrivals[s] = append(arrivals[s], arrival{finish: finish[id], proc: p, comm: m.edgeComm(id, int(s), words)})
+			indeg[s]--
+			if indeg[s] == 0 {
+				heap.Push(ready, int(s))
+			}
+		}
+	}
+	return seqs, start, finish, nil
+}
+
+// replay is the executor: every processor runs its sequence in order
+// under the given task times. A task's start depends only on the finish
+// of the task before it on its processor and of its predecessors, so
+// the processors are advanced round-robin, each as far as its next
+// task's predecessors have run; a round that advances nobody is a
+// deadlock.
+func replay(g *taskgraph.Graph, seqs [][]int32, times []float64, m Machine, words func(from, to int) float64) (*SimResult, error) {
+	nt := g.NumTasks()
+	if len(seqs) != m.Procs {
+		return nil, fmt.Errorf("sched: %d task sequences for %d processors", len(seqs), m.Procs)
+	}
+	proc := make([]int, nt)
+	for id := range proc {
+		proc[id] = -1
+	}
+	covered := 0
+	for p, seq := range seqs {
+		for _, id := range seq {
+			if id < 0 || int(id) >= nt {
+				return nil, fmt.Errorf("sched: task %d outside the graph of %d tasks", id, nt)
+			}
+			if proc[id] != -1 {
+				return nil, fmt.Errorf("sched: task %d appears twice in the schedule", id)
+			}
+			proc[id] = p
+			covered++
+		}
+	}
+	if covered != nt {
+		return nil, fmt.Errorf("sched: schedule covers %d of %d tasks", covered, nt)
+	}
 
 	res := &SimResult{
 		Start:    make([]float64, nt),
 		Finish:   make([]float64, nt),
-		Proc:     make([]int, nt),
+		Proc:     proc,
 		ProcBusy: make([]float64, m.Procs),
 	}
+	pending := g.InDegrees()
+	arrive := make([]float64, nt) // latest arrival from an executed predecessor
 	procFree := make([]float64, m.Procs)
-
-	ready := priorityQueue{prio: prio}
-	for id, d := range indeg {
-		if d == 0 {
-			heapPush(&ready, id)
-		}
-	}
-
-	for scheduled := 0; scheduled < nt; scheduled++ {
-		if ready.Len() == 0 {
-			return nil, fmt.Errorf("sched: no ready task (cycle?)")
-		}
-		id := heapPopID(&ready)
-		// Choose the processor with the earliest feasible start.
-		bestP, bestStart := 0, 0.0
-		for p := 0; p < m.Procs; p++ {
-			start := earliestStart(arrivals[id], p, procFree[p])
-			if p == 0 || start < bestStart {
-				bestP, bestStart = p, start
+	pos := make([]int, m.Procs)
+	for done := 0; done < nt; {
+		before := done
+		for p, seq := range seqs {
+			for pos[p] < len(seq) && pending[seq[pos[p]]] == 0 {
+				id := int(seq[pos[p]])
+				pos[p]++
+				done++
+				start := max(procFree[p], arrive[id])
+				finish := start + times[id]
+				res.Start[id] = start
+				res.Finish[id] = finish
+				res.ProcBusy[p] += times[id]
+				procFree[p] = finish
+				res.Makespan = max(res.Makespan, finish)
+				for _, s := range g.Succ[id] {
+					t := finish
+					if proc[s] != p {
+						t += m.edgeComm(id, int(s), words)
+						res.CommEvents++
+					}
+					arrive[s] = max(arrive[s], t)
+					pending[s]--
+				}
 			}
 		}
-		finish := bestStart + taskTime[id]
-		res.Start[id] = bestStart
-		res.Finish[id] = finish
-		res.Proc[id] = bestP
-		res.ProcBusy[bestP] += taskTime[id]
-		procFree[bestP] = finish
-		if finish > res.Makespan {
-			res.Makespan = finish
-		}
-		for _, s := range g.Succ[id] {
-			arrivals[s] = append(arrivals[s], arrival{finish: finish, proc: bestP, comm: m.edgeComm(id, int(s), commWords)})
-			indeg[s]--
-			if indeg[s] == 0 {
-				heapPush(&ready, int(s))
-			}
+		if done == before {
+			return nil, fmt.Errorf("sched: schedule deadlocks with %d of %d tasks done", done, nt)
 		}
 	}
-	res.countCommEvents(g)
 	return res, nil
 }
 
-// countCommEvents sets CommEvents to the number of dependence edges
-// whose endpoints ran on different processors.
-func (r *SimResult) countCommEvents(g *taskgraph.Graph) {
-	for id := range g.Succ {
-		for _, s := range g.Succ[id] {
-			if r.Proc[id] != r.Proc[s] {
-				r.CommEvents++
-			}
-		}
+// edgeComm is the message cost of dependence edge from → to when its
+// endpoints run on different processors.
+func (m Machine) edgeComm(from, to int, words func(from, to int) float64) float64 {
+	comm := m.Latency
+	if words != nil {
+		comm += m.InvBandwidth * words(from, to)
 	}
+	return comm
 }
 
-// PanelWords returns a commWords function for the 1-D mapping: the only
-// cross-processor edges are panel broadcasts F(k) → U(k, j), carrying
-// the factored panel of block column k (L and U parts).
+// PanelWords returns a words function for Simulate and Replay: a panel
+// broadcast F(k) → U(k, j) carries the factored panel of block column k
+// (L and U parts), any other edge a small pivot/ordering message.
 func PanelWords(g *taskgraph.Graph, cm *taskgraph.CostModel) func(from, to int) float64 {
 	return func(from, to int) float64 {
 		t := g.Tasks[from]
@@ -332,42 +363,27 @@ func PanelWords(g *taskgraph.Graph, cm *taskgraph.CostModel) func(from, to int) 
 	}
 }
 
-func heapPush(q *priorityQueue, id int) {
-	q.ids = append(q.ids, id)
-	// sift up
-	i := len(q.ids) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.Less(i, parent) {
-			q.Swap(i, parent)
-			i = parent
-		} else {
-			break
-		}
-	}
+// priorityQueue is the planner's ready set, a container/heap of task
+// ids: highest priority first, ties by ascending id. The order is total,
+// so the pop sequence does not depend on the heap's internal layout.
+type priorityQueue struct {
+	ids  []int
+	prio []float64
 }
 
-func heapPopID(q *priorityQueue) int {
-	id := q.ids[0]
-	last := len(q.ids) - 1
-	q.ids[0] = q.ids[last]
-	q.ids = q.ids[:last]
-	// sift down
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.ids) && q.Less(l, small) {
-			small = l
-		}
-		if r < len(q.ids) && q.Less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.Swap(i, small)
-		i = small
+func (q *priorityQueue) Len() int { return len(q.ids) }
+func (q *priorityQueue) Less(i, j int) bool {
+	a, b := q.ids[i], q.ids[j]
+	if q.prio[a] != q.prio[b] {
+		return q.prio[a] > q.prio[b]
 	}
+	return a < b
+}
+func (q *priorityQueue) Swap(i, j int) { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
+func (q *priorityQueue) Push(x any)    { q.ids = append(q.ids, x.(int)) }
+func (q *priorityQueue) Pop() any {
+	last := len(q.ids) - 1
+	id := q.ids[last]
+	q.ids = q.ids[:last]
 	return id
 }

@@ -45,26 +45,36 @@ func unitCosts(n int) *taskgraph.CostModel {
 	return &taskgraph.CostModel{TaskFlops: ones}
 }
 
+// replayUnit replays the realized per-worker sequences of a traced run
+// on p workers under unit task costs, through the executor that also
+// produces the paper's tables.
+func replayUnit(g *taskgraph.Graph, events []trace.Event, p int) (float64, error) {
+	res, err := sched.Replay(g, trace.WorkerSequences(events, p), unitCosts(g.NumTasks()), sched.Machine{Procs: p, FlopRate: 1}, nil)
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
 // TestTraceSerialMakespanMatchesSimulator: on one processor with unit
 // costs, the simulator's predicted makespan and the realized trace's
 // unit-cost replay must agree exactly — both are simply the task count.
 func TestTraceSerialMakespanMatchesSimulator(t *testing.T) {
 	for _, spec := range matgen.SmallSuite()[:3] {
 		g, events := factorTraced(t, spec, 1)
-		seqs := trace.WorkerSequences(events, 1)
-		realized, err := trace.UnitMakespan(seqs, g.Succ)
+		realized, err := replayUnit(g, events, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		res, err := sched.SimulateGlobal(g, unitCosts(g.NumTasks()), sched.Machine{Procs: 1, FlopRate: 1}, nil)
+		res, err := sched.Simulate(g, unitCosts(g.NumTasks()), sched.Machine{Procs: 1, FlopRate: 1}, nil, nil, sched.Perturb{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if float64(realized) != res.Makespan {
-			t.Fatalf("%s: realized unit makespan %d, simulated %g", spec.Name, realized, res.Makespan)
+		if realized != res.Makespan {
+			t.Fatalf("%s: realized unit makespan %g, simulated %g", spec.Name, realized, res.Makespan)
 		}
-		if realized != g.NumTasks() {
-			t.Fatalf("%s: serial unit makespan %d, want task count %d", spec.Name, realized, g.NumTasks())
+		if realized != float64(g.NumTasks()) {
+			t.Fatalf("%s: serial unit makespan %g, want task count %d", spec.Name, realized, g.NumTasks())
 		}
 	}
 }
@@ -77,8 +87,7 @@ func TestTraceParallelMakespanWithinSimulatorBounds(t *testing.T) {
 	spec := matgen.SmallSuite()[0]
 	for _, p := range []int{2, 4, 8} {
 		g, events := factorTraced(t, spec, p)
-		seqs := trace.WorkerSequences(events, p)
-		realized, err := trace.UnitMakespan(seqs, g.Succ)
+		realized, err := replayUnit(g, events, p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -88,14 +97,14 @@ func TestTraceParallelMakespanWithinSimulatorBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		workBound := (nt + p - 1) / p
-		if float64(realized) < cp {
-			t.Fatalf("P=%d: realized %d below the critical path %g", p, realized, cp)
+		if realized < cp {
+			t.Fatalf("P=%d: realized %g below the critical path %g", p, realized, cp)
 		}
-		if realized < workBound {
-			t.Fatalf("P=%d: realized %d below the work bound %d", p, realized, workBound)
+		if realized < float64(workBound) {
+			t.Fatalf("P=%d: realized %g below the work bound %d", p, realized, workBound)
 		}
-		if realized > nt {
-			t.Fatalf("P=%d: realized %d above the serial bound %d", p, realized, nt)
+		if realized > float64(nt) {
+			t.Fatalf("P=%d: realized %g above the serial bound %d", p, realized, nt)
 		}
 	}
 }

@@ -460,16 +460,6 @@ func (g *Graph) BottomLevels(cost []float64) ([]float64, error) {
 	return bl, nil
 }
 
-// AvgParallelism is total work divided by the critical path — the
-// upper bound on useful processors.
-func (g *Graph) AvgParallelism(cost []float64) float64 {
-	cp, total, err := g.CriticalPath(cost)
-	if err != nil || cp == 0 {
-		return 0
-	}
-	return total / cp
-}
-
 // Independent builds a degenerate dependence graph of n mutually
 // independent Factor tasks — no edges, no chains. It lets callers drive
 // embarrassingly parallel work (such as the per-subtree symbolic

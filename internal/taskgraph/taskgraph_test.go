@@ -400,9 +400,6 @@ func TestCostModel(t *testing.T) {
 	if cp <= 0 || total < cp {
 		t.Fatalf("cp = %g, total = %g", cp, total)
 	}
-	if ap := g.AvgParallelism(cm.TaskFlops); ap < 1 {
-		t.Fatalf("average parallelism %g < 1", ap)
-	}
 }
 
 func TestCostModelPanelHeights(t *testing.T) {
@@ -528,7 +525,7 @@ func TestDiagonalMatrixGraph(t *testing.T) {
 	if g.NumTasks() != 4 || g.NumEdges != 0 {
 		t.Fatalf("tasks %d edges %d, want 4 0", g.NumTasks(), g.NumEdges)
 	}
-	if ap := g.AvgParallelism(nil); ap != 4 {
-		t.Fatalf("avg parallelism %g, want 4", ap)
+	if cp, total, err := g.CriticalPath(nil); err != nil || cp != 1 || total != 4 {
+		t.Fatalf("critical path %g of %g (%v), want 1 of 4", cp, total, err)
 	}
 }

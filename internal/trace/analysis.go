@@ -246,7 +246,7 @@ func RealizedCriticalPath(events []Event, succ [][]int32) (int64, []int32, error
 // WorkerSequences splits the merged events into per-worker task id
 // sequences in start order, skipping events without a task id. The
 // result is the realized static schedule of the run, replayable with
-// UnitMakespan or against a simulator.
+// sched.Replay.
 func WorkerSequences(events []Event, workers int) [][]int32 {
 	if workers < 1 {
 		workers = 1
@@ -259,86 +259,6 @@ func WorkerSequences(events []Event, workers int) [][]int32 {
 		seqs[e.Worker] = append(seqs[e.Worker], e.Task)
 	}
 	return seqs
-}
-
-// UnitMakespan replays per-worker task sequences in order under unit
-// task costs: each worker executes its sequence strictly in order, a
-// task starts when the worker is free and every predecessor (under
-// succ) has finished, and every task takes one time unit. The result is
-// the realized schedule's makespan in task units — directly comparable
-// to a discrete-event simulation of the same graph with unit costs. An
-// error is returned if the sequences do not cover every task exactly
-// once or deadlock against the dependence order.
-func UnitMakespan(seqs [][]int32, succ [][]int32) (int, error) {
-	nt := len(succ)
-	seen := make([]bool, nt)
-	total := 0
-	for _, seq := range seqs {
-		for _, id := range seq {
-			if int(id) >= nt || id < 0 {
-				return 0, fmt.Errorf("trace: task %d outside the graph of %d tasks", id, nt)
-			}
-			if seen[id] {
-				return 0, fmt.Errorf("trace: task %d appears twice in the schedule", id)
-			}
-			seen[id] = true
-			total++
-		}
-	}
-	if total != nt {
-		return 0, fmt.Errorf("trace: schedule covers %d of %d tasks", total, nt)
-	}
-	pending := make([]int, nt)
-	for _, ss := range succ {
-		for _, s := range ss {
-			pending[s]++
-		}
-	}
-	finish := make([]int, nt) // finish time of each executed task
-	arrive := make([]int, nt) // max finish over executed predecessors
-	pos := make([]int, len(seqs))
-	free := make([]int, len(seqs))
-	for done := 0; done < nt; {
-		bestW, bestStart := -1, 0
-		for w := range seqs {
-			if pos[w] >= len(seqs[w]) {
-				continue
-			}
-			id := seqs[w][pos[w]]
-			if pending[id] > 0 {
-				continue // an in-order predecessor has not executed yet
-			}
-			start := free[w]
-			if arrive[id] > start {
-				start = arrive[id]
-			}
-			if bestW == -1 || start < bestStart {
-				bestW, bestStart = w, start
-			}
-		}
-		if bestW == -1 {
-			return 0, fmt.Errorf("trace: schedule deadlocks with %d of %d tasks done", done, nt)
-		}
-		id := seqs[bestW][pos[bestW]]
-		pos[bestW]++
-		f := bestStart + 1
-		finish[id] = f
-		free[bestW] = f
-		done++
-		for _, s := range succ[id] {
-			pending[s]--
-			if f > arrive[s] {
-				arrive[s] = f
-			}
-		}
-	}
-	mk := 0
-	for _, f := range finish {
-		if f > mk {
-			mk = f
-		}
-	}
-	return mk, nil
 }
 
 // topoOrder is Kahn's algorithm over the successor lists.
