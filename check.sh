@@ -4,7 +4,7 @@
 #   ./check.sh lint        # gofmt, vet, build (bench/ too), lucheck -audit -sarif
 #   ./check.sh test        # race-enabled test suite
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
-#   ./check.sh service     # sluserver chaos suite under -race + live HTTP smoke
+#   ./check.sh service     # sluserver chaos suite under -race, decoder fuzz, live HTTP smoke
 #   ./check.sh bench [ref] # the benchmark of record (BENCHMARK.json, bench/)
 #   ./check.sh [all]       # everything above (the default)
 #
@@ -73,11 +73,17 @@ service_stage() {
 	# The solve service under stress: the server package's chaos suite
 	# (injected panics/NaNs/delays across dozens of concurrent requests,
 	# admission shedding, drain, the recovery ladder, batched-solve
-	# bitwise parity) under the race detector, then a live smoke of the
-	# built daemon over HTTP with a deterministic fault plan.
+	# bitwise parity) under the race detector, a short differential fuzz
+	# of the request decoder, then a live smoke of the built daemon over
+	# HTTP with a deterministic fault plan.
 	# SPARSELU_SERVICE_COUNT (default 2) sets the -race repetition count.
 	echo "==> service chaos (-race)"
 	go test -race -count "${SPARSELU_SERVICE_COUNT:-2}" ./internal/server/
+
+	# The request codec against encoding/json: differential fuzzing from
+	# the seed corpus in internal/server/testdata/fuzz.
+	echo "==> request decoder fuzz (10s)"
+	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
 
 	echo "==> service smoke (live HTTP, injected fault)"
 	tmp=$(mktemp -d)

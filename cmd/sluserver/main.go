@@ -52,7 +52,6 @@ func run() error {
 		storeSize   = flag.Int("store", 0, "factorization store entries (0 = default)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		maxDeadline = flag.Duration("max-deadline", 0, "hard per-request deadline cap (0 = 2m)")
-		batchWindow = flag.Duration("batch-window", 0, "solve batching window (0 = 2ms)")
 		batchMax    = flag.Int("batch-max", 0, "solve batch size cap (0 = 16)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	)
@@ -74,7 +73,6 @@ func run() error {
 		StoreEntries:    *storeSize,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		BatchWindow:     *batchWindow,
 		BatchMax:        *batchMax,
 		Faults:          faults,
 	})

@@ -145,3 +145,40 @@ func BenchmarkDgemmFast(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkDgemmOneColumn(b *testing.B) {
+	// The m×1×k updates of a one-right-hand-side panel solve and of a
+	// width-1 target column in the factorization, on zero-laced blocks.
+	rng := rand.New(rand.NewSource(8))
+	for _, shape := range [][2]int{{3, 3}, {20, 6}, {64, 32}} {
+		m, k := shape[0], shape[1]
+		a := zeroLacedMat(m, k, rng)
+		x := randVec(k, rng)
+		c := randVec(m, rng)
+		b.Run(fmt.Sprintf("%dx1x%d", m, k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Dgemm(m, 1, k, -1, a, k, x, 1, 1, c, 1)
+			}
+		})
+	}
+}
+
+func BenchmarkDtrsmOneColumn(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range []int{3, 6, 32} {
+		t := zeroLacedMat(m, m, rng)
+		for i := 0; i < m; i++ {
+			t[i*m+i] = 1 + rng.Float64()
+		}
+		x0 := randVec(m, rng)
+		x := make([]float64, m)
+		for _, lower := range []bool{true, false} {
+			b.Run(fmt.Sprintf("m=%d/lower=%v", m, lower), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(x, x0) // repeated in-place solves would overflow
+					Dtrsm(lower, false, m, 1, 1, t, m, x, 1)
+				}
+			})
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -383,5 +384,100 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 		microKernel4x8(kc, pa, pb, c1, gemmNR)
 		microKernel4x8Go(kc, pa, pb, c2, gemmNR)
 		bitsEqual(t, "microKernel4x8", c1, c2)
+	}
+}
+
+// zeroLacedMat draws normal values of which ~55 % are explicit zeros,
+// half of them negative: the density of the explicit zeros amalgamated
+// supernodes store, and the regime where a zero-skip decides the result.
+func zeroLacedMat(m, n int, rng *rand.Rand) []float64 {
+	a := make([]float64, m*n)
+	for i := range a {
+		switch r := rng.Float64(); {
+		case r < 0.275:
+			a[i] = 0
+		case r < 0.55:
+			a[i] = math.Copysign(0, -1)
+		default:
+			a[i] = rng.NormFloat64()
+		}
+	}
+	return a
+}
+
+// poisonSkipped writes Inf and NaN into the entries of the one-column
+// operand x (stride ld) at the positions p where zero(p) holds: the
+// products a seed kernel skips there are 0·Inf = NaN, so any kernel that
+// adds them instead of skipping turns its result into NaN.
+func poisonSkipped(x []float64, ld, rows int, zero func(p int) bool) {
+	bad := []float64{math.Inf(1), math.NaN(), math.Inf(-1)}
+	for p, q := 0, 0; p < rows; p++ {
+		if zero(p) {
+			x[p*ld] = bad[q%len(bad)]
+			q++
+		}
+	}
+}
+
+// TestOneColumnBitwiseParity pins the n = 1 shapes of Dgemm and of both
+// Dtrsm triangles to the seed kernels bit for bit: random m×1×k shapes
+// (strided and not) with ~55 % explicit zeros, a −0 accumulator that
+// adding +0 would flip, and Inf/NaN in B exactly where every coefficient
+// is zero — the three places the exact-zero skip is observable.
+func TestOneColumnBitwiseParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for trial := 0; trial < 200; trial++ {
+		m, k := 1+rng.Intn(70), rng.Intn(70)
+		ld := 1 + rng.Intn(2) // ldb = ldc: a column of a wider panel
+		a := zeroLacedMat(m, k, rng)
+		for p := 0; p < k; p += 3 {
+			for i := 0; i < m; i++ {
+				a[i*k+p] = 0
+			}
+		}
+		b := zeroLacedMat(k, ld, rng)
+		poisonSkipped(b, ld, k, func(p int) bool { return p%3 == 0 })
+		c0 := zeroLacedMat(m, ld, rng)
+		c0[0] = math.Copysign(0, -1)
+		for _, alpha := range []float64{1, -1, 0.5, 0} {
+			for _, beta := range []float64{1, 0, -1} {
+				c1 := append([]float64(nil), c0...)
+				c2 := append([]float64(nil), c0...)
+				Dgemm(m, 1, k, alpha, a, k, b, ld, beta, c1, ld)
+				seedDgemm(m, 1, k, alpha, a, k, b, ld, beta, c2, ld)
+				bitsEqual(t, fmt.Sprintf("Dgemm %dx1x%d ld=%d α=%g β=%g", m, k, ld, alpha, beta), c1, c2)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(90) // past NB: the blocked lower solve too
+		ld := 1 + rng.Intn(2)
+		tm := zeroLacedMat(m, m, rng)
+		for i := 0; i < m; i++ {
+			tm[i*m+i] = 1 + rng.Float64()
+		}
+		// Column p of each strict triangle is zero for p ≡ 1 (mod 4), so
+		// the poisoned x[p] reaches no other row of the solution.
+		for p := 1; p < m; p += 4 {
+			for i := 0; i < m; i++ {
+				if i != p {
+					tm[i*m+p] = 0
+				}
+			}
+		}
+		b0 := zeroLacedMat(m, ld, rng)
+		b0[0] = math.Copysign(0, -1)
+		poisonSkipped(b0, ld, m, func(p int) bool { return p%4 == 1 })
+		for _, lower := range []bool{true, false} {
+			for _, unit := range []bool{true, false} {
+				for _, alpha := range []float64{1, -1, 0.5} {
+					b1 := append([]float64(nil), b0...)
+					b2 := append([]float64(nil), b0...)
+					Dtrsm(lower, unit, m, 1, alpha, tm, m, b1, ld)
+					seedDtrsm(lower, unit, m, 1, alpha, tm, m, b2, ld)
+					bitsEqual(t, fmt.Sprintf("Dtrsm lower=%v unit=%v m=%d ld=%d α=%g", lower, unit, m, ld, alpha), b1, b2)
+				}
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"repro/internal/sparse"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/symbolic_golden.json from this tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden tables of the tests that run from this tree")
 
 const goldenFile = "testdata/symbolic_golden.json"
 

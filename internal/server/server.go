@@ -79,16 +79,13 @@ type Config struct {
 	// (default 2m).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// Workers and SolveWorkers size the numeric and triangular-solve
-	// parallelism per request (defaults: GOMAXPROCS capped at 8, and
-	// Workers).
-	Workers      int
-	SolveWorkers int
-	// BatchWindow and BatchMax shape solve coalescing: a single-RHS
-	// solve waits at most BatchWindow for peers, and a batch flushes
-	// early at BatchMax right-hand sides (defaults 2ms, 16).
-	BatchWindow time.Duration
-	BatchMax    int
+	// Workers sizes the numeric factorization's parallelism per request
+	// (default GOMAXPROCS capped at 8). Solves run serial sweeps: the
+	// service gets their parallelism from concurrent requests.
+	Workers int
+	// BatchMax caps the right-hand sides one coalesced solve batch
+	// takes (default 16).
+	BatchMax int
 	// Seed drives the jittered Retry-After; fixed so chaos runs replay.
 	Seed int64
 	// Faults optionally injects deterministic request-level faults
@@ -123,12 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.SolveWorkers <= 0 {
-		c.SolveWorkers = c.Workers
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
@@ -174,7 +165,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	opts := core.DefaultOptions()
 	opts.Workers = cfg.Workers
-	opts.SolveWorkers = cfg.SolveWorkers
 	s := &Server{
 		cfg:         cfg,
 		cache:       newSymCache(cfg.CacheEntries),
@@ -198,8 +188,8 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the server: readiness flips to 503, new compute
-// requests are refused, pending solve batches are flushed. Safe to
-// call more than once.
+// requests are refused, queued solves are still answered. Safe to call
+// more than once.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -337,12 +327,23 @@ func (s *Server) mapError(err error) *httpError {
 	return &httpError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
 }
 
+// writeJSON sends v as json.Encoder would. The body is encoded before
+// the status goes out, so a value JSON cannot hold — a NaN or Inf — is
+// answered 422 non_finite instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = json.Marshal(errorResponse{Error: "server: reply is not representable in JSON: " + err.Error(), Code: "non_finite"})
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
 	// Best effort: the client may already be gone on 499.
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, he *httpError) {
@@ -443,10 +444,13 @@ func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context,
 }
 
 // numOpts is the per-request numeric state handed to the core layer.
+// Solves run serial sweeps: a level-scheduled sweep of one right-hand
+// side has too few independent rows per level to pay for its barriers,
+// and concurrent requests already keep the cores busy.
 func (s *Server) numOpts(cc *sched.Canceler) core.NumericOptions {
 	return core.NumericOptions{
 		Workers:      s.cfg.Workers,
-		SolveWorkers: s.cfg.SolveWorkers,
+		SolveWorkers: 1,
 		Cancel:       cc,
 	}
 }
@@ -479,28 +483,21 @@ func parseMatrix(mj *matrixJSON, fault faultinject.Fault) (*sparse.CSC, *httpErr
 	return t.ToCSC(), nil
 }
 
-func decodeBody(r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeBody reads the request body and decodes it into a request
+// through the request's field decoder (codec.go).
+func decodeBody(r *http.Request, fields func(d *decoder, key []byte) error) *httpError {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := readBody(r, buf); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 				msg: fmt.Sprintf("server: request body exceeds %d bytes", tooLarge.Limit)}
 		}
-		return badRequest("server: bad request body: %v", err)
+		return badRequest("server: reading request body: %v", err)
 	}
-	return nil
-}
-
-// checkFinite guards solve outputs: a NaN/Inf in x means the inputs
-// were poisoned (the factors are finite by construction), and the
-// answer is the non-finite class, not a silently wrong vector.
-func checkFinite(x []float64) error {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("server: non-finite entry in solution: %w", core.ErrNonFinite)
-		}
+	if err := decodeRequest(*buf, fields); err != nil {
+		return badRequest("server: bad request body: %v", err)
 	}
 	return nil
 }
@@ -526,7 +523,7 @@ func (s *Server) analyzeFor(m *sparse.CSC) (*core.Symbolic, bool, error) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault faultinject.Fault) *httpError {
 	var req analyzeRequest
-	if he := decodeBody(r, &req); he != nil {
+	if he := decodeBody(r, req.field); he != nil {
 		return he
 	}
 	m, he := parseMatrix(&req.Matrix, fault)
@@ -557,7 +554,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault fau
 
 func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault faultinject.Fault) *httpError {
 	var req factorizeRequest
-	if he := decodeBody(r, &req); he != nil {
+	if he := decodeBody(r, req.field); he != nil {
 		return he
 	}
 	if _, err := rungsFor(req.Policy); err != nil {
@@ -586,10 +583,6 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	}
 	s.met.rungWins[res.won].Add(1)
 
-	// Batches run detached from any single request, so their options
-	// carry the service-level backstop deadline, not a request's.
-	bnopts := s.numOpts(nil)
-	bnopts.Timeout = s.cfg.MaxDeadline
 	h := &handle{
 		id:  fmt.Sprintf("f%d", s.nextID.Add(1)),
 		key: key,
@@ -599,7 +592,9 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 		bytes: factorBytes(sym) +
 			int64(m.ColPtr[m.NCols])*16 + int64(m.NCols)*64,
 	}
-	h.bt = newBatcher(res.f, s.cfg.BatchWindow, s.cfg.BatchMax, bnopts)
+	// A batch serves several requests, so no one request's canceler
+	// bounds it; the batcher cancels it when all of them have left.
+	h.bt = newBatcher(res.f, s.cfg.BatchMax, s.numOpts(nil))
 	if h.bytes > s.cfg.MemoryBudget {
 		return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 			msg: fmt.Sprintf("server: factorization needs ~%d bytes, budget is %d", h.bytes, s.cfg.MemoryBudget)}
@@ -664,7 +659,7 @@ func (s *Server) lookup(fid string) (*handle, *httpError) {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault faultinject.Fault) *httpError {
 	var req solveRequest
-	if he := decodeBody(r, &req); he != nil {
+	if he := decodeBody(r, req.field); he != nil {
 		return he
 	}
 	h, he := s.lookup(req.FID)
@@ -707,9 +702,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 			if err != nil {
 				return s.mapError(err)
 			}
-			if err := checkFinite(x); err != nil {
-				return s.mapError(err)
-			}
 			xs[i] = x
 			residuals[i] = berr
 			if st > steps {
@@ -725,14 +717,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		}
 	case single:
 		// The batched fast path. Single-RHS requests always go through
-		// the multi-RHS panel sweeps (batch of 1 when no peer arrives
-		// in the window), which keeps batched and solo answers bitwise
+		// the multi-RHS panel sweeps (a batch of 1 when no other solve
+		// is running), which keeps batched and solo answers bitwise
 		// identical.
 		x, err := h.bt.submit(ctx, req.B)
 		if err != nil {
-			return s.mapError(err)
-		}
-		if err := checkFinite(x); err != nil {
 			return s.mapError(err)
 		}
 		resp.X = x
@@ -746,13 +735,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		resp.XS = xs
 		resp.Residuals = make([]float64, len(xs))
 		for i, x := range xs {
-			if err := checkFinite(x); err != nil {
-				return s.mapError(err)
-			}
 			resp.Residuals[i] = core.Residual(h.m, x, bs[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.writeSolve(w, &resp)
+}
+
+// writeSolve sends a solve reply. A NaN or Inf anywhere in it — a
+// poisoned right-hand side, or a residual that overflowed — is the
+// non-finite class: the factors are finite by construction, so the
+// answer is 422, not a silently wrong vector.
+func (s *Server) writeSolve(w http.ResponseWriter, resp *solveResponse) *httpError {
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := encodeSolve(*buf, resp)
+	*buf = body
+	if err != nil {
+		return s.mapError(err)
+	}
+	writeBody(w, http.StatusOK, append(body, '\n'))
 	return nil
 }
 

@@ -164,7 +164,7 @@ func TestCacheHitSkipsAnalyze(t *testing.T) {
 // has size 1) and solved under heavy concurrency (batches form up to
 // BatchMax) produce bitwise identical solutions.
 func TestBatchedSolveBitwise(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, BatchWindow: 5 * time.Millisecond, BatchMax: 8, MaxInFlight: 32, MaxQueue: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, BatchMax: 8, MaxInFlight: 32, MaxQueue: 64})
 	m := testMatrix()
 	fr := factorizeOK(t, ts, m, "")
 	n := m.NCols
@@ -190,7 +190,8 @@ func TestBatchedSolveBitwise(t *testing.T) {
 		serial[r] = sr.X
 	}
 
-	// Concurrent pass: the window coalesces these into real batches.
+	// Concurrent pass: solves that arrive while a batch runs form the
+	// next one.
 	concurrent := make([][]float64, nrhs)
 	var wg sync.WaitGroup
 	errc := make(chan error, nrhs)
@@ -350,7 +351,7 @@ func TestStatusMapping(t *testing.T) {
 // a tiny queue, a burst of requests gets 429s with Retry-After while
 // at least one request is served.
 func TestAdmissionSheds(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 1, MaxQueue: 1, BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 1, MaxQueue: 1})
 	m := testMatrix()
 	fr := factorizeOK(t, ts, m, "")
 	b := make([]float64, m.NCols)
@@ -443,8 +444,7 @@ func TestChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		Workers: 2, MaxInFlight: 8, MaxQueue: 64,
-		BatchWindow: 2 * time.Millisecond, BatchMax: 8,
+		Workers: 2, MaxInFlight: 8, MaxQueue: 64, BatchMax: 8,
 		Faults: plan, Seed: 7,
 	})
 
@@ -687,5 +687,156 @@ func TestMemoryBudgetOnStoredSize(t *testing.T) {
 	}
 	if status, body := post(t, ts, "/v1/solve", solveRequest{FID: second.FID, B: b}, nil); status != http.StatusOK {
 		t.Fatalf("solve on the kept handle: status %d, body %s", status, body)
+	}
+}
+
+// handleOf returns the stored handle behind a factorization id.
+func handleOf(t *testing.T, s *Server, fid string) *handle {
+	t.Helper()
+	h, he := s.lookup(fid)
+	if he != nil {
+		t.Fatal(he)
+	}
+	return h
+}
+
+// TestSequentialSolvesRunAlone pins that there is no batch window: a
+// solve that finds the batcher idle runs at once as a batch of one, so
+// back-to-back solves never share a panel.
+func TestSequentialSolvesRunAlone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	m := testMatrix()
+	fr := factorizeOK(t, ts, m, "")
+	b := make([]float64, m.NCols)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	const solves = 5
+	for r := 0; r < solves; r++ {
+		if status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, nil); status != http.StatusOK {
+			t.Fatalf("solve %d: status %d, body %s", r, status, body)
+		}
+	}
+	bt := handleOf(t, s, fr.FID).bt
+	if got := bt.batches.Load(); got != solves || bt.rhs.Load() != solves || bt.maxBatch.Load() != 1 {
+		t.Errorf("%d sequential solves ran as %d batches of %d right-hand sides (max %d), want %d batches of 1",
+			solves, got, bt.rhs.Load(), bt.maxBatch.Load(), solves)
+	}
+}
+
+// TestQueuedSolveDeadline pins that a solve queued behind a running
+// batch leaves with 504 when its own timeout_ms expires, without
+// waiting for that batch, and gives up its queue slot.
+func TestQueuedSolveDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	m := testMatrix()
+	fr := factorizeOK(t, ts, m, "")
+	bt := handleOf(t, s, fr.FID).bt
+	// A batch that never ends is in flight.
+	bt.mu.Lock()
+	bt.running = true
+	bt.mu.Unlock()
+
+	start := time.Now()
+	status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: make([]float64, m.NCols), TimeoutMS: 50}, nil)
+	if status != http.StatusGatewayTimeout || !bytes.Contains(body, []byte(`"deadline"`)) {
+		t.Fatalf("queued solve past its deadline: status %d, body %s", status, body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("queued solve took %v to time out after 50ms", d)
+	}
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	if len(bt.pending) != 0 {
+		t.Errorf("expired waiter left %d requests queued", len(bt.pending))
+	}
+	bt.running = false
+}
+
+// TestBatchCanceledWhenAbandoned pins that a batch whose waiters have
+// all left stops computing: its canceler trips with the last one.
+func TestBatchCanceledWhenAbandoned(t *testing.T) {
+	bt := newBatcher(nil, 4, core.NumericOptions{})
+	reqs := []*solveReq{{}, {}}
+	bt.pending = reqs
+	_, bat := bt.takeLocked()
+	bt.abandon(reqs[0])
+	if bat.cancel.Canceled() {
+		t.Fatal("batch canceled while a waiter remains")
+	}
+	bt.abandon(reqs[1])
+	if !bat.cancel.Canceled() {
+		t.Fatal("batch still live after every waiter left")
+	}
+}
+
+// TestCloseAnswersQueuedSolves pins the drain contract of the batcher:
+// solves queued behind a running batch when the handle closes are still
+// answered — in batches of at most BatchMax, bitwise equal to solving
+// alone — and a solve submitted after close is refused with the 503
+// class.
+func TestCloseAnswersQueuedSolves(t *testing.T) {
+	m := testMatrix()
+	sym, err := core.Analyze(m, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := core.FactorizeWithOpts(sym, m, &core.NumericOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := newBatcher(f, 3, core.NumericOptions{SolveWorkers: 1})
+	bt.mu.Lock()
+	bt.running = true // a batch is in flight
+	bt.mu.Unlock()
+
+	const queued = 7
+	rhs := make([][]float64, queued)
+	xs := make([][]float64, queued)
+	errs := make([]error, queued)
+	var wg sync.WaitGroup
+	for r := range rhs {
+		rhs[r] = make([]float64, m.NCols)
+		for i := range rhs[r] {
+			rhs[r][i] = float64((i+r)%5) - 2
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			xs[r], errs[r] = bt.submit(context.Background(), rhs[r])
+		}(r)
+	}
+	for {
+		bt.mu.Lock()
+		n := len(bt.pending)
+		bt.mu.Unlock()
+		if n == queued {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	bt.close()
+	if _, err := bt.submit(context.Background(), rhs[0]); !errors.Is(err, errBatcherClosed) {
+		t.Fatalf("submit after close: %v, want errBatcherClosed", err)
+	}
+	bt.next() // the in-flight batch finishes and hands over the queue
+	wg.Wait()
+
+	for r := range rhs {
+		if errs[r] != nil {
+			t.Fatalf("queued solve %d: %v", r, errs[r])
+		}
+		alone, err := f.SolveManyWith(rhs[r:r+1], &core.NumericOptions{SolveWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range alone[0] {
+			if xs[r][i] != alone[0][i] {
+				t.Fatalf("queued solve %d: x[%d] = %x, alone %x", r, i, xs[r][i], alone[0][i])
+			}
+		}
+	}
+	if got := bt.batches.Load(); got != 3 || bt.maxBatch.Load() != 3 {
+		t.Errorf("%d queued solves ran as %d batches (max %d), want 3 of at most 3", queued, got, bt.maxBatch.Load())
 	}
 }
