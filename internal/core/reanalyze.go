@@ -1,25 +1,15 @@
 package core
 
-import (
-	"repro/internal/etree"
-	"repro/internal/sparse"
-	"repro/internal/symbolic"
-	"repro/internal/trace"
-	"repro/internal/verify"
-)
+import "repro/internal/sparse"
 
 // ReuseLevel reports how much of a previous analysis Reanalyze reused.
 type ReuseLevel int
 
 const (
-	// ReuseNone means the pattern diverged too far (or the previous
-	// Symbolic carried no checkpoint) and a full Analyze ran.
+	// ReuseNone means the pattern (or the analysis options) differed and
+	// a full Analyze ran.
 	ReuseNone ReuseLevel = iota
-	// ReuseDelta means only the changed column-etree subtrees were
-	// re-eliminated and the block structure was rebuilt from the
-	// patched symbolic result.
-	ReuseDelta
-	// ReuseFull means the pattern (and analysis options) were identical
+	// ReuseFull means the pattern and analysis options were identical
 	// and the previous Symbolic was returned as-is, skipping every
 	// structural stage.
 	ReuseFull
@@ -27,27 +17,17 @@ const (
 
 // String names the level for logs and metrics.
 func (l ReuseLevel) String() string {
-	switch l {
-	case ReuseFull:
+	if l == ReuseFull {
 		return "full"
-	case ReuseDelta:
-		return "delta"
 	}
 	return "none"
 }
 
-// Reanalyze produces the analysis of a using a previous Symbolic as a
-// starting point. An identical pattern (same PatternHash, which bakes
-// in the analysis-shaping options) returns prev itself — no structural
-// stage runs. A small pattern delta keeps prev's permutations, re-runs
-// the static symbolic factorization only on the affected column-etree
-// subtrees of prev's checkpoint, and rebuilds the block structure from
-// the patched result. Anything larger — a changed row that escapes its
-// subtree, more than half the bucketed columns affected, a diagonal
-// lost under the old permutation — falls back to a full Analyze with
-// prev's options. The returned Symbolic is identical to what a full
-// Analyze of a would produce in every structural field (pinned by
-// TestReanalyzeDeltaIdentical); only the timing stats differ.
+// Reanalyze produces the analysis of a given a previous Symbolic. An
+// identical pattern (same PatternHash, which bakes in the
+// analysis-shaping options) returns prev itself and no structural stage
+// runs; any other pattern gets a full Analyze with prev's options, so
+// the result is always the one a fresh Analyze of a would produce.
 func Reanalyze(prev *Symbolic, a *sparse.CSC) (*Symbolic, ReuseLevel, error) {
 	if prev == nil {
 		s, err := Analyze(a, nil)
@@ -57,65 +37,6 @@ func Reanalyze(prev *Symbolic, a *sparse.CSC) (*Symbolic, ReuseLevel, error) {
 	if a.NRows == a.NCols && a.NCols == prev.N && PatternHash(a, &o) == prev.PatternHash {
 		return prev, ReuseFull, nil
 	}
-	if s, err := reanalyzeDelta(prev, a, &o); s != nil || err != nil {
-		return s, ReuseDelta, err
-	}
 	s, err := Analyze(a, &o)
 	return s, ReuseNone, err
-}
-
-// reanalyzeDelta attempts the small-delta path. A (nil, nil) return
-// means "not patchable — run a full Analyze"; an error is a genuine
-// failure that a full analysis would hit too.
-func reanalyzeDelta(prev *Symbolic, a *sparse.CSC, o *Options) (*Symbolic, error) {
-	if prev.inputPattern == nil || prev.symPart == nil ||
-		a.NRows != a.NCols || a.NCols != prev.N {
-		return nil, nil
-	}
-	start := trace.NewStopwatch()
-	st := newStageTimer(o.Trace != nil)
-
-	// Keep prev's permutations: the transversal must still yield a
-	// zero-free diagonal for the symbolic stage's premise to hold, and
-	// reusing the fill ordering trades a little fill quality for
-	// skipping both stages (the factored pattern barely moved).
-	a1 := a.PermuteRows(prev.RowPerm)
-	if !a1.HasZeroFreeDiagonal() {
-		return nil, nil
-	}
-	aPerm := a1.PermuteSym(prev.SymPerm)
-	st.mark("permute (reused)")
-
-	var runner symbolic.Runner
-	if o.AnalyzeWorkers > 1 {
-		runner = analyzeRunner(o.AnalyzeWorkers)
-	}
-	sym, ok, err := symbolic.FactorDelta(aPerm, prev.inputPattern, prev.Sym, prev.symPart, runner)
-	if err != nil || !ok {
-		// A delta-path error (e.g. a structurally singular update) is
-		// not necessarily fatal for the full pipeline, which picks a
-		// fresh transversal; let the fallback decide.
-		return nil, nil
-	}
-	forest := etree.LUForest(sym)
-	st.mark("symbolic delta")
-
-	symPerm := prev.SymPerm
-	if o.Postorder {
-		// aPerm is postordered for prev's forest; the patched forest
-		// may differ, so re-postorder (a near-identity relabeling).
-		if o.Verify {
-			if err := verify.VerifyPostorderInvariance(aPerm, sym, forest); err != nil {
-				return nil, err
-			}
-		}
-		po := etree.PostorderSymbolic(sym, forest)
-		sym = po.Sym
-		forest = po.Forest
-		symPerm = prev.SymPerm.Compose(po.Perm)
-		aPerm = aPerm.PermuteSym(po.Perm)
-	}
-	st.mark("postorder")
-
-	return finishAnalysis(a, aPerm, o, prev.RowPerm, symPerm, sym, forest, st, start)
 }

@@ -15,7 +15,8 @@ import (
 // objects, so the analysis of one serves the other. It delegates to
 // core.PatternHash — the same fingerprint core.Reanalyze uses — so
 // "cache hit" and "identical pattern" are provably the same predicate:
-// a miss here implies Reanalyze can at best take its delta path.
+// a miss is a pattern no resident analysis serves, and gets a full
+// core.Analyze.
 func patternKey(m *sparse.CSC, opts *core.Options) string {
 	return core.PatternHash(m, opts)
 }
@@ -51,7 +52,7 @@ type cacheEntry struct {
 	sym     *core.Symbolic
 	err     error
 	bytes   int64
-	seconds float64 // wall-clock cost of producing sym (analyze or delta)
+	seconds float64 // wall-clock cost of the Analyze that produced sym
 }
 
 // symCache is a bounded LRU of immutable Symbolic objects keyed by
@@ -66,12 +67,11 @@ type symCache struct {
 	entries map[string]*cacheEntry
 	order   []string // LRU order, least recent first
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	analyzes   atomic.Int64 // full core.Analyze invocations (hits and delta reuses provably skip it)
-	reanalyzes atomic.Int64 // misses served by core.Reanalyze's subtree-delta path
-	evictions  atomic.Int64
-	bytes      atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	analyzes  atomic.Int64 // core.Analyze invocations (hits provably skip it)
+	evictions atomic.Int64
+	bytes     atomic.Int64
 }
 
 func newSymCache(capacity int) *symCache {
@@ -94,39 +94,12 @@ func (c *symCache) touch(key string) {
 	c.order = append(c.order, key)
 }
 
-// recent returns the most recently used resident Symbolic of order n,
-// or nil. It is the donor candidate for core.Reanalyze on a cache
-// miss: a near-identical pattern is overwhelmingly likely to be a
-// perturbation of whatever was analyzed last. Only completed entries
-// are considered (the close of ready publishes sym).
-func (c *symCache) recent(n int) *core.Symbolic {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.order) - 1; i >= 0; i-- {
-		e, ok := c.entries[c.order[i]]
-		if !ok {
-			continue
-		}
-		select {
-		case <-e.ready:
-			if e.sym != nil && e.sym.N == n {
-				return e.sym
-			}
-		default:
-		}
-	}
-	return nil
-}
-
 // getOrAnalyze returns the Symbolic for key, running analyze exactly
 // once per resident pattern: the first requester computes, concurrent
 // requesters for the same key wait on the entry, later requesters hit.
 // The hit return is true only when the entry was already resident
-// (the analyze callback provably did not run for this request). The
-// callback's reused return reports that the Symbolic was patched from
-// a resident analysis (counted as a reanalyze) instead of computed
-// from scratch (counted as an analyze).
-func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() (sym *core.Symbolic, reused bool, err error)) (sym *core.Symbolic, hit bool, err error) {
+// (the analyze callback provably did not run for this request).
+func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() (*core.Symbolic, error)) (sym *core.Symbolic, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.touch(key)
@@ -157,13 +130,8 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 	}
 	c.mu.Unlock()
 
-	var reused bool
-	e.sym, reused, e.err = analyze()
-	if reused {
-		c.reanalyzes.Add(1)
-	} else {
-		c.analyzes.Add(1)
-	}
+	e.sym, e.err = analyze()
+	c.analyzes.Add(1)
 	if e.sym != nil {
 		e.bytes = symBytes(e.sym)
 		e.seconds = e.sym.Stats.AnalyzeSeconds
@@ -190,17 +158,15 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 
 // cacheSnapshot is the wire form of the cache counters.
 type cacheSnapshot struct {
-	Entries    int   `json:"entries"`
-	Capacity   int   `json:"capacity"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Analyzes   int64 `json:"analyzes"`
-	Reanalyzes int64 `json:"reanalyzes"`
-	Evictions  int64 `json:"evictions"`
-	Bytes      int64 `json:"approx_bytes"`
+	Entries   int   `json:"entries"`
+	Capacity  int   `json:"capacity"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Analyzes  int64 `json:"analyzes"`
+	Evictions int64 `json:"evictions"`
+	Bytes     int64 `json:"approx_bytes"`
 	// PatternSeconds is the analyze latency (seconds) that produced
-	// each resident pattern — delta reanalyses report their (much
-	// smaller) patch time. Bounded by the LRU capacity like the
+	// each resident pattern. Bounded by the LRU capacity like the
 	// entries themselves.
 	PatternSeconds map[string]float64 `json:"analyze_seconds"`
 }
@@ -225,7 +191,6 @@ func (c *symCache) snapshot() cacheSnapshot {
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
 		Analyzes:       c.analyzes.Load(),
-		Reanalyzes:     c.reanalyzes.Load(),
 		Evictions:      c.evictions.Load(),
 		Bytes:          c.bytes.Load(),
 		PatternSeconds: secs,

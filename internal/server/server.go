@@ -502,23 +502,6 @@ func decodeBody(r *http.Request, fields func(d *decoder, key []byte) error) *htt
 	return nil
 }
 
-// analyzeFor produces the Symbolic for a pattern the cache does not
-// hold. When a resident analysis of the same order exists, the miss is
-// routed through core.Reanalyze: a near-identical pattern re-eliminates
-// only the changed column-etree subtrees of the resident checkpoint
-// (reported as reused, counted as a reanalyze); identical patterns
-// cannot reach here because the cache key is the same PatternHash that
-// Reanalyze compares. Failed or too-large deltas fall back to a full
-// pipeline inside Reanalyze and count as ordinary analyzes.
-func (s *Server) analyzeFor(m *sparse.CSC) (*core.Symbolic, bool, error) {
-	if prev := s.cache.recent(m.NCols); prev != nil {
-		sym, level, err := core.Reanalyze(prev, m)
-		return sym, level == core.ReuseDelta, err
-	}
-	sym, err := core.Analyze(m, s.analysisOpt)
-	return sym, false, err
-}
-
 // ---- handlers ----
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault faultinject.Fault) *httpError {
@@ -533,8 +516,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault fau
 	ctx, _, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
 	key := patternKey(m, s.analysisOpt)
-	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, bool, error) {
-		return s.analyzeFor(m)
+	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, error) {
+		return core.Analyze(m, s.analysisOpt)
 	})
 	if err != nil {
 		return s.mapError(err)
@@ -567,8 +550,8 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	ctx, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
 	key := patternKey(m, s.analysisOpt)
-	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, bool, error) {
-		return s.analyzeFor(m)
+	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, error) {
+		return core.Analyze(m, s.analysisOpt)
 	})
 	if err != nil {
 		return s.mapError(err)

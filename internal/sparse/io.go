@@ -11,7 +11,9 @@ import (
 // ReadMatrixMarket parses a MatrixMarket "coordinate real
 // general/symmetric/skew-symmetric" or "coordinate pattern" stream into a
 // CSC matrix. Pattern entries get the value 1. Symmetric storage is
-// expanded to full storage.
+// expanded to full storage. Malformed input — a negative dimension, an
+// index outside the declared size (indices are one-based) — is an
+// error, never a panic.
 func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -50,6 +52,9 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	if _, err := fmt.Sscan(line, &nr, &nc, &nnz); err != nil {
 		return nil, fmt.Errorf("sparse: bad MatrixMarket size line %q: %w", line, err)
 	}
+	if nr < 0 || nc < 0 || nnz < 0 {
+		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d×%d with %d entries", nr, nc, nnz)
+	}
 	t := NewTriplet(nr, nc)
 	read := 0
 	for read < nnz {
@@ -64,6 +69,9 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 			j, e2 := strconv.Atoi(f[1])
 			if e1 != nil || e2 != nil {
 				return nil, fmt.Errorf("sparse: bad MatrixMarket indices %q", trimmed)
+			}
+			if i < 1 || i > nr || j < 1 || j > nc || (symm != "general" && (j > nr || i > nc)) {
+				return nil, fmt.Errorf("sparse: MatrixMarket entry %q outside %d×%d", trimmed, nr, nc)
 			}
 			v := 1.0
 			if valType != "pattern" {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,8 +24,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketSymmetric(t *testing.T) {
-	src := `%%MatrixMarket matrix coordinate real symmetric
+const symmetricMM = `%%MatrixMarket matrix coordinate real symmetric
 % comment
 3 3 4
 1 1 2.0
@@ -32,7 +32,9 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 3 2 4.0
 3 3 1.0
 `
-	a, err := ReadMatrixMarket(strings.NewReader(src))
+
+func TestMatrixMarketSymmetric(t *testing.T) {
+	a, err := ReadMatrixMarket(strings.NewReader(symmetricMM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +49,13 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketSkewSymmetric(t *testing.T) {
-	src := `%%MatrixMarket matrix coordinate real skew-symmetric
+const skewMM = `%%MatrixMarket matrix coordinate real skew-symmetric
 2 2 1
 2 1 3.0
 `
-	a, err := ReadMatrixMarket(strings.NewReader(src))
+
+func TestMatrixMarketSkewSymmetric(t *testing.T) {
+	a, err := ReadMatrixMarket(strings.NewReader(skewMM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +64,14 @@ func TestMatrixMarketSkewSymmetric(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketPattern(t *testing.T) {
-	src := `%%MatrixMarket matrix coordinate pattern general
+const patternMM = `%%MatrixMarket matrix coordinate pattern general
 2 3 2
 1 1
 2 3
 `
-	a, err := ReadMatrixMarket(strings.NewReader(src))
+
+func TestMatrixMarketPattern(t *testing.T) {
+	a, err := ReadMatrixMarket(strings.NewReader(patternMM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +80,30 @@ func TestMatrixMarketPattern(t *testing.T) {
 	}
 }
 
+// badMatrixMarket are inputs ReadMatrixMarket must reject with an
+// error; they also seed FuzzReadMatrixMarket.
+var badMatrixMarket = []string{
+	"",
+	"not a header\n1 1 1\n1 1 1.0\n",
+	"%%MatrixMarket matrix array real general\n1 1\n1.0\n",
+	"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n", // truncated
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\nx y z\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",   // row outside 2×2
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",   // zero-based index
+	"%%MatrixMarket matrix coordinate real general\n-1 2 0\n",           // negative dimension
+	"%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", // mirror outside 3×2
+}
+
 func TestMatrixMarketErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"not a header\n1 1 1\n1 1 1.0\n",
-		"%%MatrixMarket matrix array real general\n1 1\n1.0\n",
-		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n", // truncated
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\nx y z\n",
-	}
-	for i, src := range cases {
+	for i, src := range badMatrixMarket {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: expected error, got nil", i)
 		}
 	}
 }
 
-func TestMatrixMarketCommentsAndBlankLines(t *testing.T) {
-	src := `%%MatrixMarket matrix coordinate real general
+const commentedMM = `%%MatrixMarket matrix coordinate real general
 % a comment
 
 % another
@@ -103,11 +113,71 @@ func TestMatrixMarketCommentsAndBlankLines(t *testing.T) {
 % interior comment
 2 2 6.0
 `
-	a, err := ReadMatrixMarket(strings.NewReader(src))
+
+func TestMatrixMarketCommentsAndBlankLines(t *testing.T) {
+	a, err := ReadMatrixMarket(strings.NewReader(commentedMM))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.At(0, 0) != 5 || a.At(1, 1) != 6 {
 		t.Fatal("comment handling broke values")
 	}
+}
+
+// fuzzMaxDim bounds the declared dimensions FuzzReadMatrixMarket lets
+// through. The reader allocates the column pointers of the declared
+// size before it reads an entry, so a few bytes declaring a billion
+// columns would test the allocator, not the parser.
+const fuzzMaxDim = 1 << 16
+
+// declaresHugeSize reports whether the size line of a Matrix Market
+// input — the first line after the header that is neither blank nor a
+// comment — declares a dimension above fuzzMaxDim.
+func declaresHugeSize(src string) bool {
+	lines := strings.Split(src, "\n")
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		var nr, nc int
+		fmt.Sscan(line, &nr, &nc)
+		return nr > fuzzMaxDim || nc > fuzzMaxDim
+	}
+	return false
+}
+
+// FuzzReadMatrixMarket requires ReadMatrixMarket never to panic: every
+// input gives an error or a well-formed CSC — column pointers monotone
+// from 0 to the entry count, row indices ascending within each column
+// and inside the declared size.
+func FuzzReadMatrixMarket(f *testing.F) {
+	for _, src := range append(badMatrixMarket, symmetricMM, skewMM, patternMM, commentedMM) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if declaresHugeSize(src) {
+			t.Skip()
+		}
+		a, err := ReadMatrixMarket(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if len(a.ColPtr) != a.NCols+1 || a.ColPtr[0] != 0 || a.ColPtr[a.NCols] != len(a.RowInd) || len(a.Val) != len(a.RowInd) {
+			t.Fatalf("%d×%d: %d column pointers ending at %d for %d rows and %d values",
+				a.NRows, a.NCols, len(a.ColPtr), a.ColPtr[len(a.ColPtr)-1], len(a.RowInd), len(a.Val))
+		}
+		for j := 0; j < a.NCols; j++ {
+			if a.ColPtr[j] > a.ColPtr[j+1] {
+				t.Fatalf("column pointers fall at column %d: %v", j, a.ColPtr)
+			}
+			prev := -1
+			for _, i := range a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]] {
+				if i <= prev || i >= a.NRows {
+					t.Fatalf("column %d: row %d after %d in a %d-row matrix", j, i, prev, a.NRows)
+				}
+				prev = i
+			}
+		}
+	})
 }

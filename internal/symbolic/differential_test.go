@@ -1,7 +1,6 @@
 package symbolic_test
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -43,7 +42,7 @@ func TestDifferentialFactor(t *testing.T) {
 			if symbolic.PartitionColumns(a, w) != nil {
 				partitioned++
 			}
-			par, err := symbolic.FactorParallel(a, w, nil)
+			par, err := symbolic.FactorParallel(a, w, schedRunner(w))
 			if err != nil {
 				t.Fatalf("%s: parallel w=%d: %v", name, w, err)
 			}
@@ -52,66 +51,6 @@ func TestDifferentialFactor(t *testing.T) {
 	})
 	if partitioned < 10 {
 		t.Fatalf("only %d partitions among the generated patterns; the bucket engines are hardly tested", partitioned)
-	}
-}
-
-// editPattern returns a copy of a with a few random off-diagonal entries
-// removed and a few added next to existing ones (same column, a row of a
-// neighbouring column) — local edits, of which most stay patchable.
-func editPattern(a *sparse.CSC, rng *rand.Rand) *sparse.CSC {
-	n := a.NCols
-	t := sparse.NewTriplet(n, n)
-	for j := 0; j < n; j++ {
-		rows, _ := a.Col(j)
-		for _, i := range rows {
-			if i == j || rng.Float64() > 3.0/float64(a.NNZ()) {
-				t.Add(i, j, 1)
-			}
-		}
-	}
-	for k := rng.Intn(3); k > 0; k-- {
-		j := rng.Intn(n)
-		if rows, _ := a.Col(min(j+1, n-1)); len(rows) > 0 {
-			t.Add(rows[rng.Intn(len(rows))], j, 1)
-		}
-	}
-	return t.ToCSC()
-}
-
-// TestDifferentialFactorDelta patches a factorization after random local
-// edits and requires, whenever FactorDelta accepts the edit, the result
-// of a factorization from scratch.
-func TestDifferentialFactorDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	patched := 0
-	forEachPattern(t, func(t *testing.T, name string, a *sparse.CSC) {
-		part := symbolic.PartitionColumns(a, 4)
-		if part == nil {
-			return
-		}
-		base, err := symbolic.Factor(a)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for trial := 0; trial < 4; trial++ {
-			edited := editPattern(a, rng)
-			got, ok, err := symbolic.FactorDelta(edited, sparse.PatternOf(a), base, part, nil)
-			if err != nil {
-				t.Fatalf("%s: delta: %v", name, err)
-			}
-			if !ok {
-				continue
-			}
-			want, err := symbolic.Factor(edited)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			equalResult(t, name+": FactorDelta vs Factor", got, want)
-			patched++
-		}
-	})
-	if patched < 20 {
-		t.Fatalf("only %d edits were patched; the delta path is hardly tested", patched)
 	}
 }
 

@@ -20,8 +20,7 @@ var (
 // of L̄ (rows > k) and row k of Ū (columns > k), both ascending. Engines
 // running over disjoint column sets write to disjoint slots, so one
 // columns value can be shared by the subtree engines of a parallel
-// factorization. The slices point into engine arenas (or, in a delta
-// factorization, into the previous Result's copies); pack copies them
+// factorization. The slices point into engine arenas; pack copies them
 // out, so nothing engine-owned outlives the factorization.
 type columns struct {
 	n     int

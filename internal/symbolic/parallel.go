@@ -16,14 +16,11 @@ import (
 // each other and of the top region's, and running them concurrently
 // reproduces the serial result exactly (see DESIGN.md §15).
 type Partition struct {
-	N int
 	// ColBucket maps a column to its bucket id, or -1 for the top
 	// region.
 	ColBucket []int32
 	// BucketCols lists each bucket's columns in ascending order.
 	BucketCols [][]int32
-	// MaxCol is each bucket's maximum column index.
-	MaxCol []int32
 	// TopCols lists the top-region columns in ascending order.
 	TopCols []int32
 }
@@ -173,12 +170,7 @@ func PartitionColumns(a *sparse.CSC, workers int) *Partition {
 		}
 	}
 
-	part := &Partition{
-		N:          n,
-		ColBucket:  colBucket,
-		BucketCols: make([][]int32, nb),
-		MaxCol:     make([]int32, nb),
-	}
+	part := &Partition{ColBucket: colBucket, BucketCols: make([][]int32, nb)}
 	for v := 0; v < n; v++ {
 		b := colBucket[v]
 		if b < 0 {
@@ -186,7 +178,6 @@ func PartitionColumns(a *sparse.CSC, workers int) *Partition {
 			continue
 		}
 		part.BucketCols[b] = append(part.BucketCols[b], int32(v))
-		part.MaxCol[b] = int32(v)
 	}
 	// A dominant top region means the serial tail would swallow the
 	// parallel gain; let the caller run serially instead.
@@ -199,7 +190,7 @@ func PartitionColumns(a *sparse.CSC, workers int) *Partition {
 // Runner executes ntasks independent tasks by calling run(0..ntasks-1)
 // in any order (possibly concurrently) and returns the first error. The
 // engine in internal/sched satisfies this shape via an independent task
-// graph; GoRunner provides a dependency-free pool for standalone use.
+// graph.
 type Runner func(ntasks int, run func(i int) error) error
 
 // serialRunner runs the tasks inline, in order.
@@ -213,11 +204,14 @@ func serialRunner(ntasks int, run func(i int) error) error {
 }
 
 // FactorParallel computes the same Result as Factor, running the
-// independent column-subtree eliminations of a Partition concurrently
-// through the given Runner (nil means GoRunner(workers)). With workers
-// < 2, a tiny matrix, or a degenerate partition it falls back to the
-// serial engine; either way the output is identical to Factor's, which
-// TestFactorParallelIdentical pins over the small suite.
+// independent column-subtree eliminations of a Partition through the
+// given Runner (nil runs them serially, in order). With workers < 2, a
+// tiny matrix, or a degenerate partition it falls back to the serial
+// engine; either way the output is identical to Factor's, which
+// TestFactorParallelIdentical pins over the small suite. Analyze does
+// not call it — on two cores it ties the serial engine — and it stays
+// only while the benchmark's symbolic.factor_par_s times it (DESIGN.md
+// §15).
 func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) {
 	if err := checkSquareZeroFree(sparse.PatternView(a)); err != nil {
 		return nil, err
@@ -227,7 +221,7 @@ func FactorParallel(a *sparse.CSC, workers int, runner Runner) (*Result, error) 
 		return Factor(a)
 	}
 	if runner == nil {
-		runner = GoRunner(workers)
+		runner = serialRunner
 	}
 	n := a.NCols
 	at := sparse.PatternView(a).Transpose() // Col(i) = row i of A

@@ -9,8 +9,10 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/matgen"
 	"repro/internal/ordering"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
+	"repro/internal/taskgraph"
 )
 
 // orderedSuite yields the small-suite matrices after the same
@@ -57,6 +59,14 @@ func equalResult(t *testing.T, name string, a, b *symbolic.Result) {
 	cmp("URows", a.URows, b.URows)
 }
 
+// schedRunner runs the bucket eliminations as independent tasks on w
+// workers of the async engine, so they run concurrently under -race.
+func schedRunner(w int) symbolic.Runner {
+	return func(n int, run func(i int) error) error {
+		return sched.Execute(taskgraph.Independent(n), sched.BlockCyclic(n, w), w, nil, run)
+	}
+}
+
 // TestFactorParallelIdentical pins the bitwise-determinism contract of
 // the parallel symbolic factorization: at every worker count the packed
 // Result is identical to the serial one, over the whole small suite.
@@ -72,7 +82,7 @@ func TestFactorParallelIdentical(t *testing.T) {
 			partitioned++
 		}
 		for _, w := range []int{1, 2, 3, 4, 8} {
-			got, err := symbolic.FactorParallel(a, w, nil)
+			got, err := symbolic.FactorParallel(a, w, schedRunner(w))
 			if err != nil {
 				t.Fatalf("%s: parallel w=%d: %v", spec.Name, w, err)
 			}
@@ -84,83 +94,9 @@ func TestFactorParallelIdentical(t *testing.T) {
 	}
 }
 
-// removeEntry returns a copy of a without the entry at (row, col).
-func removeEntry(a *sparse.CSC, row, col int) *sparse.CSC {
-	out := &sparse.CSC{NRows: a.NRows, NCols: a.NCols, ColPtr: make([]int, a.NCols+1)}
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if j == col && a.RowInd[p] == row {
-				continue
-			}
-			out.RowInd = append(out.RowInd, a.RowInd[p])
-			out.Val = append(out.Val, a.Val[p])
-		}
-		out.ColPtr[j+1] = len(out.RowInd)
-	}
-	return out
-}
-
-// TestFactorDeltaIdentical pins the incremental path: removing one
-// off-diagonal entry is always a patchable delta (the shrunken row still
-// respects the partition's locality), and the patched Result must be
-// identical to a from-scratch factorization of the modified matrix.
-func TestFactorDeltaIdentical(t *testing.T) {
-	tested := 0
-	for _, spec := range orderedSuite() {
-		a := spec.Gen()
-		part := symbolic.PartitionColumns(a, 4)
-		if part == nil {
-			continue
-		}
-		base, err := symbolic.Factor(a)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		oldPat := sparse.PatternOf(a)
-
-		// Identical pattern: the delta path must hand the old result back.
-		same, ok, err := symbolic.FactorDelta(a, oldPat, base, part, nil)
-		if err != nil || !ok || same != base {
-			t.Fatalf("%s: identical-pattern delta = (%p, %v, %v), want old result back", spec.Name, same, ok, err)
-		}
-
-		// Drop the last off-diagonal entry of a mid column.
-		col := a.NCols / 2
-		row := -1
-		for j := col; j < a.NCols && row < 0; j++ {
-			for p := a.ColPtr[j+1] - 1; p >= a.ColPtr[j]; p-- {
-				if a.RowInd[p] != j {
-					row, col = a.RowInd[p], j
-					break
-				}
-			}
-		}
-		if row < 0 {
-			t.Fatalf("%s: no off-diagonal entry found", spec.Name)
-		}
-		mod := removeEntry(a, row, col)
-		want, err := symbolic.Factor(mod)
-		if err != nil {
-			t.Fatalf("%s: full refactor: %v", spec.Name, err)
-		}
-		got, ok, err := symbolic.FactorDelta(mod, oldPat, base, part, nil)
-		if err != nil {
-			t.Fatalf("%s: delta: %v", spec.Name, err)
-		}
-		if !ok {
-			t.Fatalf("%s: single-entry removal was not patchable", spec.Name)
-		}
-		equalResult(t, spec.Name+" delta", got, want)
-		tested++
-	}
-	if tested == 0 {
-		t.Fatal("no small-suite matrix exercised the delta path")
-	}
-}
-
-// TestFactorParallelPanicFault injects a panic into one subtree worker
-// and checks that it surfaces as a structured *WorkerError from
-// FactorParallel without leaking goroutines.
+// TestFactorParallelPanicFault injects a panic into one subtree task
+// and checks that it surfaces from FactorParallel as the engine's
+// structured *sched.TaskError without leaking goroutines.
 func TestFactorParallelPanicFault(t *testing.T) {
 	spec := orderedSuite()[0]
 	a := spec.Gen()
@@ -170,7 +106,7 @@ func TestFactorParallelPanicFault(t *testing.T) {
 	inj := faultinject.New()
 	inj.Set(1, faultinject.Fault{Mode: faultinject.Panic})
 	runner := func(ntasks int, run func(i int) error) error {
-		return symbolic.GoRunner(4)(ntasks, inj.Wrap(run, nil))
+		return schedRunner(4)(ntasks, inj.Wrap(run, nil))
 	}
 
 	before := runtime.NumGoroutine()
@@ -178,17 +114,17 @@ func TestFactorParallelPanicFault(t *testing.T) {
 	if err == nil {
 		t.Fatal("injected panic did not surface as an error")
 	}
-	var we *symbolic.WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("error %T (%v) is not a *WorkerError", err, err)
+	var te *sched.TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("error %T (%v) is not a *sched.TaskError", err, err)
 	}
-	if we.Task != 1 {
-		t.Fatalf("WorkerError.Task = %d, want 1", we.Task)
+	if te.ID != 1 {
+		t.Fatalf("TaskError.ID = %d, want 1", te.ID)
 	}
 	if inj.Fired() != 1 {
 		t.Fatalf("injector fired %d times, want 1", inj.Fired())
 	}
-	// All pool goroutines must have drained.
+	// All engine goroutines must have drained.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

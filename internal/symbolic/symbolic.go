@@ -14,13 +14,11 @@
 //
 // The group-merging loop lives in a reusable engine (engine.go) that can
 // run over any subset of the columns: Factor drives it over all columns
-// serially, FactorParallel (parallel.go) runs one engine per independent
-// column-etree subtree concurrently and a final engine over the shared
-// top region, and FactorDelta (delta.go) re-runs only the engines whose
-// input rows changed. All three produce identical Results: the per-column
-// outputs of the elimination are set functions of the matrix pattern,
-// independent of the merge schedule, and the engine sorts them before
-// packing.
+// serially, and FactorParallel (parallel.go) runs one engine per
+// independent column-etree subtree and a final engine over the shared
+// top region. Both produce identical Results: the per-column outputs of
+// the elimination are set functions of the matrix pattern, independent
+// of the merge schedule, and the engine sorts them before packing.
 package symbolic
 
 import (

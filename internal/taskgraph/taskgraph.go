@@ -463,8 +463,8 @@ func (g *Graph) BottomLevels(cost []float64) ([]float64, error) {
 // Independent builds a degenerate dependence graph of n mutually
 // independent Factor tasks — no edges, no chains. It lets callers drive
 // embarrassingly parallel work (such as the per-subtree symbolic
-// eliminations of the parallel analysis) through the same asynchronous
-// executor as the numeric phase.
+// eliminations of symbolic.FactorParallel) through the same
+// asynchronous executor as the numeric phase.
 func Independent(n int) *Graph {
 	g := &Graph{
 		Variant:     EForest,

@@ -114,6 +114,13 @@ func TestReadMatrixMarketRejectsRectangular(t *testing.T) {
 	}
 }
 
+func TestReadMatrixMarketRejectsOutOfRange(t *testing.T) {
+	src := "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
+	if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
+		t.Fatal("entry outside the declared size accepted")
+	}
+}
+
 func TestBuilderRejectsRectangular(t *testing.T) {
 	b := &Builder{}
 	_ = b
