@@ -408,7 +408,8 @@ func (f *Factorization) PerturbedColumns() []int { return f.f.PerturbedColumns()
 func (f *Factorization) PivotThreshold() float64 { return f.f.PivotThreshold() }
 
 // Residual returns the scaled backward error ‖A·x − b‖∞ / (‖A‖∞‖x‖∞ +
-// ‖b‖∞).
+// ‖b‖∞), or NaN when len(x) or len(b) is not the order of m: NaN fails
+// every "residual ≤ tol" check.
 func Residual(m *Matrix, x, b []float64) float64 {
 	return core.Residual(m.a, x, b)
 }

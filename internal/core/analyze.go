@@ -43,17 +43,20 @@ type Symbolic struct {
 	Stored *symbolic.Result
 	// BlockSym is the static symbolic factorization of the supernode
 	// block matrix: Stored re-closed under George–Ng at block
-	// granularity. It is a scheduling structure only — Graph and
-	// BlockForest are built on it — and a superset of Stored, so the
-	// Theorem-4 graph orders every two tasks that touch a common stored
-	// block; the tasks of its other blocks return at once.
+	// granularity. It is a scheduling structure only, never allocated:
+	// BlockForest is its LU eforest, Graph's chains follow that forest
+	// through it, and the paper's task graph (taskgraph.New) is built on
+	// it.
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
-	// Graph is the task dependence graph (variant per Options).
+	// Graph is the task dependence graph the numeric phase runs (variant
+	// per Options): the Theorem-4 graph on the stored blocks
+	// (taskgraph.NewStored), one task per block column and per stored
+	// off-diagonal block of Ū.
 	Graph *taskgraph.Graph
-	// Costs estimates per-task flops on Stored for scheduling and
-	// simulation.
+	// Costs estimates per-task flops of Graph on Stored for scheduling
+	// and simulation.
 	Costs *taskgraph.CostModel
 	// Prio holds the scheduling priorities of the numeric phase: Graph's
 	// bottom levels under Costs, computed once per pattern. Whoever puts
@@ -113,10 +116,12 @@ type AnalysisStats struct {
 	NumTrees     int     // trees in the scalar eforest = diagonal blocks of the BUT form (Table 3 NoBlks)
 	Blocks       int     // N of the block matrix
 	BlockNNZ     int     // blocks of the block-level closure (scheduling only)
-	TaskCount    int
-	EdgeCount    int
-	TotalFlops   float64
-	CriticalPath float64 // flops along the weighted critical path
+	TaskCount    int     // tasks of the paper's graph on the block-level closure (taskgraph.New, Table 2)
+	EdgeCount    int     // its edges
+	StoredTasks  int     // tasks of Graph, the stored-block graph the numeric phase runs
+	StoredEdges  int     // its edges
+	TotalFlops   float64 // the same on both graphs: a task of a block that is not stored weighs nothing
+	CriticalPath float64 // flops along the weighted critical path, the same on both graphs
 	// Partition stats of the structure-aware blocking (all structural:
 	// they depend only on the pattern and the analysis options).
 	SplitBlocks       int     // extra blocks the load-balance Split created
@@ -231,8 +236,10 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	blockForest := etree.LUForest(blockSym)
 	st.mark("block symbolic")
 
-	// Step 6: task dependence graph, cost model and priorities.
-	graph := taskgraph.New(blockSym, blockForest, o.TaskGraph)
+	// Step 6: task dependence graph on the stored blocks, cost model and
+	// priorities; the closure graph's counts are the paper's.
+	graph := taskgraph.NewStored(blockSym, blockForest, stored, o.TaskGraph)
+	closureTasks, closureEdges := taskgraph.ClosureCounts(blockSym, blockForest, o.TaskGraph)
 	costs := taskgraph.NewCostModel(graph, stored, part)
 	cp, total, err := graph.CriticalPath(costs.TaskFlops)
 	if err != nil {
@@ -305,8 +312,10 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 			NumTrees:     forest.NumTrees(),
 			Blocks:       blockSym.N,
 			BlockNNZ:     blockSym.NNZ(),
-			TaskCount:    graph.NumTasks(),
-			EdgeCount:    graph.NumEdges,
+			TaskCount:    closureTasks,
+			EdgeCount:    closureEdges,
+			StoredTasks:  graph.NumTasks(),
+			StoredEdges:  graph.NumEdges,
 			TotalFlops:   total,
 			CriticalPath: cp,
 

@@ -73,7 +73,8 @@ func analyzeStages() []analyzeStage {
 			return err
 		}},
 		{"task graph", func(st *stageState) error {
-			st.graph = taskgraph.New(st.blockSym, st.blockForest, st.o.TaskGraph)
+			st.graph = taskgraph.NewStored(st.blockSym, st.blockForest, st.stored, st.o.TaskGraph)
+			taskgraph.ClosureCounts(st.blockSym, st.blockForest, st.o.TaskGraph)
 			costs := taskgraph.NewCostModel(st.graph, st.stored, st.part)
 			if _, _, err := st.graph.CriticalPath(costs.TaskFlops); err != nil {
 				return err

@@ -287,8 +287,20 @@ func TestAnalyzeStats(t *testing.T) {
 	if st.Blocks != s.BlockSym.N || st.Blocks != s.Part.NumBlocks() {
 		t.Fatal("block counts inconsistent")
 	}
-	if st.TaskCount != s.Graph.NumTasks() {
-		t.Fatal("task count inconsistent")
+	// TaskCount and EdgeCount are the paper's graph on the block-level
+	// closure; StoredTasks and StoredEdges the graph the numeric phase
+	// runs: F(k) per diagonal block of Ū, U(k,j) per stored off-diagonal
+	// one.
+	closure := taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph)
+	if st.TaskCount != closure.NumTasks() || st.EdgeCount != closure.NumEdges {
+		t.Fatalf("closure counts %d tasks / %d edges, taskgraph.New %d / %d", st.TaskCount, st.EdgeCount, closure.NumTasks(), closure.NumEdges)
+	}
+	if st.StoredTasks != s.Graph.NumTasks() || st.StoredEdges != s.Graph.NumEdges || st.StoredTasks != s.Stored.U.NNZ() {
+		t.Fatalf("stored counts %d tasks / %d edges, Graph %d / %d, %d stored U blocks",
+			st.StoredTasks, st.StoredEdges, s.Graph.NumTasks(), s.Graph.NumEdges, s.Stored.U.NNZ())
+	}
+	if st.StoredTasks >= st.TaskCount {
+		t.Fatalf("stored graph has %d tasks, the closure %d: the test matrix stores every block", st.StoredTasks, st.TaskCount)
 	}
 	if st.TotalFlops <= 0 || st.CriticalPath <= 0 || st.CriticalPath > st.TotalFlops {
 		t.Fatalf("flop stats wrong: %+v", st)

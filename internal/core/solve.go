@@ -335,8 +335,13 @@ func (f *Factorization) bwdPanelStep(k int, y []float64, nrhs int) {
 }
 
 // Residual returns ‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞), the standard
-// scaled backward-error estimate, for the original system.
+// scaled backward-error estimate, for the original system. It returns NaN
+// when x or b does not have a's order, so the mismatch fails every
+// "residual ≤ tol" check instead of panicking.
 func Residual(a *sparse.CSC, x, b []float64) float64 {
+	if len(x) != a.NCols || len(b) != a.NRows {
+		return math.NaN()
+	}
 	r := make([]float64, len(b))
 	a.MulVec(x, r)
 	num := 0.0

@@ -17,14 +17,22 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// closureStorage returns a copy of s laid out on the block-level
-// closure instead of the stored structure: the storage every
+// closureStorage returns a copy of s scheduled and laid out on the
+// block-level closure instead of the stored structure: the paper's task
+// graph with one task per block of the closure, and the storage every
 // factorization had before the numeric phase was confined to the blocks
 // of Ā. It is the test seam of TestStoredBlocksParity — field
 // assignments on a copy, no option selects it.
 func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	t.Helper()
 	c := *s
+	c.Graph = taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph)
+	c.Costs = taskgraph.NewCostModel(c.Graph, s.Stored, s.Part)
+	prio, err := c.Graph.BottomLevels(c.Costs.TaskFlops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Prio = prio
 	c.Stored = s.BlockSym
 	c.layout = newLayout(c.Stored, c.Part)
 	fwd, bwd, err := solveSchedules(c.Stored)
@@ -48,10 +56,23 @@ func randomValues(a *sparse.CSC, rng *rand.Rand) *sparse.CSC {
 }
 
 // skips counts what a finished factorization on the stored structure
-// left out of the closure's work: tasks whose block is not stored,
-// interchanges with a row that has no block in the destination column,
-// and Schur updates whose target block is not stored.
+// left out of the closure's work: tasks of its graph whose block is not
+// stored (none, on the stored-block graph), interchanges with a row that
+// has no block in the destination column, and Schur updates whose target
+// block is not stored.
 type skips struct{ tasks, swaps, targets, exchanged int }
+
+// noOps counts the update tasks of g whose block (K,J) s does not store:
+// the tasks of the closure graph that return at once.
+func noOps(g *taskgraph.Graph, s *Symbolic) int {
+	n := 0
+	for _, task := range g.Tasks {
+		if task.Kind == taskgraph.Update && !s.Stored.U.Has(task.K, task.J) {
+			n++
+		}
+	}
+	return n
+}
 
 func countSkips(f *Factorization) (n skips) {
 	for _, task := range f.S.Graph.Tasks {
@@ -165,14 +186,14 @@ func sameSolves(t *testing.T, ctx string, fs, fc *Factorization, rng *rand.Rand)
 	}
 }
 
-// TestStoredBlocksParity pins that confining storage and updates to the
-// blocks that hold an entry of Ā changed no bit. Every matrix is
-// factored on the stored structure at P = 1, 2, 4, 8 and once on the
-// block-level closure — the storage the numeric phase used to allocate,
-// reached through closureStorage — under each rung of the recovery
-// ladder, on values that make the panels interchange rows, on a
-// near-singular operator, and on NaN-poisoned values, where both must
-// fail alike.
+// TestStoredBlocksParity pins that confining the task graph, storage and
+// updates to the blocks that hold an entry of Ā changed no bit. Every
+// matrix is factored on the stored graph and structure at P = 1, 2, 4, 8
+// and once on the block-level closure — the graph and storage the
+// numeric phase used to run on, reached through closureStorage — under
+// each rung of the recovery ladder, on values that make the panels
+// interchange rows, on a near-singular operator, and on NaN-poisoned
+// values, where both must fail alike.
 func TestStoredBlocksParity(t *testing.T) {
 	type input struct {
 		name string
@@ -211,6 +232,7 @@ func TestStoredBlocksParity(t *testing.T) {
 		{"equilibrate", NumericOptions{PivotPolicy: PivotPerturb, Equilibrate: true}},
 	}
 	var total skips
+	closureNoOps := 0
 	for _, in := range inputs {
 		opts := DefaultOptions()
 		if in.loose {
@@ -221,6 +243,7 @@ func TestStoredBlocksParity(t *testing.T) {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		closure := closureStorage(t, s)
+		closureNoOps += noOps(closure.Graph, s)
 		for _, rung := range rungs {
 			no := rung.no
 			no.Workers = 1
@@ -261,9 +284,13 @@ func TestStoredBlocksParity(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("skipped: %d no-op tasks, %d of %d interchanges, %d target blocks", total.tasks, total.swaps, total.exchanged, total.targets)
-	if total.tasks == 0 || total.swaps == 0 || total.targets == 0 {
-		t.Fatalf("the inputs never reached one of the three skips: %+v", total)
+	t.Logf("skipped: %d no-op tasks of the closure graph, %d of %d interchanges, %d target blocks",
+		closureNoOps, total.swaps, total.exchanged, total.targets)
+	if total.tasks != 0 {
+		t.Fatalf("the stored-block graph holds %d tasks whose block is not stored", total.tasks)
+	}
+	if closureNoOps == 0 || total.swaps == 0 || total.targets == 0 {
+		t.Fatalf("the inputs never reached one of the three skips: %d closure no-ops, %+v", closureNoOps, total)
 	}
 }
 

@@ -59,18 +59,45 @@ type prepared struct {
 
 func prepare(spec matgen.Spec) (*prepared, error) {
 	a := spec.Gen()
-	opts := core.DefaultOptions()
-	s, err := core.Analyze(a, opts)
+	s, err := core.Analyze(a, core.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	sStar := *s
-	sStar.Graph = taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
-	sStar.Costs = taskgraph.NewCostModel(sStar.Graph, s.Stored, s.Part)
-	if sStar.Prio, err = sStar.Graph.BottomLevels(sStar.Costs.TaskFlops); err != nil {
+	sym, err := onClosure(s, taskgraph.EForest)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	return &prepared{a: a, sym: s, symS: &sStar}, nil
+	symS, err := onClosure(s, taskgraph.SStar)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	return &prepared{a: a, sym: sym, symS: symS}, nil
+}
+
+// onClosure returns a copy of s carrying the paper's task graph of
+// variant v on the block-level closure (taskgraph.New), with its costs and
+// priorities: the graph every table and ablation is computed on. The
+// numeric phase runs it too, each task of a block that is not stored
+// returning at once.
+func onClosure(s *core.Symbolic, v taskgraph.Variant) (*core.Symbolic, error) {
+	c := *s
+	c.Graph = taskgraph.New(s.BlockSym, s.BlockForest, v)
+	c.Costs = taskgraph.NewCostModel(c.Graph, s.Stored, s.Part)
+	var err error
+	if c.Prio, err = c.Graph.BottomLevels(c.Costs.TaskFlops); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// analyzeOnClosure is core.Analyze followed by onClosure under the
+// analysis' own graph variant.
+func analyzeOnClosure(a *sparse.CSC, opts *core.Options) (*core.Symbolic, error) {
+	s, err := core.Analyze(a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return onClosure(s, opts.TaskGraph)
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +402,7 @@ func AblationPostorderTime(specs []matgen.Spec, procs int) ([]AblationRow, error
 			a := spec.Gen()
 			opts := core.DefaultOptions()
 			opts.Postorder = post
-			s, err := core.Analyze(a, opts)
+			s, err := analyzeOnClosure(a, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -401,7 +428,7 @@ func AblationAmalgamation(spec matgen.Spec, sizes []int, procs int) ([]AblationR
 		a := spec.Gen()
 		opts := core.DefaultOptions()
 		opts.Amalgamation = supernode.AmalgamationOptions{MaxSize: sz, MaxFill: 0.25}
-		s, err := core.Analyze(a, opts)
+		s, err := analyzeOnClosure(a, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +453,7 @@ func AblationAmalgamation(spec matgen.Spec, sizes []int, procs int) ([]AblationR
 // mapping differs.
 func AblationMapping(spec matgen.Spec) ([]AblationRow, error) {
 	const procs = 8
-	s, err := core.Analyze(spec.Gen(), core.DefaultOptions())
+	s, err := analyzeOnClosure(spec.Gen(), core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

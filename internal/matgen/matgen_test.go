@@ -270,3 +270,30 @@ func TestNearSingularDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGenPatterns pins what the differential and property tests rely on:
+// five families per seed, each square of order at most 150 with a
+// zero-free diagonal, and the same patterns for the same seed.
+func TestGenPatterns(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cases := GenPatterns(seed)
+		again := GenPatterns(seed)
+		if len(cases) != 5 {
+			t.Fatalf("seed %d: %d patterns, want 5", seed, len(cases))
+		}
+		for i, pc := range cases {
+			a := pc.A
+			if a.NRows != a.NCols || a.NCols > 150 {
+				t.Fatalf("%s: %d×%d", pc.Name, a.NRows, a.NCols)
+			}
+			for j := 0; j < a.NCols; j++ {
+				if a.At(j, j) == 0 {
+					t.Fatalf("%s: no diagonal entry in column %d", pc.Name, j)
+				}
+			}
+			if again[i].Name != pc.Name || !again[i].A.SamePattern(a) {
+				t.Fatalf("%s: a second call with seed %d gives %s", pc.Name, seed, again[i].Name)
+			}
+		}
+	}
+}

@@ -43,11 +43,14 @@ func suiteCases(t *testing.T) []simCase {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
+		// The paper's graphs, on the block-level closure.
+		gE := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.EForest)
+		cmE := taskgraph.NewCostModel(gE, s.Stored, s.Part)
 		gS := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.SStar)
 		cmS := taskgraph.NewCostModel(gS, s.Stored, s.Part)
 		for _, p := range []int{1, 2, 4, 8} {
 			cases = append(cases,
-				simCase{fmt.Sprintf("%s/eforest/P=%d", spec.Name, p), s.Graph, s.Costs, p},
+				simCase{fmt.Sprintf("%s/eforest/P=%d", spec.Name, p), gE, cmE, p},
 				simCase{fmt.Sprintf("%s/sstar/P=%d", spec.Name, p), gS, cmS, p})
 		}
 	}

@@ -23,15 +23,15 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 
 // symBytes estimates the bytes a Symbolic retains, for the cache's
 // approx_bytes counter: the scalar symbolic result and the block-level
-// closure (L once, U column- and row-wise, 8-byte indices), the
-// stored-block layout, and the task graph with its costs and
-// priorities (≈ 90 B a task, 4 B an edge — the largest part on
-// fine-grained patterns). Within 10 % of the heap growth measured on the
-// medium suite.
+// closure (L once, U column- and row-wise, 8-byte indices: 13 B an entry
+// of Ā and 16 B a block of the closure as allocated), the stored-block
+// layout, and the task graph on the stored blocks with its costs and
+// priorities (≈ 90 B a task, 4 B an edge). 0.96–1.00× the heap growth
+// of Analyze measured on the seven full-size suite matrices.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
-	return int64(st.NNZFactors+st.BlockNNZ)*12 + int64(st.StoredBlocks)*40 +
-		int64(st.N)*96 + int64(st.TaskCount)*90 + int64(st.EdgeCount)*4
+	return int64(st.NNZFactors)*13 + int64(st.BlockNNZ)*16 + int64(st.StoredBlocks)*40 +
+		int64(st.N)*96 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
 }
 
 // factorBytes estimates the bytes one factorization of a pattern

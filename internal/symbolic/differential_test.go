@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/etree"
+	"repro/internal/matgen"
 	"repro/internal/ordering"
 	"repro/internal/sparse"
 	"repro/internal/supernode"
@@ -20,7 +21,7 @@ const differentialSeeds = 12
 // column etree that ordering produces is what PartitionColumns cuts.
 func forEachPattern(t *testing.T, check func(t *testing.T, name string, a *sparse.CSC)) {
 	for seed := int64(1); seed <= differentialSeeds; seed++ {
-		for _, pc := range symbolic.GenPatterns(seed) {
+		for _, pc := range matgen.GenPatterns(seed) {
 			check(t, pc.Name, pc.A)
 			check(t, pc.Name+"/mindeg", pc.A.PermuteSym(ordering.ColumnOrdering(pc.A, ordering.MinDegreeATA)))
 		}

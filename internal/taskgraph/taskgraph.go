@@ -13,6 +13,11 @@
 //     matrix (Theorem 4): U(i,k) → U(i',k) when i' = parent(i), U(i,k) →
 //     F(k) when parent(i) = k, and no dependence at all between updates
 //     coming from independent subtrees.
+//
+// New builds them on every block of a structure closed under block-level
+// elimination, the paper's graphs. NewStored builds the same graphs
+// contracted onto the blocks the numeric phase stores — the tasks of the
+// other blocks have nothing to do — and is what the numeric phase runs.
 package taskgraph
 
 import (
@@ -121,10 +126,8 @@ func buildTasks(blockSym *symbolic.Result) (tasks []Task, factorID []int, update
 	}
 	for k := 0; k < n; k++ {
 		updateFirst[k] = int32(len(tasks))
-		for _, j := range blockSym.URows.Col(k) { // sorted, row[0] == k
-			if j != k {
-				tasks = append(tasks, Task{Kind: Update, K: k, J: j})
-			}
+		for _, j := range offDiagonal(blockSym.URows.Col(k), k) {
+			tasks = append(tasks, Task{Kind: Update, K: k, J: j})
 		}
 	}
 	updateFirst[n] = int32(len(tasks))
@@ -180,13 +183,7 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		Succ:        make([][]int32, len(tasks)),
 		ChainNext:   make([]int32, len(tasks)),
 	}
-	for k := 0; k < g.N; k++ {
-		lo, hi := g.Updates(k)
-		g.NumEdges += hi - lo
-		if v == SStar || f.Parent[k] != etree.None {
-			g.NumEdges += hi - lo
-		}
-	}
+	_, g.NumEdges = ClosureCounts(blockSym, f, v)
 	edges := make([]int32, g.NumEdges)
 	for i := range g.ChainNext {
 		g.ChainNext[i] = -1
@@ -259,6 +256,187 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		panic("taskgraph: unknown variant")
 	}
 	return g
+}
+
+// ClosureCounts returns the task and edge counts of New(blockSym, f, v)
+// without building it: one F(k) per block column and one U(k, j) per
+// off-diagonal block of Ū; F(k) → U(k, j) for each update, and one chain
+// edge per update except, under EForest, those sourced at a root.
+func ClosureCounts(blockSym *symbolic.Result, f *etree.Forest, v Variant) (tasks, edges int) {
+	for k := 0; k < blockSym.N; k++ {
+		u := len(offDiagonal(blockSym.URows.Col(k), k))
+		tasks += 1 + u
+		edges += u
+		if v == SStar || f.Parent[k] != etree.None {
+			edges += u
+		}
+	}
+	return tasks, edges
+}
+
+// offDiagonal returns the destinations of row k of Ū past the diagonal:
+// the row ascends from k.
+func offDiagonal(row []int, k int) []int {
+	if len(row) > 0 && row[0] == k {
+		return row[1:]
+	}
+	return row
+}
+
+// NewStored builds the dependence graph of the requested variant on the
+// stored blocks: F(k) for every block column, U(k, j) only for the
+// off-diagonal blocks of stored's Ū, and ids laid out as New lays them.
+// stored must lie inside blockSym, its closure under block-level
+// elimination, and f must be blockSym's LU eforest.
+//
+// The graph is New(blockSym, f, v) contracted onto those tasks — every
+// other task of New's graph belongs to a block that is not stored and
+// does nothing — without building the closure's tasks:
+//
+//   - The chain link of U(k, j) is the first stored task down its chain in
+//     New's graph. Under EForest that is U(a, j) for the nearest eforest
+//     ancestor a < j of k whose block (a, j) is stored, else F(j) — or
+//     nothing when the ancestors end at a root below j: Theorem 1 puts
+//     every U(a, j) with a < j on the chain. Under SStar it is the update
+//     of the next stored source of column j, else F(j).
+//   - F(k) keeps its edges to the updates it sources. Under SStar it also
+//     gets, for every update of blockSym's row k that is not stored, the
+//     first stored task down that update's chain — the exact contraction,
+//     one edge per destination. Under EForest it gets only F(parent(k)),
+//     when U(k, parent(k)) is not stored: every other such edge is implied
+//     by F(k) ≺ F(parent(k)), up the eforest (see DESIGN.md §6).
+//
+// Reachability among the tasks is New's, so two tasks that touch a
+// common stored block stay ordered.
+func NewStored(blockSym *symbolic.Result, f *etree.Forest, stored *symbolic.Result, v Variant) *Graph {
+	if v == EForest && f == nil {
+		panic("taskgraph: EForest variant needs the LU eforest")
+	}
+	tasks, factorID, updateFirst := buildTasks(stored)
+	g := &Graph{
+		Variant:     v,
+		N:           stored.N,
+		Tasks:       tasks,
+		FactorID:    factorID,
+		updateFirst: updateFirst,
+		Succ:        make([][]int32, len(tasks)),
+		ChainNext:   make([]int32, len(tasks)),
+	}
+	switch v {
+	case SStar:
+		g.contractSStar(blockSym)
+	case EForest:
+		g.contractEForest(f)
+	default:
+		panic("taskgraph: unknown variant")
+	}
+	return g
+}
+
+// contractEForest fills the edges of NewStored's EForest graph.
+func (g *Graph) contractEForest(f *etree.Forest) {
+	parent, tasks := f.Parent, g.Tasks
+	for i := 0; i < g.N; i++ {
+		g.ChainNext[g.FactorID[i]] = -1
+	}
+	// dropsParent reports whether U(k, parent(k)), the first update of
+	// row k of the closure, is not stored: F(k) then links to F(parent(k)).
+	dropsParent := func(k int) bool {
+		lo, hi := g.Updates(k)
+		return parent[k] != etree.None && (lo == hi || tasks[lo].J != parent[k])
+	}
+	for k := 0; k < g.N; k++ {
+		lo, hi := g.Updates(k)
+		g.NumEdges += hi - lo
+		if dropsParent(k) {
+			g.NumEdges++
+		}
+		for id := lo; id < hi; id++ {
+			j := tasks[id].J
+			next := int32(-1)
+			a := parent[k]
+			for a != etree.None && a < j {
+				if up, ok := g.UpdateID(a, j); ok {
+					next = int32(up)
+					break
+				}
+				a = parent[a]
+			}
+			if next < 0 && a != etree.None {
+				next = int32(g.FactorID[j]) // a = j, or past it where Theorem 1 fails
+			}
+			g.ChainNext[id] = next
+			if next >= 0 {
+				g.NumEdges++
+			}
+		}
+	}
+	// The successor lists are cut from one backing array of exactly
+	// NumEdges entries: F(k)'s first, in ascending destination, then the
+	// chain links.
+	edges := make([]int32, 0, g.NumEdges)
+	for k := 0; k < g.N; k++ {
+		start := len(edges)
+		if dropsParent(k) {
+			edges = append(edges, int32(g.FactorID[parent[k]]))
+		}
+		for id, hi := g.Updates(k); id < hi; id++ {
+			edges = append(edges, int32(id))
+		}
+		g.Succ[g.FactorID[k]] = edges[start:len(edges):len(edges)]
+	}
+	for id, next := range g.ChainNext {
+		if next >= 0 {
+			edges = append(edges, next)
+			g.Succ[id] = edges[len(edges)-1 : len(edges) : len(edges)]
+		}
+	}
+}
+
+// contractSStar fills the edges of NewStored's SStar graph: the sources
+// are scanned in descending order, so the stored update last seen in a
+// destination column is the next of its chain.
+func (g *Graph) contractSStar(blockSym *symbolic.Result) {
+	tasks := g.Tasks
+	next := make([]int32, g.N)
+	for j := range next {
+		next[j] = int32(g.FactorID[j])
+		g.ChainNext[g.FactorID[j]] = -1
+	}
+	g.NumEdges = len(tasks) - g.N
+	for k := 0; k < g.N; k++ {
+		g.NumEdges += len(offDiagonal(blockSym.URows.Col(k), k))
+	}
+	edges := make([]int32, g.NumEdges)
+	at := 0
+	for k := 0; k < g.N; k++ {
+		m := len(offDiagonal(blockSym.URows.Col(k), k))
+		g.Succ[g.FactorID[k]] = edges[at : at+m : at+m]
+		at += m
+	}
+	for k := g.N - 1; k >= 0; k-- {
+		succ := g.Succ[g.FactorID[k]]
+		id, hi := g.Updates(k)
+		for t, j := range offDiagonal(blockSym.URows.Col(k), k) {
+			if id < hi && tasks[id].J == j {
+				succ[t] = int32(id)
+				id++
+			} else {
+				succ[t] = next[j]
+			}
+		}
+		if id != hi {
+			panic(fmt.Sprintf("taskgraph: stored block (%d,%d) is not in the closure", k, tasks[id].J))
+		}
+		for id, hi := g.Updates(k); id < hi; id++ {
+			j := tasks[id].J
+			edges[at] = next[j]
+			g.Succ[id] = edges[at : at+1 : at+1]
+			g.ChainNext[id] = next[j]
+			at++
+			next[j] = int32(id)
+		}
+	}
 }
 
 // NumTasks returns the number of tasks.

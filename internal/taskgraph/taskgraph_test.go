@@ -1,7 +1,9 @@
 package taskgraph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/etree"
@@ -456,6 +458,89 @@ func TestGraphWithBlockedPartition(t *testing.T) {
 	}
 	if onStored.TotalFlops() >= onClosure.TotalFlops() {
 		t.Fatalf("total %g on the stored blocks, %g on the closure", onStored.TotalFlops(), onClosure.TotalFlops())
+	}
+}
+
+// sameGraph requires two graphs to agree task for task, edge for edge in
+// order, and link for link.
+func sameGraph(t *testing.T, ctx string, got, want *Graph) {
+	t.Helper()
+	if got.NumTasks() != want.NumTasks() || got.NumEdges != want.NumEdges {
+		t.Fatalf("%s: %d tasks / %d edges, want %d / %d", ctx, got.NumTasks(), got.NumEdges, want.NumTasks(), want.NumEdges)
+	}
+	for id := range want.Tasks {
+		if got.Tasks[id] != want.Tasks[id] || !slices.Equal(got.Succ[id], want.Succ[id]) || got.ChainNext[id] != want.ChainNext[id] {
+			t.Fatalf("%s: task %d is %v → %v (chain %d), want %v → %v (chain %d)", ctx, id,
+				got.Tasks[id], got.Succ[id], got.ChainNext[id], want.Tasks[id], want.Succ[id], want.ChainNext[id])
+		}
+	}
+}
+
+// TestNewStoredOnEveryBlockIsNew: with every block of the closure stored
+// there is nothing to contract, so NewStored is New; and ClosureCounts is
+// New's size without New.
+func TestNewStoredOnEveryBlockIsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 10; trial++ {
+		sym := mustFactor(t, randomZeroFreeDiag(10+rng.Intn(40), 0.1, rng))
+		f := etree.LUForest(sym)
+		for _, v := range []Variant{SStar, EForest} {
+			want := New(sym, f, v)
+			sameGraph(t, fmt.Sprintf("trial %d %v", trial, v), NewStored(sym, f, sym, v), want)
+			if tasks, edges := ClosureCounts(sym, f, v); tasks != want.NumTasks() || edges != want.NumEdges {
+				t.Fatalf("trial %d %v: ClosureCounts %d / %d, New %d / %d", trial, v, tasks, edges, want.NumTasks(), want.NumEdges)
+			}
+		}
+	}
+}
+
+// TestNewStoredSkipsDroppedBlocks drops U(0,3) from the worked example's
+// chain 0 → 3 → 4 → 5 → 6: F(0) must then precede F(3) itself, and an
+// update whose chain ran through a dropped block links past it.
+func TestNewStoredSkipsDroppedBlocks(t *testing.T) {
+	sym := mustFactor(t, paperMatrix())
+	f := etree.LUForest(sym)
+	if f.Parent[0] != 3 || f.Parent[3] != 4 {
+		t.Fatalf("example eforest parents %v", f.Parent)
+	}
+	// Keep every block of Ā but (0,3) and (3,6).
+	tr := sparse.NewTriplet(7, 7)
+	for j := 0; j < 7; j++ {
+		for _, col := range [][]int{sym.L.Col(j), sym.U.Col(j)} {
+			for _, i := range col {
+				if (i != 0 || j != 3) && (i != 3 || j != 6) {
+					tr.Add(i, j, 1)
+				}
+			}
+		}
+	}
+	stored := symbolic.FromPattern(sparse.PatternOf(tr.ToCSC()))
+	g := NewStored(sym, f, stored, EForest)
+	if _, ok := g.UpdateID(0, 3); ok {
+		t.Fatal("U(0,3) was dropped but has a task")
+	}
+	if !slices.Contains(g.Succ[g.FactorID[0]], int32(g.FactorID[3])) {
+		t.Fatalf("F(0) → %v, want F(3) among them", g.Succ[g.FactorID[0]])
+	}
+	// U(0,6) chained to U(3,6) in the closure; with (3,6) dropped the
+	// first stored task down the chain is U(4,6).
+	up, okUp := g.UpdateID(0, 6)
+	want, okWant := g.UpdateID(4, 6)
+	if !okUp || !okWant {
+		t.Fatal("the example needs U(0,6) and U(4,6)")
+	}
+	if g.ChainNext[up] != int32(want) || !slices.Equal(g.Succ[up], []int32{int32(want)}) {
+		t.Fatalf("U(0,6) → %v (chain %d), want U(4,6)", g.Succ[up], g.ChainNext[up])
+	}
+	for _, v := range []Variant{SStar, EForest} {
+		g := NewStored(sym, f, stored, v)
+		if _, err := g.TopoOrder(); err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		cp, _, err := g.CriticalPath(nil)
+		if err != nil || cp < 1 {
+			t.Fatalf("%v: critical path %v, %v", v, cp, err)
+		}
 	}
 }
 

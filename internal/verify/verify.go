@@ -6,14 +6,16 @@
 //
 //   - VerifyDAG: the task dependence graph is a well-formed acyclic
 //     graph whose task table, edge lists and id indices agree.
-//   - VerifyLeastDependences: the eforest-guided graph contains exactly
-//     the least necessary dependences of Theorem 4 — every
-//     U(k,j) → U(k',j) edge satisfies k' = parent(k), every
-//     U(k,j) → F(j) edge satisfies parent(k) = j, no edge joins
-//     independent subtrees, and no required edge is missing.
+//   - VerifyLeastDependences: the eforest-guided graph, on every block
+//     or on the stored ones, contains exactly the least necessary
+//     dependences of Theorem 4 — U(k,j) → U(a,j) for the nearest eforest
+//     ancestor a of k with an update in column j, U(k,j) → F(j) when the
+//     ancestors reach j first, no edge between independent subtrees, and
+//     no required edge missing.
 //   - VerifyStoredBlocks: the blocks the numeric phase stores are the
 //     block pattern of Ā, lie inside the block-level closure the task
-//     graph is built on, and leave out no target of two scalar entries.
+//     graph is contracted from, and leave out no target of two scalar
+//     entries.
 //   - VerifyPostorderInvariance: postordering the LU eforest leaves the
 //     static symbolic factorization invariant up to relabeling
 //     (Theorems 1–3): refactoring the symmetrically permuted matrix
@@ -99,13 +101,23 @@ func VerifyDAG(g *taskgraph.Graph) error {
 
 // VerifyLeastDependences checks Theorem 4 on an eforest-guided graph
 // against the LU eforest f of the block structure the graph was built
-// on: every edge is one of the three least-necessary forms
-// (F(k) → U(k,j); U(k,j) → U(parent(k),j); U(k,j) → F(j) when
-// parent(k) = j), no edge joins tasks sourced in independent subtrees,
-// and every edge those forms require is actually present. A fallback
-// edge — permitted by the builder when the block structure is not a
-// static fixed point — is reported as a violation, because on the
-// pipeline's structures Theorem 1 guarantees it never occurs.
+// on: every task's successors are exactly the least dependences. The
+// graph may hold an update for every block of that structure (New) or
+// for a subset of them (NewStored, on the stored blocks); either way
+//
+//   - F(k) precedes the updates it sources, and F(parent(k)) when
+//     U(k, parent(k)) is not a task;
+//   - U(k, j) precedes U(a, j) for the nearest eforest ancestor a < j of k
+//     whose update is a task, else F(j) when the ancestors reach j, and
+//     nothing when they end at a root below j.
+//
+// On a graph over the whole structure Theorem 1 makes U(parent(k), j)
+// exist whenever parent(k) < j, so the rule reduces to the paper's
+// (U(k,j) → U(parent(k),j), U(k,j) → F(j) when parent(k) = j, no edge
+// between independent subtrees). An ancestor chain that passes over j —
+// what New's conservative fallback edge covers — is reported as a
+// violation, because on the pipeline's structures Theorem 1 guarantees it
+// never occurs.
 func VerifyLeastDependences(g *taskgraph.Graph, f *etree.Forest) error {
 	if g.Variant != taskgraph.EForest {
 		return fmt.Errorf("verify: graph variant is %v, not eforest", g.Variant)
@@ -113,76 +125,83 @@ func VerifyLeastDependences(g *taskgraph.Graph, f *etree.Forest) error {
 	if f.Len() != g.N {
 		return fmt.Errorf("verify: forest over %d nodes, graph over %d block columns", f.Len(), g.N)
 	}
-	has := make(map[[2]int]bool, g.NumEdges)
-	for id, succ := range g.Succ {
-		for _, s := range succ {
-			has[[2]int{id, int(s)}] = true
-		}
-	}
-
-	// Direction 1: every present edge has a least-necessary form.
-	for id, succ := range g.Succ {
+	// require lists the successors the rule asks of one task; check
+	// compares them with the task's as sets, each successor consuming the
+	// mark of one required task, so a repeated edge cannot stand in for a
+	// missing one.
+	var require []int
+	mark := make([]bool, g.NumTasks())
+	check := func(id int) error {
 		from := g.Tasks[id]
-		for _, s := range succ {
-			to := g.Tasks[s]
-			switch {
-			case from.Kind == taskgraph.Factor:
-				if to.Kind != taskgraph.Update || to.K != from.K {
-					return fmt.Errorf("verify: illegal edge %v → %v", from, to)
-				}
-			case to.Kind == taskgraph.Update:
-				if to.J != from.J {
-					return fmt.Errorf("verify: edge %v → %v crosses destination columns", from, to)
-				}
-				if f.Parent[from.K] != to.K {
-					return fmt.Errorf("verify: edge %v → %v but parent(%d) = %d (Theorem 4)",
-						from, to, from.K, f.Parent[from.K])
-				}
-				if !f.IsAncestor(to.K, from.K) {
-					return fmt.Errorf("verify: edge %v → %v joins independent subtrees", from, to)
-				}
-			default: // Update → Factor
-				if to.K != from.J {
-					return fmt.Errorf("verify: edge %v → %v targets a foreign factor", from, to)
-				}
-				if f.Parent[from.K] != from.J {
-					return fmt.Errorf("verify: edge %v → %v but parent(%d) = %d; conservative fallback edge present (structure not a static fixed point?)",
-						from, to, from.K, f.Parent[from.K])
-				}
+		if len(g.Succ[id]) != len(require) {
+			return fmt.Errorf("verify: %v has %d successors, Theorem 4 requires %d (%v)", from, len(g.Succ[id]), len(require), tasksOf(g, require))
+		}
+		for _, want := range require {
+			mark[want] = true
+		}
+		bad := int32(-1)
+		for _, s := range g.Succ[id] {
+			if !mark[s] && bad < 0 {
+				bad = s
+			}
+			mark[s] = false
+		}
+		for _, want := range require {
+			mark[want] = false
+		}
+		if bad >= 0 {
+			return fmt.Errorf("verify: edge %v → %v is not a least dependence; Theorem 4 requires %v", from, g.Tasks[bad], tasksOf(g, require))
+		}
+		return nil
+	}
+	for k := 0; k < g.N; k++ {
+		p := f.Parent[k]
+		lo, hi := g.Updates(k)
+		require = require[:0]
+		if p != etree.None {
+			if _, ok := g.UpdateID(k, p); !ok {
+				require = append(require, g.FactorID[p])
 			}
 		}
-	}
-
-	// Direction 2: every edge Theorem 4 requires is present.
-	for k := 0; k < g.N; k++ {
-		fid := g.FactorID[k]
-		p := f.Parent[k]
-		for id, hi := g.Updates(k); id < hi; id++ {
+		for id := lo; id < hi; id++ {
+			require = append(require, id)
+		}
+		if err := check(g.FactorID[k]); err != nil {
+			return err
+		}
+		for id := lo; id < hi; id++ {
 			j := g.Tasks[id].J
-			if !has[[2]int{fid, id}] {
-				return fmt.Errorf("verify: missing edge F(%d) → U(%d,%d)", k, k, j)
+			require = require[:0]
+			a := p
+			for a != etree.None && a < j {
+				if up, ok := g.UpdateID(a, j); ok {
+					require = append(require, up)
+					break
+				}
+				a = f.Parent[a]
 			}
 			switch {
-			case p == etree.None:
-				// Root: the update blocks nothing downstream.
-			case p == j:
-				if !has[[2]int{id, g.FactorID[j]}] {
-					return fmt.Errorf("verify: missing edge U(%d,%d) → F(%d)", k, j, j)
-				}
-			case p < j:
-				nid, ok := g.UpdateID(p, j)
-				if !ok {
-					return fmt.Errorf("verify: U(%d,%d) exists but U(%d,%d) does not (Theorem 1 violated at block level)", k, j, p, j)
-				}
-				if !has[[2]int{id, nid}] {
-					return fmt.Errorf("verify: missing edge U(%d,%d) → U(%d,%d)", k, j, p, j)
-				}
-			default: // p > j
-				return fmt.Errorf("verify: parent(%d) = %d exceeds destination %d though ū(%d,%d) ≠ 0", k, p, j, k, j)
+			case len(require) > 0 || a == etree.None:
+			case a == j:
+				require = append(require, g.FactorID[j])
+			default:
+				return fmt.Errorf("verify: the eforest ancestors of %d pass over %d to %d though ū(%d,%d) ≠ 0", k, j, a, k, j)
+			}
+			if err := check(id); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// tasksOf renders task ids in the paper's notation.
+func tasksOf(g *taskgraph.Graph, ids []int) []taskgraph.Task {
+	out := make([]taskgraph.Task, len(ids))
+	for i, id := range ids {
+		out[i] = g.Tasks[id]
+	}
+	return out
 }
 
 // VerifyPostorderInvariance checks Theorems 1–3: let perm be the
@@ -219,10 +238,10 @@ func VerifyPostorderInvariance(a *sparse.CSC, sym *symbolic.Result, f *etree.For
 }
 
 // VerifyStoredBlocks checks what lets the numeric phase store and
-// update only the blocks of Ā while it is scheduled on their block-level
+// update only the blocks of Ā while it is scheduled by their block-level
 // closure: stored is exactly the block pattern of sym under part; it is
-// contained in closure, so the task graph orders every two tasks that
-// touch a common stored block; and wherever blocks (I,K) and (K,J) with
+// contained in closure, so the task graph contracted from the closure's
+// orders every two tasks that touch a common stored block; and wherever blocks (I,K) and (K,J) with
 // I > K < J are stored and (I,J) is not, no scalar pair (i,k) ∈ L̄,
 // (k,j) ∈ Ū lies inside them — the skipped update would only multiply
 // structural zeros.

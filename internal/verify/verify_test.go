@@ -168,6 +168,39 @@ outer:
 	}
 }
 
+// TestVerifyLeastDependencesOnStoredBlocks runs the check on the graph
+// the numeric phase runs — the eforest graph of the closure contracted
+// onto the stored blocks — and on a copy without one of its
+// F(k) → F(parent(k)) edges.
+func TestVerifyLeastDependencesOnStoredBlocks(t *testing.T) {
+	dropped := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		_, sym, _, _ := analysis(t, 60, 0.03, seed, taskgraph.EForest)
+		_, stored, closure := storedAndClosure(t, sym, 0.5)
+		f := etree.LUForest(closure)
+		g := taskgraph.NewStored(closure, f, stored, taskgraph.EForest)
+		if err := VerifyLeastDependences(g, f); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for k := 0; k < g.N; k++ {
+			succ := g.Succ[g.FactorID[k]]
+			if len(succ) == 0 || g.Tasks[succ[0]].Kind != taskgraph.Factor {
+				continue
+			}
+			g.Succ[g.FactorID[k]] = succ[1:]
+			g.NumEdges--
+			if err := VerifyLeastDependences(g, f); err == nil || !strings.Contains(err.Error(), "requires") {
+				t.Fatalf("seed %d: F(%d) without its edge to F(%d) passed: %v", seed, k, f.Parent[k], err)
+			}
+			dropped++
+			break
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no stored graph had an F(k) → F(parent(k)) edge to drop")
+	}
+}
+
 func TestVerifyPostorderInvarianceAccepts(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		a, sym, f, _ := analysis(t, 40, 0.07, seed, taskgraph.EForest)

@@ -41,26 +41,40 @@ type Matrix struct {
 }
 
 // Builder assembles a sparse matrix from (row, column, value) triplets.
-// Duplicate entries are summed.
+// Duplicate entries are summed. A negative order or an index outside the
+// matrix does not panic: Build returns the first such mistake.
 type Builder struct {
-	t *sparse.Triplet
+	t   *sparse.Triplet
+	err error
 }
 
 // NewBuilder returns a builder for an n×n matrix.
 func NewBuilder(n int) *Builder {
+	if n < 0 {
+		return &Builder{t: sparse.NewTriplet(0, 0), err: fmt.Errorf("sparselu: negative order %d", n)}
+	}
 	return &Builder{t: sparse.NewTriplet(n, n)}
 }
 
 // Add appends the entry (i, j, v). Indices are 0-based. Explicit zeros
-// are kept in the structure.
+// are kept in the structure. An index outside the matrix is reported by
+// Build.
 func (b *Builder) Add(i, j int, v float64) {
+	if b.err != nil {
+		return
+	}
+	if n := b.t.NRows; i < 0 || i >= n || j < 0 || j >= n {
+		b.err = fmt.Errorf("sparselu: entry (%d,%d) outside the %d×%d matrix", i, j, n, n)
+		return
+	}
 	b.t.Add(i, j, v)
 }
 
-// Build finalizes the matrix.
+// Build finalizes the matrix, or returns the first mistake made while
+// building it.
 func (b *Builder) Build() (*Matrix, error) {
-	if b.t.NRows != b.t.NCols {
-		return nil, fmt.Errorf("sparselu: matrix must be square")
+	if b.err != nil {
+		return nil, b.err
 	}
 	return &Matrix{a: b.t.ToCSC()}, nil
 }

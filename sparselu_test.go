@@ -133,6 +133,57 @@ func TestBuilderRejectsRectangular(t *testing.T) {
 	}
 }
 
+// TestBadInputDoesNotPanic pins that the public entry points report bad
+// input instead of panicking: Residual returns NaN for vectors of the
+// wrong length, and Build returns the first index outside the matrix or
+// a negative order.
+func TestBadInputDoesNotPanic(t *testing.T) {
+	m := buildRandom(t, 6, 0.3, 6)
+	ok := make([]float64, 6)
+	for _, c := range []struct {
+		name string
+		x, b []float64
+	}{
+		{"short x", make([]float64, 5), ok},
+		{"long x", make([]float64, 7), ok},
+		{"short b", ok, make([]float64, 5)},
+		{"long b", ok, make([]float64, 7)},
+		{"nil both", nil, nil},
+	} {
+		if r := Residual(m, c.x, c.b); !math.IsNaN(r) {
+			t.Errorf("Residual with %s = %v, want NaN", c.name, r)
+		}
+	}
+	if r := Residual(m, ok, ok); r != 0 {
+		t.Errorf("Residual of the zero solution of a zero right-hand side = %v, want 0", r)
+	}
+
+	for _, c := range []struct {
+		name string
+		n    int
+		add  [][2]int
+		want string
+	}{
+		{"row past the order", 2, [][2]int{{0, 0}, {2, 0}, {1, 1}}, "(2,0) outside the 2×2"},
+		{"negative column", 3, [][2]int{{0, -1}}, "(0,-1) outside the 3×3"},
+		{"first mistake kept", 2, [][2]int{{0, 5}, {7, 0}}, "(0,5)"},
+		{"empty matrix", 0, [][2]int{{0, 0}}, "(0,0) outside the 0×0"},
+		{"negative order", -1, nil, "negative order -1"},
+		{"negative order, then an entry", -2, [][2]int{{0, 0}}, "negative order -2"},
+	} {
+		b := NewBuilder(c.n)
+		for _, e := range c.add {
+			b.Add(e[0], e[1], 1)
+		}
+		if m, err := b.Build(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build = %v, %v; want an error mentioning %q", c.name, m, err, c.want)
+		}
+	}
+	if m, err := NewBuilder(0).Build(); err != nil || m.Order() != 0 {
+		t.Errorf("NewBuilder(0).Build() = %v, %v", m, err)
+	}
+}
+
 func TestAnalyzeStatsPublic(t *testing.T) {
 	m := buildRandom(t, 50, 0.08, 3)
 	a, err := Analyze(m, nil)
