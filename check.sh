@@ -1,7 +1,7 @@
 #!/bin/sh
 # The local/CI gate, split into stages so CI can attribute failures:
 #
-#   ./check.sh lint        # gofmt, vet, build (bench/ too), lucheck -audit -sarif
+#   ./check.sh lint        # gofmt, vet, build (arm64 and bench/ too), lucheck -audit -sarif
 #   ./check.sh test        # race-enabled test suite, Matrix Market reader fuzz
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service     # sluserver chaos suite under -race, decoder fuzz, live HTTP smoke
@@ -38,6 +38,12 @@ lint() {
 
 	echo "==> go build"
 	go build ./...
+
+	# The portable twins of the assembly kernels (microkernel_other.go,
+	# fastmath_other.go) only compile off amd64.
+	echo "==> go vet + go build (GOARCH=arm64)"
+	GOARCH=arm64 go vet ./internal/blas
+	GOARCH=arm64 go build ./...
 
 	# bench/ is a module of its own: ./... above does not reach it, so an
 	# API removal that breaks the benchmark of record would pass unseen.

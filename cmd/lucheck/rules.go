@@ -711,8 +711,9 @@ func spinBacksOff(body *ast.BlockStmt) bool {
 // hot-path package: the level-3 kernels run inside the measured numeric
 // phase, so any allocation they perform is a per-task heap object that
 // the zero-allocation proof would catch much later and less precisely.
-// Kernel scratch comes from the sync.Pool of fixed-size arrays (whose
-// one sanctioned allocation is `new` in the pool's New func).
+// Kernel scratch comes from the freelist of fixed-size arrays (whose
+// one sanctioned allocation is `new` in getScratch, and whose bounded
+// push is the one waived append).
 func (p *pass) hotAllocFile(f *ast.File) {
 	p.hotAllocIn(f, "in a hot-path package; use a pooled or caller-provided buffer")
 }

@@ -33,10 +33,10 @@ func DgetrfStaticFast(m, n int, a []float64, lda int, ipiv []int, thresh float64
 }
 
 // microKernel4x8FastGo is the portable FastMath full-tile kernel: the
-// same register tile as microKernel4x8Go but with the exact-zero skip
-// removed, so the k loop runs branch-free. On amd64 the FMA3 assembly
-// kernel replaces it at runtime.
-func microKernel4x8FastGo(kc int, pa, pb []float64, c []float64, ldc int) {
+// same register tile and kept-column walk as microKernel4x8Go but with
+// the exact-zero skip removed, so the loop runs branch-free. On amd64
+// the FMA3 assembly kernel replaces it at runtime.
+func microKernel4x8FastGo(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
 	c0 := c[0:8]
 	c1 := c[ldc : ldc+8]
 	c2 := c[2*ldc : 2*ldc+8]
@@ -49,11 +49,11 @@ func microKernel4x8FastGo(kc int, pa, pb []float64, c []float64, ldc int) {
 	c24, c25, c26, c27 := c2[4], c2[5], c2[6], c2[7]
 	c30, c31, c32, c33 := c3[0], c3[1], c3[2], c3[3]
 	c34, c35, c36, c37 := c3[4], c3[5], c3[6], c3[7]
-	for p := 0; p < kc; p++ {
-		bp := pb[gemmNR*p : gemmNR*p+gemmNR]
+	for q, o := range off[:nk] {
+		bp := pb[o/8:][:gemmNR]
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		b4, b5, b6, b7 := bp[4], bp[5], bp[6], bp[7]
-		ap := pa[gemmMR*p : gemmMR*p+gemmMR]
+		ap := pa[gemmMR*q : gemmMR*q+gemmMR]
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 		c00 += a0 * b0
 		c01 += a0 * b1

@@ -18,17 +18,17 @@ func detectFMA3() bool {
 }
 
 //go:noescape
-func microKernel4x8FMA(kc int, pa, pb, c *float64, ldc int)
+func microKernel4x8FMA(nk int, pa *float64, off *int32, pb, c *float64, ldc int)
 
 // microKernel4x8Fast dispatches the FastMath full-tile kernel: the FMA3
 // assembly version when the CPU supports it, the portable branch-free
 // Go kernel otherwise. The two are NOT bitwise identical to each other
 // or to the bitwise-mode kernels — FastMath callers accept any
 // error-bounded result.
-func microKernel4x8Fast(kc int, pa, pb []float64, c []float64, ldc int) {
-	if useFMA3 && kc > 0 {
-		microKernel4x8FMA(kc, &pa[0], &pb[0], &c[0], ldc)
+func microKernel4x8Fast(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
+	if useFMA3 && nk > 0 {
+		microKernel4x8FMA(nk, &pa[0], &off[0], &pb[0], &c[0], ldc)
 		return
 	}
-	microKernel4x8FastGo(kc, pa, pb, c, ldc)
+	microKernel4x8FastGo(nk, pa, off, pb, c, ldc)
 }

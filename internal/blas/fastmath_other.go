@@ -6,6 +6,6 @@ package blas
 
 // microKernel4x8Fast is the portable FastMath dispatch: no assembly
 // kernel on this architecture.
-func microKernel4x8Fast(kc int, pa, pb []float64, c []float64, ldc int) {
-	microKernel4x8FastGo(kc, pa, pb, c, ldc)
+func microKernel4x8Fast(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
+	microKernel4x8FastGo(nk, pa, off, pb, c, ldc)
 }

@@ -73,10 +73,14 @@ func TestMicroKernelFastVariantsAgree(t *testing.T) {
 	for i := range pb {
 		pb[i] = rng.NormFloat64()
 	}
+	off := make([]int32, kc)
+	for p := range off {
+		off[p] = int32(8 * gemmNR * p)
+	}
 	cFast := make([]float64, gemmMR*gemmNR)
 	cGo := make([]float64, gemmMR*gemmNR)
-	microKernel4x8Fast(kc, pa, pb, cFast, gemmNR)
-	microKernel4x8FastGo(kc, pa, pb, cGo, gemmNR)
+	microKernel4x8Fast(kc, pa, off, pb, cFast, gemmNR)
+	microKernel4x8FastGo(kc, pa, off, pb, cGo, gemmNR)
 	for i := range cFast {
 		if diff := math.Abs(cFast[i] - cGo[i]); diff > 4*kc*0x1p-52*(math.Abs(cGo[i])+1) {
 			t.Fatalf("element %d: fast %g vs go %g", i, cFast[i], cGo[i])

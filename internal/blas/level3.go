@@ -136,13 +136,17 @@ func unlessZero(coef, v float64, noop uint64) float64 {
 
 // gemmPacked is the five-loop BLIS-style kernel: B panels of KC×NC rows
 // are packed once and reused across all A blocks, A blocks of MC×KC are
-// packed with alpha folded in, and the packed micro-panels feed the
-// gemmMR×gemmNR register-tile kernel. The MC/KC/NC extents come from
-// the runtime BlockSizes (autotuned at analyze time, defaults
-// otherwise); the scratch arrays are dimensioned for the clamp
+// packed with alpha folded in and their all-zero columns dropped, and
+// the packed micro-panels feed the gemmMR×gemmNR register-tile kernel.
+// A micro-panel that kept no column has no tile to run. An edge tile
+// (fewer than gemmMR rows or gemmNR columns of C) runs the same kernel
+// on a zero-padded copy whose padding lanes are discarded, so every C
+// element goes through one kernel whatever its position. The MC/KC/NC
+// extents come from the runtime BlockSizes (autotuned at analyze time,
+// defaults otherwise); the scratch arrays are dimensioned for the clamp
 // capacities, so any installed tiling fits. Packing scratch comes from
-// scratchPool, so steady-state calls do not allocate. fast swaps the
-// full-tile micro-kernel for the FastMath one.
+// the scratch freelist, so steady-state calls do not allocate. fast
+// swaps the micro-kernel for the FastMath one.
 func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, fast bool) {
 	bt := Tiles()
 	s := getScratch()
@@ -162,7 +166,7 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 				if mc > bt.MC {
 					mc = bt.MC
 				}
-				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s.pa[:])
+				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s)
 				for jr := 0; jr < nc; jr += gemmNR {
 					nr := nc - jr
 					if nr > gemmNR {
@@ -170,18 +174,27 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 					}
 					pbp := s.pb[jr*kc:]
 					for ir := 0; ir < mc; ir += gemmMR {
+						nk := s.kept[ir/gemmMR]
+						if nk == 0 {
+							continue
+						}
 						mr := mc - ir
 						if mr > gemmMR {
 							mr = gemmMR
 						}
+						pa, off := s.pa[ir*kc:], s.off[ir/gemmMR*kc:]
 						cc := c[(ic+ir)*ldc+jc+jr:]
-						switch {
-						case mr == gemmMR && nr == gemmNR && fast:
-							microKernel4x8Fast(kc, s.pa[ir*kc:], pbp, cc, ldc)
-						case mr == gemmMR && nr == gemmNR:
-							microKernel4x8(kc, s.pa[ir*kc:], pbp, cc, ldc)
-						default:
-							microKernelEdge(mr, nr, kc, s.pa[ir*kc:], pbp, cc, ldc)
+						if mr == gemmMR && nr == gemmNR {
+							microTile(fast, nk, pa, off, pbp, cc, ldc)
+							continue
+						}
+						var tile [gemmMR * gemmNR]float64
+						for r := 0; r < mr; r++ {
+							copy(tile[r*gemmNR:][:nr], cc[r*ldc:][:nr])
+						}
+						microTile(fast, nk, pa, off, pbp, tile[:], gemmNR)
+						for r := 0; r < mr; r++ {
+							copy(cc[r*ldc:][:nr], tile[r*gemmNR:][:nr])
 						}
 					}
 				}
@@ -189,6 +202,17 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 		}
 	}
 	putScratch(s)
+}
+
+// microTile runs the bitwise or the FastMath register-tile kernel. It
+// calls them directly, not through a func value, so that escape analysis
+// keeps gemmPacked's edge tile on the stack.
+func microTile(fast bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
+	if fast {
+		microKernel4x8Fast(nk, pa, off, pb, c, ldc)
+	} else {
+		microKernel4x8(nk, pa, off, pb, c, ldc)
+	}
 }
 
 // Dtrsm solves op(T)·X = α·B in place (B is overwritten with X) where T

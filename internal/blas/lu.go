@@ -46,13 +46,13 @@ func Dgetf2(m, n int, a []float64, lda int, ipiv []int) error {
 //
 // With thresh > 0 (perturbation mode, SuperLU_DIST style) a pivot whose
 // magnitude falls below thresh is replaced by ±thresh, preserving its
-// sign (an exact zero becomes +thresh), so the factorization never
-// fails; the panel-local indices of the perturbed columns are written
-// in ascending order to the caller-provided perturbed buffer (which
-// must have room for min(m, n) entries — the hot path preallocates it
-// so factoring never allocates), nperturbed reports how many were
-// written, and firstZero is always -1.  Callers are expected to recover
-// the lost accuracy with iterative refinement.
+// sign bit (+0 becomes +thresh and −0 becomes −thresh), so the
+// factorization never fails; the panel-local indices of the perturbed
+// columns are written in ascending order to the caller-provided
+// perturbed buffer (which must have room for min(m, n) entries — the hot
+// path preallocates it so factoring never allocates), nperturbed reports
+// how many were written, and firstZero is always -1.  Callers are
+// expected to recover the lost accuracy with iterative refinement.
 func Dgetf2Static(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
 	mn := m
 	if n < mn {

@@ -10,13 +10,14 @@ const (
 )
 
 // microKernel4x8Go is the portable full-tile kernel:
-// C[0:4, 0:8] += Aᵖ·Bᵖ where Aᵖ is a packed micro-panel (alpha already
-// folded in) and Bᵖ a packed B micro-panel. Contributions are
-// accumulated one k at a time, in ascending k, and a packed A value of
-// exactly zero contributes nothing — the same per-element operation
-// order and skip rule as the seed kernel, so the result is bitwise
-// identical to it.
-func microKernel4x8Go(kc int, pa, pb []float64, c []float64, ldc int) {
+// C[0:4, 0:8] += Aᵖ·Bᵖ where Aᵖ holds the nk kept columns of a packed
+// micro-panel (alpha already folded in) and Bᵖ is a packed B
+// micro-panel; kept column q meets the B row at byte offset off[q].
+// Contributions are accumulated one kept column at a time, in ascending
+// k, and a packed A value of exactly zero contributes nothing — the same
+// per-element operation order and skip rule as the seed kernel, so the
+// result is bitwise identical to it.
+func microKernel4x8Go(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
 	c0 := c[0:8]
 	c1 := c[ldc : ldc+8]
 	c2 := c[2*ldc : 2*ldc+8]
@@ -29,11 +30,11 @@ func microKernel4x8Go(kc int, pa, pb []float64, c []float64, ldc int) {
 	c24, c25, c26, c27 := c2[4], c2[5], c2[6], c2[7]
 	c30, c31, c32, c33 := c3[0], c3[1], c3[2], c3[3]
 	c34, c35, c36, c37 := c3[4], c3[5], c3[6], c3[7]
-	for p := 0; p < kc; p++ {
-		bp := pb[gemmNR*p : gemmNR*p+gemmNR]
+	for q, o := range off[:nk] {
+		bp := pb[o/8:][:gemmNR]
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		b4, b5, b6, b7 := bp[4], bp[5], bp[6], bp[7]
-		ap := pa[gemmMR*p : gemmMR*p+gemmMR]
+		ap := pa[gemmMR*q : gemmMR*q+gemmMR]
 		if a := ap[0]; a != 0 {
 			c00 += a * b0
 			c01 += a * b1
@@ -83,26 +84,4 @@ func microKernel4x8Go(kc int, pa, pb []float64, c []float64, ldc int) {
 	c2[4], c2[5], c2[6], c2[7] = c24, c25, c26, c27
 	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 	c3[4], c3[5], c3[6], c3[7] = c34, c35, c36, c37
-}
-
-// microKernelEdge handles partial micro-tiles (mr ≤ gemmMR, nr ≤
-// gemmNR): it reads only the first mr lanes of each packed A column
-// and the first nr lanes of each packed B row, so the padding lanes of
-// edge micro-panels are never touched. Same ascending-k accumulation
-// and zero-skip as the full-tile kernels.
-func microKernelEdge(mr, nr, kc int, pa, pb []float64, c []float64, ldc int) {
-	for p := 0; p < kc; p++ {
-		ap := pa[gemmMR*p:]
-		bp := pb[gemmNR*p : gemmNR*p+nr]
-		for r := 0; r < mr; r++ {
-			a := ap[r]
-			if a == 0 {
-				continue
-			}
-			crow := c[r*ldc : r*ldc+nr]
-			for j, v := range bp {
-				crow[j] += a * v
-			}
-		}
-	}
 }

@@ -33,7 +33,7 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func microKernel4x8AVX2(kc int, pa, pb, c *float64, ldc int)
+func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int)
 
 // microKernel4x8 dispatches the full-tile kernel. The assembly version
 // uses separate VMULPD/VADDPD (never FMA, whose single rounding would
@@ -41,10 +41,10 @@ func microKernel4x8AVX2(kc int, pa, pb, c *float64, ldc int)
 // packed A value compares equal to zero by adding -0.0 instead — an
 // IEEE no-op on every value, including -0 and NaN accumulators — so it
 // is bitwise identical to microKernel4x8Go.
-func microKernel4x8(kc int, pa, pb []float64, c []float64, ldc int) {
-	if useAVX2 && kc > 0 {
-		microKernel4x8AVX2(kc, &pa[0], &pb[0], &c[0], ldc)
+func microKernel4x8(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
+	if useAVX2 && nk > 0 {
+		microKernel4x8AVX2(nk, &pa[0], &off[0], &pb[0], &c[0], ldc)
 		return
 	}
-	microKernel4x8Go(kc, pa, pb, c, ldc)
+	microKernel4x8Go(nk, pa, off, pb, c, ldc)
 }

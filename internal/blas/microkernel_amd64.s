@@ -21,27 +21,31 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func microKernel4x8AVX2(kc int, pa, pb, c *float64, ldc int)
+// func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int)
 //
 // C[0:4, 0:8] += Aᵖ·Bᵖ on packed micro-panels, bitwise identical to
-// microKernel4x8Go: multiplies and adds stay separate (no FMA — its
-// single rounding would diverge from the scalar kernels), every C
-// element accumulates its contributions in ascending k, and a packed A
-// value equal to zero is masked to -0.0 before the add. Adding -0.0 is
-// an IEEE no-op on every operand (x + -0.0 ≡ x, including x = -0.0 and
+// microKernel4x8Go: pa holds the nk kept columns of the A micro-panel
+// and off[q] the byte offset in pb of the B row kept column q meets
+// (nk ≥ 1). Multiplies and adds stay separate (no FMA — its single
+// rounding would diverge from the scalar kernels), every C element
+// accumulates its contributions in ascending k, and a packed A value
+// equal to zero is masked to -0.0 before the add. Adding -0.0 is an
+// IEEE no-op on every operand (x + -0.0 ≡ x, including x = -0.0 and
 // NaN), so the mask reproduces the scalar kernel's `a == 0` skip
 // exactly; a NaN in A compares unequal to zero (EQ_OQ) and propagates,
 // as in the Go kernel.
 //
 // Register plan: Y0..Y7 the 4×8 C accumulators (row r in Y(2r) cols
 // 0..3 and Y(2r+1) cols 4..7), Y8/Y9 the current B row, Y10 the
-// broadcast A value, Y11 its ==0 mask, Y12 products, Y13 -0.0, Y14 +0.
-TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-40
-	MOVQ kc+0(FP), CX
+// broadcast A value, Y11 its ==0 mask, Y12 products, Y13 -0.0, Y14 +0;
+// DX walks off and R12 holds the current B row's offset.
+TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-48
+	MOVQ nk+0(FP), CX
 	MOVQ pa+8(FP), SI
-	MOVQ pb+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), R8
+	MOVQ off+16(FP), DX
+	MOVQ pb+24(FP), BX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
 	SHLQ $3, R8               // row stride in bytes
 	LEAQ (DI)(R8*1), R9       // &C[1,0]
 	LEAQ (R9)(R8*1), R10      // &C[2,0]
@@ -61,8 +65,9 @@ TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-40
 	VPSLLQ   $63, Y13, Y13    // -0.0 in every lane
 
 kloop:
-	VMOVUPD (BX), Y8          // B[p, 0:4]
-	VMOVUPD 32(BX), Y9        // B[p, 4:8]
+	MOVL    (DX), R12         // byte offset of B row p
+	VMOVUPD (BX)(R12*1), Y8   // B[p, 0:4]
+	VMOVUPD 32(BX)(R12*1), Y9 // B[p, 4:8]
 
 	VBROADCASTSD (SI), Y10    // A[0, p]
 	VCMPPD    $0, Y14, Y10, Y11
@@ -101,7 +106,7 @@ kloop:
 	VADDPD    Y12, Y7, Y7
 
 	ADDQ $32, SI
-	ADDQ $64, BX
+	ADDQ $4, DX
 	DECQ CX
 	JNZ  kloop
 

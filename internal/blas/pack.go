@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -107,10 +108,16 @@ const packedGemmCutoff = 8 * 1024
 // gemmScratch holds the packing buffers of one in-flight level-3 call.
 // The buffers are fixed-size arrays, not slices, so obtaining a scratch
 // never calls make: allocation creates the whole struct at once and the
-// numeric hot path recycles it allocation-free.
+// numeric hot path recycles it allocation-free. packA fills pa, off and
+// kept; packB fills pb.
 type gemmScratch struct {
 	pa [packMaxMC * packMaxKC]float64
 	pb [packMaxKC * packMaxNC]float64
+	// off[i·kc + q] is the byte offset, within a packed B micro-panel,
+	// of the row that meets kept column q of A micro-panel i.
+	off [packMaxMC / gemmMR * packMaxKC]int32
+	// kept[i] is the number of columns micro-panel i kept.
+	kept [packMaxMC / gemmMR]int
 }
 
 // The scratch freelist recycles packing scratch across Dgemm calls.
@@ -155,33 +162,64 @@ func putScratch(s *gemmScratch) {
 	scratchMu.Unlock()
 }
 
+// zeroRow stands in for the missing rows of a partial A micro-panel.
+var zeroRow [packMaxKC]float64
+
 // packA copies the mc×kc block at a (row-major, leading dimension lda)
-// into pa as column-major micro-panels of gemmMR rows, folding alpha
-// into the values: micro-panel ir holds rows [ir, ir+gemmMR) with
-// element (r, p) at pa[ir*kc + p*gemmMR + r]. A partial last
-// micro-panel (mc not a multiple of gemmMR) leaves its missing lanes
-// untouched; the edge micro-kernel never reads them.
-func packA(mc, kc int, alpha float64, a []float64, lda int, pa []float64) {
+// into s.pa as column-major micro-panels of gemmMR rows, folding alpha
+// into the values, and drops every column whose gemmMR packed values all
+// compare equal to zero. Micro-panel i (rows [4i, 4i+4)) keeps
+// s.kept[i] columns, in ascending p: its q-th kept column p is
+// s.pa[4i·kc + 4q : 4i·kc + 4q + 4] and s.off[i·kc + q] = 8·gemmNR·p,
+// the byte offset of the packed B row it meets. A partial last
+// micro-panel (mc not a multiple of gemmMR) packs α·0 — a zero for
+// every finite α — in its missing lanes, so the full-tile kernels can
+// run it; those lanes only ever reach discarded rows of an edge tile.
+//
+// A dropped column only ever contributed terms the kernels skip (the
+// bitwise ones add −0.0 in their place), so dropping it leaves every C
+// element's operation sequence as it was; a NaN compares unequal to zero
+// and keeps its column.
+func packA(mc, kc int, alpha float64, a []float64, lda int, s *gemmScratch) {
 	for ir := 0; ir < mc; ir += gemmMR {
-		mr := mc - ir
-		if mr > gemmMR {
-			mr = gemmMR
-		}
-		dst := pa[ir*kc:]
-		for r := 0; r < mr; r++ {
-			src := a[(ir+r)*lda : (ir+r)*lda+kc]
-			for p, v := range src {
-				dst[p*gemmMR+r] = alpha * v
+		var rows [gemmMR][]float64
+		for r := range rows {
+			rows[r] = zeroRow[:kc]
+			if ir+r < mc {
+				rows[r] = a[(ir+r)*lda:][:kc]
 			}
 		}
+		s.kept[ir/gemmMR] = packPanel(rows[0], rows[1], rows[2], rows[3], alpha,
+			s.pa[ir*kc:][:gemmMR*kc], s.off[ir/gemmMR*kc:][:kc])
 	}
+}
+
+// packPanel packs the columns of the four rows a0..a3 (scaled by alpha)
+// that are not zero in every lane into dst and their B-row byte offsets
+// into off, and returns how many it kept. Each column is written to slot
+// q, and q advances only when some lane is non-zero (or NaN): when the
+// lanes' bits without the sign are not all zero. The increment compiles
+// to a conditional move, so no branch depends on the data.
+func packPanel(a0, a1, a2, a3 []float64, alpha float64, dst []float64, off []int32) int {
+	a1, a2, a3, off = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)], off[:len(a0)]
+	q := 0
+	for p := range a0 {
+		x0, x1, x2, x3 := alpha*a0[p], alpha*a1[p], alpha*a2[p], alpha*a3[p]
+		d := dst[gemmMR*q : gemmMR*q+gemmMR]
+		d[0], d[1], d[2], d[3] = x0, x1, x2, x3
+		off[q] = int32(8 * gemmNR * p)
+		if (math.Float64bits(x0)|math.Float64bits(x1)|math.Float64bits(x2)|math.Float64bits(x3))<<1 != 0 {
+			q++
+		}
+	}
+	return q
 }
 
 // packB copies the kc×nc block at b (row-major, leading dimension ldb)
 // into pb as row-major micro-panels of gemmNR columns: micro-panel jr
 // holds columns [jr, jr+gemmNR) with element (p, j) at
-// pb[jr*kc + p*gemmNR + j]. A partial last micro-panel leaves its
-// missing lanes untouched; the edge micro-kernel never reads them.
+// pb[jr*kc + p*gemmNR + j]. A partial last micro-panel holds zeros in
+// its missing lanes, so the full-tile kernels can run it.
 func packB(kc, nc int, b []float64, ldb int, pb []float64) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		nr := nc - jr
@@ -190,8 +228,9 @@ func packB(kc, nc int, b []float64, ldb int, pb []float64) {
 		}
 		dst := pb[jr*kc:]
 		for p := 0; p < kc; p++ {
-			src := b[p*ldb+jr : p*ldb+jr+nr]
-			copy(dst[p*gemmNR:p*gemmNR+nr], src)
+			row := dst[p*gemmNR : p*gemmNR+gemmNR]
+			copy(row, b[p*ldb+jr:p*ldb+jr+nr])
+			clear(row[nr:])
 		}
 	}
 }

@@ -369,21 +369,107 @@ func TestDgetrfStaticZeroPivotParity(t *testing.T) {
 }
 
 // TestMicroKernelAsmMatchesGo pins the assembly micro-kernel to the
-// portable one directly, across k depths and data laced with exact
-// zeros and negative zeros (the masked-skip path) — on platforms
-// without the assembly kernel both calls run the Go kernel and the
-// test is vacuous.
+// portable one directly, across k depths, kept-column lists that are
+// complete, empty or gapped, and data laced with exact zeros and
+// negative zeros (the masked-skip path) — on platforms without the
+// assembly kernel both calls run the Go kernel and the test is vacuous.
+// An empty list must leave C as it was.
 func TestMicroKernelAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
+	lists := []struct {
+		name string
+		keep func(p int) bool
+	}{
+		{"all", func(int) bool { return true }},
+		{"empty", func(int) bool { return false }},
+		{"every third dropped", func(p int) bool { return p%3 != 1 }},
+		{"random gaps", func(int) bool { return rng.Intn(2) == 0 }},
+	}
 	for _, kc := range []int{1, 2, 7, 128, 261} {
-		pa := sparseRandMat(gemmMR, kc, rng)
 		pb := sparseRandMat(kc, gemmNR, rng)
 		c0 := sparseRandMat(gemmMR, gemmNR, rng)
-		c1 := append([]float64(nil), c0...)
-		c2 := append([]float64(nil), c0...)
-		microKernel4x8(kc, pa, pb, c1, gemmNR)
-		microKernel4x8Go(kc, pa, pb, c2, gemmNR)
-		bitsEqual(t, "microKernel4x8", c1, c2)
+		for _, l := range lists {
+			var off []int32
+			for p := 0; p < kc; p++ {
+				if l.keep(p) {
+					off = append(off, int32(8*gemmNR*p))
+				}
+			}
+			pa := sparseRandMat(gemmMR, len(off)+1, rng)
+			c1 := append([]float64(nil), c0...)
+			c2 := append([]float64(nil), c0...)
+			microKernel4x8(len(off), pa, off, pb, c1, gemmNR)
+			microKernel4x8Go(len(off), pa, off, pb, c2, gemmNR)
+			name := fmt.Sprintf("microKernel4x8 kc=%d %s", kc, l.name)
+			bitsEqual(t, name, c1, c2)
+			if len(off) == 0 {
+				bitsEqual(t, name, c1, c0)
+			}
+		}
+	}
+}
+
+// TestDgemmZeroColumnParity pins the packed path's column dropping to
+// the seed kernel bit for bit on block-sparse operands shaped like the
+// factor's L blocks: A has columns that are zero in every row, columns
+// zero within one micro-panel only, and whole 4-row bands of zeros
+// (micro-panels that keep no column), on top of ~55 % scattered ±0.
+// The rows of B that meet only all-zero columns of A hold Inf and NaN,
+// so a dropped column that still contributed would poison C; C starts
+// with −0 accumulators that adding +0 would flip. The shapes cover
+// every mr ∈ 1..4 × nr ∈ 1..8 edge tile and straddle the KC and MC
+// block boundaries, under the active tiling and under a tiny one that
+// puts a boundary every few rows and columns.
+func TestDgemmZeroColumnParity(t *testing.T) {
+	defer SetTiles(Tiles())
+	rng := rand.New(rand.NewSource(77))
+	for _, bt := range []BlockSizes{Tiles(), {MC: 8, KC: 16, NC: 16, NB: 8}} {
+		bt = SetTiles(bt)
+		var shapes [][3]int
+		for mr := 1; mr <= gemmMR; mr++ {
+			for nr := 1; nr <= gemmNR; nr++ {
+				shapes = append(shapes, [3]int{2*gemmMR + mr, 2*gemmNR + nr, 64})
+			}
+		}
+		for _, m := range []int{bt.MC + 3, 3*bt.MC + 2} {
+			for _, n := range []int{gemmNR + 5, 4*gemmNR + 5} {
+				for _, k := range []int{bt.KC - 1, bt.KC, bt.KC + 1, 2*bt.KC + 5} {
+					shapes = append(shapes, [3]int{m, n, k})
+				}
+			}
+		}
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			a := zeroLacedMat(m, k, rng)
+			dead := make([]bool, k) // zero in every row of A
+			for p := range dead {
+				dead[p] = rng.Intn(3) == 0
+			}
+			for i := 0; i < m; i++ {
+				band := i / gemmMR
+				for p := 0; p < k; p++ {
+					// Rows of band 1 are all zero; band b ≥ 2 loses column
+					// p when (p + b) % 4 == 0.
+					if dead[p] || band == 1 || (band >= 2 && (p+band)%4 == 0) {
+						a[i*k+p] = 0
+					}
+				}
+			}
+			b := zeroLacedMat(k, n, rng)
+			for j := 0; j < n; j++ {
+				poisonSkipped(b[j:], n, k, func(p int) bool { return dead[p] })
+			}
+			c0 := zeroLacedMat(m, n, rng)
+			for _, alpha := range []float64{1, -1, 0.5} {
+				for _, beta := range []float64{1, 0, -1} {
+					c1 := append([]float64(nil), c0...)
+					c2 := append([]float64(nil), c0...)
+					Dgemm(m, n, k, alpha, a, k, b, n, beta, c1, n)
+					seedDgemm(m, n, k, alpha, a, k, b, n, beta, c2, n)
+					bitsEqual(t, fmt.Sprintf("tiles %+v: Dgemm %dx%dx%d α=%g β=%g", bt, m, n, k, alpha, beta), c1, c2)
+				}
+			}
+		}
 	}
 }
 

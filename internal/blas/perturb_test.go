@@ -81,6 +81,7 @@ func TestDgetf2StaticSignPreserving(t *testing.T) {
 		{1e-300, thresh},
 		{-1e-300, -thresh},
 		{0, thresh},
+		{math.Copysign(0, -1), -thresh},
 	} {
 		a := []float64{tc.piv}
 		ipiv := make([]int, 1)

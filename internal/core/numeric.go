@@ -124,6 +124,14 @@ func findBlock(blockRows []int, br int) int {
 // panelOffset returns the row offset where the L panel starts.
 func (c *colLayout) panelOffset() int { return c.offsets[c.diagIdx] }
 
+// rowEnd returns the row offset just past the block at index t.
+func (c *colLayout) rowEnd(t int) int {
+	if t+1 < len(c.offsets) {
+		return c.offsets[t+1]
+	}
+	return c.rows
+}
+
 // Factorization holds the numeric factors in supernodal block storage
 // together with the analysis that produced them.
 type Factorization struct {
@@ -465,10 +473,12 @@ func (f *Factorization) factorPanel(k int) error {
 // update performs task U(K, J): replay panel K's pivot interchanges on
 // block column J, solve for the U block with the unit-lower diagonal
 // factor of K, and apply the Schur updates of K's sub-diagonal blocks —
-// all on the stored blocks only. The graph is built on the block-level
-// closure, a superset: a task whose block (K,J) is not stored has
-// nothing to do, and neither has an interchange or a Schur update whose
-// other block is missing from column J. That drops no non-zero because Ā
+// all on the stored blocks only. Symbolic.Graph has a task only for a
+// stored block (K,J); the early return for one that is not stored serves
+// only the copies that run the block-level closure graph on the stored
+// layout (the experiments' real-mode timings), where such a task has
+// nothing to do. An interchange or a Schur update whose other block is
+// missing from column J is skipped too. That drops no non-zero because Ā
 // is closed under elimination for every pivot sequence: the candidate
 // rows of a step share the pivot row's structure to its right, so a row
 // without a block in column J exchanges with a row that is zero there,
@@ -531,28 +541,50 @@ func (f *Factorization) update(k, j int) error {
 	}
 
 	// 3. B(I,J) ← B(I,J) − L(I,K)·U(K,J) for every sub-diagonal block of
-	// panel K whose target is stored: a merge walk over the two ascending
-	// block-row lists, column J's resuming below block K.
-	tj := tk + 1
-	for t := colK.diagIdx + 1; t < len(colK.blockRows); t++ {
-		i := colK.blockRows[t]
-		for tj < len(colJ.blockRows) && colJ.blockRows[tj] < i {
-			tj++
+	// panel K whose target is stored, one Dgemm per run of such blocks
+	// (nextRun): a run's rows are contiguous in both slabs.
+	t, tj := colK.diagIdx+1, tk+1
+	for {
+		var n int
+		t, tj, n = nextRun(colK.blockRows, colJ.blockRows, t, tj)
+		if n == 0 {
+			return nil
 		}
-		if tj == len(colJ.blockRows) {
-			break
-		}
-		if colJ.blockRows[tj] != i {
-			continue
-		}
-		szI := f.S.Part.Size(i)
+		rows := colK.rowEnd(t+n-1) - colK.offsets[t]
 		lik := colK.data[colK.offsets[t]*wk:]
 		dst := colJ.data[colJ.offsets[tj]*wj:]
 		if f.fast {
-			blas.DgemmFast(szI, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
+			blas.DgemmFast(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
 		} else {
-			blas.Dgemm(szI, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
+			blas.Dgemm(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
+		}
+		t, tj = t+n, tj+n
+	}
+}
+
+// nextRun is one step of the merge walk of update's Schur step over
+// panel K's block rows rowsK and column J's rowsJ, both ascending:
+// starting at index t of rowsK and tj of rowsJ, it finds the first block
+// row present in both and extends it over the following entries that
+// are equal in both lists. It returns where the run starts in each list
+// and its length n, 0 when no common block row is left. The blocks of a
+// run are stacked back to back in both columns, so one Dgemm covers
+// them, and Dgemm computes every row of C on its own, so the merged call
+// is bitwise the per-block calls.
+func nextRun(rowsK, rowsJ []int, t, tj int) (int, int, int) {
+	for t < len(rowsK) && tj < len(rowsJ) {
+		switch {
+		case rowsJ[tj] < rowsK[t]:
+			tj++
+		case rowsJ[tj] > rowsK[t]:
+			t++
+		default:
+			n := 1
+			for t+n < len(rowsK) && tj+n < len(rowsJ) && rowsK[t+n] == rowsJ[tj+n] {
+				n++
+			}
+			return t, tj, n
 		}
 	}
-	return nil
+	return t, tj, 0
 }
