@@ -83,10 +83,11 @@ chaos() {
 service_stage() {
 	# The solve service under stress: the server package's chaos suite
 	# (injected panics/NaNs/delays across dozens of concurrent requests,
-	# admission shedding, drain, the recovery ladder, batched-solve
-	# bitwise parity) under the race detector, a short differential fuzz
-	# of the request decoder, then a live smoke of the built daemon over
-	# HTTP with a deterministic fault plan.
+	# admission shedding, drain of in-flight solves, the recovery ladder,
+	# solve replies bitwise equal to the library's) under the race
+	# detector, a short differential fuzz of the request decoder, then a
+	# live smoke of the built daemon over HTTP with a deterministic fault
+	# plan.
 	# SPARSELU_SERVICE_COUNT (default 2) sets the -race repetition count.
 	echo "==> service chaos (-race)"
 	go test -race -count "${SPARSELU_SERVICE_COUNT:-2}" ./internal/server/

@@ -15,8 +15,8 @@
 //	SLUSERVER_FAULTS="3:panic,5:delay=50ms,9:nan" sluserver -addr :0
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: readiness flips to
-// 503, in-flight requests finish (bounded by their deadlines), pending
-// solve batches flush, then the listener closes.
+// 503, in-flight requests finish (bounded by their deadlines), then the
+// listener closes.
 package main
 
 import (
@@ -52,7 +52,6 @@ func run() error {
 		storeSize   = flag.Int("store", 0, "factorization store entries (0 = default)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		maxDeadline = flag.Duration("max-deadline", 0, "hard per-request deadline cap (0 = 2m)")
-		batchMax    = flag.Int("batch-max", 0, "solve batch size cap (0 = 16)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()
@@ -73,7 +72,6 @@ func run() error {
 		StoreEntries:    *storeSize,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		BatchMax:        *batchMax,
 		Faults:          faults,
 	})
 	httpSrv := &http.Server{

@@ -382,7 +382,7 @@ func TestSolvePermuted(t *testing.T) {
 	}
 	b := make([]float64, 25)
 	ap.MulVec(x, b)
-	f.SolvePermuted(b)
+	f.solveInPlace(b)
 	for i := range x {
 		if math.Abs(b[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
 			t.Fatalf("permuted solve wrong at %d: %g vs %g", i, b[i], x[i])

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/luerr"
 	"repro/internal/matgen"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
@@ -336,6 +337,65 @@ func TestCancelOptionWiredThroughFactorize(t *testing.T) {
 	}
 	if _, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4, Cancel: cancel}); !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("FactorizeWithOpts err = %v", err)
+	}
+}
+
+// TestSolveCancelPreTripped pins the cancel path of a per-request
+// solve: SolveWith and SolveManyWith under an already-tripped canceler
+// fail with the luerr class of its cause, and the next uncanceled solve
+// — which checks out the workspace the canceled one returned to the
+// pool — is bitwise the reference.
+func TestSolveCancelPreTripped(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	a := randomSystem(60, 0.08, rng)
+	f, err := Factorize(a, robustOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := make([][]float64, 3)
+	for r := range bs {
+		bs[r] = make([]float64, a.NCols)
+		for i := range bs[r] {
+			bs[r][i] = rng.NormFloat64()
+		}
+	}
+	want, err := f.SolveWith(bs[0], &NumericOptions{SolveWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMany, err := f.SolveManyWith(bs, &NumericOptions{SolveWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cause, class error
+	}{
+		{sched.ErrCanceled, luerr.ErrCanceled},
+		{ErrDeadlineExceeded, luerr.ErrDeadline},
+	} {
+		for _, p := range []int{1, 2} {
+			cancel := &sched.Canceler{}
+			cancel.Cancel(tc.cause)
+			opts := &NumericOptions{SolveWorkers: p, Cancel: cancel}
+			if _, err := f.SolveWith(bs[0], opts); !errors.Is(err, tc.class) {
+				t.Errorf("P=%d SolveWith under Cancel(%v): err = %v, want %v", p, tc.cause, err, tc.class)
+			}
+			if _, err := f.SolveManyWith(bs, opts); !errors.Is(err, tc.class) {
+				t.Errorf("P=%d SolveManyWith under Cancel(%v): err = %v, want %v", p, tc.cause, err, tc.class)
+			}
+			x, err := f.SolveWith(bs[0], &NumericOptions{SolveWorkers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffBits(t, "SolveWith after a canceled solve", x, want)
+			xs, err := f.SolveManyWith(bs, &NumericOptions{SolveWorkers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range xs {
+				diffBits(t, "SolveManyWith after a canceled solve", xs[r], wantMany[r])
+			}
+		}
 	}
 }
 

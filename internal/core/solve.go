@@ -137,17 +137,11 @@ func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64
 	return x, nil
 }
 
-// SolvePermuted solves the factored (permuted) system in place: on
-// entry y is the right-hand side in the permuted ordering, on return it
-// holds the solution in the permuted ordering. It runs the serial
-// sweeps on the calling goroutine.
-func (f *Factorization) SolvePermuted(y []float64) {
-	f.solveInPlace(y)
-}
-
-// solveInPlace runs the two sweeps in plain serial column order — the
-// seed path the parallel engine is tested bitwise against, and the
-// body of SolvePermuted. The per-column step functions are shared with
+// solveInPlace solves the factored (permuted) system in place, running
+// the two sweeps in plain serial column order: on entry y is the
+// right-hand side in the permuted ordering, on return it holds the
+// solution in that ordering. It is the seed path the parallel engine is
+// tested bitwise against; the per-column step functions are shared with
 // the level-scheduled executor, so the two paths perform literally the
 // same operations.
 func (f *Factorization) solveInPlace(y []float64) {

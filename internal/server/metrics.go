@@ -79,10 +79,21 @@ type metrics struct {
 	// iterative refinement.
 	rungWins [numRungs]atomic.Int64
 	refined  atomic.Int64
+
+	// Unrefined solve calls (one per b or bs request) and the
+	// right-hand sides they carried.
+	solveCalls atomic.Int64
+	solveRHS   atomic.Int64
 }
 
 func newMetrics(now time.Time) *metrics {
 	return &metrics{start: now}
+}
+
+// countSolve records one unrefined solve call of nrhs right-hand sides.
+func (m *metrics) countSolve(nrhs int) {
+	m.solveCalls.Add(1)
+	m.solveRHS.Add(int64(nrhs))
 }
 
 // endpointSnapshot is the wire form of one endpoint summary.
@@ -94,8 +105,17 @@ type endpointSnapshot struct {
 	TotalSecs float64 `json:"total_secs"`
 }
 
+// solveCallsSnapshot counts the unrefined solve calls and their
+// right-hand sides. It keeps the wire names of the solve batcher it
+// replaced ("batcher", "batches", "batched_rhs"), which benchmark
+// reports read as right-hand sides per solve call.
+type solveCallsSnapshot struct {
+	Calls int64 `json:"batches"`
+	RHS   int64 `json:"batched_rhs"`
+}
+
 // metricsSnapshot is the /metrics JSON document. Cache, admission and
-// batching blocks are filled in by the server from their owners.
+// store blocks are filled in by the server from their owners.
 type metricsSnapshot struct {
 	UptimeSecs float64 `json:"uptime_secs"`
 	InFlight   int64   `json:"in_flight"`
@@ -118,10 +138,10 @@ type metricsSnapshot struct {
 	RungEquilibrate int64 `json:"rung_equilibrate_wins"`
 	RefinedSolves   int64 `json:"refined_solves"`
 
-	Cache     cacheSnapshot     `json:"symbolic_cache"`
-	Admission admissionSnapshot `json:"admission"`
-	Batcher   batcherSnapshot   `json:"batcher"`
-	Store     storeSnapshot     `json:"store"`
+	Cache      cacheSnapshot      `json:"symbolic_cache"`
+	Admission  admissionSnapshot  `json:"admission"`
+	SolveCalls solveCallsSnapshot `json:"batcher"`
+	Store      storeSnapshot      `json:"store"`
 }
 
 func (m *metrics) snapshotEndpoint(e endpoint) endpointSnapshot {
@@ -158,5 +178,6 @@ func (m *metrics) snapshot(now time.Time) metricsSnapshot {
 		RungPerturb:     m.rungWins[rungPerturb].Load(),
 		RungEquilibrate: m.rungWins[rungEquilibrate].Load(),
 		RefinedSolves:   m.refined.Load(),
+		SolveCalls:      solveCallsSnapshot{Calls: m.solveCalls.Load(), RHS: m.solveRHS.Load()},
 	}
 }

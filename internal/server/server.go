@@ -10,9 +10,10 @@
 //   - POST /v1/factorize — numeric factorization against the cached
 //     Symbolic, climbing a recovery ladder (fail → perturb →
 //     equilibrate+perturb) with every rung recorded in the response.
-//   - POST /v1/solve     — solves against a stored factorization;
-//     concurrent single-RHS solves are coalesced into blocked BLAS-3
-//     multi-RHS panels, bitwise identical to solving alone.
+//   - POST /v1/solve     — solves against a stored factorization, each
+//     request on its own goroutine under its own deadline: one
+//     right-hand side on the vector sweeps, several on the blocked
+//     BLAS-3 panel sweeps.
 //   - GET /healthz, /readyz, /metrics — liveness, readiness (503 while
 //     draining) and a JSON counter document.
 //
@@ -83,9 +84,6 @@ type Config struct {
 	// (default GOMAXPROCS capped at 8). Solves run serial sweeps: the
 	// service gets their parallelism from concurrent requests.
 	Workers int
-	// BatchMax caps the right-hand sides one coalesced solve batch
-	// takes (default 16).
-	BatchMax int
 	// Seed drives the jittered Retry-After; fixed so chaos runs replay.
 	Seed int64
 	// Faults optionally injects deterministic request-level faults
@@ -121,22 +119,18 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	return c
 }
 
 // handle is one stored factorization: the immutable Symbolic it was
 // built on (shared with the cache), the numeric factors, the matrix
-// (kept for residuals and refinement), and the solve batcher.
+// (kept for residuals and refinement).
 type handle struct {
 	id       string
 	key      string
 	sym      *core.Symbolic
 	m        *sparse.CSC
 	res      *ladderResult
-	bt       *batcher
 	bytes    int64
 	lastUsed int64 // LRU clock tick; guarded by Server.mu
 }
@@ -187,21 +181,11 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the server: readiness flips to 503, new compute
-// requests are refused, queued solves are still answered. Safe to call
-// more than once.
-func (s *Server) Close() {
-	s.draining.Store(true)
-	s.mu.Lock()
-	handles := make([]*handle, 0, len(s.store))
-	for _, h := range s.store {
-		handles = append(handles, h)
-	}
-	s.mu.Unlock()
-	for _, h := range handles {
-		h.bt.close()
-	}
-}
+// Close drains the server: readiness flips to 503 and new compute
+// requests are refused; requests already past the drain check finish
+// under their own deadlines (http.Server.Shutdown waits for them). Safe
+// to call more than once.
+func (s *Server) Close() { s.draining.Store(true) }
 
 // ---- wire types ----
 
@@ -321,8 +305,6 @@ func (s *Server) mapError(err error) *httpError {
 	case errors.Is(err, errShed):
 		s.met.shed.Add(1)
 		return &httpError{status: http.StatusTooManyRequests, code: "shed", msg: err.Error(), retryAfter: s.adm.retryAfterSecs()}
-	case errors.Is(err, errBatcherClosed):
-		return &httpError{status: http.StatusServiceUnavailable, code: "draining", msg: err.Error()}
 	}
 	return &httpError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
 }
@@ -575,16 +557,11 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 		bytes: factorBytes(sym) +
 			int64(m.ColPtr[m.NCols])*16 + int64(m.NCols)*64,
 	}
-	// A batch serves several requests, so no one request's canceler
-	// bounds it; the batcher cancels it when all of them have left.
-	h.bt = newBatcher(res.f, s.cfg.BatchMax, s.numOpts(nil))
 	if h.bytes > s.cfg.MemoryBudget {
 		return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 			msg: fmt.Sprintf("server: factorization needs ~%d bytes, budget is %d", h.bytes, s.cfg.MemoryBudget)}
 	}
-	for _, victim := range s.storeInsert(h) {
-		victim.bt.close()
-	}
+	s.storeInsert(h)
 	writeJSON(w, http.StatusOK, factorizeResponse{
 		FID:            h.id,
 		Key:            key,
@@ -598,16 +575,15 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 }
 
 // storeInsert adds h and evicts least-recently-used handles until both
-// the entry cap and the memory budget hold. Evicted handles are
-// returned for the caller to drain outside the lock.
-func (s *Server) storeInsert(h *handle) []*handle {
+// the entry cap and the memory budget hold. A solve already running on
+// an evicted handle finishes on the factorization it holds.
+func (s *Server) storeInsert(h *handle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
 	h.lastUsed = s.clock
 	s.store[h.id] = h
 	s.storeBytes += h.bytes
-	var evicted []*handle
 	for (len(s.store) > s.cfg.StoreEntries || s.storeBytes > s.cfg.MemoryBudget) && len(s.store) > 1 {
 		var victim *handle
 		for _, cand := range s.store {
@@ -621,9 +597,7 @@ func (s *Server) storeInsert(h *handle) []*handle {
 		delete(s.store, victim.id)
 		s.storeBytes -= victim.bytes
 		s.evictions.Add(1)
-		evicted = append(evicted, victim)
 	}
-	return evicted
 }
 
 // lookup fetches a handle and touches its LRU slot.
@@ -666,17 +640,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 	if fault.Mode == faultinject.PoisonNaN {
 		bs[0][0] = math.NaN()
 	}
-	ctx, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
+	_, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
+	nopts := s.numOpts(cc)
 
 	refine := h.res.refine || req.Refine
 	resp := solveResponse{Rung: h.res.won.String()}
 	switch {
 	case refine:
-		// Refined solves bypass the batcher: each runs its own
-		// solve+refine loop against the stored matrix under the
-		// request's deadline, and reports the achieved backward error.
-		nopts := s.numOpts(cc)
+		// Each right-hand side runs its own solve+refine loop against
+		// the stored matrix and reports the achieved backward error.
 		xs := make([][]float64, len(bs))
 		residuals := make([]float64, len(bs))
 		steps := 0
@@ -699,18 +672,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 			resp.XS, resp.Residuals = xs, residuals
 		}
 	case single:
-		// The batched fast path. Single-RHS requests always go through
-		// the multi-RHS panel sweeps (a batch of 1 when no other solve
-		// is running), which keeps batched and solo answers bitwise
-		// identical.
-		x, err := h.bt.submit(ctx, req.B)
+		s.met.countSolve(1)
+		x, err := h.res.f.SolveWith(req.B, &nopts)
 		if err != nil {
 			return s.mapError(err)
 		}
 		resp.X = x
 		resp.Residual = core.Residual(h.m, x, req.B)
 	default:
-		nopts := s.numOpts(cc)
+		s.met.countSolve(len(bs))
 		xs, err := h.res.f.SolveManyWith(bs, &nopts)
 		if err != nil {
 			return s.mapError(err)
@@ -757,14 +727,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Cache = s.cache.snapshot()
 	snap.Admission = s.adm.snapshot()
 	s.mu.Lock()
-	var bt batcherSnapshot
-	for _, h := range s.store {
-		bt.Batches += h.bt.batches.Load()
-		bt.RHS += h.bt.rhs.Load()
-		if mb := h.bt.maxBatch.Load(); mb > bt.MaxBatch {
-			bt.MaxBatch = mb
-		}
-	}
 	snap.Store = storeSnapshot{
 		Entries:   len(s.store),
 		Capacity:  s.cfg.StoreEntries,
@@ -773,7 +735,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Evictions: s.evictions.Load(),
 	}
 	s.mu.Unlock()
-	snap.Batcher = bt
 	writeJSON(w, http.StatusOK, snap)
 }
 

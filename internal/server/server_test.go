@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -85,7 +86,7 @@ func factorizeOK(t *testing.T, ts *httptest.Server, m *sparse.CSC, policy string
 }
 
 func TestServerRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 	m := testMatrix()
 	fr := factorizeOK(t, ts, m, "")
 	if fr.Rung != "fail" || fr.Refine || fr.Perturbations != 0 {
@@ -116,9 +117,24 @@ func TestServerRoundTrip(t *testing.T) {
 	if len(mr.XS) != 2 || len(mr.Residuals) != 2 {
 		t.Fatalf("multi solve shape: %d xs, %d residuals", len(mr.XS), len(mr.Residuals))
 	}
-	for i := range mr.XS[0] {
-		if mr.XS[0][i] != sr.X[i] {
-			t.Fatalf("multi-RHS x[%d] = %x differs from single-RHS %x", i, mr.XS[0][i], sr.X[i])
+	// The panel sweeps round differently from the vector sweeps a
+	// single-RHS request runs on, so the multi-RHS reply is pinned to the
+	// library's SolveMany bit for bit and to the single-RHS reply only
+	// within rounding.
+	want, err := handleOf(t, s, fr.FID).res.f.SolveManyWith([][]float64{b, b}, &core.NumericOptions{SolveWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range want {
+		for i := range want[r] {
+			if mr.XS[r][i] != want[r][i] {
+				t.Fatalf("multi-RHS x%d[%d] = %x, SolveManyWith %x", r, i, mr.XS[r][i], want[r][i])
+			}
+		}
+	}
+	for i := range sr.X {
+		if math.Abs(mr.XS[0][i]-sr.X[i]) > 1e-12*(1+math.Abs(sr.X[i])) {
+			t.Fatalf("multi-RHS x[%d] = %g, single-RHS %g", i, mr.XS[0][i], sr.X[i])
 		}
 	}
 }
@@ -159,84 +175,75 @@ func TestCacheHitSkipsAnalyze(t *testing.T) {
 	}
 }
 
-// TestBatchedSolveBitwise pins the batcher's invisibility: the same
-// right-hand sides solved one at a time (no concurrency, every batch
-// has size 1) and solved under heavy concurrency (batches form up to
-// BatchMax) produce bitwise identical solutions.
-func TestBatchedSolveBitwise(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, BatchMax: 8, MaxInFlight: 32, MaxQueue: 64})
+// TestSolveReplyIsLibrarySolve pins that a single-RHS request just
+// solves: sent one at a time or all at once, every reply is bitwise the
+// library's SolveWith on the stored factorization, and /metrics counts
+// one solve call and one right-hand side per request.
+func TestSolveReplyIsLibrarySolve(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 32, MaxQueue: 64})
 	m := testMatrix()
 	fr := factorizeOK(t, ts, m, "")
-	n := m.NCols
+	f := handleOf(t, s, fr.FID).res.f
 
 	const nrhs = 32
 	rhs := make([][]float64, nrhs)
+	want := make([][]float64, nrhs)
 	for r := range rhs {
-		b := make([]float64, n)
+		b := make([]float64, m.NCols)
 		for i := range b {
 			b[i] = float64((i+3*r)%11) - 5
 		}
-		rhs[r] = b
-	}
-
-	// Serial pass: one request at a time, each its own batch of 1.
-	serial := make([][]float64, nrhs)
-	for r, b := range rhs {
-		var sr solveResponse
-		status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, &sr)
-		if status != http.StatusOK {
-			t.Fatalf("serial solve %d: status %d, body %s", r, status, body)
+		x, err := f.SolveWith(b, &core.NumericOptions{SolveWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		serial[r] = sr.X
+		rhs[r], want[r] = b, x
 	}
-
-	// Concurrent pass: solves that arrive while a batch runs form the
-	// next one.
-	concurrent := make([][]float64, nrhs)
-	var wg sync.WaitGroup
-	errc := make(chan error, nrhs)
-	for r, b := range rhs {
-		wg.Add(1)
-		go func(r int, b []float64) {
-			defer wg.Done()
-			var sr solveResponse
-			status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, &sr)
-			if status != http.StatusOK {
-				errc <- fmt.Errorf("concurrent solve %d: status %d, body %s", r, status, body)
-				return
+	check := func(pass string, r int) error {
+		var sr solveResponse
+		status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: rhs[r]}, &sr)
+		if status != http.StatusOK {
+			return fmt.Errorf("%s solve %d: status %d, body %s", pass, r, status, body)
+		}
+		for i := range want[r] {
+			if sr.X[i] != want[r][i] {
+				return fmt.Errorf("%s solve %d: x[%d] = %x, SolveWith %x", pass, r, i, sr.X[i], want[r][i])
 			}
-			concurrent[r] = sr.X
-		}(r, b)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+		}
+		return nil
 	}
 
 	for r := range rhs {
-		for i := range serial[r] {
-			if serial[r][i] != concurrent[r][i] {
-				t.Fatalf("rhs %d: batched x[%d] = %x, solo %x", r, i, concurrent[r][i], serial[r][i])
-			}
+		if err := check("serial", r); err != nil {
+			t.Fatal(err)
 		}
+	}
+	errs := make([]error, nrhs)
+	var wg sync.WaitGroup
+	for r := range rhs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = check("concurrent", r)
+		}(r)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 
-	var bt batcherSnapshot
-	s.mu.Lock()
-	for _, h := range s.store {
-		bt.Batches += h.bt.batches.Load()
-		bt.RHS += h.bt.rhs.Load()
-		if mb := h.bt.maxBatch.Load(); mb > bt.MaxBatch {
-			bt.MaxBatch = mb
-		}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.mu.Unlock()
-	if bt.RHS != 2*nrhs {
-		t.Errorf("batcher saw %d right-hand sides, want %d", bt.RHS, 2*nrhs)
+	defer resp.Body.Close()
+	var snap metricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
 	}
-	if bt.MaxBatch < 2 {
-		t.Errorf("no batching happened under concurrency (max batch %d)", bt.MaxBatch)
+	if snap.SolveCalls.Calls != 2*nrhs || snap.SolveCalls.RHS != 2*nrhs {
+		t.Errorf("/metrics counts %d solve calls of %d right-hand sides, want %d of %d",
+			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 2*nrhs, 2*nrhs)
 	}
 }
 
@@ -334,7 +341,6 @@ func TestStatusMapping(t *testing.T) {
 		{context.DeadlineExceeded, 504, "deadline"},
 		{context.Canceled, 499, "canceled"},
 		{errShed, 429, "shed"},
-		{errBatcherClosed, 503, "draining"},
 		{errors.New("boom"), 500, "internal"},
 	} {
 		he := s.mapError(tc.err)
@@ -406,6 +412,70 @@ func TestAdmissionSheds(t *testing.T) {
 	}
 }
 
+// TestCloseAnswersQueuedSolves pins the drain contract for solves: the
+// solves waiting in the server when Close runs are answered — finished
+// (200, bitwise the library's SolveWith) or refused as draining (503),
+// nothing else, at least one finished — and a solve on an existing
+// handle after Close is refused as draining.
+func TestCloseAnswersQueuedSolves(t *testing.T) {
+	// The first solve (request 2) is held past the drain check, so at
+	// least one solve is certainly in flight when Close runs.
+	plan, err := faultinject.ParseRequestPlan("2:delay=100ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 4, MaxQueue: 64, Faults: plan})
+	m := testMatrix()
+	fr := factorizeOK(t, ts, m, "")
+	b := make([]float64, m.NCols)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	want, err := handleOf(t, s, fr.FID).res.f.SolveWith(b, &core.NumericOptions{SolveWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const queued = 16
+	statuses := make([]int, queued)
+	replies := make([]solveResponse, queued)
+	bodies := make([][]byte, queued)
+	var wg sync.WaitGroup
+	for r := range statuses {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			statuses[r], bodies[r] = post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, &replies[r])
+		}(r)
+	}
+	for deadline := time.Now().Add(5 * time.Second); plan.Fired() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	wg.Wait()
+	ok := 0
+	for r, status := range statuses {
+		switch {
+		case status == http.StatusOK:
+			ok++
+			for i := range want {
+				if replies[r].X[i] != want[i] {
+					t.Fatalf("solve %d in flight at Close: x[%d] = %x, SolveWith %x", r, i, replies[r].X[i], want[i])
+				}
+			}
+		case status != http.StatusServiceUnavailable || !bytes.Contains(bodies[r], []byte(`"draining"`)):
+			t.Errorf("solve %d in flight at Close: status %d, body %s", r, status, bodies[r])
+		}
+	}
+	if ok == 0 {
+		t.Error("no solve in flight at Close finished")
+	}
+	status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, nil)
+	if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte(`"draining"`)) {
+		t.Errorf("solve on an existing handle after Close: status %d, body %s", status, body)
+	}
+}
+
 // TestDrain pins shutdown behavior: after Close, liveness stays green,
 // readiness and the compute endpoints answer 503.
 func TestDrain(t *testing.T) {
@@ -444,7 +514,7 @@ func TestChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		Workers: 2, MaxInFlight: 8, MaxQueue: 64, BatchMax: 8,
+		Workers: 2, MaxInFlight: 8, MaxQueue: 64,
 		Faults: plan, Seed: 7,
 	})
 
@@ -701,145 +771,4 @@ func handleOf(t *testing.T, s *Server, fid string) *handle {
 		t.Fatal(he)
 	}
 	return h
-}
-
-// TestSequentialSolvesRunAlone pins that there is no batch window: a
-// solve that finds the batcher idle runs at once as a batch of one, so
-// back-to-back solves never share a panel.
-func TestSequentialSolvesRunAlone(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
-	m := testMatrix()
-	fr := factorizeOK(t, ts, m, "")
-	b := make([]float64, m.NCols)
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	const solves = 5
-	for r := 0; r < solves; r++ {
-		if status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, nil); status != http.StatusOK {
-			t.Fatalf("solve %d: status %d, body %s", r, status, body)
-		}
-	}
-	bt := handleOf(t, s, fr.FID).bt
-	if got := bt.batches.Load(); got != solves || bt.rhs.Load() != solves || bt.maxBatch.Load() != 1 {
-		t.Errorf("%d sequential solves ran as %d batches of %d right-hand sides (max %d), want %d batches of 1",
-			solves, got, bt.rhs.Load(), bt.maxBatch.Load(), solves)
-	}
-}
-
-// TestQueuedSolveDeadline pins that a solve queued behind a running
-// batch leaves with 504 when its own timeout_ms expires, without
-// waiting for that batch, and gives up its queue slot.
-func TestQueuedSolveDeadline(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	m := testMatrix()
-	fr := factorizeOK(t, ts, m, "")
-	bt := handleOf(t, s, fr.FID).bt
-	// A batch that never ends is in flight.
-	bt.mu.Lock()
-	bt.running = true
-	bt.mu.Unlock()
-
-	start := time.Now()
-	status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: make([]float64, m.NCols), TimeoutMS: 50}, nil)
-	if status != http.StatusGatewayTimeout || !bytes.Contains(body, []byte(`"deadline"`)) {
-		t.Fatalf("queued solve past its deadline: status %d, body %s", status, body)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("queued solve took %v to time out after 50ms", d)
-	}
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	if len(bt.pending) != 0 {
-		t.Errorf("expired waiter left %d requests queued", len(bt.pending))
-	}
-	bt.running = false
-}
-
-// TestBatchCanceledWhenAbandoned pins that a batch whose waiters have
-// all left stops computing: its canceler trips with the last one.
-func TestBatchCanceledWhenAbandoned(t *testing.T) {
-	bt := newBatcher(nil, 4, core.NumericOptions{})
-	reqs := []*solveReq{{}, {}}
-	bt.pending = reqs
-	_, bat := bt.takeLocked()
-	bt.abandon(reqs[0])
-	if bat.cancel.Canceled() {
-		t.Fatal("batch canceled while a waiter remains")
-	}
-	bt.abandon(reqs[1])
-	if !bat.cancel.Canceled() {
-		t.Fatal("batch still live after every waiter left")
-	}
-}
-
-// TestCloseAnswersQueuedSolves pins the drain contract of the batcher:
-// solves queued behind a running batch when the handle closes are still
-// answered — in batches of at most BatchMax, bitwise equal to solving
-// alone — and a solve submitted after close is refused with the 503
-// class.
-func TestCloseAnswersQueuedSolves(t *testing.T) {
-	m := testMatrix()
-	sym, err := core.Analyze(m, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := core.FactorizeWithOpts(sym, m, &core.NumericOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := newBatcher(f, 3, core.NumericOptions{SolveWorkers: 1})
-	bt.mu.Lock()
-	bt.running = true // a batch is in flight
-	bt.mu.Unlock()
-
-	const queued = 7
-	rhs := make([][]float64, queued)
-	xs := make([][]float64, queued)
-	errs := make([]error, queued)
-	var wg sync.WaitGroup
-	for r := range rhs {
-		rhs[r] = make([]float64, m.NCols)
-		for i := range rhs[r] {
-			rhs[r][i] = float64((i+r)%5) - 2
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			xs[r], errs[r] = bt.submit(context.Background(), rhs[r])
-		}(r)
-	}
-	for {
-		bt.mu.Lock()
-		n := len(bt.pending)
-		bt.mu.Unlock()
-		if n == queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	bt.close()
-	if _, err := bt.submit(context.Background(), rhs[0]); !errors.Is(err, errBatcherClosed) {
-		t.Fatalf("submit after close: %v, want errBatcherClosed", err)
-	}
-	bt.next() // the in-flight batch finishes and hands over the queue
-	wg.Wait()
-
-	for r := range rhs {
-		if errs[r] != nil {
-			t.Fatalf("queued solve %d: %v", r, errs[r])
-		}
-		alone, err := f.SolveManyWith(rhs[r:r+1], &core.NumericOptions{SolveWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range alone[0] {
-			if xs[r][i] != alone[0][i] {
-				t.Fatalf("queued solve %d: x[%d] = %x, alone %x", r, i, xs[r][i], alone[0][i])
-			}
-		}
-	}
-	if got := bt.batches.Load(); got != 3 || bt.maxBatch.Load() != 3 {
-		t.Errorf("%d queued solves ran as %d batches (max %d), want 3 of at most 3", queued, got, bt.maxBatch.Load())
-	}
 }
