@@ -244,8 +244,8 @@ func BenchmarkGilbertPeierlsBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve measures the level-scheduled triangular-solve phase
-// at P ∈ {1, 4} solve workers (single right-hand side).
+// BenchmarkSolve measures the serial triangular sweeps on a single
+// right-hand side.
 func BenchmarkSolve(b *testing.B) {
 	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
@@ -257,23 +257,18 @@ func BenchmarkSolve(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("%s/P=%d", spec.Name, p), func(b *testing.B) {
-			nopts := &core.NumericOptions{SolveWorkers: p}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.SolveWith(rhs, nopts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(spec.Name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := f.Solve(rhs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSolveMany measures the blocked multi-RHS path (16
 // right-hand sides through the BLAS-3 panel sweeps) against the
-// loop-of-Solves baseline it replaces. The blocked path at P=1 versus
-// the scalar loop is the headline number of the solve-engine PR.
+// loop-of-Solves baseline it replaces.
 func BenchmarkSolveMany(b *testing.B) {
 	const nrhs = 16
 	spec := matgen.SmallSuite()[0]
@@ -289,26 +284,20 @@ func BenchmarkSolveMany(b *testing.B) {
 			bs[r][i] = float64(r + i%5)
 		}
 	}
-	b.Run(fmt.Sprintf("%s/loop-of-solves", spec.Name), func(b *testing.B) {
-		nopts := &core.NumericOptions{SolveWorkers: 1}
-		b.ResetTimer()
+	b.Run(spec.Name+"/loop-of-solves", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := range bs {
-				if _, err := f.SolveWith(bs[r], nopts); err != nil {
+				if _, err := f.Solve(bs[r]); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("%s/blocked/P=%d", spec.Name, p), func(b *testing.B) {
-			nopts := &core.NumericOptions{SolveWorkers: p}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.SolveManyWith(bs, nopts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(spec.Name+"/blocked", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := f.SolveMany(bs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

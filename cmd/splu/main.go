@@ -5,7 +5,7 @@
 //
 //	splu -matrix system.mtx            # MatrixMarket file
 //	splu -gen sherman3                 # generated benchmark matrix
-//	splu -workers 4 -taskgraph sstar -postorder=false
+//	splu -workers 4 -postorder=false
 //	splu -rhs ones                     # ones | index | random
 //	splu -pivot perturb -refine 3      # factor near-singular systems
 //	splu -fastmath -refine 1           # relaxed (non-bitwise) kernels
@@ -32,9 +32,7 @@ func main() {
 		matrixPath = flag.String("matrix", "", "MatrixMarket file to factor")
 		gen        = flag.String("gen", "", "generate a benchmark matrix (sherman3, sherman5, lnsp3937, lns3937, orsreg1, saylr4, goodwin)")
 		workers    = flag.Int("workers", 1, "parallel workers for the numeric phase")
-		solveWork  = flag.Int("solveworkers", 0, "parallel workers for the triangular solves (0 inherits -workers)")
 		postorder  = flag.Bool("postorder", true, "postorder the LU elimination forest")
-		taskGraph  = flag.String("taskgraph", "eforest", "task dependence graph: eforest or sstar")
 		ordFlag    = flag.String("ordering", "mindeg", "fill-reducing ordering: mindeg, natural or rcm")
 		rhs        = flag.String("rhs", "ones", "right-hand side: ones, index or random")
 		maxSN      = flag.Int("maxsupernode", 32, "load-balance split threshold for supernode panels")
@@ -57,7 +55,6 @@ func main() {
 
 	opts := sparselu.DefaultOptions()
 	opts.Workers = *workers
-	opts.SolveWorkers = *solveWork
 	opts.Postorder = *postorder
 	opts.MaxSupernode = *maxSN
 	opts.AmalgamationFill = *fillRatio
@@ -66,13 +63,7 @@ func main() {
 	opts.Verify = *verifyInv
 	var rec *trace.Recorder
 	if *tracePath != "" {
-		// Size the recorder for whichever phase uses more workers so
-		// the solve sweeps are recorded too.
-		traceWorkers := *workers
-		if sw := *solveWork; sw > traceWorkers {
-			traceWorkers = sw
-		}
-		rec = trace.New(traceWorkers)
+		rec = trace.New(*workers)
 		opts.Trace = rec
 	}
 	opts.Timeout = *timeout
@@ -83,14 +74,6 @@ func main() {
 		opts.PivotPolicy = sparselu.PivotPerturb
 	default:
 		fatalf("unknown -pivot %q", *pivot)
-	}
-	switch *taskGraph {
-	case "eforest":
-		opts.TaskGraph = sparselu.EForestGraph
-	case "sstar":
-		opts.TaskGraph = sparselu.SStarGraph
-	default:
-		fatalf("unknown -taskgraph %q", *taskGraph)
 	}
 	switch *ordFlag {
 	case "mindeg":

@@ -60,22 +60,10 @@ const (
 	PivotPerturb
 )
 
-// TaskGraph selects the dependence structure driving the parallel
-// numeric factorization.
-type TaskGraph int
-
-const (
-	// EForestGraph is the paper's elimination-forest-guided graph with
-	// only the least necessary dependences (default).
-	EForestGraph TaskGraph = iota
-	// SStarGraph is the baseline graph of the S* environment, which
-	// serializes the updates of each column in ascending source order.
-	SStarGraph
-)
-
 // Options configures analysis and factorization. The zero value is not
 // meaningful; use DefaultOptions or pass nil to get the paper's
-// configuration.
+// configuration. The numeric phase always runs the paper's
+// elimination-forest-guided task graph.
 type Options struct {
 	// Ordering is the fill-reducing ordering.
 	Ordering Ordering
@@ -83,21 +71,13 @@ type Options struct {
 	// forest, which enlarges supernodes and yields a block upper
 	// triangular form.
 	Postorder bool
-	// TaskGraph picks the dependence structure.
-	TaskGraph TaskGraph
 	// Workers is the number of parallel workers for the numeric phase
 	// (values below 1 mean serial execution).
 	Workers int
-	// SolveWorkers is the number of parallel workers for the
-	// triangular solves (Solve, SolveMany, SolveTranspose,
-	// SolveRefined, ConditionEstimate). 0 (the default) inherits
-	// Workers. The solves execute one task per block column on
-	// level-set schedules derived at analysis time and their results
-	// are bitwise identical to the serial sweeps at every worker
-	// count, so this is purely a latency knob. Solve scratch comes
-	// from a pooled per-factorization workspace (core.SolveWorkspace):
-	// after warm-up, solves allocate nothing beyond their result
-	// slices, and concurrent solves on one factorization are safe.
+	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP item
+	// 1(a) deletes it.
+	//
+	// Deprecated: ignored, solves are serial.
 	SolveWorkers int
 	// AnalyzeWorkers is ignored: the analysis runs once per pattern and
 	// serially.
@@ -144,12 +124,11 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's configuration: minimum degree,
-// postordering on, eforest task graph, serial execution.
+// postordering on, serial execution.
 func DefaultOptions() *Options {
 	return &Options{
 		Ordering:         MinDegree,
 		Postorder:        true,
-		TaskGraph:        EForestGraph,
 		Workers:          1,
 		MaxSupernode:     32,
 		AmalgamationFill: 0.25,
@@ -167,27 +146,22 @@ func (o *Options) toCore() *core.Options {
 	case RCM:
 		ord = ordering.RCMATA
 	}
-	tg := taskgraph.EForest
-	if o.TaskGraph == SStarGraph {
-		tg = taskgraph.SStar
-	}
 	return &core.Options{
 		Ordering:  ord,
 		Postorder: o.Postorder,
-		TaskGraph: tg,
+		TaskGraph: taskgraph.EForest,
 		Amalgamation: supernode.AmalgamationOptions{
 			MaxSize: o.MaxSupernode,
 			MaxFill: o.AmalgamationFill,
 		},
 		Verify: o.Verify,
 		NumericOptions: core.NumericOptions{
-			Workers:      o.Workers,
-			SolveWorkers: o.SolveWorkers,
-			PivotPolicy:  core.PivotPolicy(o.PivotPolicy),
-			FastMath:     o.FastMath,
-			Equilibrate:  o.Equilibrate,
-			Timeout:      o.Timeout,
-			Trace:        o.Trace,
+			Workers:     o.Workers,
+			PivotPolicy: core.PivotPolicy(o.PivotPolicy),
+			FastMath:    o.FastMath,
+			Equilibrate: o.Equilibrate,
+			Timeout:     o.Timeout,
+			Trace:       o.Trace,
 		},
 	}
 }
@@ -336,11 +310,10 @@ func Factorize(m *Matrix, opts *Options) (*Factorization, error) {
 }
 
 // Solve solves A·x = b. b is not modified. The triangular sweeps run
-// in parallel on Options.SolveWorkers workers (level-scheduled over
-// the block columns) and the result is bitwise identical to the
-// serial sweeps at every worker count; scratch comes from the
+// serially over the block columns; scratch comes from the
 // factorization's pooled solve workspace, so steady-state solves
-// allocate only the returned slice.
+// allocate only the returned slice, and concurrent solves on one
+// factorization are safe.
 func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	return f.f.Solve(b)
 }
@@ -350,14 +323,12 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 // panel in the pooled solve workspace and each block-column task runs
 // Dtrsm/Dgemm across all right-hand sides, which is substantially
 // faster than repeated Solve calls once nrhs is more than a couple.
-// Parallelism and bitwise determinism follow Solve.
 func (f *Factorization) SolveMany(bs [][]float64) ([][]float64, error) {
 	return f.f.SolveMany(bs)
 }
 
-// SolveTranspose solves Aᵀ·x = b. b is not modified. It runs on the
-// transpose level schedules with the same worker count, workspace and
-// bitwise-determinism guarantees as Solve.
+// SolveTranspose solves Aᵀ·x = b. b is not modified. It shares Solve's
+// workspace and serial sweeps.
 func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	return f.f.SolveTranspose(b)
 }

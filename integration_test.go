@@ -161,36 +161,3 @@ func TestFullSizePostorderingEffect(t *testing.T) {
 		t.Fatalf("postordering changed |Ā|: %d vs %d", with.Stats().FactorNNZ, without.Stats().FactorNNZ)
 	}
 }
-
-// TestFullSizeGraphVariantsAgree checks bitwise agreement of the two
-// task graphs' factors at full scale on lns3937.
-func TestFullSizeGraphVariantsAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-size integration test")
-	}
-	m := WrapCSC(matgen.Lns3937())
-	b := make([]float64, m.Order())
-	for i := range b {
-		b[i] = 1
-	}
-	var xs [][]float64
-	for _, tg := range []TaskGraph{SStarGraph, EForestGraph} {
-		opts := DefaultOptions()
-		opts.TaskGraph = tg
-		opts.Workers = 4
-		f, err := Factorize(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := f.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs = append(xs, x)
-	}
-	for i := range xs[0] {
-		if xs[0][i] != xs[1][i] {
-			t.Fatalf("solutions differ at %d: %v vs %v", i, xs[0][i], xs[1][i])
-		}
-	}
-}

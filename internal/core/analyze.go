@@ -62,17 +62,11 @@ type Symbolic struct {
 	// bottom levels under Costs, computed once per pattern. Whoever puts
 	// another Graph or Costs on a copy recomputes it with them.
 	Prio []float64
-	// SolveFwd and SolveBwd are the level-set schedules of the
-	// triangular solves' forward (L̄) and backward (Ū) sweeps: one task
-	// per block column, with columns touching a common block row
-	// chained in serial sweep order (see solvegraph.go). Executing the
-	// levels with barriers reproduces the serial sweeps bitwise at any
-	// worker count.
+	// SolveFwd and SolveBwd are level-set schedules of the forward (L̄)
+	// and backward (Ū) solve sweeps (solvegraph.go); the solves run
+	// serially and do not read them. Only bench/layers.go reads them
+	// (sched.levels_ns_per_task); ROADMAP item 1(a) deletes them.
 	SolveFwd, SolveBwd *sched.Levels
-	// SolveFwdT and SolveBwdT are the transpose-solve schedules: the
-	// edge-reversed (Reversed) forms of SolveBwd and SolveFwd — the
-	// Ûᵀ sweep ascends the U chains, the Lᵀ sweep descends the L ones.
-	SolveFwdT, SolveBwdT *sched.Levels
 	// SolvePerm is RowPerm composed with SymPerm — the permutation the
 	// solves apply to a right-hand side in one pass:
 	// y[SolvePerm[i]] = b[i].
@@ -251,12 +245,12 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	}
 	st.mark("task graph")
 
-	// Step 7: the level-set schedules of the triangular-solve sweeps.
+	// Step 7: the level-set schedules of the solve sweeps, for bench/
+	// only (see Symbolic.SolveFwd).
 	solveFwd, solveBwd, err := solveSchedules(stored)
 	if err != nil {
 		return nil, err
 	}
-	solveFwdT, solveBwdT := solveBwd.Reversed(), solveFwd.Reversed()
 	st.mark("solve schedules")
 
 	if o.Verify {
@@ -295,8 +289,6 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		Prio:        prio,
 		SolveFwd:    solveFwd,
 		SolveBwd:    solveBwd,
-		SolveFwdT:   solveFwdT,
-		SolveBwdT:   solveBwdT,
 		SolvePerm:   tr.RowPerm.Compose(symPerm),
 		PatternHash: PatternHash(a, o),
 		Autotune:    autotune,

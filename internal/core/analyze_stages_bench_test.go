@@ -83,11 +83,7 @@ func analyzeStages() []analyzeStage {
 			return err
 		}},
 		{"solve schedules", func(st *stageState) error {
-			fwd, bwd, err := solveSchedules(st.stored)
-			if err == nil {
-				fwd.Reversed()
-				bwd.Reversed()
-			}
+			_, _, err := solveSchedules(st.stored)
 			return err
 		}},
 		{"stats", func(st *stageState) error {

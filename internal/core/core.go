@@ -92,13 +92,10 @@ type NumericOptions struct {
 	// Workers is the number of parallel workers for the numeric phase;
 	// values < 1 mean 1.
 	Workers int
-	// SolveWorkers is the number of parallel workers for the triangular
-	// solves (Solve, SolveMany, SolveTranspose and everything routed
-	// through them: SolveRefined, CondEstimate1). 0 (the default)
-	// inherits Workers; values < 0 mean 1. The solves run one task per
-	// block column on the level-set schedules of Symbolic.SolveFwd/
-	// SolveBwd and are bitwise identical to the serial sweeps at every
-	// worker count.
+	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP item
+	// 1(a) deletes it.
+	//
+	// Deprecated: ignored, solves are serial.
 	SolveWorkers int
 	// PivotPolicy selects how tiny pivots are handled (default
 	// PivotFail, the historical flag-and-continue contract).
@@ -138,12 +135,6 @@ func (n *NumericOptions) withDefaults() NumericOptions {
 	out := *n
 	if out.Workers < 1 {
 		out.Workers = 1
-	}
-	if out.SolveWorkers == 0 {
-		out.SolveWorkers = out.Workers
-	}
-	if out.SolveWorkers < 1 {
-		out.SolveWorkers = 1
 	}
 	return out
 }

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/matgen"
 	"repro/internal/ordering"
 	"repro/internal/sparse"
 	"repro/internal/supernode"
 	"repro/internal/taskgraph"
+	"repro/internal/trace"
 )
 
 // randomSystem builds a random sparse diagonally-dominant matrix (well
@@ -200,6 +203,135 @@ func TestParallelBitwiseDeterminism(t *testing.T) {
 	}
 }
 
+// diffBits reports the first elementwise bit difference between two
+// vectors (NaNs must match bit for bit too).
+func diffBits(t *testing.T, ctx string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", ctx, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: x[%d] = %x (%g), want %x (%g)",
+				ctx, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// checkSolvesAcrossWorkers factors a under opts at Workers = 1, 2, 4, 8
+// and requires Solve, SolveTranspose and SolveMany of every parallel
+// factorization to return the serial factorization's answers bit for
+// bit.
+func checkSolvesAcrossWorkers(t *testing.T, a *sparse.CSC, opts *Options, rng *rand.Rand) {
+	t.Helper()
+	s, err := Analyze(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := make([][]float64, 3)
+	for r := range bs {
+		bs[r] = make([]float64, a.NCols)
+		for i := range bs[r] {
+			bs[r][i] = rng.NormFloat64()
+		}
+	}
+	var want [][]float64
+	for _, w := range []int{1, 2, 4, 8} {
+		no := opts.NumericOptions
+		no.Workers = w
+		f, err := FactorizeWithOpts(s, a, &no)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		x, err := f.Solve(bs[0])
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		xt, err := f.SolveTranspose(bs[0])
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		xs, err := f.SolveMany(bs)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		got := append([][]float64{x, xt}, xs...)
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			diffBits(t, fmt.Sprintf("Workers=%d answer %d", w, i), got[i], want[i])
+		}
+	}
+}
+
+// TestSolveBitwiseAcrossWorkers requires the answers of Solve,
+// SolveTranspose and SolveMany on the whole small suite not to depend
+// on the factorization's worker count.
+func TestSolveBitwiseAcrossWorkers(t *testing.T) {
+	for _, spec := range matgen.SmallSuite() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			checkSolvesAcrossWorkers(t, spec.Gen(), DefaultOptions(), rand.New(rand.NewSource(401)))
+		})
+	}
+}
+
+// TestSolveBitwiseEquilibrated repeats it with row/column scaling in the
+// loop.
+func TestSolveBitwiseEquilibrated(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Equilibrate = true
+	checkSolvesAcrossWorkers(t, matgen.SmallSuite()[1].Gen(), opts, rand.New(rand.NewSource(402)))
+}
+
+// TestSolveBitwiseNearSingularPerturb repeats it on a near-singular
+// system under PivotPerturb, where racing Factor tasks record the
+// perturbed pivots.
+func TestSolveBitwiseNearSingularPerturb(t *testing.T) {
+	a, _, _ := matgen.NearSingular(8, 10, 21)
+	opts := DefaultOptions()
+	opts.PivotPolicy = PivotPerturb
+	f, err := Factorize(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.PivotPerturbations() == 0 {
+		t.Fatal("expected pivot perturbations on the near-singular system")
+	}
+	checkSolvesAcrossWorkers(t, a, opts, rand.New(rand.NewSource(404)))
+}
+
+// TestFullSizeGraphVariantsAgree checks at full scale, on lns3937, that
+// the S* and eforest task graphs give bitwise the same solution.
+func TestFullSizeGraphVariantsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size integration test")
+	}
+	a := matgen.Lns3937()
+	b := make([]float64, a.NCols)
+	for i := range b {
+		b[i] = 1
+	}
+	var xs [][]float64
+	for _, tg := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
+		opts := DefaultOptions()
+		opts.TaskGraph = tg
+		opts.Workers = 4
+		f, err := Factorize(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := f.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, x)
+	}
+	diffBits(t, "S* vs eforest", xs[0], xs[1])
+}
+
 func TestStructurallySingularRejected(t *testing.T) {
 	tr := sparse.NewTriplet(3, 3)
 	tr.Add(0, 0, 1)
@@ -382,7 +514,13 @@ func TestSolvePermuted(t *testing.T) {
 	}
 	b := make([]float64, 25)
 	ap.MulVec(x, b)
-	f.solveInPlace(b)
+	nb := f.S.BlockSym.N
+	if err := sweep(nb, false, nil, nil, trace.KindSolveL, func(k int) { f.fwdStep(k, b) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweep(nb, true, nil, nil, trace.KindSolveU, func(k int) { f.bwdStep(k, b) }); err != nil {
+		t.Fatal(err)
+	}
 	for i := range x {
 		if math.Abs(b[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
 			t.Fatalf("permuted solve wrong at %d: %g vs %g", i, b[i], x[i])

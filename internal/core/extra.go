@@ -15,13 +15,8 @@ import (
 // With A₂ = P_c·P_r·A·P_cᵀ factored as (Π_k P_kᵀL_k)·U, the transposed
 // system A₂ᵀ·z = P_c·b is solved by a forward sweep with Ûᵀ followed by
 // the reversed product of L_kᵀ and the pivot interchanges, and finally
-// x = P_rᵀ·P_cᵀ·z.
-//
-// Like Solve, the sweeps run one task per block column on the
-// transpose level schedules (Symbolic.SolveFwdT/SolveBwdT — the
-// edge-reversed forms of the backward/forward ones) with
-// Options.SolveWorkers workers, bitwise identical to the serial
-// transpose sweeps at every worker count.
+// x = P_rᵀ·P_cᵀ·z. Both sweeps run serially: the Ûᵀ sweep in ascending
+// block-column order, the Lᵀ sweep in descending order.
 func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	if len(b) != f.S.N {
 		return nil, fmt.Errorf("core: rhs has length %d, want %d", len(b), f.S.N)
@@ -41,13 +36,14 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 			y[i] *= f.cscale[i]
 		}
 	}
-	procs, rec, cancel, stop := f.solveOpts(nil)
+	rec, cancel, stop := f.solveOpts(nil)
 	defer stop()
-	if err := f.runSweep(f.S.SolveFwdT, procs, rec, cancel, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
+	nb := f.S.BlockSym.N
+	if err := sweep(nb, false, rec, cancel, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := f.runSweep(f.S.SolveBwdT, procs, rec, cancel, trace.KindSolveL, func(k int) { f.bwdStepT(k, y) }); err != nil {
+	if err := sweep(nb, true, rec, cancel, trace.KindSolveL, func(k int) { f.bwdStepT(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
@@ -65,24 +61,11 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// solveTransposeInPlace runs the transpose sweeps in plain serial
-// column order — the bitwise reference of the level-scheduled path.
-func (f *Factorization) solveTransposeInPlace(y []float64) {
-	nb := f.S.BlockSym.N
-	for k := 0; k < nb; k++ {
-		f.fwdStepT(k, y)
-	}
-	for k := nb - 1; k >= 0; k-- {
-		f.bwdStepT(k, y)
-	}
-}
-
-// fwdStepT is the transpose forward-sweep task of block column k (the
+// fwdStepT is the transpose forward-sweep step of block column k (the
 // Ûᵀ sweep, lower triangular): subtract the contributions of the U
 // blocks above the diagonal, then solve with the transposed diagonal U
 // factor. It reads the block rows of Ū's column k and writes only
-// block k — the same touched set as bwdStep, visited in the opposite
-// column order, which is why it runs on SolveBwd.Reversed().
+// block k.
 func (f *Factorization) fwdStepT(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
@@ -98,10 +81,8 @@ func (f *Factorization) fwdStepT(k int, y []float64) {
 	blas.Dtrsvt(false, false, w, diag, w, yk) // (upper U)ᵀ solve
 }
 
-// bwdStepT is the transpose backward-sweep task of block column k:
-// solve L_Kᵀ and then undo σ_K (apply its swaps in reverse order). It
-// touches the block rows of L̄'s column k — fwdStep's set, descending —
-// so it runs on SolveFwd.Reversed().
+// bwdStepT is the transpose backward-sweep step of block column k:
+// solve L_Kᵀ and then undo σ_K (apply its swaps in reverse order).
 func (f *Factorization) bwdStepT(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width

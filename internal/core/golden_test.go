@@ -84,7 +84,9 @@ func statsFields(st AnalysisStats, graph bool) string {
 // retains that the numeric and solve phases or the paper's tables read,
 // but for the task graph: the other views of Ā and of the stored and
 // closed block structures, the forests, the partition and the four solve
-// schedules.
+// schedules — SolveFwd, SolveBwd and the level-reversed forms of SolveBwd
+// and SolveFwd that the transpose solve once ran on, which keeps the
+// recorded hashes.
 func structureHash(s *Symbolic) string {
 	g := &goldenHasher{h: sha256.New()}
 	fp := structFingerprint(s)
@@ -101,11 +103,22 @@ func structureHash(s *Symbolic) string {
 	g.ints(s.Forest.Parent)
 	g.ints(s.BlockForest.Parent)
 	g.ints(s.Part.BlockStart)
-	for _, lv := range []*sched.Levels{s.SolveFwd, s.SolveBwd, s.SolveFwdT, s.SolveBwdT} {
+	for _, lv := range []*sched.Levels{s.SolveFwd, s.SolveBwd, reversedLevels(s.SolveBwd), reversedLevels(s.SolveFwd)} {
 		g.ints32(lv.Order)
 		g.ints32(lv.Off)
 	}
 	return hex.EncodeToString(g.h.Sum(nil))
+}
+
+// reversedLevels returns lv's level sets in the opposite order.
+func reversedLevels(lv *sched.Levels) *sched.Levels {
+	order := make([]int32, 0, len(lv.Order))
+	off := []int32{0}
+	for l := lv.NumLevels() - 1; l >= 0; l-- {
+		order = append(order, lv.Order[lv.Off[l]:lv.Off[l+1]]...)
+		off = append(off, int32(len(order)))
+	}
+	return sched.NewLevels(order, off)
 }
 
 // graphHash is the sha256 of the task graph the numeric phase runs — its

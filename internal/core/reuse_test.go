@@ -77,7 +77,7 @@ func TestSymbolicReuseConcurrent(t *testing.T) {
 	}
 
 	// Serial reference: one worker everywhere.
-	refOpts := &NumericOptions{Workers: 1, SolveWorkers: 1}
+	refOpts := &NumericOptions{Workers: 1}
 	fRef, err := FactorizeWithOpts(s, a, refOpts)
 	if err != nil {
 		t.Fatalf("reference factorization: %v", err)
@@ -94,7 +94,7 @@ func TestSymbolicReuseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			nopts := &NumericOptions{Workers: 1 + g%4, SolveWorkers: 1 + (g/2)%4}
+			nopts := &NumericOptions{Workers: 1 + g%4}
 			f, err := FactorizeWithOpts(s, a, nopts)
 			if err != nil {
 				errc <- fmt.Errorf("goroutine %d: factorize: %v", g, err)
@@ -108,8 +108,8 @@ func TestSymbolicReuseConcurrent(t *testing.T) {
 				}
 				for i := range x {
 					if x[i] != xRef[i] {
-						errc <- fmt.Errorf("goroutine %d (workers=%d/%d): x[%d] = %x, serial %x",
-							g, nopts.Workers, nopts.SolveWorkers, i, x[i], xRef[i])
+						errc <- fmt.Errorf("goroutine %d (workers=%d): x[%d] = %x, serial %x",
+							g, nopts.Workers, i, x[i], xRef[i])
 						return
 					}
 				}

@@ -340,15 +340,16 @@ func TestCancelOptionWiredThroughFactorize(t *testing.T) {
 	}
 }
 
-// TestSolveCancelPreTripped pins the cancel path of a per-request
-// solve: SolveWith and SolveManyWith under an already-tripped canceler
-// fail with the luerr class of its cause, and the next uncanceled solve
-// — which checks out the workspace the canceled one returned to the
-// pool — is bitwise the reference.
+// TestSolveCancelPreTripped pins the cancel path of the solves: under
+// an already-tripped canceler — the factorization's own (the only one
+// SolveTranspose sees) or a per-call override — SolveWith, SolveManyWith
+// and SolveTranspose fail with the luerr class of its cause, and the
+// next uncanceled solve, which checks out the workspace a canceled one
+// returned to the pool, is bitwise the reference.
 func TestSolveCancelPreTripped(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	a := randomSystem(60, 0.08, rng)
-	f, err := Factorize(a, robustOptions(2))
+	s, err := Analyze(a, robustOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,42 +360,50 @@ func TestSolveCancelPreTripped(t *testing.T) {
 			bs[r][i] = rng.NormFloat64()
 		}
 	}
-	want, err := f.SolveWith(bs[0], &NumericOptions{SolveWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMany, err := f.SolveManyWith(bs, &NumericOptions{SolveWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		cause, class error
 	}{
 		{sched.ErrCanceled, luerr.ErrCanceled},
 		{ErrDeadlineExceeded, luerr.ErrDeadline},
 	} {
-		for _, p := range []int{1, 2} {
-			cancel := &sched.Canceler{}
-			cancel.Cancel(tc.cause)
-			opts := &NumericOptions{SolveWorkers: p, Cancel: cancel}
-			if _, err := f.SolveWith(bs[0], opts); !errors.Is(err, tc.class) {
-				t.Errorf("P=%d SolveWith under Cancel(%v): err = %v, want %v", p, tc.cause, err, tc.class)
-			}
-			if _, err := f.SolveManyWith(bs, opts); !errors.Is(err, tc.class) {
-				t.Errorf("P=%d SolveManyWith under Cancel(%v): err = %v, want %v", p, tc.cause, err, tc.class)
-			}
-			x, err := f.SolveWith(bs[0], &NumericOptions{SolveWorkers: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBits(t, "SolveWith after a canceled solve", x, want)
-			xs, err := f.SolveManyWith(bs, &NumericOptions{SolveWorkers: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := range xs {
-				diffBits(t, "SolveManyWith after a canceled solve", xs[r], wantMany[r])
-			}
+		cancel := &sched.Canceler{}
+		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 2, Cancel: cancel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.Solve(bs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMany, err := f.SolveMany(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel.Cancel(tc.cause)
+		if _, err := f.Solve(bs[0]); !errors.Is(err, tc.class) {
+			t.Errorf("Solve under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
+		}
+		if _, err := f.SolveTranspose(bs[0]); !errors.Is(err, tc.class) {
+			t.Errorf("SolveTranspose under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
+		}
+		opts := &NumericOptions{Cancel: cancel}
+		if _, err := f.SolveWith(bs[0], opts); !errors.Is(err, tc.class) {
+			t.Errorf("SolveWith under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
+		}
+		if _, err := f.SolveManyWith(bs, opts); !errors.Is(err, tc.class) {
+			t.Errorf("SolveManyWith under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
+		}
+		x, err := f.SolveWith(bs[0], &NumericOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffBits(t, "SolveWith after a canceled solve", x, want)
+		xs, err := f.SolveManyWith(bs, &NumericOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range xs {
+			diffBits(t, "SolveManyWith after a canceled solve", xs[r], wantMany[r])
 		}
 	}
 }

@@ -43,58 +43,63 @@ func (f *Factorization) getWorkspace() *SolveWorkspace {
 // putWorkspace returns a workspace to the pool.
 func (f *Factorization) putWorkspace(ws *SolveWorkspace) { f.solveWS.Put(ws) }
 
-// solveOpts resolves the per-call state of one solve: worker count,
-// trace recorder and cancellation signal. An explicit override wins
-// (the SolveWith/SolveManyWith paths, one override per request in the
-// solve service); otherwise the solve runs under the options the
+// solveOpts resolves the per-call state of one solve: trace recorder
+// and cancellation signal. An explicit override wins (the
+// SolveWith/SolveManyWith paths, one override per request in the solve
+// service); otherwise the solve runs under the options the
 // factorization was created with. The returned stop func disarms the
 // deadline timer of this solve.
-func (f *Factorization) solveOpts(override *NumericOptions) (procs int, rec *trace.Recorder, cancel *sched.Canceler, stop func()) {
-	o := f.nopts
+func (f *Factorization) solveOpts(override *NumericOptions) (rec *trace.Recorder, cancel *sched.Canceler, stop func()) {
+	o := &f.nopts
 	if override != nil {
-		o = override.withDefaults()
+		o = override
 	}
 	cancel, stop = numericCanceler(o.Timeout, o.Cancel)
-	return o.SolveWorkers, o.Trace, cancel, stop
+	return o.Trace, cancel, stop
 }
 
-// runSweep executes one triangular sweep on its level-set schedule,
-// recording one trace event per block column (KindSolveL/KindSolveU)
-// when the recorder is present and sized for the solve worker count,
-// and polling the canceler once per task claim when one is armed. A
-// canceled sweep returns a *sched.CancelError whose cause is the
-// deadline or external cancellation; the partially swept panel is
-// pooled scratch, never a caller-visible result.
-func (f *Factorization) runSweep(lv *sched.Levels, procs int, rec *trace.Recorder, cancel *sched.Canceler, kind trace.Kind, step func(k int)) error {
-	if rec != nil && rec.Workers() >= procs {
-		return sched.ExecuteLevelsCancelable(lv, procs, cancel, func(w, k int) {
-			start := rec.Now()
+// sweep runs one triangular sweep as a plain serial loop: step on block
+// columns 0, 1, …, nb−1, or nb−1, …, 0 when descending. It polls the
+// canceler once per column; a trip before the last column has run
+// returns a *sched.CancelError whose cause is the deadline or external
+// cancellation, while a trip during the last column loses to the
+// finished work and returns nil. The partially swept panel is pooled
+// scratch, never a caller-visible result. With a recorder, each column
+// is one event of kind on worker 0.
+func sweep(nb int, descending bool, rec *trace.Recorder, cancel *sched.Canceler, kind trace.Kind, step func(k int)) error {
+	for i := 0; i < nb; i++ {
+		if cancel != nil && cancel.Canceled() {
+			return &sched.CancelError{Cause: cancel.Cause(), Completed: i, Total: nb}
+		}
+		k := i
+		if descending {
+			k = nb - 1 - i
+		}
+		if rec == nil {
 			step(k)
-			rec.Record(w, trace.NoTask, kind, k, start)
-		})
+			continue
+		}
+		start := rec.Now()
+		step(k)
+		rec.Record(0, trace.NoTask, kind, k, start)
 	}
-	return sched.ExecuteLevelsCancelable(lv, procs, cancel, func(w, k int) { step(k) })
+	return nil
 }
 
 // Solve solves A·x = b for the original (unpermuted) matrix the
-// factorization was computed from. b is not modified.
-//
-// The sweeps execute as one task per block column on the level-set
-// schedules derived at analysis time (Symbolic.SolveFwd/SolveBwd)
-// with Options.SolveWorkers workers. Tasks touching a common block
-// row are chained in serial order and updates to disjoint rows
-// commute exactly, so the result is bitwise identical to the serial
-// sweeps at every worker count.
+// factorization was computed from. b is not modified. The sweeps run
+// serially, one step per block column: forward through L̄ in ascending
+// column order, backward through Ū in descending order.
 func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	return f.SolveWith(b, nil)
 }
 
 // SolveWith is Solve with an explicit per-call options override: the
-// worker count, deadline, canceler and trace recorder of this one
-// solve come from nopts instead of the factorization's frozen options
-// (nil nopts is plain Solve). It is how a long-lived service binds a
-// request-scoped deadline to a solve against a shared, immutable
-// factorization without mutating it.
+// deadline, canceler and trace recorder of this one solve come from
+// nopts instead of the factorization's frozen options (nil nopts is
+// plain Solve). It is how a long-lived service binds a request-scoped
+// deadline to a solve against a shared, immutable factorization without
+// mutating it.
 func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64, error) {
 	if len(b) != f.S.N {
 		return nil, fmt.Errorf("core: rhs has length %d, want %d", len(b), f.S.N)
@@ -114,13 +119,14 @@ func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64
 			y[i] *= f.rscale[i]
 		}
 	}
-	procs, rec, cancel, stop := f.solveOpts(nopts)
+	rec, cancel, stop := f.solveOpts(nopts)
 	defer stop()
-	if err := f.runSweep(f.S.SolveFwd, procs, rec, cancel, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
+	nb := f.S.BlockSym.N
+	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := f.runSweep(f.S.SolveBwd, procs, rec, cancel, trace.KindSolveU, func(k int) { f.bwdStep(k, y) }); err != nil {
+	if err := sweep(nb, true, rec, cancel, trace.KindSolveU, func(k int) { f.bwdStep(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
@@ -137,30 +143,11 @@ func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64
 	return x, nil
 }
 
-// solveInPlace solves the factored (permuted) system in place, running
-// the two sweeps in plain serial column order: on entry y is the
-// right-hand side in the permuted ordering, on return it holds the
-// solution in that ordering. It is the seed path the parallel engine is
-// tested bitwise against; the per-column step functions are shared with
-// the level-scheduled executor, so the two paths perform literally the
-// same operations.
-func (f *Factorization) solveInPlace(y []float64) {
-	nb := f.S.BlockSym.N
-	for k := 0; k < nb; k++ {
-		f.fwdStep(k, y)
-	}
-	for k := nb - 1; k >= 0; k-- {
-		f.bwdStep(k, y)
-	}
-}
-
-// fwdStep is the forward-sweep task of block column k on one
+// fwdStep is the forward-sweep step of block column k on one
 // right-hand side: replay the panel's interchanges at its step, solve
 // the unit-lower diagonal block, then propagate to the sub-diagonal
 // blocks. Block rows are contiguous scalar index ranges, so the
-// relevant pieces of y are contiguous. It touches exactly the block
-// rows of L̄'s column k (the panel's static row set), which is what
-// the conflict chains of the solve schedule are built on.
+// relevant pieces of y are contiguous.
 func (f *Factorization) fwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
@@ -181,10 +168,9 @@ func (f *Factorization) fwdStep(k int, y []float64) {
 	}
 }
 
-// bwdStep is the backward-sweep task of block column k: solve the
+// bwdStep is the backward-sweep step of block column k: solve the
 // upper-triangular diagonal block, then subtract U(I,K)·x_K from the
-// rows of every block above. It touches exactly the block rows of Ū's
-// column k.
+// rows of every block above.
 func (f *Factorization) bwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
@@ -205,9 +191,8 @@ func (f *Factorization) bwdStep(k int, y []float64) {
 // more than a couple. The panel lives in the factorization's pooled
 // SolveWorkspace and the right-hand sides are packed straight into
 // their permuted rows, so no per-RHS staging copies are allocated. The
-// sweeps run on the same level-set schedules as Solve and are bitwise
-// identical to the serial panel sweeps at every worker count. The
-// inputs are not modified.
+// sweeps visit the block columns in Solve's order. The inputs are not
+// modified.
 func (f *Factorization) SolveMany(bs [][]float64) ([][]float64, error) {
 	return f.SolveManyWith(bs, nil)
 }
@@ -248,13 +233,14 @@ func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([]
 		}
 	}
 
-	procs, rec, cancel, stop := f.solveOpts(nopts)
+	rec, cancel, stop := f.solveOpts(nopts)
 	defer stop()
-	if err := f.runSweep(f.S.SolveFwd, procs, rec, cancel, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
+	nb := f.S.BlockSym.N
+	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := f.runSweep(f.S.SolveBwd, procs, rec, cancel, trace.KindSolveU, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
+	if err := sweep(nb, true, rec, cancel, trace.KindSolveU, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
@@ -278,18 +264,6 @@ func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([]
 	}
 	f.putWorkspace(ws)
 	return out, nil
-}
-
-// solveManySerial runs the panel sweeps in plain serial column order —
-// the bitwise reference of the level-scheduled multi-RHS path.
-func (f *Factorization) solveManySerial(y []float64, nrhs int) {
-	nb := f.S.BlockSym.N
-	for k := 0; k < nb; k++ {
-		f.fwdPanelStep(k, y, nrhs)
-	}
-	for k := nb - 1; k >= 0; k-- {
-		f.bwdPanelStep(k, y, nrhs)
-	}
 }
 
 // fwdPanelStep is fwdStep on an n×nrhs row-major panel: Dswap replays

@@ -1,49 +1,33 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/matgen"
 )
 
-// measureSolveAllocs returns the heap objects allocated by iters calls
-// of solve (warmed up beforehand by the caller).
-func measureSolveAllocs(iters int, solve func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		solve()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// TestSolveZeroAllocs is the zero-allocation proof of the solve
-// engine: once the pooled SolveWorkspace is warm, Solve, SolveTranspose
-// and SolveMany allocate only their result slices plus the executor's
-// fixed setup (goroutines, barrier, closures — well under allocBudget
-// objects for hundreds of per-column tasks). Any per-task or per-RHS
-// allocation sneaking back into the sweeps fails the test.
+// TestSolveZeroAllocs is the zero-allocation proof of the solves: once
+// the pooled SolveWorkspace is warm, Solve, SolveTranspose and SolveMany
+// allocate exactly the result slices they hand back — one vector per
+// right-hand side, plus the outer slice of SolveMany — and nothing per
+// block column or per sweep. testing.AllocsPerRun measures on one P, so
+// the workspace pool's per-P cache always hits.
 func TestSolveZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by the race detector")
 	}
 	const (
-		procs = 4
 		nrhs  = 16
 		iters = 10
 	)
 	a := matgen.Sherman5()
-	opts := DefaultOptions()
-	opts.SolveWorkers = procs
-	f, err := Factorize(a, opts)
+	f, err := Factorize(a, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := f.S.N
-	if tasks := f.S.SolveFwd.NumTasks(); tasks < 100 {
-		t.Fatalf("only %d solve tasks; matrix too small for the test to mean anything", tasks)
+	if nb := f.S.BlockSym.N; nb < 100 {
+		t.Fatalf("only %d block columns; matrix too small for the test to mean anything", nb)
 	}
 	b := make([]float64, n)
 	for i := range b {
@@ -63,23 +47,21 @@ func TestSolveZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// budget is the per-iteration allowance: the result slices the
-		// API must hand back, plus the engine's fixed overhead.
-		budget uint64
+		// API must hand back.
+		budget float64
 		solve  func()
 	}{
-		{"Solve", 1 + allocBudget, mustSolve(func() error { _, err := f.Solve(b); return err })},
-		{"SolveTranspose", 1 + allocBudget, mustSolve(func() error { _, err := f.SolveTranspose(b); return err })},
-		{"SolveMany16", 1 + nrhs + allocBudget, mustSolve(func() error { _, err := f.SolveMany(bs); return err })},
+		{"Solve", 1, mustSolve(func() error { _, err := f.Solve(b); return err })},
+		{"SolveTranspose", 1, mustSolve(func() error { _, err := f.SolveTranspose(b); return err })},
+		{"SolveMany16", 1 + nrhs, mustSolve(func() error { _, err := f.SolveMany(bs); return err })},
 	} {
 		// Warm-up fills the workspace pool and the runtime's caches.
 		tc.solve()
-		tc.solve()
-		allocs := measureSolveAllocs(iters, tc.solve)
-		perIter := float64(allocs) / float64(iters)
-		t.Logf("%s: %d allocs over %d solves (%.1f/solve, budget %d)", tc.name, allocs, iters, perIter, tc.budget)
-		if allocs > uint64(iters)*tc.budget {
-			t.Errorf("%s: %d allocs over %d solves exceeds the %d/solve budget — the solve hot path is allocating per task",
-				tc.name, allocs, iters, tc.budget)
+		perIter := testing.AllocsPerRun(iters, tc.solve)
+		t.Logf("%s: %.0f allocs/solve (budget %.0f)", tc.name, perIter, tc.budget)
+		if perIter > tc.budget {
+			t.Errorf("%s: %.0f allocs/solve exceeds the %.0f budget — the solve hot path allocates beyond its results",
+				tc.name, perIter, tc.budget)
 		}
 	}
 }

@@ -28,8 +28,8 @@ func factorHash(f *Factorization) string {
 }
 
 // TestSolveGoldenIdentity requires the numeric factors (P = 1) and the
-// SolveMany answers (nrhs ∈ {1, 3, 16}, SolveWorkers ∈ {1, 2}) on every
-// small-suite matrix to hash to the values recorded in
+// SolveMany answers (nrhs ∈ {1, 3, 16}) on every small-suite matrix to
+// hash to the values recorded in
 // testdata/solve_golden.json, written by `go test ./internal/core -run
 // SolveGoldenIdentity -update-golden` on the tree before the level-3
 // kernels gained their one-column paths. A kernel change that moves a
@@ -43,7 +43,7 @@ func TestSolveGoldenIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", sp.Name, err)
 		}
-		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 1, SolveWorkers: 1})
+		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: factorize: %v", sp.Name, err)
 		}
@@ -58,21 +58,15 @@ func TestSolveGoldenIdentity(t *testing.T) {
 				}
 			}
 			key := fmt.Sprintf("%s/nrhs=%d", sp.Name, nrhs)
-			for _, p := range []int{1, 2} {
-				xs, err := f.SolveManyWith(bs, &NumericOptions{SolveWorkers: p})
-				if err != nil {
-					t.Fatalf("%s P=%d: %v", key, p, err)
-				}
-				g := &goldenHasher{h: sha256.New()}
-				for _, x := range xs {
-					g.floats(x)
-				}
-				h := hex.EncodeToString(g.h.Sum(nil))
-				if prev, ok := got[key]; ok && prev != h {
-					t.Errorf("%s: SolveWorkers %d hashes %s, SolveWorkers 1 %s", key, p, h, prev)
-				}
-				got[key] = h
+			xs, err := f.SolveMany(bs)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
+			g := &goldenHasher{h: sha256.New()}
+			for _, x := range xs {
+				g.floats(x)
+			}
+			got[key] = hex.EncodeToString(g.h.Sum(nil))
 		}
 	}
 	if *updateGolden {

@@ -9,35 +9,16 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// The parallel triangular solves decompose each sweep into one task per
-// block column, mirroring the serial loop bodies exactly. The forward
-// task of column k replays panel k's interchanges, solves the
-// unit-lower diagonal block and scatters the Dgemv/Dgemm updates into
-// the sub-diagonal block rows — so it reads and writes exactly the
-// block rows of L̄'s column k (interchanges stay inside the panel's
-// static row set, which spans those same blocks). The backward task
-// solves the upper diagonal block and scatters into the block rows of
-// Ū's column k.
-//
-// Two tasks conflict precisely when they touch a common block row, and
-// the serial sweep orders all tasks touching a given row by ascending
-// (forward) respectively descending (backward) column. Chaining, per
-// block row, each pair of consecutively-touching columns in that order
-// therefore yields a DAG whose every topological execution applies the
-// operations on each memory location in the serial order. Updates to
-// disjoint rows commute exactly in floating point, so any level
-// schedule of these chains is bitwise identical to the serial sweep at
-// every worker count. Parallelism comes from the block upper triangular
-// form: columns in independent eforest subtrees share no L̄ block rows
-// (the paper's disjoint-row-sets argument), so whole subtrees land in
-// overlapping levels.
+// The solves are serial sweeps (DESIGN §11). This file builds the
+// conflict-chain level schedules of those sweeps: per block row, the
+// block columns that touch it are chained in sweep order, so any level
+// schedule of the chains repeats the serial sweep bitwise. Only
+// bench/layers.go reads them (sched.levels_ns_per_task); ROADMAP item
+// 1(a) deletes this file.
 
 // solveSchedules derives the level-set schedules of the forward (L̄)
 // and backward (Ū) triangular sweeps from the stored block structure —
-// the block rows the sweep steps iterate. The transpose sweeps use the
-// Reversed() schedules: the transpose tasks touch the same block-row
-// sets in the opposite column order, which is exactly the edge-reversed
-// DAG.
+// the block rows the sweep steps iterate.
 func solveSchedules(stored *symbolic.Result) (fwd, bwd *sched.Levels, err error) {
 	nb := stored.N
 	order, off, err := taskgraph.LevelSets(chainByRow(nb, stored.L, false))

@@ -35,12 +35,6 @@ func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	c.Prio = prio
 	c.Stored = s.BlockSym
 	c.layout = newLayout(c.Stored, c.Part)
-	fwd, bwd, err := solveSchedules(c.Stored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SolveFwd, c.SolveBwd = fwd, bwd
-	c.SolveFwdT, c.SolveBwdT = bwd.Reversed(), fwd.Reversed()
 	return &c
 }
 
@@ -250,7 +244,7 @@ func TestStoredBlocksParity(t *testing.T) {
 			fc, errC := FactorizeWithOpts(closure, in.a, &no)
 			for _, p := range []int{1, 2, 4, 8} {
 				ctx := fmt.Sprintf("%s %s P=%d", in.name, rung.name, p)
-				no.Workers, no.SolveWorkers = p, p
+				no.Workers = p
 				fs, errS := FactorizeWithOpts(s, in.a, &no)
 				if in.nan {
 					if !errors.Is(errS, ErrNonFinite) || !errors.Is(errC, ErrNonFinite) {

@@ -68,42 +68,3 @@ func TestExecuteLevelsEmpty(t *testing.T) {
 		t.Fatalf("empty schedule reports %d tasks, %d levels", lv.NumTasks(), lv.NumLevels())
 	}
 }
-
-// TestReversed checks the reverse schedule: same level sets in the
-// opposite order, tasks within a level preserved, and double reversal
-// restores the original.
-func TestReversed(t *testing.T) {
-	lv := testLevels()
-	rv := lv.Reversed()
-	if rv.NumTasks() != lv.NumTasks() || rv.NumLevels() != lv.NumLevels() {
-		t.Fatalf("Reversed changed the shape: %d/%d tasks, %d/%d levels",
-			rv.NumTasks(), lv.NumTasks(), rv.NumLevels(), lv.NumLevels())
-	}
-	// Level l of rv must hold the same task set as level L-1-l of lv.
-	L := lv.NumLevels()
-	for l := 0; l < L; l++ {
-		want := map[int32]bool{}
-		for i := lv.Off[L-1-l]; i < lv.Off[L-l]; i++ {
-			want[lv.Order[i]] = true
-		}
-		if int(rv.Off[l+1]-rv.Off[l]) != len(want) {
-			t.Fatalf("reversed level %d has %d tasks, want %d", l, rv.Off[l+1]-rv.Off[l], len(want))
-		}
-		for i := rv.Off[l]; i < rv.Off[l+1]; i++ {
-			if !want[rv.Order[i]] {
-				t.Fatalf("reversed level %d holds task %d, not in original level %d", l, rv.Order[i], L-1-l)
-			}
-		}
-	}
-	rr := rv.Reversed()
-	for i := range lv.Order {
-		if rr.Order[i] != lv.Order[i] {
-			t.Fatalf("double reversal changed the order at %d: %d vs %d", i, rr.Order[i], lv.Order[i])
-		}
-	}
-	for i := range lv.Off {
-		if rr.Off[i] != lv.Off[i] {
-			t.Fatalf("double reversal changed Off at %d", i)
-		}
-	}
-}

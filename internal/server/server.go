@@ -426,14 +426,10 @@ func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context,
 }
 
 // numOpts is the per-request numeric state handed to the core layer.
-// Solves run serial sweeps: a level-scheduled sweep of one right-hand
-// side has too few independent rows per level to pay for its barriers,
-// and concurrent requests already keep the cores busy.
 func (s *Server) numOpts(cc *sched.Canceler) core.NumericOptions {
 	return core.NumericOptions{
-		Workers:      s.cfg.Workers,
-		SolveWorkers: 1,
-		Cancel:       cc,
+		Workers: s.cfg.Workers,
+		Cancel:  cc,
 	}
 }
 

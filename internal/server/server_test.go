@@ -121,7 +121,7 @@ func TestServerRoundTrip(t *testing.T) {
 	// single-RHS request runs on, so the multi-RHS reply is pinned to the
 	// library's SolveMany bit for bit and to the single-RHS reply only
 	// within rounding.
-	want, err := handleOf(t, s, fr.FID).res.f.SolveManyWith([][]float64{b, b}, &core.NumericOptions{SolveWorkers: 1})
+	want, err := handleOf(t, s, fr.FID).res.f.SolveManyWith([][]float64{b, b}, &core.NumericOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 		for i := range b {
 			b[i] = float64((i+3*r)%11) - 5
 		}
-		x, err := f.SolveWith(b, &core.NumericOptions{SolveWorkers: 1})
+		x, err := f.SolveWith(b, &core.NumericOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestCloseAnswersQueuedSolves(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	want, err := handleOf(t, s, fr.FID).res.f.SolveWith(b, &core.NumericOptions{SolveWorkers: 1})
+	want, err := handleOf(t, s, fr.FID).res.f.SolveWith(b, &core.NumericOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

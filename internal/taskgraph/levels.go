@@ -13,9 +13,9 @@ import "fmt"
 // respects every dependence. An error is returned when succ contains a
 // cycle.
 //
-// This is the schedule shape the level-barrier solve executor
-// (internal/sched.ExecuteLevels) consumes; the triangular-solve
-// conflict DAGs of internal/core are the primary client.
+// This is the schedule shape internal/sched.ExecuteLevels consumes. Its
+// one reader is the solve-schedule stage of core.Analyze, kept for
+// bench/layers.go; ROADMAP item 1(a) deletes this file.
 func LevelSets(succ [][]int32) (order, off []int32, err error) {
 	nt := len(succ)
 	lvl := make([]int32, nt)

@@ -222,20 +222,18 @@ func TestAllOptionCombos(t *testing.T) {
 	}
 	for _, ord := range []Ordering{MinDegree, NaturalOrder, RCM} {
 		for _, post := range []bool{true, false} {
-			for _, tg := range []TaskGraph{EForestGraph, SStarGraph} {
-				for _, w := range []int{1, 4} {
-					opts := &Options{Ordering: ord, Postorder: post, TaskGraph: tg, Workers: w, MaxSupernode: 8, AmalgamationFill: 0.3}
-					f, err := Factorize(m, opts)
-					if err != nil {
-						t.Fatalf("%v/%v/%v/%d: %v", ord, post, tg, w, err)
-					}
-					x, err := f.Solve(rhs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r := Residual(m, x, rhs); r > 1e-10 {
-						t.Fatalf("%v/%v/%v/%d: residual %g", ord, post, tg, w, r)
-					}
+			for _, w := range []int{1, 4} {
+				opts := &Options{Ordering: ord, Postorder: post, Workers: w, MaxSupernode: 8, AmalgamationFill: 0.3}
+				f, err := Factorize(m, opts)
+				if err != nil {
+					t.Fatalf("%v/%v/%d: %v", ord, post, w, err)
+				}
+				x, err := f.Solve(rhs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := Residual(m, x, rhs); r > 1e-10 {
+					t.Fatalf("%v/%v/%d: residual %g", ord, post, w, r)
 				}
 			}
 		}
@@ -332,7 +330,7 @@ func TestQuickPublicPipeline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fac, err := Factorize(m, &Options{Ordering: MinDegree, Postorder: true, TaskGraph: EForestGraph, Workers: 1 + rng.Intn(3), MaxSupernode: 8, AmalgamationFill: 0.25})
+		fac, err := Factorize(m, &Options{Ordering: MinDegree, Postorder: true, Workers: 1 + rng.Intn(3), MaxSupernode: 8, AmalgamationFill: 0.25})
 		if err != nil {
 			return false
 		}
