@@ -76,8 +76,12 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		full := s.Sym.L.ToCSC(1)
-		ut := s.Sym.U.ToCSC(1)
+		sym, _, err := s.Scalar(a)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		full := sym.L.ToCSC(1)
+		ut := sym.U.ToCSC(1)
 		merged := sparse.NewTriplet(a.NCols, a.NCols)
 		for j := 0; j < a.NCols; j++ {
 			rows, _ := full.Col(j)

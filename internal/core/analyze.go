@@ -27,11 +27,6 @@ type Symbolic struct {
 	// SymPerm is the symmetric permutation applied after the transversal
 	// (fill-reducing ordering composed with the postorder).
 	SymPerm sparse.Perm
-	// Sym is the static symbolic factorization of the fully permuted
-	// matrix.
-	Sym *symbolic.Result
-	// Forest is its scalar LU elimination forest.
-	Forest *etree.Forest
 	// Part is the supernode partition (after amalgamation).
 	Part *supernode.Partition
 	// Stored is the block structure of Ā under Part — block (I,J) is
@@ -46,7 +41,12 @@ type Symbolic struct {
 	// granularity. It is a scheduling structure only, never allocated:
 	// BlockForest is its LU eforest, Graph's chains follow that forest
 	// through it, and the paper's task graph (taskgraph.New) is built on
-	// it.
+	// it. No factorization or solve reads BlockSym or BlockForest after
+	// Analyze; the remaining readers are the experiments' closure-graph
+	// tables and timings, the golden hashes, the closure sizes splu and
+	// matinfo print, and bench/layers.go's BlockSym.N. ROADMAP item 1(a)
+	// makes them transients of Analyze too (a further 5.3 MB on sherman3,
+	// 1.7 MB on lnsp3937).
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
@@ -278,8 +278,6 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		N:           n,
 		RowPerm:     tr.RowPerm,
 		SymPerm:     symPerm,
-		Sym:         sym,
-		Forest:      forest,
 		Part:        part,
 		Stored:      stored,
 		BlockSym:    blockSym,
@@ -330,4 +328,22 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 // producing the matrix the numeric phase actually factors.
 func (s *Symbolic) PermuteInput(a *sparse.CSC) *sparse.CSC {
 	return a.PermuteRows(s.RowPerm).PermuteSym(s.SymPerm)
+}
+
+// Scalar rebuilds the scalar static symbolic factorization Ā of the fully
+// permuted matrix and its LU eforest, which Analyze builds and drops: no
+// factorization or solve reads them. By Theorem 3 the postorder relabeling
+// of a static symbolic factorization is the static symbolic factorization
+// of the relabeled matrix, so factoring PermuteInput(a) reproduces what
+// Analyze computed bit for bit. a must have the pattern s was analyzed
+// from.
+func (s *Symbolic) Scalar(a *sparse.CSC) (*symbolic.Result, *etree.Forest, error) {
+	if a.NRows != s.N || a.NCols != s.N {
+		return nil, nil, fmt.Errorf("core: matrix is %d×%d, analysis is of order %d", a.NRows, a.NCols, s.N)
+	}
+	sym, err := symbolic.Factor(s.PermuteInput(a))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: symbolic factorization: %w", err)
+	}
+	return sym, etree.LUForest(sym), nil
 }

@@ -10,12 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// structFingerprint is fingerprint with the wall-clock field zeroed, so
-// Symbolics from different runs can be compared structurally.
-func structFingerprint(s *Symbolic) symbolicFingerprint {
-	fp := fingerprint(s)
-	fp.stats.AnalyzeSeconds = 0
-	return fp
+// sameAnalysis reports whether two analyses of a's pattern agree
+// structurally: on the fingerprint of what factorizations read, wall
+// clock excluded, and on the golden structure and graph hashes, which
+// cover the rest of a Symbolic and the scalar Ā and eforest that
+// Symbolic.Scalar rebuilds.
+func sameAnalysis(t testing.TB, x, y *Symbolic, a *sparse.CSC) bool {
+	t.Helper()
+	fx, fy := fingerprint(x), fingerprint(y)
+	fx.stats.AnalyzeSeconds, fy.stats.AnalyzeSeconds = 0, 0
+	return fx.equal(&fy) && structureHash(t, x, a) == structureHash(t, y, a) && graphHash(x) == graphHash(y)
 }
 
 // saltNaN poisons every value of a copy of a with NaN. The analysis is
@@ -31,8 +35,8 @@ func saltNaN(a *sparse.CSC) *sparse.CSC {
 
 // TestAnalyzeNaNSaltParity pins that the analysis reads the pattern
 // only: over the whole small suite, Analyze of NaN-salted values
-// produces a Symbolic with the structural fingerprint of the clean
-// one. Runs under -race in the chaos stage.
+// produces a Symbolic structurally equal to the clean one. Runs under
+// -race in the chaos stage.
 func TestAnalyzeNaNSaltParity(t *testing.T) {
 	for _, spec := range matgen.SmallSuite() {
 		a := spec.Gen()
@@ -40,12 +44,11 @@ func TestAnalyzeNaNSaltParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", spec.Name, err)
 		}
-		want := structFingerprint(ref)
 		s, err := Analyze(saltNaN(a), nil)
 		if err != nil {
 			t.Fatalf("%s: analyze salted: %v", spec.Name, err)
 		}
-		if got := structFingerprint(s); !got.equal(&want) {
+		if !sameAnalysis(t, ref, s, a) {
 			t.Fatalf("%s: NaN-salted Symbolic differs", spec.Name)
 		}
 	}
@@ -206,8 +209,7 @@ func TestReanalyzeEditSequences(t *testing.T) {
 			if level != ReuseNone {
 				t.Fatalf("%s edit %d: reuse level %v, want none", spec.Name, e, level)
 			}
-			want := structFingerprint(fresh)
-			if fp := structFingerprint(got); !fp.equal(&want) {
+			if !sameAnalysis(t, got, fresh, next) {
 				t.Fatalf("%s edit %d: Reanalyze differs from a fresh Analyze", spec.Name, e)
 			}
 			same, level, err := Reanalyze(got, next.PermuteRows(sparse.Identity(next.NRows)))

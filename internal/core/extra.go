@@ -38,7 +38,7 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	}
 	rec, cancel, stop := f.solveOpts(nil)
 	defer stop()
-	nb := f.S.BlockSym.N
+	nb := len(f.cols)
 	if err := sweep(nb, false, rec, cancel, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err

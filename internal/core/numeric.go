@@ -279,7 +279,7 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 	defer stop()
 	err = sched.Run(s.Graph, sched.RunOptions{
 		Procs:  eff.Workers,
-		Owners: sched.BlockCyclic(s.BlockSym.N, eff.Workers),
+		Owners: sched.BlockCyclic(len(s.layout), eff.Workers),
 		Prio:   s.Prio,
 		Trace:  eff.Trace,
 		Cancel: cancel,

@@ -2,55 +2,50 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/matgen"
-	"repro/internal/sparse"
 )
 
 // symbolicFingerprint copies every slice of the Symbolic that the
-// numeric and solve phases read, so a test can prove by comparison
-// that sharing one Symbolic across concurrent factorizations never
-// mutates it. New fields read by the hot paths should be added here.
+// numeric and solve phases read — the permutations, the partition, the
+// stored block pattern, the block-column layout, the task graph's
+// successors and chains and the priorities — so a test can prove by
+// comparison that sharing one Symbolic across concurrent factorizations
+// never mutates it. New fields read by the hot paths should be added here.
 type symbolicFingerprint struct {
-	rowPerm, symPerm, solvePerm sparse.Perm
-	symColPtr, symRowInd        []int
-	blockColPtr, blockRowInd    []int
-	stats                       AnalysisStats
+	ints   [][]int
+	ints32 [][]int32
+	prio   []float64
+	stats  AnalysisStats
 }
 
 func fingerprint(s *Symbolic) symbolicFingerprint {
-	cp := func(v []int) []int { out := make([]int, len(v)); copy(out, v); return out }
-	return symbolicFingerprint{
-		rowPerm:     sparse.Perm(cp(s.RowPerm)),
-		symPerm:     sparse.Perm(cp(s.SymPerm)),
-		solvePerm:   sparse.Perm(cp(s.SolvePerm)),
-		symColPtr:   cp(s.Sym.L.ColPtr),
-		symRowInd:   cp(s.Sym.L.RowInd),
-		blockColPtr: cp(s.BlockSym.L.ColPtr),
-		blockRowInd: cp(s.BlockSym.L.RowInd),
-		stats:       s.Stats,
+	fp := symbolicFingerprint{prio: slices.Clone(s.Prio), stats: s.Stats}
+	add := func(vs ...[]int) {
+		for _, v := range vs {
+			fp.ints = append(fp.ints, slices.Clone(v))
+		}
 	}
+	add(s.RowPerm, s.SymPerm, s.SolvePerm, s.Part.BlockStart, s.Part.ColToBlock,
+		s.Stored.L.ColPtr, s.Stored.L.RowInd, s.Stored.U.ColPtr, s.Stored.U.RowInd)
+	for i := range s.layout {
+		c := &s.layout[i]
+		add(c.blockRows, c.offsets, c.panelRows, []int{c.width, c.diagIdx, c.rows, c.dataOff})
+	}
+	for _, succ := range s.Graph.Succ {
+		fp.ints32 = append(fp.ints32, slices.Clone(succ))
+	}
+	fp.ints32 = append(fp.ints32, slices.Clone(s.Graph.ChainNext))
+	return fp
 }
 
 func (fp *symbolicFingerprint) equal(other *symbolicFingerprint) bool {
-	eq := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return eq(fp.rowPerm, other.rowPerm) && eq(fp.symPerm, other.symPerm) &&
-		eq(fp.solvePerm, other.solvePerm) &&
-		eq(fp.symColPtr, other.symColPtr) && eq(fp.symRowInd, other.symRowInd) &&
-		eq(fp.blockColPtr, other.blockColPtr) && eq(fp.blockRowInd, other.blockRowInd) &&
-		fp.stats == other.stats
+	return slices.EqualFunc(fp.ints, other.ints, slices.Equal[[]int]) &&
+		slices.EqualFunc(fp.ints32, other.ints32, slices.Equal[[]int32]) &&
+		slices.Equal(fp.prio, other.prio) && fp.stats == other.stats
 }
 
 // TestSymbolicReuseConcurrent is the shared-Symbolic contract of the

@@ -121,7 +121,7 @@ func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64
 	}
 	rec, cancel, stop := f.solveOpts(nopts)
 	defer stop()
-	nb := f.S.BlockSym.N
+	nb := len(f.cols)
 	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
@@ -235,7 +235,7 @@ func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([]
 
 	rec, cancel, stop := f.solveOpts(nopts)
 	defer stop()
-	nb := f.S.BlockSym.N
+	nb := len(f.cols)
 	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err

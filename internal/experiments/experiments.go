@@ -595,8 +595,12 @@ func BlockUTCheck(specs []matgen.Spec) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ranges := s.Forest.TreeRanges()
-		if i, j := etree.BlockUpperTriangular(s.Sym, ranges); i != -1 {
+		sym, forest, err := s.Scalar(a)
+		if err != nil {
+			return nil, err
+		}
+		ranges := forest.TreeRanges()
+		if i, j := etree.BlockUpperTriangular(sym, ranges); i != -1 {
 			return nil, fmt.Errorf("%s: entry (%d,%d) violates the block upper triangular form", spec.Name, i, j)
 		}
 		rows = append(rows, AblationRow{Name: spec.Name, Config: "diagonal blocks", Value: float64(len(ranges))})

@@ -22,16 +22,21 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 }
 
 // symBytes estimates the bytes a Symbolic retains, for the cache's
-// approx_bytes counter: the scalar symbolic result and the block-level
-// closure (L once, U column- and row-wise, 8-byte indices: 13 B an entry
-// of Ā and 16 B a block of the closure as allocated), the stored-block
-// layout, and the task graph on the stored blocks with its costs and
-// priorities (≈ 90 B a task, 4 B an edge). 0.96–1.00× the heap growth
-// of Analyze measured on the seven full-size suite matrices.
+// approx_bytes counter. A Symbolic keeps what factorizations read plus
+// the block-level closure; the scalar Ā and eforest are transients of
+// Analyze. Per block of the closure 16 B (L once, U column- and
+// row-wise, 8-byte indices); per stored block 40 B (its three pattern
+// views and its slot in the block-column layout); per column 165 B (the
+// three permutations, the column-to-block map and the row lists of the
+// L panels, which hold 12–24 × N entries on the suite); per task of the
+// stored graph 90 B with its costs and priorities, and 4 B an edge.
+// 0.95–1.06× the live heap one Analyze adds on the seven full-size suite
+// matrices (TestSymBytesTracksRetainedHeap); the closure is 41–66 % of
+// that heap.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
-	return int64(st.NNZFactors)*13 + int64(st.BlockNNZ)*16 + int64(st.StoredBlocks)*40 +
-		int64(st.N)*96 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
+	return int64(st.BlockNNZ)*16 + int64(st.StoredBlocks)*40 +
+		int64(st.N)*165 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
 }
 
 // factorBytes estimates the bytes one factorization of a pattern
@@ -133,16 +138,17 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 	e.sym, e.err = analyze()
 	c.analyzes.Add(1)
 	if e.sym != nil {
-		e.bytes = symBytes(e.sym)
 		e.seconds = e.sym.Stats.AnalyzeSeconds
-		c.bytes.Add(e.bytes)
 	}
-	close(e.ready)
-	if e.err != nil {
-		// Failed analyses are not cached: the next request with this
-		// pattern retries instead of replaying a stale error.
-		c.mu.Lock()
-		if c.entries[key] == e {
+	// Only a resident entry is counted: one a later miss evicted while
+	// its Analyze ran is no longer in the map, and nothing would ever
+	// subtract its bytes. e.bytes is read by evictions under mu, so it
+	// is written under mu too.
+	c.mu.Lock()
+	if c.entries[key] == e {
+		if e.err != nil {
+			// Failed analyses are not cached: the next request with this
+			// pattern retries instead of replaying a stale error.
 			delete(c.entries, key)
 			for i, k := range c.order {
 				if k == key {
@@ -150,9 +156,13 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 					break
 				}
 			}
+		} else if e.sym != nil {
+			e.bytes = symBytes(e.sym)
+			c.bytes.Add(e.bytes)
 		}
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
+	close(e.ready)
 	return e.sym, false, e.err
 }
 
