@@ -50,6 +50,17 @@ lint() {
 	echo "==> go vet + go build (bench/)"
 	(cd bench && go vet . && go build -o /dev/null .)
 
+	# These names are kept only because the frozen bench/ calls them;
+	# ROADMAP item 1(a) deletes them together with those calls. No other
+	# non-test code may start calling one, so that deletion stays pure.
+	echo "==> no calls of bench-only names outside bench/"
+	bench_only='blas\.AutotuneOnce|symbolic\.FactorParallel|symbolic\.PartitionColumns|taskgraph\.Independent|sched\.ExecuteLevels|sched\.Execute'
+	if git ls-files -z '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
+		xargs -0 grep -nE "\\b($bench_only)\\(" >&2; then
+		echo "non-test code outside bench/ calls a name kept only for bench/ (ROADMAP 1(a))" >&2
+		exit 1
+	fi
+
 	# One checker run: findings and the suppression inventory on stdout,
 	# the same findings as lucheck.sarif for CI's code-scanning upload.
 	echo "==> lucheck -audit -sarif"

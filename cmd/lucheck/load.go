@@ -10,14 +10,13 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,7 +128,13 @@ func loadModule(fset *token.FileSet, root, modPath string, extra map[string]stri
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 				continue
 			}
-			if !includeFile(dir, e.Name()) {
+			// The go tool's own file selection for the host: //go:build
+			// lines (platform, release and tool tags) and the _GOOS /
+			// _GOARCH filename suffixes, so per-architecture variants
+			// such as the blas micro-kernel dispatch files don't collide.
+			if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+				return nil, err
+			} else if !ok {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -169,83 +174,6 @@ func loadModule(fset *token.FileSet, root, modPath string, extra map[string]stri
 		imp.local[pi.path] = pkg
 	}
 	return order, nil
-}
-
-// knownArches and knownOSes drive the filename-suffix build convention
-// (foo_amd64.go, foo_linux_arm64.go); only names in the lists count as
-// constraints, matching the go tool's behavior.
-var knownArches = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-var knownOSes = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-// buildTagMatch is the tag evaluator for //go:build expressions: the
-// host platform plus the gc compiler, mirroring what the go tool would
-// select for a plain build.
-func buildTagMatch(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc"
-}
-
-// matchFileSuffix applies the _GOOS / _GOARCH / _GOOS_GOARCH filename
-// convention for the host platform.
-func matchFileSuffix(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArches[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 {
-			if prev := parts[len(parts)-2]; knownOSes[prev] && prev != runtime.GOOS {
-				return false
-			}
-		}
-		return true
-	}
-	if knownOSes[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// includeFile reports whether a source file participates in the build
-// on the host platform: both the //go:build constraint line and the
-// filename-suffix convention are honored, so per-architecture variants
-// (the blas micro-kernel dispatch files) don't collide when the module
-// is type-checked.
-func includeFile(dir, name string) bool {
-	if !matchFileSuffix(name) {
-		return false
-	}
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return false
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if expr, err := constraint.Parse(line); err == nil {
-				return expr.Eval(buildTagMatch)
-			}
-			continue
-		}
-		// Reached the package clause (or other code): no constraint.
-		break
-	}
-	return true
 }
 
 // topoSort orders the packages so every module-internal dependency is

@@ -494,17 +494,20 @@ func TestAllowJustification(t *testing.T) {
 	}
 }
 
-// TestBuildConstraintSelection pins the loader's per-arch file
-// selection on the cgfix fixture, which declares archTag once per
-// architecture (two filename-suffix variants and a //go:build
-// fallback): exactly one of the three files is loaded.
+// TestBuildConstraintSelection pins the loader's file selection on the
+// cgfix fixture, which declares archTag once per architecture (two
+// filename-suffix variants and a //go:build fallback) and releaseTag
+// behind a //go:build release tag: exactly one arch file and the
+// release-tag file are loaded.
 func TestBuildConstraintSelection(t *testing.T) {
 	pi := fixturePkg(t, "repro/fixture/cgfix")
-	if len(pi.files) != 1 {
-		t.Fatalf("build-constraint selection: %d cgfix files loaded, want exactly 1", len(pi.files))
+	if len(pi.files) != 2 {
+		t.Fatalf("build-constraint selection: %d cgfix files loaded, want 2", len(pi.files))
 	}
-	if pi.pkg.Scope().Lookup("archTag") == nil {
-		t.Error("the selected cgfix file does not declare archTag")
+	for _, name := range []string{"archTag", "releaseTag"} {
+		if pi.pkg.Scope().Lookup(name) == nil {
+			t.Errorf("no selected cgfix file declares %s", name)
+		}
 	}
 }
 

@@ -84,8 +84,9 @@ type Options struct {
 	//
 	// Deprecated: ignored, Analyze is serial.
 	AnalyzeWorkers int
-	// MaxSupernode caps the supernode width during amalgamation
-	// (0 means 32).
+	// MaxSupernode is the load-balance threshold of the supernode
+	// partition: a block wider than it is split into near-equal panels
+	// (0 means 32). Amalgamation itself has no width cap.
 	MaxSupernode int
 	// AmalgamationFill is the fraction of explicit zeros a supernode
 	// merge may introduce (negative means 0.25).

@@ -8,10 +8,10 @@ import (
 
 // The satellite grid: every dimension straddles the register-tile and
 // cache-block boundaries — 0, 1, gemmMR−1, gemmMR, gemmMR+1, gemmNR+3,
-// 2·packKC+5 — crossed with the α/β values that trigger the scale
+// packKC+5 — crossed with the α/β values that trigger the scale
 // pre-pass's three branches and the early-out.
 var (
-	edgeDims   = []int{0, 1, gemmMR - 1, gemmMR, gemmMR + 1, gemmNR + 3, 2*packKC + 5}
+	edgeDims   = []int{0, 1, gemmMR - 1, gemmMR, gemmMR + 1, gemmNR + 3, packKC + 5}
 	edgeScales = []float64{0, 1, -1, 0.5}
 )
 

@@ -119,106 +119,3 @@ func TestDgetrfStaticFastSolves(t *testing.T) {
 		}
 	}
 }
-
-// TestSetTilesClamps: out-of-range requests are pulled back to the
-// scratch capacities and micro-tile multiples.
-func TestSetTilesClamps(t *testing.T) {
-	defer SetTiles(DefaultBlockSizes())
-	got := SetTiles(BlockSizes{MC: 10000, KC: 10000, NC: 10000, NB: 10000})
-	if got.MC != packMaxMC || got.KC != packMaxKC || got.NC != packMaxNC || got.NB != 128 {
-		t.Fatalf("upper clamp wrong: %+v", got)
-	}
-	got = SetTiles(BlockSizes{MC: -1, KC: 0, NC: -5, NB: 0})
-	if got != DefaultBlockSizes() {
-		t.Fatalf("non-positive fields should select defaults: %+v", got)
-	}
-	got = SetTiles(BlockSizes{MC: 67, KC: 93, NC: 100, NB: 43})
-	if got.MC%gemmMR != 0 || got.KC%8 != 0 || got.NC%gemmNR != 0 || got.NB%8 != 0 {
-		t.Fatalf("multiples not enforced: %+v", got)
-	}
-}
-
-// TestTilesBitwiseInvariance: the bitwise kernels must produce
-// byte-identical results under every legal tiling — blocking only
-// regroups work, never reorders a C element's accumulation.
-func TestTilesBitwiseInvariance(t *testing.T) {
-	defer SetTiles(DefaultBlockSizes())
-	rng := rand.New(rand.NewSource(45))
-	m, n, k := 150, 90, 140
-	a := make([]float64, m*k)
-	b := make([]float64, k*n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := 0; i < len(a); i += 5 {
-		a[i] = 0
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	run := func(bs BlockSizes) ([]float64, []int) {
-		SetTiles(bs)
-		c := make([]float64, m*n)
-		Dgemm(m, n, k, 1, a, k, b, n, 0, c, n)
-		lu := make([]float64, m*k)
-		copy(lu, a)
-		ipiv := make([]int, k)
-		DgetrfStatic(m, k, lu, k, ipiv, 0, nil)
-		c = append(c, lu...)
-		return c, ipiv
-	}
-	ref, refPiv := run(DefaultBlockSizes())
-	for _, bs := range []BlockSizes{
-		{MC: 64, KC: 48, NC: 64, NB: 8},
-		{MC: packMaxMC, KC: packMaxKC, NC: packMaxNC, NB: 128},
-		{MC: 4, KC: 16, NC: 8, NB: 16},
-	} {
-		got, gotPiv := run(bs)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("tiles %+v: element %d differs bitwise: %x vs %x",
-					bs, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
-			}
-		}
-		for i := range refPiv {
-			if gotPiv[i] != refPiv[i] {
-				t.Fatalf("tiles %+v: pivot %d differs", bs, i)
-			}
-		}
-	}
-}
-
-// TestAutotuneOnce: the probe must either fail gracefully (defaults
-// stay active) or install tiles within the scratch capacities; repeated
-// calls return the same outcome.
-func TestAutotuneOnce(t *testing.T) {
-	info := AutotuneOnce()
-	bs := info.Tiles
-	if bs.MC < gemmMR || bs.MC > packMaxMC || bs.KC < 16 || bs.KC > packMaxKC ||
-		bs.NC < gemmNR || bs.NC > packMaxNC || bs.NB < 8 || bs.NB > 128 {
-		t.Fatalf("autotuned tiles out of range: %+v", bs)
-	}
-	if info.Probed && (info.L1DataBytes <= 0 || info.L2Bytes <= 0) {
-		t.Fatalf("probed but cache sizes missing: %+v", info)
-	}
-	if again := AutotuneOnce(); again != info {
-		t.Fatalf("AutotuneOnce not idempotent: %+v vs %+v", again, info)
-	}
-}
-
-func TestParseCacheSize(t *testing.T) {
-	cases := map[string]int{
-		"32K": 32 * 1024,
-		"1M":  1024 * 1024,
-		"512": 512,
-		"1G":  1 << 30,
-		"":    0,
-		"abc": 0,
-		"-4K": 0,
-	}
-	for in, want := range cases {
-		if got := parseCacheSize(in); got != want {
-			t.Fatalf("parseCacheSize(%q) = %d, want %d", in, got, want)
-		}
-	}
-}

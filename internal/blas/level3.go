@@ -141,31 +141,19 @@ func unlessZero(coef, v float64, noop uint64) float64 {
 // A micro-panel that kept no column has no tile to run. An edge tile
 // (fewer than gemmMR rows or gemmNR columns of C) runs the same kernel
 // on a zero-padded copy whose padding lanes are discarded, so every C
-// element goes through one kernel whatever its position. The MC/KC/NC
-// extents come from the runtime BlockSizes (autotuned at analyze time,
-// defaults otherwise); the scratch arrays are dimensioned for the clamp
-// capacities, so any installed tiling fits. Packing scratch comes from
-// the scratch freelist, so steady-state calls do not allocate. fast
-// swaps the micro-kernel for the FastMath one.
+// element goes through one kernel whatever its position. The blocks are
+// packMC×packKC of A and packKC×packNC of B, the scratch dimensions.
+// Packing scratch comes from the scratch freelist, so steady-state calls
+// do not allocate. fast swaps the micro-kernel for the FastMath one.
 func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, fast bool) {
-	bt := Tiles()
 	s := getScratch()
-	for jc := 0; jc < n; jc += bt.NC {
-		nc := n - jc
-		if nc > bt.NC {
-			nc = bt.NC
-		}
-		for pc := 0; pc < k; pc += bt.KC {
-			kc := k - pc
-			if kc > bt.KC {
-				kc = bt.KC
-			}
+	for jc := 0; jc < n; jc += packNC {
+		nc := min(n-jc, packNC)
+		for pc := 0; pc < k; pc += packKC {
+			kc := min(k-pc, packKC)
 			packB(kc, nc, b[pc*ldb+jc:], ldb, s.pb[:])
-			for ic := 0; ic < m; ic += bt.MC {
-				mc := m - ic
-				if mc > bt.MC {
-					mc = bt.MC
-				}
+			for ic := 0; ic < m; ic += packMC {
+				mc := min(m-ic, packMC)
 				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s)
 				for jr := 0; jr < nc; jr += gemmNR {
 					nr := nc - jr
@@ -220,11 +208,11 @@ func microTile(fast bool, nk int, pa []float64, off []int32, pb []float64, c []f
 // triangle of T, unit an implicit unit diagonal. B is m×n row-major with
 // leading dimension ldb.
 //
-// The lower solve is blocked with the runtime NB strip width: each
-// NB-row strip first receives the contributions of all rows above it
-// through Dgemm (ascending p, same per-element order and T==0 skip as
-// the unblocked loop, so results stay bitwise identical for any NB) and
-// is then solved unblocked. The upper solve stays unblocked: it walks
+// The lower solve is blocked in strips of packNB rows: each strip first
+// receives the contributions of all rows above it through Dgemm
+// (ascending p, same per-element order and T==0 skip as the unblocked
+// loop, so results stay bitwise identical for any strip width) and is
+// then solved unblocked. The upper solve stays unblocked: it walks
 // rows bottom-up but accumulates each element's subtrahends in
 // ascending p, an order a strip decomposition would reorder — and it
 // only runs in the triangular-solve phase, not under the
@@ -250,16 +238,12 @@ func dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 		return
 	}
 	if lower {
-		nb := Tiles().NB
-		if m <= nb {
+		if m <= packNB {
 			trsmLowerUnblocked(unit, m, n, t, ldt, b, ldb)
 			return
 		}
-		for i0 := 0; i0 < m; i0 += nb {
-			ib := m - i0
-			if ib > nb {
-				ib = nb
-			}
+		for i0 := 0; i0 < m; i0 += packNB {
+			ib := min(m-i0, packNB)
 			if i0 > 0 {
 				// B[i0:i0+ib] -= T[i0:i0+ib, 0:i0] · X[0:i0]
 				dgemm(ib, n, i0, -1, t[i0*ldt:], ldt, b, ldb, 1, b[i0*ldb:], ldb, fast)

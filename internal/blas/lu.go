@@ -8,18 +8,6 @@ import (
 // ErrSingular is returned when a pivot column is exactly zero.
 var ErrSingular = errors.New("blas: matrix is numerically singular")
 
-// Dlaswp applies the row interchanges recorded in ipiv to the m×n
-// row-major matrix a: for i = 0..len(ipiv)-1, row i is swapped with row
-// ipiv[i]. Applying the same ipiv again undoes the permutation only if
-// applied in reverse; the factorization always applies it forward.
-func Dlaswp(n int, a []float64, lda int, ipiv []int) {
-	for i, p := range ipiv {
-		if p != i {
-			Dswap(n, a[i*lda:], 1, a[p*lda:], 1)
-		}
-	}
-}
-
 // Dgetf2 computes the LU factorization with partial pivoting of an m×n
 // row-major matrix (m ≥ n panels are typical): A = P·L·U where L is unit
 // lower trapezoidal and U upper triangular, stored in place. ipiv must
@@ -112,15 +100,15 @@ func Dgetf2Static(m, n int, a []float64, lda int, ipiv []int, thresh float64, pe
 // DgetrfStatic is the blocked right-looking variant of Dgetf2Static:
 // identical contract (static row set, fail/perturb degradation, ipiv
 // and perturbed indices local to the whole panel), but panels wider
-// than the runtime NB are factored NB columns at a time with
+// than packNB are factored packNB columns at a time with
 // Dtrsm/Dgemm trailing updates so the bulk of the work runs in the
 // packed level-3 kernels.
 //
 // The result is bitwise identical to Dgetf2Static on the same input for
-// any NB: the trailing update applies the same l·u subtrahends to each
-// element in the same ascending elimination order, and a column skipped
-// for an exactly zero pivot (fail mode) is zero everywhere below the
-// diagonal — the pivot search covered all remaining rows — so the
+// any strip width: the trailing update applies the same l·u subtrahends
+// to each element in the same ascending elimination order, and a column
+// skipped for an exactly zero pivot (fail mode) is zero everywhere below
+// the diagonal — the pivot search covered all remaining rows — so the
 // level-3 updates' exact-zero skips reproduce the unblocked kernel's
 // skipped eliminations automatically.
 func DgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
@@ -135,13 +123,12 @@ func dgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, pe
 	if n < mn {
 		mn = n
 	}
-	nb := Tiles().NB
-	if mn <= nb {
+	if mn <= packNB {
 		return Dgetf2Static(m, n, a, lda, ipiv, thresh, perturbed)
 	}
 	firstZero = -1
-	for j := 0; j < mn; j += nb {
-		jb := nb
+	for j := 0; j < mn; j += packNB {
+		jb := packNB
 		if j+jb > mn {
 			jb = mn - j
 		}

@@ -147,22 +147,6 @@ func TestDgetrs(t *testing.T) {
 	}
 }
 
-func TestDlaswp(t *testing.T) {
-	a := []float64{
-		1, 1,
-		2, 2,
-		3, 3,
-	}
-	Dlaswp(2, a, 2, []int{2, 1, 2}) // swap(0,2) then swap(2,2 after 1,1 noop)... ipiv={2,1,2}
-	// step0: rows 0,2 swap → [3,3;2,2;1,1]; step1: noop; step2: noop(2==2)? ipiv[2]=2 equals i → noop
-	want := []float64{3, 3, 2, 2, 1, 1}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("Dlaswp = %v, want %v", a, want)
-		}
-	}
-}
-
 // Property: random well-scaled square systems solve to small residual.
 func TestQuickLUSolve(t *testing.T) {
 	f := func(seed int64) bool {

@@ -3,95 +3,27 @@ package blas
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
-// Default cache-blocking sizes of the packed Dgemm path. A packMC×packKC
-// block of A (128 KiB) and the packKC×gemmNR slice of the packed B panel
-// it multiplies fit in L2 with room to spare; the packKC×gemmNR B
-// micro-panel (8 KiB) stays in L1 across the whole column of A
-// micro-tiles. These are the conservative fallback used when the
-// analyze-time autotuner (autotune.go) cannot probe the cache geometry.
+// Cache-blocking sizes of the level-3 kernels: MC×KC is the packed A
+// block, KC×NC the packed B panel (the scratch below holds one of each),
+// and NB the strip/panel width of the blocked Dtrsm and DgetrfStatic
+// drivers. The numeric phase's calls have k and n at most the supernode
+// width cap (MaxSize, 32 by default), so MC is the only tile that can
+// split one. Blocking is bitwise-safe: it changes only which
+// contributions are computed together, never a C element's ascending-k
+// accumulation order.
 const (
-	packMC = 128
-	packKC = 128
-	packNC = 512
+	packMC = 256
+	packKC = 256
+	packNC = 1024
 	packNB = 32
 )
 
-// Hard capacities of the packing scratch. The autotuner may raise the
-// runtime tile sizes up to these bounds; the fixed-size scratch arrays
-// below are dimensioned for the worst case, so retuning never changes
-// the allocation behavior of the hot path.
-const (
-	packMaxMC = 256
-	packMaxKC = 256
-	packMaxNC = 1024
-)
-
-// BlockSizes are the runtime cache-blocking parameters of the level-3
-// kernels: MC×KC is the packed A block, KC×NC the packed B panel, and
-// NB the strip/panel width of the blocked Dtrsm and DgetrfStatic
-// drivers. Any in-range choice is bitwise-safe: blocking changes only
-// which contributions are computed together, never the per-element
-// ascending-k accumulation order the determinism contract pins.
-type BlockSizes struct {
-	MC, KC, NC, NB int
-}
-
-// DefaultBlockSizes returns the compiled-in tile sizes, active until a
-// successful Autotune installs probed ones.
-func DefaultBlockSizes() BlockSizes {
-	return BlockSizes{MC: packMC, KC: packKC, NC: packNC, NB: packNB}
-}
-
-// tileParams holds the active blocking parameters. Kernels load the
-// pointer once per call, so a concurrent SetTiles (analyze-time
-// autotuning racing an in-flight factorization of another matrix) is
-// safe and at worst leaves that call on the previous tiling.
-var tileParams atomic.Pointer[BlockSizes]
-
-func init() {
-	d := DefaultBlockSizes()
-	tileParams.Store(&d)
-}
-
-// Tiles returns the active cache-blocking parameters.
-func Tiles() BlockSizes { return *tileParams.Load() }
-
-// SetTiles installs bs — clamped to the packing-scratch capacities and
-// micro-tile multiples — as the active blocking parameters and returns
-// the value actually installed.
-func SetTiles(bs BlockSizes) BlockSizes {
-	bs = bs.clamp()
-	p := bs
-	tileParams.Store(&p)
-	return bs
-}
-
-// clampTile rounds v down to a multiple of mul and bounds it to
-// [lo, hi]; non-positive v selects def.
-func clampTile(v, def, lo, hi, mul int) int {
-	if v <= 0 {
-		v = def
-	}
-	v -= v % mul
-	if v < lo {
-		v = lo
-	}
-	if v > hi {
-		v = hi
-	}
-	return v
-}
-
-func (b BlockSizes) clamp() BlockSizes {
-	b.MC = clampTile(b.MC, packMC, gemmMR, packMaxMC, gemmMR)
-	b.KC = clampTile(b.KC, packKC, 16, packMaxKC, 8)
-	b.NC = clampTile(b.NC, packNC, gemmNR, packMaxNC, gemmNR)
-	b.NB = clampTile(b.NB, packNB, 8, 128, 8)
-	return b
-}
+// AutotuneOnce does nothing: the tiles are the constants above. It is
+// kept only because the frozen benchmark harness still calls it; no
+// library code does.
+func AutotuneOnce() {}
 
 // Seed-path blocking constants (the original kernel's k/m blocking),
 // kept for the scalar fallback that handles matrices too small to be
@@ -111,13 +43,13 @@ const packedGemmCutoff = 8 * 1024
 // numeric hot path recycles it allocation-free. packA fills pa, off and
 // kept; packB fills pb.
 type gemmScratch struct {
-	pa [packMaxMC * packMaxKC]float64
-	pb [packMaxKC * packMaxNC]float64
+	pa [packMC * packKC]float64
+	pb [packKC * packNC]float64
 	// off[i·kc + q] is the byte offset, within a packed B micro-panel,
 	// of the row that meets kept column q of A micro-panel i.
-	off [packMaxMC / gemmMR * packMaxKC]int32
+	off [packMC / gemmMR * packKC]int32
 	// kept[i] is the number of columns micro-panel i kept.
-	kept [packMaxMC / gemmMR]int
+	kept [packMC / gemmMR]int
 }
 
 // The scratch freelist recycles packing scratch across Dgemm calls.
@@ -163,7 +95,7 @@ func putScratch(s *gemmScratch) {
 }
 
 // zeroRow stands in for the missing rows of a partial A micro-panel.
-var zeroRow [packMaxKC]float64
+var zeroRow [packKC]float64
 
 // packA copies the mc×kc block at a (row-major, leading dimension lda)
 // into s.pa as column-major micro-panels of gemmMR rows, folding alpha

@@ -274,8 +274,8 @@ func TestDtrsmBitwiseParity(t *testing.T) {
 func TestDgetrfStaticBitwiseParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	shapes := [][2]int{
-		{16, 16}, // below luNB: straight dispatch
-		{96, 64}, // tall, blocked
+		{16, 16}, // below packNB: straight dispatch
+		{96, 64}, // tall, blocked in packNB-wide panels
 		{130, 130},
 		{64, 100}, // wide: trailing columns after the last panel
 		{261, 96},
@@ -417,57 +417,56 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 // The rows of B that meet only all-zero columns of A hold Inf and NaN,
 // so a dropped column that still contributed would poison C; C starts
 // with −0 accumulators that adding +0 would flip. The shapes cover
-// every mr ∈ 1..4 × nr ∈ 1..8 edge tile and straddle the KC and MC
-// block boundaries, under the active tiling and under a tiny one that
-// puts a boundary every few rows and columns.
+// every mr ∈ 1..4 × nr ∈ 1..8 edge tile and straddle the packMC, packKC
+// and packNC block boundaries; every shape takes the packed path.
 func TestDgemmZeroColumnParity(t *testing.T) {
-	defer SetTiles(Tiles())
 	rng := rand.New(rand.NewSource(77))
-	for _, bt := range []BlockSizes{Tiles(), {MC: 8, KC: 16, NC: 16, NB: 8}} {
-		bt = SetTiles(bt)
-		var shapes [][3]int
-		for mr := 1; mr <= gemmMR; mr++ {
-			for nr := 1; nr <= gemmNR; nr++ {
-				shapes = append(shapes, [3]int{2*gemmMR + mr, 2*gemmNR + nr, 64})
+	var shapes [][3]int
+	for mr := 1; mr <= gemmMR; mr++ {
+		for nr := 1; nr <= gemmNR; nr++ {
+			shapes = append(shapes, [3]int{2*gemmMR + mr, 2*gemmNR + nr, 64})
+		}
+	}
+	for _, m := range []int{packMC + 3, 2*packMC + 2} {
+		for _, n := range []int{gemmNR + 5, 4*gemmNR + 5} {
+			for _, k := range []int{packKC - 1, packKC, packKC + 1} {
+				shapes = append(shapes, [3]int{m, n, k})
 			}
 		}
-		for _, m := range []int{bt.MC + 3, 3*bt.MC + 2} {
-			for _, n := range []int{gemmNR + 5, 4*gemmNR + 5} {
-				for _, k := range []int{bt.KC - 1, bt.KC, bt.KC + 1, 2*bt.KC + 5} {
-					shapes = append(shapes, [3]int{m, n, k})
+	}
+	shapes = append(shapes, [3]int{gemmMR + 3, packNC + 5, packKC + 1})
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		if m < gemmMR || n < gemmNR || m*n*k < packedGemmCutoff {
+			t.Fatalf("shape %dx%dx%d does not reach gemmPacked", m, n, k)
+		}
+		a := zeroLacedMat(m, k, rng)
+		dead := make([]bool, k) // zero in every row of A
+		for p := range dead {
+			dead[p] = rng.Intn(3) == 0
+		}
+		for i := 0; i < m; i++ {
+			band := i / gemmMR
+			for p := 0; p < k; p++ {
+				// Rows of band 1 are all zero; band b ≥ 2 loses column
+				// p when (p + b) % 4 == 0.
+				if dead[p] || band == 1 || (band >= 2 && (p+band)%4 == 0) {
+					a[i*k+p] = 0
 				}
 			}
 		}
-		for _, s := range shapes {
-			m, n, k := s[0], s[1], s[2]
-			a := zeroLacedMat(m, k, rng)
-			dead := make([]bool, k) // zero in every row of A
-			for p := range dead {
-				dead[p] = rng.Intn(3) == 0
-			}
-			for i := 0; i < m; i++ {
-				band := i / gemmMR
-				for p := 0; p < k; p++ {
-					// Rows of band 1 are all zero; band b ≥ 2 loses column
-					// p when (p + b) % 4 == 0.
-					if dead[p] || band == 1 || (band >= 2 && (p+band)%4 == 0) {
-						a[i*k+p] = 0
-					}
-				}
-			}
-			b := zeroLacedMat(k, n, rng)
-			for j := 0; j < n; j++ {
-				poisonSkipped(b[j:], n, k, func(p int) bool { return dead[p] })
-			}
-			c0 := zeroLacedMat(m, n, rng)
-			for _, alpha := range []float64{1, -1, 0.5} {
-				for _, beta := range []float64{1, 0, -1} {
-					c1 := append([]float64(nil), c0...)
-					c2 := append([]float64(nil), c0...)
-					Dgemm(m, n, k, alpha, a, k, b, n, beta, c1, n)
-					seedDgemm(m, n, k, alpha, a, k, b, n, beta, c2, n)
-					bitsEqual(t, fmt.Sprintf("tiles %+v: Dgemm %dx%dx%d α=%g β=%g", bt, m, n, k, alpha, beta), c1, c2)
-				}
+		b := zeroLacedMat(k, n, rng)
+		for j := 0; j < n; j++ {
+			poisonSkipped(b[j:], n, k, func(p int) bool { return dead[p] })
+		}
+		c0 := zeroLacedMat(m, n, rng)
+		for _, alpha := range []float64{1, -1, 0.5} {
+			for _, beta := range []float64{1, 0, -1} {
+				c1 := append([]float64(nil), c0...)
+				c2 := append([]float64(nil), c0...)
+				Dgemm(m, n, k, alpha, a, k, b, n, beta, c1, n)
+				seedDgemm(m, n, k, alpha, a, k, b, n, beta, c2, n)
+				bitsEqual(t, fmt.Sprintf("Dgemm %dx%dx%d α=%g β=%g", m, n, k, alpha, beta), c1, c2)
 			}
 		}
 	}

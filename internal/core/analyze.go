@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/blas"
 	"repro/internal/etree"
 	"repro/internal/ordering"
 	"repro/internal/sched"
@@ -80,10 +79,6 @@ type Symbolic struct {
 	StageSeconds []StageTime
 	// Stats summarizes the analysis.
 	Stats AnalysisStats
-	// Autotune records the outcome of the analyze-time kernel tile
-	// autotuning (cache probe + chosen block sizes). Host-dependent, not
-	// structural: comparisons across runs must ignore it.
-	Autotune blas.AutotuneInfo
 	// Opts records the options the analysis ran with.
 	Opts Options
 
@@ -209,9 +204,6 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	// zeros stay under MaxFill of the panel storage (no width cap);
 	// Split then breaks blocks wider than MaxSize into near-equal
 	// panels so dense-ish patterns don't collapse into one serial task.
-	// The tile autotuner also runs here — once per process — so the
-	// level-3 kernels are tuned before the first numeric phase.
-	autotune := blas.AutotuneOnce()
 	strict := supernode.StrictPartition(sym)
 	merged := supernode.Amalgamate(strict, sym, o.Amalgamation)
 	part := supernode.Split(merged, o.Amalgamation.MaxSize)
@@ -289,7 +281,6 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		SolveBwd:    solveBwd,
 		SolvePerm:   tr.RowPerm.Compose(symPerm),
 		PatternHash: PatternHash(a, o),
-		Autotune:    autotune,
 		layout:      newLayout(stored, part),
 		Opts:        *o,
 		Stats: AnalysisStats{

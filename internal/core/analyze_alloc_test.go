@@ -9,8 +9,8 @@ import (
 )
 
 // analyzeAllocs returns the heap objects and bytes one serial Analyze of
-// a allocates, averaged over a few runs after a warm-up (the first call
-// of a process also runs the kernel autotuner).
+// a allocates, averaged over a few runs after a warm-up that pays any
+// once-per-process cost.
 func analyzeAllocs(t testing.TB, a *sparse.CSC) (mallocs, bytes float64) {
 	t.Helper()
 	const runs = 5

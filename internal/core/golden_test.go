@@ -83,7 +83,7 @@ func statsFields(st AnalysisStats, graph bool) string {
 // numeric and solve phases or the paper's tables read, but for the task
 // graph — the permutations, the views of the stored and closed block
 // structures, the block forest, the partition, the statistics (wall clock
-// excluded, Autotune never part of it) and the four solve schedules
+// excluded) and the four solve schedules
 // (SolveFwd, SolveBwd and the level-reversed forms of SolveBwd and
 // SolveFwd that the transpose solve once ran on) — together with the
 // scalar Ā and eforest that Analyze drops, rebuilt from a through

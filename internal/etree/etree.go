@@ -1,8 +1,7 @@
 // Package etree implements the elimination structures of the paper: the
 // LU elimination forest of a statically factored matrix (Definition 1,
 // after Shen, Jiao & Yang), its postordering (Section 3) together with
-// the induced block-upper-triangular decomposition, and the column
-// elimination tree of AᵀA used by SuperLU (baseline). The
+// the induced block-upper-triangular decomposition. The
 // characterizations of the L̄ rows and Ū columns in terms of the forest
 // (Theorems 1–2) are exposed as predicates so tests and the task-graph
 // construction can rely on them.
@@ -75,40 +74,6 @@ func LUForest(sym *symbolic.Result) *Forest {
 		urow := sym.URows.Col(j) // sorted, urow[0] == j
 		if len(urow) > 1 {
 			parent[j] = urow[1]
-		}
-	}
-	return NewForest(parent)
-}
-
-// ColumnEtree computes the column elimination tree used by SuperLU: the
-// elimination tree of the symmetric pattern of AᵀA. parent(j) is the
-// smallest k > j such that the Cholesky factor of AᵀA has a nonzero
-// (k, j); computed by the classic Liu algorithm with path compression.
-func ColumnEtree(a *sparse.CSC) *Forest {
-	ata := sparse.ATAPattern(a)
-	n := ata.NCols
-	parent := make([]int, n)
-	ancestor := make([]int, n)
-	for j := range parent {
-		parent[j] = None
-		ancestor[j] = None
-	}
-	for j := 0; j < n; j++ {
-		for _, i := range ata.Col(j) {
-			if i >= j {
-				continue
-			}
-			// Walk from i to the root of its current subtree, compressing.
-			r := i
-			for ancestor[r] != None && ancestor[r] != j {
-				next := ancestor[r]
-				ancestor[r] = j
-				r = next
-			}
-			if ancestor[r] == None {
-				ancestor[r] = j
-				parent[r] = j
-			}
 		}
 	}
 	return NewForest(parent)
@@ -195,26 +160,6 @@ func (f *Forest) SubtreeSizes() []int {
 		}
 	}
 	return size
-}
-
-// Depths returns the depth of every node (roots have depth 0).
-func (f *Forest) Depths() []int {
-	n := f.Len()
-	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	var visit func(v, d int)
-	visit = func(v, d int) {
-		depth[v] = d
-		for _, c := range f.Children[v] {
-			visit(c, d+1)
-		}
-	}
-	for _, r := range f.Roots {
-		visit(r, 0)
-	}
-	return depth
 }
 
 // IsPostOrdered reports whether the node labels already form a postorder

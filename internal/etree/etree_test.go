@@ -73,10 +73,6 @@ func TestNewForestBasics(t *testing.T) {
 	if sizes[3] != 4 || sizes[1] != 2 || sizes[4] != 1 {
 		t.Fatalf("SubtreeSizes = %v", sizes)
 	}
-	depths := f.Depths()
-	if depths[0] != 2 || depths[3] != 0 || depths[4] != 0 {
-		t.Fatalf("Depths = %v", depths)
-	}
 }
 
 func TestLUForestParentIsGreater(t *testing.T) {
@@ -301,47 +297,6 @@ func TestPaperExampleForest(t *testing.T) {
 	po := PostorderSymbolic(sym, f)
 	if !po.Forest.IsPostOrdered() {
 		t.Fatal("postordered example not post-ordered")
-	}
-}
-
-func TestColumnEtree(t *testing.T) {
-	// For a symmetric positive-pattern matrix, the column etree of A is
-	// the etree of A² pattern; sanity-check basic invariants instead of
-	// exact values: parents are greater, and the tree covers all nodes.
-	rng := rand.New(rand.NewSource(70))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + rng.Intn(25)
-		a := randomZeroFreeDiag(n, 0.15, rng)
-		f := ColumnEtree(a)
-		if f.Len() != n {
-			t.Fatalf("len = %d", f.Len())
-		}
-		for j, p := range f.Parent {
-			if p != None && p <= j {
-				t.Fatalf("column etree parent(%d) = %d", j, p)
-			}
-		}
-		if err := sparse.CheckPerm(f.PostOrder(), n); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestColumnEtreeDense(t *testing.T) {
-	// Dense matrix: column etree is a single chain 0→1→…→n−1.
-	n := 5
-	d := make([]float64, n*n)
-	for i := range d {
-		d[i] = 1
-	}
-	f := ColumnEtree(sparse.FromDense(d, n, n, 0))
-	for j := 0; j < n-1; j++ {
-		if f.Parent[j] != j+1 {
-			t.Fatalf("parent(%d) = %d, want %d", j, f.Parent[j], j+1)
-		}
-	}
-	if f.Parent[n-1] != None {
-		t.Fatal("last node should be root")
 	}
 }
 

@@ -52,7 +52,6 @@ func factorBytes(s *core.Symbolic) int64 {
 // final, so concurrent requests for the same pattern coalesce onto a
 // single Analyze call instead of racing N of them.
 type cacheEntry struct {
-	key     string
 	ready   chan struct{}
 	sym     *core.Symbolic
 	err     error
@@ -117,7 +116,7 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 		}
 		return e.sym, true, e.err
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.touch(key)
 	c.misses.Add(1)

@@ -65,37 +65,39 @@ func TestCacheEvictedPendingEntryUncounted(t *testing.T) {
 }
 
 // TestSymBytesTracksRetainedHeap pins symBytes to what a Symbolic really
-// retains: on every full-size suite matrix the live heap one Analyze adds
-// (after a GC, the input allocated beforehand) is within 15 % of the
-// estimate.
+// retains: on every full-size suite matrix the live heap that dropping
+// the Symbolic one Analyze returned frees is within 15 % of the
+// estimate. Taking the difference across the drop rather than across the
+// Analyze keeps garbage that goroutines of earlier tests release in the
+// meantime out of the reading.
 func TestSymBytesTracksRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyzes the full-size suite")
 	}
 	opts := core.DefaultOptions()
-	// The warm-up pays the once-per-process costs (tile autotuning).
+	// The warm-up pays any once-per-process cost.
 	if _, err := core.Analyze(matgen.SmallSuite()[0].Gen(), opts); err != nil {
 		t.Fatal(err)
 	}
 	var ms runtime.MemStats
 	for _, spec := range matgen.Suite() {
 		a := spec.Gen()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		before := ms.HeapAlloc
 		s, err := core.Analyze(a, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
+		est := float64(symBytes(s))
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		grown := float64(ms.HeapAlloc) - float64(before)
-		est := float64(symBytes(s))
+		held := ms.HeapAlloc
+		runtime.KeepAlive(s)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		grown := float64(held) - float64(ms.HeapAlloc)
 		t.Logf("%s: retained %.0f B, symBytes %.0f B (%.3f×)", spec.Name, grown, est, est/grown)
 		if r := est / grown; r < 0.85 || r > 1.15 {
 			t.Errorf("%s: symBytes %.0f B is %.2f× the %.0f B one Analyze retains, want 0.85–1.15×", spec.Name, est, r, grown)
 		}
-		runtime.KeepAlive(s)
 		runtime.KeepAlive(a)
 	}
 }

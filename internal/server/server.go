@@ -127,7 +127,6 @@ func (c Config) withDefaults() Config {
 // (kept for residuals and refinement).
 type handle struct {
 	id       string
-	key      string
 	sym      *core.Symbolic
 	m        *sparse.CSC
 	res      *ladderResult
@@ -546,7 +545,6 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 
 	h := &handle{
 		id:  fmt.Sprintf("f%d", s.nextID.Add(1)),
-		key: key,
 		sym: sym,
 		m:   m,
 		res: res,

@@ -16,7 +16,6 @@
 package sparse
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 )
@@ -47,18 +46,6 @@ func RandomPerm(n int, rng *rand.Rand) Perm {
 // Len returns the length of the permutation.
 func (p Perm) Len() int { return len(p) }
 
-// IsValid reports whether p is a bijection of {0, …, len(p)−1}.
-func (p Perm) IsValid() bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // Inverse returns the inverse permutation q with q[p[i]] = i.
 func (p Perm) Inverse() Perm {
 	q := make(Perm, len(p))
@@ -79,42 +66,6 @@ func (p Perm) Compose(q Perm) Perm {
 		r[i] = q[v]
 	}
 	return r
-}
-
-// Apply scatters x into a new vector y with y[p[i]] = x[i].
-func (p Perm) Apply(x []float64) []float64 {
-	if len(x) != len(p) {
-		panic("sparse: Perm.Apply length mismatch")
-	}
-	y := make([]float64, len(x))
-	for i, v := range p {
-		y[v] = x[i]
-	}
-	return y
-}
-
-// ApplyInverse gathers x into a new vector y with y[i] = x[p[i]].
-func (p Perm) ApplyInverse(x []float64) []float64 {
-	if len(x) != len(p) {
-		panic("sparse: Perm.ApplyInverse length mismatch")
-	}
-	y := make([]float64, len(x))
-	for i, v := range p {
-		y[i] = x[v]
-	}
-	return y
-}
-
-// ApplyInts scatters the int slice x: y[p[i]] = x[i].
-func (p Perm) ApplyInts(x []int) []int {
-	if len(x) != len(p) {
-		panic("sparse: Perm.ApplyInts length mismatch")
-	}
-	y := make([]int, len(x))
-	for i, v := range p {
-		y[v] = x[i]
-	}
-	return y
 }
 
 // Clone returns a copy of p.
@@ -142,6 +93,3 @@ func CheckPerm(p Perm, n int) error {
 	}
 	return nil
 }
-
-// ErrNotPermutation is returned by functions that validate permutations.
-var ErrNotPermutation = errors.New("sparse: not a permutation")

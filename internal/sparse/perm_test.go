@@ -13,8 +13,8 @@ func TestIdentityPerm(t *testing.T) {
 			t.Fatalf("Identity(5)[%d] = %d", i, v)
 		}
 	}
-	if !p.IsValid() {
-		t.Fatal("identity not valid")
+	if err := CheckPerm(p, 5); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -44,37 +44,6 @@ func TestPermInverseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPermApply(t *testing.T) {
-	p := Perm{2, 0, 1}
-	x := []float64{10, 20, 30}
-	y := p.Apply(x)
-	// y[p[i]] = x[i]: y[2]=10, y[0]=20, y[1]=30
-	want := []float64{20, 30, 10}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("Apply = %v, want %v", y, want)
-		}
-	}
-	z := p.ApplyInverse(y)
-	for i := range z {
-		if z[i] != x[i] {
-			t.Fatalf("ApplyInverse(Apply(x)) = %v, want %v", z, x)
-		}
-	}
-}
-
-func TestPermApplyInts(t *testing.T) {
-	p := Perm{1, 2, 0}
-	x := []int{7, 8, 9}
-	y := p.ApplyInts(x)
-	want := []int{9, 7, 8}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("ApplyInts = %v, want %v", y, want)
-		}
-	}
-}
-
 func TestPermIsValidRejectsBad(t *testing.T) {
 	cases := []Perm{
 		{0, 0},
@@ -83,9 +52,6 @@ func TestPermIsValidRejectsBad(t *testing.T) {
 		{0, 2, 1, 3, 3},
 	}
 	for _, p := range cases {
-		if p.IsValid() {
-			t.Errorf("IsValid(%v) = true, want false", p)
-		}
 		if err := CheckPerm(p, len(p)); err == nil {
 			t.Errorf("CheckPerm(%v) = nil, want error", p)
 		}
@@ -130,7 +96,7 @@ func TestQuickPermInverse(t *testing.T) {
 		n := int(nRaw)%50 + 1
 		rng := rand.New(rand.NewSource(seed))
 		p := RandomPerm(n, rng)
-		if !p.IsValid() {
+		if CheckPerm(p, n) != nil {
 			return false
 		}
 		q := p.Inverse()
