@@ -2,7 +2,7 @@
 # The local/CI gate, split into stages so CI can attribute failures:
 #
 #   ./check.sh lint        # gofmt, vet, build (arm64 and bench/ too), lucheck -audit -sarif
-#   ./check.sh test        # race-enabled test suite, Matrix Market reader fuzz
+#   ./check.sh test        # race-enabled test suite, every benchmark once, Matrix Market reader fuzz
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service     # sluserver chaos suite under -race, decoder fuzz, live HTTP smoke
 #   ./check.sh bench [ref] # the benchmark of record (BENCHMARK.json, bench/)
@@ -70,6 +70,11 @@ lint() {
 test_stage() {
 	echo "==> go test -race"
 	go test -race ./...
+
+	# Every benchmark once, so benchmark code cannot rot between the
+	# nightly runs that time a few of them (~6 s).
+	echo "==> every benchmark once"
+	go test -run '^$' -bench . -benchtime 1x ./...
 
 	# The Matrix Market reader must return an error, never panic, on any
 	# input; seeded from internal/sparse/io_test.go's cases.

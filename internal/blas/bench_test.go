@@ -40,6 +40,28 @@ func BenchmarkDgemmSkinny(b *testing.B) {
 	}
 }
 
+func BenchmarkDgemmUpdateShapes(b *testing.B) {
+	// The packed shapes the numeric phase's update(K,J) tasks run,
+	// flop-weighted: m rows of an L block against a k = w_K by n = w_J
+	// U block, C -= A·B. A is zero-laced like an amalgamated L block and
+	// C holds no −0, so the bitwise micro-kernel runs its unmasked loop.
+	rng := rand.New(rand.NewSource(10))
+	for _, m := range []int{64, 128, 192} {
+		for _, w := range []int{24, 26, 28, 32} {
+			a := zeroLacedMat(m, w, rng)
+			bb := randMat(w, w, rng)
+			c := withoutNegZero(randMat(m, w, rng))
+			b.Run(fmt.Sprintf("%dx%dx%d", m, w, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Dgemm(m, w, w, -1, a, w, bb, w, 1, c, w)
+				}
+				flops := 2 * float64(m) * float64(w) * float64(w)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+			})
+		}
+	}
+}
+
 func BenchmarkDtrsm(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{16, 64, 128} {

@@ -13,7 +13,9 @@ import "math"
 // C element's contributions one k at a time in ascending k and skip a
 // contribution exactly when α·A[i,p] == 0, so the floating-point
 // operation sequence per element — and therefore the rounding — is
-// identical no matter which path runs.
+// identical no matter which path runs. (The AVX2 micro-kernel adds the
+// ±0 such a contribution is instead of skipping it only where that
+// provably leaves the element's bits unchanged; see microKernel4x8.)
 func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
 }
@@ -141,7 +143,9 @@ func unlessZero(coef, v float64, noop uint64) float64 {
 // A micro-panel that kept no column has no tile to run. An edge tile
 // (fewer than gemmMR rows or gemmNR columns of C) runs the same kernel
 // on a zero-padded copy whose padding lanes are discarded, so every C
-// element goes through one kernel whatever its position. The blocks are
+// element goes through one kernel whatever its position. The bitwise
+// kernel drops its zero mask on the tiles of a finite packed B panel
+// that hold no −0. The blocks are
 // packMC×packKC of A and packKC×packNC of B, the scratch dimensions.
 // Packing scratch comes from the scratch freelist, so steady-state calls
 // do not allocate. fast swaps the micro-kernel for the FastMath one.
@@ -152,6 +156,7 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 		for pc := 0; pc < k; pc += packKC {
 			kc := min(k-pc, packKC)
 			packB(kc, nc, b[pc*ldb+jc:], ldb, s.pb[:])
+			finite := !fast && finitePanel(s.pb[:(nc+gemmNR-1)/gemmNR*gemmNR*kc])
 			for ic := 0; ic < m; ic += packMC {
 				mc := min(m-ic, packMC)
 				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s)
@@ -173,14 +178,14 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 						pa, off := s.pa[ir*kc:], s.off[ir/gemmMR*kc:]
 						cc := c[(ic+ir)*ldc+jc+jr:]
 						if mr == gemmMR && nr == gemmNR {
-							microTile(fast, nk, pa, off, pbp, cc, ldc)
+							microTile(fast, finite, nk, pa, off, pbp, cc, ldc)
 							continue
 						}
 						var tile [gemmMR * gemmNR]float64
 						for r := 0; r < mr; r++ {
 							copy(tile[r*gemmNR:][:nr], cc[r*ldc:][:nr])
 						}
-						microTile(fast, nk, pa, off, pbp, tile[:], gemmNR)
+						microTile(fast, finite, nk, pa, off, pbp, tile[:], gemmNR)
 						for r := 0; r < mr; r++ {
 							copy(cc[r*ldc:][:nr], tile[r*gemmNR:][:nr])
 						}
@@ -194,12 +199,13 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 
 // microTile runs the bitwise or the FastMath register-tile kernel. It
 // calls them directly, not through a func value, so that escape analysis
-// keeps gemmPacked's edge tile on the stack.
-func microTile(fast bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
+// keeps gemmPacked's edge tile on the stack. finite (no Inf or NaN in
+// the packed B panel) lets the bitwise kernel drop its zero mask.
+func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
 	if fast {
 		microKernel4x8Fast(nk, pa, off, pb, c, ldc)
 	} else {
-		microKernel4x8(nk, pa, off, pb, c, ldc)
+		microKernel4x8(nk, pa, off, pb, c, ldc, finite)
 	}
 }
 

@@ -371,9 +371,11 @@ func TestDgetrfStaticZeroPivotParity(t *testing.T) {
 // TestMicroKernelAsmMatchesGo pins the assembly micro-kernel to the
 // portable one directly, across k depths, kept-column lists that are
 // complete, empty or gapped, and data laced with exact zeros and
-// negative zeros (the masked-skip path) — on platforms without the
-// assembly kernel both calls run the Go kernel and the test is vacuous.
-// An empty list must leave C as it was.
+// negative zeros — on platforms without the assembly kernel both calls
+// run the Go kernel and the test is vacuous. Each list runs on a C tile
+// holding a −0 (the masked loop) and on a −0-free one, which with a
+// finite B takes the unmasked loop and without the finite hint the
+// masked one. An empty list must leave C as it was.
 func TestMicroKernelAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	lists := []struct {
@@ -387,7 +389,9 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 	}
 	for _, kc := range []int{1, 2, 7, 128, 261} {
 		pb := sparseRandMat(kc, gemmNR, rng)
-		c0 := sparseRandMat(gemmMR, gemmNR, rng)
+		negC := sparseRandMat(gemmMR, gemmNR, rng)
+		negC[rng.Intn(len(negC))] = math.Copysign(0, -1)
+		plainC := withoutNegZero(sparseRandMat(gemmMR, gemmNR, rng))
 		for _, l := range lists {
 			var off []int32
 			for p := 0; p < kc; p++ {
@@ -396,17 +400,188 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 				}
 			}
 			pa := sparseRandMat(gemmMR, len(off)+1, rng)
-			c1 := append([]float64(nil), c0...)
-			c2 := append([]float64(nil), c0...)
-			microKernel4x8(len(off), pa, off, pb, c1, gemmNR)
-			microKernel4x8Go(len(off), pa, off, pb, c2, gemmNR)
-			name := fmt.Sprintf("microKernel4x8 kc=%d %s", kc, l.name)
-			bitsEqual(t, name, c1, c2)
-			if len(off) == 0 {
-				bitsEqual(t, name, c1, c0)
+			for _, tc := range []struct {
+				name   string
+				c0     []float64
+				finite bool
+			}{
+				{"C with -0", negC, true},
+				{"-0-free C", plainC, true},
+				{"-0-free C, no finite hint", plainC, false},
+			} {
+				c1 := append([]float64(nil), tc.c0...)
+				c2 := append([]float64(nil), tc.c0...)
+				microKernel4x8(len(off), pa, off, pb, c1, gemmNR, tc.finite)
+				microKernel4x8Go(len(off), pa, off, pb, c2, gemmNR)
+				name := fmt.Sprintf("microKernel4x8 kc=%d %s, %s", kc, l.name, tc.name)
+				bitsEqual(t, name, c1, c2)
+				if len(off) == 0 {
+					bitsEqual(t, name, c1, tc.c0)
+				}
 			}
 		}
 	}
+}
+
+// TestDgemmMaskFreeParity pins the bitwise micro-kernel's unmasked loop,
+// and both guards that select it, to the seed kernel bit for bit. The
+// loop adds the ±0 products of zero A values instead of skipping them,
+// which is exact only while B is finite and no accumulator is −0, so A
+// is dense but for single zero lanes inside kept columns — every such
+// lane is a skip the loop does not make — and three cases run:
+//
+//   - a −0-free C and a finite, ±0-laced B: the unmasked loop itself;
+//   - the same with one −0 C element per tile whose A row is +0 in
+//     every column and whose B column carries no sign, so that adding
+//     the +0 products instead of skipping them would turn it into +0;
+//   - an Inf or NaN in a B row that meets a kept column with a zero lane
+//     in every micro-panel, where adding 0·Inf = NaN instead of skipping
+//     it would poison a C element.
+//
+// The shapes cover every mr ∈ 1..4 × nr ∈ 1..8 edge tile and straddle
+// the packMC and packKC block boundaries; every shape takes the packed
+// path.
+func TestDgemmMaskFreeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	var shapes [][3]int
+	for mr := 1; mr <= gemmMR; mr++ {
+		for nr := 1; nr <= gemmNR; nr++ {
+			shapes = append(shapes, [3]int{2*gemmMR + mr, 2*gemmNR + nr, 64})
+		}
+	}
+	shapes = append(shapes,
+		[3]int{packMC + 3, 2*gemmNR + 5, 28},
+		[3]int{2*packMC + 2, 28, 28},
+		[3]int{3*gemmMR + 1, 3*gemmNR + 3, packKC + 1})
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		if m < gemmMR || n < gemmNR || m*n*k < packedGemmCutoff {
+			t.Fatalf("shape %dx%dx%d does not reach gemmPacked", m, n, k)
+		}
+		check := func(name string, a, b, c0 []float64) {
+			t.Helper()
+			for _, alpha := range []float64{1, -1, 0.5} {
+				c1 := append([]float64(nil), c0...)
+				c2 := append([]float64(nil), c0...)
+				Dgemm(m, n, k, alpha, a, k, b, n, 1, c1, n)
+				seedDgemm(m, n, k, alpha, a, k, b, n, 1, c2, n)
+				bitsEqual(t, fmt.Sprintf("Dgemm %dx%dx%d %s α=%g", m, n, k, name, alpha), c1, c2)
+			}
+		}
+
+		a := laneZeroMat(m, k, -1, rng)
+		b := zeroLacedMat(k, n, rng)
+		c := withoutNegZero(zeroLacedMat(m, n, rng))
+		check("-0-free C", a, b, c)
+
+		for i0 := 0; i0 < m; i0 += gemmMR {
+			rows := min(m-i0, gemmMR)
+			if rows < 2 { // a lone zero row would drop every column
+				continue
+			}
+			i := i0 + rng.Intn(rows)
+			clear(a[i*k : (i+1)*k])
+			for j0 := 0; j0 < n; j0 += gemmNR {
+				j := j0 + rng.Intn(min(n-j0, gemmNR))
+				c[i*n+j] = math.Copysign(0, -1)
+				for p := 0; p < k; p++ {
+					b[p*n+j] = math.Abs(b[p*n+j])
+				}
+			}
+		}
+		check("planted -0", a, b, c)
+
+		for _, bad := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)} {
+			p := rng.Intn(k)
+			a := laneZeroMat(m, k, p, rng)
+			b := zeroLacedMat(k, n, rng)
+			b[p*n+rng.Intn(n)] = bad
+			c := withoutNegZero(zeroLacedMat(m, n, rng))
+			check(fmt.Sprintf("B[%d,·] = %g", p, bad), a, b, c)
+		}
+	}
+}
+
+// TestFinitePanel pins the scan that selects the unmasked micro-kernel
+// loop: it may never call a panel with an Inf or NaN finite, and where
+// it runs at all (it reports an all-zero panel finite) it must agree
+// with math.IsInf/IsNaN. The panels hold one Inf or NaN at every
+// position class (first, last, inside a vector) next to the extreme
+// finite values, and include lengths the assembly cannot take.
+func TestFinitePanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	want := func(x []float64) bool {
+		for _, v := range x {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return false
+			}
+		}
+		return true
+	}
+	scans := finitePanel(make([]float64, 8*gemmNR))
+	edge := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0x1p-1022}
+	bad := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0000000000001)}
+	for _, n := range []int{0, 1, 7, 8, 9, 16, 24, 8 * 29, 8 * 257} {
+		x := sparseRandMat(1, n, rng)
+		for i := range x {
+			if rng.Intn(4) == 0 {
+				x[i] = edge[rng.Intn(len(edge))]
+			}
+		}
+		check := func(name string) {
+			t.Helper()
+			got, w := finitePanel(x), want(x)
+			if got && !w || scans && n > 0 && n%8 == 0 && got != w {
+				t.Fatalf("n=%d %s: finitePanel %v, want %v", n, name, got, w)
+			}
+		}
+		check("finite")
+		for _, i := range []int{0, n - 1, n / 2, rng.Intn(max(n, 1))} {
+			if i < 0 || i >= n {
+				continue
+			}
+			for _, v := range bad {
+				keep := x[i]
+				x[i] = v
+				check(fmt.Sprintf("x[%d] = %g", i, v))
+				x[i] = keep
+			}
+		}
+	}
+}
+
+// laneZeroMat draws a dense m×k matrix, then, in each gemmMR-row
+// micro-panel, zeroes (as +0 or −0) one random lane of a random half of
+// the columns and of column always (−1 for none): zero-skips inside
+// columns packA keeps. A micro-panel with a single row gets no zero
+// lane.
+func laneZeroMat(m, k, always int, rng *rand.Rand) []float64 {
+	a := make([]float64, m*k)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+	}
+	for i0 := 0; i0 < m; i0 += gemmMR {
+		rows := min(m-i0, gemmMR)
+		if rows < 2 {
+			continue
+		}
+		for p := 0; p < k; p++ {
+			if p == always || rng.Intn(2) == 0 {
+				a[(i0+rng.Intn(rows))*k+p] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
+		}
+	}
+	return a
+}
+
+// withoutNegZero replaces every −0 in x by +0 and returns x.
+func withoutNegZero(x []float64) []float64 {
+	for i, v := range x {
+		if v == 0 {
+			x[i] = 0
+		}
+	}
+	return x
 }
 
 // TestDgemmZeroColumnParity pins the packed path's column dropping to
