@@ -50,14 +50,24 @@ lint() {
 	echo "==> go vet + go build (bench/)"
 	(cd bench && go vet . && go build -o /dev/null .)
 
-	# These names are kept only because the frozen bench/ calls them;
-	# ROADMAP item 1(a) deletes them together with those calls. No other
-	# non-test code may start calling one, so that deletion stays pure.
-	echo "==> no calls of bench-only names outside bench/"
+	# These names and fields are kept only because the frozen bench/
+	# uses them; ROADMAP's deletion sweep (the item the bench decoupling
+	# unlocks) deletes them together with those uses. No other non-test
+	# code may start calling one of the names or reading one of the
+	# fields, so that deletion stays pure. The field check drops // comments
+	# before it matches, and skips ReuseDelta's own declaration.
+	echo "==> no uses of bench-only names or fields outside bench/"
 	bench_only='blas\.AutotuneOnce|symbolic\.FactorParallel|symbolic\.PartitionColumns|taskgraph\.Independent|sched\.ExecuteLevels|sched\.Execute'
 	if git ls-files -z '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
 		xargs -0 grep -nE "\\b($bench_only)\\(" >&2; then
-		echo "non-test code outside bench/ calls a name kept only for bench/ (ROADMAP 1(a))" >&2
+		echo "non-test code outside bench/ calls a name kept only for bench/ (ROADMAP deletion sweep)" >&2
+		exit 1
+	fi
+	bench_fields='\.(SolveFwd|SolveBwd|SolveWorkers|AnalyzeWorkers)\b|\bReuseDelta\b'
+	if git ls-files -z '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
+		xargs -0 grep -nE "$bench_fields" | sed 's#//.*##' | grep -E "$bench_fields" |
+		grep -vE ':[0-9]+:[[:space:]]*ReuseDelta[[:space:]]+ReuseLevel\b' >&2; then
+		echo "non-test code outside bench/ uses a field kept only for bench/ (ROADMAP deletion sweep)" >&2
 		exit 1
 	fi
 

@@ -209,7 +209,7 @@ func reportTrace(path string, rec *trace.Recorder, analysis *sparselu.Analysis) 
 			ks.Kind, ks.Count, time.Duration(ks.Total).Round(time.Microsecond),
 			time.Duration(ks.Min).Round(time.Microsecond), time.Duration(ks.Max).Round(time.Microsecond))
 	}
-	cp, cpTasks, err := trace.RealizedCriticalPath(events, g.Succ)
+	cpTasks, cp, err := g.CriticalPathTasks(trace.TaskDurations(events, len(g.Tasks)))
 	if err != nil {
 		return err
 	}

@@ -74,8 +74,8 @@ type Options struct {
 	// Workers is the number of parallel workers for the numeric phase
 	// (values below 1 mean serial execution).
 	Workers int
-	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP item
-	// 1(a) deletes it.
+	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP's
+	// deletion sweep (the item the bench decoupling unlocks) deletes it.
 	//
 	// Deprecated: ignored, solves are serial.
 	SolveWorkers int

@@ -44,7 +44,7 @@ func BenchmarkDgemmUpdateShapes(b *testing.B) {
 	// The packed shapes the numeric phase's update(K,J) tasks run,
 	// flop-weighted: m rows of an L block against a k = w_K by n = w_J
 	// U block, C -= A·B. A is zero-laced like an amalgamated L block and
-	// C holds no −0, so the bitwise micro-kernel runs its unmasked loop.
+	// C holds no −0, so every tile runs in the AVX2 bitwise kernel.
 	rng := rand.New(rand.NewSource(10))
 	for _, m := range []int{64, 128, 192} {
 		for _, w := range []int{24, 26, 28, 32} {
@@ -169,8 +169,8 @@ func BenchmarkDgemmFast(b *testing.B) {
 }
 
 func BenchmarkDgemmOneColumn(b *testing.B) {
-	// The m×1×k updates of a one-right-hand-side panel solve and of a
-	// width-1 target column in the factorization, on zero-laced blocks.
+	// The m×1×k updates of a width-1 target column in the
+	// factorization, on zero-laced blocks.
 	rng := rand.New(rand.NewSource(8))
 	for _, shape := range [][2]int{{3, 3}, {20, 6}, {64, 32}} {
 		m, k := shape[0], shape[1]

@@ -34,7 +34,7 @@ TEXT ·microKernel4x8FMA(SB), NOSPLIT, $0-48
 	VMOVUPD (R11), Y6
 	VMOVUPD 32(R11), Y7
 
-kloop:
+loop:
 	MOVL    (DX), R12         // byte offset of B row p
 	VMOVUPD (BX)(R12*1), Y8   // B[p, 0:4]
 	VMOVUPD 32(BX)(R12*1), Y9 // B[p, 4:8]
@@ -58,7 +58,7 @@ kloop:
 	ADDQ $32, SI
 	ADDQ $4, DX
 	DECQ CX
-	JNZ  kloop
+	JNZ  loop
 
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)

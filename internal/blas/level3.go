@@ -1,21 +1,19 @@
 package blas
 
-import "math"
-
 // Dgemm computes C ← α·A·B + β·C for row-major matrices: A is m×k (lda),
 // B is k×n (ldb), C is m×n (ldc). Only the non-transposed case is
 // provided; the factorization arranges its operands so that suffices.
 //
-// Three code paths produce bitwise-identical results: a one-column
-// kernel for n = 1, a scalar i-k-j AXPY kernel for small operands and a
+// Two code paths produce bitwise-identical results: a scalar i-k-j AXPY
+// kernel for small operands (every n = 1 product among them) and a
 // packed, register-tiled kernel (pack.go / microkernel.go) for
-// everything else. All accumulate each
-// C element's contributions one k at a time in ascending k and skip a
-// contribution exactly when α·A[i,p] == 0, so the floating-point
-// operation sequence per element — and therefore the rounding — is
-// identical no matter which path runs. (The AVX2 micro-kernel adds the
-// ±0 such a contribution is instead of skipping it only where that
-// provably leaves the element's bits unchanged; see microKernel4x8.)
+// everything else. Both accumulate each C element's contributions one k
+// at a time in ascending k and skip a contribution exactly when
+// α·A[i,p] == 0, so the floating-point operation sequence per element —
+// and therefore the rounding — is identical no matter which path runs.
+// (The AVX2 micro-kernel adds the ±0 such a contribution is instead of
+// skipping it, and runs only on tiles where that provably leaves every
+// element's bits unchanged; see microKernel4x8.)
 func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
 }
@@ -40,10 +38,6 @@ func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 		}
 	}
 	if alpha == 0 || k == 0 {
-		return
-	}
-	if n == 1 {
-		gemmCol(m, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
 	if m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff {
@@ -85,57 +79,6 @@ func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ld
 	}
 }
 
-// gemmCol is the n = 1 kernel: each C element keeps its running sum in
-// a register across the ascending-p loop, four rows at a time so that
-// four independent add chains are in flight. It is branch-free — a
-// contribution whose coefficient α·A[i,p] compares equal to zero is
-// replaced by −0.0, which leaves every accumulator (±0, NaN and Inf
-// included) unchanged — so it is bitwise identical to gemmSmall's skip
-// at every zero density.
-func gemmCol(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0 := a[i*lda : i*lda+k]
-		a1 := a[(i+1)*lda:][:len(a0)]
-		a2 := a[(i+2)*lda:][:len(a0)]
-		a3 := a[(i+3)*lda:][:len(a0)]
-		s0, s1, s2, s3 := c[i*ldc], c[(i+1)*ldc], c[(i+2)*ldc], c[(i+3)*ldc]
-		for p := range a0 {
-			bp := b[p*ldb]
-			x0, x1, x2, x3 := alpha*a0[p], alpha*a1[p], alpha*a2[p], alpha*a3[p]
-			s0 += unlessZero(x0, x0*bp, negZero)
-			s1 += unlessZero(x1, x1*bp, negZero)
-			s2 += unlessZero(x2, x2*bp, negZero)
-			s3 += unlessZero(x3, x3*bp, negZero)
-		}
-		c[i*ldc], c[(i+1)*ldc], c[(i+2)*ldc], c[(i+3)*ldc] = s0, s1, s2, s3
-	}
-	for ; i < m; i++ {
-		arow := a[i*lda : i*lda+k]
-		s := c[i*ldc]
-		for p, v := range arow {
-			aip := alpha * v
-			s += unlessZero(aip, aip*b[p*ldb], negZero)
-		}
-		c[i*ldc] = s
-	}
-}
-
-// negZero and posZero are the bit patterns of the no-op addend and
-// subtrahend: s + (−0) and s − (+0) equal s bit for bit for every s.
-const (
-	negZero = 1 << 63
-	posZero = 0
-)
-
-// unlessZero returns v, or the float with bits noop when coef compares
-// equal to zero (±0), without a branch: keep is all ones exactly when
-// |coef| > 0, and the select is a mask over the bit patterns.
-func unlessZero(coef, v float64, noop uint64) float64 {
-	keep := uint64(-int64(math.Float64bits(coef)&^(1<<63)) >> 63)
-	return math.Float64frombits((math.Float64bits(v)^noop)&keep ^ noop)
-}
-
 // gemmPacked is the five-loop BLIS-style kernel: B panels of KC×NC rows
 // are packed once and reused across all A blocks, A blocks of MC×KC are
 // packed with alpha folded in and their all-zero columns dropped, and
@@ -144,8 +87,8 @@ func unlessZero(coef, v float64, noop uint64) float64 {
 // (fewer than gemmMR rows or gemmNR columns of C) runs the same kernel
 // on a zero-padded copy whose padding lanes are discarded, so every C
 // element goes through one kernel whatever its position. The bitwise
-// kernel drops its zero mask on the tiles of a finite packed B panel
-// that hold no −0. The blocks are
+// AVX2 kernel runs only on the tiles of a finite packed B panel that
+// hold no −0; every other tile takes the Go kernel. The blocks are
 // packMC×packKC of A and packKC×packNC of B, the scratch dimensions.
 // Packing scratch comes from the scratch freelist, so steady-state calls
 // do not allocate. fast swaps the micro-kernel for the FastMath one.
@@ -200,7 +143,7 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 // microTile runs the bitwise or the FastMath register-tile kernel. It
 // calls them directly, not through a func value, so that escape analysis
 // keeps gemmPacked's edge tile on the stack. finite (no Inf or NaN in
-// the packed B panel) lets the bitwise kernel drop its zero mask.
+// the packed B panel) lets the bitwise tile run in assembly.
 func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
 	if fast {
 		microKernel4x8Fast(nk, pa, off, pb, c, ldc)
@@ -222,8 +165,7 @@ func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float6
 // rows bottom-up but accumulates each element's subtrahends in
 // ascending p, an order a strip decomposition would reorder — and it
 // only runs in the triangular-solve phase, not under the
-// factorization's update tasks. A single column (n = 1) of either
-// triangle takes trsmCol, one register-held pass in the same order.
+// factorization's update tasks.
 func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []float64, ldb int) {
 	dtrsm(lower, unit, m, n, alpha, t, ldt, b, ldb, false)
 }
@@ -238,10 +180,6 @@ func dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 				row[j] *= alpha
 			}
 		}
-	}
-	if n == 1 {
-		trsmCol(lower, unit, m, t, ldt, b, ldb)
-		return
 	}
 	if lower {
 		if m <= packNB {
@@ -303,28 +241,5 @@ func trsmLowerUnblocked(unit bool, m, n int, t []float64, ldt int, b []float64, 
 				bi[j] *= d
 			}
 		}
-	}
-}
-
-// trsmCol is the n = 1 solve of either triangle: the register-held,
-// branch-free form of the loops above (see gemmCol). Each row subtracts
-// its T[i,p]·x[p] in ascending p, with +0.0 — the no-op subtrahend — in
-// place of a term whose coefficient is zero. One unblocked pass is the
-// blocked lower solve's order too, so no strip split is needed.
-func trsmCol(lower, unit bool, m int, t []float64, ldt int, b []float64, ldb int) {
-	for r := 0; r < m; r++ {
-		i, lo, hi := r, 0, r
-		if !lower {
-			i, lo, hi = m-1-r, m-r, m
-		}
-		s := b[i*ldb]
-		trow := t[i*ldt+lo : i*ldt+hi]
-		for pj, tip := range trow {
-			s -= unlessZero(tip, tip*b[(lo+pj)*ldb], posZero)
-		}
-		if !unit {
-			s *= 1 / t[i*ldt+i]
-		}
-		b[i*ldb] = s
 	}
 }

@@ -33,20 +33,18 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int, finite bool)
+func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int) bool
 
 // microKernel4x8 dispatches the full-tile kernel; finite reports that
 // pb holds no Inf or NaN. The assembly version uses separate
 // VMULPD/VADDPD (never FMA, whose single rounding would diverge from
-// the scalar kernels) and is bitwise identical to microKernel4x8Go. It
-// masks out contributions whose packed A value compares equal to zero by
-// adding -0.0 instead — an IEEE no-op on every value, including -0 and
-// NaN accumulators — unless finite holds and no C element is -0: then
-// every such contribution is a ±0 that leaves its accumulator unchanged,
-// and the kernel adds it unmasked.
+// the scalar kernels) and adds the product of a zero A value instead of
+// skipping it. That is bitwise identical to microKernel4x8Go only while
+// every such product is a ±0 and no accumulator is −0, so the assembly
+// runs only under finite and declines a tile with a −0 in C; the Go
+// kernel runs every tile it does not take.
 func microKernel4x8(nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int, finite bool) {
-	if useAVX2 && nk > 0 {
-		microKernel4x8AVX2(nk, &pa[0], &off[0], &pb[0], &c[0], ldc, finite)
+	if useAVX2 && finite && nk > 0 && microKernel4x8AVX2(nk, &pa[0], &off[0], &pb[0], &c[0], ldc) {
 		return
 	}
 	microKernel4x8Go(nk, pa, off, pb, c, ldc)
@@ -56,7 +54,7 @@ func microKernel4x8(nk int, pa []float64, off []int32, pb []float64, c []float64
 func allFiniteAVX2(x *float64, n int) bool
 
 // finitePanel reports that the packed B panel pb holds no Inf or NaN,
-// which lets the AVX2 kernel drop its zero mask. The scan runs only
+// which lets the AVX2 kernel run on its tiles. The scan runs only
 // where that kernel does, eight values per iteration; a packed panel's
 // length is always a positive multiple of eight.
 func finitePanel(pb []float64) bool {

@@ -21,33 +21,28 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int, finite bool)
+// func microKernel4x8AVX2(nk int, pa *float64, off *int32, pb, c *float64, ldc int) bool
 //
 // C[0:4, 0:8] += Aᵖ·Bᵖ on packed micro-panels, bitwise identical to
 // microKernel4x8Go: pa holds the nk kept columns of the A micro-panel
 // and off[q] the byte offset in pb of the B row kept column q meets
 // (nk ≥ 1). Multiplies and adds stay separate (no FMA — its single
 // rounding would diverge from the scalar kernels) and every C element
-// accumulates its contributions in ascending k. The scalar kernel skips
-// a packed A value equal to zero; two loops reproduce that skip.
+// accumulates its contributions in ascending k.
 //
-// The masked loop replaces the product of a zero A value with -0.0.
-// Adding -0.0 is an IEEE no-op on every operand (x + -0.0 ≡ x,
-// including x = -0.0 and NaN), so the mask reproduces the skip exactly;
-// a NaN in A compares unequal to zero (EQ_OQ) and propagates, as in the
-// Go kernel.
-//
-// The plain loop adds every product unmasked. It runs only when finite
-// is set (B holds no Inf or NaN, so a zero A value's product is ±0) and
-// no accumulator enters as -0. In round-to-nearest x + y = -0 only when
+// The scalar kernel skips a packed A value equal to zero; this loop adds
+// every product unmasked. The caller runs it only on a packed B panel
+// with no Inf or NaN, so a zero A value's product is ±0, and the kernel
+// itself declines the tile — returns false with C untouched — when an
+// accumulator enters as -0. In round-to-nearest x + y = -0 only when
 // x = y = -0, so an accumulator that is not -0 never becomes -0, and
-// adding ±0 to it returns it unchanged: the same bits as the skip.
+// adding ±0 to it returns it unchanged: the same bits as the skip. A NaN
+// in A propagates, as in the Go kernel.
 //
 // Register plan: Y0..Y7 the 4×8 C accumulators (row r in Y(2r) cols
 // 0..3 and Y(2r+1) cols 4..7), Y8/Y9 the current B row, Y10 the
-// broadcast A value, Y11 its ==0 mask (the masked loop) or a product
-// (the plain loop), Y12 products, Y13 -0.0, Y14 +0; DX walks off and
-// R12 holds the current B row's offset.
+// broadcast A value, Y11/Y12 products, Y13 -0.0; DX walks off and R12
+// holds the current B row's offset.
 TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-49
 	MOVQ nk+0(FP), CX
 	MOVQ pa+8(FP), SI
@@ -69,16 +64,9 @@ TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-49
 	VMOVUPD (R11), Y6
 	VMOVUPD 32(R11), Y7
 
-	VXORPD   Y14, Y14, Y14    // +0.0 in every lane
+	// Any accumulator lane bit-equal to -0.0 declines the tile.
 	VPCMPEQQ Y13, Y13, Y13
 	VPSLLQ   $63, Y13, Y13    // -0.0 in every lane
-
-	MOVBLZX finite+48(FP), AX
-	TESTL   AX, AX
-	JZ      kloop
-
-	// Any accumulator lane bit-equal to -0.0 sends the tile to the
-	// masked loop.
 	VPCMPEQQ Y13, Y0, Y8
 	VPCMPEQQ Y13, Y1, Y9
 	VPOR     Y9, Y8, Y8
@@ -95,9 +83,9 @@ TEXT ·microKernel4x8AVX2(SB), NOSPLIT, $0-49
 	VPCMPEQQ Y13, Y7, Y9
 	VPOR     Y9, Y8, Y8
 	VPTEST   Y8, Y8
-	JNZ      kloop
+	JNZ      declined
 
-plainloop:
+loop:
 	MOVL    (DX), R12         // byte offset of B row p
 	VMOVUPD (BX)(R12*1), Y8   // B[p, 0:4]
 	VMOVUPD 32(BX)(R12*1), Y9 // B[p, 4:8]
@@ -129,56 +117,8 @@ plainloop:
 	ADDQ $32, SI
 	ADDQ $4, DX
 	DECQ CX
-	JNZ  plainloop
-	JMP  store
+	JNZ  loop
 
-kloop:
-	MOVL    (DX), R12         // byte offset of B row p
-	VMOVUPD (BX)(R12*1), Y8   // B[p, 0:4]
-	VMOVUPD 32(BX)(R12*1), Y9 // B[p, 4:8]
-
-	VBROADCASTSD (SI), Y10    // A[0, p]
-	VCMPPD    $0, Y14, Y10, Y11
-	VMULPD    Y8, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y0, Y0
-	VMULPD    Y9, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y1, Y1
-
-	VBROADCASTSD 8(SI), Y10   // A[1, p]
-	VCMPPD    $0, Y14, Y10, Y11
-	VMULPD    Y8, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y2, Y2
-	VMULPD    Y9, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y3, Y3
-
-	VBROADCASTSD 16(SI), Y10  // A[2, p]
-	VCMPPD    $0, Y14, Y10, Y11
-	VMULPD    Y8, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y4, Y4
-	VMULPD    Y9, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y5, Y5
-
-	VBROADCASTSD 24(SI), Y10  // A[3, p]
-	VCMPPD    $0, Y14, Y10, Y11
-	VMULPD    Y8, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y6, Y6
-	VMULPD    Y9, Y10, Y12
-	VBLENDVPD Y11, Y13, Y12, Y12
-	VADDPD    Y12, Y7, Y7
-
-	ADDQ $32, SI
-	ADDQ $4, DX
-	DECQ CX
-	JNZ  kloop
-
-store:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (R9)
@@ -187,6 +127,12 @@ store:
 	VMOVUPD Y5, 32(R10)
 	VMOVUPD Y6, (R11)
 	VMOVUPD Y7, 32(R11)
+	MOVB $1, ret+48(FP)
+	VZEROUPPER
+	RET
+
+declined:
+	MOVB $0, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -8,6 +8,6 @@ func microKernel4x8(nk int, pa []float64, off []int32, pb []float64, c []float64
 	microKernel4x8Go(nk, pa, off, pb, c, ldc)
 }
 
-// finitePanel is always false here: the Go kernel has no zero mask to
-// drop, so no scan is worth running.
+// finitePanel is always false here: there is no assembly kernel for the
+// scan to admit, so none is worth running.
 func finitePanel(pb []float64) bool { return false }

@@ -368,14 +368,18 @@ func TestDgetrfStaticZeroPivotParity(t *testing.T) {
 	}
 }
 
-// TestMicroKernelAsmMatchesGo pins the assembly micro-kernel to the
-// portable one directly, across k depths, kept-column lists that are
-// complete, empty or gapped, and data laced with exact zeros and
-// negative zeros — on platforms without the assembly kernel both calls
-// run the Go kernel and the test is vacuous. Each list runs on a C tile
-// holding a −0 (the masked loop) and on a −0-free one, which with a
-// finite B takes the unmasked loop and without the finite hint the
-// masked one. An empty list must leave C as it was.
+// TestMicroKernelAsmMatchesGo pins the micro-kernel dispatch to the
+// portable kernel and to the seed kernel on the same operands unpacked,
+// across k depths, kept-column lists that are complete, empty or
+// gapped, and data laced with exact zeros and negative zeros — on
+// platforms without the assembly kernel every call runs the Go kernel.
+// Each list runs four tiles: a −0-free C over a finite B, which the
+// assembly takes; a C holding a random −0, and a −0 in a row whose A
+// values are all +0 and whose B column carries no sign (the assembly's
+// +0 products would flip it), both of which the assembly must decline
+// untouched; and a B row holding Inf or NaN where a kept column has a
+// zero lane, which gemmPacked marks non-finite (0·Inf = NaN would poison
+// C). An empty list must leave C as it was.
 func TestMicroKernelAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	lists := []struct {
@@ -399,23 +403,58 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 					off = append(off, int32(8*gemmNR*p))
 				}
 			}
-			pa := sparseRandMat(gemmMR, len(off)+1, rng)
+			nk := len(off)
+			pa := sparseRandMat(gemmMR, nk+1, rng)
+
+			r, j := rng.Intn(gemmMR), rng.Intn(gemmNR)
+			zeroRowA := append([]float64(nil), pa...)
+			for q := 0; q <= nk; q++ {
+				zeroRowA[gemmMR*q+r] = 0
+			}
+			unsignedB := append([]float64(nil), pb...)
+			for p := 0; p < kc; p++ {
+				unsignedB[p*gemmNR+j] = math.Abs(unsignedB[p*gemmNR+j])
+			}
+			plantedC := append([]float64(nil), plainC...)
+			plantedC[r*gemmNR+j] = math.Copysign(0, -1)
+
+			poisonA := append([]float64(nil), pa...)
+			poisonB := append([]float64(nil), pb...)
+			if nk > 0 {
+				q := rng.Intn(nk)
+				poisonA[gemmMR*q+r] = 0
+				poisonB[int(off[q])/8+j] = []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[rng.Intn(3)]
+			}
+
 			for _, tc := range []struct {
 				name   string
+				pa, pb []float64
 				c0     []float64
 				finite bool
 			}{
-				{"C with -0", negC, true},
-				{"-0-free C", plainC, true},
-				{"-0-free C, no finite hint", plainC, false},
+				{"-0-free C", pa, pb, plainC, true},
+				{"C with -0", pa, pb, negC, true},
+				{"-0 over a zero A row", zeroRowA, unsignedB, plantedC, true},
+				{"Inf/NaN in B", poisonA, poisonB, plainC, false},
 			} {
-				c1 := append([]float64(nil), tc.c0...)
-				c2 := append([]float64(nil), tc.c0...)
-				microKernel4x8(len(off), pa, off, pb, c1, gemmNR, tc.finite)
-				microKernel4x8Go(len(off), pa, off, pb, c2, gemmNR)
 				name := fmt.Sprintf("microKernel4x8 kc=%d %s, %s", kc, l.name, tc.name)
-				bitsEqual(t, name, c1, c2)
-				if len(off) == 0 {
+				c1 := append([]float64(nil), tc.c0...)
+				microKernel4x8(nk, tc.pa, off, tc.pb, c1, gemmNR, tc.finite)
+				c2 := append([]float64(nil), tc.c0...)
+				microKernel4x8Go(nk, tc.pa, off, tc.pb, c2, gemmNR)
+				bitsEqual(t, name+" vs Go", c1, c2)
+				a := make([]float64, gemmMR*nk)
+				b := make([]float64, nk*gemmNR)
+				for q, o := range off {
+					for i := 0; i < gemmMR; i++ {
+						a[i*nk+q] = tc.pa[gemmMR*q+i]
+					}
+					copy(b[q*gemmNR:], tc.pb[int(o)/8:][:gemmNR])
+				}
+				c3 := append([]float64(nil), tc.c0...)
+				seedDgemm(gemmMR, gemmNR, nk, 1, a, nk, b, gemmNR, 1, c3, gemmNR)
+				bitsEqual(t, name+" vs seed", c1, c3)
+				if nk == 0 {
 					bitsEqual(t, name, c1, tc.c0)
 				}
 			}
@@ -423,20 +462,23 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestDgemmMaskFreeParity pins the bitwise micro-kernel's unmasked loop,
-// and both guards that select it, to the seed kernel bit for bit. The
-// loop adds the ±0 products of zero A values instead of skipping them,
-// which is exact only while B is finite and no accumulator is −0, so A
-// is dense but for single zero lanes inside kept columns — every such
-// lane is a skip the loop does not make — and three cases run:
+// TestDgemmMaskFreeParity pins the packed path's tile dispatch to the
+// seed kernel bit for bit: the AVX2 kernel's unmasked adds where it
+// runs, and the Go fallback on every tile one of its two guards sends
+// there. The assembly adds the ±0 products of zero A values instead of
+// skipping them, which is exact only while B is finite and no
+// accumulator is −0, so A is dense but for single zero lanes inside
+// kept columns — every such lane is a skip the assembly does not make —
+// and three cases run:
 //
-//   - a −0-free C and a finite, ±0-laced B: the unmasked loop itself;
+//   - a −0-free C and a finite, ±0-laced B: every tile in assembly;
 //   - the same with one −0 C element per tile whose A row is +0 in
 //     every column and whose B column carries no sign, so that adding
-//     the +0 products instead of skipping them would turn it into +0;
+//     the +0 products instead of skipping them would turn it into +0:
+//     the assembly must decline each tile to the Go kernel untouched;
 //   - an Inf or NaN in a B row that meets a kept column with a zero lane
 //     in every micro-panel, where adding 0·Inf = NaN instead of skipping
-//     it would poison a C element.
+//     it would poison a C element: the whole panel goes to the Go kernel.
 //
 // The shapes cover every mr ∈ 1..4 × nr ∈ 1..8 edge tile and straddle
 // the packMC and packKC block boundaries; every shape takes the packed
@@ -502,10 +544,10 @@ func TestDgemmMaskFreeParity(t *testing.T) {
 	}
 }
 
-// TestFinitePanel pins the scan that selects the unmasked micro-kernel
-// loop: it may never call a panel with an Inf or NaN finite, and where
-// it runs at all (it reports an all-zero panel finite) it must agree
-// with math.IsInf/IsNaN. The panels hold one Inf or NaN at every
+// TestFinitePanel pins the scan that admits a packed B panel's tiles to
+// the assembly micro-kernel: it may never call a panel with an Inf or
+// NaN finite, and where it runs at all (it reports an all-zero panel
+// finite) it must agree with math.IsInf/IsNaN. The panels hold one Inf or NaN at every
 // position class (first, last, inside a vector) next to the extreme
 // finite values, and include lengths the assembly cannot take.
 func TestFinitePanel(t *testing.T) {

@@ -43,9 +43,9 @@ type Symbolic struct {
 	// it. No factorization or solve reads BlockSym or BlockForest after
 	// Analyze; the remaining readers are the experiments' closure-graph
 	// tables and timings, the golden hashes, the closure sizes splu and
-	// matinfo print, and bench/layers.go's BlockSym.N. ROADMAP item 1(a)
-	// makes them transients of Analyze too (a further 5.3 MB on sherman3,
-	// 1.7 MB on lnsp3937).
+	// matinfo print, and bench/layers.go's BlockSym.N. ROADMAP's deletion
+	// sweep (the item the bench decoupling unlocks) makes them transients
+	// of Analyze too (a further 5.3 MB on sherman3, 1.7 MB on lnsp3937).
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
@@ -64,7 +64,7 @@ type Symbolic struct {
 	// SolveFwd and SolveBwd are level-set schedules of the forward (L̄)
 	// and backward (Ū) solve sweeps (solvegraph.go); the solves run
 	// serially and do not read them. Only bench/layers.go reads them
-	// (sched.levels_ns_per_task); ROADMAP item 1(a) deletes them.
+	// (sched.levels_ns_per_task); ROADMAP's deletion sweep deletes them.
 	SolveFwd, SolveBwd *sched.Levels
 	// SolvePerm is RowPerm composed with SymPerm — the permutation the
 	// solves apply to a right-hand side in one pass:

@@ -92,8 +92,8 @@ type NumericOptions struct {
 	// Workers is the number of parallel workers for the numeric phase;
 	// values < 1 mean 1.
 	Workers int
-	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP item
-	// 1(a) deletes it.
+	// SolveWorkers is ignored; only bench/ sets it, and ROADMAP's
+	// deletion sweep (the item the bench decoupling unlocks) deletes it.
 	//
 	// Deprecated: ignored, solves are serial.
 	SolveWorkers int

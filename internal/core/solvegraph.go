@@ -13,8 +13,9 @@ import (
 // conflict-chain level schedules of those sweeps: per block row, the
 // block columns that touch it are chained in sweep order, so any level
 // schedule of the chains repeats the serial sweep bitwise. Only
-// bench/layers.go reads them (sched.levels_ns_per_task); ROADMAP item
-// 1(a) deletes this file.
+// bench/layers.go reads them (sched.levels_ns_per_task); ROADMAP's
+// deletion sweep (the item the bench decoupling unlocks) deletes this
+// file.
 
 // solveSchedules derives the level-set schedules of the forward (L̄)
 // and backward (Ū) triangular sweeps from the stored block structure —

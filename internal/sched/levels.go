@@ -8,8 +8,9 @@ import "sync"
 // internal/taskgraph.LevelSets produces: tasks within one level are
 // mutually independent and every edge of the DAG points from an
 // earlier level to a later one. Levels and ExecuteLevels have one
-// reader, bench/layers.go (sched.levels_ns_per_task); ROADMAP item
-// 1(a) deletes this file.
+// reader, bench/layers.go (sched.levels_ns_per_task); ROADMAP's
+// deletion sweep (the item the bench decoupling unlocks) deletes this
+// file.
 type Levels struct {
 	Order []int32
 	Off   []int32

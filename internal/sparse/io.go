@@ -8,11 +8,16 @@ import (
 	"strings"
 )
 
+// maxFreeColumns is the column count ReadMatrixMarket accepts whatever
+// the declared entry count: 8 MB of column pointers.
+const maxFreeColumns = 1 << 20
+
 // ReadMatrixMarket parses a MatrixMarket "coordinate real
 // general/symmetric/skew-symmetric" or "coordinate pattern" stream into a
 // CSC matrix. Pattern entries get the value 1. Symmetric storage is
 // expanded to full storage. Malformed input — a negative dimension, an
-// index outside the declared size (indices are one-based) — is an
+// index outside the declared size (indices are one-based), more
+// declared columns than max(declared entries, maxFreeColumns) — is an
 // error, never a panic.
 func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	br := bufio.NewReader(r)
@@ -54,6 +59,13 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	}
 	if nr < 0 || nc < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d×%d with %d entries", nr, nc, nnz)
+	}
+	// The column pointers cost a word per declared column before any
+	// entry is read; capping the columns at the declared entries (or at
+	// maxFreeColumns) keeps the allocation proportional to the entries
+	// the stream must then supply.
+	if nc > max(nnz, maxFreeColumns) {
+		return nil, fmt.Errorf("sparse: MatrixMarket size %d×%d with %d entries declares more columns than max(entries, %d)", nr, nc, nnz, maxFreeColumns)
 	}
 	t := NewTriplet(nr, nc)
 	read := 0

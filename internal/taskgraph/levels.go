@@ -15,7 +15,8 @@ import "fmt"
 //
 // This is the schedule shape internal/sched.ExecuteLevels consumes. Its
 // one reader is the solve-schedule stage of core.Analyze, kept for
-// bench/layers.go; ROADMAP item 1(a) deletes this file.
+// bench/layers.go; ROADMAP's deletion sweep (the item the bench
+// decoupling unlocks) deletes this file.
 func LevelSets(succ [][]int32) (order, off []int32, err error) {
 	nt := len(succ)
 	lvl := make([]int32, nt)

@@ -582,8 +582,9 @@ func (g *Graph) CriticalPath(cost []float64) (cp, total float64, err error) {
 // CriticalPathTasks returns one longest weighted path through the graph
 // as an explicit task sequence, together with its length. Ties are
 // broken toward smaller task ids, so the path is deterministic. cost may
-// be nil for unit weights. The result is the *predicted* critical path;
-// internal/trace computes the realized one from an execution, and
+// be nil for unit weights. Under predicted costs the result is the
+// *predicted* critical path; under the per-task durations
+// trace.TaskDurations sums from an execution it is the realized one, and
 // comparing the two shows how much of the predicted chain the scheduler
 // actually serialized on.
 func (g *Graph) CriticalPathTasks(cost []float64) (path []int, cp float64, err error) {

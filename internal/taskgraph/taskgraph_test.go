@@ -366,6 +366,13 @@ func TestCriticalPathTasks(t *testing.T) {
 	}
 }
 
+func TestCriticalPathTasksCycle(t *testing.T) {
+	g := &Graph{Tasks: make([]Task, 2), Succ: [][]int32{{1}, {0}}}
+	if _, _, err := g.CriticalPathTasks(nil); err == nil {
+		t.Fatal("cycle not detected")
+	}
+}
+
 func TestTaskString(t *testing.T) {
 	if (Task{Kind: Factor, K: 3}).String() != "F(3)" {
 		t.Fatal("Factor String wrong")

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // HistBuckets is the number of log2 duration buckets of a KindStat:
 // bucket b counts events with duration in [2^b, 2^(b+1)) nanoseconds
@@ -194,53 +191,20 @@ func histBucket(d int64) int {
 	return b
 }
 
-// RealizedCriticalPath computes the longest dependence-weighted path
-// through an executed schedule: the chain of tasks, linked by edges of
-// the dependence graph succ, whose summed *realized* durations is
-// maximal. It returns the path length in nanoseconds and the task ids
-// along one such path in execution order (ties broken toward smaller
-// task ids, deterministically). Events whose Task is NoTask or outside
-// the graph are ignored; tasks with no recorded event weigh zero.
-func RealizedCriticalPath(events []Event, succ [][]int32) (int64, []int32, error) {
-	nt := len(succ)
-	dur := make([]int64, nt)
+// TaskDurations returns, for each task id in [0, tasks), the summed
+// duration in nanoseconds of its recorded events: the realized per-task
+// cost vector that taskgraph.(*Graph).CriticalPathTasks turns into the
+// realized critical path. Events whose Task is NoTask or outside
+// [0, tasks) are ignored; tasks with no recorded event weigh zero. Sums
+// below 2⁵³ ns (104 days) are exact in float64.
+func TaskDurations(events []Event, tasks int) []float64 {
+	dur := make([]float64, tasks)
 	for _, e := range events {
-		if e.Task >= 0 && int(e.Task) < nt {
-			dur[e.Task] += e.Duration()
+		if e.Task >= 0 && int(e.Task) < tasks {
+			dur[e.Task] += float64(e.Duration())
 		}
 	}
-	order, err := topoOrder(succ)
-	if err != nil {
-		return 0, nil, err
-	}
-	finish := make([]int64, nt)
-	pred := make([]int32, nt)
-	for i := range pred {
-		pred[i] = -1
-	}
-	var best int64
-	bestID := int32(-1)
-	for _, id := range order {
-		f := finish[id] + dur[id]
-		finish[id] = f
-		if f > best || (f == best && (bestID == -1 || id < bestID)) {
-			best, bestID = f, id
-		}
-		for _, s := range succ[id] {
-			if f > finish[s] || (f == finish[s] && (pred[s] == -1 || id < pred[s])) {
-				finish[s] = f
-				pred[s] = id
-			}
-		}
-	}
-	var path []int32
-	for id := bestID; id != -1; id = pred[id] {
-		path = append(path, id)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return best, path, nil
+	return dur
 }
 
 // WorkerSequences splits the merged events into per-worker task id
@@ -259,37 +223,4 @@ func WorkerSequences(events []Event, workers int) [][]int32 {
 		seqs[e.Worker] = append(seqs[e.Worker], e.Task)
 	}
 	return seqs
-}
-
-// topoOrder is Kahn's algorithm over the successor lists.
-func topoOrder(succ [][]int32) ([]int32, error) {
-	nt := len(succ)
-	indeg := make([]int, nt)
-	for _, ss := range succ {
-		for _, s := range ss {
-			indeg[s]++
-		}
-	}
-	queue := make([]int32, 0, nt)
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, int32(id))
-		}
-	}
-	order := make([]int32, 0, nt)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != nt {
-		return nil, fmt.Errorf("trace: dependence graph has a cycle (%d of %d ordered)", len(order), nt)
-	}
-	return order, nil
 }

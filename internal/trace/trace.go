@@ -1,7 +1,7 @@
 // Package trace is the observability layer of the parallel numeric
 // phase: a low-overhead per-task event recorder plus the analysis
-// passes (realized critical path, per-worker utilization, per-kind
-// histograms) and a Chrome trace_event exporter that every scheduling
+// passes (per-task durations for the realized critical path,
+// per-worker utilization, per-kind histograms) and a Chrome trace_event exporter that every scheduling
 // experiment builds on.
 //
 // The recorder is designed for the executor hot path:

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/taskgraph"
 )
 
 // diamond is the 4-task DAG 0 → {1, 2} → 3.
@@ -119,41 +121,39 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestRealizedCriticalPath(t *testing.T) {
-	succ := diamond()
+// TestTaskDurationsCriticalPath sums a hand schedule of the diamond into
+// per-task durations and walks them with taskgraph's CriticalPathTasks,
+// the pair splu -trace reports the realized critical path with.
+func TestTaskDurationsCriticalPath(t *testing.T) {
+	g := &taskgraph.Graph{Tasks: make([]taskgraph.Task, 4), Succ: diamond()}
 	events := []Event{
 		{Start: 0, End: 10, Task: 0, Worker: 0},
 		{Start: 10, End: 15, Task: 1, Worker: 0},
-		{Start: 10, End: 40, Task: 2, Worker: 1},
+		{Start: 10, End: 30, Task: 2, Worker: 1},
+		{Start: 30, End: 40, Task: 2, Worker: 1}, // a second event of task 2
 		{Start: 40, End: 47, Task: 3, Worker: 0},
 	}
-	cp, path, err := RealizedCriticalPath(events, succ)
+	dur := TaskDurations(events, len(g.Tasks))
+	if got := fmt.Sprint(dur); got != "[10 5 30 7]" {
+		t.Fatalf("task durations = %s, want [10 5 30 7]", got)
+	}
+	path, cp, err := g.CriticalPathTasks(dur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp != 47 { // 10 + 30 + 7 through 0 → 2 → 3
-		t.Fatalf("realized critical path = %d, want 47", cp)
+		t.Fatalf("realized critical path = %g, want 47", cp)
 	}
-	want := []int32{0, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
+	if got := fmt.Sprint(path); got != "[0 2 3]" {
+		t.Fatalf("path = %s, want [0 2 3]", got)
 	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	// A scale event (Task = NoTask) must be ignored.
-	events = append(events, Event{Start: 0, End: 1000, Task: NoTask, Kind: KindScale})
-	cp2, _, err := RealizedCriticalPath(events, succ)
-	if err != nil || cp2 != cp {
-		t.Fatalf("NoTask event changed the critical path: %d, %v", cp2, err)
-	}
-}
-
-func TestRealizedCriticalPathCycle(t *testing.T) {
-	if _, _, err := RealizedCriticalPath(nil, [][]int32{{1}, {0}}); err == nil {
-		t.Fatal("cycle not detected")
+	// A scale event (Task = NoTask) and an event of a task outside the
+	// graph must be ignored.
+	events = append(events,
+		Event{Start: 0, End: 1000, Task: NoTask, Kind: KindScale},
+		Event{Start: 0, End: 1000, Task: 4})
+	if got := fmt.Sprint(TaskDurations(events, len(g.Tasks))); got != fmt.Sprint(dur) {
+		t.Fatalf("task durations with stray events = %s, want %v", got, dur)
 	}
 }
 
