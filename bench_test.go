@@ -103,26 +103,40 @@ func BenchmarkTable3Supernodes(b *testing.B) {
 // BenchmarkFactorize is the end-to-end numeric-phase benchmark the
 // kernel work is judged by: one analysis, repeated factorizations, the
 // symbolic cost model's flops over wall time reported as GFLOPS. The
-// full-size sherman3 at P ∈ {1, 4} exercises the packed Dgemm, the
-// blocked Dtrsm and the blocked panel LU through the supernodal update
-// path.
+// serial (P=1) runs on the full-size sherman5, sherman3, orsreg1 and
+// lnsp3937 — the matrices of the four benchmark workloads — exercise the
+// packed Dgemm, the panel-packed updates, the blocked Dtrsm and the
+// blocked panel LU through the supernodal update path; sherman3 also
+// runs at P=4. Two trees compare pair by pair with
+// `go test -run xxx -bench 'Factorize/' -count N` in each, alternated.
 func BenchmarkFactorize(b *testing.B) {
-	a := matgen.Sherman3()
-	s, err := core.Analyze(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("sherman3/P=%d", p), func(b *testing.B) {
-			nopts := &core.NumericOptions{Workers: p}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.FactorizeWithOpts(s, a, nopts); err != nil {
-					b.Fatal(err)
+	for _, m := range []struct {
+		name  string
+		gen   func() *sparse.CSC
+		procs []int
+	}{
+		{"sherman5", matgen.Sherman5, []int{1}},
+		{"sherman3", matgen.Sherman3, []int{1, 4}},
+		{"orsreg1", matgen.Orsreg1, []int{1}},
+		{"lnsp3937", matgen.Lnsp3937, []int{1}},
+	} {
+		a := m.gen()
+		s, err := core.Analyze(a, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range m.procs {
+			b.Run(fmt.Sprintf("%s/P=%d", m.name, p), func(b *testing.B) {
+				nopts := &core.NumericOptions{Workers: p}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.FactorizeWithOpts(s, a, nopts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(s.Stats.TotalFlops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+				b.ReportMetric(s.Stats.TotalFlops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
 	}
 }
 

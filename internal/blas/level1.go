@@ -9,6 +9,8 @@
 // lives at a[i*ld+j].
 package blas
 
+import "math"
+
 // Dswap exchanges n strided elements of x and y.
 func Dswap(n int, x []float64, incx int, y []float64, incy int) {
 	ix, iy := 0, 0
@@ -17,4 +19,14 @@ func Dswap(n int, x []float64, incx int, y []float64, incy int) {
 		ix += incx
 		iy += incy
 	}
+}
+
+// allFiniteGo is the portable loop behind AllFinite.
+func allFiniteGo(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

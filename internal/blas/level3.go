@@ -40,11 +40,18 @@ func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 	if alpha == 0 || k == 0 {
 		return
 	}
-	if m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff {
+	if PackedShape(m, n, k) {
 		gemmPacked(m, n, k, alpha, a, lda, b, ldb, c, ldc, fast)
 		return
 	}
 	gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// PackedShape reports whether Dgemm runs an m×n×k product on the packed
+// path: at least one full register tile and enough work to amortize
+// packing. Smaller products run the seed scalar kernel.
+func PackedShape(m, n, k int) bool {
+	return m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff
 }
 
 // gemmSmall is the seed scalar kernel: i-k-j loop order with k/m
@@ -82,67 +89,115 @@ func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ld
 // gemmPacked is the five-loop BLIS-style kernel: B panels of KC×NC rows
 // are packed once and reused across all A blocks, A blocks of MC×KC are
 // packed with alpha folded in and their all-zero columns dropped, and
-// the packed micro-panels feed the gemmMR×gemmNR register-tile kernel.
-// A micro-panel that kept no column has no tile to run. An edge tile
-// (fewer than gemmMR rows or gemmNR columns of C) runs the same kernel
-// on a zero-padded copy whose padding lanes are discarded, so every C
-// element goes through one kernel whatever its position. The bitwise
-// AVX2 kernel runs only on the tiles of a finite packed B panel that
-// hold no −0; every other tile takes the Go kernel. The blocks are
-// packMC×packKC of A and packKC×packNC of B, the scratch dimensions.
-// Packing scratch comes from the scratch freelist, so steady-state calls
-// do not allocate. fast swaps the micro-kernel for the FastMath one.
+// runTiles feeds the packed micro-panels to the gemmMR×gemmNR
+// register-tile kernel. The blocks are packMC×packKC of A and
+// packKC×packNC of B, the scratch dimensions. Packing scratch comes from
+// the scratch freelist, so steady-state calls do not allocate. fast
+// swaps the micro-kernel for the FastMath one.
 func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, fast bool) {
 	s := getScratch()
 	for jc := 0; jc < n; jc += packNC {
 		nc := min(n-jc, packNC)
 		for pc := 0; pc < k; pc += packKC {
 			kc := min(k-pc, packKC)
-			packB(kc, nc, b[pc*ldb+jc:], ldb, s.pb[:])
-			finite := !fast && finitePanel(s.pb[:(nc+gemmNR-1)/gemmNR*gemmNR*kc])
+			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s, fast)
 			for ic := 0; ic < m; ic += packMC {
 				mc := min(m-ic, packMC)
-				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s)
-				for jr := 0; jr < nc; jr += gemmNR {
-					nr := nc - jr
-					if nr > gemmNR {
-						nr = gemmNR
-					}
-					pbp := s.pb[jr*kc:]
-					for ir := 0; ir < mc; ir += gemmMR {
-						nk := s.kept[ir/gemmMR]
-						if nk == 0 {
-							continue
-						}
-						mr := mc - ir
-						if mr > gemmMR {
-							mr = gemmMR
-						}
-						pa, off := s.pa[ir*kc:], s.off[ir/gemmMR*kc:]
-						cc := c[(ic+ir)*ldc+jc+jr:]
-						if mr == gemmMR && nr == gemmNR {
-							microTile(fast, finite, nk, pa, off, pbp, cc, ldc)
-							continue
-						}
-						var tile [gemmMR * gemmNR]float64
-						for r := 0; r < mr; r++ {
-							copy(tile[r*gemmNR:][:nr], cc[r*ldc:][:nr])
-						}
-						microTile(fast, finite, nk, pa, off, pbp, tile[:], gemmNR)
-						for r := 0; r < mr; r++ {
-							copy(cc[r*ldc:][:nr], tile[r*gemmNR:][:nr])
-						}
-					}
-				}
+				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s.pa[:], s.off[:], s.kept[:])
+				runTiles(fast, finite, 0, mc, nc, kc, s.pa[:], s.off[:], s.kept[:], s.pb[:], c[ic*ldc+jc:], ldc)
 			}
 		}
 	}
 	putScratch(s)
 }
 
+// DgemmPanel computes C ← C + Â[r0:r0+m, :]·B, where Â = α·A is the
+// packed operand p (alpha folded in by Pack), B is p.K×n (ldb) and C is
+// m×n (ldc). It is bitwise Dgemm(m, n, p.K, α, A[r0:], lda, B, ldb, 1, C,
+// ldc) on the rows of the window, which may start and end inside a
+// micro-panel: runTiles takes a micro-panel that straddles either end
+// through its edge tile and discards the rows outside the window. The
+// columns such a micro-panel keeps for the sake of an outside row are
+// zero in the window's rows, and the kernels skip or exactly absorb
+// them, so each C element's operation sequence is Dgemm's. Only B is
+// packed per call.
+func DgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
+	dgemmPanel(p, r0, m, n, b, ldb, c, ldc, false)
+}
+
+// DgemmPanelFast is DgemmPanel through the FastMath micro-kernels.
+func DgemmPanelFast(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
+	dgemmPanel(p, r0, m, n, b, ldb, c, ldc, true)
+}
+
+func dgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int, fast bool) {
+	if m <= 0 || n <= 0 || p.K == 0 {
+		return
+	}
+	s := getScratch()
+	i0, lane0 := r0/gemmMR, r0%gemmMR
+	for jc := 0; jc < n; jc += packNC {
+		nc := min(n-jc, packNC)
+		for pc := 0; pc < p.K; pc += packKC {
+			kc := min(p.K-pc, packKC)
+			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s, fast)
+			pa, off, kept := p.block(pc)
+			runTiles(fast, finite, lane0, m, nc, kc, pa[i0*gemmMR*kc:], off[i0*kc:], kept[i0:], s.pb[:], c[jc:], ldc)
+		}
+	}
+	putScratch(s)
+}
+
+// packBPanel packs the kc×nc block of B at b into s.pb and reports
+// whether the bitwise AVX2 kernel may run on it: no Inf or NaN in the
+// packed panel (never under fast, whose kernel needs no such guard).
+func packBPanel(kc, nc int, b []float64, ldb int, s *gemmScratch, fast bool) bool {
+	packB(kc, nc, b, ldb, s.pb[:])
+	return !fast && finitePanel(s.pb[:(nc+gemmNR-1)/gemmNR*gemmNR*kc])
+}
+
+// runTiles is the register-tile loop of both packed paths: it adds the
+// product of packed A micro-panels (pa, off, kept; stride gemmMR·kc
+// values and kc offsets, as packA lays them out) and the packed kc×nc B
+// panel pb into the mc rows of c. Row lane0 of the first micro-panel
+// meets row 0 of c, so micro-panel i covers rows [4i−lane0, 4i−lane0+4).
+// A micro-panel that kept no column has no tile to run. A tile that is
+// not a full gemmMR×gemmNR block of c — it straddles row 0 or row mc, or
+// has fewer than gemmNR columns — runs the same kernel on a zero-padded
+// copy whose padding rows and lanes are discarded, so every C element
+// goes through one kernel whatever its position. The bitwise AVX2
+// kernel runs only when finite and on tiles that hold no −0; every other
+// tile takes the Go kernel.
+func runTiles(fast, finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int32, pb, c []float64, ldc int) {
+	for jr := 0; jr < nc; jr += gemmNR {
+		nr := min(nc-jr, gemmNR)
+		pbp := pb[jr*kc:]
+		for i, lo := 0, -lane0; lo < mc; i, lo = i+1, lo+gemmMR {
+			nk := int(kept[i])
+			if nk == 0 {
+				continue
+			}
+			pai, offi := pa[i*gemmMR*kc:], off[i*kc:]
+			if lo >= 0 && lo+gemmMR <= mc && nr == gemmNR {
+				microTile(fast, finite, nk, pai, offi, pbp, c[lo*ldc+jr:], ldc)
+				continue
+			}
+			r0, r1 := max(-lo, 0), min(mc-lo, gemmMR)
+			var tile [gemmMR * gemmNR]float64
+			for r := r0; r < r1; r++ {
+				copy(tile[r*gemmNR:][:nr], c[(lo+r)*ldc+jr:][:nr])
+			}
+			microTile(fast, finite, nk, pai, offi, pbp, tile[:], gemmNR)
+			for r := r0; r < r1; r++ {
+				copy(c[(lo+r)*ldc+jr:][:nr], tile[r*gemmNR:][:nr])
+			}
+		}
+	}
+}
+
 // microTile runs the bitwise or the FastMath register-tile kernel. It
 // calls them directly, not through a func value, so that escape analysis
-// keeps gemmPacked's edge tile on the stack. finite (no Inf or NaN in
+// keeps runTiles' edge tile on the stack. finite (no Inf or NaN in
 // the packed B panel) lets the bitwise tile run in assembly.
 func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
 	if fast {

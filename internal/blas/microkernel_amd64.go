@@ -60,3 +60,17 @@ func allFiniteAVX2(x *float64, n int) bool
 func finitePanel(pb []float64) bool {
 	return useAVX2 && len(pb) > 0 && len(pb)%8 == 0 && allFiniteAVX2(&pb[0], len(pb))
 }
+
+// AllFinite reports whether x holds no Inf or NaN. The AVX2 exponent
+// scan takes the longest prefix whose length is a multiple of eight and
+// allFiniteGo the rest, or all of x on a CPU without AVX2.
+func AllFinite(x []float64) bool {
+	n := 0
+	if useAVX2 {
+		n = len(x) &^ 7
+		if n > 0 && !allFiniteAVX2(&x[0], n) {
+			return false
+		}
+	}
+	return allFiniteGo(x[n:])
+}

@@ -49,7 +49,7 @@ type gemmScratch struct {
 	// of the row that meets kept column q of A micro-panel i.
 	off [packMC / gemmMR * packKC]int32
 	// kept[i] is the number of columns micro-panel i kept.
-	kept [packMC / gemmMR]int
+	kept [packMC / gemmMR]int32
 }
 
 // The scratch freelist recycles packing scratch across Dgemm calls.
@@ -97,22 +97,22 @@ func putScratch(s *gemmScratch) {
 // zeroRow stands in for the missing rows of a partial A micro-panel.
 var zeroRow [packKC]float64
 
-// packA copies the mc×kc block at a (row-major, leading dimension lda)
-// into s.pa as column-major micro-panels of gemmMR rows, folding alpha
-// into the values, and drops every column whose gemmMR packed values all
-// compare equal to zero. Micro-panel i (rows [4i, 4i+4)) keeps
-// s.kept[i] columns, in ascending p: its q-th kept column p is
-// s.pa[4i·kc + 4q : 4i·kc + 4q + 4] and s.off[i·kc + q] = 8·gemmNR·p,
-// the byte offset of the packed B row it meets. A partial last
-// micro-panel (mc not a multiple of gemmMR) packs α·0 — a zero for
-// every finite α — in its missing lanes, so the full-tile kernels can
-// run it; those lanes only ever reach discarded rows of an edge tile.
+// packA packs the mc×kc block at a (row-major, leading dimension lda,
+// kc ≤ packKC) as column-major micro-panels of gemmMR rows, folding
+// alpha into the values, and drops every column whose gemmMR packed
+// values all compare equal to zero. Micro-panel i (rows [4i, 4i+4))
+// keeps kept[i] columns, in ascending p: its q-th kept column p is
+// pa[4i·kc + 4q : 4i·kc + 4q + 4] and off[i·kc + q] = 8·gemmNR·p, the
+// byte offset of the packed B row it meets. A partial last micro-panel
+// (mc not a multiple of gemmMR) packs α·0 — a zero for every finite α —
+// in its missing lanes, so the full-tile kernels can run it; those lanes
+// only ever reach discarded rows of an edge tile.
 //
 // A dropped column only ever contributed terms the kernels skip (the
 // bitwise ones add −0.0 in their place), so dropping it leaves every C
 // element's operation sequence as it was; a NaN compares unequal to zero
 // and keeps its column.
-func packA(mc, kc int, alpha float64, a []float64, lda int, s *gemmScratch) {
+func packA(mc, kc int, alpha float64, a []float64, lda int, pa []float64, off, kept []int32) {
 	for ir := 0; ir < mc; ir += gemmMR {
 		var rows [gemmMR][]float64
 		for r := range rows {
@@ -121,8 +121,8 @@ func packA(mc, kc int, alpha float64, a []float64, lda int, s *gemmScratch) {
 				rows[r] = a[(ir+r)*lda:][:kc]
 			}
 		}
-		s.kept[ir/gemmMR] = packPanel(rows[0], rows[1], rows[2], rows[3], alpha,
-			s.pa[ir*kc:][:gemmMR*kc], s.off[ir/gemmMR*kc:][:kc])
+		kept[ir/gemmMR] = int32(packPanel(rows[0], rows[1], rows[2], rows[3], alpha,
+			pa[ir*kc:][:gemmMR*kc], off[ir/gemmMR*kc:][:kc]))
 	}
 }
 
@@ -165,4 +165,45 @@ func packB(kc, nc int, b []float64, ldb int, pb []float64) {
 			clear(row[nr:])
 		}
 	}
+}
+
+// Panel is an m×k operand α·A packed once, so that many products with
+// different right-hand operands (DgemmPanel) share one packing. It is a
+// view over caller storage sized by PanelSize. The layout is packA's,
+// block by block: the columns are cut into blocks of packKC, and block
+// pc (columns [pc, pc+kc)) holds ⌈m/4⌉ micro-panels of stride 4·kc
+// values and kc offsets, starting at value 4·⌈m/4⌉·pc and offset
+// ⌈m/4⌉·pc; the kept counts follow the offsets, ⌈m/4⌉ per block.
+type Panel struct {
+	M, K int
+	Vals []float64
+	Ints []int32
+}
+
+// PanelSize returns the lengths of the Vals and Ints storage a Panel
+// of an m×k operand needs. vals ≤ 4·ints for every shape, so a caller
+// may lay several panels out in one slab of each by a single offset p:
+// values from 4p, ints from p.
+func PanelSize(m, k int) (vals, ints int) {
+	nmp := (m + gemmMR - 1) / gemmMR
+	return gemmMR * nmp * k, nmp * (k + (k+packKC-1)/packKC)
+}
+
+// Pack packs α·A, where A is the p.M×p.K row-major matrix at a with
+// leading dimension lda, into p's storage. DgemmPanel reads only values
+// Pack wrote (the kept columns and counts), so reused storage needs no
+// clearing.
+func (p *Panel) Pack(alpha float64, a []float64, lda int) {
+	for pc := 0; pc < p.K; pc += packKC {
+		kc := min(p.K-pc, packKC)
+		pa, off, kept := p.block(pc)
+		packA(p.M, kc, alpha, a[pc:], lda, pa, off, kept)
+	}
+}
+
+// block returns the packed micro-panels, offsets and kept counts of the
+// column block that starts at pc.
+func (p *Panel) block(pc int) (pa []float64, off, kept []int32) {
+	nmp := (p.M + gemmMR - 1) / gemmMR
+	return p.Vals[gemmMR*nmp*pc:], p.Ints[nmp*pc:], p.Ints[nmp*p.K+nmp*(pc/packKC):][:nmp]
 }

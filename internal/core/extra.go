@@ -264,6 +264,11 @@ func (f *Factorization) CondEstimate1(a *sparse.CSC) (float64, error) {
 		return math.Inf(1), f.singularError()
 	}
 	n := f.S.N
+	if n == 0 {
+		// The quick return of xGECON: the empty matrix is perfectly
+		// conditioned.
+		return 1, nil
+	}
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / float64(n)

@@ -71,7 +71,11 @@ type colLayout struct {
 	diagIdx   int   // index into blockRows of the diagonal block
 	rows      int   // total scalar rows stacked
 	panelRows []int // global scalar rows of the L panel in stack order
-	dataOff   int   // where the column's values start in a factorization's slab
+	// packEnd ends the window of the column's packed sub-diagonal L
+	// rows in a factorization's packed slab (packSlab): the window is
+	// [packEnd of the previous column (0 for the first), packEnd), and it
+	// is empty unless some run of a U(K,·) takes the packed path.
+	packEnd int
 }
 
 // blockCol is one block column of a factorization: the shared layout and
@@ -81,12 +85,12 @@ type blockCol struct {
 	data []float64 // rows × width, row-major, lda = width
 }
 
-// newLayout lays the block columns of stored out for the partition.
+// newLayout lays the block columns of stored out for the partition and
+// plans their packed slab (planPacking).
 func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
 	lay := make([]colLayout, stored.N)
 	blockRows := make([]int, 0, stored.NNZ())
 	offsets := make([]int, 0, stored.NNZ())
-	dataOff := 0
 	for j := range lay {
 		c := &lay[j]
 		c.width = part.Size(j)
@@ -106,10 +110,42 @@ func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
 				c.panelRows = append(c.panelRows, g)
 			}
 		}
-		c.dataOff = dataOff
-		dataOff += c.rows * c.width
 	}
+	planPacking(lay)
 	return lay
+}
+
+// planPacking lays out the packed slab: it gives panel K a window of
+// blas.PanelSize ints when at least one Schur run of a stored U(K,J)
+// has a shape blas.PackedShape sends down the packed path — the
+// dispatch predicate of Dgemm, so exactly the runs that would pack
+// L(·,K) themselves read it packed — and an empty window otherwise.
+func planPacking(lay []colLayout) {
+	need := make([]bool, len(lay))
+	for j := range lay {
+		colJ := &lay[j]
+		for tk, k := range colJ.blockRows[:colJ.diagIdx] {
+			colK := &lay[k]
+			t, tj := colK.diagIdx+1, tk+1
+			for !need[k] {
+				var n int
+				t, tj, n = nextRun(colK.blockRows, colJ.blockRows, t, tj)
+				if n == 0 {
+					break
+				}
+				need[k] = blas.PackedShape(colK.rowEnd(t+n-1)-colK.offsets[t], colJ.width, colK.width)
+				t, tj = t+n, tj+n
+			}
+		}
+	}
+	end := 0
+	for k := range lay {
+		if c := &lay[k]; need[k] {
+			_, ints := blas.PanelSize(c.subRows(), c.width)
+			end += ints
+		}
+		lay[k].packEnd = end
+	}
 }
 
 // findBlock returns the index of block row br in the ascending list
@@ -124,12 +160,35 @@ func findBlock(blockRows []int, br int) int {
 // panelOffset returns the row offset where the L panel starts.
 func (c *colLayout) panelOffset() int { return c.offsets[c.diagIdx] }
 
+// subRows returns the number of rows of the L panel below its diagonal
+// block.
+func (c *colLayout) subRows() int { return c.rows - c.panelOffset() - c.width }
+
 // rowEnd returns the row offset just past the block at index t.
 func (c *colLayout) rowEnd(t int) int {
 	if t+1 < len(c.offsets) {
 		return c.offsets[t+1]
 	}
 	return c.rows
+}
+
+// values returns the length of a factorization's value slab: the block
+// columns' dense stacks, back to back in column order.
+func (s *Symbolic) values() int {
+	n := 0
+	for j := range s.layout {
+		n += s.layout[j].rows * s.layout[j].width
+	}
+	return n
+}
+
+// packLen returns the ints of the slab a factorization of s packs
+// into, 0 when no panel needs packing.
+func (s *Symbolic) packLen() int {
+	if len(s.layout) == 0 {
+		return 0
+	}
+	return s.layout[len(s.layout)-1].packEnd
 }
 
 // Factorization holds the numeric factors in supernodal block storage
@@ -176,6 +235,10 @@ type Factorization struct {
 	// created with, resolved once by FactorizeWithOpts; solves without
 	// an explicit override run under them.
 	nopts NumericOptions
+	// pack holds the packed L panels while FactorizeWithOpts runs the
+	// numeric phase, nil before and after (and for a numeric phase run
+	// without it: the updates then pack inside Dgemm).
+	pack *packSlab
 }
 
 // Singular reports whether any panel hit an exactly zero pivot.
@@ -277,6 +340,7 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 	}
 	cancel, stop := numericCanceler(eff.Timeout, eff.Cancel)
 	defer stop()
+	f.pack = getPackSlab(s.packLen())
 	err = sched.Run(s.Graph, sched.RunOptions{
 		Procs:  eff.Workers,
 		Owners: sched.BlockCyclic(len(s.layout), eff.Workers),
@@ -284,6 +348,10 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 		Trace:  eff.Trace,
 		Cancel: cancel,
 	}, f.runTask)
+	// Run has joined its workers, on failure and cancellation too, so
+	// no task reads the slab any more.
+	putPackSlab(f.pack)
+	f.pack = nil
 	if err != nil {
 		return nil, err
 	}
@@ -341,41 +409,44 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 	}
 	f.badCol.Store(-1)
 	part := s.Part
-	entries := 0
-	if nb > 0 {
-		last := &s.layout[nb-1]
-		entries = last.dataOff + last.rows*last.width
-	}
-	data := make([]float64, entries)
+	data := make([]float64, s.values())
 	ipiv := make([]int, s.N)
-	for j := range f.cols {
+	for j, off := 0, 0; j < nb; j++ {
 		c := &s.layout[j]
-		f.cols[j] = blockCol{colLayout: c, data: data[c.dataOff : c.dataOff+c.rows*c.width]}
+		f.cols[j] = blockCol{colLayout: c, data: data[off : off+c.rows*c.width]}
+		off += c.rows * c.width
 		f.ipiv[j] = ipiv[part.BlockStart[j]:part.BlockStart[j+1]]
 	}
 
-	// Scatter the permuted numeric values, equilibrated if requested.
-	// The serial scaling pre-pass is recorded as a single Scale event on
-	// worker 0 so traces account for the time spent before the parallel
-	// phase.
-	ap := s.PermuteInput(a)
+	// Scatter the numeric values: entry (i, j) of src is entry
+	// (rowPerm[i], colPerm[j]) of the matrix A₂ the kernels factor. By
+	// default src is a itself, so no permuted copy is built; an
+	// equilibrated factorization builds A₂ to scale it. The serial
+	// scaling pre-pass is recorded as a single Scale event on worker 0 so
+	// traces account for the time spent before the parallel phase.
+	src, rowPerm, colPerm := a, s.SolvePerm, s.SymPerm
 	if eff.Equilibrate {
 		var start int64
 		if rec := eff.Trace; rec != nil {
 			start = rec.Now()
 		}
+		ap := s.PermuteInput(a)
 		f.rscale, f.cscale = Equilibrate(ap)
-		ap = applyScaling(ap, f.rscale, f.cscale)
+		src = applyScaling(ap, f.rscale, f.cscale)
+		rowPerm = sparse.Identity(s.N)
+		colPerm = rowPerm
 		if rec := eff.Trace; rec != nil {
 			rec.Record(0, trace.NoTask, trace.KindScale, -1, start)
 		}
 	}
-	for j := 0; j < s.N; j++ {
+	for jo := 0; jo < s.N; jo++ {
+		j := colPerm[jo]
 		bj := part.ColToBlock[j]
 		c := &f.cols[bj]
 		lc := j - part.BlockStart[bj]
-		rows, vals := ap.Col(j)
-		for k, i := range rows {
+		rows, vals := src.Col(jo)
+		for k, io := range rows {
+			i := rowPerm[io]
 			off, ok := f.rowOffset(c, i)
 			if !ok {
 				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
@@ -388,7 +459,7 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		// SuperLU_DIST threshold. A structurally empty matrix gets a
 		// norm of 1 so the threshold is still positive.
 		const eps = 0x1p-52
-		anorm := ap.NormInf()
+		anorm := permutedNormInf(src, rowPerm, colPerm)
 		if anorm == 0 {
 			anorm = 1
 		}
@@ -396,6 +467,26 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		f.perturbScratch = make([]int, s.N)
 	}
 	return f, nil
+}
+
+// permutedNormInf returns ‖A₂‖∞ of the matrix with A₂(rowPerm[i],
+// colPerm[j]) = src(i, j), bit for bit A₂.NormInf(): every row sum
+// accumulates its terms in ascending column of A₂.
+func permutedNormInf(src *sparse.CSC, rowPerm, colPerm sparse.Perm) float64 {
+	sums := make([]float64, src.NRows)
+	for _, jo := range colPerm.Inverse() {
+		rows, vals := src.Col(jo)
+		for k, io := range rows {
+			sums[rowPerm[io]] += math.Abs(vals[k])
+		}
+	}
+	m := 0.0
+	for _, v := range sums {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // rowOffset locates the stacked row offset of global scalar row g in
@@ -420,7 +511,11 @@ func (f *Factorization) runTask(id int) error {
 }
 
 // firstNonFinite returns the index of the first NaN or Inf in x, or -1.
+// The vector scan clears the common case; only a failed scan walks x.
 func firstNonFinite(x []float64) int {
+	if blas.AllFinite(x) {
+		return -1
+	}
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return i
@@ -467,7 +562,29 @@ func (f *Factorization) factorPanel(k int) error {
 		return fmt.Errorf("core: panel %d entry (%d,%d) is %v: %w",
 			k, i/w, i%w, panel[i], ErrNonFinite)
 	}
+	// Pack the sub-diagonal rows once, α = −1 folded in, for every
+	// U(K,J) of the panel: they are final from here on.
+	if p, ok := f.panel(k); ok {
+		p.Pack(-1, panel[w*w:], w)
+	}
 	return nil
+}
+
+// panel returns the packed view of panel k's sub-diagonal rows, or
+// false when the plan gave it no window or the numeric phase runs
+// without a slab.
+func (f *Factorization) panel(k int) (blas.Panel, bool) {
+	lay := f.S.layout
+	start, end := 0, lay[k].packEnd
+	if k > 0 {
+		start = lay[k-1].packEnd
+	}
+	if f.pack == nil || start == end {
+		return blas.Panel{}, false
+	}
+	c := &lay[k]
+	nv, _ := blas.PanelSize(c.subRows(), c.width)
+	return blas.Panel{M: c.subRows(), K: c.width, Vals: f.pack.vals[4*start:][:nv], Ints: f.pack.ints[start:end]}, true
 }
 
 // update performs task U(K, J): replay panel K's pivot interchanges on
@@ -542,7 +659,11 @@ func (f *Factorization) update(k, j int) error {
 
 	// 3. B(I,J) ← B(I,J) − L(I,K)·U(K,J) for every sub-diagonal block of
 	// panel K whose target is stored, one Dgemm per run of such blocks
-	// (nextRun): a run's rows are contiguous in both slabs.
+	// (nextRun): a run's rows are contiguous in both slabs. A run that
+	// Dgemm would send down its packed path reads the rows F(K) packed,
+	// bitwise the same product.
+	pk, packed := f.panel(k)
+	sub := colK.panelOffset() + wk
 	t, tj := colK.diagIdx+1, tk+1
 	for {
 		var n int
@@ -553,12 +674,84 @@ func (f *Factorization) update(k, j int) error {
 		rows := colK.rowEnd(t+n-1) - colK.offsets[t]
 		lik := colK.data[colK.offsets[t]*wk:]
 		dst := colJ.data[colJ.offsets[tj]*wj:]
-		if f.fast {
+		onPanel := packed && blas.PackedShape(rows, wj, wk)
+		switch {
+		case onPanel && f.fast:
+			blas.DgemmPanelFast(&pk, colK.offsets[t]-sub, rows, wj, bkj, wj, dst, wj)
+		case onPanel:
+			blas.DgemmPanel(&pk, colK.offsets[t]-sub, rows, wj, bkj, wj, dst, wj)
+		case f.fast:
 			blas.DgemmFast(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
-		} else {
+		default:
 			blas.Dgemm(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
 		}
 		t, tj = t+n, tj+n
+	}
+}
+
+// packSlab is one factorization's storage of packed L panels: the
+// blas.Panel of panel K takes ints [p, q) and values from 4p, where
+// [p, q) is K's window in the layout (colLayout.packEnd);
+// blas.PanelSize's vals ≤ 4·ints keeps the value windows disjoint.
+type packSlab struct {
+	vals []float64
+	ints []int32
+}
+
+// The pack freelist recycles slabs across factorizations, like blas's
+// packing scratch: a slab is taken when the numeric phase starts and
+// put back when it ends, so the Factorization keeps none and a
+// steady-state factorization neither allocates nor zeroes one. No value
+// needs clearing between uses: F(K) writes every value of its window
+// that an update reads. At most packMaxFree idle slabs are retained;
+// when the list is full, a returned slab replaces the smallest one if
+// it is larger, so idle retention stays below packMaxFree times the
+// largest slab any pattern needed.
+var (
+	packMu   sync.Mutex
+	packFree []*packSlab
+)
+
+const packMaxFree = 4
+
+// getPackSlab returns a slab of n ints and 4n values from the freelist,
+// or a new one when no idle slab is large enough; nil when n is 0.
+func getPackSlab(n int) *packSlab {
+	if n == 0 {
+		return nil
+	}
+	packMu.Lock()
+	for i := len(packFree) - 1; i >= 0; i-- {
+		if s := packFree[i]; cap(s.ints) >= n {
+			packFree = slices.Delete(packFree, i, i+1)
+			packMu.Unlock()
+			s.vals, s.ints = s.vals[:4*n], s.ints[:n]
+			return s
+		}
+	}
+	packMu.Unlock()
+	return &packSlab{vals: make([]float64, 4*n), ints: make([]int32, n)}
+}
+
+// putPackSlab returns s (nil is ignored) to the freelist.
+func putPackSlab(s *packSlab) {
+	if s == nil {
+		return
+	}
+	packMu.Lock()
+	defer packMu.Unlock()
+	if len(packFree) < packMaxFree {
+		packFree = append(packFree, s)
+		return
+	}
+	small := 0
+	for i, t := range packFree {
+		if cap(t.ints) < cap(packFree[small].ints) {
+			small = i
+		}
+	}
+	if cap(packFree[small].ints) < cap(s.ints) {
+		packFree[small] = s
 	}
 }
 

@@ -33,7 +33,7 @@ func fingerprint(s *Symbolic) symbolicFingerprint {
 		s.Stored.L.ColPtr, s.Stored.L.RowInd, s.Stored.U.ColPtr, s.Stored.U.RowInd)
 	for i := range s.layout {
 		c := &s.layout[i]
-		add(c.blockRows, c.offsets, c.panelRows, []int{c.width, c.diagIdx, c.rows, c.dataOff})
+		add(c.blockRows, c.offsets, c.panelRows, []int{c.width, c.diagIdx, c.rows, c.packEnd})
 	}
 	for _, succ := range s.Graph.Succ {
 		fp.ints32 = append(fp.ints32, slices.Clone(succ))
