@@ -24,6 +24,21 @@ cd "$(dirname "$0")"
 stage="${1:-all}"
 bench_ref="${2:-}"
 
+# grep_hits PATTERN FILE... sets hits to the lines of the files that
+# match the extended regular expression, empty when none does. A grep
+# error (status above 1: a missing file, a bad pattern) fails the stage,
+# so that it never reads as "no match".
+grep_hits() {
+	pat=$1
+	shift
+	rc=0
+	hits=$(grep -nHE "$pat" "$@") || rc=$?
+	if [ "$rc" -gt 1 ]; then
+		echo "grep -E '$pat' failed with status $rc" >&2
+		exit 1
+	fi
+}
+
 lint() {
 	echo "==> gofmt"
 	unformatted=$(gofmt -l .)
@@ -39,8 +54,8 @@ lint() {
 	echo "==> go build"
 	go build ./...
 
-	# The portable twins of the assembly kernels (microkernel_other.go,
-	# fastmath_other.go) only compile off amd64.
+	# The portable twin of the assembly kernels (microkernel_other.go)
+	# only compiles off amd64.
 	echo "==> go vet + go build (GOARCH=arm64)"
 	GOARCH=arm64 go vet ./internal/blas
 	GOARCH=arm64 go build ./...
@@ -50,23 +65,44 @@ lint() {
 	echo "==> go vet + go build (bench/)"
 	(cd bench && go vet . && go build -o /dev/null .)
 
+	# The assembly kernels never fuse a multiply and an add: an FMA rounds
+	# once where the Go kernels round twice, and the factors would no
+	# longer be bitwise the same on every host (DESIGN §10).
+	echo "==> no fused multiply-add in the assembly kernels"
+	grep_hits '\bVFN?M(ADD|SUB)' internal/blas/*.s
+	if [ -n "$hits" ]; then
+		echo "$hits" >&2
+		echo "an assembly kernel uses a fused multiply-add (VFMADD/VFNMADD/VFMSUB/VFNMSUB)" >&2
+		exit 1
+	fi
+
 	# These names and fields are kept only because the frozen bench/
 	# uses them; ROADMAP's deletion sweep (the item the bench decoupling
 	# unlocks) deletes them together with those uses. No other non-test
 	# code may start calling one of the names or reading one of the
 	# fields, so that deletion stays pure. The field check drops // comments
-	# before it matches, and skips ReuseDelta's own declaration.
+	# before it matches, and skips ReuseDelta's own declaration. Only the
+	# tracked files that are in the work tree are searched: a tracked file
+	# deleted but not yet staged would make grep fail on it.
 	echo "==> no uses of bench-only names or fields outside bench/"
+	lib_go=$(git ls-files '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
+		while IFS= read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done)
 	bench_only='blas\.AutotuneOnce|symbolic\.FactorParallel|symbolic\.PartitionColumns|taskgraph\.Independent|sched\.ExecuteLevels|sched\.Execute'
-	if git ls-files -z '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
-		xargs -0 grep -nE "\\b($bench_only)\\(" >&2; then
+	# No path in the repository has a space, so lib_go splits on words.
+	# shellcheck disable=SC2086
+	grep_hits "\\b($bench_only)\\(" $lib_go
+	if [ -n "$hits" ]; then
+		echo "$hits" >&2
 		echo "non-test code outside bench/ calls a name kept only for bench/ (ROADMAP deletion sweep)" >&2
 		exit 1
 	fi
 	bench_fields='\.(SolveFwd|SolveBwd|SolveWorkers|AnalyzeWorkers)\b|\bReuseDelta\b'
-	if git ls-files -z '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
-		xargs -0 grep -nE "$bench_fields" | sed 's#//.*##' | grep -E "$bench_fields" |
-		grep -vE ':[0-9]+:[[:space:]]*ReuseDelta[[:space:]]+ReuseLevel\b' >&2; then
+	# shellcheck disable=SC2086
+	grep_hits "$bench_fields" $lib_go
+	hits=$(printf '%s\n' "$hits" | sed 's#//.*##' | grep -E "$bench_fields" |
+		grep -vE ':[0-9]+:[[:space:]]*ReuseDelta[[:space:]]+ReuseLevel\b' || true)
+	if [ -n "$hits" ]; then
+		echo "$hits" >&2
 		echo "non-test code outside bench/ uses a field kept only for bench/ (ROADMAP deletion sweep)" >&2
 		exit 1
 	fi

@@ -8,7 +8,6 @@
 //	splu -workers 4 -postorder=false
 //	splu -rhs ones                     # ones | index | random
 //	splu -pivot perturb -refine 3      # factor near-singular systems
-//	splu -fastmath -refine 1           # relaxed (non-bitwise) kernels
 //	splu -fillratio 0.4 -maxsupernode 48
 //
 // Without -matrix or -gen, a small built-in example runs.
@@ -37,7 +36,6 @@ func main() {
 		rhs        = flag.String("rhs", "ones", "right-hand side: ones, index or random")
 		maxSN      = flag.Int("maxsupernode", 32, "load-balance split threshold for supernode panels")
 		fillRatio  = flag.Float64("fillratio", 0.25, "explicit-zero fraction a supernode merge may introduce (negative = default)")
-		fastMath   = flag.Bool("fastmath", false, "relaxed kernel mode: FMA + reordered accumulation, error-bounded but not bitwise reproducible")
 		equil      = flag.Bool("equilibrate", false, "scale rows/columns to unit maxima before factoring")
 		refine     = flag.Int("refine", 0, "iterative refinement steps")
 		diagnose   = flag.Bool("diagnose", false, "report condition estimate, pivot growth and log-determinant")
@@ -58,7 +56,6 @@ func main() {
 	opts.Postorder = *postorder
 	opts.MaxSupernode = *maxSN
 	opts.AmalgamationFill = *fillRatio
-	opts.FastMath = *fastMath
 	opts.Equilibrate = *equil
 	opts.Verify = *verifyInv
 	var rec *trace.Recorder
@@ -120,11 +117,7 @@ func main() {
 		fatalf("factorization: %v", err)
 	}
 	tFactor := time.Since(t0)
-	mode := "bitwise"
-	if *fastMath {
-		mode = "fastmath"
-	}
-	fmt.Printf("numeric factorization (%d workers, %s kernels): %v\n", *workers, mode, tFactor.Round(time.Millisecond))
+	fmt.Printf("numeric factorization (%d workers): %v\n", *workers, tFactor.Round(time.Millisecond))
 	if f.Singular() {
 		fatalf("matrix is numerically singular (first zero pivot at column %d); retry with -pivot=perturb -refine=3", f.SingularColumn())
 	}

@@ -108,13 +108,6 @@ type Options struct {
 	// PivotPolicy selects how pivots below the static threshold are
 	// handled (default PivotFail).
 	PivotPolicy PivotPolicy
-	// FastMath opts the numeric phase into the relaxed kernel mode:
-	// FMA and reordered accumulation with no bitwise-reproducibility
-	// guarantee. Results satisfy the usual componentwise backward-error
-	// bounds but may differ byte-for-byte across hosts and kernel
-	// variants. The default false keeps the bitwise-deterministic
-	// kernels. Triangular solves are always bitwise.
-	FastMath bool
 	// Timeout bounds the wall-clock duration of each bounded phase: the
 	// parallel numeric factorization and every solve call (Solve,
 	// SolveMany, SolveTranspose and the paths routed through them), each
@@ -159,7 +152,6 @@ func (o *Options) toCore() *core.Options {
 		NumericOptions: core.NumericOptions{
 			Workers:     o.Workers,
 			PivotPolicy: core.PivotPolicy(o.PivotPolicy),
-			FastMath:    o.FastMath,
 			Equilibrate: o.Equilibrate,
 			Timeout:     o.Timeout,
 			Trace:       o.Trace,

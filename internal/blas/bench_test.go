@@ -149,25 +149,6 @@ func BenchmarkDgemv(b *testing.B) {
 	}
 }
 
-func BenchmarkDgemmFast(b *testing.B) {
-	// The FastMath path on the same sizes as BenchmarkDgemm: the pair
-	// quantifies what dropping the bitwise contract buys per size.
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{8, 32, 64, 128, 256} {
-		a := randMat(n, n, rng)
-		bb := randMat(n, n, rng)
-		c := randMat(n, n, rng)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(8 * n * n))
-			for i := 0; i < b.N; i++ {
-				DgemmFast(n, n, n, 1, a, n, bb, n, 1, c, n)
-			}
-			flops := 2 * float64(n) * float64(n) * float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
-		})
-	}
-}
-
 func BenchmarkDgemmOneColumn(b *testing.B) {
 	// The m×1×k updates of a width-1 target column in the
 	// factorization, on zero-laced blocks.

@@ -15,14 +15,6 @@ package blas
 // skipping it, and runs only on tiles where that provably leaves every
 // element's bits unchanged; see microKernel4x8.)
 func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
-}
-
-// dgemm is the shared driver behind Dgemm and DgemmFast. fast selects
-// the FastMath micro-kernels on the packed path; the beta pass, the
-// dispatch heuristic, and the scalar small-operand kernel are common to
-// both modes.
-func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, fast bool) {
 	if beta != 1 {
 		for i := 0; i < m; i++ {
 			row := c[i*ldc : i*ldc+n]
@@ -41,7 +33,7 @@ func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 		return
 	}
 	if PackedShape(m, n, k) {
-		gemmPacked(m, n, k, alpha, a, lda, b, ldb, c, ldc, fast)
+		gemmPacked(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
 	gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
@@ -92,19 +84,18 @@ func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ld
 // runTiles feeds the packed micro-panels to the gemmMR×gemmNR
 // register-tile kernel. The blocks are packMC×packKC of A and
 // packKC×packNC of B, the scratch dimensions. Packing scratch comes from
-// the scratch freelist, so steady-state calls do not allocate. fast
-// swaps the micro-kernel for the FastMath one.
-func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, fast bool) {
+// the scratch freelist, so steady-state calls do not allocate.
+func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	s := getScratch()
 	for jc := 0; jc < n; jc += packNC {
 		nc := min(n-jc, packNC)
 		for pc := 0; pc < k; pc += packKC {
 			kc := min(k-pc, packKC)
-			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s, fast)
+			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s)
 			for ic := 0; ic < m; ic += packMC {
 				mc := min(m-ic, packMC)
 				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s.pa[:], s.off[:], s.kept[:])
-				runTiles(fast, finite, 0, mc, nc, kc, s.pa[:], s.off[:], s.kept[:], s.pb[:], c[ic*ldc+jc:], ldc)
+				runTiles(finite, 0, mc, nc, kc, s.pa[:], s.off[:], s.kept[:], s.pb[:], c[ic*ldc+jc:], ldc)
 			}
 		}
 	}
@@ -122,15 +113,6 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 // them, so each C element's operation sequence is Dgemm's. Only B is
 // packed per call.
 func DgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
-	dgemmPanel(p, r0, m, n, b, ldb, c, ldc, false)
-}
-
-// DgemmPanelFast is DgemmPanel through the FastMath micro-kernels.
-func DgemmPanelFast(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
-	dgemmPanel(p, r0, m, n, b, ldb, c, ldc, true)
-}
-
-func dgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int, fast bool) {
 	if m <= 0 || n <= 0 || p.K == 0 {
 		return
 	}
@@ -140,20 +122,20 @@ func dgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc i
 		nc := min(n-jc, packNC)
 		for pc := 0; pc < p.K; pc += packKC {
 			kc := min(p.K-pc, packKC)
-			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s, fast)
+			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s)
 			pa, off, kept := p.block(pc)
-			runTiles(fast, finite, lane0, m, nc, kc, pa[i0*gemmMR*kc:], off[i0*kc:], kept[i0:], s.pb[:], c[jc:], ldc)
+			runTiles(finite, lane0, m, nc, kc, pa[i0*gemmMR*kc:], off[i0*kc:], kept[i0:], s.pb[:], c[jc:], ldc)
 		}
 	}
 	putScratch(s)
 }
 
 // packBPanel packs the kc×nc block of B at b into s.pb and reports
-// whether the bitwise AVX2 kernel may run on it: no Inf or NaN in the
-// packed panel (never under fast, whose kernel needs no such guard).
-func packBPanel(kc, nc int, b []float64, ldb int, s *gemmScratch, fast bool) bool {
+// whether the AVX2 kernel may run on it: no Inf or NaN in the packed
+// panel.
+func packBPanel(kc, nc int, b []float64, ldb int, s *gemmScratch) bool {
 	packB(kc, nc, b, ldb, s.pb[:])
-	return !fast && finitePanel(s.pb[:(nc+gemmNR-1)/gemmNR*gemmNR*kc])
+	return finitePanel(s.pb[:(nc+gemmNR-1)/gemmNR*gemmNR*kc])
 }
 
 // runTiles is the register-tile loop of both packed paths: it adds the
@@ -165,10 +147,11 @@ func packBPanel(kc, nc int, b []float64, ldb int, s *gemmScratch, fast bool) boo
 // not a full gemmMR×gemmNR block of c — it straddles row 0 or row mc, or
 // has fewer than gemmNR columns — runs the same kernel on a zero-padded
 // copy whose padding rows and lanes are discarded, so every C element
-// goes through one kernel whatever its position. The bitwise AVX2
-// kernel runs only when finite and on tiles that hold no −0; every other
-// tile takes the Go kernel.
-func runTiles(fast, finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int32, pb, c []float64, ldc int) {
+// goes through one kernel whatever its position. The AVX2 kernel runs
+// only when finite and on tiles that hold no −0; every other tile takes
+// the Go kernel. The kernel is called directly, not through a func
+// value, so that escape analysis keeps the edge tile on the stack.
+func runTiles(finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int32, pb, c []float64, ldc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		nr := min(nc-jr, gemmNR)
 		pbp := pb[jr*kc:]
@@ -179,7 +162,7 @@ func runTiles(fast, finite bool, lane0, mc, nc, kc int, pa []float64, off, kept 
 			}
 			pai, offi := pa[i*gemmMR*kc:], off[i*kc:]
 			if lo >= 0 && lo+gemmMR <= mc && nr == gemmNR {
-				microTile(fast, finite, nk, pai, offi, pbp, c[lo*ldc+jr:], ldc)
+				microKernel4x8(nk, pai, offi, pbp, c[lo*ldc+jr:], ldc, finite)
 				continue
 			}
 			r0, r1 := max(-lo, 0), min(mc-lo, gemmMR)
@@ -187,23 +170,11 @@ func runTiles(fast, finite bool, lane0, mc, nc, kc int, pa []float64, off, kept 
 			for r := r0; r < r1; r++ {
 				copy(tile[r*gemmNR:][:nr], c[(lo+r)*ldc+jr:][:nr])
 			}
-			microTile(fast, finite, nk, pai, offi, pbp, tile[:], gemmNR)
+			microKernel4x8(nk, pai, offi, pbp, tile[:], gemmNR, finite)
 			for r := r0; r < r1; r++ {
 				copy(c[(lo+r)*ldc+jr:][:nr], tile[r*gemmNR:][:nr])
 			}
 		}
-	}
-}
-
-// microTile runs the bitwise or the FastMath register-tile kernel. It
-// calls them directly, not through a func value, so that escape analysis
-// keeps runTiles' edge tile on the stack. finite (no Inf or NaN in
-// the packed B panel) lets the bitwise tile run in assembly.
-func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float64, c []float64, ldc int) {
-	if fast {
-		microKernel4x8Fast(nk, pa, off, pb, c, ldc)
-	} else {
-		microKernel4x8(nk, pa, off, pb, c, ldc, finite)
 	}
 }
 
@@ -222,12 +193,6 @@ func microTile(fast, finite bool, nk int, pa []float64, off []int32, pb []float6
 // only runs in the triangular-solve phase, not under the
 // factorization's update tasks.
 func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []float64, ldb int) {
-	dtrsm(lower, unit, m, n, alpha, t, ldt, b, ldb, false)
-}
-
-// dtrsm is the shared driver behind Dtrsm and DtrsmFast: fast is passed
-// down to the strip-update Dgemm of the blocked lower solve.
-func dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []float64, ldb int, fast bool) {
 	if alpha != 1 {
 		for i := 0; i < m; i++ {
 			row := b[i*ldb : i*ldb+n]
@@ -245,7 +210,7 @@ func dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 			ib := min(m-i0, packNB)
 			if i0 > 0 {
 				// B[i0:i0+ib] -= T[i0:i0+ib, 0:i0] · X[0:i0]
-				dgemm(ib, n, i0, -1, t[i0*ldt:], ldt, b, ldb, 1, b[i0*ldb:], ldb, fast)
+				Dgemm(ib, n, i0, -1, t[i0*ldt:], ldt, b, ldb, 1, b[i0*ldb:], ldb)
 			}
 			trsmLowerUnblocked(unit, ib, n, t[i0*ldt+i0:], ldt, b[i0*ldb:], ldb)
 		}

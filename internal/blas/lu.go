@@ -112,13 +112,6 @@ func Dgetf2Static(m, n int, a []float64, lda int, ipiv []int, thresh float64, pe
 // level-3 updates' exact-zero skips reproduce the unblocked kernel's
 // skipped eliminations automatically.
 func DgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
-	return dgetrfStatic(m, n, a, lda, ipiv, thresh, perturbed, false)
-}
-
-// dgetrfStatic is the shared driver behind DgetrfStatic and
-// DgetrfStaticFast: fast is passed to the level-3 trailing updates; the
-// panel kernel and pivot handling are identical in both modes.
-func dgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int, fast bool) (nperturbed, firstZero int) {
 	mn := m
 	if n < mn {
 		mn = n
@@ -161,13 +154,13 @@ func dgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, pe
 		}
 		if j+jb < n {
 			// U block row: solve L11 · U12 = A12.
-			dtrsm(true, true, jb, n-j-jb, 1, a[j*lda+j:], lda, a[j*lda+j+jb:], lda, fast)
+			Dtrsm(true, true, jb, n-j-jb, 1, a[j*lda+j:], lda, a[j*lda+j+jb:], lda)
 			// Trailing update: A22 ← A22 − L21 · U12.
 			if j+jb < m {
-				dgemm(m-j-jb, n-j-jb, jb, -1,
+				Dgemm(m-j-jb, n-j-jb, jb, -1,
 					a[(j+jb)*lda+j:], lda,
 					a[j*lda+j+jb:], lda,
-					1, a[(j+jb)*lda+j+jb:], lda, fast)
+					1, a[(j+jb)*lda+j+jb:], lda)
 			}
 		}
 	}

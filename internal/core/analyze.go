@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/etree"
+	"repro/internal/luerr"
 	"repro/internal/ordering"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -149,6 +150,12 @@ func (t *stageTimer) mark(name string) {
 	t.last = now
 }
 
+// ErrStructurallySingular is returned by Analyze when no row
+// permutation puts a nonzero on every diagonal position, so that no
+// choice of values makes the matrix nonsingular. It also matches
+// luerr.ErrSingular.
+var ErrStructurallySingular = luerr.Tag("core: matrix is structurally singular", luerr.ErrSingular)
+
 // Analyze runs the full structural pipeline of the paper on a square
 // sparse matrix, serially: one analysis serves every factorization of
 // the pattern, so its cost is paid once.
@@ -164,7 +171,7 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	// Step 0: zero-free diagonal via maximum transversal [Duff '81].
 	tr := transversal.MaximumTransversal(a)
 	if !tr.StructurallyNonsingular() {
-		return nil, fmt.Errorf("core: matrix is structurally singular (%d of %d columns matched)", tr.MatchedCols, n)
+		return nil, fmt.Errorf("%w (%d of %d columns matched)", ErrStructurallySingular, tr.MatchedCols, n)
 	}
 	a1 := a.PermuteRows(tr.RowPerm)
 	st.mark("transversal")

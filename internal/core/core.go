@@ -100,13 +100,6 @@ type NumericOptions struct {
 	// PivotPolicy selects how tiny pivots are handled (default
 	// PivotFail, the historical flag-and-continue contract).
 	PivotPolicy PivotPolicy
-	// FastMath opts the numeric phase into the relaxed kernel mode
-	// (blas.DgemmFast and friends): FMA and reordered accumulation with
-	// no bitwise-reproducibility guarantee. Results satisfy the usual
-	// componentwise backward-error bounds but may differ byte-for-byte
-	// across hosts and kernel variants. The default false keeps the
-	// bitwise-deterministic kernels. Solves are always bitwise.
-	FastMath bool
 	// Equilibrate scales rows and columns to unit maxima before
 	// factoring (LAPACK dgeequ style); improves pivots on badly scaled
 	// systems. Solves transparently undo the scaling.

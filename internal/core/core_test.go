@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/luerr"
 	"repro/internal/matgen"
 	"repro/internal/ordering"
 	"repro/internal/sparse"
@@ -337,8 +339,15 @@ func TestStructurallySingularRejected(t *testing.T) {
 	tr.Add(0, 0, 1)
 	tr.Add(1, 0, 1)
 	tr.Add(2, 2, 1) // column 1 empty
-	if _, err := Analyze(tr.ToCSC(), nil); err == nil {
+	_, err := Analyze(tr.ToCSC(), nil)
+	if err == nil {
 		t.Fatal("structurally singular matrix accepted")
+	}
+	if !errors.Is(err, ErrStructurallySingular) || !errors.Is(err, luerr.ErrSingular) {
+		t.Fatalf("err = %v, want ErrStructurallySingular and luerr.ErrSingular", err)
+	}
+	if want := "core: matrix is structurally singular (2 of 3 columns matched)"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 

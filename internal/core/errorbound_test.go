@@ -10,7 +10,7 @@ import (
 
 // componentwiseBackwardError computes the Oettli–Prager backward error
 // ω = max_i |Ax−b|_i / (|A|·|x| + |b|)_i, the componentwise measure the
-// FastMath acceptance bound is stated in.
+// accuracy bound below is stated in.
 func componentwiseBackwardError(a *sparse.CSC, x, b []float64) float64 {
 	n := len(b)
 	ax := make([]float64, n)
@@ -40,13 +40,13 @@ func componentwiseBackwardError(a *sparse.CSC, x, b []float64) float64 {
 	return w
 }
 
-// TestFastMathErrorBoundSmallSuite is the FastMath acceptance suite: the
-// relaxed kernels carry no bitwise guarantee, so instead of the parity
-// pins the whole SmallSuite must satisfy a componentwise backward-error
-// bound ω ≤ c·ε·κ₁(A) after one step of iterative refinement, at every
-// worker count. The bitwise mode stays pinned by the existing parity
-// and determinism suites, which this test deliberately does not touch.
-func TestFastMathErrorBoundSmallSuite(t *testing.T) {
+// TestErrorBoundSmallSuite checks accuracy, not reproducibility: the
+// parity and determinism suites pin the factors' bits, and this suite
+// checks that those bits are a good answer. Every SmallSuite matrix,
+// factored under PivotPerturb at every worker count, must satisfy the
+// componentwise backward-error bound ω ≤ c·ε·κ₁(A) after one step of
+// iterative refinement.
+func TestErrorBoundSmallSuite(t *testing.T) {
 	for _, spec := range matgen.SmallSuite() {
 		a := spec.Gen()
 		s, err := Analyze(a, nil)
@@ -63,7 +63,6 @@ func TestFastMathErrorBoundSmallSuite(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			nopts := &NumericOptions{
 				Workers:     workers,
-				FastMath:    true,
 				PivotPolicy: PivotPerturb,
 			}
 			f, err := FactorizeWithOpts(s, a, nopts)
@@ -88,44 +87,5 @@ func TestFastMathErrorBoundSmallSuite(t *testing.T) {
 					spec.Name, workers, omega, bound, kappa)
 			}
 		}
-	}
-}
-
-// TestFastMathSolvesMatchBitwiseClosely: FastMath changes rounding, not
-// semantics — on the same system the fast and bitwise factorizations
-// must agree to well within the conditioning of the problem.
-func TestFastMathSolvesMatchBitwiseClosely(t *testing.T) {
-	spec := matgen.SmallSuite()[0]
-	a := spec.Gen()
-	s, err := Analyze(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.NCols
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	solve := func(fastMath bool) []float64 {
-		f, err := FactorizeWithOpts(s, a, &NumericOptions{
-			Workers: 2, FastMath: fastMath, PivotPolicy: PivotPerturb,
-		})
-		if err != nil {
-			t.Fatalf("fast=%v: %v", fastMath, err)
-		}
-		x, _, _, err := f.SolveRefined(a, b, 2, 0)
-		if err != nil {
-			t.Fatalf("fast=%v: %v", fastMath, err)
-		}
-		return x
-	}
-	xFast, xBit := solve(true), solve(false)
-	norm, diff := 0.0, 0.0
-	for i := range xBit {
-		norm = math.Max(norm, math.Abs(xBit[i]))
-		diff = math.Max(diff, math.Abs(xFast[i]-xBit[i]))
-	}
-	if diff > 1e-8*(norm+1) {
-		t.Fatalf("fast and bitwise solutions diverge: |Δ|∞ = %g, |x|∞ = %g", diff, norm)
 	}
 }

@@ -213,10 +213,6 @@ type Factorization struct {
 	// factored (post permutation and scaling), 0 under PivotFail.
 	policy   PivotPolicy
 	pivotTol float64
-	// fast freezes the kernel mode: true routes the Factor/Update tasks
-	// through the FastMath level-3 kernels (no bitwise guarantee), false
-	// keeps the bitwise-deterministic ones. Solves are unaffected.
-	fast bool
 	// perturbed[K] lists the permuted global columns of panel K whose
 	// pivots were replaced (written only by task F(K), read after the
 	// execution's completion barrier).
@@ -403,7 +399,6 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		cols:      make([]blockCol, nb),
 		ipiv:      make([][]int, nb),
 		policy:    eff.PivotPolicy,
-		fast:      eff.FastMath,
 		perturbed: make([][]int, nb),
 		nopts:     eff,
 	}
@@ -542,12 +537,7 @@ func (f *Factorization) factorPanel(k int) error {
 	if f.perturbScratch != nil {
 		pbuf = f.perturbScratch[base : base+w]
 	}
-	var np, firstZero int
-	if f.fast {
-		np, firstZero = blas.DgetrfStaticFast(m, w, panel, w, ipiv, f.pivotTol, pbuf)
-	} else {
-		np, firstZero = blas.DgetrfStatic(m, w, panel, w, ipiv, f.pivotTol, pbuf)
-	}
+	np, firstZero := blas.DgetrfStatic(m, w, panel, w, ipiv, f.pivotTol, pbuf)
 	if firstZero >= 0 {
 		f.noteSingular(base + firstZero)
 	}
@@ -643,11 +633,7 @@ func (f *Factorization) update(k, j int) error {
 	// 2. U(K,J) ← L(K,K)⁻¹ · B(K,J).
 	diag := colK.data[colK.panelOffset()*wk:]
 	bkj := colJ.data[bkjOff*wj:]
-	if f.fast {
-		blas.DtrsmFast(true, true, wk, wj, 1, diag, wk, bkj, wj)
-	} else {
-		blas.Dtrsm(true, true, wk, wj, 1, diag, wk, bkj, wj)
-	}
+	blas.Dtrsm(true, true, wk, wj, 1, diag, wk, bkj, wj)
 	// Every stored block is either an L-panel block (checked by its
 	// panel's Factor task) or a U block checked here, right after the
 	// only task that finalizes it — so each entry is validated exactly
@@ -674,15 +660,9 @@ func (f *Factorization) update(k, j int) error {
 		rows := colK.rowEnd(t+n-1) - colK.offsets[t]
 		lik := colK.data[colK.offsets[t]*wk:]
 		dst := colJ.data[colJ.offsets[tj]*wj:]
-		onPanel := packed && blas.PackedShape(rows, wj, wk)
-		switch {
-		case onPanel && f.fast:
-			blas.DgemmPanelFast(&pk, colK.offsets[t]-sub, rows, wj, bkj, wj, dst, wj)
-		case onPanel:
+		if packed && blas.PackedShape(rows, wj, wk) {
 			blas.DgemmPanel(&pk, colK.offsets[t]-sub, rows, wj, bkj, wj, dst, wj)
-		case f.fast:
-			blas.DgemmFast(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
-		default:
+		} else {
 			blas.Dgemm(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
 		}
 		t, tj = t+n, tj+n

@@ -13,11 +13,12 @@
 //
 // The classes, and the service's documented status mapping:
 //
-//	class         meaning                                  HTTP
-//	ErrSingular   zero/inadmissible pivot (core and gplu)  422
-//	ErrNonFinite  NaN/Inf entered the factors              422
-//	ErrDeadline   a phase deadline expired                 504
-//	ErrCanceled   caller or peer canceled the execution    499
+//	class         meaning                                       HTTP
+//	ErrSingular   zero/inadmissible pivot (core and gplu), or   422
+//	              no zero-free diagonal (core.Analyze)
+//	ErrNonFinite  NaN/Inf entered the factors                   422
+//	ErrDeadline   a phase deadline expired                      504
+//	ErrCanceled   caller or peer canceled the execution         499
 //
 // This package imports nothing from the module so that every layer —
 // core, gplu, sched, the server — can depend on it without cycles.
@@ -28,8 +29,9 @@ import "errors"
 // Class sentinels. Match them with errors.Is; they are never returned
 // bare — each solver wraps them under its own message via Tag.
 var (
-	// ErrSingular classifies numeric singularity: an exactly zero (or,
-	// under static pivoting, inadmissibly tiny) pivot in any solver.
+	// ErrSingular classifies singularity: an exactly zero (or, under
+	// static pivoting, inadmissibly tiny) pivot in any solver, or a
+	// structurally singular pattern found by the analysis.
 	ErrSingular = errors.New("sparselu: numerically singular")
 	// ErrNonFinite classifies NaN/Inf contamination detected by the
 	// kernels' guards.

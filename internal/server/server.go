@@ -432,9 +432,12 @@ func (s *Server) numOpts(cc *sched.Canceler) core.NumericOptions {
 	}
 }
 
-// parseMatrix validates and assembles a triplet payload. Out-of-range
-// indices are a 400 here, not a panic in sparse.Triplet.Add.
-func parseMatrix(mj *matrixJSON, fault faultinject.Fault) (*sparse.CSC, *httpError) {
+// parseMatrix validates and assembles a triplet payload for mapError.
+// Out-of-range indices are a 400 here, not a panic in
+// sparse.Triplet.Add. A matrix of order n with fewer than n entries has
+// an empty column: it is reported structurally singular before the
+// triplet is built, so a huge declared order never sizes an allocation.
+func parseMatrix(mj *matrixJSON, fault faultinject.Fault) (*sparse.CSC, error) {
 	if mj.N <= 0 {
 		return nil, badRequest("server: matrix order must be positive, got %d", mj.N)
 	}
@@ -444,6 +447,14 @@ func parseMatrix(mj *matrixJSON, fault faultinject.Fault) (*sparse.CSC, *httpErr
 	if len(mj.Rows) == 0 {
 		return nil, badRequest("server: matrix has no entries")
 	}
+	for k := range mj.Rows {
+		if i, j := mj.Rows[k], mj.Cols[k]; i < 0 || i >= mj.N || j < 0 || j >= mj.N {
+			return nil, badRequest("server: entry %d at (%d,%d) outside %d×%d", k, i, j, mj.N, mj.N)
+		}
+	}
+	if mj.N > len(mj.Rows) {
+		return nil, fmt.Errorf("server: order %d with %d entries leaves a column empty: %w", mj.N, len(mj.Rows), core.ErrStructurallySingular)
+	}
 	if fault.Mode == faultinject.PoisonNaN {
 		// Deterministic input corruption: the numeric layer's
 		// non-finite guards must catch it and answer 422.
@@ -451,11 +462,7 @@ func parseMatrix(mj *matrixJSON, fault faultinject.Fault) (*sparse.CSC, *httpErr
 	}
 	t := sparse.NewTriplet(mj.N, mj.N)
 	for k := range mj.Rows {
-		i, j := mj.Rows[k], mj.Cols[k]
-		if i < 0 || i >= mj.N || j < 0 || j >= mj.N {
-			return nil, badRequest("server: entry %d at (%d,%d) outside %d×%d", k, i, j, mj.N, mj.N)
-		}
-		t.Add(i, j, mj.Vals[k])
+		t.Add(mj.Rows[k], mj.Cols[k], mj.Vals[k])
 	}
 	return t.ToCSC(), nil
 }
@@ -486,9 +493,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault fau
 	if he := decodeBody(r, req.field); he != nil {
 		return he
 	}
-	m, he := parseMatrix(&req.Matrix, fault)
-	if he != nil {
-		return he
+	m, err := parseMatrix(&req.Matrix, fault)
+	if err != nil {
+		return s.mapError(err)
 	}
 	ctx, _, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
@@ -520,9 +527,9 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	if _, err := rungsFor(req.Policy); err != nil {
 		return badRequest("%v", err)
 	}
-	m, he := parseMatrix(&req.Matrix, fault)
-	if he != nil {
-		return he
+	m, err := parseMatrix(&req.Matrix, fault)
+	if err != nil {
+		return s.mapError(err)
 	}
 	ctx, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()

@@ -353,6 +353,41 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// TestStructurallySingularIs422 pins that a matrix no values can make
+// nonsingular — here column 1 is empty — is answered 422 singular on
+// both routes that analyze it, not 500.
+func TestStructurallySingularIs422(t *testing.T) {
+	expectSingular(t, `{"matrix":{"n":2,"rows":[0,1],"cols":[0,0],"vals":[1,1]}}`)
+}
+
+// TestHugeOrderIs422 pins that a declared order above the entry count
+// is answered 422 singular (some column is empty) before anything of
+// that order is allocated: 2⁴⁰ here, whose n-length slices would be an
+// unrecoverable out-of-memory.
+func TestHugeOrderIs422(t *testing.T) {
+	expectSingular(t, `{"matrix":{"n":1099511627776,"rows":[0],"cols":[0],"vals":[1]}}`)
+}
+
+// expectSingular posts body to /v1/analyze and /v1/factorize and
+// expects 422 singular from both, each counted in err_singular.
+func expectSingular(t *testing.T, body string) {
+	t.Helper()
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, path := range []string{"/v1/analyze", "/v1/factorize"} {
+		status, reply := post(t, ts, path, json.RawMessage(body), nil)
+		var er errorResponse
+		if err := json.Unmarshal(reply, &er); err != nil {
+			t.Fatalf("%s: %v (body %s)", path, err, reply)
+		}
+		if status != http.StatusUnprocessableEntity || er.Code != "singular" {
+			t.Errorf("%s: %d/%s, want 422/singular (body %s)", path, status, er.Code, reply)
+		}
+	}
+	if got := s.met.singular.Load(); got != 2 {
+		t.Errorf("err_singular = %d, want 2", got)
+	}
+}
+
 // TestAdmissionSheds verifies load shedding: with one compute slot and
 // a tiny queue, a burst of requests gets 429s with Retry-After while
 // at least one request is served.
