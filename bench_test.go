@@ -175,7 +175,7 @@ func BenchmarkAblationPostorder(b *testing.B) {
 func BenchmarkAblationAmalgamation(b *testing.B) {
 	spec := matgen.SmallSuite()[0]
 	a := spec.Gen()
-	for _, maxSize := range []int{1, 4, 16, 64} {
+	for _, maxSize := range []int{1, 4, 16, 32} {
 		b.Run(fmt.Sprintf("maxsize=%d", maxSize), func(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Amalgamation.MaxSize = maxSize

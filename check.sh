@@ -1,7 +1,7 @@
 #!/bin/sh
 # The local/CI gate, split into stages so CI can attribute failures:
 #
-#   ./check.sh lint        # gofmt, vet, build (arm64 and bench/ too), lucheck -audit -sarif
+#   ./check.sh lint        # gofmt, vet, build (arm64 and bench/ too), library size report, lucheck -audit -sarif
 #   ./check.sh test        # race-enabled test suite, every benchmark once, Matrix Market reader fuzz
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service     # sluserver chaos suite under -race, decoder fuzz, live HTTP smoke
@@ -106,6 +106,15 @@ lint() {
 		echo "non-test code outside bench/ uses a field kept only for bench/ (ROADMAP deletion sweep)" >&2
 		exit 1
 	fi
+
+	# A report, not a gate: the size of the library that the simplicity
+	# changes count, as lines of non-test Go and assembly outside bench/
+	# and testdata, over the tracked and untracked (not ignored) files in
+	# the work tree.
+	lib_src=$(git ls-files -co --exclude-standard '*.go' '*.s' ':!bench/' ':!*_test.go' ':!*testdata/*' |
+		while IFS= read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done)
+	# shellcheck disable=SC2086
+	echo "==> size: $(cat $lib_src | wc -l | tr -d ' ') lines of non-test Go and assembly outside bench/ and testdata"
 
 	# One checker run: findings and the suppression inventory on stdout,
 	# the same findings as lucheck.sarif for CI's code-scanning upload.

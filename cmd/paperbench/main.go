@@ -122,7 +122,7 @@ func runAblations(out io.Writer, specs []matgen.Spec, procs []int) error {
 	}
 	fmt.Fprintln(out, experiments.FormatAblation(fmt.Sprintf("Ablation: simulated factorization time (s) with/without postordering, P=%d.", p), rows))
 
-	am, err := experiments.AblationAmalgamation(specs[0], []int{1, 4, 8, 16, 32, 64}, p)
+	am, err := experiments.AblationAmalgamation(specs[0], []int{1, 4, 8, 16, 32}, p)
 	if err != nil {
 		return fmt.Errorf("ablation amalgamation: %w", err)
 	}

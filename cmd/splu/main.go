@@ -8,7 +8,7 @@
 //	splu -workers 4 -postorder=false
 //	splu -rhs ones                     # ones | index | random
 //	splu -pivot perturb -refine 3      # factor near-singular systems
-//	splu -fillratio 0.4 -maxsupernode 48
+//	splu -fillratio 0.4                # looser supernode amalgamation
 //
 // Without -matrix or -gen, a small built-in example runs.
 package main
@@ -34,7 +34,6 @@ func main() {
 		postorder  = flag.Bool("postorder", true, "postorder the LU elimination forest")
 		ordFlag    = flag.String("ordering", "mindeg", "fill-reducing ordering: mindeg, natural or rcm")
 		rhs        = flag.String("rhs", "ones", "right-hand side: ones, index or random")
-		maxSN      = flag.Int("maxsupernode", 32, "load-balance split threshold for supernode panels")
 		fillRatio  = flag.Float64("fillratio", 0.25, "explicit-zero fraction a supernode merge may introduce (negative = default)")
 		equil      = flag.Bool("equilibrate", false, "scale rows/columns to unit maxima before factoring")
 		refine     = flag.Int("refine", 0, "iterative refinement steps")
@@ -54,7 +53,6 @@ func main() {
 	opts := sparselu.DefaultOptions()
 	opts.Workers = *workers
 	opts.Postorder = *postorder
-	opts.MaxSupernode = *maxSN
 	opts.AmalgamationFill = *fillRatio
 	opts.Equilibrate = *equil
 	opts.Verify = *verifyInv

@@ -84,10 +84,6 @@ type Options struct {
 	//
 	// Deprecated: ignored, Analyze is serial.
 	AnalyzeWorkers int
-	// MaxSupernode is the load-balance threshold of the supernode
-	// partition: a block wider than it is split into near-equal panels
-	// (0 means 32). Amalgamation itself has no width cap.
-	MaxSupernode int
 	// AmalgamationFill is the fraction of explicit zeros a supernode
 	// merge may introduce (negative means 0.25).
 	AmalgamationFill float64
@@ -124,7 +120,6 @@ func DefaultOptions() *Options {
 		Ordering:         MinDegree,
 		Postorder:        true,
 		Workers:          1,
-		MaxSupernode:     32,
 		AmalgamationFill: 0.25,
 	}
 }
@@ -141,14 +136,11 @@ func (o *Options) toCore() *core.Options {
 		ord = ordering.RCMATA
 	}
 	return &core.Options{
-		Ordering:  ord,
-		Postorder: o.Postorder,
-		TaskGraph: taskgraph.EForest,
-		Amalgamation: supernode.AmalgamationOptions{
-			MaxSize: o.MaxSupernode,
-			MaxFill: o.AmalgamationFill,
-		},
-		Verify: o.Verify,
+		Ordering:     ord,
+		Postorder:    o.Postorder,
+		TaskGraph:    taskgraph.EForest,
+		Amalgamation: supernode.AmalgamationOptions{MaxFill: o.AmalgamationFill},
+		Verify:       o.Verify,
 		NumericOptions: core.NumericOptions{
 			Workers:     o.Workers,
 			PivotPolicy: core.PivotPolicy(o.PivotPolicy),

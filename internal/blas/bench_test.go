@@ -95,31 +95,11 @@ func BenchmarkDgetrf(b *testing.B) {
 	}
 }
 
-func BenchmarkDgetf2Panel(b *testing.B) {
-	// Panel shapes from the factorization: tall and narrow.
-	rng := rand.New(rand.NewSource(5))
-	for _, shape := range [][2]int{{256, 8}, {512, 16}, {1024, 32}} {
-		m, w := shape[0], shape[1]
-		orig := randMat(m, w, rng)
-		a := make([]float64, m*w)
-		ipiv := make([]int, w)
-		b.Run(fmt.Sprintf("%dx%d", m, w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(a, orig)
-				if err := Dgetf2(m, w, a, w, ipiv); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDgetrfStatic(b *testing.B) {
-	// The blocked panel factorization on the tall-panel shapes the
-	// supernodal numeric phase produces, plus a square case for
-	// comparison with BenchmarkDgetrf's unblocked path.
+	// The panel factorization on the tall, narrow panel shapes the
+	// supernodal numeric phase produces (at most 32 columns).
 	rng := rand.New(rand.NewSource(7))
-	for _, shape := range [][2]int{{256, 256}, {512, 64}, {1024, 64}} {
+	for _, shape := range [][2]int{{256, 8}, {512, 16}, {1024, 32}} {
 		m, n := shape[0], shape[1]
 		orig := randMat(m, n, rng)
 		a := make([]float64, m*n)

@@ -111,22 +111,17 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 // columns such a micro-panel keeps for the sake of an outside row are
 // zero in the window's rows, and the kernels skip or exactly absorb
 // them, so each C element's operation sequence is Dgemm's. Only B is
-// packed per call.
+// packed per call, in one pass: p.K ≤ packKC (Pack checks it) and n ≤
+// packNC (the numeric phase's n is a block width, at most 32).
 func DgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
 	if m <= 0 || n <= 0 || p.K == 0 {
 		return
 	}
 	s := getScratch()
+	k, nmp := p.K, (p.M+gemmMR-1)/gemmMR
 	i0, lane0 := r0/gemmMR, r0%gemmMR
-	for jc := 0; jc < n; jc += packNC {
-		nc := min(n-jc, packNC)
-		for pc := 0; pc < p.K; pc += packKC {
-			kc := min(p.K-pc, packKC)
-			finite := packBPanel(kc, nc, b[pc*ldb+jc:], ldb, s)
-			pa, off, kept := p.block(pc)
-			runTiles(finite, lane0, m, nc, kc, pa[i0*gemmMR*kc:], off[i0*kc:], kept[i0:], s.pb[:], c[jc:], ldc)
-		}
-	}
+	finite := packBPanel(k, n, b, ldb, s)
+	runTiles(finite, lane0, m, n, k, p.Vals[i0*gemmMR*k:], p.Ints[i0*k:], p.Ints[nmp*k+i0:], s.pb[:], c, ldc)
 	putScratch(s)
 }
 
@@ -183,15 +178,12 @@ func runTiles(finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int3
 // triangle of T, unit an implicit unit diagonal. B is m×n row-major with
 // leading dimension ldb.
 //
-// The lower solve is blocked in strips of packNB rows: each strip first
-// receives the contributions of all rows above it through Dgemm
-// (ascending p, same per-element order and T==0 skip as the unblocked
-// loop, so results stay bitwise identical for any strip width) and is
-// then solved unblocked. The upper solve stays unblocked: it walks
-// rows bottom-up but accumulates each element's subtrahends in
-// ascending p, an order a strip decomposition would reorder — and it
-// only runs in the triangular-solve phase, not under the
-// factorization's update tasks.
+// Both triangles run one substitution loop, unblocked at every size:
+// the numeric phase's triangles are diagonal blocks, at most
+// supernode.MaxWidth (32) rows. Row i of X (top-down for the lower
+// triangle, bottom-up for the upper) subtracts T[i,p]·X[p] over the
+// solved rows p in ascending p, skipping a T[i,p] that is exactly zero,
+// then scales by 1/T[i,i] unless unit.
 func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []float64, ldb int) {
 	if alpha != 1 {
 		for i := 0; i < m; i++ {
@@ -201,55 +193,18 @@ func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 			}
 		}
 	}
-	if lower {
-		if m <= packNB {
-			trsmLowerUnblocked(unit, m, n, t, ldt, b, ldb)
-			return
+	for s := 0; s < m; s++ {
+		i, lo, hi := s, 0, s
+		if !lower {
+			i, lo, hi = m-1-s, m-s, m
 		}
-		for i0 := 0; i0 < m; i0 += packNB {
-			ib := min(m-i0, packNB)
-			if i0 > 0 {
-				// B[i0:i0+ib] -= T[i0:i0+ib, 0:i0] · X[0:i0]
-				Dgemm(ib, n, i0, -1, t[i0*ldt:], ldt, b, ldb, 1, b[i0*ldb:], ldb)
-			}
-			trsmLowerUnblocked(unit, ib, n, t[i0*ldt+i0:], ldt, b[i0*ldb:], ldb)
-		}
-		return
-	}
-	for i := m - 1; i >= 0; i-- {
 		bi := b[i*ldb : i*ldb+n]
-		trow := t[i*ldt+i+1 : i*ldt+m]
+		trow := t[i*ldt+lo : i*ldt+hi]
 		for pj, tip := range trow {
 			if tip == 0 {
 				continue
 			}
-			p := i + 1 + pj
-			bp := b[p*ldb : p*ldb+n]
-			for j, v := range bp {
-				bi[j] -= tip * v
-			}
-		}
-		if !unit {
-			d := 1 / t[i*ldt+i]
-			for j := range bi {
-				bi[j] *= d
-			}
-		}
-	}
-}
-
-// trsmLowerUnblocked is the seed forward-substitution loop on an m×m
-// lower triangle. Each row of X accumulates its subtrahends in
-// ascending p with an exact-zero skip on T — the contract the blocked
-// driver and Dgemm preserve.
-func trsmLowerUnblocked(unit bool, m, n int, t []float64, ldt int, b []float64, ldb int) {
-	for i := 0; i < m; i++ {
-		bi := b[i*ldb : i*ldb+n]
-		trow := t[i*ldt : i*ldt+i]
-		for p, tip := range trow {
-			if tip == 0 {
-				continue
-			}
+			p := lo + pj
 			bp := b[p*ldb : p*ldb+n]
 			for j, v := range bp {
 				bi[j] -= tip * v

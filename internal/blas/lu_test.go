@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,7 +49,7 @@ func TestDgetf2Square(t *testing.T) {
 		a := randMat(n, n, rng)
 		orig := append([]float64(nil), a...)
 		ipiv := make([]int, n)
-		if err := Dgetf2(n, n, a, n, ipiv); err != nil {
+		if err := Dgetrf(n, n, a, n, ipiv); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		rec := reconstructLU(n, n, a, n, ipiv)
@@ -66,7 +67,7 @@ func TestDgetf2Rectangular(t *testing.T) {
 		a := randMat(m, n, rng)
 		orig := append([]float64(nil), a...)
 		ipiv := make([]int, min(m, n))
-		if err := Dgetf2(m, n, a, n, ipiv); err != nil {
+		if err := Dgetrf(m, n, a, n, ipiv); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		rec := reconstructLU(m, n, a, n, ipiv)
@@ -82,7 +83,7 @@ func TestDgetf2PivotsAreMax(t *testing.T) {
 	n := 20
 	a := randMat(n, n, rng)
 	ipiv := make([]int, n)
-	if err := Dgetf2(n, n, a, n, ipiv); err != nil {
+	if err := Dgetrf(n, n, a, n, ipiv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
@@ -98,11 +99,14 @@ func TestDgetf2Singular(t *testing.T) {
 	// Second column is a multiple of the first → zero pivot at step 1.
 	a := []float64{1, 2, 2, 4}
 	ipiv := make([]int, 2)
-	if err := Dgetf2(2, 2, a, 2, ipiv); err != ErrSingular {
+	if err := Dgetrf(2, 2, a, 2, ipiv); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
+// TestDgetrfMatchesDgetf2 pins Dgetrf on square matrices narrower and
+// wider than a panel of the numeric phase (32 columns) to the seed
+// unblocked loop, seedDgetf2Static, bit for bit.
 func TestDgetrfMatchesDgetf2(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{10, 47, 48, 49, 96, 130} {
@@ -113,17 +117,15 @@ func TestDgetrfMatchesDgetf2(t *testing.T) {
 		if err := Dgetrf(n, n, a1, n, p1); err != nil {
 			t.Fatalf("Dgetrf n=%d: %v", n, err)
 		}
-		if err := Dgetf2(n, n, a2, n, p2); err != nil {
-			t.Fatalf("Dgetf2 n=%d: %v", n, err)
+		if _, fz := seedDgetf2Static(n, n, a2, n, p2, 0); fz >= 0 {
+			t.Fatalf("seed n=%d: zero pivot at %d", n, fz)
 		}
 		for i := range p1 {
 			if p1[i] != p2[i] {
 				t.Fatalf("n=%d: pivot %d differs: %d vs %d", n, i, p1[i], p2[i])
 			}
 		}
-		if d := maxDiff(a1, a2); d > 1e-9 {
-			t.Fatalf("n=%d: blocked and unblocked factors differ by %g", n, d)
-		}
+		bitsEqual(t, fmt.Sprintf("Dgetrf n=%d", n), a1, a2)
 	}
 }
 

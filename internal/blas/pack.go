@@ -6,18 +6,16 @@ import (
 )
 
 // Cache-blocking sizes of the level-3 kernels: MC×KC is the packed A
-// block, KC×NC the packed B panel (the scratch below holds one of each),
-// and NB the strip/panel width of the blocked Dtrsm and DgetrfStatic
-// drivers. The numeric phase's calls have k and n at most the supernode
-// width cap (MaxSize, 32 by default), so MC is the only tile that can
-// split one. Blocking is bitwise-safe: it changes only which
-// contributions are computed together, never a C element's ascending-k
-// accumulation order.
+// block and KC×NC the packed B panel (the scratch below holds one of
+// each). The numeric phase's calls have k and n at most the supernode
+// width cap, supernode.MaxWidth = 32, so MC is the only tile that can
+// split one, and a packed Panel is a single KC block. Blocking is
+// bitwise-safe: it changes only which contributions are computed
+// together, never a C element's ascending-k accumulation order.
 const (
 	packMC = 256
 	packKC = 256
 	packNC = 1024
-	packNB = 32
 )
 
 // AutotuneOnce does nothing: the tiles are the constants above. It is
@@ -169,11 +167,11 @@ func packB(kc, nc int, b []float64, ldb int, pb []float64) {
 
 // Panel is an m×k operand α·A packed once, so that many products with
 // different right-hand operands (DgemmPanel) share one packing. It is a
-// view over caller storage sized by PanelSize. The layout is packA's,
-// block by block: the columns are cut into blocks of packKC, and block
-// pc (columns [pc, pc+kc)) holds ⌈m/4⌉ micro-panels of stride 4·kc
-// values and kc offsets, starting at value 4·⌈m/4⌉·pc and offset
-// ⌈m/4⌉·pc; the kept counts follow the offsets, ⌈m/4⌉ per block.
+// view over caller storage sized by PanelSize, in packA's layout for one
+// column block: ⌈m/4⌉ micro-panels of stride 4·k values and k offsets,
+// then the ⌈m/4⌉ kept counts. A panel of the numeric phase is at most
+// supernode.MaxWidth (32) ≤ packKC columns wide, so one block always
+// holds it; Pack checks k ≤ packKC.
 type Panel struct {
 	M, K int
 	Vals []float64
@@ -186,7 +184,7 @@ type Panel struct {
 // values from 4p, ints from p.
 func PanelSize(m, k int) (vals, ints int) {
 	nmp := (m + gemmMR - 1) / gemmMR
-	return gemmMR * nmp * k, nmp * (k + (k+packKC-1)/packKC)
+	return gemmMR * nmp * k, nmp * (k + 1)
 }
 
 // Pack packs α·A, where A is the p.M×p.K row-major matrix at a with
@@ -194,16 +192,9 @@ func PanelSize(m, k int) (vals, ints int) {
 // Pack wrote (the kept columns and counts), so reused storage needs no
 // clearing.
 func (p *Panel) Pack(alpha float64, a []float64, lda int) {
-	for pc := 0; pc < p.K; pc += packKC {
-		kc := min(p.K-pc, packKC)
-		pa, off, kept := p.block(pc)
-		packA(p.M, kc, alpha, a[pc:], lda, pa, off, kept)
+	if p.K > packKC {
+		panic("blas: Panel.Pack: operand wider than one packed column block")
 	}
-}
-
-// block returns the packed micro-panels, offsets and kept counts of the
-// column block that starts at pc.
-func (p *Panel) block(pc int) (pa []float64, off, kept []int32) {
 	nmp := (p.M + gemmMR - 1) / gemmMR
-	return p.Vals[gemmMR*nmp*pc:], p.Ints[nmp*pc:], p.Ints[nmp*p.K+nmp*(pc/packKC):][:nmp]
+	packA(p.M, p.K, alpha, a, lda, p.Vals, p.Ints, p.Ints[nmp*p.K:][:nmp])
 }

@@ -86,36 +86,16 @@ func TestDgemmPanelParity(t *testing.T) {
 // TestPanelSize pins the storage contract the packed slab of a
 // factorization relies on: values fit in four times the ints, so one
 // offset lays out panels of any shape in two slabs without overlap, and
-// the column blocks of an operand wider than packKC each get their own
-// kept counts.
+// the ints hold the offsets and the kept counts of one column block.
 func TestPanelSize(t *testing.T) {
 	for _, m := range []int{0, 1, 4, 5, 37} {
-		for _, k := range []int{0, 1, 32, packKC, packKC + 1, 3 * packKC} {
+		for _, k := range []int{0, 1, 31, 32} {
 			vals, ints := PanelSize(m, k)
 			nmp := (m + gemmMR - 1) / gemmMR
-			if vals != gemmMR*nmp*k || vals > 4*ints || ints != nmp*(k+(k+packKC-1)/packKC) {
+			if vals != gemmMR*nmp*k || vals > 4*ints || ints != nmp*(k+1) {
 				t.Fatalf("PanelSize(%d, %d) = %d, %d", m, k, vals, ints)
 			}
 		}
-	}
-}
-
-// TestDgemmPanelWideK runs DgemmPanel on an operand wider than packKC,
-// whose packed copy is cut into column blocks, against the seed kernel.
-func TestDgemmPanelWideK(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	const m, k, n = 23, packKC + 7, 19
-	a := zeroLacedMat(m, k, rng)
-	vals, ints := PanelSize(m, k)
-	p := Panel{M: m, K: k, Vals: make([]float64, vals), Ints: make([]int32, ints)}
-	p.Pack(-1, a, k)
-	b := zeroLacedMat(k, n, rng)
-	for r0 := 0; r0 < gemmMR; r0++ {
-		c1 := withoutNegZero(zeroLacedMat(m-r0, n, rng))
-		c2 := append([]float64(nil), c1...)
-		DgemmPanel(&p, r0, m-r0, n, b, n, c1, n)
-		seedDgemm(m-r0, n, k, -1, a[r0*k:], k, b, n, 1, c2, n)
-		bitsEqual(t, fmt.Sprintf("DgemmPanel r0=%d k=%d", r0, k), c1, c2)
 	}
 }
 
@@ -140,4 +120,19 @@ func TestAllFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPanelPackRejectsWideK pins the width check of Pack: an operand
+// wider than one packed column block (packKC) panics instead of being
+// packed past its storage.
+func TestPanelPackRejectsWideK(t *testing.T) {
+	const m, k = 4, packKC + 1
+	vals, ints := PanelSize(m, k)
+	p := Panel{M: m, K: k, Vals: make([]float64, vals), Ints: make([]int32, ints)}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Pack of a %d×%d operand did not panic", m, k)
+		}
+	}()
+	p.Pack(-1, make([]float64, m*k), k)
 }

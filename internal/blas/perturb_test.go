@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestDgetf2StaticFailModeMatchesDgetf2 pins that fail mode is exactly
-// the historical Dgetf2 behavior, including the first-zero-column
+// TestDgetf2StaticFailModeMatchesDgetf2 pins that DgetrfStatic's fail
+// mode is exactly the Dgetrf behavior, including the first-zero-column
 // report.
 func TestDgetf2StaticFailModeMatchesDgetf2(t *testing.T) {
 	// Column 1 becomes exactly zero after elimination of column 0
@@ -19,10 +19,10 @@ func TestDgetf2StaticFailModeMatchesDgetf2(t *testing.T) {
 	b := append([]float64(nil), a...)
 	ipivA := make([]int, 3)
 	ipivB := make([]int, 3)
-	errA := Dgetf2(3, 3, a, 3, ipivA)
-	np, firstZero := Dgetf2Static(3, 3, b, 3, ipivB, 0, nil)
+	errA := Dgetrf(3, 3, a, 3, ipivA)
+	np, firstZero := DgetrfStatic(3, 3, b, 3, ipivB, 0, nil)
 	if errA != ErrSingular {
-		t.Fatalf("Dgetf2 err = %v, want ErrSingular", errA)
+		t.Fatalf("Dgetrf err = %v, want ErrSingular", errA)
 	}
 	if np != 0 {
 		t.Fatalf("fail mode perturbed %d columns", np)
@@ -32,7 +32,7 @@ func TestDgetf2StaticFailModeMatchesDgetf2(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("fail mode diverged from Dgetf2 at %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("fail mode diverged from Dgetrf at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 	for i := range ipivA {
@@ -53,7 +53,7 @@ func TestDgetf2StaticPerturbsZeroPivot(t *testing.T) {
 	ipiv := make([]int, 3)
 	pcols := make([]int, 3)
 	thresh := 1e-8
-	np, firstZero := Dgetf2Static(3, 3, a, 3, ipiv, thresh, pcols)
+	np, firstZero := DgetrfStatic(3, 3, a, 3, ipiv, thresh, pcols)
 	if firstZero != -1 {
 		t.Fatalf("perturb mode reported firstZero = %d", firstZero)
 	}
@@ -86,7 +86,7 @@ func TestDgetf2StaticSignPreserving(t *testing.T) {
 		a := []float64{tc.piv}
 		ipiv := make([]int, 1)
 		pcols := make([]int, 1)
-		np, _ := Dgetf2Static(1, 1, a, 1, ipiv, thresh, pcols)
+		np, _ := DgetrfStatic(1, 1, a, 1, ipiv, thresh, pcols)
 		if np != 1 {
 			t.Fatalf("pivot %g not perturbed", tc.piv)
 		}
@@ -105,12 +105,12 @@ func TestDgetf2StaticLargePivotUntouched(t *testing.T) {
 	}
 	want := append([]float64(nil), a...)
 	ipivWant := make([]int, 2)
-	if err := Dgetf2(2, 2, want, 2, ipivWant); err != nil {
+	if err := Dgetrf(2, 2, want, 2, ipivWant); err != nil {
 		t.Fatal(err)
 	}
 	ipiv := make([]int, 2)
 	pcols := make([]int, 2)
-	np, _ := Dgetf2Static(2, 2, a, 2, ipiv, 1e-8, pcols)
+	np, _ := DgetrfStatic(2, 2, a, 2, ipiv, 1e-8, pcols)
 	if np != 0 {
 		t.Fatalf("healthy panel perturbed: %v", pcols[:np])
 	}

@@ -82,3 +82,37 @@ func TestNumericPhaseZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeWorkerCountIsCapped pins that the worker count is capped at
+// the task count before it sizes anything: 1<<16 workers on sherman3-s
+// factor to the P = 1 values bit for bit, and the factorization's heap
+// allocation stays far below what one whole-graph deque per requested
+// worker would take.
+func TestHugeWorkerCountIsCapped(t *testing.T) {
+	sp := matgen.SmallSuite()[0]
+	if sp.Name != "sherman3-s" {
+		t.Fatalf("small suite starts with %s, want sherman3-s", sp.Name)
+	}
+	a := sp.Gen()
+	s, err := Analyze(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 1 << 16})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := factorHash(f), factorHash(f1); got != want {
+		t.Fatalf("1<<16 workers: factor hash %s, P = 1 %s", got, want)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
+		t.Fatalf("1<<16 workers allocated %.1f MB over %d tasks, want < 16 MB", mb, s.Graph.NumTasks())
+	}
+}

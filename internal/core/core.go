@@ -139,7 +139,7 @@ func DefaultOptions() *Options {
 		Ordering:       ordering.MinDegreeATA,
 		Postorder:      true,
 		TaskGraph:      taskgraph.EForest,
-		Amalgamation:   supernode.AmalgamationOptions{MaxSize: 32, MaxFill: 0.25},
+		Amalgamation:   supernode.AmalgamationOptions{MaxSize: supernode.MaxWidth, MaxFill: 0.25},
 		NumericOptions: NumericOptions{Workers: 1},
 	}
 }
@@ -154,5 +154,8 @@ func (o *Options) withDefaults() *Options {
 	if out.Workers < 1 {
 		out.Workers = 1
 	}
+	// Record the width Split applies, so that Opts and PatternHash name
+	// the partition that ran: every MaxSize ≥ MaxWidth is one analysis.
+	out.Amalgamation.MaxSize = supernode.Width(out.Amalgamation.MaxSize)
 	return &out
 }

@@ -356,12 +356,17 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 
 // resolveNumOpts normalizes the per-call options of one factorization:
 // the caller's explicit NumericOptions, or the Symbolic's recorded
-// Options when nopts is nil.
+// Options when nopts is nil. Workers is capped at the task count: the
+// engine sizes one deque per worker for the whole graph, so memory
+// would grow with any worker count, and a worker beyond the task count
+// never runs a task (results are bitwise the same at every count).
 func resolveNumOpts(s *Symbolic, nopts *NumericOptions) NumericOptions {
 	if nopts == nil {
 		nopts = &s.Opts.NumericOptions
 	}
-	return nopts.withDefaults()
+	eff := nopts.withDefaults()
+	eff.Workers = min(eff.Workers, max(1, s.Graph.NumTasks()))
+	return eff
 }
 
 // numericCanceler resolves the cancellation signal of one bounded

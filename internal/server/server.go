@@ -406,9 +406,11 @@ func (s *Server) wrap(ep endpoint, h func(w http.ResponseWriter, r *http.Request
 func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context, *sched.Canceler, func()) {
 	d := s.cfg.DefaultDeadline
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxDeadline {
-			d = s.cfg.MaxDeadline
+		// Compare in milliseconds: the product of a huge timeout_ms
+		// overflows time.Duration and would wrap to a negative deadline.
+		d = s.cfg.MaxDeadline
+		if timeoutMS <= d.Milliseconds() {
+			d = time.Duration(timeoutMS) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)

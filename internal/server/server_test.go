@@ -353,6 +353,25 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsMaxDeadline pins that a timeout_ms too large for a
+// time.Duration means MaxDeadline on every route that takes one: the
+// largest int64 must not wrap to a negative deadline and answer a
+// healthy request 504.
+func TestHugeTimeoutIsMaxDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	m := testMatrix()
+	var fr factorizeResponse
+	status, body := post(t, ts, "/v1/factorize", factorizeRequest{Matrix: toMatrixJSON(m), TimeoutMS: math.MaxInt64}, &fr)
+	if status != http.StatusOK {
+		t.Fatalf("factorize with timeout_ms = MaxInt64: status %d, want 200 (body %s)", status, body)
+	}
+	b := make([]float64, m.NCols)
+	status, body = post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b, TimeoutMS: math.MaxInt64}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("solve with timeout_ms = MaxInt64: status %d, want 200 (body %s)", status, body)
+	}
+}
+
 // TestStructurallySingularIs422 pins that a matrix no values can make
 // nonsingular — here column 1 is empty — is answered 422 singular on
 // both routes that analyze it, not 500.

@@ -118,28 +118,36 @@ func StrictPartition(sym *symbolic.Result) *Partition {
 	return fromStarts(n, starts)
 }
 
+// MaxWidth is the widest block a partition of the analysis ever has:
+// Split never leaves a block wider, whatever width it is asked for.
+// It is the width contract of the numeric kernels too — a panel LU, a
+// diagonal-block triangle solve and a packed L panel are at most
+// MaxWidth columns wide (internal/blas relies on it: one unblocked
+// panel loop, one triangle-solve loop, one packed column block).
+const MaxWidth = 32
+
+// Width returns the block width cap Split applies for a requested
+// maxWidth: maxWidth itself when it lies in [1, MaxWidth], MaxWidth
+// otherwise.
+func Width(maxWidth int) int {
+	if maxWidth <= 0 || maxWidth > MaxWidth {
+		return MaxWidth
+	}
+	return maxWidth
+}
+
 // AmalgamationOptions tunes the supernode amalgamation.
 type AmalgamationOptions struct {
 	// MaxSize is the load-balance threshold: after fill-ratio-driven
 	// merging, blocks wider than MaxSize are split into near-equal
 	// panels by Split so the task graph stays balanced at high worker
-	// counts. ≤0 means 32.
+	// counts. Values ≤ 0 or above MaxWidth mean MaxWidth (see Width).
 	MaxSize int
 	// MaxFill is the maximum allowed fraction of explicit zeros that a
 	// merge may introduce into the merged panels, relative to the merged
 	// panel storage. Merging is driven by this bound alone — width is
 	// handled afterwards by Split. Negative means 0.25.
 	MaxFill float64
-}
-
-func (o AmalgamationOptions) withDefaults() AmalgamationOptions {
-	if o.MaxSize <= 0 {
-		o.MaxSize = 32
-	}
-	if o.MaxFill < 0 {
-		o.MaxFill = 0.25
-	}
-	return o
 }
 
 // panelUnion keeps |∪ structures| of a running group of consecutive
@@ -182,7 +190,9 @@ func (u *panelUnion) add(structure []int, k, first int) (own, fresh int) {
 // with Split. Merging consecutive blocks is always structurally safe
 // because blocks are stored dense.
 func Amalgamate(p *Partition, sym *symbolic.Result, opts AmalgamationOptions) *Partition {
-	opts = opts.withDefaults()
+	if opts.MaxFill < 0 {
+		opts.MaxFill = 0.25
+	}
 	nb := p.NumBlocks()
 	if nb <= 1 {
 		return p
@@ -218,16 +228,14 @@ func Amalgamate(p *Partition, sym *symbolic.Result, opts AmalgamationOptions) *P
 	return fromStarts(p.N, append(starts, p.N))
 }
 
-// Split breaks every block wider than maxWidth into near-equal
-// consecutive panels of at most maxWidth columns. Splitting is always
+// Split breaks every block wider than Width(maxWidth) into near-equal
+// consecutive panels of at most that many columns. Splitting is always
 // structurally safe — any refinement of a valid consecutive partition
 // is itself valid (blocks are stored dense, so cutting a block only
-// shrinks the dense submatrices). maxWidth ≤ 0 means 32. Partitions
-// already within the bound are returned unchanged.
+// shrinks the dense submatrices). Partitions already within the bound
+// are returned unchanged.
 func Split(p *Partition, maxWidth int) *Partition {
-	if maxWidth <= 0 {
-		maxWidth = 32
-	}
+	maxWidth = Width(maxWidth)
 	if p.MaxSize() <= maxWidth {
 		return p
 	}

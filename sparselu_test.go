@@ -223,7 +223,7 @@ func TestAllOptionCombos(t *testing.T) {
 	for _, ord := range []Ordering{MinDegree, NaturalOrder, RCM} {
 		for _, post := range []bool{true, false} {
 			for _, w := range []int{1, 4} {
-				opts := &Options{Ordering: ord, Postorder: post, Workers: w, MaxSupernode: 8, AmalgamationFill: 0.3}
+				opts := &Options{Ordering: ord, Postorder: post, Workers: w, AmalgamationFill: 0.3}
 				f, err := Factorize(m, opts)
 				if err != nil {
 					t.Fatalf("%v/%v/%d: %v", ord, post, w, err)
@@ -330,7 +330,7 @@ func TestQuickPublicPipeline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fac, err := Factorize(m, &Options{Ordering: MinDegree, Postorder: true, Workers: 1 + rng.Intn(3), MaxSupernode: 8, AmalgamationFill: 0.25})
+		fac, err := Factorize(m, &Options{Ordering: MinDegree, Postorder: true, Workers: 1 + rng.Intn(3), AmalgamationFill: 0.25})
 		if err != nil {
 			return false
 		}
