@@ -105,9 +105,9 @@ func BenchmarkTable3Supernodes(b *testing.B) {
 // symbolic cost model's flops over wall time reported as GFLOPS. The
 // serial (P=1) runs on the full-size sherman5, sherman3, orsreg1 and
 // lnsp3937 — the matrices of the four benchmark workloads — exercise the
-// packed Dgemm, the panel-packed updates, the blocked Dtrsm and the
-// blocked panel LU through the supernodal update path; sherman3 also
-// runs at P=4. Two trees compare pair by pair with
+// packed Dgemm, the panel-packed updates, the row-resident Dtrsm of
+// U(K,J) and the column-major panel LU of F(K); sherman3 also runs at
+// P=4. Two trees compare pair by pair with
 // `go test -run xxx -bench 'Factorize/' -count N` in each, alternated.
 func BenchmarkFactorize(b *testing.B) {
 	for _, m := range []struct {

@@ -76,6 +76,26 @@ lint() {
 		exit 1
 	fi
 
+	# Nor may the compiler fuse one in the Go kernels: on arm64 it turns
+	# c += a*b into FMADDD/FMSUBD unless the product is written
+	# float64(a*b). The listing is grepped only after the build succeeded
+	# and printed a kernel, so a failed build or an empty listing cannot
+	# read as "no match".
+	echo "==> no fused multiply-add in the compiled arm64 code of internal/blas"
+	rc=0
+	listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/blas 2>&1) || rc=$?
+	if [ "$rc" -ne 0 ] || ! printf '%s\n' "$listing" | grep -q 'TEXT.*blas\.Dtrsm(SB)'; then
+		printf '%s\n' "$listing" | tail -20 >&2
+		echo "GOARCH=arm64 go build -gcflags=-S ./internal/blas failed (status $rc) or listed no Dtrsm" >&2
+		exit 1
+	fi
+	hits=$(printf '%s\n' "$listing" | grep -E '\bF(N)?M(ADD|SUB)D\b' || true)
+	if [ -n "$hits" ]; then
+		echo "$hits" >&2
+		echo "the arm64 build of internal/blas fuses a multiply-add (FMADDD/FMSUBD/FNMADDD/FNMSUBD): write the product as float64(a*b)" >&2
+		exit 1
+	fi
+
 	# These names and fields are kept only because the frozen bench/
 	# uses them; ROADMAP's deletion sweep (the item the bench decoupling
 	# unlocks) deletes them together with those uses. No other non-test

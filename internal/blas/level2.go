@@ -9,9 +9,9 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 			row := a[i*lda : i*lda+n]
 			var s float64
 			for j, v := range row {
-				s += v * x[j]
+				s += float64(v * x[j])
 			}
-			y[i] = alpha*s + beta*y[i]
+			y[i] = float64(alpha*s) + float64(beta*y[i])
 		}
 		return
 	}
@@ -25,7 +25,7 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 		}
 		row := a[i*lda : i*lda+n]
 		for j, v := range row {
-			y[j] += xi * v
+			y[j] += float64(xi * v)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func Dtrsvt(lower, unit bool, n int, t []float64, ldt int, x []float64) {
 		for i := n - 1; i >= 0; i-- {
 			s := x[i]
 			for j := i + 1; j < n; j++ {
-				s -= t[j*ldt+i] * x[j]
+				s -= float64(t[j*ldt+i] * x[j])
 			}
 			if !unit {
 				s /= t[i*ldt+i]
@@ -53,7 +53,7 @@ func Dtrsvt(lower, unit bool, n int, t []float64, ldt int, x []float64) {
 	for i := 0; i < n; i++ {
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= t[j*ldt+i] * x[j]
+			s -= float64(t[j*ldt+i] * x[j])
 		}
 		if !unit {
 			s /= t[i*ldt+i]
@@ -72,7 +72,7 @@ func Dtrsv(lower, unit bool, n int, t []float64, ldt int, x []float64) {
 			s := x[i]
 			row := t[i*ldt : i*ldt+i]
 			for j, v := range row {
-				s -= v * x[j]
+				s -= float64(v * x[j])
 			}
 			if !unit {
 				s /= t[i*ldt+i]
@@ -85,7 +85,7 @@ func Dtrsv(lower, unit bool, n int, t []float64, ldt int, x []float64) {
 		s := x[i]
 		row := t[i*ldt+i+1 : i*ldt+n]
 		for j, v := range row {
-			s -= v * x[i+1+j]
+			s -= float64(v * x[i+1+j])
 		}
 		if !unit {
 			s /= t[i*ldt+i]

@@ -70,7 +70,7 @@ func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ld
 					}
 					brow := b[p*ldb : p*ldb+n]
 					for j, v := range brow {
-						crow[j] += aip * v
+						crow[j] += float64(aip * v)
 					}
 				}
 			}
@@ -178,12 +178,13 @@ func runTiles(finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int3
 // triangle of T, unit an implicit unit diagonal. B is m×n row-major with
 // leading dimension ldb.
 //
-// Both triangles run one substitution loop, unblocked at every size:
-// the numeric phase's triangles are diagonal blocks, at most
+// Both triangles run one substitution, unblocked at every size: the
+// numeric phase's triangles are diagonal blocks, at most
 // supernode.MaxWidth (32) rows. Row i of X (top-down for the lower
 // triangle, bottom-up for the upper) subtracts T[i,p]·X[p] over the
 // solved rows p in ascending p, skipping a T[i,p] that is exactly zero,
-// then scales by 1/T[i,i] unless unit.
+// then scales by 1/T[i,i] unless unit. trsm runs it on slabs of at most
+// trsmNB columns, a row of which the AVX2 kernel holds in registers.
 func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []float64, ldb int) {
 	if alpha != 1 {
 		for i := 0; i < m; i++ {
@@ -193,6 +194,20 @@ func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 			}
 		}
 	}
+	if m == 0 || n == 0 {
+		return
+	}
+	for j := 0; j < n; j += trsmNB {
+		trsm(lower, unit, m, min(n-j, trsmNB), t, ldt, b[j:], ldb)
+	}
+}
+
+// trsmNB is the widest B slab trsm takes: eight YMM registers of a row.
+const trsmNB = 32
+
+// trsmGo is the portable substitution on an m×n slab of B: the seed
+// loop, each row's subtrahends in ascending p with the exact-zero skip.
+func trsmGo(lower, unit bool, m, n int, t []float64, ldt int, b []float64, ldb int) {
 	for s := 0; s < m; s++ {
 		i, lo, hi := s, 0, s
 		if !lower {
@@ -207,7 +222,7 @@ func Dtrsm(lower, unit bool, m, n int, alpha float64, t []float64, ldt int, b []
 			p := lo + pj
 			bp := b[p*ldb : p*ldb+n]
 			for j, v := range bp {
-				bi[j] -= tip * v
+				bi[j] -= float64(tip * v)
 			}
 		}
 		if !unit {

@@ -17,7 +17,12 @@ var ErrSingular = errors.New("blas: matrix is numerically singular")
 // cannot exchange rows outside the panel's static row set.
 //
 // It is one unblocked right-looking loop at every size: a panel of the
-// numeric phase is at most supernode.MaxWidth (32) columns wide.
+// numeric phase is at most supernode.MaxWidth (32) columns wide. The loop
+// runs on a column-major copy of the panel (getrfCols) in the pa array
+// of a packing scratch, so that the pivot search, the scaling and the
+// rank-1 update stream contiguous columns; a panel whose copy would not
+// fit (luLD(m)·n > packMC·packKC values) runs it in place (getrfRows).
+// Both are bitwise the seed's row-major loop (DESIGN §10).
 //
 // With thresh <= 0 (fail mode) an exactly zero pivot column is skipped —
 // the factorization completes the remaining columns — and firstZero
@@ -34,12 +39,121 @@ var ErrSingular = errors.New("blas: matrix is numerically singular")
 // how many were written, and firstZero is always -1.  Callers are
 // expected to recover the lost accuracy with iterative refinement.
 func DgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
-	mn := m
-	if n < mn {
-		mn = n
+	ld := luLD(m)
+	if min(m, n) == 0 || ld*n > packMC*packKC { // the size of a scratch's pa
+		return getrfRows(m, n, a, lda, ipiv, thresh, perturbed)
 	}
+	s := getScratch()
+	c := s.pa[:ld*n]
+	transpose(m, n, a, lda, c, ld)
+	for j := 0; j < n; j++ {
+		clear(c[j*ld+m : (j+1)*ld])
+	}
+	nperturbed, firstZero = getrfCols(m, n, c, ld, ipiv, thresh, perturbed)
+	transpose(n, m, c, ld, a, lda)
+	putScratch(s)
+	return nperturbed, firstZero
+}
+
+// luLD is the leading dimension of the column-major copy of an m-row
+// panel: the least ld ≥ m+3 with ld ≡ 4 (mod 8). The three spare rows
+// let the vector kernel round every column's row range up to whole
+// four-row vectors. The odd multiple of 32 bytes keeps two columns less
+// than 128 apart from sharing a 4 KB offset, so a panel's columns do not
+// compete for the same L1 sets as a power-of-two stride would.
+func luLD(m int) int {
+	return (m+6)/8*8 + 4
+}
+
+// getrfCols is DgetrfStatic on the column-major m×n matrix c with
+// leading dimension ld ≥ luLD(m): the same steps in the same order,
+// with the pivot search and the scaling on contiguous columns and the
+// rank-1 update in luUpdate. Element (i, j) of the row-major panel is
+// c[j*ld+i] here, and every element sees the row-major loop's
+// operations on the same operands, so the factors are bitwise equal.
+func getrfCols(m, n int, c []float64, ld int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
 	firstZero = -1
-	for j := 0; j < mn; j++ {
+	for j := 0; j < min(m, n); j++ {
+		col := c[j*ld : (j+1)*ld]
+		p, best := pivotRow(col, j, m)
+		ipiv[j] = p
+		if best == 0 && thresh <= 0 {
+			if firstZero < 0 {
+				firstZero = j
+			}
+			continue
+		}
+		if p != j {
+			for t := 0; t < n; t++ {
+				c[t*ld+j], c[t*ld+p] = c[t*ld+p], c[t*ld+j]
+			}
+		}
+		piv := col[j]
+		if thresh > 0 && math.Abs(piv) < thresh {
+			if math.Signbit(piv) {
+				piv = -thresh
+			} else {
+				piv = thresh
+			}
+			col[j] = piv
+			perturbed[nperturbed] = j
+			nperturbed++
+		}
+		luUpdate(m, n, c, ld, j, 1/piv)
+	}
+	return nperturbed, firstZero
+}
+
+// pivotRowGo is the portable pivot search: the row p ≥ j of column col
+// (m rows) with the largest |col[p]|, the first of equals, and that
+// magnitude — the row-major loop's search on a contiguous column.
+func pivotRowGo(col []float64, j, m int) (p int, best float64) {
+	p, best = j, math.Abs(col[j])
+	for i := j + 1; i < m; i++ {
+		if v := math.Abs(col[i]); v > best {
+			best, p = v, i
+		}
+	}
+	return p, best
+}
+
+// transposeGo sets dst[j·ldd+i] = src[i·lds+j] for i < rows, j < cols,
+// outside the block i < r4, j < c4 that the assembly has copied.
+func transposeGo(rows, cols, r4, c4 int, src []float64, lds int, dst []float64, ldd int) {
+	for i := range rows {
+		j0 := c4
+		if i >= r4 {
+			j0 = 0
+		}
+		for j := j0; j < cols; j++ {
+			dst[j*ldd+i] = src[i*lds+j]
+		}
+	}
+}
+
+// luUpdateGo is the portable step of getrfCols: the row-major loop's
+// step j on the column-major layout. It scales rows j+1..m−1 of column j
+// by inv into the multipliers l and subtracts l·u(t) from each of those
+// rows of every column t > j, u(t) being row j of column t, row by row,
+// skipping a row whose multiplier is exactly zero.
+func luUpdateGo(m, n int, c []float64, ld, j int, inv float64) {
+	for i := j + 1; i < m; i++ {
+		lij := c[j*ld+i] * inv
+		c[j*ld+i] = lij
+		if lij == 0 {
+			continue
+		}
+		for t := j + 1; t < n; t++ {
+			c[t*ld+i] -= float64(lij * c[t*ld+j])
+		}
+	}
+}
+
+// getrfRows is the row-major loop DgetrfStatic runs on a panel whose
+// column-major copy would not fit the scratch (or an empty one).
+func getrfRows(m, n int, a []float64, lda int, ipiv []int, thresh float64, perturbed []int) (nperturbed, firstZero int) {
+	firstZero = -1
+	for j := 0; j < min(m, n); j++ {
 		// Find pivot in column j, rows j..m-1.
 		p := j
 		best := math.Abs(a[j*lda+j])
@@ -82,7 +196,7 @@ func DgetrfStatic(m, n int, a []float64, lda int, ipiv []int, thresh float64, pe
 			arow := a[i*lda+j+1 : i*lda+n]
 			urow := a[j*lda+j+1 : j*lda+n]
 			for t, v := range urow {
-				arow[t] -= lij * v
+				arow[t] -= float64(lij * v)
 			}
 		}
 	}

@@ -36,44 +36,44 @@ func microKernel4x8Go(nk int, pa []float64, off []int32, pb []float64, c []float
 		b4, b5, b6, b7 := bp[4], bp[5], bp[6], bp[7]
 		ap := pa[gemmMR*q : gemmMR*q+gemmMR]
 		if a := ap[0]; a != 0 {
-			c00 += a * b0
-			c01 += a * b1
-			c02 += a * b2
-			c03 += a * b3
-			c04 += a * b4
-			c05 += a * b5
-			c06 += a * b6
-			c07 += a * b7
+			c00 += float64(a * b0)
+			c01 += float64(a * b1)
+			c02 += float64(a * b2)
+			c03 += float64(a * b3)
+			c04 += float64(a * b4)
+			c05 += float64(a * b5)
+			c06 += float64(a * b6)
+			c07 += float64(a * b7)
 		}
 		if a := ap[1]; a != 0 {
-			c10 += a * b0
-			c11 += a * b1
-			c12 += a * b2
-			c13 += a * b3
-			c14 += a * b4
-			c15 += a * b5
-			c16 += a * b6
-			c17 += a * b7
+			c10 += float64(a * b0)
+			c11 += float64(a * b1)
+			c12 += float64(a * b2)
+			c13 += float64(a * b3)
+			c14 += float64(a * b4)
+			c15 += float64(a * b5)
+			c16 += float64(a * b6)
+			c17 += float64(a * b7)
 		}
 		if a := ap[2]; a != 0 {
-			c20 += a * b0
-			c21 += a * b1
-			c22 += a * b2
-			c23 += a * b3
-			c24 += a * b4
-			c25 += a * b5
-			c26 += a * b6
-			c27 += a * b7
+			c20 += float64(a * b0)
+			c21 += float64(a * b1)
+			c22 += float64(a * b2)
+			c23 += float64(a * b3)
+			c24 += float64(a * b4)
+			c25 += float64(a * b5)
+			c26 += float64(a * b6)
+			c27 += float64(a * b7)
 		}
 		if a := ap[3]; a != 0 {
-			c30 += a * b0
-			c31 += a * b1
-			c32 += a * b2
-			c33 += a * b3
-			c34 += a * b4
-			c35 += a * b5
-			c36 += a * b6
-			c37 += a * b7
+			c30 += float64(a * b0)
+			c31 += float64(a * b1)
+			c32 += float64(a * b2)
+			c33 += float64(a * b3)
+			c34 += float64(a * b4)
+			c35 += float64(a * b5)
+			c36 += float64(a * b6)
+			c37 += float64(a * b7)
 		}
 	}
 	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03

@@ -268,62 +268,74 @@ func TestDtrsmBitwiseParity(t *testing.T) {
 	}
 }
 
-// TestDgetrfStaticBitwiseParity pins the blocked right-looking
-// factorization to the unblocked seed kernel: same factors, pivots,
-// perturbation reports, and first-zero column, bit for bit.
+// TestDgetrfStaticBitwiseParity pins DgetrfStatic to the seed kernel:
+// same factors, pivots, perturbation reports, and first-zero column, bit
+// for bit, in fail and perturb mode. First on shapes wider than any
+// panel of the numeric phase (the column-major path takes every one
+// whose copy fits the scratch) and one whose copy does not, which runs
+// the row-major loop in place; then on the F(K) shapes on ±0-laced
+// values: every width w ≤ 32 against square-ish panels (m = w … w+3,
+// whose rows end inside a four-row vector at every step) and the tall
+// stacked panels of sherman5 and orsreg1 (m = 330, 416).
 func TestDgetrfStaticBitwiseParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	shapes := [][2]int{
-		{16, 16}, // below packNB: straight dispatch
-		{96, 64}, // tall, blocked in packNB-wide panels
+		{16, 16},
+		{96, 64}, // tall
 		{130, 130},
-		{64, 100}, // wide: trailing columns after the last panel
+		{64, 100}, // wide: columns right of the last pivot
 		{261, 96},
+		{700, 100}, // luLD(700)·100 > packMC·packKC: the row-major loop
 	}
 	for _, s := range shapes {
 		m, n := s[0], s[1]
 		for _, thresh := range []float64{0, 1e-8} {
-			a0 := sparseRandMat(m, n, rng)
-			mn := m
-			if n < mn {
-				mn = n
-			}
-			a1 := append([]float64(nil), a0...)
-			a2 := append([]float64(nil), a0...)
-			ipiv1 := make([]int, mn)
-			ipiv2 := make([]int, mn)
-			pbuf := make([]int, mn)
-			np, fz1 := DgetrfStatic(m, n, a1, n, ipiv1, thresh, pbuf)
-			pcols, fz2 := seedDgetf2Static(m, n, a2, n, ipiv2, thresh)
-			bitsEqual(t, "DgetrfStatic factors", a1, a2)
-			if fz1 != fz2 {
-				t.Fatalf("%dx%d thresh=%g: firstZero %d vs seed %d", m, n, thresh, fz1, fz2)
-			}
-			if np != len(pcols) {
-				t.Fatalf("%dx%d thresh=%g: %d perturbations vs seed %d", m, n, thresh, np, len(pcols))
-			}
-			for i := 0; i < np; i++ {
-				if pbuf[i] != pcols[i] {
-					t.Fatalf("%dx%d: perturbed col %d vs seed %d", m, n, pbuf[i], pcols[i])
-				}
-			}
-			for i := range ipiv1 {
-				if ipiv1[i] != ipiv2[i] {
-					t.Fatalf("%dx%d: ipiv[%d] = %d vs seed %d", m, n, i, ipiv1[i], ipiv2[i])
-				}
+			checkGetrfParity(t, fmt.Sprintf("DgetrfStatic %dx%d thresh=%g", m, n, thresh), m, n, sparseRandMat(m, n, rng), thresh)
+		}
+	}
+	for w := 1; w <= 32; w++ {
+		for _, m := range []int{w, w + 1, w + 2, w + 3, 330, 416} {
+			for _, thresh := range []float64{0, 1e-8} {
+				checkGetrfParity(t, fmt.Sprintf("DgetrfStatic %dx%d thresh=%g", m, w, thresh), m, w, zeroLacedMat(m, w, rng), thresh)
 			}
 		}
 	}
 }
 
+// checkGetrfParity runs DgetrfStatic and the seed loop on copies of the
+// m×n matrix a0 and demands equal factors, pivots, perturbations and
+// first zero.
+func checkGetrfParity(t *testing.T, name string, m, n int, a0 []float64, thresh float64) {
+	t.Helper()
+	mn := min(m, n)
+	a1 := append([]float64(nil), a0...)
+	a2 := append([]float64(nil), a0...)
+	ipiv1, ipiv2, pbuf := make([]int, mn), make([]int, mn), make([]int, mn)
+	np, fz1 := DgetrfStatic(m, n, a1, n, ipiv1, thresh, pbuf)
+	pcols, fz2 := seedDgetf2Static(m, n, a2, n, ipiv2, thresh)
+	bitsEqual(t, name+" factors", a1, a2)
+	if fz1 != fz2 || np != len(pcols) {
+		t.Fatalf("%s: (np=%d, firstZero=%d) vs seed (np=%d, firstZero=%d)", name, np, fz1, len(pcols), fz2)
+	}
+	for i := 0; i < np; i++ {
+		if pbuf[i] != pcols[i] {
+			t.Fatalf("%s: perturbed col %d vs seed %d", name, pbuf[i], pcols[i])
+		}
+	}
+	for i := range ipiv1 {
+		if ipiv1[i] != ipiv2[i] {
+			t.Fatalf("%s: ipiv[%d] = %d vs seed %d", name, i, ipiv1[i], ipiv2[i])
+		}
+	}
+}
+
 // TestDgetrfStaticZeroPivotParity drives the fail-mode skip and the
-// perturb-mode replacement through the *blocked* path: column 40 (in
-// the middle luNB panel) starts entirely zero and stays exactly zero
-// under elimination (every update subtracts l·0 = ±0), so step 40
-// meets an exactly zero pivot column. In fail mode the skipped
-// column's L part is all zeros, which the later panels' Dtrsm/Dgemm
-// zero-skips must treat identically to the unblocked kernel's skipped
-// eliminations.
+// perturb-mode replacement through the column-major path: column 40
+// starts entirely zero and stays exactly zero under elimination (every
+// update subtracts l·0 = ±0), so step 40 meets an exactly zero pivot
+// column. In fail mode step 40 is skipped — no scaling, no update — and
+// its column keeps its zeros below the diagonal, which the later
+// steps' updates leave as the seed's skipped eliminations do.
 func TestDgetrfStaticZeroPivotParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	m, n := 150, 96
