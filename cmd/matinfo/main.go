@@ -81,7 +81,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		full := sym.L.ToCSC(1)
-		ut := sym.U.ToCSC(1)
+		ut := sym.UCols().ToCSC(1)
 		merged := sparse.NewTriplet(a.NCols, a.NCols)
 		for j := 0; j < a.NCols; j++ {
 			rows, _ := full.Col(j)

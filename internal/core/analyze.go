@@ -30,11 +30,11 @@ type Symbolic struct {
 	// Part is the supernode partition (after amalgamation).
 	Part *supernode.Partition
 	// Stored is the block structure of Ā under Part — block (I,J) is
-	// present iff Ā has an entry inside it — split into its L / U / URows
-	// views. It is what the numeric phase allocates and updates, what the
-	// solve schedules chain on and what Costs charges: Ā is closed under
-	// elimination for every pivot sequence, so no entry outside these
-	// blocks ever becomes non-zero.
+	// present iff Ā has an entry inside it — split into its L (by
+	// columns) and URows (U by rows) views. It is what the numeric phase
+	// allocates and updates, what the solve schedules chain on and what
+	// Costs charges: Ā is closed under elimination for every pivot
+	// sequence, so no entry outside these blocks ever becomes non-zero.
 	Stored *symbolic.Result
 	// BlockSym is the static symbolic factorization of the supernode
 	// block matrix: Stored re-closed under George–Ng at block
@@ -46,7 +46,8 @@ type Symbolic struct {
 	// tables and timings, the golden hashes, the closure sizes splu and
 	// matinfo print, and bench/layers.go's BlockSym.N. ROADMAP's deletion
 	// sweep (the item the bench decoupling unlocks) makes them transients
-	// of Analyze too (a further 5.3 MB on sherman3, 1.7 MB on lnsp3937).
+	// of Analyze too (a further 3.0 MB on sherman3, 1.0 MB on lnsp3937;
+	// it keeps L̄ by columns and Ū by rows, no column view of Ū).
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
@@ -177,32 +178,36 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	st.mark("transversal")
 
 	// Step 1: fill-reducing ordering, applied symmetrically so the
-	// zero-free diagonal survives.
+	// zero-free diagonal survives. Only the pattern is permuted: the
+	// symbolic factorization reads no values.
 	fill := ordering.ColumnOrdering(a1, o.Ordering)
-	a2 := a1.PermuteSym(fill)
+	a2 := sparse.PatternView(a1).PermuteSym(fill)
 	st.mark("ordering")
 
 	// Step 2: static symbolic factorization (George & Ng).
-	sym, err := symbolic.Factor(a2)
+	sym, err := symbolic.FactorPattern(a2)
 	if err != nil {
 		return nil, fmt.Errorf("core: symbolic factorization: %w", err)
 	}
 	forest := etree.LUForest(sym)
 	st.mark("symbolic")
 
-	// Step 3: postorder the LU eforest (Theorem 3 lets us relabel the
-	// symbolic result instead of refactoring).
+	// Step 3: postorder the LU eforest. By Theorem 3 the relabeled sym
+	// is the static symbolic factorization of the postordered matrix, so
+	// nothing is refactored — nor relabeled: the stages below read sym
+	// through order (new label → old), which is exact (DESIGN §18).
 	symPerm := fill
+	var perm sparse.Perm
+	var order []int // nil: the identity
 	if o.Postorder {
 		if o.Verify {
-			if err := verify.VerifyPostorderInvariance(a2, sym, forest); err != nil {
+			if err := verify.VerifyPostorderInvariance(a1.PermuteSym(fill), sym, forest); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
-		po := etree.PostorderSymbolic(sym, forest)
-		sym = po.Sym
-		forest = po.Forest
-		symPerm = fill.Compose(po.Perm)
+		perm = forest.PostOrder()
+		order = perm.Inverse()
+		symPerm = fill.Compose(perm)
 	}
 	st.mark("postorder")
 
@@ -211,11 +216,11 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	// zeros stay under MaxFill of the panel storage (no width cap);
 	// Split then breaks blocks wider than MaxSize into near-equal
 	// panels so dense-ish patterns don't collapse into one serial task.
-	strict := supernode.StrictPartition(sym)
-	merged := supernode.Amalgamate(strict, sym, o.Amalgamation)
+	strict := supernode.StrictPartitionOrdered(sym, order)
+	merged := supernode.AmalgamateOrdered(strict, sym, order, o.Amalgamation)
 	part := supernode.Split(merged, o.Amalgamation.MaxSize)
 	// The block structure of Ā under the partition is what gets stored.
-	bp := supernode.BlockPattern(sym, part)
+	bp := supernode.BlockPatternOrdered(sym, order, part)
 	st.mark("supernodes")
 
 	// Step 5: its closure under block-level elimination, so that the
@@ -253,7 +258,12 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	st.mark("solve schedules")
 
 	if o.Verify {
-		if err := verify.VerifyStoredBlocks(sym, part, stored, blockSym); err != nil {
+		// The checks read the scalar structure in the partition's labels.
+		relabeled := sym
+		if perm != nil {
+			relabeled = etree.PermuteSymbolic(sym, perm)
+		}
+		if err := verify.VerifyStoredBlocks(relabeled, part, stored, blockSym); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		if err := verify.VerifyDAG(graph); err != nil {

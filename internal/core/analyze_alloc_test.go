@@ -30,20 +30,23 @@ func analyzeAllocs(t testing.TB, a *sparse.CSC) (mallocs, bytes float64) {
 // TestAnalyzeAllocCeiling pins what a serial Analyze costs the
 // allocator on the small-suite stand-ins of the four workload matrices:
 // mallocs per column and bytes per entry of Ā, each at the value
-// measured when the structural stages were rewritten to allocate per
-// stage instead of per step, plus 25 % headroom. Before that rewrite the
-// same matrices read 47–54 mallocs per column and 149–256 bytes per
-// entry; a per-column or per-step allocation creeping back into a stage
-// shows here long before it shows in seconds.
+// measured when Analyze stopped writing the scalar structure more than
+// once (no relabeled copy after the postorder, no column view of Ū),
+// plus 25 % headroom. Before that change the same matrices read 68–103
+// bytes per entry, and before the structural stages were rewritten to
+// allocate per stage instead of per step 47–54 mallocs per column and
+// 149–256 bytes per entry; a relabel, a transpose or a per-step
+// allocation creeping back into a stage shows here long before it shows
+// in seconds.
 func TestAnalyzeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by the race detector")
 	}
 	ceilings := map[string]struct{ perColumn, perEntry float64 }{
-		"sherman3-s": {3.5, 161}, // measured 2.80, 129.1
-		"sherman5-s": {2.4, 94},  // 1.91, 75.5
-		"lnsp-s":     {3.7, 152}, // 2.92, 121.9
-		"orsreg-s":   {2.8, 93},  // 2.27, 74.7
+		"sherman3-s": {3.0, 95}, // measured 2.39, 76.2
+		"sherman5-s": {2.0, 57}, // 1.57, 45.3
+		"lnsp-s":     {3.0, 99}, // 2.40, 78.9
+		"orsreg-s":   {2.3, 55}, // 1.86, 44.2
 	}
 	for _, sp := range matgen.SmallSuite() {
 		c, ok := ceilings[sp.Name]

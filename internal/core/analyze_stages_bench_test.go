@@ -25,10 +25,13 @@ type analyzeStage struct {
 // stageState carries the intermediate structures from stage to stage.
 type stageState struct {
 	o           *Options
-	a, a1, a2   *sparse.CSC
-	pre         *symbolic.Result // before the postorder
-	preForest   *etree.Forest
-	sym         *symbolic.Result // after it
+	a, a1       *sparse.CSC
+	fill        sparse.Perm
+	a2          *sparse.Pattern
+	sym         *symbolic.Result // in the labels of the fill-reducing ordering
+	forest      *etree.Forest
+	order       []int // the postorder, new label → old
+	symPerm     sparse.Perm
 	part        *supernode.Partition
 	bp          *sparse.Pattern
 	stored      *symbolic.Result
@@ -44,25 +47,27 @@ func analyzeStages() []analyzeStage {
 			return nil
 		}},
 		{"ordering", func(st *stageState) error {
-			st.a2 = st.a1.PermuteSym(ordering.ColumnOrdering(st.a1, st.o.Ordering))
+			st.fill = ordering.ColumnOrdering(st.a1, st.o.Ordering)
+			st.a2 = sparse.PatternView(st.a1).PermuteSym(st.fill)
 			return nil
 		}},
 		{"symbolic", func(st *stageState) (err error) {
-			if st.pre, err = symbolic.Factor(st.a2); err == nil {
-				st.preForest = etree.LUForest(st.pre)
+			if st.sym, err = symbolic.FactorPattern(st.a2); err == nil {
+				st.forest = etree.LUForest(st.sym)
 			}
 			return err
 		}},
 		{"postorder", func(st *stageState) error {
-			po := etree.PostorderSymbolic(st.pre, st.preForest)
-			st.sym = po.Sym
+			perm := st.forest.PostOrder()
+			st.order = perm.Inverse()
+			st.symPerm = st.fill.Compose(perm)
 			return nil
 		}},
 		{"supernodes", func(st *stageState) error {
-			strict := supernode.StrictPartition(st.sym)
-			merged := supernode.Amalgamate(strict, st.sym, st.o.Amalgamation)
+			strict := supernode.StrictPartitionOrdered(st.sym, st.order)
+			merged := supernode.AmalgamateOrdered(strict, st.sym, st.order, st.o.Amalgamation)
 			st.part = supernode.Split(merged, st.o.Amalgamation.MaxSize)
-			st.bp = supernode.BlockPattern(st.sym, st.part)
+			st.bp = supernode.BlockPatternOrdered(st.sym, st.order, st.part)
 			return nil
 		}},
 		{"block symbolic", func(st *stageState) (err error) {
@@ -99,41 +104,44 @@ func analyzeStages() []analyzeStage {
 // full-size suite, one sub-benchmark per matrix and stage plus the whole
 // call, and reports the stage's nanoseconds per entry of Ā beside
 // allocs/op — the number behind "each stage runs in time proportional
-// to what it writes".
+// to what it writes". A matrix's stage state is built inside its own
+// sub-benchmark, so -bench 'AnalyzeStages/orsreg1/' runs the stages of
+// orsreg1 only.
 func BenchmarkAnalyzeStages(b *testing.B) {
 	for _, sp := range matgen.Suite() {
-		a := sp.Gen()
-		st := &stageState{o: DefaultOptions().withDefaults(), a: a}
-		stages := analyzeStages()
-		for _, sg := range stages {
-			if err := sg.run(st); err != nil {
-				b.Fatalf("%s: %s: %v", sp.Name, sg.name, err)
+		b.Run(sp.Name, func(b *testing.B) {
+			a := sp.Gen()
+			st := &stageState{o: DefaultOptions().withDefaults(), a: a}
+			stages := analyzeStages()
+			for _, sg := range stages {
+				if err := sg.run(st); err != nil {
+					b.Fatalf("%s: %s: %v", sp.Name, sg.name, err)
+				}
 			}
-		}
-		fill := float64(st.sym.NNZ())
-		perEntry := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/fill, "ns/entry")
-		}
-		for _, sg := range stages {
-			sg := sg
-			b.Run(sp.Name+"/"+sg.name, func(b *testing.B) {
+			fill := float64(st.sym.NNZ())
+			perEntry := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/fill, "ns/entry")
+			}
+			for _, sg := range stages {
+				b.Run(sg.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := sg.run(st); err != nil {
+							b.Fatal(err)
+						}
+					}
+					perEntry(b)
+				})
+			}
+			b.Run("analyze", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := sg.run(st); err != nil {
+					if _, err := Analyze(a, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
 				perEntry(b)
 			})
-		}
-		b.Run(sp.Name+"/analyze", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(a, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			perEntry(b)
 		})
 	}
 }

@@ -436,9 +436,9 @@ func TestAnalyzeStats(t *testing.T) {
 	if st.TaskCount != closure.NumTasks() || st.EdgeCount != closure.NumEdges {
 		t.Fatalf("closure counts %d tasks / %d edges, taskgraph.New %d / %d", st.TaskCount, st.EdgeCount, closure.NumTasks(), closure.NumEdges)
 	}
-	if st.StoredTasks != s.Graph.NumTasks() || st.StoredEdges != s.Graph.NumEdges || st.StoredTasks != s.Stored.U.NNZ() {
+	if st.StoredTasks != s.Graph.NumTasks() || st.StoredEdges != s.Graph.NumEdges || st.StoredTasks != s.Stored.URows.NNZ() {
 		t.Fatalf("stored counts %d tasks / %d edges, Graph %d / %d, %d stored U blocks",
-			st.StoredTasks, st.StoredEdges, s.Graph.NumTasks(), s.Graph.NumEdges, s.Stored.U.NNZ())
+			st.StoredTasks, st.StoredEdges, s.Graph.NumTasks(), s.Graph.NumEdges, s.Stored.URows.NNZ())
 	}
 	if st.StoredTasks >= st.TaskCount {
 		t.Fatalf("stored graph has %d tasks, the closure %d: the test matrix stores every block", st.StoredTasks, st.TaskCount)

@@ -103,7 +103,8 @@ func structureHash(t testing.TB, s *Symbolic, a *sparse.CSC) string {
 	stats.AnalyzeSeconds = 0
 	fmt.Fprint(g.h, statsFields(stats, false))
 
-	for _, p := range []*sparse.Pattern{sym.U, sym.URows, s.Stored.L, s.Stored.U, s.Stored.URows, s.BlockSym.U, s.BlockSym.URows} {
+	// The column views of Ū are derived: a Result keeps Ū by rows only.
+	for _, p := range []*sparse.Pattern{sym.UCols(), sym.URows, s.Stored.L, s.Stored.UCols(), s.Stored.URows, s.BlockSym.UCols(), s.BlockSym.URows} {
 		g.pattern(p)
 	}
 	g.ints(forest.Parent)

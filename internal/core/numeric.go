@@ -91,10 +91,11 @@ func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
 	lay := make([]colLayout, stored.N)
 	blockRows := make([]int, 0, stored.NNZ())
 	offsets := make([]int, 0, stored.NNZ())
+	u := stored.UCols()
 	for j := range lay {
 		c := &lay[j]
 		c.width = part.Size(j)
-		ublocks := stored.U.Col(j) // rows ≤ j, ends at diagonal
+		ublocks := u.Col(j) // rows ≤ j, ends at diagonal
 		c.diagIdx = len(ublocks) - 1
 		lo := len(blockRows)
 		blockRows = append(append(blockRows, ublocks[:c.diagIdx]...), stored.L.Col(j)...)

@@ -30,7 +30,7 @@ func fingerprint(s *Symbolic) symbolicFingerprint {
 		}
 	}
 	add(s.RowPerm, s.SymPerm, s.SolvePerm, s.Part.BlockStart, s.Part.ColToBlock,
-		s.Stored.L.ColPtr, s.Stored.L.RowInd, s.Stored.U.ColPtr, s.Stored.U.RowInd)
+		s.Stored.L.ColPtr, s.Stored.L.RowInd, s.Stored.URows.ColPtr, s.Stored.URows.RowInd)
 	for i := range s.layout {
 		c := &s.layout[i]
 		add(c.blockRows, c.offsets, c.panelRows, []int{c.width, c.diagIdx, c.rows, c.packEnd})

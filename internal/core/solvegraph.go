@@ -27,7 +27,7 @@ func solveSchedules(stored *symbolic.Result) (fwd, bwd *sched.Levels, err error)
 		return nil, nil, fmt.Errorf("core: forward solve schedule: %w", err)
 	}
 	fwd = sched.NewLevels(order, off)
-	order, off, err = taskgraph.LevelSets(chainByRow(nb, stored.U, true))
+	order, off, err = taskgraph.LevelSets(chainByRow(nb, stored.UCols(), true))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: backward solve schedule: %w", err)
 	}

@@ -61,7 +61,7 @@ type skips struct{ tasks, swaps, targets, exchanged int }
 func noOps(g *taskgraph.Graph, s *Symbolic) int {
 	n := 0
 	for _, task := range g.Tasks {
-		if task.Kind == taskgraph.Update && !s.Stored.U.Has(task.K, task.J) {
+		if task.Kind == taskgraph.Update && !s.Stored.URows.Has(task.J, task.K) {
 			n++
 		}
 	}
@@ -317,7 +317,7 @@ func missingBlockCase(t *testing.T) (*Symbolic, *sparse.CSC) {
 	if !reflect.DeepEqual(s.Part.BlockStart, []int{0, 2, 4, 6}) || !reflect.DeepEqual(s.SolvePerm, sparse.Perm{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("the case needs blocks {0,1} {2,3} {4,5} in natural order, got starts %v perm %v", s.Part.BlockStart, s.SolvePerm)
 	}
-	if !s.Stored.L.Has(2, 0) || !s.Stored.U.Has(0, 1) || s.Stored.L.Has(2, 1) || !s.BlockSym.L.Has(2, 1) {
+	if !s.Stored.L.Has(2, 0) || !s.Stored.URows.Has(1, 0) || s.Stored.L.Has(2, 1) || !s.BlockSym.L.Has(2, 1) {
 		t.Fatal("the case needs blocks (2,0), (0,1) stored and (2,1) only in the closure")
 	}
 	return s, a

@@ -38,7 +38,7 @@ func contract(t *testing.T, s *Symbolic) *contracted {
 		switch {
 		case task.Kind == taskgraph.Factor:
 			c.toG[id] = int32(c.g.FactorID[task.K])
-		case s.Stored.U.Has(task.K, task.J):
+		case s.Stored.URows.Has(task.J, task.K):
 			up, ok := c.g.UpdateID(task.K, task.J)
 			if !ok {
 				t.Fatalf("stored block (%d,%d) has no task", task.K, task.J)

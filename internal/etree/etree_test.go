@@ -155,13 +155,14 @@ func TestTheorem1(t *testing.T) {
 		n := 4 + rng.Intn(25)
 		sym := mustFactor(t, randomZeroFreeDiag(n, 0.15, rng))
 		f := LUForest(sym)
+		u := sym.UCols()
 		for j := 0; j < n; j++ {
-			for _, i := range sym.U.Col(j) {
+			for _, i := range u.Col(j) {
 				if i == j {
 					continue
 				}
 				for k := f.Parent[i]; k != None && k < j; k = f.Parent[k] {
-					if !sym.U.Has(k, j) {
+					if !u.Has(k, j) {
 						t.Fatalf("trial %d: ū(%d,%d)≠0 but ancestor %d missing in column %d", trial, i, j, k, j)
 					}
 				}
@@ -188,8 +189,9 @@ func TestTheorem2(t *testing.T) {
 			}
 			mark(r)
 		}
+		u := sym.UCols()
 		for j := 0; j < n; j++ {
-			for _, i := range sym.U.Col(j) {
+			for _, i := range u.Col(j) {
 				if i == j {
 					continue
 				}
@@ -330,13 +332,14 @@ func TestQuickPostorderKeepsTriangularity(t *testing.T) {
 			return false
 		}
 		po := PostorderSymbolic(sym, LUForest(sym))
+		u := po.Sym.UCols()
 		for j := 0; j < n; j++ {
 			for _, i := range po.Sym.L.Col(j) {
 				if i < j {
 					return false
 				}
 			}
-			for _, i := range po.Sym.U.Col(j) {
+			for _, i := range u.Col(j) {
 				if i > j {
 					return false
 				}

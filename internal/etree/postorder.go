@@ -22,6 +22,10 @@ type Postordering struct {
 
 // PostorderSymbolic computes the postordering of the LU eforest of sym
 // and relabels both the symbolic structures and the forest accordingly.
+// Analyze does not relabel: it reads sym through the inverse of the
+// postorder (supernode.StrictPartitionOrdered and its siblings), and
+// builds the relabeled structure with PermuteSymbolic only for
+// Options.Verify.
 func PostorderSymbolic(sym *symbolic.Result, f *Forest) *Postordering {
 	perm := f.PostOrder()
 	return &Postordering{
@@ -35,9 +39,7 @@ func PostorderSymbolic(sym *symbolic.Result, f *Forest) *Postordering {
 // symmetric permutation. The permutation must keep L̄ lower and Ū upper
 // triangular (any postorder of the LU eforest does, per Section 3).
 func PermuteSymbolic(sym *symbolic.Result, perm sparse.Perm) *symbolic.Result {
-	l := sym.L.PermuteSym(perm)
-	ur := sym.URows.PermuteSym(perm)
-	return &symbolic.Result{N: sym.N, L: l, U: ur.Transpose(), URows: ur}
+	return &symbolic.Result{N: sym.N, L: sym.L.PermuteSym(perm), URows: sym.URows.PermuteSym(perm)}
 }
 
 // BlockUpperTriangular verifies that the full structure Ā = L̄ + Ū − I is
@@ -53,13 +55,14 @@ func BlockUpperTriangular(sym *symbolic.Result, ranges [][2]int) (int, int) {
 			block[v] = b
 		}
 	}
+	u := sym.UCols()
 	for j := 0; j < n; j++ {
 		for _, i := range sym.L.Col(j) {
 			if block[i] > block[j] {
 				return i, j
 			}
 		}
-		for _, i := range sym.U.Col(j) {
+		for _, i := range u.Col(j) {
 			if block[i] > block[j] {
 				return i, j
 			}

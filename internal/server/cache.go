@@ -24,19 +24,20 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 // symBytes estimates the bytes a Symbolic retains, for the cache's
 // approx_bytes counter. A Symbolic keeps what factorizations read plus
 // the block-level closure; the scalar Ā and eforest are transients of
-// Analyze. Per block of the closure 16 B (L once, U column- and
-// row-wise, 8-byte indices); per stored block 40 B (its three pattern
-// views and its slot in the block-column layout); per column 165 B (the
-// three permutations, the column-to-block map and the row lists of the
-// L panels, which hold 12–24 × N entries on the suite); per task of the
+// Analyze, and a structure keeps Ū by rows only. Per block of the
+// closure 8 B (L̄ by columns and Ū by rows, 8-byte indices); per
+// stored block 32 B (its L̄ and Ū-row views and its slot in the
+// block-column layout); per column 200 B (the three permutations, the
+// column-to-block map, the row lists of the L panels, which hold 12–24 ×
+// N entries on the suite, and the per-block arrays); per task of the
 // stored graph 90 B with its costs and priorities, and 4 B an edge.
-// 0.95–1.06× the live heap one Analyze adds on the seven full-size suite
-// matrices (TestSymBytesTracksRetainedHeap); the closure is 41–66 % of
+// 0.93–1.08× the live heap one Analyze adds on the seven full-size suite
+// matrices (TestSymBytesTracksRetainedHeap); the closure is 27–51 % of
 // that heap.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
-	return int64(st.BlockNNZ)*16 + int64(st.StoredBlocks)*40 +
-		int64(st.N)*165 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
+	return int64(st.BlockNNZ)*8 + int64(st.StoredBlocks)*32 +
+		int64(st.N)*200 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
 }
 
 // factorBytes estimates the bytes one factorization of a pattern

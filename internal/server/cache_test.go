@@ -75,10 +75,16 @@ func TestSymBytesTracksRetainedHeap(t *testing.T) {
 		t.Skip("analyzes the full-size suite")
 	}
 	opts := core.DefaultOptions()
-	// The warm-up pays any once-per-process cost.
+	// The warm-up pays any once-per-process cost. Two collections then
+	// empty the sync.Pools earlier tests filled (the codec's body buffers
+	// hold up to 4 MB each): a pool is dropped over two collections, and
+	// one that went during the first matrix's measurement would count as
+	// heap its Symbolic retained.
 	if _, err := core.Analyze(matgen.SmallSuite()[0].Gen(), opts); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GC()
+	runtime.GC()
 	var ms runtime.MemStats
 	for _, spec := range matgen.Suite() {
 		a := spec.Gen()

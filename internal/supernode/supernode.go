@@ -101,15 +101,31 @@ func equalTail(a, b []int) bool {
 //	                                             equal structure below), and
 //	struct(Ū_{j,*}) \ {j} = struct(Ū_{j+1,*})   (equal U row structure
 //	                                             right of the block).
-func StrictPartition(sym *symbolic.Result) *Partition {
+func StrictPartition(sym *symbolic.Result) *Partition { return StrictPartitionOrdered(sym, nil) }
+
+// at returns the label in sym of column c of the ordered structure:
+// order[c], or c itself when order is nil (the identity).
+func at(order []int, c int) int {
+	if order == nil {
+		return c
+	}
+	return order[c]
+}
+
+// StrictPartitionOrdered is StrictPartition of sym relabeled so that
+// its column c is column order[c] of sym (order maps new labels to old;
+// nil is the identity), read through order instead of relabeled. The
+// order must keep L̄ lower and Ū upper triangular, as every postorder of
+// the LU eforest does. Then the tests are exact in the old labels: the
+// first entry of an L̄ column or Ū row is its diagonal in both
+// labelings, and the rest compare as sets, which a bijection preserves
+// and which sorted lists compare entry by entry.
+func StrictPartitionOrdered(sym *symbolic.Result, order []int) *Partition {
 	n := sym.N
 	starts := []int{0}
 	for j := 1; j < n; j++ {
-		lPrev := sym.L.Col(j - 1) // starts at j-1
-		lCur := sym.L.Col(j)      // starts at j
-		uPrev := sym.URows.Col(j - 1)
-		uCur := sym.URows.Col(j)
-		same := equalTail(lPrev, lCur) && equalTail(uPrev, uCur)
+		prev, cur := at(order, j-1), at(order, j)
+		same := equalTail(sym.L.Col(prev), sym.L.Col(cur)) && equalTail(sym.URows.Col(prev), sym.URows.Col(cur))
 		if !same {
 			starts = append(starts, j)
 		}
@@ -190,6 +206,14 @@ func (u *panelUnion) add(structure []int, k, first int) (own, fresh int) {
 // with Split. Merging consecutive blocks is always structurally safe
 // because blocks are stored dense.
 func Amalgamate(p *Partition, sym *symbolic.Result, opts AmalgamationOptions) *Partition {
+	return AmalgamateOrdered(p, sym, nil, opts)
+}
+
+// AmalgamateOrdered is Amalgamate of sym relabeled by order, read
+// through it (see StrictPartitionOrdered). It is exact for any order:
+// it compares only sizes of unions of structures and entry counts, and
+// a relabeling maps the unions onto each other.
+func AmalgamateOrdered(p *Partition, sym *symbolic.Result, order []int, opts AmalgamationOptions) *Partition {
 	if opts.MaxFill < 0 {
 		opts.MaxFill = 0.25
 	}
@@ -206,7 +230,7 @@ func Amalgamate(p *Partition, sym *symbolic.Result, opts AmalgamationOptions) *P
 		lo, hi := p.Range(k)
 		var ownL, freshL, ownU, freshU, nnz int
 		for c := lo; c < hi; c++ {
-			lc, uc := sym.L.Col(c), sym.URows.Col(c)
+			lc, uc := sym.L.Col(at(order, c)), sym.URows.Col(at(order, c))
 			nnz += len(lc) + len(uc)
 			o, f := lRows.add(lc, k, first)
 			ownL, freshL = ownL+o, freshL+f
@@ -262,25 +286,76 @@ func Split(p *Partition, maxWidth int) *Partition {
 // partition: block (I, J) is present iff Ā has a structural entry inside
 // the submatrix. The diagonal blocks are always present.
 func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
+	return BlockPatternOrdered(sym, nil, p)
+}
+
+// BlockPatternOrdered is BlockPattern of sym relabeled by order, read
+// through it (see StrictPartitionOrdered, whose precondition it shares):
+// an entry in old row or column i lies in block ColToBlock[perm[i]],
+// perm the inverse of order. Ū is read by rows — its blocks right of
+// the diagonal, block row by block row — and transposed at block level
+// into the columns, above the diagonal block and the sorted L̄ blocks
+// below it.
+func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) *sparse.Pattern {
 	nb := p.NumBlocks()
-	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 8*nb)
-	stamp := make([]int, nb) // stamp[I] = J+1 once block (I, J) is listed
-	for bj := 0; bj < nb; bj++ {
-		stamp[bj] = bj + 1
-		rowInd = append(rowInd, bj)
-		lo, hi := p.Range(bj)
-		for j := lo; j < hi; j++ {
-			for _, col := range [2][]int{sym.U.Col(j), sym.L.Col(j)} {
-				for _, i := range col {
-					if bi := p.ColToBlock[i]; stamp[bi] != bj+1 {
-						stamp[bi] = bj + 1
-						rowInd = append(rowInd, bi)
-					}
+	blockOf := p.ColToBlock // blockOf[i]: the block of row or column i of sym
+	if order != nil {
+		blockOf = make([]int, len(order))
+		for c, i := range order {
+			blockOf[i] = p.ColToBlock[c]
+		}
+	}
+	// The blocks of Ū right of the diagonal, by block row, and how many
+	// each block column gets.
+	stamp := make([]int, nb) // stamp[B] = K+1 once block B is listed for K
+	above := make([]int, nb)
+	uPtr, uInd := make([]int, nb+1), make([]int, 0, 4*nb)
+	for bi := 0; bi < nb; bi++ {
+		stamp[bi] = bi + 1
+		lo, hi := p.Range(bi)
+		for i := lo; i < hi; i++ {
+			for _, j := range sym.URows.Col(at(order, i)) {
+				if bj := blockOf[j]; stamp[bj] != bi+1 {
+					stamp[bj] = bi + 1
+					uInd = append(uInd, bj)
+					above[bj]++
 				}
 			}
 		}
-		slices.Sort(rowInd[colPtr[bj]:])
+		uPtr[bi+1] = len(uInd)
+	}
+	// Column by column: room for the blocks above, the diagonal block,
+	// the L̄ blocks below it.
+	clear(stamp)
+	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 2*len(uInd)+nb)
+	for bj := 0; bj < nb; bj++ {
+		stamp[bj] = bj + 1
+		rowInd = append(rowInd, make([]int, above[bj])...)
+		rowInd = append(rowInd, bj)
+		below := len(rowInd)
+		lo, hi := p.Range(bj)
+		for j := lo; j < hi; j++ {
+			for _, i := range sym.L.Col(at(order, j)) {
+				if bi := blockOf[i]; stamp[bi] != bj+1 {
+					stamp[bi] = bj + 1
+					rowInd = append(rowInd, bi)
+				}
+			}
+		}
+		slices.Sort(rowInd[below:])
 		colPtr[bj+1] = len(rowInd)
+	}
+	// Fill the room above each diagonal block: block rows ascend, so each
+	// column's blocks come out sorted. The counts become the cursors.
+	next := above
+	for bj := range next {
+		next[bj] = colPtr[bj]
+	}
+	for bi := 0; bi < nb; bi++ {
+		for _, bj := range uInd[uPtr[bi]:uPtr[bi+1]] {
+			rowInd[next[bj]] = bi
+			next[bj]++
+		}
 	}
 	return &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd}
 }
@@ -300,18 +375,20 @@ func ExplicitZeros(sym *symbolic.Result, p *Partition, blocks *sparse.Pattern) i
 }
 
 // DenseEntries returns the total area of the blocks of the block
-// structure r under p: the entries its dense block storage holds.
+// structure r under p: the entries its dense block storage holds. A
+// block (I, J) has area Size(I)·Size(J) whichever way it is reached, so
+// Ū is summed by rows.
 func DenseEntries(r *symbolic.Result, p *Partition) int {
 	total := 0
-	for j := 0; j < r.N; j++ {
-		h := -p.Size(j) // the diagonal block is in both L and U
-		for _, i := range r.L.Col(j) {
+	for k := 0; k < r.N; k++ {
+		h := -p.Size(k) // the diagonal block is in both L and U
+		for _, i := range r.L.Col(k) {
 			h += p.Size(i)
 		}
-		for _, i := range r.U.Col(j) {
-			h += p.Size(i)
+		for _, j := range r.URows.Col(k) {
+			h += p.Size(j)
 		}
-		total += h * p.Size(j)
+		total += h * p.Size(k)
 	}
 	return total
 }

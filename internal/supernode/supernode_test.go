@@ -341,6 +341,7 @@ func TestBlockPattern(t *testing.T) {
 	// Every scalar entry is covered by a block; every off-diagonal block
 	// contains at least one scalar entry.
 	hasEntry := make(map[[2]int]bool)
+	u := sym.UCols()
 	for j := 0; j < sym.N; j++ {
 		for _, i := range sym.L.Col(j) {
 			bi, bj := p.ColToBlock[i], p.ColToBlock[j]
@@ -349,7 +350,7 @@ func TestBlockPattern(t *testing.T) {
 			}
 			hasEntry[[2]int{bi, bj}] = true
 		}
-		for _, i := range sym.U.Col(j) {
+		for _, i := range u.Col(j) {
 			bi, bj := p.ColToBlock[i], p.ColToBlock[j]
 			if !bp.Has(bi, bj) {
 				t.Fatalf("entry (%d,%d) not covered by block pattern", i, j)

@@ -133,8 +133,9 @@ func TestDifferentialSupernodes(t *testing.T) {
 				for k := 0; k < nb; k++ {
 					present[k*nb+k] = true
 				}
+				u := sym.UCols()
 				for j := 0; j < sym.N; j++ {
-					for _, col := range [][]int{sym.L.Col(j), sym.U.Col(j)} {
+					for _, col := range [][]int{sym.L.Col(j), u.Col(j)} {
 						for _, i := range col {
 							present[part.ColToBlock[j]*nb+part.ColToBlock[i]] = true
 						}

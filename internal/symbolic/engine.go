@@ -51,10 +51,7 @@ func (out *columns) pack() *Result {
 		}
 		return p
 	}
-	ur := withDiagonal(out.uRows)
-	// Transpose is a counting transpose over ascending rows: U's columns
-	// come out sorted.
-	return &Result{N: out.n, L: withDiagonal(out.lCols), U: ur.Transpose(), URows: ur}
+	return &Result{N: out.n, L: withDiagonal(out.lCols), URows: withDiagonal(out.uRows)}
 }
 
 // group is a set of rows with identical current structure, both lists

@@ -65,5 +65,5 @@ func factorNaive(a *sparse.CSC) *Result {
 	for k := 0; k < n; k++ {
 		copy(ur.RowInd[ur.ColPtr[k]:], uRows[k])
 	}
-	return &Result{N: n, L: l, U: ur.Transpose(), URows: ur}
+	return &Result{N: n, L: l, URows: ur}
 }

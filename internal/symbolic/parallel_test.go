@@ -55,7 +55,6 @@ func equalResult(t *testing.T, name string, a, b *symbolic.Result) {
 		}
 	}
 	cmp("L", a.L, b.L)
-	cmp("U", a.U, b.U)
 	cmp("URows", a.URows, b.URows)
 }
 

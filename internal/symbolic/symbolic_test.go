@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,8 +106,8 @@ func TestFactorDiagonalMatrix(t *testing.T) {
 	if r.NNZ() != 4 {
 		t.Fatalf("diagonal matrix NNZ = %d, want 4", r.NNZ())
 	}
-	if r.L.NNZ() != 4 || r.U.NNZ() != 4 {
-		t.Fatalf("L nnz %d U nnz %d, want 4 4", r.L.NNZ(), r.U.NNZ())
+	if r.L.NNZ() != 4 || r.URows.NNZ() != 4 {
+		t.Fatalf("L nnz %d U nnz %d, want 4 4", r.L.NNZ(), r.URows.NNZ())
 	}
 }
 
@@ -151,14 +152,14 @@ func TestFactorPaperMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := factorNaive(a)
-	if !patternsEqual(r.L, want.L) || !patternsEqual(r.U, want.U) {
+	if !patternsEqual(r.L, want.L) || !patternsEqual(r.URows, want.URows) {
 		t.Fatal("paper matrix symbolic factorization differs from reference")
 	}
 	// Ā must contain the original structure.
 	if !sparse.PatternContains(r.L, lowerOf(a)) {
 		t.Fatal("L̄ does not contain tril(A)")
 	}
-	if !sparse.PatternContains(r.U, upperOf(a)) {
+	if !sparse.PatternContains(r.UCols(), upperOf(a)) {
 		t.Fatal("Ū does not contain triu(A)")
 	}
 }
@@ -246,6 +247,7 @@ func TestStaticStructureCoversAllPivotSequences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		u := r.UCols()
 		for rep := 0; rep < 5; rep++ {
 			s := simulateLUFill(a, rng)
 			for i := 0; i < n; i++ {
@@ -257,7 +259,7 @@ func TestStaticStructureCoversAllPivotSequences(t *testing.T) {
 					if i > j {
 						ok = r.L.Has(i, j)
 					} else {
-						ok = r.U.Has(i, j)
+						ok = u.Has(i, j)
 					}
 					if !ok {
 						t.Fatalf("trial %d rep %d: fill (%d,%d) not covered by Ā", trial, rep, i, j)
@@ -275,8 +277,16 @@ func TestUAndURowsAreTransposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !patternsEqual(r.U, r.URows.Transpose()) {
-		t.Fatal("U and URows are not transposes of each other")
+	u := r.UCols()
+	for i := 0; i < r.N; i++ {
+		for j := 0; j < r.N; j++ {
+			if u.Has(i, j) != r.URows.Has(j, i) {
+				t.Fatalf("UCols has (%d,%d) %v, URows has it %v", i, j, u.Has(i, j), r.URows.Has(j, i))
+			}
+		}
+		if !slices.IsSorted(u.Col(i)) {
+			t.Fatalf("UCols column %d not sorted: %v", i, u.Col(i))
+		}
 	}
 }
 

@@ -457,7 +457,7 @@ func TestGraphWithBlockedPartition(t *testing.T) {
 	onClosure, onStored := NewCostModel(ge, blockSym, part), NewCostModel(ge, stored, part)
 	for id, task := range ge.Tasks {
 		switch c := onStored.TaskFlops[id]; {
-		case task.Kind == Update && !stored.U.Has(task.K, task.J) && c != 0:
+		case task.Kind == Update && !stored.URows.Has(task.J, task.K) && c != 0:
 			t.Fatalf("%v has no stored block but costs %g", task, c)
 		case c > onClosure.TaskFlops[id] || c < 0:
 			t.Fatalf("%v costs %g on the stored blocks, %g on the closure", task, c, onClosure.TaskFlops[id])
@@ -512,8 +512,9 @@ func TestNewStoredSkipsDroppedBlocks(t *testing.T) {
 	}
 	// Keep every block of Ā but (0,3) and (3,6).
 	tr := sparse.NewTriplet(7, 7)
+	u := sym.UCols()
 	for j := 0; j < 7; j++ {
-		for _, col := range [][]int{sym.L.Col(j), sym.U.Col(j)} {
+		for _, col := range [][]int{sym.L.Col(j), u.Col(j)} {
 			for _, i := range col {
 				if (i != 0 || j != 3) && (i != 3 || j != 6) {
 					tr.Add(i, j, 1)

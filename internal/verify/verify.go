@@ -228,7 +228,7 @@ func VerifyPostorderInvariance(a *sparse.CSC, sym *symbolic.Result, f *etree.For
 	if err := patternsEqual("postordered L̄ (Theorem 3)", relabeled.L, refactored.L); err != nil {
 		return err
 	}
-	if err := patternsEqual("postordered Ū (Theorem 3)", relabeled.U, refactored.U); err != nil {
+	if err := patternsEqual("postordered Ū (Theorem 3)", relabeled.UCols(), refactored.UCols()); err != nil {
 		return err
 	}
 	if relabeled.NNZ() != refactored.NNZ() {
@@ -250,10 +250,10 @@ func VerifyStoredBlocks(sym *symbolic.Result, part *supernode.Partition, stored,
 	if err := patternsEqual("stored L blocks", want.L, stored.L); err != nil {
 		return err
 	}
-	if err := patternsEqual("stored U blocks", want.U, stored.U); err != nil {
+	if err := patternsEqual("stored U blocks", want.UCols(), stored.UCols()); err != nil {
 		return err
 	}
-	if !sparse.PatternContains(closure.L, stored.L) || !sparse.PatternContains(closure.U, stored.U) {
+	if !sparse.PatternContains(closure.L, stored.L) || !sparse.PatternContains(closure.URows, stored.URows) {
 		return fmt.Errorf("verify: a stored block is missing from the block-level closure")
 	}
 	// Rows and columns ascend and so do their blocks: comparing with the
@@ -275,7 +275,7 @@ func VerifyStoredBlocks(sym *symbolic.Result, part *supernode.Partition, stored,
 					continue
 				}
 				lastJ = bj
-				if (bi >= bj && !stored.L.Has(bi, bj)) || (bi < bj && !stored.U.Has(bi, bj)) {
+				if (bi >= bj && !stored.L.Has(bi, bj)) || (bi < bj && !stored.URows.Has(bj, bi)) {
 					return fmt.Errorf("verify: blocks (%d,%d) and (%d,%d) hold l̄(%d,%d) and ū(%d,%d) but block (%d,%d) is not stored",
 						bi, bk, bk, bj, i, k, k, j, bi, bj)
 				}
