@@ -160,14 +160,15 @@ test_stage() {
 chaos() {
 	# The robustness surface under the race detector, repeated to shake
 	# out scheduling-dependent interleavings: injected panics/errors/NaNs,
-	# cancellation latency, timeouts, the singularity/perturbation
-	# contract, and the async work-stealing engine's starvation/
-	# termination and bitwise-parity stress (deque races, skewed costs
-	# with injected delays at P=8). SPARSELU_CHAOS_COUNT (default 5) sets
+	# cancellation latency, timeouts and deadlines, a context shared
+	# across a failed phase, the singularity/perturbation contract, and
+	# the async work-stealing engine's starvation/termination and
+	# bitwise-parity stress (deque races, skewed costs with injected
+	# delays at P=8). SPARSELU_CHAOS_COUNT (default 5) sets
 	# the repetition count.
 	echo "==> chaos (fault injection + work-stealing stress, -race)"
 	go test -race -count "${SPARSELU_CHAOS_COUNT:-5}" \
-		-run 'Cancel|Abort|Fault|Injector|Panic|Poison|Timeout|NearSingular|Singular|Perturb|Deque|Starvation|Parity' \
+		-run 'Cancel|Abort|Fault|Injector|Panic|Poison|Timeout|Deadline|Context|NearSingular|Singular|Perturb|Deque|Starvation|Parity' \
 		./internal/sched/ ./internal/core/ ./internal/faultinject/ ./internal/gplu/ .
 }
 

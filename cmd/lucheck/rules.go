@@ -786,10 +786,9 @@ func (p *pass) hotAllocIn(n ast.Node, why string) {
 // request's deadline and disconnect signal exactly where those must
 // reach the numeric kernels), and every `go` statement must visibly
 // thread a cancellation signal — the spawned code or its arguments
-// must reference a context.Context or *sched.Canceler value, or
-// perform a channel operation. Timer callbacks (time.AfterFunc) are
-// not `go` statements and stay out of scope: they are one-shot and
-// stopped by their owners.
+// must reference a context.Context value, or perform a channel
+// operation. Timer callbacks (time.AfterFunc) are not `go` statements
+// and stay out of scope: they are one-shot and stopped by their owners.
 func (p *pass) requestCtx(f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch st := n.(type) {
@@ -813,7 +812,7 @@ func (p *pass) requestCtx(f *ast.File) {
 		case *ast.GoStmt:
 			if !p.threadsCancellation(st.Call) {
 				p.report(st.Pos(), "request-ctx",
-					"goroutine does not thread a cancellation signal (no context.Context, *sched.Canceler or channel operation); a detached goroutine in a long-lived server outlives its request")
+					"goroutine does not thread a cancellation signal (no context.Context or channel operation); a detached goroutine in a long-lived server outlives its request")
 			}
 		}
 		return true
@@ -821,10 +820,9 @@ func (p *pass) requestCtx(f *ast.File) {
 }
 
 // threadsCancellation reports whether the spawned call references a
-// cancellation carrier: a value of type context.Context or
-// sched.Canceler anywhere in the call (arguments included), or a
-// channel operation / channel-typed value inside a function literal's
-// body.
+// cancellation carrier: a value of type context.Context anywhere in the
+// call (arguments included), or a channel operation / channel-typed
+// value inside a function literal's body.
 func (p *pass) threadsCancellation(call *ast.CallExpr) bool {
 	found := false
 	ast.Inspect(call, func(n ast.Node) bool {
@@ -849,8 +847,7 @@ func (p *pass) threadsCancellation(call *ast.CallExpr) bool {
 }
 
 // carriesCancellation recognizes the cancellation-carrying types:
-// context.Context, sched.Canceler (possibly behind a pointer), and
-// channels.
+// context.Context (possibly behind a pointer) and channels.
 func carriesCancellation(t types.Type) bool {
 	switch u := t.(type) {
 	case *types.Pointer:
@@ -858,11 +855,5 @@ func carriesCancellation(t types.Type) bool {
 	case *types.Chan:
 		return true
 	}
-	switch s := t.String(); {
-	case s == "context.Context":
-		return true
-	case strings.HasSuffix(s, "/sched.Canceler") || s == "sched.Canceler":
-		return true
-	}
-	return false
+	return t.String() == "context.Context"
 }

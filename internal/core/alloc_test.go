@@ -10,7 +10,7 @@ import (
 )
 
 // allocBudget is the fixed engine overhead allowed per execution:
-// worker goroutines, the preallocated ready queues, the canceler and
+// worker goroutines, the preallocated deques, the context hook and
 // the run closure. It is deliberately far below one allocation per
 // task, so any per-task allocation sneaking back into the numeric hot
 // path (panel buffers, packing scratch, heap boxing) fails the test.

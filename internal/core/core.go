@@ -15,10 +15,10 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/ordering"
-	"repro/internal/sched"
 	"repro/internal/supernode"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -81,10 +81,10 @@ type Options struct {
 // NumericOptions is the per-call state of one numeric factorization
 // and its solves, split out of Options so that one immutable Symbolic
 // can serve many concurrent factorizations with different worker
-// counts, pivot policies, deadlines and cancellation signals. The
-// analysis-shaping fields (Ordering, Postorder, TaskGraph,
-// Amalgamation, Verify) stay on Options: they are baked into the
-// Symbolic and changing them requires a fresh Analyze.
+// counts, pivot policies, deadlines and contexts. The analysis-shaping
+// fields (Ordering, Postorder, TaskGraph, Amalgamation, Verify) stay on
+// Options: they are baked into the Symbolic and changing them requires
+// a fresh Analyze.
 //
 // A nil *NumericOptions passed to FactorizeWithOpts means the
 // NumericOptions of the Options the analysis was created with.
@@ -106,17 +106,19 @@ type NumericOptions struct {
 	Equilibrate bool
 	// Timeout bounds the wall-clock duration of each bounded phase: the
 	// parallel numeric factorization AND every solve call (Solve,
-	// SolveMany, SolveTranspose and the paths routed through them). A
-	// fresh deadline timer is armed per phase; when it expires the
-	// workers stop claiming tasks and the call returns an error wrapping
+	// SolveMany, SolveTranspose and the paths routed through them). Each
+	// phase runs under its own child of Context with this timeout and
+	// cause ErrDeadlineExceeded; when it expires the workers stop
+	// claiming tasks and the call returns a *sched.CancelError wrapping
 	// ErrDeadlineExceeded. Zero (the default) means no limit.
 	Timeout time.Duration
-	// Cancel optionally connects the numeric phase and the solves to an
-	// external cancellation signal: tripping the canceler makes the call
-	// return a *sched.CancelError. The same canceler may be shared by
-	// several executions, in which case the first failure anywhere
-	// cancels them all.
-	Cancel *sched.Canceler
+	// Context is the cancellation model of the numeric phase and the
+	// solves: a context comes in, and once it is done the call returns a
+	// *sched.CancelError carrying context.Cause. A failure goes out as
+	// the call's own error and stops only that call; it never cancels
+	// Context, so one context may serve any number of calls. Nil means
+	// context.Background().
+	Context context.Context
 	// Trace optionally records per-task execution events. The recorder
 	// must have at least Workers buffers. Nil (the default) disables
 	// tracing at the cost of one branch per task.

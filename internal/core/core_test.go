@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -524,10 +525,10 @@ func TestSolvePermuted(t *testing.T) {
 	b := make([]float64, 25)
 	ap.MulVec(x, b)
 	nb := f.S.BlockSym.N
-	if err := sweep(nb, false, nil, nil, trace.KindSolveL, func(k int) { f.fwdStep(k, b) }); err != nil {
+	if err := sweep(context.Background(), nb, false, nil, trace.KindSolveL, func(k int) { f.fwdStep(k, b) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep(nb, true, nil, nil, trace.KindSolveU, func(k int) { f.bwdStep(k, b) }); err != nil {
+	if err := sweep(context.Background(), nb, true, nil, trace.KindSolveU, func(k int) { f.bwdStep(k, b) }); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {

@@ -36,14 +36,14 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 			y[i] *= f.cscale[i]
 		}
 	}
-	rec, cancel, stop := f.solveOpts(nil)
+	rec, ctx, stop := f.solveOpts(nil)
 	defer stop()
 	nb := len(f.cols)
-	if err := sweep(nb, false, rec, cancel, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
+	if err := sweep(ctx, nb, false, rec, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := sweep(nb, true, rec, cancel, trace.KindSolveL, func(k int) { f.bwdStepT(k, y) }); err != nil {
+	if err := sweep(ctx, nb, true, rec, trace.KindSolveL, func(k int) { f.bwdStepT(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}

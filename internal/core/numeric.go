@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -233,8 +234,10 @@ type Factorization struct {
 	// an explicit override run under them.
 	nopts NumericOptions
 	// pack holds the packed L panels while FactorizeWithOpts runs the
-	// numeric phase, nil before and after (and for a numeric phase run
-	// without it: the updates then pack inside Dgemm).
+	// numeric phase, nil before and after. With it, no update packs
+	// inside Dgemm: a panel the plan gave no window has no run that
+	// blas.PackedShape accepts. Without it (newFactorization and runTask
+	// alone) every run goes to Dgemm, which packs the accepted ones.
 	pack *packSlab
 }
 
@@ -335,15 +338,15 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 	if err != nil {
 		return nil, err
 	}
-	cancel, stop := numericCanceler(eff.Timeout, eff.Cancel)
+	ctx, stop := phaseContext(eff.Context, eff.Timeout)
 	defer stop()
 	f.pack = getPackSlab(s.packLen())
 	err = sched.Run(s.Graph, sched.RunOptions{
-		Procs:  eff.Workers,
-		Owners: sched.BlockCyclic(len(s.layout), eff.Workers),
-		Prio:   s.Prio,
-		Trace:  eff.Trace,
-		Cancel: cancel,
+		Procs:   eff.Workers,
+		Owners:  sched.BlockCyclic(len(s.layout), eff.Workers),
+		Prio:    s.Prio,
+		Trace:   eff.Trace,
+		Context: ctx,
 	}, f.runTask)
 	// Run has joined its workers, on failure and cancellation too, so
 	// no task reads the slab any more.
@@ -370,20 +373,19 @@ func resolveNumOpts(s *Symbolic, nopts *NumericOptions) NumericOptions {
 	return eff
 }
 
-// numericCanceler resolves the cancellation signal of one bounded
-// phase (the numeric factorization, or one solve call): the caller's
-// canceler (if any), with the timeout deadline armed on it. The
-// returned stop func disarms the deadline timer; callers must invoke
-// it once the phase returns.
-func numericCanceler(timeout time.Duration, cancel *sched.Canceler) (*sched.Canceler, func()) {
+// phaseContext returns the context of one bounded phase (the numeric
+// factorization, or one solve call): parent (nil means Background), or
+// with a timeout a child of it that expires with cause
+// ErrDeadlineExceeded, so one phase's deadline never reaches a context
+// other phases share. Callers must invoke stop once the phase returns.
+func phaseContext(parent context.Context, timeout time.Duration) (ctx context.Context, stop func()) {
+	if parent == nil {
+		parent = context.Background()
+	}
 	if timeout <= 0 {
-		return cancel, noopStop
+		return parent, noopStop
 	}
-	if cancel == nil {
-		cancel = &sched.Canceler{}
-	}
-	timer := time.AfterFunc(timeout, func() { cancel.Cancel(ErrDeadlineExceeded) })
-	return cancel, func() { timer.Stop() }
+	return context.WithTimeoutCause(parent, timeout, ErrDeadlineExceeded)
 }
 
 // noopStop is the shared no-op disarm func of unbounded phases, so the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -303,9 +304,9 @@ func TestTimeoutCancelsFactorization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel, stop := numericCanceler(s.Opts.Timeout, s.Opts.Cancel)
+	ctx, stop := phaseContext(s.Opts.Context, s.Opts.Timeout)
 	defer stop()
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio, Cancel: cancel}, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio, Context: ctx}, inj.Wrap(f.runTask, nil))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -318,16 +319,17 @@ func TestTimeoutCancelsFactorization(t *testing.T) {
 	}
 }
 
-// TestCancelOptionWiredThroughFactorize: a pre-tripped Options.Cancel
-// makes the public factorization entry points return promptly.
+// TestCancelOptionWiredThroughFactorize: an Options.Context cancelled
+// with a cause before the call makes the public factorization entry
+// points return promptly with that cause.
 func TestCancelOptionWiredThroughFactorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	a := randomSystem(60, 0.08, rng)
 	cause := errors.New("caller gave up")
 	opts := robustOptions(4)
-	cancel := &sched.Canceler{}
-	cancel.Cancel(cause)
-	opts.Cancel = cancel
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	opts.Context = ctx
 	if _, err := Factorize(a, opts); !errors.Is(err, cause) || !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("Factorize err = %v", err)
 	}
@@ -335,13 +337,13 @@ func TestCancelOptionWiredThroughFactorize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4, Cancel: cancel}); !errors.Is(err, sched.ErrCanceled) {
+	if _, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4, Context: ctx}); !errors.Is(err, cause) || !errors.Is(err, sched.ErrCanceled) {
 		t.Fatalf("FactorizeWithOpts err = %v", err)
 	}
 }
 
 // TestSolveCancelPreTripped pins the cancel path of the solves: under
-// an already-tripped canceler — the factorization's own (the only one
+// an already-cancelled context — the factorization's own (the only one
 // SolveTranspose sees) or a per-call override — SolveWith, SolveManyWith
 // and SolveTranspose fail with the luerr class of its cause, and the
 // next uncanceled solve, which checks out the workspace a canceled one
@@ -366,8 +368,8 @@ func TestSolveCancelPreTripped(t *testing.T) {
 		{sched.ErrCanceled, luerr.ErrCanceled},
 		{ErrDeadlineExceeded, luerr.ErrDeadline},
 	} {
-		cancel := &sched.Canceler{}
-		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 2, Cancel: cancel})
+		ctx, cancel := context.WithCancelCause(context.Background())
+		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 2, Context: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,14 +381,14 @@ func TestSolveCancelPreTripped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancel.Cancel(tc.cause)
+		cancel(tc.cause)
 		if _, err := f.Solve(bs[0]); !errors.Is(err, tc.class) {
 			t.Errorf("Solve under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
 		}
 		if _, err := f.SolveTranspose(bs[0]); !errors.Is(err, tc.class) {
 			t.Errorf("SolveTranspose under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
 		}
-		opts := &NumericOptions{Cancel: cancel}
+		opts := &NumericOptions{Context: ctx}
 		if _, err := f.SolveWith(bs[0], opts); !errors.Is(err, tc.class) {
 			t.Errorf("SolveWith under Cancel(%v): err = %v, want %v", tc.cause, err, tc.class)
 		}
@@ -405,6 +407,69 @@ func TestSolveCancelPreTripped(t *testing.T) {
 		for r := range xs {
 			diffBits(t, "SolveManyWith after a canceled solve", xs[r], wantMany[r])
 		}
+	}
+}
+
+// TestSharedContextSurvivesFailedPhase shares one parent context
+// between a failing phase and a second factorization. The failure — a
+// NaN input value failing its Factor task, or a Timeout expiring under
+// injected delays — stops only its own phase: the parent context stays
+// live, and the second FactorizeWithOpts under it is bitwise a fresh
+// factorization.
+func TestSharedContextSurvivesFailedPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	a := randomSystem(90, 0.05, rng)
+	s, err := Analyze(a, robustOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := factorHash(fresh)
+
+	for _, tc := range []struct {
+		name string
+		fail func(ctx context.Context) error
+		is   error
+	}{
+		{"nan input", func(ctx context.Context) error {
+			bad := *a
+			bad.Val = append([]float64(nil), a.Val...)
+			bad.Val[0] = math.NaN()
+			_, err := FactorizeWithOpts(s, &bad, &NumericOptions{Workers: 4, Context: ctx})
+			return err
+		}, ErrNonFinite},
+		{"timeout", func(ctx context.Context) error {
+			f, err := newFactorization(s, a, resolveNumOpts(s, nil))
+			if err != nil {
+				return err
+			}
+			inj := faultinject.New()
+			for id := 0; id < s.Graph.NumTasks(); id++ {
+				inj.Set(id, faultinject.Fault{Mode: faultinject.Delay, Sleep: 20 * time.Millisecond})
+			}
+			phase, stop := phaseContext(ctx, time.Millisecond)
+			defer stop()
+			return sched.Run(s.Graph, sched.RunOptions{Procs: 4, Prio: s.Prio, Context: phase}, inj.Wrap(f.runTask, nil))
+		}, ErrDeadlineExceeded},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := tc.fail(ctx); !errors.Is(err, tc.is) {
+			t.Fatalf("%s: failing phase err = %v, want %v", tc.name, err, tc.is)
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("%s: the failed phase cancelled the shared context: %v", tc.name, context.Cause(ctx))
+		}
+		f, err := FactorizeWithOpts(s, a, &NumericOptions{Workers: 4, Context: ctx})
+		if err != nil {
+			t.Fatalf("%s: second factorization under the shared context: %v", tc.name, err)
+		}
+		if got := factorHash(f); got != want {
+			t.Fatalf("%s: second factorization hashes %s, a fresh one %s", tc.name, got, want)
+		}
+		cancel()
 	}
 }
 

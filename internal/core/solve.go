@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -44,32 +45,34 @@ func (f *Factorization) getWorkspace() *SolveWorkspace {
 func (f *Factorization) putWorkspace(ws *SolveWorkspace) { f.solveWS.Put(ws) }
 
 // solveOpts resolves the per-call state of one solve: trace recorder
-// and cancellation signal. An explicit override wins (the
-// SolveWith/SolveManyWith paths, one override per request in the solve
-// service); otherwise the solve runs under the options the
-// factorization was created with. The returned stop func disarms the
-// deadline timer of this solve.
-func (f *Factorization) solveOpts(override *NumericOptions) (rec *trace.Recorder, cancel *sched.Canceler, stop func()) {
+// and context. An explicit override wins (the SolveWith/SolveManyWith
+// paths, one override per request in the solve service); otherwise the
+// solve runs under the options the factorization was created with. The
+// returned stop func releases the deadline of this solve.
+func (f *Factorization) solveOpts(override *NumericOptions) (rec *trace.Recorder, ctx context.Context, stop func()) {
 	o := &f.nopts
 	if override != nil {
 		o = override
 	}
-	cancel, stop = numericCanceler(o.Timeout, o.Cancel)
-	return o.Trace, cancel, stop
+	ctx, stop = phaseContext(o.Context, o.Timeout)
+	return o.Trace, ctx, stop
 }
 
 // sweep runs one triangular sweep as a plain serial loop: step on block
-// columns 0, 1, …, nb−1, or nb−1, …, 0 when descending. It polls the
-// canceler once per column; a trip before the last column has run
-// returns a *sched.CancelError whose cause is the deadline or external
-// cancellation, while a trip during the last column loses to the
-// finished work and returns nil. The partially swept panel is pooled
-// scratch, never a caller-visible result. With a recorder, each column
-// is one event of kind on worker 0.
-func sweep(nb int, descending bool, rec *trace.Recorder, cancel *sched.Canceler, kind trace.Kind, step func(k int)) error {
+// columns 0, 1, …, nb−1, or nb−1, …, 0 when descending. It polls ctx
+// once per column with a non-blocking receive; ctx done before the last
+// column has run returns a *sched.CancelError carrying context.Cause,
+// while ctx done during the last column loses to the finished work and
+// returns nil. The partially swept panel is pooled scratch, never a
+// caller-visible result. With a recorder, each column is one event of
+// kind on worker 0.
+func sweep(ctx context.Context, nb int, descending bool, rec *trace.Recorder, kind trace.Kind, step func(k int)) error {
+	done := ctx.Done()
 	for i := 0; i < nb; i++ {
-		if cancel != nil && cancel.Canceled() {
-			return &sched.CancelError{Cause: cancel.Cause(), Completed: i, Total: nb}
+		select {
+		case <-done:
+			return &sched.CancelError{Cause: context.Cause(ctx), Completed: i, Total: nb}
+		default:
 		}
 		k := i
 		if descending {
@@ -95,7 +98,7 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveWith is Solve with an explicit per-call options override: the
-// deadline, canceler and trace recorder of this one solve come from
+// timeout, context and trace recorder of this one solve come from
 // nopts instead of the factorization's frozen options (nil nopts is
 // plain Solve). It is how a long-lived service binds a request-scoped
 // deadline to a solve against a shared, immutable factorization without
@@ -119,14 +122,14 @@ func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64
 			y[i] *= f.rscale[i]
 		}
 	}
-	rec, cancel, stop := f.solveOpts(nopts)
+	rec, ctx, stop := f.solveOpts(nopts)
 	defer stop()
 	nb := len(f.cols)
-	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
+	if err := sweep(ctx, nb, false, rec, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := sweep(nb, true, rec, cancel, trace.KindSolveU, func(k int) { f.bwdStep(k, y) }); err != nil {
+	if err := sweep(ctx, nb, true, rec, trace.KindSolveU, func(k int) { f.bwdStep(k, y) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
@@ -233,14 +236,14 @@ func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([]
 		}
 	}
 
-	rec, cancel, stop := f.solveOpts(nopts)
+	rec, ctx, stop := f.solveOpts(nopts)
 	defer stop()
 	nb := len(f.cols)
-	if err := sweep(nb, false, rec, cancel, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
+	if err := sweep(ctx, nb, false, rec, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}
-	if err := sweep(nb, true, rec, cancel, trace.KindSolveU, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
+	if err := sweep(ctx, nb, true, rec, trace.KindSolveU, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
 		f.putWorkspace(ws)
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -21,19 +22,19 @@ func sweepOrder(nb int, descending bool) []int {
 	return ks
 }
 
-// TestSweepCancelMidway trips the canceler from inside the step of
+// TestSweepCancelMidway cancels the context from inside the step of
 // column nb/2: that column finishes, the next poll stops the sweep, and
 // the *sched.CancelError counts the nb/2+1 columns that ran.
 func TestSweepCancelMidway(t *testing.T) {
 	const nb = 9
 	cause := errors.New("caller gave up")
 	for _, descending := range []bool{false, true} {
-		cancel := &sched.Canceler{}
+		ctx, cancel := context.WithCancelCause(context.Background())
 		var ran []int
-		err := sweep(nb, descending, nil, cancel, trace.KindSolveL, func(k int) {
+		err := sweep(ctx, nb, descending, nil, trace.KindSolveL, func(k int) {
 			ran = append(ran, k)
 			if k == nb/2 {
-				cancel.Cancel(cause)
+				cancel(cause)
 			}
 		})
 		var ce *sched.CancelError
@@ -49,19 +50,20 @@ func TestSweepCancelMidway(t *testing.T) {
 	}
 }
 
-// TestSweepCancelDuringLastColumn trips the canceler inside the last
+// TestSweepCancelDuringLastColumn cancels the context inside the last
 // column's step: the sweep is complete, so the finished work wins and
 // the sweep returns nil.
 func TestSweepCancelDuringLastColumn(t *testing.T) {
 	const nb = 6
 	for _, descending := range []bool{false, true} {
 		order := sweepOrder(nb, descending)
-		cancel := &sched.Canceler{}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var ran []int
-		err := sweep(nb, descending, nil, cancel, trace.KindSolveU, func(k int) {
+		err := sweep(ctx, nb, descending, nil, trace.KindSolveU, func(k int) {
 			ran = append(ran, k)
 			if k == order[nb-1] {
-				cancel.Cancel(nil)
+				cancel()
 			}
 		})
 		if err != nil {
@@ -78,7 +80,7 @@ func TestSweepCancelDuringLastColumn(t *testing.T) {
 func TestSweepRecordsOneEventPerColumn(t *testing.T) {
 	const nb = 5
 	rec := trace.New(1)
-	if err := sweep(nb, true, rec, nil, trace.KindSolveU, func(int) {}); err != nil {
+	if err := sweep(context.Background(), nb, true, rec, trace.KindSolveU, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
 	evs := rec.Events()

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -27,7 +28,7 @@ import (
 //   - termination is an atomic count of unfinished tasks instead of a
 //     barrier; workers that find every deque empty park on a condition
 //     variable and are woken by pushes, by the last completion, by a
-//     task failure, or by an external cancel.
+//     task failure, or by the execution's context being done.
 //
 // Determinism: the engine is free to run tasks in any order that
 // respects the dependence edges, and that is sufficient for bitwise
@@ -39,12 +40,12 @@ import (
 // unordered by the graph write disjoint rows (the branch property), so
 // their interleaving cannot change a single bit of the result.
 //
-// Contracts preserved from the previous engine: the first task failure
-// (error or panic) is returned as a *TaskError and trips the Canceler;
-// a tripped Canceler stops workers from claiming new tasks within one
-// atomic load; KindAbort is recorded for the failing task; per-task
-// trace events are unchanged (steal/idle events are opt-in via
-// trace.Recorder.SetSchedEvents).
+// Failure and cancellation: the first task failure (error or panic) is
+// returned as a *TaskError and stops this execution only; nothing
+// outside the engine is told, so a context shared with other executions
+// stays live. A done context sets a flag that workers check with one
+// atomic load per claim. KindAbort is recorded for the failing task;
+// steal/idle trace events are opt-in via trace.Recorder.SetSchedEvents.
 
 // stealRounds is the number of full sweeps over the victims a worker
 // makes before parking. Between sweeps the worker yields its P, so on a
@@ -52,10 +53,9 @@ import (
 const stealRounds = 4
 
 type asyncEngine struct {
-	g      *taskgraph.Graph
-	rec    *trace.Recorder
-	cancel *Canceler
-	run    func(id int) error
+	g   *taskgraph.Graph
+	rec *trace.Recorder
+	run func(id int) error
 
 	// deps[id] is the remaining-dependence counter of task id.
 	deps []atomic.Int32
@@ -71,25 +71,34 @@ type asyncEngine struct {
 	sleepers atomic.Int32
 	// taskErr is the first task failure any worker observed.
 	taskErr atomic.Pointer[TaskError]
+	// canceled is set once the execution's context is done.
+	canceled atomic.Bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
 }
 
-// executeAsync runs the graph on procs workers. place maps every task
-// to the deque it is seeded on when ready at the start (nil means
-// round-robin over the workers in priority order — task-level
-// scheduling); tasks released during the run always join the releasing
-// worker's deque. prio orders the initial seeding so the first claims
-// are the highest-priority ready tasks. Run has validated procs and
-// prio.
-func executeAsync(g *taskgraph.Graph, procs int, rec *trace.Recorder, cancel *Canceler,
+// stopPublished, when non-nil, runs each time the engine has published
+// a reason to stop: a task failure, or its context done. Only
+// in-package tests set it, while no execution runs; it marks the point
+// after which no worker may claim another task.
+var stopPublished func()
+
+// executeAsync runs the graph on procs workers until every task is
+// done, a task fails or ctx is done; a ctx done at the start runs no
+// task. place maps every task to the deque it is seeded on when ready
+// at the start (nil means round-robin over the workers in priority
+// order — task-level scheduling); tasks released during the run always
+// join the releasing worker's deque. prio orders the initial seeding so
+// the first claims are the highest-priority ready tasks. Run has
+// validated procs and prio.
+func executeAsync(ctx context.Context, g *taskgraph.Graph, procs int, rec *trace.Recorder,
 	place []int, prio []float64, run func(id int) error) error {
-	if cancel == nil {
-		cancel = &Canceler{}
-	}
 	nt := g.NumTasks()
-	e := &asyncEngine{g: g, rec: rec, cancel: cancel, run: run}
+	if ctx.Err() != nil {
+		return &CancelError{Cause: context.Cause(ctx), Total: nt}
+	}
+	e := &asyncEngine{g: g, rec: rec, run: run}
 	e.cond = sync.NewCond(&e.mu)
 	e.remaining.Store(int64(nt))
 	e.deps = make([]atomic.Int32, nt)
@@ -136,10 +145,15 @@ func executeAsync(g *taskgraph.Graph, procs int, rec *trace.Recorder, cancel *Ca
 		e.deques[p].push(id)
 	}
 
-	// Wake parked workers when an external Cancel trips the flag;
-	// deregistered before returning so a later deadline firing cannot
-	// touch a finished execution.
-	defer cancel.subscribe(e.wakeAll)()
+	// A context done from now on sets the flag, from a goroutine of its
+	// own, and wakes the parked workers.
+	defer context.AfterFunc(ctx, func() {
+		e.canceled.Store(true)
+		e.wakeAll()
+		if stopPublished != nil {
+			stopPublished()
+		}
+	})()
 
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -155,15 +169,15 @@ func executeAsync(g *taskgraph.Graph, procs int, rec *trace.Recorder, cancel *Ca
 		return te
 	}
 	if rem := e.remaining.Load(); rem > 0 {
-		return &CancelError{Cause: cancel.Cause(), Completed: nt - int(rem), Total: nt}
+		return &CancelError{Cause: context.Cause(ctx), Completed: nt - int(rem), Total: nt}
 	}
 	return nil
 }
 
 // stopped reports whether the worker loop must exit: every task done,
-// a task failure published, or an external cancellation.
+// a task failure published, or the context done.
 func (e *asyncEngine) stopped() bool {
-	return e.remaining.Load() == 0 || e.taskErr.Load() != nil || e.cancel.flag.Load()
+	return e.remaining.Load() == 0 || e.taskErr.Load() != nil || e.canceled.Load()
 }
 
 // work is one worker's claim loop: pop locally, steal or park when the
@@ -234,14 +248,13 @@ func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 		// contract.
 		e.taskErr.CompareAndSwap(nil, te)
 		e.wakeAll()
-		// Trip the canceler after publishing (its subscribers — e.g. a
-		// test releasing gated bystander tasks — must observe the
-		// failure already recorded).
-		e.cancel.Cancel(te)
+		if stopPublished != nil {
+			stopPublished()
+		}
 		return -1, end
 	}
 	if e.stopped() {
-		// A sibling failed or the caller canceled while this task body
+		// A sibling failed or the context was done while this task body
 		// ran: do not count the completion or release successors — the
 		// previous engine left the progress count identically.
 		return -1, end
@@ -332,8 +345,8 @@ func (e *asyncEngine) stealSweep(p int) (int32, int) {
 }
 
 // park blocks the worker until something happens: a push, the last
-// completion, a failure, or a cancel. It reports whether the worker
-// should keep searching (false means the execution stopped). The
+// completion, a failure, or the context done. It reports whether the
+// worker should keep searching (false means the execution stopped). The
 // sleepers counter is incremented before the final work re-scan; both
 // are sequentially consistent, so a concurrent pusher either observes
 // the sleeper and signals, or this scan observes its push — a wakeup

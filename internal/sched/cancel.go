@@ -2,101 +2,21 @@ package sched
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/luerr"
 )
 
 // ErrCanceled is the sentinel matched by errors.Is on every execution
-// that was stopped by a Canceler before all tasks completed. It also
-// matches luerr.ErrCanceled, the module-wide cancellation class.
+// whose context was done before all tasks completed. It also matches
+// luerr.ErrCanceled, the module-wide cancellation class.
 var ErrCanceled = luerr.Tag("sched: execution canceled", luerr.ErrCanceled)
 
-// Canceler is a one-shot, race-free cancellation signal shared between
-// an executor and the outside world (a deadline timer, a caller giving
-// up, another execution's failure). The zero value is ready to use.
-//
-// The fast path is a single atomic load: workers call Canceled once per
-// task claim, so cancellation latency is O(one task body), not O(the
-// remaining DAG). Cancel may be called from any goroutine, any number of
-// times; the first call wins and fixes the cause.
-//
-// The executors trip the canceler themselves when a task fails, so a
-// shared Canceler also propagates failure across concurrently running
-// executions.
-type Canceler struct {
-	flag atomic.Bool
-
-	mu    sync.Mutex
-	cause error
-	subs  []func()
-}
-
-// Cancel requests cancellation with the given cause (nil means
-// ErrCanceled). Only the first call has any effect.
-func (c *Canceler) Cancel(cause error) {
-	if cause == nil {
-		cause = ErrCanceled
-	}
-	c.mu.Lock()
-	if c.flag.Load() {
-		c.mu.Unlock()
-		return
-	}
-	c.cause = cause
-	c.flag.Store(true)
-	subs := c.subs
-	c.subs = nil
-	c.mu.Unlock()
-	// Notify outside the lock: subscribers take their own locks (the
-	// executor's mutex) to wake sleeping workers.
-	for _, fn := range subs {
-		if fn != nil {
-			fn()
-		}
-	}
-}
-
-// Canceled reports whether cancellation was requested. It is a single
-// atomic load — cheap enough for per-task polling.
-func (c *Canceler) Canceled() bool { return c.flag.Load() }
-
-// Cause returns the error passed to the first Cancel call, or nil if
-// the canceler has not tripped.
-func (c *Canceler) Cause() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cause
-}
-
-// subscribe registers fn to run once when the canceler trips and
-// returns a deregistration func. If the canceler has already tripped,
-// fn runs immediately and the returned func is a no-op.
-func (c *Canceler) subscribe(fn func()) (unsubscribe func()) {
-	c.mu.Lock()
-	if c.flag.Load() {
-		c.mu.Unlock()
-		fn()
-		return func() {}
-	}
-	c.subs = append(c.subs, fn)
-	i := len(c.subs) - 1
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		if i < len(c.subs) {
-			c.subs[i] = nil
-		}
-		c.mu.Unlock()
-	}
-}
-
-// CancelError reports an execution stopped by an external Canceler
-// before every task ran. It matches errors.Is(err, ErrCanceled) and
-// unwraps to the cancellation cause.
+// CancelError reports an execution stopped by its context before every
+// task ran. It matches errors.Is(err, ErrCanceled) and unwraps to the
+// cancellation cause.
 type CancelError struct {
-	// Cause is the error passed to Canceler.Cancel.
+	// Cause is context.Cause of the execution's context: the deadline's
+	// or the canceller's cause, context.Canceled when none was given.
 	Cause error
 	// Completed and Total count the tasks that finished before the
 	// workers observed the cancellation, and the tasks of the graph.

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,53 +21,6 @@ func syntheticUpdates(n int) *taskgraph.Graph {
 		g.Tasks[i] = taskgraph.Task{Kind: taskgraph.Update, K: 0, J: i + 1}
 	}
 	return g
-}
-
-func TestCancelerOneShot(t *testing.T) {
-	var c Canceler
-	if c.Canceled() {
-		t.Fatal("zero canceler already tripped")
-	}
-	if c.Cause() != nil {
-		t.Fatalf("cause before trip: %v", c.Cause())
-	}
-	first := errors.New("first")
-	c.Cancel(first)
-	c.Cancel(errors.New("second"))
-	if !c.Canceled() {
-		t.Fatal("not tripped after Cancel")
-	}
-	if c.Cause() != first {
-		t.Fatalf("cause = %v, want the first cancel to win", c.Cause())
-	}
-
-	var d Canceler
-	d.Cancel(nil)
-	if d.Cause() != ErrCanceled {
-		t.Fatalf("nil cause = %v, want ErrCanceled", d.Cause())
-	}
-}
-
-func TestCancelerSubscribe(t *testing.T) {
-	// Subscribing after the trip fires immediately.
-	var c Canceler
-	c.Cancel(nil)
-	fired := false
-	c.subscribe(func() { fired = true })()
-	if !fired {
-		t.Fatal("late subscriber did not fire")
-	}
-
-	// Subscribers fire on Cancel; deregistered ones do not.
-	var e Canceler
-	n := 0
-	e.subscribe(func() { n++ })
-	unsub := e.subscribe(func() { n += 10 })
-	unsub()
-	e.Cancel(nil)
-	if n != 1 {
-		t.Fatalf("subscriber count effect = %d, want 1", n)
-	}
 }
 
 func TestCancelErrorMatching(t *testing.T) {
@@ -86,14 +41,23 @@ func TestCancelErrorMatching(t *testing.T) {
 	}
 }
 
+// releaseOnStop closes release once the engine has published a reason
+// to stop, and uninstalls the hook when the test ends.
+func releaseOnStop(t *testing.T, release chan struct{}) {
+	var once sync.Once
+	stopPublished = func() { once.Do(func() { close(release) }) }
+	t.Cleanup(func() { stopPublished = nil })
+}
+
 // TestCancellationLatencyExact pins the acceptance criterion: with P=8
 // workers and a failing Update task, exactly P tasks ever start — the
 // one that fails plus the P−1 already claimed — and no worker claims a
 // new task after the failure is published. The schedule is made
 // deterministic by blocking the first P−1 bystander tasks until the
-// failing task has seen them all arrive, and releasing them via the
-// canceler's own trip notification (which happens strictly after the
-// executor records the failure).
+// failing task has seen them all arrive, and releasing them from the
+// engine's stop hook (which runs strictly after the failure is
+// published). The failure stops this execution only: the caller's
+// context stays live.
 func TestCancellationLatencyExact(t *testing.T) {
 	const total = 1000
 	const procs = 8
@@ -106,8 +70,9 @@ func TestCancellationLatencyExact(t *testing.T) {
 	boom := errors.New("boom")
 	arrived := make(chan int, procs)
 	release := make(chan struct{})
-	cancel := &Canceler{}
-	defer cancel.subscribe(func() { close(release) })()
+	releaseOnStop(t, release)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var started atomic.Int64
 	run := func(id int) error {
 		started.Add(1)
@@ -121,7 +86,7 @@ func TestCancellationLatencyExact(t *testing.T) {
 		<-release
 		return nil
 	}
-	err := Run(g, RunOptions{Procs: procs, Prio: prio, Cancel: cancel}, run)
+	err := Run(g, RunOptions{Procs: procs, Prio: prio, Context: ctx}, run)
 	var te *TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *TaskError", err)
@@ -135,8 +100,8 @@ func TestCancellationLatencyExact(t *testing.T) {
 	if n := started.Load(); n != procs {
 		t.Fatalf("%d tasks started, want exactly %d (no claims after the failure)", n, procs)
 	}
-	if !cancel.Canceled() || !errors.Is(cancel.Cause(), boom) {
-		t.Fatalf("task failure did not trip the shared canceler: %v", cancel.Cause())
+	if ctx.Err() != nil {
+		t.Fatalf("task failure cancelled the caller's context: %v", context.Cause(ctx))
 	}
 }
 
@@ -153,8 +118,7 @@ func TestCancellationLatencyPanic(t *testing.T) {
 	}
 	arrived := make(chan int, procs)
 	release := make(chan struct{})
-	cancel := &Canceler{}
-	defer cancel.subscribe(func() { close(release) })()
+	releaseOnStop(t, release)
 	var started atomic.Int64
 	run := func(id int) error {
 		started.Add(1)
@@ -168,7 +132,7 @@ func TestCancellationLatencyPanic(t *testing.T) {
 		<-release
 		return nil
 	}
-	err := Run(g, RunOptions{Procs: procs, Prio: prio, Cancel: cancel}, run)
+	err := Run(g, RunOptions{Procs: procs, Prio: prio}, run)
 	var te *TaskError
 	if !errors.As(err, &te) || te.ID != 0 {
 		t.Fatalf("err = %v, want *TaskError for task 0", err)
@@ -182,14 +146,17 @@ func TestCancellationLatencyPanic(t *testing.T) {
 }
 
 // TestExternalCancelStopsExecution cancels an owner-mapped execution
-// from the outside and checks the CancelError contract.
+// through its context and checks the CancelError contract. The running
+// tasks are released from the engine's stop hook, once the cancel is
+// published, so no worker may claim another task.
 func TestExternalCancelStopsExecution(t *testing.T) {
 	const total = 100
 	const procs = 4
 	g := syntheticUpdates(total)
-	cancel := &Canceler{}
+	ctx, cancel := context.WithCancel(context.Background())
 	arrived := make(chan struct{}, total)
 	gate := make(chan struct{})
+	releaseOnStop(t, gate)
 	var started atomic.Int64
 	run := func(id int) error {
 		started.Add(1)
@@ -199,20 +166,19 @@ func TestExternalCancelStopsExecution(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(g, RunOptions{Procs: procs, Owners: BlockCyclic(g.N, procs), Cancel: cancel}, run)
+		done <- Run(g, RunOptions{Procs: procs, Owners: BlockCyclic(g.N, procs), Context: ctx}, run)
 	}()
 	for i := 0; i < procs; i++ {
 		<-arrived
 	}
-	cancel.Cancel(nil)
-	close(gate)
+	cancel()
 	err := <-done
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelError", err)
 	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatal("cancel error does not match ErrCanceled")
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel error %v does not match ErrCanceled and context.Canceled", err)
 	}
 	if ce.Total != total || ce.Completed >= total {
 		t.Fatalf("progress %d/%d implausible", ce.Completed, ce.Total)
@@ -251,15 +217,15 @@ func TestAbortTraceEvent(t *testing.T) {
 	}
 }
 
-// TestCancelBeforeStart: an already-tripped canceler yields an
-// immediate CancelError with zero progress.
+// TestCancelBeforeStart: a context cancelled before the start yields an
+// immediate CancelError with zero progress, carrying its cause.
 func TestCancelBeforeStart(t *testing.T) {
 	g := syntheticUpdates(10)
-	cancel := &Canceler{}
+	ctx, cancel := context.WithCancelCause(context.Background())
 	cause := errors.New("gave up early")
-	cancel.Cancel(cause)
+	cancel(cause)
 	ran := false
-	err := Run(g, RunOptions{Procs: 2, Cancel: cancel}, func(id int) error {
+	err := Run(g, RunOptions{Procs: 2, Context: ctx}, func(id int) error {
 		ran = true
 		return nil
 	})
@@ -271,6 +237,6 @@ func TestCancelBeforeStart(t *testing.T) {
 		t.Fatalf("cause lost: %v", err)
 	}
 	if ran {
-		t.Fatal("a task ran despite pre-tripped canceler")
+		t.Fatal("a task ran despite a cancelled context")
 	}
 }

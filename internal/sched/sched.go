@@ -15,6 +15,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/taskgraph"
@@ -111,9 +112,10 @@ type RunOptions struct {
 	// kind, destination column and start/stop timestamps; it must have
 	// at least Procs buffers. Nil costs one predictable branch per task.
 	Trace *trace.Recorder
-	// Cancel is an optional external stop signal (a caller-side
-	// deadline, a failure in a sibling execution).
-	Cancel *Canceler
+	// Context optionally stops the execution early: once it is done,
+	// workers claim no new task and Run returns a *CancelError carrying
+	// context.Cause. Nil means context.Background().
+	Context context.Context
 }
 
 // Run executes every task of g exactly once with the dependence order
@@ -127,11 +129,11 @@ type RunOptions struct {
 // for concurrent invocation on tasks the graph leaves unordered.
 //
 // The first task failure observed by any worker — a non-nil error from
-// run, or a panic in the task body — stops the execution, trips the
-// canceler (so failure latency is O(one running task body), not O(the
-// remaining DAG)) and is returned as a *TaskError carrying the task id.
-// When the Canceler trips from outside, workers stop claiming new tasks
-// — the check is one atomic load per claim — and the call returns a
+// run, or a panic in the task body — stops this execution (failure
+// latency is O(one running task body), not O(the remaining DAG)) and is
+// returned as a *TaskError carrying the task id; o.Context is not
+// cancelled. When o.Context is done, workers stop claiming new tasks —
+// the check is one atomic load per claim — and the call returns a
 // *CancelError matching errors.Is(err, ErrCanceled).
 func Run(g *taskgraph.Graph, o RunOptions, run func(id int) error) error {
 	if o.Procs < 1 {
@@ -152,11 +154,15 @@ func Run(g *taskgraph.Graph, o RunOptions, run func(id int) error) error {
 	if o.Owners != nil {
 		place = TaskOwners(g, o.Owners)
 	}
-	return executeAsync(g, o.Procs, o.Trace, o.Cancel, place, prio, run)
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return executeAsync(ctx, g, o.Procs, o.Trace, place, prio, run)
 }
 
-// Execute is the plain form of Run: owner-seeded, untraced, no external
-// cancel.
+// Execute is the plain form of Run: owner-seeded, untraced, never
+// cancelled.
 func Execute(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, run func(id int) error) error {
 	return Run(g, RunOptions{Procs: procs, Owners: owner, Prio: prio}, run)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -378,8 +379,8 @@ func TestRunContract(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	tripped := &Canceler{}
-	tripped.Cancel(boom)
+	tripped, cancel := context.WithCancelCause(context.Background())
+	cancel(boom)
 	ok := func(int) error { return nil }
 	for _, tc := range []struct {
 		name  string
@@ -399,7 +400,7 @@ func TestRunContract(t *testing.T) {
 			var te *TaskError
 			return errors.As(err, &te) && te.ID == 3 && errors.Is(err, boom)
 		}},
-		{"canceled", RunOptions{Procs: 2, Owners: BlockCyclic(g.N, 2), Cancel: tripped}, ok, func(err error) bool {
+		{"canceled", RunOptions{Procs: 2, Owners: BlockCyclic(g.N, 2), Context: tripped}, ok, func(err error) bool {
 			var ce *CancelError
 			return errors.As(err, &ce) && ce.Total == 6 && errors.Is(err, ErrCanceled) && errors.Is(err, boom)
 		}},

@@ -79,12 +79,14 @@ func rungsFor(policy string) ([]rung, error) {
 }
 
 // climbLadder runs the recovery ladder for one factorize request. base
-// carries the request-scoped numeric state (workers, deadline,
-// canceler); each rung overrides only the pivot policy and
-// equilibration. Deadline and cancellation failures abort the climb
-// immediately — retrying a canceled request on a softer rung would
-// just burn more of a budget that is already gone — while numeric
-// failures (singular, non-finite) fall through to the next rung.
+// carries the request-scoped numeric state (workers and the request
+// context); each rung overrides only the pivot policy and
+// equilibration. Every rung runs under the same context: a rung's
+// failure stops only that rung, never the context. Deadline and
+// cancellation failures abort the climb immediately — retrying a
+// canceled request on a softer rung would just burn more of a budget
+// that is already gone — while numeric failures (singular, non-finite)
+// fall through to the next rung.
 func climbLadder(sym *core.Symbolic, m *sparse.CSC, base core.NumericOptions, policy string) (*ladderResult, error) {
 	seq, err := rungsFor(policy)
 	if err != nil {
@@ -107,12 +109,11 @@ func climbLadder(sym *core.Symbolic, m *sparse.CSC, base core.NumericOptions, po
 		}
 		f, err := core.FactorizeWithOpts(sym, m, &nopts)
 		if err != nil {
-			// A numeric failure (singular, non-finite) may reach us as a
-			// CancelError — the failing task canceled its siblings — so
-			// the numeric classes are tested first: they fall through to
-			// the next rung, only genuine deadline/cancellation aborts.
-			numeric := errors.Is(err, luerr.ErrSingular) || errors.Is(err, luerr.ErrNonFinite)
-			if !numeric && (errors.Is(err, luerr.ErrDeadline) || errors.Is(err, luerr.ErrCanceled)) {
+			// A numeric failure (singular, non-finite) is the failing
+			// task's *sched.TaskError and falls through to the next
+			// rung; a *sched.CancelError (the request's deadline or
+			// disconnect) aborts the climb.
+			if errors.Is(err, luerr.ErrCanceled) {
 				return nil, err
 			}
 			rungs = append(rungs, RungReport{Rung: r.String(), Error: err.Error()})

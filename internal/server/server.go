@@ -31,10 +31,10 @@
 //	504 luerr.ErrDeadline — per-request deadline expired
 //
 // Every request is admitted through a bounded queue, bounded in time
-// by a deadline threaded from the HTTP request context into the
-// numeric kernels via sched.Canceler, and isolated: a panic in one
-// request's handler is recovered, counted and answered with 500
-// without taking the process down.
+// by a deadline on the HTTP request context (core.NumericOptions
+// carries that context into the numeric kernels and the solves), and
+// isolated: a panic in one request's handler is recovered, counted and
+// answered with 500 without taking the process down.
 package server
 
 import (
@@ -52,7 +52,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/luerr"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -276,13 +275,11 @@ func badRequest(format string, args ...any) *httpError {
 const statusClientClosedRequest = 499
 
 // mapError translates the unified error taxonomy into transport terms.
-// Order matters twice: the deadline class is checked before the
-// general cancellation class (a deadline-canceled execution matches
-// both, and 504 is the more specific answer), and the numeric classes
-// come before cancellation too — a failing task cancels the rest of
-// its execution, so the error a poisoned factorization surfaces is a
-// CancelError whose *cause* is the non-finite failure, and the cause
-// is the answer.
+// Order matters: the deadline class is checked before the general
+// cancellation class (a deadline-canceled execution matches both, and
+// 504 is the more specific answer). A failing task stops only its own
+// execution, so a poisoned factorization surfaces as the failing task's
+// *sched.TaskError, never as a cancellation.
 func (s *Server) mapError(err error) *httpError {
 	var he *httpError
 	if errors.As(err, &he) {
@@ -399,11 +396,10 @@ func (s *Server) wrap(ep endpoint, h func(w http.ResponseWriter, r *http.Request
 
 // deadlineCtx tightens the backstop context to the request's own
 // deadline (timeout_ms, capped at MaxDeadline; DefaultDeadline when
-// unset) and binds a sched.Canceler to it, so the HTTP layer's
-// cancellation reaches the numeric kernels' per-task polling. The
-// canceler's cause distinguishes deadline expiry from client
-// disconnect, which is what keeps 504 and 499 apart.
-func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context, *sched.Canceler, func()) {
+// unset). Its cause tells deadline expiry (core.ErrDeadlineExceeded,
+// or the backstop's context.DeadlineExceeded) from client disconnect
+// (context.Canceled), which is what keeps 504 and 499 apart.
+func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if timeoutMS > 0 {
 		// Compare in milliseconds: the product of a huge timeout_ms
@@ -413,24 +409,14 @@ func (s *Server) deadlineCtx(r *http.Request, timeoutMS int64) (context.Context,
 			d = time.Duration(timeoutMS) * time.Millisecond
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	cc := &sched.Canceler{}
-	stopAF := context.AfterFunc(ctx, func() {
-		cause := context.Cause(ctx)
-		if errors.Is(cause, context.DeadlineExceeded) {
-			cc.Cancel(core.ErrDeadlineExceeded)
-		} else {
-			cc.Cancel(sched.ErrCanceled)
-		}
-	})
-	return ctx, cc, func() { stopAF(); cancel() }
+	return context.WithTimeoutCause(r.Context(), d, core.ErrDeadlineExceeded)
 }
 
 // numOpts is the per-request numeric state handed to the core layer.
-func (s *Server) numOpts(cc *sched.Canceler) core.NumericOptions {
+func (s *Server) numOpts(ctx context.Context) core.NumericOptions {
 	return core.NumericOptions{
 		Workers: s.cfg.Workers,
-		Cancel:  cc,
+		Context: ctx,
 	}
 }
 
@@ -499,7 +485,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, fault fau
 	if err != nil {
 		return s.mapError(err)
 	}
-	ctx, _, stop := s.deadlineCtx(r, req.TimeoutMS)
+	ctx, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
 	key := patternKey(m, s.analysisOpt)
 	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, error) {
@@ -533,7 +519,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	if err != nil {
 		return s.mapError(err)
 	}
-	ctx, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
+	ctx, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
 	key := patternKey(m, s.analysisOpt)
 	sym, hit, err := s.cache.getOrAnalyze(ctx, key, func() (*core.Symbolic, error) {
@@ -542,7 +528,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	if err != nil {
 		return s.mapError(err)
 	}
-	res, err := climbLadder(sym, m, s.numOpts(cc), req.Policy)
+	res, err := climbLadder(sym, m, s.numOpts(ctx), req.Policy)
 	if err != nil {
 		mapped := s.mapError(err)
 		if res != nil {
@@ -643,9 +629,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 	if fault.Mode == faultinject.PoisonNaN {
 		bs[0][0] = math.NaN()
 	}
-	_, cc, stop := s.deadlineCtx(r, req.TimeoutMS)
+	ctx, stop := s.deadlineCtx(r, req.TimeoutMS)
 	defer stop()
-	nopts := s.numOpts(cc)
+	nopts := s.numOpts(ctx)
 
 	refine := h.res.refine || req.Refine
 	resp := solveResponse{Rung: h.res.won.String()}

@@ -298,6 +298,50 @@ func TestRecoveryLadder(t *testing.T) {
 	}
 }
 
+// TestRecoveryLadderAfterFailedRung pins that a rung's failure stops
+// only that rung. On the 2×2 system [[1e-320, 1], [1e-321, 1]] the
+// strict rung's Factor task fails non-finite (the static row set keeps
+// the subnormal pivot), and the perturbed rung, under the same request
+// context, must still run and win with one perturbation.
+func TestRecoveryLadderAfterFailedRung(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	tr := sparse.NewTriplet(2, 2)
+	tr.Add(0, 0, 1e-320)
+	tr.Add(0, 1, 1)
+	tr.Add(1, 0, 1e-321)
+	tr.Add(1, 1, 1)
+	m := tr.ToCSC()
+
+	fr := factorizeOK(t, ts, m, "ladder")
+	if fr.Rung != "perturb" || !fr.Refine || fr.Perturbations != 1 {
+		t.Fatalf("ladder should win the perturb rung with one perturbation: %+v", fr)
+	}
+	if len(fr.Rungs) != 2 {
+		t.Fatalf("rung reports %+v, want [fail ✗, perturb ✓]", fr.Rungs)
+	}
+	if r := fr.Rungs[0]; r.Rung != "fail" || r.OK || !strings.Contains(r.Error, core.ErrNonFinite.Error()) {
+		t.Errorf("first rung %+v, want fail with a non-finite error", r)
+	}
+	if r := fr.Rungs[1]; r.Rung != "perturb" || !r.OK || r.Perturbations != 1 {
+		t.Errorf("second rung %+v, want perturb ok with one perturbation", r)
+	}
+
+	// Consistent right-hand side: b = A·1; the reply is refined.
+	b := make([]float64, 2)
+	m.MulVec([]float64{1, 1}, b)
+	var sr solveResponse
+	status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: b}, &sr)
+	if status != http.StatusOK {
+		t.Fatalf("refined solve: status %d, body %s", status, body)
+	}
+	if sr.Residual > 1e-10 {
+		t.Errorf("refined residual %g exceeds the 1e-10 bound", sr.Residual)
+	}
+	if sr.Rung != "perturb" {
+		t.Errorf("solve reported rung %q, want perturb", sr.Rung)
+	}
+}
+
 // TestStatusMapping pins the documented error-code table at both the
 // transport level and the mapError unit level.
 func TestStatusMapping(t *testing.T) {
