@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/blas"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // SolveTranspose solves Aᵀ·x = b for the original matrix. b is not
@@ -18,47 +16,9 @@ import (
 // x = P_rᵀ·P_cᵀ·z. Both sweeps run serially: the Ûᵀ sweep in ascending
 // block-column order, the Lᵀ sweep in descending order.
 func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
-	if len(b) != f.S.N {
-		return nil, fmt.Errorf("core: rhs has length %d, want %d", len(b), f.S.N)
-	}
-	if f.Singular() {
-		return nil, f.singularError()
-	}
-	// With equilibration, (R·A₂·C)ᵀ·z = C·P_sym b and x comes back as
-	// P_rᵀP_cᵀ(R·z).
-	ws := f.getWorkspace()
-	y := ws.panel(f.S.N)
-	for i, v := range b {
-		y[f.S.SymPerm[i]] = v
-	}
-	if f.cscale != nil {
-		for i := range y {
-			y[i] *= f.cscale[i]
-		}
-	}
-	rec, ctx, stop := f.solveOpts(nil)
-	defer stop()
-	nb := len(f.cols)
-	if err := sweep(ctx, nb, false, rec, trace.KindSolveU, func(k int) { f.fwdStepT(k, y) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-	if err := sweep(ctx, nb, true, rec, trace.KindSolveL, func(k int) { f.bwdStepT(k, y) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-	if f.rscale != nil {
-		for i := range y {
-			y[i] *= f.rscale[i]
-		}
-	}
-	// x = P_rᵀ·P_cᵀ·y gathers through the composed permutation.
-	x := make([]float64, f.S.N)
-	for i := range x {
-		x[i] = y[f.S.SolvePerm[i]]
-	}
-	f.putWorkspace(ws)
-	return x, nil
+	var x [1][]float64
+	err := f.solve(x[:], [][]float64{b}, true, nil)
+	return x[0], err
 }
 
 // fwdStepT is the transpose forward-sweep step of block column k (the

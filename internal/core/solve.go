@@ -89,6 +89,17 @@ func sweep(ctx context.Context, nb int, descending bool, rec *trace.Recorder, ki
 	return nil
 }
 
+// vectorMaxRHS is the largest right-hand-side count the solve driver
+// sweeps one contiguous vector at a time with fwdStep/bwdStep; more
+// share one panel and the BLAS-3 panel steps. It is where the two
+// kernel families cross over: BenchmarkSolveMany on full-size sherman3,
+// sherman5, orsreg1 and lnsp3937 (2-vCPU Xeon guest, ms per call, loop
+// of Solve vs one panel SolveMany) read 1.27 vs 2.63, 1.06 vs 2.67,
+// 0.63 vs 1.52 and 0.52 vs 1.29 at nrhs = 1; 2.46 vs 2.95, 2.07 vs
+// 3.07, 1.28 vs 1.68 and 1.02 vs 1.38 at 2; and 3.7 vs 3.18, 3.16 vs
+// 3.36, 1.91 vs 1.79 and 1.55 vs 1.44 at 3.
+const vectorMaxRHS = 2
+
 // Solve solves A·x = b for the original (unpermuted) matrix the
 // factorization was computed from. b is not modified. The sweeps run
 // serially, one step per block column: forward through L̄ in ascending
@@ -104,46 +115,128 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 // deadline to a solve against a shared, immutable factorization without
 // mutating it.
 func (f *Factorization) SolveWith(b []float64, nopts *NumericOptions) ([]float64, error) {
-	if len(b) != f.S.N {
-		return nil, fmt.Errorf("core: rhs has length %d, want %d", len(b), f.S.N)
+	var x [1][]float64
+	err := f.solve(x[:], [][]float64{b}, false, nopts)
+	return x[0], err
+}
+
+// SolveMany solves A·X = B for several right-hand sides at once. Up to
+// vectorMaxRHS of them are swept one at a time exactly as Solve sweeps
+// them, so each answer is bitwise Solve's; more are packed into one
+// n×nrhs panel in the pooled SolveWorkspace and swept with blocked
+// BLAS-3 steps (Dtrsm/Dgemm), several times faster than a loop of
+// Solves at 16 right-hand sides and within an ulp of them. The inputs
+// are not modified.
+func (f *Factorization) SolveMany(bs [][]float64) ([][]float64, error) {
+	return f.SolveManyWith(bs, nil)
+}
+
+// SolveManyWith is SolveMany with an explicit per-call options
+// override, the multi-RHS analogue of SolveWith (nil nopts is plain
+// SolveMany).
+func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([][]float64, error) {
+	xs := make([][]float64, len(bs))
+	if err := f.solve(xs, bs, false, nopts); err != nil || len(bs) == 0 {
+		return nil, err
 	}
-	if f.Singular() {
-		return nil, f.singularError()
-	}
-	ws := f.getWorkspace()
-	// A x = b  ⇒  (P_sym P_row A P_symᵀ)(P_sym x) = P_sym P_row b.
-	// With equilibration, (R·A₂·C)(C⁻¹·P_sym x) = R·P_sym P_row b.
-	y := ws.panel(f.S.N)
-	for i, v := range b {
-		y[f.S.SolvePerm[i]] = v
-	}
-	if f.rscale != nil {
-		for i := range y {
-			y[i] *= f.rscale[i]
+	return xs, nil
+}
+
+// solve is the one driver of Solve, SolveMany and SolveTranspose: it
+// solves A·x = b, or Aᵀ·x = b when transpose is set, for every b of bs
+// and stores the answer to bs[r] in xs[r]. It checks every length, then
+// singularity; then it scatters each right-hand side through the input
+// permutation and scale, runs the forward and the backward sweep, and
+// gathers each solution through the output permutation and scale. The
+// transposed solve is single-RHS only (SolveTranspose), so it always
+// takes the vector steps.
+func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *NumericOptions) error {
+	n := f.S.N
+	for r, b := range bs {
+		if len(b) != n {
+			return fmt.Errorf("core: rhs %d has length %d, want %d", r, len(b), n)
 		}
 	}
+	if f.Singular() {
+		return f.singularError()
+	}
+	nrhs := len(bs)
+	if nrhs == 0 {
+		return nil
+	}
+	// A·x = b  ⇒  (P_sym P_row A P_symᵀ)(P_sym x) = P_sym P_row b, and
+	// with equilibration (R·A₂·C)(C⁻¹·P_sym x) = R·P_sym P_row b: in
+	// through SolvePerm and R, out through SymPerm and C. The transposed
+	// system (R·A₂·C)ᵀ·z = C·P_sym b swaps the two, x = P_rᵀP_cᵀ(R·z),
+	// and sweeps Ûᵀ forward and L̄ᵀ backward.
+	in, inScale, out, outScale := f.S.SolvePerm, f.rscale, f.S.SymPerm, f.cscale
+	fwd, bwd, fwdKind, bwdKind := f.fwdStep, f.bwdStep, trace.KindSolveL, trace.KindSolveU
+	if transpose {
+		in, inScale, out, outScale = out, outScale, in, inScale
+		fwd, bwd, fwdKind, bwdKind = f.fwdStepT, f.bwdStepT, bwdKind, fwdKind
+	}
+	// Entry i of right-hand side r lives at y[i·rowStride + r·rhsStride]:
+	// contiguous vectors for the vector steps, a row-major n×nrhs panel
+	// for the panel steps.
+	rowStride, rhsStride := 1, n
+	if nrhs > vectorMaxRHS {
+		rowStride, rhsStride = nrhs, 1
+	}
+	ws := f.getWorkspace()
+	defer f.putWorkspace(ws)
+	y := ws.panel(n * nrhs)
+	for r, b := range bs {
+		yr := y[r*rhsStride:]
+		if inScale == nil {
+			for i, v := range b {
+				yr[in[i]*rowStride] = v
+			}
+		} else {
+			for i, v := range b {
+				p := in[i]
+				yr[p*rowStride] = v * inScale[p]
+			}
+		}
+	}
+
 	rec, ctx, stop := f.solveOpts(nopts)
 	defer stop()
 	nb := len(f.cols)
-	if err := sweep(ctx, nb, false, rec, trace.KindSolveL, func(k int) { f.fwdStep(k, y) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-	if err := sweep(ctx, nb, true, rec, trace.KindSolveU, func(k int) { f.bwdStep(k, y) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-	if f.cscale != nil {
-		for i := range y {
-			y[i] *= f.cscale[i]
+	if rowStride == 1 {
+		for r := range bs {
+			v := y[r*n : (r+1)*n]
+			if err := sweep(ctx, nb, false, rec, fwdKind, func(k int) { fwd(k, v) }); err != nil {
+				return err
+			}
+			if err := sweep(ctx, nb, true, rec, bwdKind, func(k int) { bwd(k, v) }); err != nil {
+				return err
+			}
+		}
+	} else {
+		if err := sweep(ctx, nb, false, rec, fwdKind, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
+			return err
+		}
+		if err := sweep(ctx, nb, true, rec, bwdKind, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
+			return err
 		}
 	}
-	x := make([]float64, f.S.N)
-	for i := range x {
-		x[i] = y[f.S.SymPerm[i]]
+
+	for r := range xs {
+		x := make([]float64, n)
+		yr := y[r*rhsStride:]
+		if outScale == nil {
+			for i := range x {
+				x[i] = yr[out[i]*rowStride]
+			}
+		} else {
+			for i := range x {
+				p := out[i]
+				x[i] = yr[p*rowStride] * outScale[p]
+			}
+		}
+		xs[r] = x
 	}
-	f.putWorkspace(ws)
-	return x, nil
+	return nil
 }
 
 // fwdStep is the forward-sweep step of block column k on one
@@ -186,87 +279,6 @@ func (f *Factorization) bwdStep(k int, y []float64) {
 		ilo, ihi := f.S.Part.Range(i)
 		blas.Dgemv(false, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, xk, 1, y[ilo:ihi])
 	}
-}
-
-// SolveMany solves A·X = B for several right-hand sides at once with
-// blocked BLAS-3 sweeps (Dtrsm/Dgemm on an n×nrhs panel), which is
-// substantially faster than repeated single-vector solves once nrhs is
-// more than a couple. The panel lives in the factorization's pooled
-// SolveWorkspace and the right-hand sides are packed straight into
-// their permuted rows, so no per-RHS staging copies are allocated. The
-// sweeps visit the block columns in Solve's order. The inputs are not
-// modified.
-func (f *Factorization) SolveMany(bs [][]float64) ([][]float64, error) {
-	return f.SolveManyWith(bs, nil)
-}
-
-// SolveManyWith is SolveMany with an explicit per-call options
-// override, the multi-RHS analogue of SolveWith (nil nopts is plain
-// SolveMany).
-func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([][]float64, error) {
-	if f.Singular() {
-		return nil, f.singularError()
-	}
-	nrhs := len(bs)
-	if nrhs == 0 {
-		return nil, nil
-	}
-	n := f.S.N
-	for r, b := range bs {
-		if len(b) != n {
-			return nil, fmt.Errorf("core: rhs %d has length %d, want %d", r, len(b), n)
-		}
-	}
-	// Pack the permuted (and scaled) right-hand sides as a row-major
-	// n×nrhs panel, scattering each b directly through SolvePerm.
-	ws := f.getWorkspace()
-	y := ws.panel(n * nrhs)
-	for r, b := range bs {
-		for i, v := range b {
-			y[f.S.SolvePerm[i]*nrhs+r] = v
-		}
-	}
-	if f.rscale != nil {
-		for i := 0; i < n; i++ {
-			s := f.rscale[i]
-			row := y[i*nrhs : (i+1)*nrhs]
-			for j := range row {
-				row[j] *= s
-			}
-		}
-	}
-
-	rec, ctx, stop := f.solveOpts(nopts)
-	defer stop()
-	nb := len(f.cols)
-	if err := sweep(ctx, nb, false, rec, trace.KindSolveL, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-	if err := sweep(ctx, nb, true, rec, trace.KindSolveU, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
-		f.putWorkspace(ws)
-		return nil, err
-	}
-
-	// Unpack, unscale, unpermute: one gather pass per right-hand side,
-	// straight from the panel into the result.
-	out := make([][]float64, nrhs)
-	for r := range out {
-		x := make([]float64, n)
-		if f.cscale != nil {
-			for i := 0; i < n; i++ {
-				p := f.S.SymPerm[i]
-				x[i] = y[p*nrhs+r] * f.cscale[p]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				x[i] = y[f.S.SymPerm[i]*nrhs+r]
-			}
-		}
-		out[r] = x
-	}
-	f.putWorkspace(ws)
-	return out, nil
 }
 
 // fwdPanelStep is fwdStep on an n×nrhs row-major panel: Dswap replays
