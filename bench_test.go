@@ -280,38 +280,55 @@ func BenchmarkSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkSolveMany measures the blocked multi-RHS path (16
-// right-hand sides through the BLAS-3 panel sweeps) against the
-// loop-of-Solves baseline it replaces.
+// BenchmarkSolveMany measures SolveMany against a loop of Solves at
+// nrhs ∈ {1, 2, 3, 4, 16} on the full-size sherman5, sherman3, orsreg1
+// and lnsp3937, the matrices of the four benchmark workloads. It is the
+// measurement behind core's vectorMaxRHS, the count up to which
+// SolveMany sweeps vectors instead of a panel: at or below it both sides
+// run the vector sweeps. A build with vectorMaxRHS = 0 puts every solve,
+// Solve too, on the panel steps; its solve-many column against this
+// build's loop-of-solves is the crossover. Two trees compare pair by
+// pair with `go test -run xxx -bench SolveMany -count N` in each,
+// alternated.
 func BenchmarkSolveMany(b *testing.B) {
-	const nrhs = 16
-	spec := matgen.SmallSuite()[0]
-	a := spec.Gen()
-	f, err := core.Factorize(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := make([][]float64, nrhs)
-	for r := range bs {
-		bs[r] = make([]float64, a.NCols)
-		for i := range bs[r] {
-			bs[r][i] = float64(r + i%5)
+	for _, m := range []struct {
+		name string
+		gen  func() *sparse.CSC
+	}{
+		{"sherman5", matgen.Sherman5},
+		{"sherman3", matgen.Sherman3},
+		{"orsreg1", matgen.Orsreg1},
+		{"lnsp3937", matgen.Lnsp3937},
+	} {
+		a := m.gen()
+		f, err := core.Factorize(a, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.Run(spec.Name+"/loop-of-solves", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := range bs {
-				if _, err := f.Solve(bs[r]); err != nil {
-					b.Fatal(err)
+		bs := make([][]float64, 16)
+		for r := range bs {
+			bs[r] = make([]float64, a.NCols)
+			for i := range bs[r] {
+				bs[r][i] = float64(r + i%5)
+			}
+		}
+		for _, nrhs := range []int{1, 2, 3, 4, 16} {
+			b.Run(fmt.Sprintf("%s/nrhs=%d/loop-of-solves", m.name, nrhs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, rhs := range bs[:nrhs] {
+						if _, err := f.Solve(rhs); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-			}
+			})
+			b.Run(fmt.Sprintf("%s/nrhs=%d/solve-many", m.name, nrhs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := f.SolveMany(bs[:nrhs]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run(spec.Name+"/blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := f.SolveMany(bs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -303,11 +303,12 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	return f.f.Solve(b)
 }
 
-// SolveMany solves A·X = B for several right-hand sides with blocked
-// BLAS-3 triangular sweeps: B is packed once into a dense n×nrhs
-// panel in the pooled solve workspace and each block-column task runs
-// Dtrsm/Dgemm across all right-hand sides, which is substantially
-// faster than repeated Solve calls once nrhs is more than a couple.
+// SolveMany solves A·X = B for several right-hand sides. One or two are
+// swept as vectors exactly as Solve sweeps them, so each answer is
+// bitwise Solve's. Three or more are packed once into a dense n×nrhs
+// panel in the pooled solve workspace and each block column runs
+// Dtrsm/Dgemm across all of them: faster than repeated Solve calls from
+// three right-hand sides on, and within an ulp of their answers.
 func (f *Factorization) SolveMany(bs [][]float64) ([][]float64, error) {
 	return f.f.SolveMany(bs)
 }
@@ -319,9 +320,9 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 }
 
 // SolveRefined solves A·x = b with up to maxIter steps of iterative
-// refinement (tol ≤ 0 means machine precision). It returns the
-// solution, the final scaled backward error and the number of
-// refinement steps taken.
+// refinement (tol ≤ 0 means machine precision). It returns the best
+// iterate, its scaled backward error and the number of refinement steps
+// taken; a step that does not lower the error is dropped.
 func (f *Factorization) SolveRefined(b []float64, maxIter int, tol float64) (x []float64, backwardError float64, steps int, err error) {
 	return f.f.SolveRefined(f.m.a, b, maxIter, tol)
 }

@@ -65,8 +65,10 @@ func (f *Factorization) bwdStepT(k int, y []float64) {
 
 // SolveRefined solves A·x = b and applies up to maxIter steps of
 // iterative refinement, stopping once the scaled backward error drops
-// below tol (tol ≤ 0 means machine-precision level, 1e-14). Returns the
-// solution, the final backward error, and the refinement steps taken.
+// below tol (tol ≤ 0 means machine-precision level, 1e-14) or a step
+// fails to lower it. Returns the best iterate, its backward error —
+// Residual(a, x, b) bit for bit — and the refinement steps taken,
+// counting a final step that did not improve and was dropped.
 func (f *Factorization) SolveRefined(a *sparse.CSC, b []float64, maxIter int, tol float64) ([]float64, float64, int, error) {
 	return f.SolveRefinedWith(a, b, maxIter, tol, nil)
 }
@@ -85,40 +87,47 @@ func (f *Factorization) SolveRefinedWith(a *sparse.CSC, b []float64, maxIter int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	berr := Residual(a, x, b)
-	steps := 0
+	anorm := a.NormInf()
 	r := make([]float64, len(b))
+	berr := residual(a, x, b, r, anorm)
+	steps := 0
 	for steps < maxIter && berr > tol {
-		a.MulVec(x, r)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
 		dx, err := f.SolveWith(r, nopts)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		for i := range x {
-			x[i] += dx[i]
+		for i := range dx {
+			dx[i] += x[i]
 		}
-		newBerr := Residual(a, x, b)
+		newBerr := residual(a, dx, b, r, anorm)
 		steps++
-		if newBerr >= berr {
-			break // no longer improving
+		if !(newBerr < berr) {
+			break // no longer improving: keep the better iterate
 		}
-		berr = newBerr
+		x, berr = dx, newBerr
 	}
 	return x, berr, steps, nil
 }
 
 // PivotGrowth returns max|Û| / max|A₂|, the classic stability indicator
 // of the factorization (values near 1 are ideal; large values signal
-// element growth).
+// element growth). a is the matrix f was factored from, read through the
+// analysis permutations and the equilibration scales; NaN when a does
+// not have f's order.
 func (f *Factorization) PivotGrowth(a *sparse.CSC) float64 {
-	ap := f.S.PermuteInput(a)
-	if f.rscale != nil {
-		ap = applyScaling(ap, f.rscale, f.cscale)
+	if a.NRows != f.S.N || a.NCols != f.S.N {
+		return math.NaN()
 	}
-	maxA := ap.MaxAbs()
+	maxA := 0.0
+	for jo := 0; jo < a.NCols; jo++ {
+		j := f.S.SymPerm[jo]
+		rows, vals := a.Col(jo)
+		for k, io := range rows {
+			if v := math.Abs(f.a2(vals[k], f.S.SolvePerm[io], j)); v > maxA {
+				maxA = v
+			}
+		}
+	}
 	if maxA == 0 {
 		return 0
 	}

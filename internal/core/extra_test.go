@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
@@ -108,6 +109,39 @@ func TestSolveRefined(t *testing.T) {
 	}
 }
 
+// TestSolveRefinedReportsItsIterate requires the backward error
+// SolveRefined reports to be Residual of the x it returns, bit for bit,
+// on badly scaled systems with tiny entries, where a refinement step
+// can make the iterate worse: the step must then be dropped, not
+// returned beside the better iterate's error.
+func TestSolveRefinedReportsItsIterate(t *testing.T) {
+	for _, sp := range matgen.SmallSuite() {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			a := columnScaled(sp.Gen(), rng)
+			for k := range a.Val {
+				if rng.Intn(10) == 0 {
+					a.Val[k] *= 1e-12
+				}
+			}
+			opts := DefaultOptions()
+			opts.PivotPolicy = PivotPerturb
+			f, err := Factorize(a, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sp.Name, seed, err)
+			}
+			b := randomRHS(rng, 1, a.NCols)[0]
+			x, berr, _, err := f.SolveRefined(a, b, 5, 1e-300)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sp.Name, seed, err)
+			}
+			if got := Residual(a, x, b); got != berr {
+				t.Errorf("%s seed %d: reported backward error %g, the returned x has %g", sp.Name, seed, berr, got)
+			}
+		}
+	}
+}
+
 func TestPivotGrowthModest(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	a := randomSystem(40, 0.1, rng)
@@ -120,6 +154,9 @@ func TestPivotGrowthModest(t *testing.T) {
 	// near 1; anything above 100 means broken bookkeeping.
 	if g <= 0 || g > 100 {
 		t.Fatalf("pivot growth %g out of range", g)
+	}
+	if g := f.PivotGrowth(randomSystem(39, 0.1, rng)); !math.IsNaN(g) {
+		t.Fatalf("pivot growth against a matrix of the wrong order = %g, want NaN", g)
 	}
 }
 
@@ -360,7 +397,12 @@ func TestEquilibrateScales(t *testing.T) {
 	tr.Add(1, 1, 0.01)
 	a := tr.ToCSC()
 	r, c := Equilibrate(a)
-	scaled := applyScaling(a, r, c)
+	scaled := a.Clone()
+	for j := 0; j < scaled.NCols; j++ {
+		for k := scaled.ColPtr[j]; k < scaled.ColPtr[j+1]; k++ {
+			scaled.Val[k] *= r[scaled.RowInd[k]] * c[j]
+		}
+	}
 	// Every row and column maximum of the scaled matrix must be ≤ 1 and
 	// the per-row maxima exactly 1 for nonzero rows.
 	for j := 0; j < 2; j++ {
@@ -393,39 +435,41 @@ func TestEquilibratedLogDet(t *testing.T) {
 	}
 }
 
+// TestSolveManyBlocked requires SolveMany of up to vectorMaxRHS
+// right-hand sides to be bitwise Solve for each of them, and of more to
+// agree with Solve to rounding, with and without equilibration.
 func TestSolveManyBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(309))
 	a := randomSystem(45, 0.1, rng)
-	f, err := Factorize(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nrhs := 5
-	bs := make([][]float64, nrhs)
-	for r := range bs {
-		bs[r] = make([]float64, 45)
-		for i := range bs[r] {
-			bs[r][i] = rng.NormFloat64()
-		}
-	}
-	xs, err := f.SolveMany(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range xs {
-		// Must match the single-vector solve exactly (same kernels, same
-		// order of operations per column).
-		single, err := f.Solve(bs[r])
+	bs := randomRHS(rng, 5, 45)
+	for _, equil := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Equilibrate = equil
+		f, err := Factorize(a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range single {
-			if math.Abs(xs[r][i]-single[i]) > 1e-12*(1+math.Abs(single[i])) {
-				t.Fatalf("rhs %d: blocked %g vs single %g at %d", r, xs[r][i], single[i], i)
+		for _, nrhs := range []int{1, 2, 5} {
+			xs, err := f.SolveMany(bs[:nrhs])
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if res := Residual(a, xs[r], bs[r]); res > 1e-10 {
-			t.Fatalf("rhs %d residual %g", r, res)
+			for r := range xs {
+				single, err := f.Solve(bs[r])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range single {
+					if nrhs <= vectorMaxRHS && xs[r][i] != single[i] ||
+						math.Abs(xs[r][i]-single[i]) > 1e-12*(1+math.Abs(single[i])) {
+						t.Fatalf("equilibrate=%v nrhs=%d rhs %d: SolveMany %g vs Solve %g at %d",
+							equil, nrhs, r, xs[r][i], single[i], i)
+					}
+				}
+				if res := Residual(a, xs[r], bs[r]); res > 1e-10 {
+					t.Fatalf("equilibrate=%v nrhs=%d rhs %d residual %g", equil, nrhs, r, res)
+				}
+			}
 		}
 	}
 }

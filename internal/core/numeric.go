@@ -421,40 +421,42 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		f.ipiv[j] = ipiv[part.BlockStart[j]:part.BlockStart[j+1]]
 	}
 
-	// Scatter the numeric values: entry (i, j) of src is entry
-	// (rowPerm[i], colPerm[j]) of the matrix A₂ the kernels factor. By
-	// default src is a itself, so no permuted copy is built; an
-	// equilibrated factorization builds A₂ to scale it. The serial
-	// scaling pre-pass is recorded as a single Scale event on worker 0 so
-	// traces account for the time spent before the parallel phase.
-	src, rowPerm, colPerm := a, s.SolvePerm, s.SymPerm
+	// Scatter the numeric values: entry (i, j) of a is entry
+	// (SolvePerm[i], SymPerm[j]) of the matrix A₂ the kernels factor, so
+	// no permuted copy is built. Equilibration scales A₂ to R·A₂·C with
+	// the scales of a itself carried through the same permutations (row
+	// and column maxima do not depend on order), and each entry is
+	// scattered as a_ij·(r·c). The serial scaling pre-pass is recorded as
+	// a single Scale event on worker 0 so traces account for the time
+	// spent before the parallel phase.
 	if eff.Equilibrate {
 		var start int64
 		if rec := eff.Trace; rec != nil {
 			start = rec.Now()
 		}
-		ap := s.PermuteInput(a)
-		f.rscale, f.cscale = Equilibrate(ap)
-		src = applyScaling(ap, f.rscale, f.cscale)
-		rowPerm = sparse.Identity(s.N)
-		colPerm = rowPerm
+		r, c := Equilibrate(a)
+		f.rscale, f.cscale = make([]float64, s.N), make([]float64, s.N)
+		for i := range r {
+			f.rscale[s.SolvePerm[i]] = r[i]
+			f.cscale[s.SymPerm[i]] = c[i]
+		}
 		if rec := eff.Trace; rec != nil {
 			rec.Record(0, trace.NoTask, trace.KindScale, -1, start)
 		}
 	}
 	for jo := 0; jo < s.N; jo++ {
-		j := colPerm[jo]
+		j := s.SymPerm[jo]
 		bj := part.ColToBlock[j]
 		c := &f.cols[bj]
 		lc := j - part.BlockStart[bj]
-		rows, vals := src.Col(jo)
+		rows, vals := a.Col(jo)
 		for k, io := range rows {
-			i := rowPerm[io]
+			i := s.SolvePerm[io]
 			off, ok := f.rowOffset(c, i)
 			if !ok {
 				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
 			}
-			c.data[off*c.width+lc] = vals[k]
+			c.data[off*c.width+lc] = f.a2(vals[k], i, j)
 		}
 	}
 	if f.policy == PivotPerturb {
@@ -462,7 +464,7 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		// SuperLU_DIST threshold. A structurally empty matrix gets a
 		// norm of 1 so the threshold is still positive.
 		const eps = 0x1p-52
-		anorm := permutedNormInf(src, rowPerm, colPerm)
+		anorm := f.normInfA2(a)
 		if anorm == 0 {
 			anorm = 1
 		}
@@ -472,15 +474,27 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 	return f, nil
 }
 
-// permutedNormInf returns ‖A₂‖∞ of the matrix with A₂(rowPerm[i],
-// colPerm[j]) = src(i, j), bit for bit A₂.NormInf(): every row sum
-// accumulates its terms in ascending column of A₂.
-func permutedNormInf(src *sparse.CSC, rowPerm, colPerm sparse.Perm) float64 {
-	sums := make([]float64, src.NRows)
-	for _, jo := range colPerm.Inverse() {
-		rows, vals := src.Col(jo)
+// a2 returns entry (i, j) of the matrix the kernels factor, given the
+// stored value v of a at the entry that maps there: v, or under
+// equilibration v·(r_i·c_j).
+func (f *Factorization) a2(v float64, i, j int) float64 {
+	if f.rscale == nil {
+		return v
+	}
+	return v * (f.rscale[i] * f.cscale[j])
+}
+
+// normInfA2 returns ‖A₂‖∞ of the matrix the kernels factor, read
+// through a's permutations and scales, bit for bit the NormInf of a
+// permuted and scaled copy: every row sum accumulates its terms in
+// ascending column of A₂.
+func (f *Factorization) normInfA2(a *sparse.CSC) float64 {
+	sums := make([]float64, a.NRows)
+	for j, jo := range f.S.SymPerm.Inverse() {
+		rows, vals := a.Col(jo)
 		for k, io := range rows {
-			sums[rowPerm[io]] += math.Abs(vals[k])
+			i := f.S.SolvePerm[io]
+			sums[i] += math.Abs(f.a2(vals[k], i, j))
 		}
 	}
 	m := 0.0

@@ -40,13 +40,24 @@ func TestNearSingularFailPolicy(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	_, err = f.Solve(b)
-	if !errors.Is(err, ErrNumericallySingular) {
-		t.Fatalf("Solve err = %v, want ErrNumericallySingular", err)
-	}
-	var se *SingularError
-	if !errors.As(err, &se) || se.Col != zeroCol {
-		t.Fatalf("Solve err = %v, want *SingularError at column %d", err, zeroCol)
+	// Every solve entry point checks the length first, then singularity.
+	for _, sv := range []struct {
+		name  string
+		solve func(b []float64) error
+	}{
+		{"Solve", func(b []float64) error { _, err := f.Solve(b); return err }},
+		{"SolveMany", func(b []float64) error { _, err := f.SolveMany([][]float64{b, b, b}); return err }},
+		{"SolveTranspose", func(b []float64) error { _, err := f.SolveTranspose(b); return err }},
+	} {
+		err := sv.solve(b[1:])
+		if err == nil || errors.Is(err, ErrNumericallySingular) {
+			t.Fatalf("%s of a short rhs: err = %v, want the length error", sv.name, err)
+		}
+		err = sv.solve(b)
+		var se *SingularError
+		if !errors.Is(err, ErrNumericallySingular) || !errors.As(err, &se) || se.Col != zeroCol {
+			t.Fatalf("%s err = %v, want *SingularError at column %d", sv.name, err, zeroCol)
+		}
 	}
 	if f.PivotPerturbations() != 0 || f.PerturbedColumns() != nil {
 		t.Fatal("PivotFail recorded perturbations")

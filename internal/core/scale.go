@@ -43,15 +43,3 @@ func Equilibrate(a *sparse.CSC) (r, c []float64) {
 	}
 	return r, c
 }
-
-// applyScaling returns R·A·C for positive diagonal scale vectors.
-func applyScaling(a *sparse.CSC, r, c []float64) *sparse.CSC {
-	out := a.Clone()
-	for j := 0; j < out.NCols; j++ {
-		cj := c[j]
-		for k := out.ColPtr[j]; k < out.ColPtr[j+1]; k++ {
-			out.Val[k] *= r[out.RowInd[k]] * cj
-		}
-	}
-	return out
-}

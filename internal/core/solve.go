@@ -92,12 +92,14 @@ func sweep(ctx context.Context, nb int, descending bool, rec *trace.Recorder, ki
 // vectorMaxRHS is the largest right-hand-side count the solve driver
 // sweeps one contiguous vector at a time with fwdStep/bwdStep; more
 // share one panel and the BLAS-3 panel steps. It is where the two
-// kernel families cross over: BenchmarkSolveMany on full-size sherman3,
-// sherman5, orsreg1 and lnsp3937 (2-vCPU Xeon guest, ms per call, loop
-// of Solve vs one panel SolveMany) read 1.27 vs 2.63, 1.06 vs 2.67,
-// 0.63 vs 1.52 and 0.52 vs 1.29 at nrhs = 1; 2.46 vs 2.95, 2.07 vs
-// 3.07, 1.28 vs 1.68 and 1.02 vs 1.38 at 2; and 3.7 vs 3.18, 3.16 vs
-// 3.36, 1.91 vs 1.79 and 1.55 vs 1.44 at 3.
+// kernel families cross over. The root BenchmarkSolveMany, full-size
+// sherman5, sherman3, orsreg1 and lnsp3937 on one CPU of a 2-vCPU Xeon
+// guest, medians of five runs, ms per call for a loop of vector Solves
+// against one panel SolveMany, built with vectorMaxRHS = 0:
+//
+//	nrhs = 1: 1.03 vs 2.62, 1.23 vs 2.61, 0.65 vs 1.50, 0.53 vs 1.30
+//	nrhs = 2: 2.07 vs 2.91, 2.47 vs 2.78, 1.25 vs 1.64, 1.05 vs 1.37
+//	nrhs = 3: 3.13 vs 3.12, 3.71 vs 2.93, 1.88 vs 1.75, 1.56 vs 1.43
 const vectorMaxRHS = 2
 
 // Solve solves A·x = b for the original (unpermuted) matrix the
@@ -148,8 +150,8 @@ func (f *Factorization) SolveManyWith(bs [][]float64, nopts *NumericOptions) ([]
 // singularity; then it scatters each right-hand side through the input
 // permutation and scale, runs the forward and the backward sweep, and
 // gathers each solution through the output permutation and scale. The
-// transposed solve is single-RHS only (SolveTranspose), so it always
-// takes the vector steps.
+// transposed steps exist for vectors only; SolveTranspose passes one
+// right-hand side.
 func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *NumericOptions) error {
 	n := f.S.N
 	for r, b := range bs {
@@ -178,8 +180,9 @@ func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *Numeric
 	// Entry i of right-hand side r lives at y[i·rowStride + r·rhsStride]:
 	// contiguous vectors for the vector steps, a row-major n×nrhs panel
 	// for the panel steps.
+	vector := transpose || nrhs <= vectorMaxRHS
 	rowStride, rhsStride := 1, n
-	if nrhs > vectorMaxRHS {
+	if !vector {
 		rowStride, rhsStride = nrhs, 1
 	}
 	ws := f.getWorkspace()
@@ -202,7 +205,7 @@ func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *Numeric
 	rec, ctx, stop := f.solveOpts(nopts)
 	defer stop()
 	nb := len(f.cols)
-	if rowStride == 1 {
+	if vector {
 		for r := range bs {
 			v := y[r*n : (r+1)*n]
 			if err := sweep(ctx, nb, false, rec, fwdKind, func(k int) { fwd(k, v) }); err != nil {
@@ -325,11 +328,19 @@ func Residual(a *sparse.CSC, x, b []float64) float64 {
 	if len(x) != a.NCols || len(b) != a.NRows {
 		return math.NaN()
 	}
-	r := make([]float64, len(b))
+	return residual(a, x, b, make([]float64, len(b)), a.NormInf())
+}
+
+// residual stores the residual vector b − A·x in r and returns the
+// backward error of Residual, given anorm = ‖A‖∞, so that iterative
+// refinement computes each step's residual once and reuses it as the
+// next right-hand side.
+func residual(a *sparse.CSC, x, b, r []float64, anorm float64) float64 {
 	a.MulVec(x, r)
 	num := 0.0
 	for i := range r {
-		if d := math.Abs(r[i] - b[i]); d > num {
+		r[i] = b[i] - r[i]
+		if d := math.Abs(r[i]); d > num {
 			num = d
 		}
 	}
@@ -345,7 +356,7 @@ func Residual(a *sparse.CSC, x, b []float64) float64 {
 			binf = a
 		}
 	}
-	den := a.NormInf()*xinf + binf
+	den := anorm*xinf + binf
 	if den == 0 {
 		return num
 	}

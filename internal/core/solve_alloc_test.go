@@ -53,6 +53,7 @@ func TestSolveZeroAllocs(t *testing.T) {
 	}{
 		{"Solve", 1, mustSolve(func() error { _, err := f.Solve(b); return err })},
 		{"SolveTranspose", 1, mustSolve(func() error { _, err := f.SolveTranspose(b); return err })},
+		{"SolveMany2", 1 + 2, mustSolve(func() error { _, err := f.SolveMany(bs[:2]); return err })},
 		{"SolveMany16", 1 + nrhs, mustSolve(func() error { _, err := f.SolveMany(bs); return err })},
 	} {
 		// Warm-up fills the workspace pool and the runtime's caches.

@@ -33,6 +33,9 @@ func factorHash(f *Factorization) string {
 // SolveMany answers (nrhs ∈ {1, 3, 16}) on every small-suite matrix to
 // hash to the values recorded in testdata/solve_golden.json, and with
 // them the answers of Solve, SolveTranspose, PivotGrowth and LogDet.
+// SolveMany sweeps up to vectorMaxRHS right-hand sides as vectors, so
+// the nrhs = 1 entries are the hashes of Solve on the same right-hand
+// side, and nrhs = 3 and 16 pin the panel sweeps.
 // The same matrices with their columns scaled over twenty decades pin
 // the factors, a 3-RHS SolveMany and the same four answers under
 // Equilibrate and under PivotPerturb. The table is written by `go test

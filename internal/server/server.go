@@ -11,9 +11,10 @@
 //     Symbolic, climbing a recovery ladder (fail → perturb →
 //     equilibrate+perturb) with every rung recorded in the response.
 //   - POST /v1/solve     — solves against a stored factorization, each
-//     request on its own goroutine under its own deadline: one
-//     right-hand side on the vector sweeps, several on the blocked
-//     BLAS-3 panel sweeps.
+//     request on its own goroutine under its own deadline and through
+//     one core.SolveManyWith call, which sweeps up to two right-hand
+//     sides as vectors and more as one blocked BLAS-3 panel, so a
+//     {"b": v} and a {"bs": [v]} request get the same bits.
 //   - GET /healthz, /readyz, /metrics — liveness, readiness (503 while
 //     draining) and a JSON counter document.
 //
@@ -633,52 +634,39 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 	defer stop()
 	nopts := s.numOpts(ctx)
 
-	refine := h.res.refine || req.Refine
 	resp := solveResponse{Rung: h.res.won.String()}
-	switch {
-	case refine:
+	var xs [][]float64
+	residuals := make([]float64, len(bs))
+	if h.res.refine || req.Refine {
 		// Each right-hand side runs its own solve+refine loop against
 		// the stored matrix and reports the achieved backward error.
-		xs := make([][]float64, len(bs))
-		residuals := make([]float64, len(bs))
-		steps := 0
+		xs = make([][]float64, len(bs))
 		for i, b := range bs {
 			x, berr, st, err := h.res.f.SolveRefinedWith(h.m, b, 20, 1e-11, &nopts)
 			if err != nil {
 				return s.mapError(err)
 			}
-			xs[i] = x
-			residuals[i] = berr
-			if st > steps {
-				steps = st
-			}
+			xs[i], residuals[i] = x, berr
+			resp.RefineSteps = max(resp.RefineSteps, st)
 		}
 		s.met.refined.Add(int64(len(bs)))
-		resp.RefineSteps = steps
-		if single {
-			resp.X, resp.Residual = xs[0], residuals[0]
-		} else {
-			resp.XS, resp.Residuals = xs, residuals
-		}
-	case single:
-		s.met.countSolve(1)
-		x, err := h.res.f.SolveWith(req.B, &nopts)
-		if err != nil {
-			return s.mapError(err)
-		}
-		resp.X = x
-		resp.Residual = core.Residual(h.m, x, req.B)
-	default:
+	} else {
+		// One call for b and bs: the library picks the vector or the
+		// panel sweeps from the count, so {"b": v} and {"bs": [v]} get
+		// the same bits.
 		s.met.countSolve(len(bs))
-		xs, err := h.res.f.SolveManyWith(bs, &nopts)
-		if err != nil {
+		var err error
+		if xs, err = h.res.f.SolveManyWith(bs, &nopts); err != nil {
 			return s.mapError(err)
 		}
-		resp.XS = xs
-		resp.Residuals = make([]float64, len(xs))
 		for i, x := range xs {
-			resp.Residuals[i] = core.Residual(h.m, x, bs[i])
+			residuals[i] = core.Residual(h.m, x, bs[i])
 		}
+	}
+	if single {
+		resp.X, resp.Residual = xs[0], residuals[0]
+	} else {
+		resp.XS, resp.Residuals = xs, residuals
 	}
 	return s.writeSolve(w, &resp)
 }

@@ -176,9 +176,10 @@ func TestCacheHitSkipsAnalyze(t *testing.T) {
 }
 
 // TestSolveReplyIsLibrarySolve pins that a single-RHS request just
-// solves: sent one at a time or all at once, every reply is bitwise the
-// library's SolveWith on the stored factorization, and /metrics counts
-// one solve call and one right-hand side per request.
+// solves: sent one at a time or all at once, as {"b": v} or as
+// {"bs": [v]}, every reply is bitwise the library's SolveWith on the
+// stored factorization, and /metrics counts one solve call and one
+// right-hand side per request.
 func TestSolveReplyIsLibrarySolve(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 32, MaxQueue: 64})
 	m := testMatrix()
@@ -200,14 +201,19 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 		rhs[r], want[r] = b, x
 	}
 	check := func(pass string, r int) error {
-		var sr solveResponse
+		var sr, srs solveResponse
 		status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, B: rhs[r]}, &sr)
 		if status != http.StatusOK {
 			return fmt.Errorf("%s solve %d: status %d, body %s", pass, r, status, body)
 		}
+		status, body = post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, BS: [][]float64{rhs[r]}}, &srs)
+		if status != http.StatusOK || len(srs.XS) != 1 {
+			return fmt.Errorf("%s solve %d as bs: status %d, body %s", pass, r, status, body)
+		}
 		for i := range want[r] {
-			if sr.X[i] != want[r][i] {
-				return fmt.Errorf("%s solve %d: x[%d] = %x, SolveWith %x", pass, r, i, sr.X[i], want[r][i])
+			if sr.X[i] != want[r][i] || srs.XS[0][i] != want[r][i] {
+				return fmt.Errorf("%s solve %d: x[%d] = %x, bs x[%d] = %x, SolveWith %x",
+					pass, r, i, sr.X[i], i, srs.XS[0][i], want[r][i])
 			}
 		}
 		return nil
@@ -241,9 +247,9 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.SolveCalls.Calls != 2*nrhs || snap.SolveCalls.RHS != 2*nrhs {
+	if snap.SolveCalls.Calls != 4*nrhs || snap.SolveCalls.RHS != 4*nrhs {
 		t.Errorf("/metrics counts %d solve calls of %d right-hand sides, want %d of %d",
-			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 2*nrhs, 2*nrhs)
+			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 4*nrhs, 4*nrhs)
 	}
 }
 
