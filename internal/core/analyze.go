@@ -239,14 +239,18 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	graph := taskgraph.NewStored(blockSym, blockForest, stored, o.TaskGraph)
 	closureTasks, closureEdges := taskgraph.ClosureCounts(blockSym, blockForest, o.TaskGraph)
 	costs := taskgraph.NewCostModel(graph, stored, part)
-	cp, total, err := graph.CriticalPath(costs.TaskFlops)
-	if err != nil {
-		return nil, fmt.Errorf("core: task graph: %w", err)
-	}
 	prio, err := graph.BottomLevels(costs.TaskFlops)
 	if err != nil {
 		return nil, fmt.Errorf("core: task graph: %w", err)
 	}
+	// The critical path is the largest bottom level. Task flops are whole
+	// numbers and every sum of them stays far below 2⁵³, so this and the
+	// total are the forward walk's bit for bit.
+	cp := 0.0
+	for _, p := range prio {
+		cp = max(cp, p)
+	}
+	total := costs.TotalFlops()
 	st.mark("task graph")
 
 	// Step 7: the level-set schedules of the solve sweeps, for bench/

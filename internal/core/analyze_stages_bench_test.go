@@ -81,10 +81,12 @@ func analyzeStages() []analyzeStage {
 			st.graph = taskgraph.NewStored(st.blockSym, st.blockForest, st.stored, st.o.TaskGraph)
 			taskgraph.ClosureCounts(st.blockSym, st.blockForest, st.o.TaskGraph)
 			costs := taskgraph.NewCostModel(st.graph, st.stored, st.part)
-			if _, _, err := st.graph.CriticalPath(costs.TaskFlops); err != nil {
-				return err
+			prio, err := st.graph.BottomLevels(costs.TaskFlops)
+			cp := 0.0
+			for _, p := range prio {
+				cp = max(cp, p)
 			}
-			_, err := st.graph.BottomLevels(costs.TaskFlops)
+			costs.TotalFlops()
 			return err
 		}},
 		{"solve schedules", func(st *stageState) error {

@@ -418,6 +418,41 @@ func TestEquilibrateScales(t *testing.T) {
 	}
 }
 
+// TestEquilibrateSubnormalMaximum: a row whose maximum is subnormal
+// would get the scale 1/max = +Inf, and the factors Inf·0 = NaN. The
+// matrix factors and solves without equilibration, so it must with it.
+func TestEquilibrateSubnormalMaximum(t *testing.T) {
+	for _, tiny := range []float64{1e-310, 5e-324} {
+		tr := sparse.NewTriplet(2, 2)
+		tr.Add(0, 0, tiny)
+		tr.Add(0, 1, tiny)
+		tr.Add(1, 0, 1)
+		tr.Add(1, 1, 2)
+		a := tr.ToCSC()
+		r, c := Equilibrate(a)
+		for _, s := range append(r, c...) {
+			if math.IsInf(s, 0) || math.IsNaN(s) || s == 0 {
+				t.Fatalf("t=%g: scales r=%v c=%v", tiny, r, c)
+			}
+		}
+		for _, equil := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Equilibrate = equil
+			f, err := Factorize(a, opts)
+			if err != nil {
+				t.Fatalf("t=%g equilibrate=%v: %v", tiny, equil, err)
+			}
+			x, err := f.Solve([]float64{tiny, 3})
+			if err != nil {
+				t.Fatalf("t=%g equilibrate=%v: %v", tiny, equil, err)
+			}
+			if math.Abs(x[0]+1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
+				t.Fatalf("t=%g equilibrate=%v: x = %v, want [-1 2]", tiny, equil, x)
+			}
+		}
+	}
+}
+
 func TestEquilibratedLogDet(t *testing.T) {
 	tr := sparse.NewTriplet(2, 2)
 	tr.Add(0, 0, 200)

@@ -142,7 +142,7 @@ func graphHash(s *Symbolic) string {
 		g.ints32(s.Graph.Succ[id])
 	}
 	g.ints(s.Graph.FactorID)
-	g.ints32(s.Graph.ChainNext)
+	g.ints32(chainLinks(s.Graph))
 	g.ints(s.Costs.PanelHeight)
 	g.ints(s.Costs.Width)
 	g.floats(s.Costs.TaskFlops)

@@ -38,7 +38,6 @@ func fingerprint(s *Symbolic) symbolicFingerprint {
 	for _, succ := range s.Graph.Succ {
 		fp.ints32 = append(fp.ints32, slices.Clone(succ))
 	}
-	fp.ints32 = append(fp.ints32, slices.Clone(s.Graph.ChainNext))
 	return fp
 }
 

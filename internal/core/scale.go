@@ -9,8 +9,10 @@ import (
 // Equilibrate computes row and column scale factors in the manner of
 // LAPACK's dgeequ: r[i] = 1/max_j|a_ij|, then c[j] = 1/max_i|r_i·a_ij|,
 // so that R·A·C has all row and column maxima equal to one. Rows or
-// columns that are entirely zero get scale 1. Equilibration improves
-// pivot quality on badly scaled systems without changing the structure.
+// columns whose maximum is zero or subnormal get scale 1: the reciprocal
+// of a subnormal can overflow to +Inf, and Inf·0 would turn finite input
+// into NaN. Equilibration improves pivot quality on badly scaled systems
+// without changing the structure.
 func Equilibrate(a *sparse.CSC) (r, c []float64) {
 	n := a.NRows
 	r = make([]float64, n)
@@ -21,11 +23,7 @@ func Equilibrate(a *sparse.CSC) (r, c []float64) {
 		}
 	}
 	for i := range r {
-		if r[i] == 0 {
-			r[i] = 1
-		} else {
-			r[i] = 1 / r[i]
-		}
+		r[i] = scaleOf(r[i])
 	}
 	for j := 0; j < a.NCols; j++ {
 		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
@@ -35,11 +33,16 @@ func Equilibrate(a *sparse.CSC) (r, c []float64) {
 				m = v
 			}
 		}
-		if m == 0 {
-			c[j] = 1
-		} else {
-			c[j] = 1 / m
-		}
+		c[j] = scaleOf(m)
 	}
 	return r, c
+}
+
+// scaleOf returns the scale of a row or column with maximum magnitude m:
+// 1/m, or 1 when m is below the smallest normal float64.
+func scaleOf(m float64) float64 {
+	if m < 0x1p-1022 {
+		return 1
+	}
+	return 1 / m
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/matgen"
@@ -27,11 +28,14 @@ type contracted struct {
 	g       *taskgraph.Graph
 	// toG maps a closure task id to its id in g, or -1 for a dropped task.
 	toG []int32
+	// links holds the closure's chain links (chainLinks).
+	links []int32
 }
 
 func contract(t *testing.T, s *Symbolic) *contracted {
 	t.Helper()
 	c := &contracted{closure: taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph), g: s.Graph}
+	c.links = chainLinks(c.closure)
 	c.toG = make([]int32, c.closure.NumTasks())
 	for id, task := range c.closure.Tasks {
 		c.toG[id] = -1
@@ -49,10 +53,23 @@ func contract(t *testing.T, s *Symbolic) *contracted {
 	return c
 }
 
+// chainLinks returns every task's chain link: an update's one successor,
+// and -1 for an update with none and for every factor.
+func chainLinks(g *taskgraph.Graph) []int32 {
+	links := make([]int32, g.NumTasks())
+	for id, task := range g.Tasks {
+		links[id] = -1
+		if task.Kind == taskgraph.Update && len(g.Succ[id]) > 0 {
+			links[id] = g.Succ[id][0]
+		}
+	}
+	return links
+}
+
 // firstKept returns the first kept task down id's closure chain, as an
 // id of g, or -1 when the chain ends first.
 func (c *contracted) firstKept(id int) int32 {
-	for next := c.closure.ChainNext[id]; next >= 0; next = c.closure.ChainNext[next] {
+	for next := c.links[id]; next >= 0; next = c.links[next] {
 		if c.toG[next] >= 0 {
 			return c.toG[next]
 		}
@@ -75,7 +92,7 @@ func (c *contracted) succ(id int) []int32 {
 			out = append(out, c.toG[u])
 		case c.closure.Variant == taskgraph.SStar:
 			out = append(out, c.firstKept(int(u)))
-		case c.closure.ChainNext[u] == int32(c.closure.FactorID[j]):
+		case c.links[u] == int32(c.closure.FactorID[j]):
 			out = append(out, int32(c.g.FactorID[j]))
 		}
 	}
@@ -141,10 +158,12 @@ func storedGraphCases() []storedGraphCase {
 // stored tasks, edge for edge and in order; (b) one task reaches another
 // in it exactly when it does in the closure graph, so every two tasks
 // that touch a common stored block stay ordered; (c) it is a well-formed
-// DAG, under EForest with exactly Theorem 4's least dependences. The
-// flops it carries, its critical path and the priorities of its tasks are
-// the closure graph's bit for bit, and under EForest it has at most twice
-// as many edges as tasks.
+// DAG, under EForest with exactly Theorem 4's least dependences; (d) on it
+// and on the closure graph every update has at most one successor, its
+// chain link, and a stored update links to the first stored task down its
+// closure chain. The flops it carries, its critical path and the
+// priorities of its tasks are the closure graph's bit for bit, and under
+// EForest it has at most twice as many edges as tasks.
 func TestStoredGraphParity(t *testing.T) {
 	analyses, keptTasks, noOps := 0, 0, 0
 	for _, c := range storedGraphCases() {
@@ -171,8 +190,19 @@ func TestStoredGraphParity(t *testing.T) {
 				}
 			}
 
-			// (a) The contraction, edge for edge.
+			// Every update has at most one successor, its chain link, on
+			// the graph and on the closure it contracts.
 			oc := contract(t, s)
+			for _, h := range []*taskgraph.Graph{g, oc.closure} {
+				for id, task := range h.Tasks {
+					if task.Kind == taskgraph.Update && len(h.Succ[id]) > 1 {
+						t.Fatalf("%s: %v → %v, want at most one successor", ctx, task, tasksOf(h, h.Succ[id]))
+					}
+				}
+			}
+
+			// (a) The contraction, edge for edge.
+			links := chainLinks(g)
 			kept := 0
 			for id, to := range oc.toG {
 				if to < 0 {
@@ -187,8 +217,8 @@ func TestStoredGraphParity(t *testing.T) {
 					t.Fatalf("%s: %v → %v, the contraction gives %v", ctx, g.Tasks[to], tasksOf(g, g.Succ[to]), tasksOf(g, want))
 				}
 				if want := int32(-1); oc.closure.Tasks[id].Kind == taskgraph.Update {
-					if want = oc.firstKept(id); g.ChainNext[to] != want {
-						t.Fatalf("%s: chain link of %v is %d, the contraction gives %d", ctx, g.Tasks[to], g.ChainNext[to], want)
+					if want = oc.firstKept(id); links[to] != want {
+						t.Fatalf("%s: chain link of %v is %d, the contraction gives %d", ctx, g.Tasks[to], links[to], want)
 					}
 				}
 			}
@@ -231,6 +261,38 @@ func TestStoredGraphParity(t *testing.T) {
 	t.Logf("%d analyses: %d stored tasks, %d closure tasks dropped", analyses, keptTasks, noOps)
 	if noOps == 0 {
 		t.Fatal("no closure task was dropped: the oracle compared nothing")
+	}
+}
+
+// TestCycleAfterWalkReported adds U(k,j) → F(k) for the first update of
+// each small-suite graph, after Analyze has walked it: every walk of the
+// graph must then report the cycle, however often the graph was walked
+// before.
+func TestCycleAfterWalkReported(t *testing.T) {
+	for _, spec := range matgen.SmallSuite() {
+		s, err := Analyze(spec.Gen(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		g := s.Graph
+		if _, err := g.TopoOrder(); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		id := g.N // the first update
+		if id == g.NumTasks() {
+			t.Fatalf("%s: no update task", spec.Name)
+		}
+		g.Succ[id] = append(g.Succ[id], int32(g.FactorID[g.Tasks[id].K]))
+		g.NumEdges++
+		_, errTopo := g.TopoOrder()
+		_, _, errCP := g.CriticalPath(s.Costs.TaskFlops)
+		_, errBL := g.BottomLevels(s.Costs.TaskFlops)
+		for i, err := range []error{verify.VerifyDAG(g), errTopo, errCP, errBL} {
+			if err == nil || !strings.Contains(err.Error(), "cycle") {
+				name := []string{"VerifyDAG", "TopoOrder", "CriticalPath", "BottomLevels"}[i]
+				t.Errorf("%s: %s after adding %v → F(%d) returned %v, want the cycle", spec.Name, name, g.Tasks[id], g.Tasks[id].K, err)
+			}
+		}
 	}
 }
 

@@ -34,11 +34,11 @@ import (
 // respects the dependence edges, and that is sufficient for bitwise
 // reproducibility at every worker count. Each destination column's
 // update sequence that must be ordered (Theorem 4) is encoded as chain
-// edges in the graph (taskgraph.Graph.ChainNext ⊆ Succ), so chain
-// successors are released strictly in order by the dependence counters
-// alone — independent of which worker runs them — and updates left
-// unordered by the graph write disjoint rows (the branch property), so
-// their interleaving cannot change a single bit of the result.
+// edges in the graph (an update's one successor is its chain link), so
+// chain successors are released strictly in order by the dependence
+// counters alone — independent of which worker runs them — and updates
+// left unordered by the graph write disjoint rows (the branch property),
+// so their interleaving cannot change a single bit of the result.
 //
 // Failure and cancellation: the first task failure (error or panic) is
 // returned as a *TaskError and stops this execution only; nothing

@@ -187,9 +187,10 @@ func TestAsyncStarvationTermination(t *testing.T) {
 
 // TestAsyncChainOrderTraced checks the determinism mechanism end to
 // end: the Theorem-4 per-destination update chains are dependence edges
-// (taskgraph.Graph.ChainNext), so in a traced parallel run every chain
-// successor must start at or after its predecessor finished — on any
-// worker, purely because the dependence counters released it late.
+// (an update's one successor is its chain link), so in a traced parallel
+// run every chain successor must start at or after its predecessor
+// finished — on any worker, purely because the dependence counters
+// released it late.
 func TestAsyncChainOrderTraced(t *testing.T) {
 	for _, variant := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
 		g, _ := buildGraph(t, 48, 0.1, 42, variant)
@@ -207,26 +208,19 @@ func TestAsyncChainOrderTraced(t *testing.T) {
 			}
 		}
 		chains := 0
-		for id, next := range g.ChainNext {
-			if next < 0 {
+		for id, task := range g.Tasks {
+			succ := g.Succ[id]
+			if task.Kind != taskgraph.Update || len(succ) == 0 {
 				continue
 			}
+			// A second successor would leave the chain link ambiguous.
+			if len(succ) > 1 {
+				t.Fatalf("variant %v: update %v has successors %v, want at most one", variant, task, succ)
+			}
 			chains++
-			if start[next] < end[id] {
+			if next := succ[0]; start[next] < end[id] {
 				t.Fatalf("variant %v: chain successor %d started at %d before predecessor %d ended at %d",
 					variant, next, start[next], id, end[id])
-			}
-			// Every chain link must be a real dependence edge, or the
-			// ordering above would be luck, not a guarantee.
-			found := false
-			for _, s := range g.Succ[id] {
-				if int(s) == int(next) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("variant %v: ChainNext[%d] = %d is not a dependence edge", variant, id, next)
 			}
 		}
 		if chains == 0 {

@@ -529,6 +529,13 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	if err != nil {
 		return s.mapError(err)
 	}
+	// The handle's size depends on nothing the ladder makes, so a
+	// factorization that could never be stored is refused before any runs.
+	size := factorBytes(sym) + int64(m.ColPtr[m.NCols])*16 + int64(m.NCols)*64
+	if size > s.cfg.MemoryBudget {
+		return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("server: factorization needs ~%d bytes, budget is %d", size, s.cfg.MemoryBudget)}
+	}
 	res, err := climbLadder(sym, m, s.numOpts(ctx), req.Policy)
 	if err != nil {
 		mapped := s.mapError(err)
@@ -540,16 +547,11 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 	s.met.rungWins[res.won].Add(1)
 
 	h := &handle{
-		id:  fmt.Sprintf("f%d", s.nextID.Add(1)),
-		sym: sym,
-		m:   m,
-		res: res,
-		bytes: factorBytes(sym) +
-			int64(m.ColPtr[m.NCols])*16 + int64(m.NCols)*64,
-	}
-	if h.bytes > s.cfg.MemoryBudget {
-		return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-			msg: fmt.Sprintf("server: factorization needs ~%d bytes, budget is %d", h.bytes, s.cfg.MemoryBudget)}
+		id:    fmt.Sprintf("f%d", s.nextID.Add(1)),
+		sym:   sym,
+		m:     m,
+		res:   res,
+		bytes: size,
 	}
 	s.storeInsert(h)
 	writeJSON(w, http.StatusOK, factorizeResponse{

@@ -238,15 +238,7 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap metricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := fetchMetrics(t, ts)
 	if snap.SolveCalls.Calls != 4*nrhs || snap.SolveCalls.RHS != 4*nrhs {
 		t.Errorf("/metrics counts %d solve calls of %d right-hand sides, want %d of %d",
 			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 4*nrhs, 4*nrhs)
@@ -806,15 +798,7 @@ func TestNearPatternMissAnalyzes(t *testing.T) {
 		t.Fatalf("response stats %+v, core.Analyze's %+v", ar.Stats, ws)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap metricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := fetchMetrics(t, ts)
 	if len(snap.Cache.PatternSeconds) != snap.Cache.Entries {
 		t.Errorf("metrics analyze_seconds has %d keys for %d resident patterns",
 			len(snap.Cache.PatternSeconds), snap.Cache.Entries)
@@ -851,6 +835,11 @@ func TestMemoryBudgetOnStoredSize(t *testing.T) {
 	if status != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte(`"too_large"`)) {
 		t.Fatalf("factorize under a budget below the handle: status %d, body %s", status, body)
 	}
+	// The refusal comes before the recovery ladder: no rung ran, so none won.
+	if snap := fetchMetrics(t, ts); snap.RungFail+snap.RungPerturb+snap.RungEquilibrate != 0 {
+		t.Fatalf("a refused factorize counts rung wins: %d / %d / %d",
+			snap.RungFail, snap.RungPerturb, snap.RungEquilibrate)
+	}
 
 	s, ts = newTestServer(t, Config{Workers: 1, MemoryBudget: 3 * real / 2})
 	first := factorizeOK(t, ts, m, "")
@@ -865,6 +854,21 @@ func TestMemoryBudgetOnStoredSize(t *testing.T) {
 	if status, body := post(t, ts, "/v1/solve", solveRequest{FID: second.FID, B: b}, nil); status != http.StatusOK {
 		t.Fatalf("solve on the kept handle: status %d, body %s", status, body)
 	}
+}
+
+// fetchMetrics decodes the server's /metrics snapshot.
+func fetchMetrics(t *testing.T, ts *httptest.Server) metricsSnapshot {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap metricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // handleOf returns the stored handle behind a factorization id.

@@ -70,9 +70,3 @@ func LevelSets(succ [][]int32) (order, off []int32, err error) {
 	}
 	return order, off, nil
 }
-
-// LevelSets returns the level-set schedule of the task graph's
-// dependence structure (see the package-level LevelSets).
-func (g *Graph) LevelSets() (order, off []int32, err error) {
-	return LevelSets(g.Succ)
-}

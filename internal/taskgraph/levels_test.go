@@ -96,24 +96,3 @@ func TestLevelSetsEmpty(t *testing.T) {
 		t.Fatalf("empty graph: order=%v off=%v, want empty order and off=[0]", order, off)
 	}
 }
-
-// TestGraphLevelSets checks the Graph method agrees with the free
-// function on the graph's Succ adjacency.
-func TestGraphLevelSets(t *testing.T) {
-	g := &Graph{
-		Tasks: make([]Task, 5),
-		Succ:  [][]int32{{2}, {2}, {4}, {4}, {}},
-	}
-	order, off, err := g.LevelSets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lvl := levelOf(order, off, g.NumTasks())
-	for v := range g.Succ {
-		for _, w := range g.Succ[v] {
-			if lvl[w] <= lvl[v] {
-				t.Fatalf("edge %d → %d does not cross levels", v, w)
-			}
-		}
-	}
-}

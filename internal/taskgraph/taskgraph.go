@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/etree"
 	"repro/internal/symbolic"
@@ -79,7 +78,12 @@ func (v Variant) String() string {
 	return "unknown"
 }
 
-// Graph is a task dependence DAG.
+// Graph is a task dependence DAG: the tasks, their id indices and their
+// edges. The graphs New and NewStored build give every update at most one
+// successor, the next task of its destination's Theorem-4 update chain,
+// so an asynchronous executor that obeys the dependence counters alone
+// releases each chain strictly in order. Every walk of the graph orders
+// the tasks afresh from Succ.
 type Graph struct {
 	Variant Variant
 	N       int // number of block columns
@@ -91,25 +95,14 @@ type Graph struct {
 	// ascending destination order, so U(k, ·) are the ids
 	// updateFirst[k] … updateFirst[k+1]−1 (see Updates, UpdateID).
 	updateFirst []int32
-	// Succ[id] lists the successor task ids of task id.
+	// Succ[id] lists the successor task ids of task id. An update's one
+	// successor, when it has one, is its chain link: the same-destination
+	// task the variant serializes it against — the next update of the
+	// chain, or F(j) when the update is last. An EForest update whose
+	// source is an elimination-forest root has none.
 	Succ [][]int32
-	// ChainNext[id] is the next task of id's per-destination update
-	// chain (Theorem 4): for an Update task it is the same-destination
-	// successor the variant serializes it against — the next update of
-	// the chain, or F(j) when the update is last — and -1 when the task
-	// has no chain successor (Factor tasks, and EForest updates whose
-	// source is an elimination-forest root). Every chain link is also a
-	// dependence edge in Succ, which is what lets an asynchronous
-	// executor release chain successors strictly in order by obeying the
-	// dependence counters alone.
-	ChainNext []int32
 	// NumEdges is the total number of dependence edges.
 	NumEdges int
-
-	// sourceOrdered caches sourceOrder's verdict; Tasks and Succ must not
-	// change once a path or order has been asked for.
-	sourceOnce    sync.Once
-	sourceOrdered bool
 }
 
 // buildTasks lays out the task set shared by both variants: one F(k) per
@@ -181,13 +174,9 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 		FactorID:    factorID,
 		updateFirst: updateFirst,
 		Succ:        make([][]int32, len(tasks)),
-		ChainNext:   make([]int32, len(tasks)),
 	}
 	_, g.NumEdges = ClosureCounts(blockSym, f, v)
 	edges := make([]int32, g.NumEdges)
-	for i := range g.ChainNext {
-		g.ChainNext[i] = -1
-	}
 
 	// Shared rule: F(k) → U(k, j) for every update sourced at k.
 	at := 0
@@ -205,7 +194,6 @@ func New(blockSym *symbolic.Result, f *etree.Forest, v Variant) *Graph {
 	chain := func(id, to int) {
 		edges[at] = int32(to)
 		g.Succ[id] = edges[at : at+1 : at+1]
-		g.ChainNext[id] = int32(to)
 		at++
 	}
 
@@ -320,7 +308,6 @@ func NewStored(blockSym *symbolic.Result, f *etree.Forest, stored *symbolic.Resu
 		FactorID:    factorID,
 		updateFirst: updateFirst,
 		Succ:        make([][]int32, len(tasks)),
-		ChainNext:   make([]int32, len(tasks)),
 	}
 	switch v {
 	case SStar:
@@ -336,8 +323,10 @@ func NewStored(blockSym *symbolic.Result, f *etree.Forest, stored *symbolic.Resu
 // contractEForest fills the edges of NewStored's EForest graph.
 func (g *Graph) contractEForest(f *etree.Forest) {
 	parent, tasks := f.Parent, g.Tasks
+	// chain[id] is update id's chain link, -1 for none (and for factors).
+	chain := make([]int32, len(tasks))
 	for i := 0; i < g.N; i++ {
-		g.ChainNext[g.FactorID[i]] = -1
+		chain[g.FactorID[i]] = -1
 	}
 	// dropsParent reports whether U(k, parent(k)), the first update of
 	// row k of the closure, is not stored: F(k) then links to F(parent(k)).
@@ -365,7 +354,7 @@ func (g *Graph) contractEForest(f *etree.Forest) {
 			if next < 0 && a != etree.None {
 				next = int32(g.FactorID[j]) // a = j, or past it where Theorem 1 fails
 			}
-			g.ChainNext[id] = next
+			chain[id] = next
 			if next >= 0 {
 				g.NumEdges++
 			}
@@ -385,7 +374,7 @@ func (g *Graph) contractEForest(f *etree.Forest) {
 		}
 		g.Succ[g.FactorID[k]] = edges[start:len(edges):len(edges)]
 	}
-	for id, next := range g.ChainNext {
+	for id, next := range chain {
 		if next >= 0 {
 			edges = append(edges, next)
 			g.Succ[id] = edges[len(edges)-1 : len(edges) : len(edges)]
@@ -401,7 +390,6 @@ func (g *Graph) contractSStar(blockSym *symbolic.Result) {
 	next := make([]int32, g.N)
 	for j := range next {
 		next[j] = int32(g.FactorID[j])
-		g.ChainNext[g.FactorID[j]] = -1
 	}
 	g.NumEdges = len(tasks) - g.N
 	for k := 0; k < g.N; k++ {
@@ -432,7 +420,6 @@ func (g *Graph) contractSStar(blockSym *symbolic.Result) {
 			j := tasks[id].J
 			edges[at] = next[j]
 			g.Succ[id] = edges[at : at+1 : at+1]
-			g.ChainNext[id] = next[j]
 			at++
 			next[j] = int32(id)
 		}
@@ -451,32 +438,6 @@ func (g *Graph) InDegrees() []int {
 		}
 	}
 	return in
-}
-
-// sourceOrder reports whether F(0), U(0,·), F(1), U(1,·), … — source by
-// source, as New lays the ids out — is a topological order of g: every
-// edge leads from F(k) to an update it sources or on to a later source.
-// The graphs of New and Independent are; it is checked, once, because
-// Tasks and Succ are exported, and a hand-built or damaged graph must
-// get Kahn's algorithm and its cycle report instead.
-func (g *Graph) sourceOrder() bool {
-	g.sourceOnce.Do(func() {
-		// Only New and Independent fill updateFirst, and with it the
-		// source-by-source id layout walk relies on.
-		if len(g.updateFirst) != g.N+1 || len(g.Tasks) != int(g.updateFirst[g.N]) {
-			return
-		}
-		rank := func(id int32) int { return 2*g.Tasks[id].K + int(g.Tasks[id].Kind) }
-		for id, succ := range g.Succ {
-			for _, s := range succ {
-				if rank(s) <= rank(int32(id)) {
-					return
-				}
-			}
-		}
-		g.sourceOrdered = true
-	})
-	return g.sourceOrdered
 }
 
 // kahn returns a topological order (sources in ascending id, then first
@@ -503,34 +464,18 @@ func (g *Graph) kahn() ([]int32, error) {
 	return order, nil
 }
 
-// walk visits every task once, in a topological order or (reverse) in
-// the reverse of one: the source order where it is one — no order is
-// materialized then — and Kahn's otherwise. It fails on a cycle.
+// walk visits every task once, in Kahn's topological order or (reverse)
+// in the reverse of it. It fails on a cycle, visiting nothing.
 func (g *Graph) walk(reverse bool, visit func(id int32)) error {
-	if !g.sourceOrder() {
-		order, err := g.kahn()
-		if reverse {
-			slices.Reverse(order)
-		}
-		for _, id := range order {
-			visit(id)
-		}
+	order, err := g.kahn()
+	if err != nil {
 		return err
 	}
 	if reverse {
-		for k := g.N - 1; k >= 0; k-- {
-			for lo, id := g.Updates(k); id > lo; id-- {
-				visit(int32(id - 1))
-			}
-			visit(int32(g.FactorID[k]))
-		}
-		return nil
+		slices.Reverse(order)
 	}
-	for k := 0; k < g.N; k++ {
-		visit(int32(g.FactorID[k]))
-		for id, hi := g.Updates(k); id < hi; id++ {
-			visit(int32(id))
-		}
+	for _, id := range order {
+		visit(id)
 	}
 	return nil
 }
@@ -652,12 +597,10 @@ func Independent(n int) *Graph {
 		FactorID:    make([]int, n),
 		updateFirst: make([]int32, n+1),
 		Succ:        make([][]int32, n),
-		ChainNext:   make([]int32, n),
 	}
 	for k := 0; k < n; k++ {
 		g.Tasks[k] = Task{Kind: Factor, K: k}
 		g.FactorID[k] = k
-		g.ChainNext[k] = -1
 	}
 	for k := range g.updateFirst {
 		g.updateFirst[k] = int32(n)
