@@ -177,7 +177,8 @@ service_stage() {
 	# (injected panics/NaNs/delays across dozens of concurrent requests,
 	# admission shedding, drain of in-flight solves, the recovery ladder,
 	# solve replies bitwise equal to the library's) under the race
-	# detector, a short differential fuzz of the request decoder, then a
+	# detector, short differential fuzzes of the request and number
+	# decoders, then a
 	# live smoke of the built daemon over HTTP with a deterministic fault
 	# plan.
 	# SPARSELU_SERVICE_COUNT (default 2) sets the -race repetition count.
@@ -185,9 +186,12 @@ service_stage() {
 	go test -race -count "${SPARSELU_SERVICE_COUNT:-2}" ./internal/server/
 
 	# The request codec against encoding/json: differential fuzzing from
-	# the seed corpus in internal/server/testdata/fuzz.
+	# the seed corpus in internal/server/testdata/fuzz, then of single
+	# number tokens, whose conversion the codec does itself.
 	echo "==> request decoder fuzz (10s)"
 	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
+	echo "==> number decoder fuzz (10s)"
+	go test -run '^$' -fuzz FuzzDecodeNumber -fuzztime 10s ./internal/server/
 
 	echo "==> service smoke (live HTTP, injected fault)"
 	tmp=$(mktemp -d)

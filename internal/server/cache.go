@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -135,7 +136,23 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 	}
 	c.mu.Unlock()
 
+	// The entry is settled on every way out. An analyze that panics
+	// leaves errAnalyzePanicked in place: a failed analysis, so its
+	// waiters return and the next request for the pattern retries, while
+	// the panic goes on to the caller.
+	e.err = errAnalyzePanicked
+	defer c.settle(key, e)
 	e.sym, e.err = analyze()
+	return e.sym, false, e.err
+}
+
+// errAnalyzePanicked is what the waiters on an entry whose analyze
+// panicked get; the panic itself goes to the request that ran it.
+var errAnalyzePanicked = errors.New("server: symbolic analysis panicked")
+
+// settle records the outcome of the analysis behind e and releases its
+// waiters.
+func (c *symCache) settle(key string, e *cacheEntry) {
 	c.analyzes.Add(1)
 	if e.sym != nil {
 		e.seconds = e.sym.Stats.AnalyzeSeconds
@@ -163,7 +180,6 @@ func (c *symCache) getOrAnalyze(ctx context.Context, key string, analyze func() 
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return e.sym, false, e.err
 }
 
 // cacheSnapshot is the wire form of the cache counters.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/matgen"
@@ -105,5 +106,38 @@ func TestSymBytesTracksRetainedHeap(t *testing.T) {
 			t.Errorf("%s: symBytes %.0f B is %.2f× the %.0f B one Analyze retains, want 0.85–1.15×", spec.Name, est, r, grown)
 		}
 		runtime.KeepAlive(a)
+	}
+}
+
+// TestCachePanickingAnalyzeReleasesEntry pins that an Analyze that
+// panics settles its entry as a failed analysis: the panic reaches the
+// caller, and the next request for the pattern runs its own analysis
+// instead of waiting on the abandoned entry until its deadline.
+func TestCachePanickingAnalyzeReleasesEntry(t *testing.T) {
+	sym, err := core.Analyze(matgen.SmallSuite()[0].Gen(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{CacheEntries: 4}).cache
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the analyze panic did not reach the caller")
+			}
+		}()
+		c.getOrAnalyze(context.Background(), "k", func() (*core.Symbolic, error) { panic("injected") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	ran := false
+	got, hit, err := c.getOrAnalyze(ctx, "k", func() (*core.Symbolic, error) {
+		ran = true
+		return sym, nil
+	})
+	if err != nil || !ran || hit || got != sym {
+		t.Fatalf("second request: ran %v, hit %v, err %v; want its own analysis", ran, hit, err)
+	}
+	if s := c.snapshot(); s.Entries != 1 || s.Analyzes != 2 || s.Bytes != symBytes(sym) {
+		t.Fatalf("cache after the retry: %+v, want one resident entry of %d bytes after two analyses", s, symBytes(sym))
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,8 @@ import (
 // The wire codec. One hand-written decoder reads the analyze, factorize
 // and solve request bodies, and one encoder writes the solve reply, in
 // place of encoding/json's reflection: the decoder walks the body once
-// and parses every number where it stands.
+// and converts every number in the scan that checks its grammar
+// (number.go), with strconv only as the fallback.
 //
 // The contract is encoding/json's, not the JSON grammar's. The decoder
 // accepts exactly the bodies a json.Decoder with DisallowUnknownFields
@@ -91,7 +93,8 @@ func (d *decoder) literal(lit string) bool {
 	return false
 }
 
-func (d *decoder) null() bool { return d.literal("null") }
+// null consumes a null; the first byte settles most calls.
+func (d *decoder) null() bool { return d.peek() == 'n' && d.literal("null") }
 
 // object decodes {"key": value, ...} into the struct behind fields.
 func (d *decoder) object(fields func(d *decoder, key []byte) error) error {
@@ -259,56 +262,20 @@ func unquote(s []byte) []byte {
 	return b
 }
 
-// number scans a JSON number and returns its text.
-func (d *decoder) number() ([]byte, error) {
-	start := d.pos
-	if d.peek() == '-' {
-		d.pos++
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.pos++
-	case '1' <= c && c <= '9':
-		d.digits()
-	default:
-		return nil, d.fail("want a number")
-	}
-	if d.peek() == '.' {
-		d.pos++
-		if !d.digits() {
-			return nil, d.fail("want a digit after '.'")
-		}
-	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.pos++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.pos++
-		}
-		if !d.digits() {
-			return nil, d.fail("want a digit in exponent")
-		}
-	}
-	return d.data[start:d.pos], nil
-}
-
-// digits consumes a run of decimal digits and reports whether there
-// was one.
-func (d *decoder) digits() bool {
-	start := d.pos
-	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-		d.pos++
-	}
-	return d.pos > start
-}
-
 func (d *decoder) float(v *float64) error {
 	if d.null() {
 		return nil
 	}
-	tok, err := d.number()
+	start := d.pos
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
+	if f, ok := n.float64(); ok {
+		*v = f
+		return nil
+	}
+	tok := d.data[start:d.pos]
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return d.fail("number %s does not fit a float64", tok)
@@ -323,15 +290,20 @@ func (d *decoder) integer(bits int) (int64, bool, error) {
 	if d.null() {
 		return 0, false, nil
 	}
-	tok, err := d.number()
+	start := d.pos
+	n, err := d.number()
 	if err != nil {
 		return 0, false, err
 	}
-	n, err := strconv.ParseInt(string(tok), 10, bits)
+	if v, ok := n.int(bits); ok {
+		return v, true, nil
+	}
+	tok := d.data[start:d.pos]
+	v, err := strconv.ParseInt(string(tok), 10, bits)
 	if err != nil {
 		return 0, false, d.fail("number %s does not fit an int%d", tok, bits)
 	}
-	return n, true, nil
+	return v, true, nil
 }
 
 func (d *decoder) int(v *int) error {
@@ -376,13 +348,36 @@ func (d *decoder) string(v *string) error {
 }
 
 func (d *decoder) floats(v *[]float64) (err error) {
-	*v, err = decodeSlice(d, *v, (*decoder).float)
+	*v, err = decodeSlice(d, presize(d, *v), (*decoder).float)
 	return err
 }
 
 func (d *decoder) ints(v *[]int) (err error) {
-	*v, err = decodeSlice(d, *v, (*decoder).int)
+	*v, err = decodeSlice(d, presize(d, *v), (*decoder).int)
 	return err
+}
+
+// presize gives s the capacity for the number array at d.pos, counted
+// from its commas up to the first ']', so that decodeSlice need not grow
+// it one append at a time. It is only a capacity hint: the old elements
+// past len(s), which decodeSlice exposes again as encoding/json does,
+// are carried over.
+func presize[T any](d *decoder, s []T) []T {
+	rest := d.data[d.pos:]
+	if len(rest) == 0 || rest[0] != '[' {
+		return s
+	}
+	end := bytes.IndexByte(rest, ']')
+	if end < 0 {
+		return s
+	}
+	n := bytes.Count(rest[:end], []byte{','}) + 1
+	if n <= max(cap(s), 1) {
+		return s
+	}
+	t := make([]T, n)
+	copy(t, s[:cap(s)])
+	return t[:len(s)]
 }
 
 func (d *decoder) floatRows(v *[][]float64) (err error) {
@@ -392,8 +387,8 @@ func (d *decoder) floatRows(v *[][]float64) (err error) {
 
 // decodeSlice decodes an array over s the way encoding/json does: the
 // elements are decoded into s in place, growing it one append at a time
-// and truncating it at the end; [] is a fresh empty slice, null a nil
-// one.
+// past its capacity and truncating it at the end; [] is a fresh empty
+// slice, null a nil one.
 func decodeSlice[T any](d *decoder, s []T, elem func(*decoder, *T) error) ([]T, error) {
 	if d.null() {
 		return nil, nil

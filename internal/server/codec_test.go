@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"repro/internal/matgen"
 )
 
 // decodeBoth decodes body into a fresh request of the kind the leading
@@ -147,4 +150,78 @@ func TestNonFiniteReplyIs422(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Code != "non_finite" {
 		t.Errorf("writeJSON of an Inf: status %d, body %q", rec.Code, rec.Body.Bytes())
 	}
+}
+
+// BenchmarkCodec times the wire codec on the solve_stream workload's
+// body shapes at lnsp3937's order: a one-RHS solve body ("b"), a
+// 16-RHS one ("bs"), the factorize body of the matrix, and the
+// 3 937-element solve reply. Each decode goes into a fresh request, as
+// a handler's does, so allocs/op counts the slices it grows. ns/number
+// is the time per number of the body or reply.
+func BenchmarkCodec(b *testing.B) {
+	a := matgen.Lnsp3937()
+	rng := rand.New(rand.NewSource(1))
+	rhs := func() []float64 {
+		v := make([]float64, a.NCols)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	var m matrixJSON
+	m.N = a.NCols
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			m.Rows = append(m.Rows, a.RowInd[p])
+			m.Cols = append(m.Cols, j)
+			m.Vals = append(m.Vals, a.Val[p])
+		}
+	}
+	one := solveRequest{FID: "f0", B: rhs()}
+	many := solveRequest{FID: "f0"}
+	for range 16 {
+		many.BS = append(many.BS, rhs())
+	}
+	decodes := []struct {
+		name    string
+		req     any
+		numbers int
+		fields  func() func(*decoder, []byte) error
+	}{
+		{"decode/b", one, a.NCols, func() func(*decoder, []byte) error { return new(solveRequest).field }},
+		{"decode/bs16", many, 16 * a.NCols, func() func(*decoder, []byte) error { return new(solveRequest).field }},
+		{"decode/factorize", factorizeRequest{Matrix: m}, 1 + 3*len(m.Vals), func() func(*decoder, []byte) error { return new(factorizeRequest).field }},
+	}
+	for _, c := range decodes {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for range b.N {
+				if err := decodeRequest(body, c.fields()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.numbers), "ns/number")
+		})
+	}
+	b.Run("encode/x", func(b *testing.B) {
+		reply := solveResponse{X: rhs(), Residual: 1e-16, Rung: "fail"}
+		buf, err := encodeSolve(nil, &reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			if buf, err = encodeSolve(buf[:0], &reply); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reply.X)), "ns/number")
+	})
 }
