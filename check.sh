@@ -4,9 +4,10 @@
 #   ./check.sh lint        # gofmt, vet, build (arm64 and bench/ too), library size report, lucheck -audit -sarif
 #   ./check.sh test        # race-enabled test suite, every benchmark once, Matrix Market reader fuzz
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
-#   ./check.sh service     # sluserver chaos suite under -race, decoder fuzz, live HTTP smoke
+#   ./check.sh service     # sluserver chaos suite under -race, codec fuzz, live HTTP smoke
 #   ./check.sh bench [ref] # the benchmark of record (BENCHMARK.json, bench/)
-#   ./check.sh [all]       # everything above (the default)
+#   ./check.sh pair <ref> <workload>...  # paired evidence file, BENCH_<label>.json
+#   ./check.sh [all]       # everything above but pair (the default)
 #
 # The bench stage runs bench/'s self-test, then one of two things. Given
 # a base ref it is a gate: the ref is checked out into a temporary git
@@ -18,6 +19,15 @@
 # Without a ref it only collects artifacts: one traced run per workload
 # into bench-out/, failing on a failed operation. See bench/README.md
 # for what a 25 % bound can and cannot resolve on a shared host.
+#
+# The pair stage is a report, not a gate. It alternates
+# SPARSELU_PAIRS (default 10) pairs of untraced runs per workload
+# between a git worktree of the ref and the work tree, the parent first
+# in odd pairs and the change first in even ones, and writes
+# BENCH_<workloads joined by +>.json at the root: the host, both
+# commits, every run's end-to-end values and, per metric, both medians,
+# the parent's quartiles, the change's wins and the sign-test p
+# (cmd/benchpair). A performance claim commits that file.
 set -eu
 cd "$(dirname "$0")"
 
@@ -178,9 +188,8 @@ service_stage() {
 	# admission shedding, drain of in-flight solves, the recovery ladder,
 	# solve replies bitwise equal to the library's) under the race
 	# detector, short differential fuzzes of the request and number
-	# decoders, then a
-	# live smoke of the built daemon over HTTP with a deterministic fault
-	# plan.
+	# decoders and of the reply's number encoder, then a live smoke of
+	# the built daemon over HTTP with a deterministic fault plan.
 	# SPARSELU_SERVICE_COUNT (default 2) sets the -race repetition count.
 	echo "==> service chaos (-race)"
 	go test -race -count "${SPARSELU_SERVICE_COUNT:-2}" ./internal/server/
@@ -192,6 +201,10 @@ service_stage() {
 	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
 	echo "==> number decoder fuzz (10s)"
 	go test -run '^$' -fuzz FuzzDecodeNumber -fuzztime 10s ./internal/server/
+	# The reply's numbers, which the codec writes itself, against
+	# json.Marshal: every double from its eight bytes.
+	echo "==> number encoder fuzz (10s)"
+	go test -run '^$' -fuzz FuzzEncodeFloat -fuzztime 10s ./internal/server/
 
 	echo "==> service smoke (live HTTP, injected fault)"
 	tmp=$(mktemp -d)
@@ -303,12 +316,58 @@ bench() {
 	fi
 }
 
+pair() {
+	if [ $# -lt 2 ]; then
+		echo "usage: check.sh pair <parent-ref> <workload>..." >&2
+		exit 2
+	fi
+	ref=$1
+	shift
+	pairs=${SPARSELU_PAIRS:-10}
+	label=$(echo "$*" | tr ' ' '+')
+	runs="$PWD/bench-out/pair-$label"
+	rm -rf "$runs"
+	mkdir -p "$runs/parent" "$runs/change"
+	change_commit=$(git rev-parse HEAD)
+	if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+		change_commit="$change_commit-dirty"
+	fi
+	base=$(mktemp -d)
+	trap 'git worktree remove --force "$base" 2>/dev/null || true; rm -rf "$base"' EXIT
+	git worktree add --detach "$base" "$ref"
+	pair_side() { # <checkout> <side> <workload>
+		bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$runs/$2" | tail -n 1
+	}
+	i=1
+	while [ "$i" -le "$pairs" ]; do
+		for w in "$@"; do
+			echo "==> pair $i/$pairs $w"
+			if [ $((i % 2)) -eq 1 ]; then
+				pair_side "$base" parent "$w"
+				pair_side . change "$w"
+			else
+				pair_side . change "$w"
+				pair_side "$base" parent "$w"
+			fi
+		done
+		i=$((i + 1))
+	done
+	go run ./cmd/benchpair -label "$label" -parent-ref "$ref" \
+		-parent-commit "$(git -C "$base" rev-parse HEAD)" -change-commit "$change_commit" \
+		-out "BENCH_$label.json" "$runs/parent" "$runs/change"
+	echo "wrote BENCH_$label.json"
+}
+
 case "$stage" in
 lint) lint ;;
 test) test_stage ;;
 chaos) chaos ;;
 service) service_stage ;;
 bench) bench ;;
+pair)
+	shift
+	pair "$@"
+	;;
 all)
 	lint
 	test_stage
@@ -317,7 +376,7 @@ all)
 	bench
 	;;
 *)
-	echo "check.sh: unknown stage '$stage' (want lint, test, chaos, service, bench or all)" >&2
+	echo "check.sh: unknown stage '$stage' (want lint, test, chaos, service, bench, pair or all)" >&2
 	exit 2
 	;;
 esac

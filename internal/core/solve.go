@@ -325,10 +325,18 @@ func (f *Factorization) bwdPanelStep(k int, y []float64, nrhs int) {
 // when x or b does not have a's order, so the mismatch fails every
 // "residual ≤ tol" check instead of panicking.
 func Residual(a *sparse.CSC, x, b []float64) float64 {
-	if len(x) != a.NCols || len(b) != a.NRows {
+	return ResidualWith(a, x, b, make([]float64, a.NRows), a.NormInf())
+}
+
+// ResidualWith is Residual, bit for bit, given anorm = ‖A‖∞ and a
+// scratch r of a's row count, which it overwrites: a caller checking
+// many solutions against one matrix computes the norm once and
+// allocates nothing. A mismatched length returns NaN, as in Residual.
+func ResidualWith(a *sparse.CSC, x, b, r []float64, anorm float64) float64 {
+	if len(x) != a.NCols || len(b) != a.NRows || len(r) != a.NRows {
 		return math.NaN()
 	}
-	return residual(a, x, b, make([]float64, len(b)), a.NormInf())
+	return residual(a, x, b, r, anorm)
 }
 
 // residual stores the residual vector b − A·x in r and returns the

@@ -604,21 +604,28 @@ func appendFloats(b []byte, field string, xs []float64) ([]byte, error) {
 
 // appendFloat is encoding/json's float64 format: the shortest
 // round-tripping decimal, in exponent form below 1e-6 and from 1e21 on,
-// with a one-digit negative exponent written without its leading zero.
+// with a one-digit negative exponent written without its leading zero
+// (shortest.go). A NaN or Inf is an error of the non-finite class.
 func appendFloat(b []byte, field string, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	u := math.Float64bits(f)
+	be := int(u>>52) & 0x7ff
+	switch {
+	case be == 0x7ff:
 		return b, fmt.Errorf("server: reply field %s holds %v: %w", field, f, core.ErrNonFinite)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	case u<<1 == 0:
+		if u != 0 {
+			return append(b, "-0"...), nil
 		}
+		return append(b, '0'), nil
+	case be == 0:
+		// A subnormal's exponent has three digits, so strconv's is
+		// already encoding/json's.
+		return strconv.AppendFloat(b, f, 'e', -1, 64), nil
 	}
-	return b, nil
+	if u>>63 != 0 {
+		b = append(b, '-')
+	}
+	d, e := shortestDecimal(u&(1<<52-1)|1<<52, be-1075)
+	abs := math.Abs(f)
+	return appendDecimal(b, d, e, abs < 1e-6 || abs >= 1e21), nil
 }

@@ -154,8 +154,10 @@ func TestNonFiniteReplyIs422(t *testing.T) {
 
 // BenchmarkCodec times the wire codec on the solve_stream workload's
 // body shapes at lnsp3937's order: a one-RHS solve body ("b"), a
-// 16-RHS one ("bs"), the factorize body of the matrix, and the
-// 3 937-element solve reply. Each decode goes into a fresh request, as
+// 16-RHS one ("bs"), the factorize body of the matrix, and the solve
+// replies to them: one 3 937-element vector ("x"), sixteen ("xs16"),
+// and one whose values are all below 1e-6, so that every number takes
+// the exponent form ("exp"). Each decode goes into a fresh request, as
 // a handler's does, so allocs/op counts the slices it grows. ns/number
 // is the time per number of the body or reply.
 func BenchmarkCodec(b *testing.B) {
@@ -208,20 +210,41 @@ func BenchmarkCodec(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.numbers), "ns/number")
 		})
 	}
-	b.Run("encode/x", func(b *testing.B) {
-		reply := solveResponse{X: rhs(), Residual: 1e-16, Rung: "fail"}
-		buf, err := encodeSolve(nil, &reply)
-		if err != nil {
-			b.Fatal(err)
+	small := make([]float64, a.NCols)
+	for i := range small {
+		small[i] = rng.NormFloat64() * 1e-9
+	}
+	var xs [][]float64
+	for range 16 {
+		xs = append(xs, rhs())
+	}
+	encodes := []struct {
+		name  string
+		reply solveResponse
+	}{
+		{"encode/x", solveResponse{X: rhs(), Residual: 1e-16, Rung: "fail"}},
+		{"encode/xs16", solveResponse{XS: xs, Residuals: make([]float64, 16), Rung: "fail"}},
+		{"encode/exp", solveResponse{X: small, Residual: 1e-16, Rung: "fail"}},
+	}
+	for _, c := range encodes {
+		numbers := len(c.reply.X)
+		for _, x := range c.reply.XS {
+			numbers += len(x)
 		}
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for range b.N {
-			if buf, err = encodeSolve(buf[:0], &reply); err != nil {
+		b.Run(c.name, func(b *testing.B) {
+			buf, err := encodeSolve(nil, &c.reply)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reply.X)), "ns/number")
-	})
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if buf, err = encodeSolve(buf[:0], &c.reply); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numbers), "ns/number")
+		})
+	}
 }

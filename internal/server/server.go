@@ -129,6 +129,7 @@ type handle struct {
 	id       string
 	sym      *core.Symbolic
 	m        *sparse.CSC
+	anorm    float64 // ‖m‖∞, for the residual of every solve
 	res      *ladderResult
 	bytes    int64
 	lastUsed int64 // LRU clock tick; guarded by Server.mu
@@ -550,6 +551,7 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request, fault f
 		id:    fmt.Sprintf("f%d", s.nextID.Add(1)),
 		sym:   sym,
 		m:     m,
+		anorm: m.NormInf(),
 		res:   res,
 		bytes: size,
 	}
@@ -661,8 +663,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		if xs, err = h.res.f.SolveManyWith(bs, &nopts); err != nil {
 			return s.mapError(err)
 		}
+		r := make([]float64, n)
 		for i, x := range xs {
-			residuals[i] = core.Residual(h.m, x, bs[i])
+			residuals[i] = core.ResidualWith(h.m, x, bs[i], r, h.anorm)
 		}
 	}
 	if single {

@@ -178,8 +178,9 @@ func TestCacheHitSkipsAnalyze(t *testing.T) {
 // TestSolveReplyIsLibrarySolve pins that a single-RHS request just
 // solves: sent one at a time or all at once, as {"b": v} or as
 // {"bs": [v]}, every reply is bitwise the library's SolveWith on the
-// stored factorization, and /metrics counts one solve call and one
-// right-hand side per request.
+// stored factorization, its residual bitwise core.Residual's, and
+// /metrics counts one solve call and one right-hand side per request.
+// One request of all the right-hand sides pins each residual too.
 func TestSolveReplyIsLibrarySolve(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 32, MaxQueue: 64})
 	m := testMatrix()
@@ -216,6 +217,11 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 					pass, r, i, sr.X[i], i, srs.XS[0][i], want[r][i])
 			}
 		}
+		if res := core.Residual(m, want[r], rhs[r]); len(srs.Residuals) != 1 ||
+			math.Float64bits(sr.Residual) != math.Float64bits(res) || math.Float64bits(srs.Residuals[0]) != math.Float64bits(res) {
+			return fmt.Errorf("%s solve %d: residual %x, bs residuals %x, core.Residual %x",
+				pass, r, sr.Residual, srs.Residuals, res)
+		}
 		return nil
 	}
 
@@ -238,10 +244,22 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// All right-hand sides in one request share the residual's scratch;
+	// each residual is still core.Residual's of its own solution.
+	var all solveResponse
+	if status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, BS: rhs}, &all); status != http.StatusOK || len(all.XS) != nrhs || len(all.Residuals) != nrhs {
+		t.Fatalf("solve of %d right-hand sides: status %d, body %.200s", nrhs, status, body)
+	}
+	for r := range rhs {
+		if res := core.Residual(m, all.XS[r], rhs[r]); math.Float64bits(all.Residuals[r]) != math.Float64bits(res) {
+			t.Errorf("bs residual %d = %x, core.Residual %x", r, all.Residuals[r], res)
+		}
+	}
+
 	snap := fetchMetrics(t, ts)
-	if snap.SolveCalls.Calls != 4*nrhs || snap.SolveCalls.RHS != 4*nrhs {
+	if snap.SolveCalls.Calls != 4*nrhs+1 || snap.SolveCalls.RHS != 5*nrhs {
 		t.Errorf("/metrics counts %d solve calls of %d right-hand sides, want %d of %d",
-			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 4*nrhs, 4*nrhs)
+			snap.SolveCalls.Calls, snap.SolveCalls.RHS, 4*nrhs+1, 5*nrhs)
 	}
 }
 
