@@ -10,20 +10,18 @@
 #   ./check.sh [all]       # everything above but pair (the default)
 #
 # The bench stage runs bench/'s self-test, then one of two things. Given
-# a base ref it is a gate: the ref is checked out into a temporary git
-# worktree, every workload runs three times on each side (base and head
-# alternating, untraced, reports under bench-out/base and
-# bench-out/head), and bench/run.sh -compare fails the stage when an
-# end-to-end metric of head is worse than base's by more than its
-# BENCHMARK.json bound or an operation failed — not when head is better.
+# a base ref it is a gate: three pairs per workload of the alternation
+# the pair stage runs (below; reports under bench-out/parent and
+# bench-out/change), and bench/run.sh -compare fails the stage when an
+# end-to-end metric of the change is worse than the parent's by more than its
+# BENCHMARK.json bound or an operation failed — not when it is better.
 # Without a ref it only collects artifacts: one traced run per workload
 # into bench-out/, failing on a failed operation. See bench/README.md
 # for what a 25 % bound can and cannot resolve on a shared host.
 #
 # The pair stage is a report, not a gate. It alternates
 # SPARSELU_PAIRS (default 10) pairs of untraced runs per workload
-# between a git worktree of the ref and the work tree, the parent first
-# in odd pairs and the change first in even ones, and writes
+# between a git worktree of the ref and the work tree (alternate), and writes
 # BENCH_<workloads joined by +>.json at the root: the host, both
 # commits, every run's end-to-end values and, per metric, both medians,
 # the parent's quartiles, the change's wins and the sign-test p
@@ -126,7 +124,7 @@ lint() {
 		echo "non-test code outside bench/ calls a name kept only for bench/ (ROADMAP deletion sweep)" >&2
 		exit 1
 	fi
-	bench_fields='\.(SolveFwd|SolveBwd|SolveWorkers|AnalyzeWorkers)\b|\bReuseDelta\b'
+	bench_fields='\.(SolveFwd|SolveBwd|SolveWorkers|AnalyzeWorkers|TaskGraph)\b|\bReuseDelta\b'
 	# shellcheck disable=SC2086
 	grep_hits "$bench_fields" $lib_go
 	hits=$(printf '%s\n' "$hits" | sed 's#//.*##' | grep -E "$bench_fields" |
@@ -261,6 +259,43 @@ service_stage() {
 
 bench_workloads="refactor_blocky refactor_finegrain fresh_patterns solve_stream"
 
+# alternate REF PAIRS DIR WORKLOAD... runs PAIRS pairs of untraced runs
+# of every workload, one side in a temporary git worktree of REF
+# (reports under DIR/parent), the other in the work tree (DIR/change):
+# the parent first in odd pairs, the change first in even ones. It prints
+# each run's result line, fails on a failed run, and sets base_commit to
+# the commit REF names.
+alternate() {
+	ref=$1
+	alt_pairs=$2
+	alt_dir=$3
+	shift 3
+	mkdir -p "$alt_dir/parent" "$alt_dir/change"
+	base=$(mktemp -d)
+	trap 'git worktree remove --force "$base" 2>/dev/null || true; rm -rf "$base"' EXIT
+	git worktree add --detach "$base" "$ref"
+	base_commit=$(git -C "$base" rev-parse HEAD)
+	i=1
+	while [ "$i" -le "$alt_pairs" ]; do
+		for w in "$@"; do
+			echo "==> pair $i/$alt_pairs $w"
+			if [ $((i % 2)) -eq 1 ]; then
+				alternate_side "$base" parent "$w"
+				alternate_side . change "$w"
+			else
+				alternate_side . change "$w"
+				alternate_side "$base" parent "$w"
+			fi
+		done
+		i=$((i + 1))
+	done
+}
+
+alternate_side() { # <checkout> <side> <workload>
+	out=$(bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$alt_dir/$2")
+	printf '%s\n' "$out" | tail -n 1
+}
+
 bench() {
 	echo "==> bench self-test"
 	(cd bench && go test .)
@@ -283,29 +318,14 @@ bench() {
 		return
 	fi
 
-	echo "==> bench: head against $bench_ref, 3 alternating runs per workload"
-	base=$(mktemp -d)
-	trap 'git worktree remove --force "$base" 2>/dev/null || true; rm -rf "$base"' EXIT
-	git worktree add --detach "$base" "$bench_ref"
-	bench_side() { # <checkout> <set> <workload>
-		bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$PWD/bench-out/$2"
-	}
-	for i in 1 2 3; do
-		for w in $bench_workloads; do
-			if [ "$i" -eq 2 ]; then
-				bench_side . head "$w"
-				bench_side "$base" base "$w"
-			else
-				bench_side "$base" base "$w"
-				bench_side . head "$w"
-			fi
-		done
-	done
+	echo "==> bench: head against $bench_ref, 3 alternating pairs per workload"
+	# shellcheck disable=SC2086
+	alternate "$bench_ref" 3 "$PWD/bench-out" $bench_workloads
 	# -compare also exits 1 when head is better by more than the bound
 	# (it is an A/A comparator); only a breach or a failed operation
 	# fails the gate.
 	status=0
-	bash bench/run.sh -compare bench-out/base bench-out/head >bench-out/compare.txt || status=$?
+	bash bench/run.sh -compare bench-out/parent bench-out/change >bench-out/compare.txt || status=$?
 	cat bench-out/compare.txt
 	if grep -Eq 'BREACH|FAILED' bench-out/compare.txt; then
 		exit 1
@@ -327,33 +347,13 @@ pair() {
 	label=$(echo "$*" | tr ' ' '+')
 	runs="$PWD/bench-out/pair-$label"
 	rm -rf "$runs"
-	mkdir -p "$runs/parent" "$runs/change"
 	change_commit=$(git rev-parse HEAD)
 	if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 		change_commit="$change_commit-dirty"
 	fi
-	base=$(mktemp -d)
-	trap 'git worktree remove --force "$base" 2>/dev/null || true; rm -rf "$base"' EXIT
-	git worktree add --detach "$base" "$ref"
-	pair_side() { # <checkout> <side> <workload>
-		bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$runs/$2" | tail -n 1
-	}
-	i=1
-	while [ "$i" -le "$pairs" ]; do
-		for w in "$@"; do
-			echo "==> pair $i/$pairs $w"
-			if [ $((i % 2)) -eq 1 ]; then
-				pair_side "$base" parent "$w"
-				pair_side . change "$w"
-			else
-				pair_side . change "$w"
-				pair_side "$base" parent "$w"
-			fi
-		done
-		i=$((i + 1))
-	done
+	alternate "$ref" "$pairs" "$runs" "$@"
 	go run ./cmd/benchpair -label "$label" -parent-ref "$ref" \
-		-parent-commit "$(git -C "$base" rev-parse HEAD)" -change-commit "$change_commit" \
+		-parent-commit "$base_commit" -change-commit "$change_commit" \
 		-out "BENCH_$label.json" "$runs/parent" "$runs/change"
 	echo "wrote BENCH_$label.json"
 }

@@ -162,18 +162,13 @@ func report(name string, a *sparse.CSC) {
 			st.ExplicitZeros, 100*st.ExplicitZeroRatio)
 		fmt.Printf("  stored: %d blocks, %d entries; block closure (scheduling only): %d blocks, %d entries\n",
 			st.StoredBlocks, st.StoredEntries, st.BlockNNZ, supernode.DenseEntries(s.BlockSym, s.Part))
+		// The stored-block graph the numeric phase runs weighs what the
+		// paper's graph on the closure weighs.
+		fmt.Printf("  eforest  stored graph: %d tasks, %d edges; avg parallelism %.1f\n",
+			st.StoredTasks, st.StoredEdges, st.TotalFlops/st.CriticalPath)
 		for _, variant := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
-			// The stored-block graph the numeric phase runs weighs what the
-			// paper's graph on the closure weighs.
-			g := taskgraph.NewStored(s.BlockSym, s.BlockForest, s.Stored, variant)
-			closureTasks, closureEdges := taskgraph.ClosureCounts(s.BlockSym, s.BlockForest, variant)
-			cm := taskgraph.NewCostModel(g, s.Stored, s.Part)
-			cp, total, err := g.CriticalPath(cm.TaskFlops)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("  %-8s graph: stored %d tasks, %d edges; closure %d tasks, %d edges; avg parallelism %.1f\n",
-				variant, g.NumTasks(), g.NumEdges, closureTasks, closureEdges, total/cp)
+			tasks, edges := taskgraph.ClosureCounts(s.BlockSym, s.BlockForest, variant)
+			fmt.Printf("  %-8s closure graph: %d tasks, %d edges\n", variant, tasks, edges)
 		}
 		fmt.Println()
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ordering"
 	"repro/internal/supernode"
-	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
 
@@ -138,7 +137,6 @@ func (o *Options) toCore() *core.Options {
 	return &core.Options{
 		Ordering:     ord,
 		Postorder:    o.Postorder,
-		TaskGraph:    taskgraph.EForest,
 		Amalgamation: supernode.AmalgamationOptions{MaxFill: o.AmalgamationFill},
 		Verify:       o.Verify,
 		NumericOptions: core.NumericOptions{

@@ -18,7 +18,7 @@ const allocBudget = 64
 
 // measureExecAllocs runs one numeric phase on a fresh factorization
 // and returns the heap objects allocated during the execution itself.
-func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, owners sched.Assignment, procs int) (allocs uint64, tasks int) {
+func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, procs int) (allocs uint64, tasks int) {
 	t.Helper()
 	f, err := newFactorization(s, a, resolveNumOpts(s, nil))
 	if err != nil {
@@ -32,7 +32,7 @@ func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, owners sched.As
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: procs, Owners: owners, Prio: prio}, run)
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: procs, Prio: prio}, run)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +41,9 @@ func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, owners sched.As
 }
 
 // TestNumericPhaseZeroAllocs is the zero-allocation proof of the
-// packed-kernel PR: after one warm-up factorization (which fills the
+// packed kernels: after one warm-up factorization (which fills the
 // blas packing-scratch pool), the parallel numeric phase — every
-// Factor and Update task at P=4, under both the owner-mapped and the
-// task-level executor — allocates nothing per task. Only the engine's
+// Factor and Update task at P=4 — allocates nothing per task. Only the engine's
 // fixed setup (well under allocBudget objects for hundreds of tasks)
 // is tolerated.
 func TestNumericPhaseZeroAllocs(t *testing.T) {
@@ -64,22 +63,14 @@ func TestNumericPhaseZeroAllocs(t *testing.T) {
 	if _, err := FactorizeWith(s, a); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name   string
-		owners sched.Assignment
-	}{
-		{"owner-mapped", sched.BlockCyclic(s.BlockSym.N, procs)},
-		{"task-level", nil},
-	} {
-		allocs, tasks := measureExecAllocs(t, s, a, tc.owners, procs)
-		if tasks < 100 {
-			t.Fatalf("%s: only %d tasks; matrix too small for the test to mean anything", tc.name, tasks)
-		}
-		t.Logf("%s: %d allocs across %d tasks (%.4f/task)", tc.name, allocs, tasks, float64(allocs)/float64(tasks))
-		if allocs > allocBudget {
-			t.Errorf("%s: numeric phase allocated %d objects over %d tasks, budget %d — the hot path is allocating per task",
-				tc.name, allocs, tasks, allocBudget)
-		}
+	allocs, tasks := measureExecAllocs(t, s, a, procs)
+	if tasks < 100 {
+		t.Fatalf("only %d tasks; matrix too small for the test to mean anything", tasks)
+	}
+	t.Logf("%d allocs across %d tasks (%.4f/task)", allocs, tasks, float64(allocs)/float64(tasks))
+	if allocs > allocBudget {
+		t.Errorf("numeric phase allocated %d objects over %d tasks, budget %d — the hot path is allocating per task",
+			allocs, tasks, allocBudget)
 	}
 }
 

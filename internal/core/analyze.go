@@ -39,9 +39,10 @@ type Symbolic struct {
 	// BlockSym is the static symbolic factorization of the supernode
 	// block matrix: Stored re-closed under George–Ng at block
 	// granularity. It is a scheduling structure only, never allocated:
-	// BlockForest is its LU eforest, Graph's chains follow that forest
-	// through it, and the paper's task graph (taskgraph.New) is built on
-	// it. No factorization or solve reads BlockSym or BlockForest after
+	// the run path reads it only for its LU eforest, BlockForest, whose
+	// chains Graph follows; the paper's task graphs (taskgraph.New, both
+	// variants) and Stats' closure counts are built on it. No
+	// factorization or solve reads BlockSym or BlockForest after
 	// Analyze; the remaining readers are the experiments' closure-graph
 	// tables and timings, the golden hashes, the closure sizes splu and
 	// matinfo print, and bench/layers.go's BlockSym.N. ROADMAP's deletion
@@ -51,8 +52,8 @@ type Symbolic struct {
 	BlockSym *symbolic.Result
 	// BlockForest is the LU eforest of the block matrix.
 	BlockForest *etree.Forest
-	// Graph is the task dependence graph the numeric phase runs (variant
-	// per Options): the Theorem-4 graph on the stored blocks
+	// Graph is the task dependence graph the numeric phase runs: the
+	// eforest-guided Theorem-4 graph on the stored blocks
 	// (taskgraph.NewStored), one task per block column and per stored
 	// off-diagonal block of Ū.
 	Graph *taskgraph.Graph
@@ -236,8 +237,8 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 
 	// Step 6: task dependence graph on the stored blocks, cost model and
 	// priorities; the closure graph's counts are the paper's.
-	graph := taskgraph.NewStored(blockSym, blockForest, stored, o.TaskGraph)
-	closureTasks, closureEdges := taskgraph.ClosureCounts(blockSym, blockForest, o.TaskGraph)
+	graph := taskgraph.NewStored(blockForest, stored)
+	closureTasks, closureEdges := taskgraph.ClosureCounts(blockSym, blockForest, taskgraph.EForest)
 	costs := taskgraph.NewCostModel(graph, stored, part)
 	prio, err := graph.BottomLevels(costs.TaskFlops)
 	if err != nil {
@@ -273,10 +274,8 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		if err := verify.VerifyDAG(graph); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		if o.TaskGraph == taskgraph.EForest {
-			if err := verify.VerifyLeastDependences(graph, blockForest); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
+		if err := verify.VerifyLeastDependences(graph, blockForest); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
 

@@ -78,8 +78,8 @@ func analyzeStages() []analyzeStage {
 			return err
 		}},
 		{"task graph", func(st *stageState) error {
-			st.graph = taskgraph.NewStored(st.blockSym, st.blockForest, st.stored, st.o.TaskGraph)
-			taskgraph.ClosureCounts(st.blockSym, st.blockForest, st.o.TaskGraph)
+			st.graph = taskgraph.NewStored(st.blockForest, st.stored)
+			taskgraph.ClosureCounts(st.blockSym, st.blockForest, taskgraph.EForest)
 			costs := taskgraph.NewCostModel(st.graph, st.stored, st.part)
 			prio, err := st.graph.BottomLevels(costs.TaskFlops)
 			cp := 0.0

@@ -63,16 +63,19 @@ type Options struct {
 	// Postorder enables the paper's postordering of the LU elimination
 	// forest (Section 3). Default true.
 	Postorder bool
-	// TaskGraph selects the dependence structure (default: the paper's
-	// eforest-guided graph; SStar is the baseline).
+	// TaskGraph is ignored: the numeric phase always runs the paper's
+	// eforest-guided graph (Symbolic.Graph), and the S* baseline exists
+	// only on the block closure (taskgraph.New). Only bench/ reads it.
+	//
+	// Deprecated: ignored, the task graph is always EForest.
 	TaskGraph taskgraph.Variant
 	// Amalgamation tunes supernode amalgamation.
 	Amalgamation supernode.AmalgamationOptions
 	// Verify enables the debug invariant checks of internal/verify
 	// during analysis: postorder invariance of the symbolic
-	// factorization (Theorems 1–3), task-graph well-formedness, and —
-	// for the eforest variant — the least-dependence property
-	// (Theorem 4). Costs roughly one extra symbolic factorization.
+	// factorization (Theorems 1–3), task-graph well-formedness and the
+	// least-dependence property (Theorem 4). Costs roughly one extra
+	// symbolic factorization.
 	Verify bool
 
 	NumericOptions
@@ -82,7 +85,7 @@ type Options struct {
 // and its solves, split out of Options so that one immutable Symbolic
 // can serve many concurrent factorizations with different worker
 // counts, pivot policies, deadlines and contexts. The analysis-shaping
-// fields (Ordering, Postorder, TaskGraph, Amalgamation, Verify) stay on
+// fields (Ordering, Postorder, Amalgamation, Verify) stay on
 // Options: they are baked into the Symbolic and changing them requires
 // a fresh Analyze.
 //
@@ -140,7 +143,7 @@ func DefaultOptions() *Options {
 	return &Options{
 		Ordering:       ordering.MinDegreeATA,
 		Postorder:      true,
-		TaskGraph:      taskgraph.EForest,
+		TaskGraph:      taskgraph.EForest, // bench/ builds its replay graph from it
 		Amalgamation:   supernode.AmalgamationOptions{MaxSize: supernode.MaxWidth, MaxFill: 0.25},
 		NumericOptions: NumericOptions{Workers: 1},
 	}

@@ -79,16 +79,13 @@ func denseSolve(t *testing.T, a *sparse.CSC, b []float64) []float64 {
 func optionMatrix() []*Options {
 	var out []*Options
 	for _, post := range []bool{true, false} {
-		for _, tg := range []taskgraph.Variant{taskgraph.SStar, taskgraph.EForest} {
-			for _, w := range []int{1, 3} {
-				out = append(out, &Options{
-					Ordering:       ordering.MinDegreeATA,
-					Postorder:      post,
-					TaskGraph:      tg,
-					Amalgamation:   supernode.AmalgamationOptions{MaxSize: 8, MaxFill: 0.3},
-					NumericOptions: NumericOptions{Workers: w},
-				})
-			}
+		for _, w := range []int{1, 3} {
+			out = append(out, &Options{
+				Ordering:       ordering.MinDegreeATA,
+				Postorder:      post,
+				Amalgamation:   supernode.AmalgamationOptions{MaxSize: 8, MaxFill: 0.3},
+				NumericOptions: NumericOptions{Workers: w},
+			})
 		}
 	}
 	return out
@@ -307,7 +304,8 @@ func TestSolveBitwiseNearSingularPerturb(t *testing.T) {
 }
 
 // TestFullSizeGraphVariantsAgree checks at full scale, on lns3937, that
-// the S* and eforest task graphs give bitwise the same solution.
+// a request for the S* task graph gives bitwise the default's solution:
+// Options.TaskGraph is ignored and both run the eforest graph.
 func TestFullSizeGraphVariantsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size integration test")
@@ -433,7 +431,7 @@ func TestAnalyzeStats(t *testing.T) {
 	// closure; StoredTasks and StoredEdges the graph the numeric phase
 	// runs: F(k) per diagonal block of Ū, U(k,j) per stored off-diagonal
 	// one.
-	closure := taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph)
+	closure := taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.EForest)
 	if st.TaskCount != closure.NumTasks() || st.EdgeCount != closure.NumEdges {
 		t.Fatalf("closure counts %d tasks / %d edges, taskgraph.New %d / %d", st.TaskCount, st.EdgeCount, closure.NumTasks(), closure.NumEdges)
 	}
@@ -552,7 +550,6 @@ func TestQuickPipeline(t *testing.T) {
 		opts := &Options{
 			Ordering:       ordering.Method(rng.Intn(3)),
 			Postorder:      rng.Intn(2) == 0,
-			TaskGraph:      taskgraph.Variant(rng.Intn(2)),
 			NumericOptions: NumericOptions{Workers: 1 + rng.Intn(4)},
 			Amalgamation:   supernode.AmalgamationOptions{MaxSize: 1 + rng.Intn(12), MaxFill: rng.Float64()},
 		}

@@ -70,16 +70,18 @@ func (f *Factorization) bwdStepT(k int, y []float64) {
 // Residual(a, x, b) bit for bit — and the refinement steps taken,
 // counting a final step that did not improve and was dropped.
 func (f *Factorization) SolveRefined(a *sparse.CSC, b []float64, maxIter int, tol float64) ([]float64, float64, int, error) {
-	return f.SolveRefinedWith(a, b, maxIter, tol, nil)
+	return f.SolveRefinedWith(a, a.NormInf(), b, maxIter, tol, nil)
 }
 
-// SolveRefinedWith is SolveRefined with an explicit per-call options
+// SolveRefinedWith is SolveRefined given anorm = ‖A‖∞, as ResidualWith
+// takes it, so a caller refining many right-hand sides against one
+// matrix computes the norm once, and with an explicit per-call options
 // override applied to the initial solve and every refinement solve
-// (nil nopts is plain SolveRefined). A deadline in nopts bounds each
+// (nil nopts is the analysis' options). A deadline in nopts bounds each
 // triangular sweep individually, so a refinement loop under deadline
 // pressure fails on its first over-budget sweep rather than at the
 // iteration boundary.
-func (f *Factorization) SolveRefinedWith(a *sparse.CSC, b []float64, maxIter int, tol float64, nopts *NumericOptions) ([]float64, float64, int, error) {
+func (f *Factorization) SolveRefinedWith(a *sparse.CSC, anorm float64, b []float64, maxIter int, tol float64, nopts *NumericOptions) ([]float64, float64, int, error) {
 	if tol <= 0 {
 		tol = 1e-14
 	}
@@ -87,7 +89,6 @@ func (f *Factorization) SolveRefinedWith(a *sparse.CSC, b []float64, maxIter int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	anorm := a.NormInf()
 	r := make([]float64, len(b))
 	berr := residual(a, x, b, r, anorm)
 	steps := 0

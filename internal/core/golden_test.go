@@ -11,12 +11,14 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/matgen"
 	"repro/internal/sched"
 	"repro/internal/sparse"
+	"repro/internal/taskgraph"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden tables of the tests that run from this tree")
@@ -198,6 +200,51 @@ func TestSymbolicGoldenIdentity(t *testing.T) {
 			t.Errorf("%s: no golden entry", key)
 		} else if want[key] != h {
 			t.Errorf("%s: hash %s, golden %s", key, h, want[key])
+		}
+	}
+}
+
+// TestTaskGraphOptionIsInert pins that Options.TaskGraph selects
+// nothing: an analysis asking for the S* graph runs the eforest graph
+// edge for edge, with the default's statistics, golden graph hash and
+// PatternHash, so the solve service's cache never splits on the field.
+func TestTaskGraphOptionIsInert(t *testing.T) {
+	raw, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	for _, sp := range matgen.SmallSuite() {
+		a := sp.Gen()
+		def, err := Analyze(a, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		opts := DefaultOptions()
+		opts.TaskGraph = taskgraph.SStar
+		s, err := Analyze(a, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		g, dg := s.Graph, def.Graph
+		if g.Variant != taskgraph.EForest || g.NumEdges != dg.NumEdges || !slices.Equal(g.Tasks, dg.Tasks) ||
+			!slices.EqualFunc(g.Succ, dg.Succ, slices.Equal[[]int32]) {
+			t.Fatalf("%s: TaskGraph=S* runs a %v graph of %d edges, the default a %v graph of %d",
+				sp.Name, g.Variant, g.NumEdges, dg.Variant, dg.NumEdges)
+		}
+		st, dst := s.Stats, def.Stats
+		st.AnalyzeSeconds, dst.AnalyzeSeconds = 0, 0
+		if st != dst {
+			t.Fatalf("%s: stats %+v, the default's %+v", sp.Name, st, dst)
+		}
+		if h, want := graphHash(s), golden[sp.Name+"/P=1/graph"]; h != want {
+			t.Fatalf("%s: graph hash %s, golden %s", sp.Name, h, want)
+		}
+		if s.PatternHash != def.PatternHash {
+			t.Fatalf("%s: PatternHash %s, the default's %s", sp.Name, s.PatternHash, def.PatternHash)
 		}
 	}
 }

@@ -343,7 +343,6 @@ func FactorizeWithOpts(s *Symbolic, a *sparse.CSC, nopts *NumericOptions) (*Fact
 	f.pack = getPackSlab(s.packLen())
 	err = sched.Run(s.Graph, sched.RunOptions{
 		Procs:   eff.Workers,
-		Owners:  sched.BlockCyclic(len(s.layout), eff.Workers),
 		Prio:    s.Prio,
 		Trace:   eff.Trace,
 		Context: ctx,

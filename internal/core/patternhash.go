@@ -16,8 +16,8 @@ import (
 // deliberately excluded — that is the whole point of the paper's
 // static pipeline: one symbolic factorization amortized over many
 // numeric factorizations of the same pattern. The per-call numeric
-// fields (Workers, pivoting, deadlines) are excluded too: they do not
-// change the Symbolic.
+// fields (Workers, pivoting, deadlines) and the ignored TaskGraph are
+// excluded too: they do not change the Symbolic.
 //
 // It is the solve service's cache key and Reanalyze's identity test,
 // so a cache hit and a ReuseFull reanalysis are the same predicate.
@@ -44,6 +44,6 @@ func PatternHash(m *sparse.CSC, opts *Options) string {
 	h.Write(buf)
 	// The analysis-shaping knobs are part of the identity of a
 	// Symbolic; the per-call numeric fields are not.
-	fmt.Fprintf(h, "|%v|%v|%v|%+v", opts.Ordering, opts.Postorder, opts.TaskGraph, opts.Amalgamation)
+	fmt.Fprintf(h, "|%v|%v|%+v", opts.Ordering, opts.Postorder, opts.Amalgamation)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -185,7 +185,7 @@ func TestPanicInUpdateTaskAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Owners: sched.BlockCyclic(s.BlockSym.N, 8), Prio: prio}, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil))
 	var te *sched.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *sched.TaskError", err)

@@ -66,3 +66,41 @@ func TestSolveZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveRefinedWithAllocs pins that a refined solve given ‖A‖∞
+// allocates only its vectors: the result of every solve it runs (the
+// first and one per refinement step) and the one residual vector the
+// steps share. Computing the norm inside would add the n-vector of row
+// sums sparse.(*CSC).NormInf allocates.
+func TestSolveRefinedWithAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by the race detector")
+	}
+	a := matgen.Sherman5()
+	f, err := Factorize(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, f.S.N)
+	for i := range b {
+		b[i] = 1 + float64(i%7)
+	}
+	// A tolerance no iterate meets runs steps until one fails to improve.
+	const tol = 1e-300
+	anorm := a.NormInf()
+	_, _, steps, err := f.SolveRefinedWith(a, anorm, b, 3, tol, nil)
+	if err != nil || steps == 0 {
+		t.Fatalf("%d refinement steps (%v): the test needs at least one", steps, err)
+	}
+	budget := float64(1 + steps + 1)
+	perIter := testing.AllocsPerRun(10, func() {
+		if _, _, _, err := f.SolveRefinedWith(a, anorm, b, 3, tol, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d refinement steps: %.0f allocs/call (budget %.0f)", steps, perIter, budget)
+	if perIter > budget {
+		t.Errorf("%.0f allocs per refined solve of %d steps, budget %.0f: it allocates beyond its solves and residual",
+			perIter, steps, budget)
+	}
+}

@@ -26,7 +26,7 @@ import (
 func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	t.Helper()
 	c := *s
-	c.Graph = taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph)
+	c.Graph = taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.EForest)
 	c.Costs = taskgraph.NewCostModel(c.Graph, s.Stored, s.Part)
 	prio, err := c.Graph.BottomLevels(c.Costs.TaskFlops)
 	if err != nil {
@@ -357,7 +357,7 @@ func TestStoredBlocksParityMissingPartner(t *testing.T) {
 	}
 	c := &f.cols[1]
 	c.data[c.offsets[0]*c.width] = 1 // entry (0,2): outside Ā, in row 0 of stored block (0,1)
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 1, Owners: sched.BlockCyclic(s.BlockSym.N, 1), Prio: s.Prio}, f.runTask)
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 1, Prio: s.Prio}, f.runTask)
 	var te *sched.TaskError
 	if !errors.As(err, &te) || te.Task != "U(0,1)" || !strings.Contains(err.Error(), "missing in column 1") {
 		t.Fatalf("err = %v, want the failure of U(0,1) on the missing block", err)

@@ -19,9 +19,8 @@ import (
 // the stored blocks of Ū — with ids mapped onto g, the graph under test.
 // A dropped update hands its one closure successor on, so a kept update
 // links to the first kept task down its closure chain. F(k) keeps its
-// kept updates and, for each dropped U(k,j), gets under SStar the first
-// kept task down that update's chain and under EForest F(j) only when
-// the dropped update's closure link is F(j): the rest is implied by
+// kept updates and, for each dropped U(k,j), gets F(j) only when the
+// dropped update's closure link is F(j): the rest is implied by
 // F(k) ≺ F(parent(k)).
 type contracted struct {
 	closure *taskgraph.Graph
@@ -34,7 +33,7 @@ type contracted struct {
 
 func contract(t *testing.T, s *Symbolic) *contracted {
 	t.Helper()
-	c := &contracted{closure: taskgraph.New(s.BlockSym, s.BlockForest, s.Opts.TaskGraph), g: s.Graph}
+	c := &contracted{closure: taskgraph.New(s.BlockSym, s.BlockForest, taskgraph.EForest), g: s.Graph}
 	c.links = chainLinks(c.closure)
 	c.toG = make([]int32, c.closure.NumTasks())
 	for id, task := range c.closure.Tasks {
@@ -90,8 +89,6 @@ func (c *contracted) succ(id int) []int32 {
 		switch j := c.closure.Tasks[u].J; {
 		case c.toG[u] >= 0:
 			out = append(out, c.toG[u])
-		case c.closure.Variant == taskgraph.SStar:
-			out = append(out, c.firstKept(int(u)))
 		case c.links[u] == int32(c.closure.FactorID[j]):
 			out = append(out, int32(c.g.FactorID[j]))
 		}
@@ -153,108 +150,102 @@ func storedGraphCases() []storedGraphCase {
 }
 
 // TestStoredGraphParity pins the graph the numeric phase runs to the
-// paper's, on the small suite and the generated patterns under both
-// variants: (a) Symbolic.Graph is the closure graph contracted onto the
+// paper's eforest graph, on the small suite and the generated patterns:
+// (a) Symbolic.Graph is the closure graph contracted onto the
 // stored tasks, edge for edge and in order; (b) one task reaches another
 // in it exactly when it does in the closure graph, so every two tasks
 // that touch a common stored block stay ordered; (c) it is a well-formed
-// DAG, under EForest with exactly Theorem 4's least dependences; (d) on it
+// DAG with exactly Theorem 4's least dependences; (d) on it
 // and on the closure graph every update has at most one successor, its
 // chain link, and a stored update links to the first stored task down its
 // closure chain. The flops it carries, its critical path and the
-// priorities of its tasks are the closure graph's bit for bit, and under
-// EForest it has at most twice as many edges as tasks.
+// priorities of its tasks are the closure graph's bit for bit, and it has
+// at most twice as many edges as tasks.
 func TestStoredGraphParity(t *testing.T) {
 	analyses, keptTasks, noOps := 0, 0, 0
 	for _, c := range storedGraphCases() {
-		for _, v := range []taskgraph.Variant{taskgraph.EForest, taskgraph.SStar} {
-			ctx := fmt.Sprintf("%s/%v", c.name, v)
-			opts := DefaultOptions()
-			opts.TaskGraph = v
-			s, err := Analyze(c.a, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-			g := s.Graph
-			analyses++
-			keptTasks += g.NumTasks()
-			if err := verify.VerifyDAG(g); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-			if v == taskgraph.EForest {
-				if err := verify.VerifyLeastDependences(g, s.BlockForest); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				if g.NumEdges > 2*g.NumTasks() {
-					t.Fatalf("%s: %d edges for %d tasks", ctx, g.NumEdges, g.NumTasks())
-				}
-			}
+		ctx := fmt.Sprintf("%s/%v", c.name, taskgraph.EForest)
+		s, err := Analyze(c.a, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		g := s.Graph
+		analyses++
+		keptTasks += g.NumTasks()
+		if err := verify.VerifyDAG(g); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if err := verify.VerifyLeastDependences(g, s.BlockForest); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if g.NumEdges > 2*g.NumTasks() {
+			t.Fatalf("%s: %d edges for %d tasks", ctx, g.NumEdges, g.NumTasks())
+		}
 
-			// Every update has at most one successor, its chain link, on
-			// the graph and on the closure it contracts.
-			oc := contract(t, s)
-			for _, h := range []*taskgraph.Graph{g, oc.closure} {
-				for id, task := range h.Tasks {
-					if task.Kind == taskgraph.Update && len(h.Succ[id]) > 1 {
-						t.Fatalf("%s: %v → %v, want at most one successor", ctx, task, tasksOf(h, h.Succ[id]))
-					}
+		// Every update has at most one successor, its chain link, on
+		// the graph and on the closure it contracts.
+		oc := contract(t, s)
+		for _, h := range []*taskgraph.Graph{g, oc.closure} {
+			for id, task := range h.Tasks {
+				if task.Kind == taskgraph.Update && len(h.Succ[id]) > 1 {
+					t.Fatalf("%s: %v → %v, want at most one successor", ctx, task, tasksOf(h, h.Succ[id]))
 				}
 			}
+		}
 
-			// (a) The contraction, edge for edge.
-			links := chainLinks(g)
-			kept := 0
-			for id, to := range oc.toG {
-				if to < 0 {
-					noOps++
-					continue
-				}
-				kept++
-				if g.Tasks[to] != oc.closure.Tasks[id] {
-					t.Fatalf("%s: closure task %v maps onto %v", ctx, oc.closure.Tasks[id], g.Tasks[to])
-				}
-				if want := oc.succ(id); !slices.Equal(g.Succ[to], want) {
-					t.Fatalf("%s: %v → %v, the contraction gives %v", ctx, g.Tasks[to], tasksOf(g, g.Succ[to]), tasksOf(g, want))
-				}
-				if want := int32(-1); oc.closure.Tasks[id].Kind == taskgraph.Update {
-					if want = oc.firstKept(id); links[to] != want {
-						t.Fatalf("%s: chain link of %v is %d, the contraction gives %d", ctx, g.Tasks[to], links[to], want)
-					}
+		// (a) The contraction, edge for edge.
+		links := chainLinks(g)
+		kept := 0
+		for id, to := range oc.toG {
+			if to < 0 {
+				noOps++
+				continue
+			}
+			kept++
+			if g.Tasks[to] != oc.closure.Tasks[id] {
+				t.Fatalf("%s: closure task %v maps onto %v", ctx, oc.closure.Tasks[id], g.Tasks[to])
+			}
+			if want := oc.succ(id); !slices.Equal(g.Succ[to], want) {
+				t.Fatalf("%s: %v → %v, the contraction gives %v", ctx, g.Tasks[to], tasksOf(g, g.Succ[to]), tasksOf(g, want))
+			}
+			if want := int32(-1); oc.closure.Tasks[id].Kind == taskgraph.Update {
+				if want = oc.firstKept(id); links[to] != want {
+					t.Fatalf("%s: chain link of %v is %d, the contraction gives %d", ctx, g.Tasks[to], links[to], want)
 				}
 			}
-			if kept != g.NumTasks() || s.Stats.TaskCount != oc.closure.NumTasks() || s.Stats.EdgeCount != oc.closure.NumEdges {
-				t.Fatalf("%s: %d kept closure tasks for %d; stats count %d / %d, the closure graph %d / %d", ctx,
-					kept, g.NumTasks(), s.Stats.TaskCount, s.Stats.EdgeCount, oc.closure.NumTasks(), oc.closure.NumEdges)
-			}
+		}
+		if kept != g.NumTasks() || s.Stats.TaskCount != oc.closure.NumTasks() || s.Stats.EdgeCount != oc.closure.NumEdges {
+			t.Fatalf("%s: %d kept closure tasks for %d; stats count %d / %d, the closure graph %d / %d", ctx,
+				kept, g.NumTasks(), s.Stats.TaskCount, s.Stats.EdgeCount, oc.closure.NumTasks(), oc.closure.NumEdges)
+		}
 
-			// (b) Reachability between kept tasks.
-			rg := reach(t, g, func(id int) int32 { return int32(id) }, g.NumTasks())
-			rc := reach(t, oc.closure, func(id int) int32 { return oc.toG[id] }, g.NumTasks())
-			for id, to := range oc.toG {
-				if to >= 0 && !slices.Equal(rg[to], rc[id]) {
-					t.Fatalf("%s: %v reaches %d stored tasks, %d in the closure graph", ctx, g.Tasks[to], popcount(rg[to]), popcount(rc[id]))
-				}
+		// (b) Reachability between kept tasks.
+		rg := reach(t, g, func(id int) int32 { return int32(id) }, g.NumTasks())
+		rc := reach(t, oc.closure, func(id int) int32 { return oc.toG[id] }, g.NumTasks())
+		for id, to := range oc.toG {
+			if to >= 0 && !slices.Equal(rg[to], rc[id]) {
+				t.Fatalf("%s: %v reaches %d stored tasks, %d in the closure graph", ctx, g.Tasks[to], popcount(rg[to]), popcount(rc[id]))
 			}
+		}
 
-			// The weights: a dropped task weighs nothing.
-			ccm := taskgraph.NewCostModel(oc.closure, s.Stored, s.Part)
-			cp, total, err := oc.closure.CriticalPath(ccm.TaskFlops)
-			if err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-			if cp != s.Stats.CriticalPath || total != s.Stats.TotalFlops {
-				t.Fatalf("%s: critical path %v of %v flops, the closure graph's %v of %v", ctx,
-					s.Stats.CriticalPath, s.Stats.TotalFlops, cp, total)
-			}
-			prio, err := oc.closure.BottomLevels(ccm.TaskFlops)
-			if err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-			for id, to := range oc.toG {
-				if to >= 0 && (s.Prio[to] != prio[id] || s.Costs.TaskFlops[to] != ccm.TaskFlops[id]) {
-					t.Fatalf("%s: %v weighs %v with priority %v, %v and %v in the closure graph", ctx,
-						g.Tasks[to], s.Costs.TaskFlops[to], s.Prio[to], ccm.TaskFlops[id], prio[id])
-				}
+		// The weights: a dropped task weighs nothing.
+		ccm := taskgraph.NewCostModel(oc.closure, s.Stored, s.Part)
+		cp, total, err := oc.closure.CriticalPath(ccm.TaskFlops)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if cp != s.Stats.CriticalPath || total != s.Stats.TotalFlops {
+			t.Fatalf("%s: critical path %v of %v flops, the closure graph's %v of %v", ctx,
+				s.Stats.CriticalPath, s.Stats.TotalFlops, cp, total)
+		}
+		prio, err := oc.closure.BottomLevels(ccm.TaskFlops)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		for id, to := range oc.toG {
+			if to >= 0 && (s.Prio[to] != prio[id] || s.Costs.TaskFlops[to] != ccm.TaskFlops[id]) {
+				t.Fatalf("%s: %v weighs %v with priority %v, %v and %v in the closure graph", ctx,
+					g.Tasks[to], s.Costs.TaskFlops[to], s.Prio[to], ccm.TaskFlops[id], prio[id])
 			}
 		}
 	}

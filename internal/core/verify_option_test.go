@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/matgen"
 	"repro/internal/sparse"
-	"repro/internal/taskgraph"
 )
 
 // TestAnalyzeWithVerify runs the full pipeline with the debug invariant
@@ -23,15 +22,12 @@ func TestAnalyzeWithVerify(t *testing.T) {
 		{matgen.SmallSuite()[0].Name, matgen.SmallSuite()[0].Gen()},
 	}
 	for _, m := range matrices {
-		for _, tg := range []taskgraph.Variant{taskgraph.EForest, taskgraph.SStar} {
-			for _, post := range []bool{true, false} {
-				opts := DefaultOptions()
-				opts.Verify = true
-				opts.TaskGraph = tg
-				opts.Postorder = post
-				if _, err := Analyze(m.a, opts); err != nil {
-					t.Errorf("%s taskgraph=%v postorder=%v: %v", m.name, tg, post, err)
-				}
+		for _, post := range []bool{true, false} {
+			opts := DefaultOptions()
+			opts.Verify = true
+			opts.Postorder = post
+			if _, err := Analyze(m.a, opts); err != nil {
+				t.Errorf("%s postorder=%v: %v", m.name, post, err)
 			}
 		}
 	}

@@ -91,13 +91,13 @@ func onClosure(s *core.Symbolic, v taskgraph.Variant) (*core.Symbolic, error) {
 }
 
 // analyzeOnClosure is core.Analyze followed by onClosure under the
-// analysis' own graph variant.
+// eforest graph.
 func analyzeOnClosure(a *sparse.CSC, opts *core.Options) (*core.Symbolic, error) {
 	s, err := core.Analyze(a, opts)
 	if err != nil {
 		return nil, err
 	}
-	return onClosure(s, opts.TaskGraph)
+	return onClosure(s, taskgraph.EForest)
 }
 
 // ---------------------------------------------------------------------

@@ -87,10 +87,9 @@ var stopPublished func()
 // executeAsync runs the graph on procs workers until every task is
 // done, a task fails or ctx is done; a ctx done at the start runs no
 // task. place maps every task to the deque it is seeded on when ready
-// at the start (nil means round-robin over the workers in priority
-// order — task-level scheduling); tasks released during the run always
-// join the releasing worker's deque. prio orders the initial seeding so
-// the first claims are the highest-priority ready tasks. Run has
+// at the start; tasks released during the run always join the
+// releasing worker's deque. prio orders the initial seeding so each
+// worker's first claim is its highest-priority ready task. Run has
 // validated procs and prio.
 func executeAsync(ctx context.Context, g *taskgraph.Graph, procs int, rec *trace.Recorder,
 	place []int, prio []float64, run func(id int) error) error {
@@ -119,10 +118,7 @@ func executeAsync(ctx context.Context, g *taskgraph.Graph, procs int, rec *trace
 	// priority (ties toward the smaller id) and walked backwards —
 	// lowest priority first — so every deque is pushed in ascending
 	// priority order and the owner's LIFO pop claims its highest-
-	// priority task first. Round-robin placement by priority rank makes
-	// the first P claims of the task-level executor exactly the P
-	// highest-priority ready tasks, which is what pins the cancellation
-	// latency contract.
+	// priority task first.
 	ready := make([]int32, 0, nt)
 	for id := range e.deps {
 		if e.deps[id].Load() == 0 {
@@ -137,12 +133,7 @@ func executeAsync(ctx context.Context, g *taskgraph.Graph, procs int, rec *trace
 		return a < b
 	})
 	for i := len(ready) - 1; i >= 0; i-- {
-		id := ready[i]
-		p := i % procs
-		if place != nil {
-			p = place[id]
-		}
-		e.deques[p].push(id)
+		e.deques[place[ready[i]]].push(ready[i])
 	}
 
 	// A context done from now on sets the flag, from a goroutine of its

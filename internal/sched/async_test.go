@@ -152,34 +152,19 @@ func TestAsyncStarvationTermination(t *testing.T) {
 		return nil
 	}, nil)
 
-	for _, exec := range []struct {
-		name string
-		call func() error
-	}{
-		{"owner-mapped", func() error {
-			return Execute(g, BlockCyclic(g.N, 8), 8, nil, run)
-		}},
-		{"global-steal", func() error {
-			return Run(g, RunOptions{Procs: 8}, run)
-		}},
-	} {
-		for i := range ran {
-			ran[i].Store(0)
+	errc := make(chan error, 1)
+	go func() { errc <- Execute(g, BlockCyclic(g.N, 8), 8, nil, run) }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
 		}
-		errc := make(chan error, 1)
-		go func() { errc <- exec.call() }()
-		select {
-		case err := <-errc:
-			if err != nil {
-				t.Fatalf("%s: %v", exec.name, err)
-			}
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("%s: executor deadlocked (watchdog fired)", exec.name)
-		}
-		for id := range ran {
-			if c := ran[id].Load(); c != 1 {
-				t.Fatalf("%s: task %d ran %d times, want exactly once", exec.name, id, c)
-			}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("executor deadlocked (watchdog fired)")
+	}
+	for id := range ran {
+		if c := ran[id].Load(); c != 1 {
+			t.Fatalf("task %d ran %d times, want exactly once", id, c)
 		}
 	}
 	_ = sink

@@ -166,7 +166,7 @@ func TestExternalCancelStopsExecution(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(g, RunOptions{Procs: procs, Owners: BlockCyclic(g.N, procs), Context: ctx}, run)
+		done <- Run(g, RunOptions{Procs: procs, Context: ctx}, run)
 	}()
 	for i := 0; i < procs; i++ {
 		<-arrived

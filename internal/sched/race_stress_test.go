@@ -7,10 +7,7 @@
 // same block column touch disjoint rows, so the parallel factorization
 // must be bitwise identical to the serial one — not merely close. Run
 // under `go test -race ./internal/sched/...` this doubles as the
-// lock-discipline proof for the work-stealing executor. The same sweep
-// under task-level seeding (RunOptions.Owners nil) needs the numeric
-// task body, which core does not export: it is
-// core.TestTaskLevelSeedingParity.
+// lock-discipline proof for the work-stealing executor.
 package sched_test
 
 import (

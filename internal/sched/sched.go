@@ -6,8 +6,8 @@
 //   - for real, by an asynchronous data-flow engine (async.go): atomic
 //     per-task dependence counters, per-worker Chase–Lev work-stealing
 //     deques and a counter-based termination detector instead of level
-//     barriers, with the 1-D ownership (or a global priority order)
-//     deciding only the initial placement of ready tasks (Run), or
+//     barriers, with the block-cyclic 1-D ownership deciding only the
+//     initial placement of ready tasks (Run), or
 //   - deterministically, by a model of RAPID itself on the Origin 2000
 //     (simulate.go): a list-scheduling inspector and an in-order
 //     executor over a flop-rate and message-latency machine, used to
@@ -98,13 +98,6 @@ func TaskOwners(g *taskgraph.Graph, owner Assignment) []int {
 type RunOptions struct {
 	// Procs is the number of workers, one goroutine each (must be ≥ 1).
 	Procs int
-	// Owners seeds every initially ready task on the worker owning its
-	// destination block column (the paper's 1-D mapping). Nil selects
-	// task-level scheduling instead, RAPID's mode on shared memory: the
-	// ready tasks are dealt round-robin over the workers by priority
-	// rank, so the first Procs claims are exactly the Procs highest-
-	// priority ready tasks.
-	Owners Assignment
 	// Prio orders each worker's initial claims; nil means bottom levels
 	// with unit weights.
 	Prio []float64
@@ -119,8 +112,10 @@ type RunOptions struct {
 }
 
 // Run executes every task of g exactly once with the dependence order
-// respected. Seeding (RunOptions.Owners) decides only where the ready
-// tasks start; once running, idle workers steal from busy ones, so
+// respected. Every initially ready task is seeded on the worker owning
+// its destination block column under BlockCyclic(g.N, o.Procs) (the
+// paper's 1-D mapping, TaskOwners); that decides only where the ready
+// tasks start. Once running, idle workers steal from busy ones, so
 // ownership is an affinity hint, not mutual exclusion — two tasks of
 // one block column may run concurrently when the dependence graph
 // leaves them unordered, which is bitwise-safe because such tasks write
@@ -150,19 +145,18 @@ func Run(g *taskgraph.Graph, o RunOptions, run func(id int) error) error {
 			return err
 		}
 	}
-	var place []int
-	if o.Owners != nil {
-		place = TaskOwners(g, o.Owners)
-	}
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	place := TaskOwners(g, BlockCyclic(g.N, o.Procs))
 	return executeAsync(ctx, g, o.Procs, o.Trace, place, prio, run)
 }
 
-// Execute is the plain form of Run: owner-seeded, untraced, never
-// cancelled.
+// Execute is the plain form of Run: untraced, never cancelled. owner is
+// ignored, since Run always seeds by BlockCyclic(g.N, procs); the
+// parameter stays only because bench/ names this signature, and bench/
+// passes that same mapping.
 func Execute(g *taskgraph.Graph, owner Assignment, procs int, prio []float64, run func(id int) error) error {
-	return Run(g, RunOptions{Procs: procs, Owners: owner, Prio: prio}, run)
+	return Run(g, RunOptions{Procs: procs, Prio: prio}, run)
 }

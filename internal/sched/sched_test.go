@@ -207,26 +207,6 @@ func TestExecuteConvertsPanicToError(t *testing.T) {
 	}
 }
 
-// TestRunTaskLevelReturnsFirstTaskError: same contract under task-level
-// seeding.
-func TestRunTaskLevelReturnsFirstTaskError(t *testing.T) {
-	g, _ := buildGraph(t, 10, 0.15, 95, taskgraph.SStar)
-	boom := errors.New("boom")
-	err := Run(g, RunOptions{Procs: 4}, func(id int) error {
-		if id == 3 {
-			return boom
-		}
-		return nil
-	})
-	var te *TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("error is %T, want *TaskError", err)
-	}
-	if te.ID != 3 || !errors.Is(err, boom) {
-		t.Fatalf("wrong task error: %v", err)
-	}
-}
-
 func TestSimulateBasics(t *testing.T) {
 	g, cm := buildGraph(t, 30, 0.1, 96, taskgraph.EForest)
 	m := Origin2000(4)
@@ -400,7 +380,7 @@ func TestRunContract(t *testing.T) {
 			var te *TaskError
 			return errors.As(err, &te) && te.ID == 3 && errors.Is(err, boom)
 		}},
-		{"canceled", RunOptions{Procs: 2, Owners: BlockCyclic(g.N, 2), Context: tripped}, ok, func(err error) bool {
+		{"canceled", RunOptions{Procs: 2, Context: tripped}, ok, func(err error) bool {
 			var ce *CancelError
 			return errors.As(err, &ce) && ce.Total == 6 && errors.Is(err, ErrCanceled) && errors.Is(err, boom)
 		}},
@@ -450,49 +430,6 @@ func TestSimulateStaticBasics(t *testing.T) {
 	}
 	if res.Makespan == res3.Makespan {
 		t.Fatal("perturbation seed had no effect")
-	}
-}
-
-func TestRunTaskLevelRunsAllTasks(t *testing.T) {
-	for _, procs := range []int{1, 4, 8} {
-		g, _ := buildGraph(t, 25, 0.12, 113, taskgraph.EForest)
-		var count int64
-		err := Run(g, RunOptions{Procs: procs}, func(id int) error {
-			atomic.AddInt64(&count, 1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if count != int64(g.NumTasks()) {
-			t.Fatalf("P=%d: ran %d of %d", procs, count, g.NumTasks())
-		}
-	}
-}
-
-func TestRunTaskLevelRespectsDependences(t *testing.T) {
-	g, _ := buildGraph(t, 30, 0.1, 114, taskgraph.EForest)
-	pred := make([][]int, g.NumTasks())
-	for id := range g.Succ {
-		for _, s := range g.Succ[id] {
-			pred[s] = append(pred[s], id)
-		}
-	}
-	var mu sync.Mutex
-	done := make([]bool, g.NumTasks())
-	err := Run(g, RunOptions{Procs: 4}, func(id int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, p := range pred[id] {
-			if !done[p] {
-				return fmt.Errorf("dependence violated: %d ran before %d", id, p)
-			}
-		}
-		done[id] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

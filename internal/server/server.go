@@ -646,7 +646,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		// the stored matrix and reports the achieved backward error.
 		xs = make([][]float64, len(bs))
 		for i, b := range bs {
-			x, berr, st, err := h.res.f.SolveRefinedWith(h.m, b, 20, 1e-11, &nopts)
+			x, berr, st, err := h.res.f.SolveRefinedWith(h.m, h.anorm, b, 20, 1e-11, &nopts)
 			if err != nil {
 				return s.mapError(err)
 			}

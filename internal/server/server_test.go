@@ -263,6 +263,44 @@ func TestSolveReplyIsLibrarySolve(t *testing.T) {
 	}
 }
 
+// TestRefinedReplyIsLibraryRefine pins a refined bs request to the
+// library: each solution is core's refined solve bit for bit, and each
+// residual is core.Residual of its own solution, though the server
+// passes the ‖A‖∞ it stored at factorize instead of recomputing it.
+func TestRefinedReplyIsLibraryRefine(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	m := testMatrix()
+	fr := factorizeOK(t, ts, m, "")
+	f := handleOf(t, s, fr.FID).res.f
+	rhs := make([][]float64, 4)
+	for r := range rhs {
+		rhs[r] = make([]float64, m.NCols)
+		for i := range rhs[r] {
+			rhs[r][i] = float64((i+5*r)%13) - 6
+		}
+	}
+	var sr solveResponse
+	status, body := post(t, ts, "/v1/solve", solveRequest{FID: fr.FID, BS: rhs, Refine: true}, &sr)
+	if status != http.StatusOK || len(sr.XS) != len(rhs) || len(sr.Residuals) != len(rhs) {
+		t.Fatalf("refined solve: status %d, body %.200s", status, body)
+	}
+	for r, b := range rhs {
+		want, berr, _, err := f.SolveRefinedWith(m, m.NormInf(), b, 20, 1e-11, &core.NumericOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(sr.XS[r][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("rhs %d: x[%d] = %x, SolveRefinedWith %x", r, i, sr.XS[r][i], want[i])
+			}
+		}
+		res := core.Residual(m, sr.XS[r], b)
+		if math.Float64bits(sr.Residuals[r]) != math.Float64bits(res) || math.Float64bits(berr) != math.Float64bits(res) {
+			t.Errorf("rhs %d: residual %x, SolveRefinedWith's %x, core.Residual %x", r, sr.Residuals[r], berr, res)
+		}
+	}
+}
+
 // TestRecoveryLadder drives the graceful-degradation path end to end:
 // a numerically near-singular (but structurally healthy) system fails
 // the strict rung, wins the perturbed rung, and refined solves on a

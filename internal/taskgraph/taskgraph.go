@@ -14,10 +14,11 @@
 //     F(k) when parent(i) = k, and no dependence at all between updates
 //     coming from independent subtrees.
 //
-// New builds them on every block of a structure closed under block-level
-// elimination, the paper's graphs. NewStored builds the same graphs
-// contracted onto the blocks the numeric phase stores — the tasks of the
-// other blocks have nothing to do — and is what the numeric phase runs.
+// New builds either on every block of a structure closed under
+// block-level elimination, the paper's graphs. NewStored builds the
+// EForest graph contracted onto the blocks the numeric phase stores —
+// the tasks of the other blocks have nothing to do — and is what the
+// numeric phase runs; S* exists only on the closure, as the baseline.
 package taskgraph
 
 import (
@@ -271,58 +272,39 @@ func offDiagonal(row []int, k int) []int {
 	return row
 }
 
-// NewStored builds the dependence graph of the requested variant on the
-// stored blocks: F(k) for every block column, U(k, j) only for the
-// off-diagonal blocks of stored's Ū, and ids laid out as New lays them.
-// stored must lie inside blockSym, its closure under block-level
-// elimination, and f must be blockSym's LU eforest.
+// NewStored builds the EForest dependence graph on the stored blocks:
+// F(k) for every block column, U(k, j) only for the off-diagonal blocks
+// of stored's Ū, and ids laid out as New lays them. f must be the LU
+// eforest of stored's closure under block-level elimination; the
+// closure itself is not read.
 //
-// The graph is New(blockSym, f, v) contracted onto those tasks — every
-// other task of New's graph belongs to a block that is not stored and
-// does nothing — without building the closure's tasks:
+// The graph is New(closure, f, EForest) contracted onto those tasks —
+// every other task of New's graph belongs to a block that is not stored
+// and does nothing — without building the closure's tasks:
 //
-//   - The chain link of U(k, j) is the first stored task down its chain in
-//     New's graph. Under EForest that is U(a, j) for the nearest eforest
-//     ancestor a < j of k whose block (a, j) is stored, else F(j) — or
-//     nothing when the ancestors end at a root below j: Theorem 1 puts
-//     every U(a, j) with a < j on the chain. Under SStar it is the update
-//     of the next stored source of column j, else F(j).
-//   - F(k) keeps its edges to the updates it sources. Under SStar it also
-//     gets, for every update of blockSym's row k that is not stored, the
-//     first stored task down that update's chain — the exact contraction,
-//     one edge per destination. Under EForest it gets only F(parent(k)),
-//     when U(k, parent(k)) is not stored: every other such edge is implied
-//     by F(k) ≺ F(parent(k)), up the eforest (see DESIGN.md §6).
+//   - The chain link of U(k, j) is the first stored task down its chain
+//     in New's graph: U(a, j) for the nearest eforest ancestor a < j of k
+//     whose block (a, j) is stored, else F(j) — or nothing when the
+//     ancestors end at a root below j: Theorem 1 puts every U(a, j) with
+//     a < j on the chain.
+//   - F(k) keeps its edges to the updates it sources, and gets
+//     F(parent(k)) when U(k, parent(k)) is not stored: every other edge
+//     of the exact contraction is implied by F(k) ≺ F(parent(k)), up the
+//     eforest (see DESIGN.md §6).
 //
 // Reachability among the tasks is New's, so two tasks that touch a
 // common stored block stay ordered.
-func NewStored(blockSym *symbolic.Result, f *etree.Forest, stored *symbolic.Result, v Variant) *Graph {
-	if v == EForest && f == nil {
-		panic("taskgraph: EForest variant needs the LU eforest")
-	}
+func NewStored(f *etree.Forest, stored *symbolic.Result) *Graph {
 	tasks, factorID, updateFirst := buildTasks(stored)
 	g := &Graph{
-		Variant:     v,
+		Variant:     EForest,
 		N:           stored.N,
 		Tasks:       tasks,
 		FactorID:    factorID,
 		updateFirst: updateFirst,
 		Succ:        make([][]int32, len(tasks)),
 	}
-	switch v {
-	case SStar:
-		g.contractSStar(blockSym)
-	case EForest:
-		g.contractEForest(f)
-	default:
-		panic("taskgraph: unknown variant")
-	}
-	return g
-}
-
-// contractEForest fills the edges of NewStored's EForest graph.
-func (g *Graph) contractEForest(f *etree.Forest) {
-	parent, tasks := f.Parent, g.Tasks
+	parent := f.Parent
 	// chain[id] is update id's chain link, -1 for none (and for factors).
 	chain := make([]int32, len(tasks))
 	for i := 0; i < g.N; i++ {
@@ -380,50 +362,7 @@ func (g *Graph) contractEForest(f *etree.Forest) {
 			g.Succ[id] = edges[len(edges)-1 : len(edges) : len(edges)]
 		}
 	}
-}
-
-// contractSStar fills the edges of NewStored's SStar graph: the sources
-// are scanned in descending order, so the stored update last seen in a
-// destination column is the next of its chain.
-func (g *Graph) contractSStar(blockSym *symbolic.Result) {
-	tasks := g.Tasks
-	next := make([]int32, g.N)
-	for j := range next {
-		next[j] = int32(g.FactorID[j])
-	}
-	g.NumEdges = len(tasks) - g.N
-	for k := 0; k < g.N; k++ {
-		g.NumEdges += len(offDiagonal(blockSym.URows.Col(k), k))
-	}
-	edges := make([]int32, g.NumEdges)
-	at := 0
-	for k := 0; k < g.N; k++ {
-		m := len(offDiagonal(blockSym.URows.Col(k), k))
-		g.Succ[g.FactorID[k]] = edges[at : at+m : at+m]
-		at += m
-	}
-	for k := g.N - 1; k >= 0; k-- {
-		succ := g.Succ[g.FactorID[k]]
-		id, hi := g.Updates(k)
-		for t, j := range offDiagonal(blockSym.URows.Col(k), k) {
-			if id < hi && tasks[id].J == j {
-				succ[t] = int32(id)
-				id++
-			} else {
-				succ[t] = next[j]
-			}
-		}
-		if id != hi {
-			panic(fmt.Sprintf("taskgraph: stored block (%d,%d) is not in the closure", k, tasks[id].J))
-		}
-		for id, hi := g.Updates(k); id < hi; id++ {
-			j := tasks[id].J
-			edges[at] = next[j]
-			g.Succ[id] = edges[at : at+1 : at+1]
-			at++
-			next[j] = int32(id)
-		}
-	}
+	return g
 }
 
 // NumTasks returns the number of tasks.

@@ -484,16 +484,16 @@ func sameGraph(t *testing.T, ctx string, got, want *Graph) {
 }
 
 // TestNewStoredOnEveryBlockIsNew: with every block of the closure stored
-// there is nothing to contract, so NewStored is New; and ClosureCounts is
-// New's size without New.
+// there is nothing to contract, so NewStored is New's EForest graph; and
+// ClosureCounts is New's size without New, under either variant.
 func TestNewStoredOnEveryBlockIsNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 10; trial++ {
 		sym := mustFactor(t, randomZeroFreeDiag(10+rng.Intn(40), 0.1, rng))
 		f := etree.LUForest(sym)
+		sameGraph(t, fmt.Sprintf("trial %d", trial), NewStored(f, sym), New(sym, f, EForest))
 		for _, v := range []Variant{SStar, EForest} {
 			want := New(sym, f, v)
-			sameGraph(t, fmt.Sprintf("trial %d %v", trial, v), NewStored(sym, f, sym, v), want)
 			if tasks, edges := ClosureCounts(sym, f, v); tasks != want.NumTasks() || edges != want.NumEdges {
 				t.Fatalf("trial %d %v: ClosureCounts %d / %d, New %d / %d", trial, v, tasks, edges, want.NumTasks(), want.NumEdges)
 			}
@@ -523,7 +523,7 @@ func TestNewStoredSkipsDroppedBlocks(t *testing.T) {
 		}
 	}
 	stored := symbolic.FromPattern(sparse.PatternOf(tr.ToCSC()))
-	g := NewStored(sym, f, stored, EForest)
+	g := NewStored(f, stored)
 	if _, ok := g.UpdateID(0, 3); ok {
 		t.Fatal("U(0,3) was dropped but has a task")
 	}
@@ -540,15 +540,11 @@ func TestNewStoredSkipsDroppedBlocks(t *testing.T) {
 	if !slices.Equal(g.Succ[up], []int32{int32(want)}) {
 		t.Fatalf("U(0,6) → %v, want U(4,6)", g.Succ[up])
 	}
-	for _, v := range []Variant{SStar, EForest} {
-		g := NewStored(sym, f, stored, v)
-		if _, err := g.TopoOrder(); err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		cp, _, err := g.CriticalPath(nil)
-		if err != nil || cp < 1 {
-			t.Fatalf("%v: critical path %v, %v", v, cp, err)
-		}
+	if _, err := g.TopoOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, _, err := g.CriticalPath(nil); err != nil || cp < 1 {
+		t.Fatalf("critical path %v, %v", cp, err)
 	}
 }
 

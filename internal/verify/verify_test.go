@@ -178,7 +178,7 @@ func TestVerifyLeastDependencesOnStoredBlocks(t *testing.T) {
 		_, sym, _, _ := analysis(t, 60, 0.03, seed, taskgraph.EForest)
 		_, stored, closure := storedAndClosure(t, sym, 0.5)
 		f := etree.LUForest(closure)
-		g := taskgraph.NewStored(closure, f, stored, taskgraph.EForest)
+		g := taskgraph.NewStored(f, stored)
 		if err := VerifyLeastDependences(g, f); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
