@@ -6,7 +6,7 @@
 #   ./check.sh chaos       # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service     # sluserver chaos suite under -race, codec fuzz, live HTTP smoke
 #   ./check.sh bench [ref] # the benchmark of record (BENCHMARK.json, bench/)
-#   ./check.sh pair <ref> <workload>...  # paired evidence file, BENCH_<label>.json
+#   ./check.sh pair <ref> <target>...  # paired evidence file, BENCH_<label>.json
 #   ./check.sh [all]       # everything above but pair (the default)
 #
 # The bench stage runs bench/'s self-test, then one of two things. Given
@@ -20,12 +20,17 @@
 # for what a 25 % bound can and cannot resolve on a shared host.
 #
 # The pair stage is a report, not a gate. It alternates
-# SPARSELU_PAIRS (default 10) pairs of untraced runs per workload
-# between a git worktree of the ref and the work tree (alternate), and writes
-# BENCH_<workloads joined by +>.json at the root: the host, both
-# commits, every run's end-to-end values and, per metric, both medians,
-# the parent's quartiles, the change's wins and the sign-test p
-# (cmd/benchpair). A performance claim commits that file.
+# SPARSELU_PAIRS (default 10) pairs of runs per target between a git
+# worktree of the ref and the work tree (alternate), and writes
+# BENCH_<label>.json at the root, the label being the targets joined by
+# + with every run of other characters than letters, digits and _.+=-
+# turned into one _: the host, both commits, every run's values and, per
+# metric, both medians, the parent's quartiles, the change's wins and
+# the sign-test p (cmd/benchpair). A target is a bench/run.sh workload
+# (an untraced run; its metrics are the end-to-end ones) or
+# inproc:<pkg>:<bench regexp> (go test -run '^$' -bench <regexp> -count 1
+# <pkg>, run in the checkout; its metrics are each benchmark's ns/op). A
+# performance claim commits that file.
 set -eu
 cd "$(dirname "$0")"
 
@@ -259,12 +264,12 @@ service_stage() {
 
 bench_workloads="refactor_blocky refactor_finegrain fresh_patterns solve_stream"
 
-# alternate REF PAIRS DIR WORKLOAD... runs PAIRS pairs of untraced runs
-# of every workload, one side in a temporary git worktree of REF
-# (reports under DIR/parent), the other in the work tree (DIR/change):
-# the parent first in odd pairs, the change first in even ones. It prints
-# each run's result line, fails on a failed run, and sets base_commit to
-# the commit REF names.
+# alternate REF PAIRS DIR TARGET... runs PAIRS pairs of runs of every
+# target (see the pair stage), one side in a temporary git worktree of
+# REF (reports under DIR/parent), the other in the work tree
+# (DIR/change): the parent first in odd pairs, the change first in even
+# ones. It prints each run's result lines, fails on a failed run, and
+# sets base_commit to the commit REF names.
 alternate() {
 	ref=$1
 	alt_pairs=$2
@@ -280,20 +285,41 @@ alternate() {
 		for w in "$@"; do
 			echo "==> pair $i/$alt_pairs $w"
 			if [ $((i % 2)) -eq 1 ]; then
-				alternate_side "$base" parent "$w"
-				alternate_side . change "$w"
+				alternate_side "$base" parent "$w" "$i"
+				alternate_side . change "$w" "$i"
 			else
-				alternate_side . change "$w"
-				alternate_side "$base" parent "$w"
+				alternate_side . change "$w" "$i"
+				alternate_side "$base" parent "$w" "$i"
 			fi
 		done
 		i=$((i + 1))
 	done
 }
 
-alternate_side() { # <checkout> <side> <workload>
-	out=$(bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$alt_dir/$2")
-	printf '%s\n' "$out" | tail -n 1
+alternate_side() { # <checkout> <side> <target> <pair>
+	case "$3" in
+	inproc:*)
+		spec=${3#inproc:}
+		# The output file: the target's label and the pair, zero-padded so
+		# that file-name order is run order (cmd/benchpair pairs by it).
+		res="$alt_dir/$2/$(pair_label "$3")-$(printf %03d "$4").txt"
+		{
+			echo "target: $3"
+			(cd "$1" && go test -run '^$' -bench "${spec#*:}" -count 1 "${spec%%:*}")
+		} >"$res"
+		grep -E '^Benchmark' "$res"
+		;;
+	*)
+		out=$(bash "$1/bench/run.sh" --workload "$3" --seed 1 --seconds 33 --trace 0 -out "$alt_dir/$2")
+		printf '%s\n' "$out" | tail -n 1
+		;;
+	esac
+}
+
+# pair_label TARGET... prints the targets joined by + with every run of
+# characters outside letters, digits and _.+=- turned into one _.
+pair_label() {
+	printf '%s' "$*" | tr ' ' '+' | tr -cs 'A-Za-z0-9_.+=-' '_'
 }
 
 bench() {
@@ -338,13 +364,13 @@ bench() {
 
 pair() {
 	if [ $# -lt 2 ]; then
-		echo "usage: check.sh pair <parent-ref> <workload>..." >&2
+		echo "usage: check.sh pair <parent-ref> <workload|inproc:pkg:regexp>..." >&2
 		exit 2
 	fi
 	ref=$1
 	shift
 	pairs=${SPARSELU_PAIRS:-10}
-	label=$(echo "$*" | tr ' ' '+')
+	label=$(pair_label "$@")
 	runs="$PWD/bench-out/pair-$label"
 	rm -rf "$runs"
 	change_commit=$(git rev-parse HEAD)

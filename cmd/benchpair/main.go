@@ -1,10 +1,12 @@
-// Command benchpair summarises alternating parent/change runs of the
-// benchmark of record into one evidence file. check.sh pair runs the
-// pairs and calls it; it reads the reports bench/run.sh -out stored for
-// each side, pairs them in the order they were written, and writes the
-// host, every run's end-to-end values and, per workload and metric,
-// both medians, the parent's quartiles, the change's win count and the
-// two-sided sign-test p.
+// Command benchpair summarises alternating parent/change runs into one
+// evidence file. check.sh pair runs the pairs and calls it; it reads the
+// reports bench/run.sh -out stored for each side and the outputs of the
+// in-process targets' go test -bench runs, pairs them in the order they
+// were written, and writes the host, every run's values and, per
+// workload and metric, both medians, the parent's quartiles, the
+// change's win count and the two-sided sign-test p. A report's metrics
+// are its end-to-end metrics; a go test output's are the ns/op of each
+// benchmark it printed, lower being better.
 //
 // Usage:
 //
@@ -16,13 +18,18 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 type hostInfo struct {
@@ -32,16 +39,19 @@ type hostInfo struct {
 	GoVersion  string `json:"go"`
 }
 
-// report is the part of a bench/run.sh -out report that is read here.
+// report is the part of a bench/run.sh -out report that is read here,
+// or what parseBenchOutput reads from a go test output.
 type report struct {
-	Workload string   `json:"workload"`
-	Seed     int64    `json:"seed"`
-	Host     hostInfo `json:"host"`
-	Failed   int      `json:"ops_failed"`
-	EndToEnd map[string]struct {
-		Value float64 `json:"value"`
-		Unit  string  `json:"unit"`
-	} `json:"end_to_end"`
+	Workload string                 `json:"workload"`
+	Seed     int64                  `json:"seed"`
+	Host     hostInfo               `json:"host"`
+	Failed   int                    `json:"ops_failed"`
+	EndToEnd map[string]metricValue `json:"end_to_end"`
+}
+
+type metricValue struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
 // manifest is the part of BENCHMARK.json, read from the working
@@ -160,7 +170,7 @@ func summarise(label, manifestPath, parentDir, changeDir string) (*evidence, err
 	}
 	ev := &evidence{
 		Label:   label,
-		Command: "bash bench/run.sh --workload WORKLOAD --seed SEED --seconds 33 --trace 0 -out DIR, in a git worktree of the parent and in the work tree",
+		Command: "bash bench/run.sh --workload WORKLOAD --seed SEED --seconds 33 --trace 0 -out DIR for a workload, go test -run '^$' -bench REGEXP -count 1 PKG for a target inproc:PKG:REGEXP; in a git worktree of the parent and in the work tree",
 		Order:   "pair i runs the parent first when i is odd and the change first when i is even",
 		Stats:   "medians and quartiles interpolate between order statistics; a win is a pair whose change value is better than its parent value by the manifest's direction; sign_test_p is the two-sided exact binomial p of the wins against the losses, ties dropped",
 	}
@@ -192,7 +202,11 @@ func summarise(label, manifestPath, parentDir, changeDir string) (*evidence, err
 				pv = append(pv, ps[i].EndToEnd[metric].Value)
 				cv = append(cv, c.Value)
 			}
-			wl.Metrics[metric] = pairStats(pv, cv, v.Unit, better[metric])
+			b := better[metric]
+			if v.Unit == "ns/op" {
+				b = "lower"
+			}
+			wl.Metrics[metric] = pairStats(pv, cv, v.Unit, b)
 		}
 		ev.Workloads = append(ev.Workloads, wl)
 		ev.Host = ps[0].Host
@@ -216,13 +230,18 @@ func sideOf(r report) side {
 	return s
 }
 
-// readReports reads every *.json report in dir, grouped by workload in
-// file-name order.
+// readReports reads every *.json report and every *.txt go test output
+// in dir, grouped by workload in file-name order.
 func readReports(dir string) (map[string][]report, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		return nil, err
 	}
+	outputs, err := filepath.Glob(filepath.Join(dir, "*.txt"))
+	if err != nil {
+		return nil, err
+	}
+	files = append(files, outputs...)
 	sort.Strings(files)
 	out := map[string][]report{}
 	for _, f := range files {
@@ -231,12 +250,58 @@ func readReports(dir string) (map[string][]report, error) {
 			return nil, err
 		}
 		var r report
-		if err := json.Unmarshal(raw, &r); err != nil {
+		if strings.HasSuffix(f, ".txt") {
+			r, err = parseBenchOutput(string(raw))
+		} else {
+			err = json.Unmarshal(raw, &r)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%s: %v", f, err)
 		}
 		out[r.Workload] = append(out[r.Workload], r)
 	}
 	return out, nil
+}
+
+// benchLine matches a result line of go test -bench: the name without
+// its -GOMAXPROCS suffix, the iterations and the ns/op.
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
+
+// parseBenchOutput reads one in-process run as check.sh pair stores it:
+// a first line "target: <target>", then go test -bench's output. The
+// target is the workload, each benchmark's ns/op a metric. The host is
+// the output's cpu line and this process's CPU count, GOMAXPROCS and Go
+// version: the pair stage runs both on one host and environment.
+func parseBenchOutput(text string) (report, error) {
+	r := report{
+		Host:     hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()},
+		EndToEnd: map[string]metricValue{},
+	}
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for sc.Scan() {
+		line := sc.Text()
+		if t, ok := strings.CutPrefix(line, "target: "); ok && r.Workload == "" {
+			r.Workload = t
+			continue
+		}
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			r.Host.CPU = cpu
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			return r, err
+		}
+		r.EndToEnd[m[1]] = metricValue{v, "ns/op"}
+	}
+	if r.Workload == "" || len(r.EndToEnd) == 0 {
+		return r, fmt.Errorf("no target line or no benchmark result")
+	}
+	return r, nil
 }
 
 // pairStats compares paired values; better is "higher" or "lower".

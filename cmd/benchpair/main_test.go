@@ -58,6 +58,39 @@ func TestSummarisePairsInFileOrder(t *testing.T) {
 	}
 }
 
+// TestSummariseInprocOutputs reads go test -bench outputs as check.sh
+// pair stores them for an inproc target: one workload per target line,
+// one ns/op metric per benchmark (its -GOMAXPROCS suffix dropped), lower
+// being better.
+func TestSummariseInprocOutputs(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "BENCHMARK.json")
+	writeFile(t, manifest, `{"end_to_end":[]}`)
+	target := "inproc:.:SolveMany/.*/nrhs=1/solve-many"
+	for side, runs := range map[string][]float64{"parent": {100, 90, 110}, "change": {80, 95, 70}} {
+		for i, v := range runs {
+			writeFile(t, filepath.Join(dir, side, fmt.Sprintf("inproc-%03d.txt", i+1)), fmt.Sprintf(
+				"target: %s\ngoos: linux\ncpu: Test CPU\n"+
+					"BenchmarkSolveMany/a/nrhs=1/solve-many-2   \t     100\t   %v ns/op\n"+
+					"BenchmarkSolveMany/b/nrhs=1/solve-many     \t      50\t   %v ns/op\t  12 B/op\nPASS\nok  \trepro\t1.0s\n", target, v, 2*v))
+		}
+	}
+	ev, err := summarise("inproc", manifest, filepath.Join(dir, "parent"), filepath.Join(dir, "change"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Workloads) != 1 || ev.Workloads[0].Workload != target || ev.Workloads[0].Pairs != 3 || ev.Host.CPU != "Test CPU" {
+		t.Fatalf("workloads %+v, host %+v", ev.Workloads, ev.Host)
+	}
+	a, b := ev.Workloads[0].Metrics["SolveMany/a/nrhs=1/solve-many"], ev.Workloads[0].Metrics["SolveMany/b/nrhs=1/solve-many"]
+	if a.Unit != "ns/op" || a.Better != "lower" || a.ParentMedian != 100 || a.ChangeMedian != 80 || a.ChangeWins != 2 || a.ChangeLosses != 1 {
+		t.Errorf("benchmark a summary %+v", a)
+	}
+	if b.ParentMedian != 200 || b.ChangeMedian != 160 {
+		t.Errorf("benchmark b summary %+v", b)
+	}
+}
+
 func writeFile(t *testing.T, path, body string) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

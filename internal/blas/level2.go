@@ -30,6 +30,62 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 	}
 }
 
+// DgemvRows is Dgemv(false, 1, n, −1, A[s·lda:], lda, x, 1, y[g:]) on
+// each row s of A listed in rows = [s₀, g₀, s₁, g₁, …]: y[g] ← −A[s,:]·x
+// + y[g], bit for bit, four listed rows at a time. The rows may be any
+// rows of A, in any order; no g may index x's storage.
+func DgemvRows(n int, a []float64, lda int, rows []int32, x, y []float64) {
+	x = x[:n]
+	p := 0
+	for ; p+8 <= len(rows); p += 8 {
+		r := rows[p : p+8 : p+8]
+		s0, s1, s2, s3 := dot4(a[int(r[0])*lda:][:n], a[int(r[2])*lda:][:n], a[int(r[4])*lda:][:n], a[int(r[6])*lda:][:n], x)
+		y[r[1]] = -s0 + y[r[1]]
+		y[r[3]] = -s1 + y[r[3]]
+		y[r[5]] = -s2 + y[r[5]]
+		y[r[7]] = -s3 + y[r[7]]
+	}
+	for ; p+2 <= len(rows); p += 2 {
+		row := a[int(rows[p])*lda:][:n]
+		var s float64
+		for j, v := range x {
+			s += float64(row[j] * v)
+		}
+		y[rows[p+1]] = -s + y[rows[p+1]]
+	}
+}
+
+// DgemvTRows is Dgemv(true, 1, n, −1, A[s·lda:], lda, x[g:], 1, y) on
+// each row s of A listed in rows = [s₀, g₀, s₁, g₁, …], in list order:
+// y ← y − x[g]·A[s,:], skipped when x[g] is zero, as Dgemv skips it.
+func DgemvTRows(n int, a []float64, lda int, rows []int32, x, y []float64) {
+	y = y[:n]
+	for p := 0; p+2 <= len(rows); p += 2 {
+		xi := -1 * x[rows[p+1]]
+		if xi == 0 {
+			continue
+		}
+		row := a[int(rows[p])*lda:][:n]
+		for j, v := range row {
+			y[j] += float64(xi * v)
+		}
+	}
+}
+
+// dot4 returns the dot products of four rows with x, each summed from +0
+// in ascending index order into its own accumulator, so the four add
+// chains run side by side.
+func dot4(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for j, v := range x {
+		s0 += float64(r0[j] * v)
+		s1 += float64(r1[j] * v)
+		s2 += float64(r2[j] * v)
+		s3 += float64(r3[j] * v)
+	}
+	return s0, s1, s2, s3
+}
+
 // Dtrsvt solves Tᵀ·x = b in place for a dense n×n triangular matrix T
 // stored row-major (so a lower-triangular T yields an upper-triangular
 // solve and vice versa). Used by the transpose solves.

@@ -278,3 +278,90 @@ func TestDgemmKZero(t *testing.T) {
 		t.Fatalf("k=0 should just scale C by beta: %v", c)
 	}
 }
+
+// TestRowKernelsMatchDgemvDgemm pins the row-list kernels to the calls
+// they stand for, bit for bit: DgemvRows and DgemmRows to Dgemv and
+// Dgemm with α = −1, β = 1 on each listed row alone, DgemvTRows to the
+// transposed Dgemv of each listed row in list order. The rows are
+// listed out of order, A holds ±0 rows and ±0 entries, and x, y and B
+// hold ±0, Inf and NaN, so the zero-skip rules and the signs of zero are
+// exercised as well as the sums.
+func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN()}
+	draw := func(p float64) float64 {
+		if rng.Float64() < p {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64()
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for trial := 0; trial < 200; trial++ {
+		m, n, nrhs := 1+rng.Intn(12), 1+rng.Intn(9), 1+rng.Intn(17)
+		a := make([]float64, m*n)
+		for i := range a {
+			if rng.Intn(3) > 0 {
+				a[i] = draw(0.2)
+			} else if rng.Intn(2) == 0 {
+				a[i] = math.Copysign(0, -1)
+			}
+		}
+		// Rows of y: g = m + index; the listed rows in a random order.
+		perm := rng.Perm(m)[:rng.Intn(m+1)]
+		var rows []int32
+		for _, s := range perm {
+			rows = append(rows, int32(s), int32(m+s))
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = draw(0.15)
+		}
+		y := make([]float64, 2*m)
+		for i := range y {
+			y[i] = draw(0.15)
+		}
+
+		got, want := append([]float64(nil), y...), append([]float64(nil), y...)
+		DgemvRows(n, a, n, rows, x, got)
+		for _, s := range perm {
+			Dgemv(false, 1, n, -1, a[s*n:], n, x, 1, want[m+s:])
+		}
+		for i := range got {
+			if !same(got[i], want[i]) {
+				t.Fatalf("trial %d: DgemvRows y[%d] = %v, Dgemv %v", trial, i, got[i], want[i])
+			}
+		}
+
+		gotT, wantT := append([]float64(nil), x...), append([]float64(nil), x...)
+		DgemvTRows(n, a, n, rows, y, gotT)
+		for _, s := range perm {
+			Dgemv(true, 1, n, -1, a[s*n:], n, y[m+s:], 1, wantT)
+		}
+		for i := range gotT {
+			if !same(gotT[i], wantT[i]) {
+				t.Fatalf("trial %d: DgemvTRows y[%d] = %v, Dgemv %v", trial, i, gotT[i], wantT[i])
+			}
+		}
+
+		b := make([]float64, n*nrhs)
+		for i := range b {
+			b[i] = draw(0.1)
+		}
+		c := make([]float64, 2*m*nrhs)
+		for i := range c {
+			c[i] = draw(0.1)
+		}
+		gotC, wantC := append([]float64(nil), c...), append([]float64(nil), c...)
+		DgemmRows(nrhs, n, a, n, rows, b, nrhs, gotC, nrhs)
+		for _, s := range perm {
+			Dgemm(1, nrhs, n, -1, a[s*n:], n, b, nrhs, 1, wantC[(m+s)*nrhs:], nrhs)
+		}
+		for i := range gotC {
+			if !same(gotC[i], wantC[i]) {
+				t.Fatalf("trial %d: DgemmRows c[%d] = %v, Dgemm %v", trial, i, gotC[i], wantC[i])
+			}
+		}
+	}
+}

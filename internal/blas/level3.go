@@ -46,6 +46,27 @@ func PackedShape(m, n, k int) bool {
 	return m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff
 }
 
+// DgemmRows is Dgemm(1, n, k, −1, A[s·lda:], lda, B, ldb, 1, C[g·ldc:],
+// ldc) on each row s of A listed in rows = [s₀, g₀, s₁, g₁, …]: C[g,:] ←
+// C[g,:] − A[s,:k]·B, bit for bit, with gemmSmall's per-element order
+// (ascending p) and zero-skip rule. No g may index B's storage.
+func DgemmRows(n, k int, a []float64, lda int, rows []int32, b []float64, ldb int, c []float64, ldc int) {
+	for p := 0; p+2 <= len(rows); p += 2 {
+		arow := a[int(rows[p])*lda:][:k]
+		crow := c[int(rows[p+1])*ldc:][:n]
+		for q, v := range arow {
+			aip := -1 * v
+			if aip == 0 {
+				continue
+			}
+			brow := b[q*ldb:][:len(crow)]
+			for j, bv := range brow {
+				crow[j] += float64(aip * bv)
+			}
+		}
+	}
+}
+
 // gemmSmall is the seed scalar kernel: i-k-j loop order with k/m
 // blocking so the inner loop is a contiguous AXPY over a row of B.
 // It handles the operands too small to amortize packing.

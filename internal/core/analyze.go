@@ -220,8 +220,10 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	strict := supernode.StrictPartitionOrdered(sym, order)
 	merged := supernode.AmalgamateOrdered(strict, sym, order, o.Amalgamation)
 	part := supernode.Split(merged, o.Amalgamation.MaxSize)
-	// The block structure of Ā under the partition is what gets stored.
-	bp := supernode.BlockPatternOrdered(sym, order, part)
+	// The block structure of Ā under the partition is what gets stored;
+	// the rows of its sub-diagonal blocks that can be non-zero are what
+	// the solve reads.
+	bp, plan := supernode.BlockPatternOrdered(sym, order, part)
 	st.mark("supernodes")
 
 	// Step 5: its closure under block-level elimination, so that the
@@ -301,7 +303,7 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 		SolveBwd:    solveBwd,
 		SolvePerm:   tr.RowPerm.Compose(symPerm),
 		PatternHash: PatternHash(a, o),
-		layout:      newLayout(stored, part),
+		layout:      newLayout(stored, part, plan),
 		Opts:        *o,
 		Stats: AnalysisStats{
 			N:            n,

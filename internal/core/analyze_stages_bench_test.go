@@ -33,7 +33,7 @@ type stageState struct {
 	order       []int // the postorder, new label → old
 	symPerm     sparse.Perm
 	part        *supernode.Partition
-	bp          *sparse.Pattern
+	bp, plan    *sparse.Pattern
 	stored      *symbolic.Result
 	blockSym    *symbolic.Result
 	blockForest *etree.Forest
@@ -67,7 +67,7 @@ func analyzeStages() []analyzeStage {
 			strict := supernode.StrictPartitionOrdered(st.sym, st.order)
 			merged := supernode.AmalgamateOrdered(strict, st.sym, st.order, st.o.Amalgamation)
 			st.part = supernode.Split(merged, st.o.Amalgamation.MaxSize)
-			st.bp = supernode.BlockPatternOrdered(st.sym, st.order, st.part)
+			st.bp, st.plan = supernode.BlockPatternOrdered(st.sym, st.order, st.part)
 			return nil
 		}},
 		{"block symbolic", func(st *stageState) (err error) {
@@ -95,7 +95,7 @@ func analyzeStages() []analyzeStage {
 		}},
 		{"stats", func(st *stageState) error {
 			supernode.ExplicitZeros(st.sym, st.part, st.bp)
-			newLayout(st.stored, st.part)
+			newLayout(st.stored, st.part, st.plan)
 			PatternHash(st.a, st.o)
 			return nil
 		}},

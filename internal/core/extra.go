@@ -42,23 +42,21 @@ func (f *Factorization) fwdStepT(k int, y []float64) {
 }
 
 // bwdStepT is the transpose backward-sweep step of block column k:
-// solve L_Kᵀ and then undo σ_K (apply its swaps in reverse order).
+// subtract the planned sub-diagonal rows' contributions, solve L_Kᵀ and
+// then undo σ_K (apply its swaps in reverse order). A row outside the
+// plan is ±0, so its contribution could only turn a −0 of y_K into +0
+// or, with an Inf or NaN in its y_i, make y_K NaN (DESIGN §11).
 func (f *Factorization) bwdStepT(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
-	lo, _ := f.S.Part.Range(k)
+	lo := f.S.Part.BlockStart[k]
 	yk := y[lo : lo+w]
-	for t := c.diagIdx + 1; t < len(c.blockRows); t++ {
-		i := c.blockRows[t]
-		ilo, ihi := f.S.Part.Range(i)
-		blas.Dgemv(true, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, y[ilo:ihi], 1, yk)
-	}
+	blas.DgemvTRows(w, c.data, w, c.plan, y, yk)
 	diag := c.data[c.panelOffset()*w:]
 	blas.Dtrsvt(true, true, w, diag, w, yk) // (unit lower L)ᵀ solve
-	prows := c.panelRows
 	for lc := len(f.ipiv[k]) - 1; lc >= 0; lc-- {
-		if r := f.ipiv[k][lc]; r != lc {
-			y[prows[lc]], y[prows[r]] = y[prows[r]], y[prows[lc]]
+		if r, g := lo+lc, f.ipiv[k][lc]; g != r {
+			y[r], y[g] = y[g], y[r]
 		}
 	}
 }
@@ -171,8 +169,9 @@ func (f *Factorization) LogDet() (sign float64, logAbs float64) {
 	sign = 1
 	// Row interchanges inside the panels.
 	for k := range f.cols {
-		for lc, r := range f.ipiv[k] {
-			if r != lc {
+		base := f.S.Part.BlockStart[k]
+		for lc, g := range f.ipiv[k] {
+			if g != base+lc {
 				sign = -sign
 			}
 		}

@@ -71,7 +71,12 @@ type colLayout struct {
 	offsets   []int // row offset of each block within data (parallel to blockRows)
 	diagIdx   int   // index into blockRows of the diagonal block
 	rows      int   // total scalar rows stacked
-	panelRows []int // global scalar rows of the L panel in stack order
+	// plan lists the rows below the diagonal block that can be
+	// non-zero, as (stacked row, global row) pairs by ascending row: the
+	// rows that hold an entry of Ā in the column's columns. Every other
+	// sub-diagonal row is ±0 after every factorization (George–Ng), so
+	// the solve skips it. A window of one slice for the whole layout.
+	plan []int32
 	// packEnd ends the window of the column's packed sub-diagonal L
 	// rows in a factorization's packed slab (packSlab): the window is
 	// [packEnd of the previous column (0 for the first), packEnd), and it
@@ -86,12 +91,15 @@ type blockCol struct {
 	data []float64 // rows × width, row-major, lda = width
 }
 
-// newLayout lays the block columns of stored out for the partition and
-// plans their packed slab (planPacking).
-func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
+// newLayout lays the block columns of stored out for the partition,
+// places the rows of plan (column K: the global rows below K's diagonal
+// block that can be non-zero, ascending, as supernode.BlockPatternOrdered
+// returns them) in the stacks, and plans the packed slab (planPacking).
+func newLayout(stored *symbolic.Result, part *supernode.Partition, plan *sparse.Pattern) []colLayout {
 	lay := make([]colLayout, stored.N)
 	blockRows := make([]int, 0, stored.NNZ())
 	offsets := make([]int, 0, stored.NNZ())
+	pairs := make([]int32, 0, 2*plan.NNZ())
 	u := stored.UCols()
 	for j := range lay {
 		c := &lay[j]
@@ -106,12 +114,18 @@ func newLayout(stored *symbolic.Result, part *supernode.Partition) []colLayout {
 			c.rows += part.Size(br)
 		}
 		c.offsets = offsets[lo:len(offsets):len(offsets)]
-		c.panelRows = make([]int, 0, c.rows-c.panelOffset())
-		for _, br := range c.blockRows[c.diagIdx:] {
-			for g, hi := part.Range(br); g < hi; g++ {
-				c.panelRows = append(c.panelRows, g)
+		start, t := len(pairs), c.diagIdx+1
+		for _, g := range plan.Col(j) {
+			br := part.ColToBlock[g]
+			for t < len(c.blockRows) && c.blockRows[t] < br {
+				t++
 			}
+			if t == len(c.blockRows) || c.blockRows[t] != br {
+				panic(fmt.Sprintf("core: planned row %d of block column %d lies in no stored block", g, j))
+			}
+			pairs = append(pairs, int32(c.offsets[t]+g-part.BlockStart[br]), int32(g))
 		}
+		c.plan = pairs[start:len(pairs):len(pairs)]
 	}
 	planPacking(lay)
 	return lay
@@ -166,6 +180,15 @@ func (c *colLayout) panelOffset() int { return c.offsets[c.diagIdx] }
 // block.
 func (c *colLayout) subRows() int { return c.rows - c.panelOffset() - c.width }
 
+// globalRow returns the global scalar row of stacked row r.
+func (c *colLayout) globalRow(part *supernode.Partition, r int) int {
+	t, ok := slices.BinarySearch(c.offsets, r)
+	if !ok {
+		t--
+	}
+	return part.BlockStart[c.blockRows[t]] + r - c.offsets[t]
+}
+
 // rowEnd returns the row offset just past the block at index t.
 func (c *colLayout) rowEnd(t int) int {
 	if t+1 < len(c.offsets) {
@@ -198,9 +221,9 @@ func (s *Symbolic) packLen() int {
 type Factorization struct {
 	S    *Symbolic
 	cols []blockCol
-	// ipiv[K] holds the panel-local pivot row indices of block column K:
-	// at local column c, panel row c was swapped with panel row ipiv[K][c].
-	// The rows are windows of one slice of length N.
+	// ipiv[K] holds the pivot rows of block column K as global rows: at
+	// local column c, global row BlockStart[K]+c was swapped with global
+	// row ipiv[K][c]. The rows are windows of one slice of length N.
 	ipiv [][]int
 	// rscale/cscale hold the equilibration factors (nil when disabled):
 	// the factored matrix is R·A₂·C in the permuted index space.
@@ -559,6 +582,14 @@ func (f *Factorization) factorPanel(k int) error {
 		pbuf = f.perturbScratch[base : base+w]
 	}
 	np, firstZero := blas.DgetrfStatic(m, w, panel, w, ipiv, f.pivotTol, pbuf)
+	// The panel LU records panel rows; every reader wants global ones.
+	for lc, r := range ipiv {
+		if r < w {
+			ipiv[lc] = base + r
+		} else {
+			ipiv[lc] = c.globalRow(f.S.Part, po+r)
+		}
+	}
 	if firstZero >= 0 {
 		f.noteSingular(base + firstZero)
 	}
@@ -624,15 +655,15 @@ func (f *Factorization) update(k, j int) error {
 	wk, wj := colK.width, colJ.width
 	bkjOff := colJ.offsets[tk]
 
-	// 1. Replay σ_K on the rows of column J that lie in panel K. Panel
-	// row c < w_K is row c of the diagonal block, so of block (K,J).
-	prows := colK.panelRows
-	for c, r := range f.ipiv[k] {
-		if r == c {
+	// 1. Replay σ_K on the rows of column J that lie in panel K. Global
+	// row base+c is row c of the diagonal block, so of block (K,J).
+	base := f.S.Part.BlockStart[k]
+	for c, g := range f.ipiv[k] {
+		if g == base+c {
 			continue
 		}
 		rowC := colJ.data[(bkjOff+c)*wj:][:wj]
-		o2, ok := f.rowOffset(colJ, prows[r])
+		o2, ok := f.rowOffset(colJ, g)
 		if !ok {
 			// Row r is zero throughout column J, so row c must be too
 			// and there is nothing to exchange. A corrupted value is
@@ -643,7 +674,7 @@ func (f *Factorization) update(k, j int) error {
 			for _, v := range rowC {
 				if v != 0 {
 					return fmt.Errorf("core: panel %d exchanges row %d with row %d, whose block is missing in column %d, but the former holds %v there",
-						k, prows[c], prows[r], j, v)
+						k, base+c, g, j, v)
 				}
 			}
 			continue

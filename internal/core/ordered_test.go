@@ -95,10 +95,13 @@ func TestOrderedStagesMatchRelabel(t *testing.T) {
 						t.Fatalf("%s: AmalgamateOrdered(maxFill %v) starts %v, relabeled %v", name, maxFill, got.BlockStart, merged.BlockStart)
 					}
 					part := supernode.Split(merged, opts.MaxSize)
-					bp := supernode.BlockPattern(rel, part)
-					got := supernode.BlockPatternOrdered(c.sym, c.order, part)
+					bp, rows := supernode.BlockPatternOrdered(rel, nil, part)
+					got, gotRows := supernode.BlockPatternOrdered(c.sym, c.order, part)
 					if !reflect.DeepEqual(got, bp) {
 						t.Fatalf("%s: BlockPatternOrdered (maxFill %v) differs from the relabeled block pattern", name, maxFill)
+					}
+					if !reflect.DeepEqual(gotRows, rows) {
+						t.Fatalf("%s: BlockPatternOrdered (maxFill %v) plans other rows than on the relabeled structure", name, maxFill)
 					}
 					if z, want := supernode.ExplicitZeros(c.sym, part, got), supernode.ExplicitZeros(rel, part, bp); z != want {
 						t.Fatalf("%s: ExplicitZeros %d through the order, %d relabeled", name, z, want)

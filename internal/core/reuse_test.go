@@ -33,7 +33,8 @@ func fingerprint(s *Symbolic) symbolicFingerprint {
 		s.Stored.L.ColPtr, s.Stored.L.RowInd, s.Stored.URows.ColPtr, s.Stored.URows.RowInd)
 	for i := range s.layout {
 		c := &s.layout[i]
-		add(c.blockRows, c.offsets, c.panelRows, []int{c.width, c.diagIdx, c.rows, c.packEnd})
+		add(c.blockRows, c.offsets, []int{c.width, c.diagIdx, c.rows, c.packEnd})
+		fp.ints32 = append(fp.ints32, slices.Clone(c.plan))
 	}
 	for _, succ := range s.Graph.Succ {
 		fp.ints32 = append(fp.ints32, slices.Clone(succ))

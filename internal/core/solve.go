@@ -20,6 +20,9 @@ import (
 // phase's pooled pack buffers.
 type SolveWorkspace struct {
 	buf []float64
+	// gather holds the planned rows of one L panel and of the
+	// right-hand-side panel for fwdPanelStep's packed product.
+	gather []float64
 }
 
 // panel returns the workspace buffer resized to n elements, growing
@@ -216,7 +219,7 @@ func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *Numeric
 			}
 		}
 	} else {
-		if err := sweep(ctx, nb, false, rec, fwdKind, func(k int) { f.fwdPanelStep(k, y, nrhs) }); err != nil {
+		if err := sweep(ctx, nb, false, rec, fwdKind, func(k int) { f.fwdPanelStep(k, y, nrhs, ws) }); err != nil {
 			return err
 		}
 		if err := sweep(ctx, nb, true, rec, bwdKind, func(k int) { f.bwdPanelStep(k, y, nrhs) }); err != nil {
@@ -244,65 +247,86 @@ func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *Numeric
 
 // fwdStep is the forward-sweep step of block column k on one
 // right-hand side: replay the panel's interchanges at its step, solve
-// the unit-lower diagonal block, then propagate to the sub-diagonal
-// blocks. Block rows are contiguous scalar index ranges, so the
-// relevant pieces of y are contiguous.
+// the unit-lower diagonal block, then propagate to the planned rows of
+// the sub-diagonal blocks, four at a time. A row outside the plan is ±0,
+// so the full product would leave its y_i as it is, bit for bit, unless
+// y_K holds an Inf or a NaN (DESIGN §11).
 func (f *Factorization) fwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
-	prows := c.panelRows
-	for lc, r := range f.ipiv[k] {
-		if r != lc {
-			y[prows[lc]], y[prows[r]] = y[prows[r]], y[prows[lc]]
+	lo := f.S.Part.BlockStart[k]
+	for lc, g := range f.ipiv[k] {
+		if r := lo + lc; g != r {
+			y[r], y[g] = y[g], y[r]
 		}
 	}
-	lo, _ := f.S.Part.Range(k)
 	yk := y[lo : lo+w]
-	diag := c.data[c.panelOffset()*w:]
-	blas.Dtrsv(true, true, w, diag, w, yk)
-	for t := c.diagIdx + 1; t < len(c.blockRows); t++ {
-		i := c.blockRows[t]
-		ilo, ihi := f.S.Part.Range(i)
-		blas.Dgemv(false, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, yk, 1, y[ilo:ihi])
-	}
+	blas.Dtrsv(true, true, w, c.data[c.panelOffset()*w:], w, yk)
+	blas.DgemvRows(w, c.data, w, c.plan, yk, y)
 }
 
 // bwdStep is the backward-sweep step of block column k: solve the
 // upper-triangular diagonal block, then subtract U(I,K)·x_K from the
-// rows of every block above.
+// rows of every block above, four rows at a time across the blocks.
 func (f *Factorization) bwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
-	lo, _ := f.S.Part.Range(k)
+	lo := f.S.Part.BlockStart[k]
 	xk := y[lo : lo+w]
-	diag := c.data[c.panelOffset()*w:]
-	blas.Dtrsv(false, false, w, diag, w, xk)
+	blas.Dtrsv(false, false, w, c.data[c.panelOffset()*w:], w, xk)
+	var rows [8]int32 // four (stacked row, global row) pairs
+	n := 0
 	for t := 0; t < c.diagIdx; t++ {
-		i := c.blockRows[t]
-		ilo, ihi := f.S.Part.Range(i)
-		blas.Dgemv(false, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, xk, 1, y[ilo:ihi])
+		ilo, ihi := f.S.Part.Range(c.blockRows[t])
+		for s, g := c.offsets[t], ilo; g < ihi; s, g = s+1, g+1 {
+			rows[n], rows[n+1] = int32(s), int32(g)
+			if n += 2; n == len(rows) {
+				blas.DgemvRows(w, c.data, w, rows[:], xk, y)
+				n = 0
+			}
+		}
 	}
+	blas.DgemvRows(w, c.data, w, rows[:n], xk, y)
 }
 
 // fwdPanelStep is fwdStep on an n×nrhs row-major panel: Dswap replays
 // the interchanges across all right-hand sides, Dtrsm solves the
-// unit-lower diagonal block, Dgemm scatters the sub-diagonal updates.
-func (f *Factorization) fwdPanelStep(k int, y []float64, nrhs int) {
+// unit-lower diagonal block, and only the planned sub-diagonal rows are
+// updated. When the planned rows make a shape Dgemm sends down its
+// packed path, they are gathered into ws with their rows of the panel,
+// multiplied there by one Dgemm and scattered back; otherwise DgemmRows
+// updates them in place. Both compute each row on its own with Dgemm's
+// per-element order and skip a zero multiplier, so leaving out the ±0
+// rows changes no bit, Inf or not.
+func (f *Factorization) fwdPanelStep(k int, y []float64, nrhs int, ws *SolveWorkspace) {
 	c := &f.cols[k]
 	w := c.width
-	prows := c.panelRows
-	for lc, rr := range f.ipiv[k] {
-		if rr != lc {
-			blas.Dswap(nrhs, y[prows[lc]*nrhs:], 1, y[prows[rr]*nrhs:], 1)
+	lo := f.S.Part.BlockStart[k]
+	for lc, g := range f.ipiv[k] {
+		if r := lo + lc; g != r {
+			blas.Dswap(nrhs, y[r*nrhs:], 1, y[g*nrhs:], 1)
 		}
 	}
-	lo, _ := f.S.Part.Range(k)
-	diag := c.data[c.panelOffset()*w:]
-	blas.Dtrsm(true, true, w, nrhs, 1, diag, w, y[lo*nrhs:], nrhs)
-	for t := c.diagIdx + 1; t < len(c.blockRows); t++ {
-		i := c.blockRows[t]
-		ilo, ihi := f.S.Part.Range(i)
-		blas.Dgemm(ihi-ilo, nrhs, w, -1, c.data[c.offsets[t]*w:], w, y[lo*nrhs:], nrhs, 1, y[ilo*nrhs:], nrhs)
+	yk := y[lo*nrhs:]
+	blas.Dtrsm(true, true, w, nrhs, 1, c.data[c.panelOffset()*w:], w, yk, nrhs)
+	m := len(c.plan) / 2
+	if !blas.PackedShape(m, nrhs, w) {
+		blas.DgemmRows(nrhs, w, c.data, w, c.plan, yk, nrhs, y, nrhs)
+		return
+	}
+	if cap(ws.gather) < m*(w+nrhs) {
+		ws.gather = make([]float64, m*(w+nrhs))
+	}
+	a, b := ws.gather[:m*w], ws.gather[m*w:m*(w+nrhs)]
+	for i := 0; i < m; i++ {
+		s, g := int(c.plan[2*i]), int(c.plan[2*i+1])
+		copy(a[i*w:(i+1)*w], c.data[s*w:])
+		copy(b[i*nrhs:(i+1)*nrhs], y[g*nrhs:])
+	}
+	blas.Dgemm(m, nrhs, w, -1, a, w, yk, nrhs, 1, b, nrhs)
+	for i := 0; i < m; i++ {
+		g := int(c.plan[2*i+1])
+		copy(y[g*nrhs:(g+1)*nrhs], b[i*nrhs:])
 	}
 }
 

@@ -17,14 +17,22 @@ import (
 const solveGoldenFile = "testdata/solve_golden.json"
 
 // factorHash is the sha256 of every numeric value a Factorization
-// keeps: the block-column data in storage order and the pivot rows.
+// keeps: the block-column data in storage order and the pivot rows, the
+// latter as the panel rows the golden table recorded them in (ipiv
+// holds global rows; each maps to one stacked row of its panel).
 func factorHash(f *Factorization) string {
 	g := &goldenHasher{h: sha256.New()}
 	for _, c := range f.cols {
 		g.floats(c.data)
 	}
-	for _, p := range f.ipiv {
-		g.ints(p)
+	for k, p := range f.ipiv {
+		c := &f.cols[k]
+		local := make([]int, len(p))
+		for lc, row := range p {
+			off, _ := f.rowOffset(c, row)
+			local[lc] = off - c.panelOffset()
+		}
+		g.ints(local)
 	}
 	return hex.EncodeToString(g.h.Sum(nil))
 }

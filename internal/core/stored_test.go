@@ -22,7 +22,9 @@ import (
 // graph with one task per block of the closure, and the storage every
 // factorization had before the numeric phase was confined to the blocks
 // of Ā. It is the test seam of TestStoredBlocksParity — field
-// assignments on a copy, no option selects it.
+// assignments on a copy, no option selects it. The closure layout
+// places s's plan: the rows that can be non-zero are the same global
+// rows on any layout.
 func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	t.Helper()
 	c := *s
@@ -34,8 +36,22 @@ func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	}
 	c.Prio = prio
 	c.Stored = s.BlockSym
-	c.layout = newLayout(c.Stored, c.Part)
+	c.layout = newLayout(c.Stored, c.Part, planRows(s))
 	return &c
+}
+
+// planRows returns the plan of s's layout as newLayout takes it: column
+// K lists the global rows of its planned pairs.
+func planRows(s *Symbolic) *sparse.Pattern {
+	p := &sparse.Pattern{NRows: s.N, NCols: len(s.layout), ColPtr: make([]int, len(s.layout)+1)}
+	for k := range s.layout {
+		plan := s.layout[k].plan
+		for i := 1; i < len(plan); i += 2 {
+			p.RowInd = append(p.RowInd, int(plan[i]))
+		}
+		p.ColPtr[k+1] = len(p.RowInd)
+	}
+	return p
 }
 
 // randomValues returns a copy of a with every value redrawn from N(0,1):
@@ -78,12 +94,13 @@ func countSkips(f *Factorization) (n skips) {
 			n.tasks++
 			continue
 		}
-		for c, r := range f.ipiv[task.K] {
-			if r == c {
+		base := f.S.Part.BlockStart[task.K]
+		for c, g := range f.ipiv[task.K] {
+			if g == base+c {
 				continue
 			}
 			n.exchanged++
-			if _, ok := f.rowOffset(colJ, colK.panelRows[r]); !ok {
+			if _, ok := f.rowOffset(colJ, g); !ok {
 				n.swaps++
 			}
 		}
@@ -97,9 +114,8 @@ func countSkips(f *Factorization) (n skips) {
 }
 
 // sameFactors requires the factorization on the stored structure and the
-// one on the closure to agree bit for bit: the pivot rows (compared as
-// global rows — the closure's panels hold extra zero rows, so the
-// panel-local indices differ), every entry of every stored block, and
+// one on the closure to agree bit for bit: the pivot rows (global rows,
+// the same on both layouts), every entry of every stored block, and
 // the singularity and perturbation records. Whatever else the closure
 // holds must still be zero (−0 where a zero multiplier met a negative
 // pivot).
@@ -108,7 +124,7 @@ func sameFactors(t *testing.T, ctx string, fs, fc *Factorization) {
 	for k := range fs.cols {
 		cs, cc := &fs.cols[k], &fc.cols[k]
 		for c := range fs.ipiv[k] {
-			if gs, gc := cs.panelRows[fs.ipiv[k][c]], cc.panelRows[fc.ipiv[k][c]]; gs != gc {
+			if gs, gc := fs.ipiv[k][c], fc.ipiv[k][c]; gs != gc {
 				t.Fatalf("%s: panel %d column %d pivots on row %d, closure storage on row %d", ctx, k, c, gs, gc)
 			}
 		}
@@ -333,7 +349,7 @@ func TestStoredBlocksParityMissingPartner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.cols[0].panelRows[f.ipiv[0][0]]; got != 4 {
+	if got := f.ipiv[0][0]; got != 4 {
 		t.Fatalf("panel 0 pivots column 0 on row %d, want row 4", got)
 	}
 	if n := countSkips(f); n.swaps != 1 {

@@ -28,17 +28,16 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 // Analyze, and a structure keeps Ū by rows only. Per block of the
 // closure 8 B (L̄ by columns and Ū by rows, 8-byte indices); per
 // stored block 32 B (its L̄ and Ū-row views and its slot in the
-// block-column layout); per column 200 B (the three permutations, the
-// column-to-block map, the row lists of the L panels, which hold 12–24 ×
-// N entries on the suite, and the per-block arrays); per task of the
-// stored graph 90 B with its costs and priorities, and 4 B an edge.
-// 0.93–1.08× the live heap one Analyze adds on the seven full-size suite
-// matrices (TestSymBytesTracksRetainedHeap); the closure is 27–51 % of
-// that heap.
+// block-column layout); per column 80 B (the three permutations, the
+// column-to-block map, the per-block arrays and the solve's row plan,
+// 8 B per planned row); per task of the stored graph 90 B with its
+// costs and priorities, and 4 B an edge. 0.99–1.02× the live heap one
+// Analyze adds on the seven full-size suite matrices
+// (TestSymBytesTracksRetainedHeap); the closure is 27–51 % of that heap.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
 	return int64(st.BlockNNZ)*8 + int64(st.StoredBlocks)*32 +
-		int64(st.N)*200 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
+		int64(st.N)*80 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
 }
 
 // factorBytes estimates the bytes one factorization of a pattern

@@ -286,24 +286,33 @@ func Split(p *Partition, maxWidth int) *Partition {
 // partition: block (I, J) is present iff Ā has a structural entry inside
 // the submatrix. The diagonal blocks are always present.
 func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
-	return BlockPatternOrdered(sym, nil, p)
+	blocks, _ := BlockPatternOrdered(sym, nil, p)
+	return blocks
 }
 
 // BlockPatternOrdered is BlockPattern of sym relabeled by order, read
 // through it (see StrictPartitionOrdered, whose precondition it shares):
-// an entry in old row or column i lies in block ColToBlock[perm[i]],
-// perm the inverse of order. Ū is read by rows — its blocks right of
-// the diagonal, block row by block row — and transposed at block level
-// into the columns, above the diagonal block and the sorted L̄ blocks
-// below it.
-func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) *sparse.Pattern {
+// an entry in old row or column i lies in row or column perm[i] and
+// block ColToBlock[perm[i]], perm the inverse of order. Ū is read by
+// rows — its blocks right of the diagonal, block row by block row — and
+// transposed at block level into the columns, above the diagonal block
+// and the sorted L̄ blocks below it.
+//
+// The same walk of L̄ returns rows, an n×N pattern: column K lists, in
+// ascending order and in the new labels, the scalar rows below block K's
+// diagonal block that hold an entry of L̄ in K's columns. They are the
+// only rows of K's sub-diagonal blocks that a panel LU can pivot on or
+// fill: every other row of those blocks stays ±0 for every pivot
+// sequence (George–Ng), which is what the solve skips.
+func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (blocks, rows *sparse.Pattern) {
 	nb := p.NumBlocks()
-	blockOf := p.ColToBlock // blockOf[i]: the block of row or column i of sym
-	if order != nil {
-		blockOf = make([]int, len(order))
-		for c, i := range order {
-			blockOf[i] = p.ColToBlock[c]
-		}
+	// rowOf[i], blockOf[i]: the new label of row or column i of sym, and
+	// its block.
+	rowOf := make([]int, sym.N)
+	blockOf := make([]int, sym.N)
+	for c := range rowOf {
+		i := at(order, c)
+		rowOf[i], blockOf[i] = c, p.ColToBlock[c]
 	}
 	// The blocks of Ū right of the diagonal, by block row, and how many
 	// each block column gets.
@@ -325,25 +334,37 @@ func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) *spars
 		uPtr[bi+1] = len(uInd)
 	}
 	// Column by column: room for the blocks above, the diagonal block,
-	// the L̄ blocks below it.
+	// the L̄ blocks below it; and the rows below the diagonal block.
+	// rowStamp[r] = K+1 once row r is listed for K.
 	clear(stamp)
+	rowStamp := make([]int, sym.N)
 	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 2*len(uInd)+nb)
+	subPtr, subInd := make([]int, nb+1), make([]int, 0, sym.N)
 	for bj := 0; bj < nb; bj++ {
 		stamp[bj] = bj + 1
 		rowInd = append(rowInd, make([]int, above[bj])...)
 		rowInd = append(rowInd, bj)
-		below := len(rowInd)
+		below, sub := len(rowInd), len(subInd)
 		lo, hi := p.Range(bj)
 		for j := lo; j < hi; j++ {
 			for _, i := range sym.L.Col(at(order, j)) {
-				if bi := blockOf[i]; stamp[bi] != bj+1 {
+				bi := blockOf[i]
+				if bi == bj {
+					continue
+				}
+				if stamp[bi] != bj+1 {
 					stamp[bi] = bj + 1
 					rowInd = append(rowInd, bi)
+				}
+				if r := rowOf[i]; rowStamp[r] != bj+1 {
+					rowStamp[r] = bj + 1
+					subInd = append(subInd, r)
 				}
 			}
 		}
 		slices.Sort(rowInd[below:])
-		colPtr[bj+1] = len(rowInd)
+		slices.Sort(subInd[sub:])
+		colPtr[bj+1], subPtr[bj+1] = len(rowInd), len(subInd)
 	}
 	// Fill the room above each diagonal block: block rows ascend, so each
 	// column's blocks come out sorted. The counts become the cursors.
@@ -357,7 +378,8 @@ func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) *spars
 			next[bj]++
 		}
 	}
-	return &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd}
+	return &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd},
+		&sparse.Pattern{NRows: sym.N, NCols: nb, ColPtr: subPtr, RowInd: subInd}
 }
 
 // ExplicitZeros counts how many explicit zeros the dense-block storage
