@@ -94,15 +94,21 @@ func sweep(ctx context.Context, nb int, descending bool, rec *trace.Recorder, ki
 
 // vectorMaxRHS is the largest right-hand-side count the solve driver
 // sweeps one contiguous vector at a time with fwdStep/bwdStep; more
-// share one panel and the BLAS-3 panel steps. It is where the two
-// kernel families cross over. The root BenchmarkSolveMany, full-size
-// sherman5, sherman3, orsreg1 and lnsp3937 on one CPU of a 2-vCPU Xeon
-// guest, medians of five runs, ms per call for a loop of vector Solves
+// share one panel and the BLAS-3 panel steps. The root
+// BenchmarkSolveMany, full-size sherman5, sherman3, orsreg1 and
+// lnsp3937 on one CPU of a 2-vCPU Xeon guest, medians of five
+// alternated runs of 40 calls, ms per call for a loop of vector Solves
 // against one panel SolveMany, built with vectorMaxRHS = 0:
 //
-//	nrhs = 1: 1.03 vs 2.62, 1.23 vs 2.61, 0.65 vs 1.50, 0.53 vs 1.30
-//	nrhs = 2: 2.07 vs 2.91, 2.47 vs 2.78, 1.25 vs 1.64, 1.05 vs 1.37
-//	nrhs = 3: 3.13 vs 3.12, 3.71 vs 2.93, 1.88 vs 1.75, 1.56 vs 1.43
+//	nrhs =  1: 0.86 vs 3.29, 0.97 vs 2.91, 0.48 vs 1.72, 0.40 vs 1.35
+//	nrhs =  2: 1.71 vs 3.79, 1.93 vs 3.24, 0.90 vs 1.97, 0.77 vs 1.50
+//	nrhs =  3: 2.46 vs 4.15, 3.02 vs 3.65, 1.23 vs 2.19, 1.20 vs 1.63
+//	nrhs = 16: 13.9 vs 4.68, 17.5 vs 4.22, 6.97 vs 2.43, 6.65 vs 2.54
+//
+// The vector sweeps win at three right-hand sides too, so the two
+// kernel families cross over between 3 and 16. The constant stays 2
+// because the golden table pins SolveMany at nrhs = 3 on the panel
+// sweeps, whose answers differ from the vector ones by an ulp.
 const vectorMaxRHS = 2
 
 // Solve solves A·x = b for the original (unpermuted) matrix the
