@@ -55,23 +55,6 @@ func DgemvRows(n int, a []float64, lda int, rows []int32, x, y []float64) {
 	}
 }
 
-// DgemvTRows is Dgemv(true, 1, n, −1, A[s·lda:], lda, x[g:], 1, y) on
-// each row s of A listed in rows = [s₀, g₀, s₁, g₁, …], in list order:
-// y ← y − x[g]·A[s,:], skipped when x[g] is zero, as Dgemv skips it.
-func DgemvTRows(n int, a []float64, lda int, rows []int32, x, y []float64) {
-	y = y[:n]
-	for p := 0; p+2 <= len(rows); p += 2 {
-		xi := -1 * x[rows[p+1]]
-		if xi == 0 {
-			continue
-		}
-		row := a[int(rows[p])*lda:][:n]
-		for j, v := range row {
-			y[j] += float64(xi * v)
-		}
-	}
-}
-
 // dot4 returns the dot products of four rows with x, each summed from +0
 // in ascending index order into its own accumulator, so the four add
 // chains run side by side.

@@ -281,8 +281,7 @@ func TestDgemmKZero(t *testing.T) {
 
 // TestRowKernelsMatchDgemvDgemm pins the row-list kernels to the calls
 // they stand for, bit for bit: DgemvRows and DgemmRows to Dgemv and
-// Dgemm with α = −1, β = 1 on each listed row alone, DgemvTRows to the
-// transposed Dgemv of each listed row in list order. The rows are
+// Dgemm with α = −1, β = 1 on each listed row alone. The rows are
 // listed out of order, A holds ±0 rows and ±0 entries, and x, y and B
 // hold ±0, Inf and NaN, so the zero-skip rules and the signs of zero are
 // exercised as well as the sums.
@@ -331,17 +330,6 @@ func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
 		for i := range got {
 			if !same(got[i], want[i]) {
 				t.Fatalf("trial %d: DgemvRows y[%d] = %v, Dgemv %v", trial, i, got[i], want[i])
-			}
-		}
-
-		gotT, wantT := append([]float64(nil), x...), append([]float64(nil), x...)
-		DgemvTRows(n, a, n, rows, y, gotT)
-		for _, s := range perm {
-			Dgemv(true, 1, n, -1, a[s*n:], n, y[m+s:], 1, wantT)
-		}
-		for i := range gotT {
-			if !same(gotT[i], wantT[i]) {
-				t.Fatalf("trial %d: DgemvTRows y[%d] = %v, Dgemv %v", trial, i, gotT[i], wantT[i])
 			}
 		}
 

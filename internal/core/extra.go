@@ -42,16 +42,18 @@ func (f *Factorization) fwdStepT(k int, y []float64) {
 }
 
 // bwdStepT is the transpose backward-sweep step of block column k:
-// subtract the planned sub-diagonal rows' contributions, solve L_Kᵀ and
-// then undo σ_K (apply its swaps in reverse order). A row outside the
-// plan is ±0, so its contribution could only turn a −0 of y_K into +0
-// or, with an Inf or NaN in its y_i, make y_K NaN (DESIGN §11).
+// subtract the sub-diagonal blocks' contributions, solve L_Kᵀ and then
+// undo σ_K (apply its swaps in reverse order). It sweeps whole blocks,
+// not the row plan (DESIGN §11).
 func (f *Factorization) bwdStepT(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
 	lo := f.S.Part.BlockStart[k]
 	yk := y[lo : lo+w]
-	blas.DgemvTRows(w, c.data, w, c.plan, y, yk)
+	for t := c.diagIdx + 1; t < len(c.blockRows); t++ {
+		ilo, ihi := f.S.Part.Range(c.blockRows[t])
+		blas.Dgemv(true, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, y[ilo:ihi], 1, yk)
+	}
 	diag := c.data[c.panelOffset()*w:]
 	blas.Dtrsvt(true, true, w, diag, w, yk) // (unit lower L)ᵀ solve
 	for lc := len(f.ipiv[k]) - 1; lc >= 0; lc-- {

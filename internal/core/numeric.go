@@ -189,6 +189,20 @@ func (c *colLayout) globalRow(part *supernode.Partition, r int) int {
 	return part.BlockStart[c.blockRows[t]] + r - c.offsets[t]
 }
 
+// planned reports whether stacked row r is in the column's plan.
+func (c *colLayout) planned(r int) bool {
+	lo, hi := 0, len(c.plan)/2
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(c.plan[2*m]) < r {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(c.plan)/2 && int(c.plan[2*lo]) == r
+}
+
 // rowEnd returns the row offset just past the block at index t.
 func (c *colLayout) rowEnd(t int) int {
 	if t+1 < len(c.offsets) {
@@ -474,8 +488,10 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		rows, vals := a.Col(jo)
 		for k, io := range rows {
 			i := s.SolvePerm[io]
+			// A sub-diagonal entry must lie in a planned row: the solve
+			// skips every other one.
 			off, ok := f.rowOffset(c, i)
-			if !ok {
+			if !ok || off >= c.panelOffset()+c.width && !c.planned(off) {
 				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
 			}
 			c.data[off*c.width+lc] = f.a2(vals[k], i, j)

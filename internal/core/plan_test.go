@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/matgen"
@@ -107,4 +108,58 @@ func checkPlan(t *testing.T, ctx string, f *Factorization) (zeroRows, subPivots 
 		}
 	}
 	return zeroRows, subPivots
+}
+
+// TestFactorizeRejectsUnplannedEntry factors each small-suite matrix with
+// one entry added where Ā has none: inside a stored sub-diagonal block,
+// in a row outside its column's plan. The forward sweeps skip that row,
+// so a factorization that took the entry would solve wrongly; the
+// values scatter must refuse the matrix instead.
+func TestFactorizeRejectsUnplannedEntry(t *testing.T) {
+	tried := 0
+	for _, sp := range matgen.SmallSuite() {
+		a := sp.Gen()
+		s, err := Analyze(a, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		i, j, ok := unplannedEntry(s)
+		if !ok {
+			continue
+		}
+		tried++
+		tr := sparse.NewTriplet(a.NRows, a.NCols)
+		for jo := 0; jo < a.NCols; jo++ {
+			rows, vals := a.Col(jo)
+			for k, io := range rows {
+				tr.Add(io, jo, vals[k])
+			}
+		}
+		tr.Add(s.SolvePerm.Inverse()[i], s.SymPerm.Inverse()[j], 1)
+		_, err = FactorizeWithOpts(s, tr.ToCSC(), nil)
+		if err == nil || !strings.Contains(err.Error(), "outside the block structure") {
+			t.Fatalf("%s: entry (%d,%d) of A₂ lies outside the plan, but the factorization returned %v", sp.Name, i, j, err)
+		}
+		if _, err := FactorizeWithOpts(s, a, nil); err != nil {
+			t.Fatalf("%s: the analysed matrix itself: %v", sp.Name, err)
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no small-suite matrix stores a sub-diagonal row outside its plan")
+	}
+}
+
+// unplannedEntry returns an entry (i, j) of A₂ inside a stored
+// sub-diagonal block of s whose row is outside its column's plan, with
+// j the first column of that block column.
+func unplannedEntry(s *Symbolic) (i, j int, ok bool) {
+	for k := range s.layout {
+		c := &s.layout[k]
+		for r := c.panelOffset() + c.width; r < c.rows; r++ {
+			if !c.planned(r) {
+				return c.globalRow(s.Part, r), s.Part.BlockStart[k], true
+			}
+		}
+	}
+	return 0, 0, false
 }

@@ -286,7 +286,7 @@ func Split(p *Partition, maxWidth int) *Partition {
 // partition: block (I, J) is present iff Ā has a structural entry inside
 // the submatrix. The diagonal blocks are always present.
 func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
-	blocks, _ := BlockPatternOrdered(sym, nil, p)
+	blocks, _ := blockPattern(sym, nil, p, false)
 	return blocks
 }
 
@@ -305,14 +305,28 @@ func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
 // fill: every other row of those blocks stays ±0 for every pivot
 // sequence (George–Ng), which is what the solve skips.
 func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (blocks, rows *sparse.Pattern) {
+	return blockPattern(sym, order, p, true)
+}
+
+// blockPattern is BlockPatternOrdered; it lists no rows, and returns nil
+// for them, unless withRows.
+func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool) (blocks, rows *sparse.Pattern) {
 	nb := p.NumBlocks()
-	// rowOf[i], blockOf[i]: the new label of row or column i of sym, and
-	// its block.
-	rowOf := make([]int, sym.N)
-	blockOf := make([]int, sym.N)
-	for c := range rowOf {
-		i := at(order, c)
-		rowOf[i], blockOf[i] = c, p.ColToBlock[c]
+	// blockOf[i]: the block of row or column i of sym; perm[i], when the
+	// rows are listed, its new label.
+	blockOf := p.ColToBlock
+	var perm []int
+	if order != nil {
+		blockOf = make([]int, len(order))
+		if withRows {
+			perm = make([]int, len(order))
+		}
+		for c, i := range order {
+			blockOf[i] = p.ColToBlock[c]
+			if withRows {
+				perm[i] = c
+			}
+		}
 	}
 	// The blocks of Ū right of the diagonal, by block row, and how many
 	// each block column gets.
@@ -337,9 +351,11 @@ func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (block
 	// the L̄ blocks below it; and the rows below the diagonal block.
 	// rowStamp[r] = K+1 once row r is listed for K.
 	clear(stamp)
-	rowStamp := make([]int, sym.N)
 	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 2*len(uInd)+nb)
-	subPtr, subInd := make([]int, nb+1), make([]int, 0, sym.N)
+	var rowStamp, subPtr, subInd []int
+	if withRows {
+		rowStamp, subPtr, subInd = make([]int, sym.N), make([]int, nb+1), make([]int, 0, sym.N)
+	}
 	for bj := 0; bj < nb; bj++ {
 		stamp[bj] = bj + 1
 		rowInd = append(rowInd, make([]int, above[bj])...)
@@ -356,15 +372,18 @@ func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (block
 					stamp[bi] = bj + 1
 					rowInd = append(rowInd, bi)
 				}
-				if r := rowOf[i]; rowStamp[r] != bj+1 {
+				if r := at(perm, i); withRows && rowStamp[r] != bj+1 {
 					rowStamp[r] = bj + 1
 					subInd = append(subInd, r)
 				}
 			}
 		}
 		slices.Sort(rowInd[below:])
-		slices.Sort(subInd[sub:])
-		colPtr[bj+1], subPtr[bj+1] = len(rowInd), len(subInd)
+		colPtr[bj+1] = len(rowInd)
+		if withRows {
+			slices.Sort(subInd[sub:])
+			subPtr[bj+1] = len(subInd)
+		}
 	}
 	// Fill the room above each diagonal block: block rows ascend, so each
 	// column's blocks come out sorted. The counts become the cursors.
@@ -378,8 +397,11 @@ func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (block
 			next[bj]++
 		}
 	}
-	return &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd},
-		&sparse.Pattern{NRows: sym.N, NCols: nb, ColPtr: subPtr, RowInd: subInd}
+	blocks = &sparse.Pattern{NRows: nb, NCols: nb, ColPtr: colPtr, RowInd: rowInd}
+	if withRows {
+		rows = &sparse.Pattern{NRows: sym.N, NCols: nb, ColPtr: subPtr, RowInd: subInd}
+	}
+	return blocks, rows
 }
 
 // ExplicitZeros counts how many explicit zeros the dense-block storage
