@@ -189,20 +189,6 @@ func (c *colLayout) globalRow(part *supernode.Partition, r int) int {
 	return part.BlockStart[c.blockRows[t]] + r - c.offsets[t]
 }
 
-// planned reports whether stacked row r is in the column's plan.
-func (c *colLayout) planned(r int) bool {
-	lo, hi := 0, len(c.plan)/2
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(c.plan[2*m]) < r {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo < len(c.plan)/2 && int(c.plan[2*lo]) == r
-}
-
 // rowEnd returns the row offset just past the block at index t.
 func (c *colLayout) rowEnd(t int) int {
 	if t+1 < len(c.offsets) {
@@ -480,21 +466,28 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 			rec.Record(0, trace.NoTask, trace.KindScale, -1, start)
 		}
 	}
-	for jo := 0; jo < s.N; jo++ {
-		j := s.SymPerm[jo]
-		bj := part.ColToBlock[j]
+	// Block column by block column, so that planned[i] == bj+1 marks
+	// the rows of bj's plan: an entry below the diagonal block must lie
+	// in one, since the solve skips every other row.
+	colOf := s.SymPerm.Inverse()
+	planned := make([]int, s.N)
+	for bj := range f.cols {
 		c := &f.cols[bj]
-		lc := j - part.BlockStart[bj]
-		rows, vals := a.Col(jo)
-		for k, io := range rows {
-			i := s.SolvePerm[io]
-			// A sub-diagonal entry must lie in a planned row: the solve
-			// skips every other one.
-			off, ok := f.rowOffset(c, i)
-			if !ok || off >= c.panelOffset()+c.width && !c.planned(off) {
-				return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
+		for p := 1; p < len(c.plan); p += 2 {
+			planned[c.plan[p]] = bj + 1
+		}
+		sub := c.panelOffset() + c.width
+		for j := part.BlockStart[bj]; j < part.BlockStart[bj+1]; j++ {
+			lc := j - part.BlockStart[bj]
+			rows, vals := a.Col(colOf[j])
+			for k, io := range rows {
+				i := s.SolvePerm[io]
+				off, ok := f.rowOffset(c, i)
+				if !ok || off >= sub && planned[i] != bj+1 {
+					return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
+				}
+				c.data[off*c.width+lc] = f.a2(vals[k], i, j)
 			}
-			c.data[off*c.width+lc] = f.a2(vals[k], i, j)
 		}
 	}
 	if f.policy == PivotPerturb {

@@ -155,8 +155,12 @@ func TestFactorizeRejectsUnplannedEntry(t *testing.T) {
 func unplannedEntry(s *Symbolic) (i, j int, ok bool) {
 	for k := range s.layout {
 		c := &s.layout[k]
+		planned := make(map[int32]bool, len(c.plan)/2)
+		for p := 0; p < len(c.plan); p += 2 {
+			planned[c.plan[p]] = true
+		}
 		for r := c.panelOffset() + c.width; r < c.rows; r++ {
-			if !c.planned(r) {
+			if !planned[int32(r)] {
 				return c.globalRow(s.Part, r), s.Part.BlockStart[k], true
 			}
 		}
