@@ -223,7 +223,7 @@ func Analyze(a *sparse.CSC, opts *Options) (*Symbolic, error) {
 	// The block structure of Ā under the partition is what gets stored;
 	// the rows of its sub-diagonal blocks that can be non-zero are what
 	// the solve reads.
-	bp, plan := supernode.BlockPatternOrdered(sym, order, part)
+	bp, plan := supernode.BlockPatternOrdered(sym, order, part, strict)
 	st.mark("supernodes")
 
 	// Step 5: its closure under block-level elimination, so that the

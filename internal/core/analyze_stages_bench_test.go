@@ -67,7 +67,7 @@ func analyzeStages() []analyzeStage {
 			strict := supernode.StrictPartitionOrdered(st.sym, st.order)
 			merged := supernode.AmalgamateOrdered(strict, st.sym, st.order, st.o.Amalgamation)
 			st.part = supernode.Split(merged, st.o.Amalgamation.MaxSize)
-			st.bp, st.plan = supernode.BlockPatternOrdered(st.sym, st.order, st.part)
+			st.bp, st.plan = supernode.BlockPatternOrdered(st.sym, st.order, st.part, strict)
 			return nil
 		}},
 		{"block symbolic", func(st *stageState) (err error) {

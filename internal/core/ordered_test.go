@@ -95,8 +95,8 @@ func TestOrderedStagesMatchRelabel(t *testing.T) {
 						t.Fatalf("%s: AmalgamateOrdered(maxFill %v) starts %v, relabeled %v", name, maxFill, got.BlockStart, merged.BlockStart)
 					}
 					part := supernode.Split(merged, opts.MaxSize)
-					bp, rows := supernode.BlockPatternOrdered(rel, nil, part)
-					got, gotRows := supernode.BlockPatternOrdered(c.sym, c.order, part)
+					bp, rows := supernode.BlockPatternOrdered(rel, nil, part, nil)
+					got, gotRows := supernode.BlockPatternOrdered(c.sym, c.order, part, strict)
 					if !reflect.DeepEqual(got, bp) {
 						t.Fatalf("%s: BlockPatternOrdered (maxFill %v) differs from the relabeled block pattern", name, maxFill)
 					}

@@ -286,7 +286,7 @@ func Split(p *Partition, maxWidth int) *Partition {
 // partition: block (I, J) is present iff Ā has a structural entry inside
 // the submatrix. The diagonal blocks are always present.
 func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
-	blocks, _ := blockPattern(sym, nil, p, false)
+	blocks, _ := blockPattern(sym, nil, p, nil, false)
 	return blocks
 }
 
@@ -304,28 +304,29 @@ func BlockPattern(sym *symbolic.Result, p *Partition) *sparse.Pattern {
 // only rows of K's sub-diagonal blocks that a panel LU can pivot on or
 // fill: every other row of those blocks stays ±0 for every pivot
 // sequence (George–Ng), which is what the solve skips.
-func BlockPatternOrdered(sym *symbolic.Result, order []int, p *Partition) (blocks, rows *sparse.Pattern) {
-	return blockPattern(sym, order, p, true)
+//
+// strict, when not nil, is sym's strict partition under order
+// (StrictPartitionOrdered). A column of L̄ or a row of Ū in the same
+// strict supernode as the one before it has that one's structure without
+// its first entry, so when both lie in one block the walks skip it.
+func BlockPatternOrdered(sym *symbolic.Result, order []int, p, strict *Partition) (blocks, rows *sparse.Pattern) {
+	return blockPattern(sym, order, p, strict, true)
 }
 
 // blockPattern is BlockPatternOrdered; it lists no rows, and returns nil
 // for them, unless withRows.
-func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool) (blocks, rows *sparse.Pattern) {
+func blockPattern(sym *symbolic.Result, order []int, p, strict *Partition, withRows bool) (blocks, rows *sparse.Pattern) {
+	// nested(c): column (row) c adds nothing to c−1's in the same block.
+	nested := func(c int) bool { return strict != nil && strict.ColToBlock[c] == strict.ColToBlock[c-1] }
 	nb := p.NumBlocks()
-	// blockOf[i]: the block of row or column i of sym; perm[i], when the
-	// rows are listed, its new label.
+	// blockOf[i], perm[i]: the block and the new label of row or column
+	// i of sym.
 	blockOf := p.ColToBlock
 	var perm []int
 	if order != nil {
-		blockOf = make([]int, len(order))
-		if withRows {
-			perm = make([]int, len(order))
-		}
+		blockOf, perm = make([]int, len(order)), make([]int, len(order))
 		for c, i := range order {
-			blockOf[i] = p.ColToBlock[c]
-			if withRows {
-				perm[i] = c
-			}
+			blockOf[i], perm[i] = p.ColToBlock[c], c
 		}
 	}
 	// The blocks of Ū right of the diagonal, by block row, and how many
@@ -337,6 +338,9 @@ func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool
 		stamp[bi] = bi + 1
 		lo, hi := p.Range(bi)
 		for i := lo; i < hi; i++ {
+			if i > lo && nested(i) {
+				continue
+			}
 			for _, j := range sym.URows.Col(at(order, i)) {
 				if bj := blockOf[j]; stamp[bj] != bi+1 {
 					stamp[bj] = bi + 1
@@ -349,12 +353,14 @@ func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool
 	}
 	// Column by column: room for the blocks above, the diagonal block,
 	// the L̄ blocks below it; and the rows below the diagonal block.
-	// rowStamp[r] = K+1 once row r is listed for K.
+	// rowStamp[r] = K+1 once row r is seen in K's columns: a row seen
+	// before has its block listed already.
 	clear(stamp)
+	rowStamp := make([]int, sym.N)
 	colPtr, rowInd := make([]int, nb+1), make([]int, 0, 2*len(uInd)+nb)
-	var rowStamp, subPtr, subInd []int
+	var subPtr, subInd []int
 	if withRows {
-		rowStamp, subPtr, subInd = make([]int, sym.N), make([]int, nb+1), make([]int, 0, sym.N)
+		subPtr, subInd = make([]int, nb+1), make([]int, 0, sym.N)
 	}
 	for bj := 0; bj < nb; bj++ {
 		stamp[bj] = bj + 1
@@ -363,8 +369,16 @@ func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool
 		below, sub := len(rowInd), len(subInd)
 		lo, hi := p.Range(bj)
 		for j := lo; j < hi; j++ {
+			if j > lo && nested(j) {
+				continue
+			}
 			for _, i := range sym.L.Col(at(order, j)) {
-				bi := blockOf[i]
+				r := at(perm, i)
+				if rowStamp[r] == bj+1 {
+					continue
+				}
+				rowStamp[r] = bj + 1
+				bi := p.ColToBlock[r]
 				if bi == bj {
 					continue
 				}
@@ -372,8 +386,7 @@ func blockPattern(sym *symbolic.Result, order []int, p *Partition, withRows bool
 					stamp[bi] = bj + 1
 					rowInd = append(rowInd, bi)
 				}
-				if r := at(perm, i); withRows && rowStamp[r] != bj+1 {
-					rowStamp[r] = bj + 1
+				if withRows {
 					subInd = append(subInd, r)
 				}
 			}
