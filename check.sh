@@ -111,12 +111,15 @@ lint() {
 
 	# These names and fields are kept only because the frozen bench/
 	# uses them; ROADMAP's deletion sweep (the item the bench decoupling
-	# unlocks) deletes them together with those uses. No other non-test
-	# code may start calling one of the names or reading one of the
-	# fields, so that deletion stays pure. The field check drops // comments
-	# before it matches, and skips ReuseDelta's own declaration. Only the
-	# tracked files that are in the work tree are searched: a tracked file
-	# deleted but not yet staged would make grep fail on it.
+	# unlocks) deletes them together with those uses. Some are stubs
+	# already: blas.AutotuneOnce does nothing, symbolic.FactorParallel
+	# is symbolic.Factor and symbolic.PartitionColumns returns nil. No
+	# other non-test code may start calling one of the names or reading
+	# one of the fields, so that deletion stays pure. The field check
+	# drops // comments before it matches, and skips ReuseDelta's own
+	# declaration. Only the tracked files that are in the work tree are
+	# searched: a tracked file deleted but not yet staged would make grep
+	# fail on it.
 	echo "==> no uses of bench-only names or fields outside bench/"
 	lib_go=$(git ls-files '*.go' ':!bench/' ':!*_test.go' ':!*testdata/*' |
 		while IFS= read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done)

@@ -365,13 +365,13 @@ func TestRequestCtxFixture(t *testing.T) {
 }
 
 // TestParallelAnalyzeWorkerFixture pins the workers-set extension to
-// the parallel-analyze pools: a package shaped like the subtree fan-out
-// of internal/symbolic / internal/core, but with function-literal
-// goroutine bodies that allocate per task, must produce exactly the
-// hot-alloc findings on its `want` lines — and nothing else (the
-// unlocked shared write next to them is the race detector's, the
-// locked error publication is the sanctioned pattern). The real
-// scoping of internal/symbolic and internal/core is covered by
+// internal/symbolic and internal/core: a package shaped like a subtree
+// fan-out of the analysis, which the serial analysis does not run,
+// with function-literal goroutine bodies that allocate per task, must
+// produce exactly the hot-alloc findings on its `want` lines — and
+// nothing else (the unlocked shared write next to them is the race
+// detector's, the locked error publication is the sanctioned pattern).
+// The real scoping of internal/symbolic and internal/core is covered by
 // TestRepoClean keeping the repository itself at zero findings.
 func TestParallelAnalyzeWorkerFixture(t *testing.T) {
 	_, fset, mod := loadOnce(t)

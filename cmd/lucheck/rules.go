@@ -105,9 +105,9 @@ func defaultConfig(modPath string) *config {
 		},
 		workers: map[string]bool{
 			p("internal/sched"): true,
-			// The parallel-analyze subtree pools: goroutine bodies in
-			// the symbolic engine and the analysis-overlap stages get
-			// the same hygiene contract as the numeric executors.
+			// Any goroutine body started in the analysis packages gets
+			// the same hygiene contract as the numeric executors. The
+			// analysis itself is serial and starts none (DESIGN.md §15).
 			p("internal/symbolic"): true,
 			p("internal/core"):     true,
 		},

@@ -24,15 +24,11 @@ func measureExecAllocs(t *testing.T, s *Symbolic, a *sparse.CSC, procs int) (all
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := f.runTask
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: procs, Prio: prio}, run)
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: procs, Prio: s.Prio}, run)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -228,10 +228,10 @@ type Factorization struct {
 	// rscale/cscale hold the equilibration factors (nil when disabled):
 	// the factored matrix is R·A₂·C in the permuted index space.
 	rscale, cscale []float64
-	singular       atomic.Bool
 	// badCol is the smallest permuted global column index whose pivot
-	// was exactly zero under PivotFail, or -1. Factor tasks of distinct
-	// panels race to publish it, so it is kept as a CAS minimum.
+	// was exactly zero under PivotFail, or -1 when none was. Factor
+	// tasks of distinct panels race to publish it, so it is kept as a
+	// CAS minimum.
 	badCol atomic.Int64
 	// policy and pivotTol freeze the pivot handling for this
 	// factorization: pivotTol is √ε·‖A₂‖∞ of the matrix actually
@@ -265,12 +265,11 @@ type Factorization struct {
 }
 
 // Singular reports whether any panel hit an exactly zero pivot.
-func (f *Factorization) Singular() bool { return f.singular.Load() }
+func (f *Factorization) Singular() bool { return f.badCol.Load() >= 0 }
 
-// noteSingular flags the factorization singular and folds the permuted
+// noteSingular flags the factorization singular by folding the permuted
 // global column col into the minimum published by racing Factor tasks.
 func (f *Factorization) noteSingular(col int) {
-	f.singular.Store(true)
 	for {
 		cur := f.badCol.Load()
 		if cur >= 0 && cur <= int64(col) {
@@ -495,7 +494,7 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 		// SuperLU_DIST threshold. A structurally empty matrix gets a
 		// norm of 1 so the threshold is still positive.
 		const eps = 0x1p-52
-		anorm := f.normInfA2(a)
+		anorm := f.normInfA2(a, colOf)
 		if anorm == 0 {
 			anorm = 1
 		}
@@ -516,12 +515,12 @@ func (f *Factorization) a2(v float64, i, j int) float64 {
 }
 
 // normInfA2 returns ‖A₂‖∞ of the matrix the kernels factor, read
-// through a's permutations and scales, bit for bit the NormInf of a
-// permuted and scaled copy: every row sum accumulates its terms in
-// ascending column of A₂.
-func (f *Factorization) normInfA2(a *sparse.CSC) float64 {
+// through a's permutations and scales (colOf is SymPerm's inverse), bit
+// for bit the NormInf of a permuted and scaled copy: every row sum
+// accumulates its terms in ascending column of A₂.
+func (f *Factorization) normInfA2(a *sparse.CSC, colOf []int) float64 {
 	sums := make([]float64, a.NRows)
-	for j, jo := range f.S.SymPerm.Inverse() {
+	for j, jo := range colOf {
 		rows, vals := a.Col(jo)
 		for k, io := range rows {
 			i := f.S.SolvePerm[io]

@@ -64,6 +64,24 @@ func TestNearSingularFailPolicy(t *testing.T) {
 	}
 }
 
+// TestPivotThresholdIsNormInf pins PivotPerturb's threshold bit for
+// bit: √ε·‖A₂‖∞, with the norm read through the analysis permutations
+// (normInfA2) equal to the NormInf of the permuted copy of the input.
+func TestPivotThresholdIsNormInf(t *testing.T) {
+	for _, spec := range matgen.SmallSuite() {
+		a := spec.Gen()
+		opts := robustOptions(1)
+		opts.PivotPolicy = PivotPerturb
+		f, err := Factorize(a, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if got, want := f.PivotThreshold(), math.Sqrt(0x1p-52)*f.S.PermuteInput(a).NormInf(); got != want {
+			t.Fatalf("%s: PivotThreshold = %v, want √ε·‖PermuteInput(a)‖∞ = %v", spec.Name, got, want)
+		}
+	}
+}
+
 func TestNearSingularPerturbPolicy(t *testing.T) {
 	a, zeroCol, tinyCols := matgen.NearSingular(8, 10, 21)
 	n := a.NCols
@@ -181,11 +199,7 @@ func TestPanicInUpdateTaskAborts(t *testing.T) {
 	}
 	inj := faultinject.New()
 	inj.Set(updateID, faultinject.Fault{Mode: faultinject.Panic})
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: s.Prio}, inj.Wrap(f.runTask, nil))
 	var te *sched.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *sched.TaskError", err)
@@ -235,11 +249,7 @@ func TestPoisonNaNTripsGuard(t *testing.T) {
 			data[i] = math.NaN()
 		}
 	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, poison))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: s.Prio}, inj.Wrap(f.runTask, poison))
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -268,11 +278,7 @@ func TestInjectorTransparencyBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultinject.New()
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil)); err != nil {
+	if err := sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: s.Prio}, inj.Wrap(f.runTask, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Fired() != 0 {
@@ -311,13 +317,9 @@ func TestTimeoutCancelsFactorization(t *testing.T) {
 	for id := 0; id < s.Graph.NumTasks(); id++ {
 		inj.Set(id, faultinject.Fault{Mode: faultinject.Delay, Sleep: 100 * time.Millisecond})
 	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, stop := phaseContext(s.Opts.Context, s.Opts.Timeout)
 	defer stop()
-	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio, Context: ctx}, inj.Wrap(f.runTask, nil))
+	err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: s.Prio, Context: ctx}, inj.Wrap(f.runTask, nil))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -494,10 +496,6 @@ func TestSeededFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio, err := s.Graph.BottomLevels(s.Costs.TaskFlops)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nt := s.Graph.NumTasks()
 	for seed := int64(1); seed <= 4; seed++ {
 		ids := faultinject.PickTasks(seed, nt, 3)
@@ -513,7 +511,7 @@ func TestSeededFaultSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: prio}, inj.Wrap(f.runTask, nil))
+		err = sched.Run(s.Graph, sched.RunOptions{Procs: 8, Prio: s.Prio}, inj.Wrap(f.runTask, nil))
 		var te *sched.TaskError
 		if !errors.As(err, &te) {
 			t.Fatalf("seed %d: err = %v, want *sched.TaskError", seed, err)

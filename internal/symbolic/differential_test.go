@@ -17,8 +17,7 @@ import (
 const differentialSeeds = 12
 
 // forEachPattern runs check on every generated pattern, as generated and
-// under the fill-reducing ordering Analyze applies first — the bushy
-// column etree that ordering produces is what PartitionColumns cuts.
+// under the fill-reducing ordering Analyze applies first.
 func forEachPattern(t *testing.T, check func(t *testing.T, name string, a *sparse.CSC)) {
 	for seed := int64(1); seed <= differentialSeeds; seed++ {
 		for _, pc := range matgen.GenPatterns(seed) {
@@ -29,30 +28,15 @@ func forEachPattern(t *testing.T, check func(t *testing.T, name string, a *spars
 }
 
 // TestDifferentialFactor checks the engine against the dense reference
-// elimination, and the parallel driver against the serial one at every
-// worker count, on generated patterns.
+// elimination on generated patterns.
 func TestDifferentialFactor(t *testing.T) {
-	partitioned := 0
 	forEachPattern(t, func(t *testing.T, name string, a *sparse.CSC) {
 		got, err := symbolic.Factor(a)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		equalResult(t, name+": Factor vs naive", got, symbolic.FactorNaive(a))
-		for _, w := range []int{2, 4, 8} {
-			if symbolic.PartitionColumns(a, w) != nil {
-				partitioned++
-			}
-			par, err := symbolic.FactorParallel(a, w, schedRunner(w))
-			if err != nil {
-				t.Fatalf("%s: parallel w=%d: %v", name, w, err)
-			}
-			equalResult(t, name+": FactorParallel vs Factor", par, got)
-		}
 	})
-	if partitioned < 10 {
-		t.Fatalf("only %d partitions among the generated patterns; the bucket engines are hardly tested", partitioned)
-	}
 }
 
 // TestDifferentialPostorderRelabel is Theorem 3 on generated patterns:

@@ -16,50 +16,11 @@ var (
 	ErrNoCandidate = errors.New("symbolic: no candidate rows")
 )
 
-// columns collects the per-column outputs of the elimination: column k
-// of L̄ (rows > k) and row k of Ū (columns > k), both ascending. Engines
-// running over disjoint column sets write to disjoint slots, so one
-// columns value can be shared by the subtree engines of a parallel
-// factorization. The slices point into engine arenas; pack copies them
-// out, so nothing engine-owned outlives the factorization.
-type columns struct {
-	n     int
-	lCols [][]int32
-	uRows [][]int32
-}
-
-func newColumns(n int) *columns {
-	return &columns{n: n, lCols: make([][]int32, n), uRows: make([][]int32, n)}
-}
-
-// pack assembles the per-column outputs into a Result, every slice
-// exact-sized, the diagonal added in front of each column and row.
-func (out *columns) pack() *Result {
-	withDiagonal := func(tails [][]int32) *sparse.Pattern {
-		n := out.n
-		p := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
-		for k, t := range tails {
-			p.ColPtr[k+1] = p.ColPtr[k] + 1 + len(t)
-		}
-		p.RowInd = make([]int, p.ColPtr[n])
-		for k, t := range tails {
-			dst := p.RowInd[p.ColPtr[k]:p.ColPtr[k+1]]
-			dst[0] = k
-			for i, v := range t {
-				dst[1+i] = int(v)
-			}
-		}
-		return p
-	}
-	return &Result{N: out.n, L: withDiagonal(out.lCols), URows: withDiagonal(out.uRows)}
-}
-
 // group is a set of rows with identical current structure, both lists
 // ascending. cols[0] is the smallest column not yet eliminated — the
 // next step the group is a candidate at. The slices are never written
-// after they are built, only re-sliced, so a step's outputs, a
-// survivor handed to another engine and the group itself may share one
-// backing array. A dead group has no cols.
+// after they are built, only re-sliced, so a step's outputs and the
+// group itself may share one backing array. A dead group has no cols.
 type group struct {
 	members []int32
 	cols    []int32
@@ -86,33 +47,35 @@ func (a *arena) alloc(n int) []int32 {
 // release returns the last n entries of the latest alloc.
 func (a *arena) release(n int) { a.buf = a.buf[:len(a.buf)-n] }
 
-// engine runs the George–Ng group-merging elimination over a set of
-// columns. Row and column indices are always global.
+// engine runs the George–Ng group-merging elimination over all the
+// columns.
 //
 // A live group is registered under its first column only. It cannot be
 // a candidate at an earlier step — it has no earlier column — and at
 // that step it is merged, and the survivor registered under the first
 // column of the union; so the list of a step holds exactly the step's
-// candidates, each once, and a group whose first column is not a step
-// of this engine is never touched: it is a survivor (DESIGN.md §18).
+// candidates, each once (DESIGN.md §18).
 type engine struct {
-	n      int
-	out    *columns
-	groups []group
-	next   []int32 // next[g]: the next group registered under the same column; -1 ends the list
-	head   []int32 // head[c]: a live group whose first column is c; -1 if none
-	marker []int32 // union dedup scratch, stamped with the step; init -1
-	mem    arena
+	n int
+	// lCols[k] and uRows[k] are step k's outputs: column k of L̄ (rows
+	// > k) and row k of Ū (columns > k), both ascending.
+	lCols, uRows [][]int32
+	groups       []group
+	next         []int32 // next[g]: the next group registered under the same column; -1 ends the list
+	head         []int32 // head[c]: a live group whose first column is c; -1 if none
+	marker       []int32 // union dedup scratch, stamped with the step; init -1
+	mem          arena
 }
 
-// newEngine returns an engine over n columns writing to out, sized for
-// the given number of seeded groups (a hint: more may follow).
-func newEngine(n int, out *columns, seeds int) *engine {
+// newEngine returns an engine over n columns, sized for the given
+// number of seeded groups (a hint: more may follow).
+func newEngine(n int, seeds int) *engine {
 	scratch := make([]int32, 2*n)
 	for i := range scratch {
 		scratch[i] = -1
 	}
-	return &engine{n: n, out: out, head: scratch[:n], marker: scratch[n:],
+	return &engine{n: n, lCols: make([][]int32, n), uRows: make([][]int32, n),
+		head: scratch[:n], marker: scratch[n:],
 		groups: make([]group, 0, seeds), next: make([]int32, 0, seeds)}
 }
 
@@ -145,9 +108,10 @@ func ascendingIn(v []int32, n int) bool {
 	return true
 }
 
-// seedGroup adds a pre-built group (a subtree survivor carried into the
-// top engine) and registers it under its first column. The engine reads
-// the group's slices and never writes them.
+// seedGroup adds a pre-built group and registers it under its first
+// column, after checking what first-column registration needs: rows
+// and columns non-empty, strictly ascending and in range. The engine
+// reads the group's slices and never writes them.
 func (e *engine) seedGroup(g group) error {
 	if len(g.members) == 0 || len(g.cols) == 0 {
 		return fmt.Errorf("%w: %d rows, %d columns", ErrSeed, len(g.members), len(g.cols))
@@ -174,19 +138,11 @@ func (e *engine) register(gid int32) {
 	e.head[c] = gid
 }
 
-// run eliminates the given ascending column list (nil means all columns
-// 0..n-1), writing each column's output into e.out.
-func (e *engine) run(steps []int32) error {
-	if steps == nil {
-		for k := 0; k < e.n; k++ {
-			if err := e.step(int32(k)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, k := range steps {
-		if err := e.step(k); err != nil {
+// run eliminates the columns 0..n-1 in order, recording each step's
+// outputs.
+func (e *engine) run() error {
+	for k := 0; k < e.n; k++ {
+		if err := e.step(int32(k)); err != nil {
 			return err
 		}
 	}
@@ -210,7 +166,7 @@ func (e *engine) step(k int32) error {
 			g.members = g.members[1:]
 		}
 		g.cols = g.cols[1:]
-		e.out.lCols[k], e.out.uRows[k] = g.members, g.cols
+		e.lCols[k], e.uRows[k] = g.members, g.cols
 		e.register(first)
 		return nil
 	}
@@ -242,7 +198,7 @@ func (e *engine) step(k int32) error {
 	e.mem.release(nc - len(union))
 	slices.Sort(members)
 	slices.Sort(union)
-	e.out.lCols[k], e.out.uRows[k] = members, union
+	e.lCols[k], e.uRows[k] = members, union
 
 	// The merged group takes the first candidate's slot.
 	*g = group{members: members, cols: union}
@@ -250,15 +206,26 @@ func (e *engine) step(k int32) error {
 	return nil
 }
 
-// survivors returns the groups still alive after run: rows not yet
-// eliminated, carrying their reduced structures. For a subtree engine
-// these are exactly the rows whose pivot column lies in the top region.
-func (e *engine) survivors() []group {
-	var out []group
-	for _, g := range e.groups {
-		if len(g.cols) > 0 {
-			out = append(out, g)
+// pack assembles the per-column outputs of run into a Result, every
+// slice exact-sized, the diagonal added in front of each column and
+// row. The outputs point into the engine's arena; pack copies them out,
+// so nothing engine-owned outlives the factorization.
+func (e *engine) pack() *Result {
+	withDiagonal := func(tails [][]int32) *sparse.Pattern {
+		n := e.n
+		p := &sparse.Pattern{NRows: n, NCols: n, ColPtr: make([]int, n+1)}
+		for k, t := range tails {
+			p.ColPtr[k+1] = p.ColPtr[k] + 1 + len(t)
 		}
+		p.RowInd = make([]int, p.ColPtr[n])
+		for k, t := range tails {
+			dst := p.RowInd[p.ColPtr[k]:p.ColPtr[k+1]]
+			dst[0] = k
+			for i, v := range t {
+				dst[1+i] = int(v)
+			}
+		}
+		return p
 	}
-	return out
+	return &Result{N: e.n, L: withDiagonal(e.lCols), URows: withDiagonal(e.uRows)}
 }

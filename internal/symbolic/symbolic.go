@@ -12,13 +12,11 @@
 // kept in groups that only ever merge, which makes the whole computation
 // run in roughly O(|Ā|) time.
 //
-// The group-merging loop lives in a reusable engine (engine.go) that can
-// run over any subset of the columns: Factor drives it over all columns
-// serially, and FactorParallel (parallel.go) runs one engine per
-// independent column-etree subtree and a final engine over the shared
-// top region. Both produce identical Results: the per-column outputs of
-// the elimination are set functions of the matrix pattern, independent
-// of the merge schedule, and the engine sorts them before packing.
+// The group-merging loop lives in engine.go, and Factor drives it over
+// all columns serially: the analysis runs once per pattern, and a
+// parallel elimination over column-etree subtrees tied or lost to it on
+// two cores (DESIGN.md §15). FactorParallel and PartitionColumns
+// (parallel.go) are serial stubs kept only for the benchmark.
 package symbolic
 
 import (
@@ -113,15 +111,14 @@ func FactorPattern(p *sparse.Pattern) (*Result, error) {
 	n := p.NCols
 	rows := p.Transpose() // Col(i) = row i
 
-	out := newColumns(n)
-	e := newEngine(n, out, n)
+	e := newEngine(n, n)
 	for i := 0; i < n; i++ {
 		if err := e.seedRow(int32(i), rows.Col(i)); err != nil {
 			return nil, err
 		}
 	}
-	if err := e.run(nil); err != nil { // nil steps = all columns 0..n-1
+	if err := e.run(); err != nil {
 		return nil, err
 	}
-	return out.pack(), nil
+	return e.pack(), nil
 }

@@ -84,8 +84,8 @@ func TestFactorRejectsBadInput(t *testing.T) {
 	if err == nil || err.Error() != "symbolic: matrix diagonal has structural zeros; apply a maximum transversal first" {
 		t.Fatalf("structurally zero diagonal: %v", err)
 	}
-	// The bare-pattern entry point and the parallel driver check the same
-	// preconditions before any engine is seeded.
+	// The bare-pattern entry point and the serial FactorParallel stub
+	// check the same preconditions.
 	if _, err2 := FactorPattern(sparse.PatternOf(tr2.ToCSC())); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("FactorPattern on a structurally zero diagonal: %v", err2)
 	}

@@ -524,10 +524,9 @@ func (g *Graph) BottomLevels(cost []float64) ([]float64, error) {
 }
 
 // Independent builds a degenerate dependence graph of n mutually
-// independent Factor tasks — no edges, no chains. It lets callers drive
-// embarrassingly parallel work (such as the per-subtree symbolic
-// eliminations of symbolic.FactorParallel) through the same
-// asynchronous executor as the numeric phase.
+// independent Factor tasks — no edges, no chains. Only the benchmark
+// calls it, to build the runner it hands symbolic.FactorParallel, a
+// serial stub that never calls the runner (DESIGN.md §15).
 func Independent(n int) *Graph {
 	g := &Graph{
 		Variant:     EForest,
