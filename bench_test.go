@@ -332,3 +332,38 @@ func BenchmarkSolveMany(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveTranspose measures SolveTranspose on one right-hand side
+// on the full-size sherman5, sherman3, orsreg1 and lnsp3937, the
+// matrices of the four benchmark workloads: the Ûᵀ sweep forward and the
+// L̄ᵀ sweep (bwdStepT, on the planned rows) backward. Two trees compare
+// pair by pair with `go test -run xxx -bench SolveTranspose -count N` in
+// each, alternated.
+func BenchmarkSolveTranspose(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		gen  func() *sparse.CSC
+	}{
+		{"sherman5", matgen.Sherman5},
+		{"sherman3", matgen.Sherman3},
+		{"orsreg1", matgen.Orsreg1},
+		{"lnsp3937", matgen.Lnsp3937},
+	} {
+		a := m.gen()
+		f, err := core.Factorize(a, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := make([]float64, a.NCols)
+		for i := range rhs {
+			rhs[i] = float64(i%5) - 2
+		}
+		b.Run(fmt.Sprintf("%s/nrhs=1", m.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.SolveTranspose(rhs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
