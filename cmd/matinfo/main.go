@@ -160,8 +160,8 @@ func report(name string, a *sparse.CSC) {
 			s.Part.NumBlocks(), st.AvgBlockWidth, st.MaxBlockWidth)
 		fmt.Printf("  explicit zeros: %d (%.2f%% of stored factor entries)\n",
 			st.ExplicitZeros, 100*st.ExplicitZeroRatio)
-		fmt.Printf("  stored: %d blocks, %d entries; block closure (scheduling only): %d blocks, %d entries\n",
-			st.StoredBlocks, st.StoredEntries, st.BlockNNZ, supernode.DenseEntries(s.BlockSym, s.Part))
+		fmt.Printf("  stored: %d blocks, %d entries (slab %d: planned L rows only); block closure (scheduling only): %d blocks, %d entries\n",
+			st.StoredBlocks, st.StoredEntries, s.SlabEntries(), st.BlockNNZ, supernode.DenseEntries(s.BlockSym, s.Part))
 		// The stored-block graph the numeric phase runs weighs what the
 		// paper's graph on the closure weighs.
 		fmt.Printf("  eforest  stored graph: %d tasks, %d edges; avg parallelism %.1f\n",

@@ -103,8 +103,8 @@ func main() {
 	fmt.Printf("  panel width max %d avg %.1f, explicit zeros %d (%.1f%% of stored entries)\n",
 		st.MaxBlockWidth, st.AvgBlockWidth, st.ExplicitZeros, 100*st.ExplicitZeroRatio)
 	cs := analysis.Symbolic()
-	fmt.Printf("  stored: %d blocks, %d entries; block closure (scheduling only): %d blocks, %d entries\n",
-		cs.Stats.StoredBlocks, cs.Stats.StoredEntries, cs.Stats.BlockNNZ, supernode.DenseEntries(cs.BlockSym, cs.Part))
+	fmt.Printf("  stored: %d blocks, %d entries (slab %d: planned L rows only); block closure (scheduling only): %d blocks, %d entries\n",
+		cs.Stats.StoredBlocks, cs.Stats.StoredEntries, cs.SlabEntries(), cs.Stats.BlockNNZ, supernode.DenseEntries(cs.BlockSym, cs.Part))
 	fmt.Printf("  task graph: stored %d tasks, %d edges; block closure (paper's graph) %d tasks, %d edges\n",
 		cs.Stats.StoredTasks, cs.Stats.StoredEdges, st.Tasks, st.Edges)
 	fmt.Printf("  est. flops = %.3g, critical path = %.3g flops\n", st.TotalFlops, st.CriticalPathFlops)

@@ -171,9 +171,11 @@ type Stats struct {
 	// MaxBlockWidth and AvgBlockWidth describe the final panel widths.
 	MaxBlockWidth int
 	AvgBlockWidth float64
-	// ExplicitZeros is the number of explicitly stored zeros the
-	// fill-ratio amalgamation admitted into the factor blocks, and
-	// ExplicitZeroRatio their fraction of all stored factor entries.
+	// ExplicitZeros is the number of zeros the fill-ratio amalgamation
+	// admitted into the dense factor blocks, and ExplicitZeroRatio their
+	// fraction of the blocks' entries. They describe the block
+	// structure: a factorization stores only the rows of L below each
+	// diagonal block that can be non-zero, so it holds fewer of them.
 	ExplicitZeros     int
 	ExplicitZeroRatio float64
 	// DiagonalBlocks is the number of trees in the LU eforest — the

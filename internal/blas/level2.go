@@ -30,28 +30,28 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 	}
 }
 
-// DgemvRows is Dgemv(false, 1, n, −1, A[s·lda:], lda, x, 1, y[g:]) on
-// each row s of A listed in rows = [s₀, g₀, s₁, g₁, …]: y[g] ← −A[s,:]·x
-// + y[g], bit for bit, four listed rows at a time. The rows may be any
-// rows of A, in any order; no g may index x's storage.
-func DgemvRows(n int, a []float64, lda int, rows []int32, x, y []float64) {
+// DgemvRows is Dgemv(false, 1, n, −1, A[p·lda:], lda, x, 1, y[to[p]:])
+// on each row p < len(to) of A: y[to[p]] ← −A[p,:]·x + y[to[p]], bit for
+// bit, four rows at a time. The targets may be any rows of y, in any
+// order; none may index x's storage.
+func DgemvRows(n int, a []float64, lda int, to []int32, x, y []float64) {
 	x = x[:n]
 	p := 0
-	for ; p+8 <= len(rows); p += 8 {
-		r := rows[p : p+8 : p+8]
-		s0, s1, s2, s3 := dot4(a[int(r[0])*lda:][:n], a[int(r[2])*lda:][:n], a[int(r[4])*lda:][:n], a[int(r[6])*lda:][:n], x)
-		y[r[1]] = -s0 + y[r[1]]
-		y[r[3]] = -s1 + y[r[3]]
-		y[r[5]] = -s2 + y[r[5]]
-		y[r[7]] = -s3 + y[r[7]]
+	for ; p+4 <= len(to); p += 4 {
+		g := to[p : p+4 : p+4]
+		s0, s1, s2, s3 := dot4(a[p*lda:][:n], a[(p+1)*lda:][:n], a[(p+2)*lda:][:n], a[(p+3)*lda:][:n], x)
+		y[g[0]] = -s0 + y[g[0]]
+		y[g[1]] = -s1 + y[g[1]]
+		y[g[2]] = -s2 + y[g[2]]
+		y[g[3]] = -s3 + y[g[3]]
 	}
-	for ; p+2 <= len(rows); p += 2 {
-		row := a[int(rows[p])*lda:][:n]
+	for ; p < len(to); p++ {
+		row := a[p*lda:][:n]
 		var s float64
 		for j, v := range x {
 			s += float64(row[j] * v)
 		}
-		y[rows[p+1]] = -s + y[rows[p+1]]
+		y[to[p]] = -s + y[to[p]]
 	}
 }
 

@@ -279,12 +279,12 @@ func TestDgemmKZero(t *testing.T) {
 	}
 }
 
-// TestRowKernelsMatchDgemvDgemm pins the row-list kernels to the calls
+// TestRowKernelsMatchDgemvDgemm pins the row-map kernels to the calls
 // they stand for, bit for bit: DgemvRows and DgemmRows to Dgemv and
-// Dgemm with α = −1, β = 1 on each listed row alone. The rows are
-// listed out of order, A holds ±0 rows and ±0 entries, and x, y and B
-// hold ±0, Inf and NaN, so the zero-skip rules and the signs of zero are
-// exercised as well as the sums.
+// Dgemm with α = −1, β = 1 on each mapped row alone. The targets are in
+// a random order and DgemmRows meets dropped rows (−1), A holds ±0 rows
+// and ±0 entries, and x, y and B hold ±0, Inf and NaN, so the zero-skip
+// rules and the signs of zero are exercised as well as the sums.
 func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN()}
@@ -307,11 +307,12 @@ func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
 				a[i] = math.Copysign(0, -1)
 			}
 		}
-		// Rows of y: g = m + index; the listed rows in a random order.
+		// Row p of A lands in row m + perm[p] of y and C; the first
+		// len(perm) rows are mapped.
 		perm := rng.Perm(m)[:rng.Intn(m+1)]
-		var rows []int32
-		for _, s := range perm {
-			rows = append(rows, int32(s), int32(m+s))
+		to := make([]int32, len(perm))
+		for p, s := range perm {
+			to[p] = int32(m + s)
 		}
 		x := make([]float64, n)
 		for i := range x {
@@ -323,9 +324,9 @@ func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
 		}
 
 		got, want := append([]float64(nil), y...), append([]float64(nil), y...)
-		DgemvRows(n, a, n, rows, x, got)
-		for _, s := range perm {
-			Dgemv(false, 1, n, -1, a[s*n:], n, x, 1, want[m+s:])
+		DgemvRows(n, a, n, to, x, got)
+		for p, s := range perm {
+			Dgemv(false, 1, n, -1, a[p*n:], n, x, 1, want[m+s:])
 		}
 		for i := range got {
 			if !same(got[i], want[i]) {
@@ -342,9 +343,16 @@ func TestRowKernelsMatchDgemvDgemm(t *testing.T) {
 			c[i] = draw(0.1)
 		}
 		gotC, wantC := append([]float64(nil), c...), append([]float64(nil), c...)
-		DgemmRows(nrhs, n, a, n, rows, b, nrhs, gotC, nrhs)
-		for _, s := range perm {
-			Dgemm(1, nrhs, n, -1, a[s*n:], n, b, nrhs, 1, wantC[(m+s)*nrhs:], nrhs)
+		for p := range to {
+			if rng.Intn(4) == 0 {
+				to[p] = -1
+			}
+		}
+		DgemmRows(nrhs, n, a, n, to, b, nrhs, gotC, nrhs)
+		for p, s := range to {
+			if s >= 0 {
+				Dgemm(1, nrhs, n, -1, a[p*n:], n, b, nrhs, 1, wantC[int(s)*nrhs:], nrhs)
+			}
 		}
 		for i := range gotC {
 			if !same(gotC[i], wantC[i]) {

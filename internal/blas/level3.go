@@ -46,14 +46,18 @@ func PackedShape(m, n, k int) bool {
 	return m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff
 }
 
-// DgemmRows is Dgemm(1, n, k, −1, A[s·lda:], lda, B, ldb, 1, C[g·ldc:],
-// ldc) on each row s of A listed in rows = [s₀, g₀, s₁, g₁, …]: C[g,:] ←
-// C[g,:] − A[s,:k]·B, bit for bit, with gemmSmall's per-element order
-// (ascending p) and zero-skip rule. No g may index B's storage.
-func DgemmRows(n, k int, a []float64, lda int, rows []int32, b []float64, ldb int, c []float64, ldc int) {
-	for p := 0; p+2 <= len(rows); p += 2 {
-		arow := a[int(rows[p])*lda:][:k]
-		crow := c[int(rows[p+1])*ldc:][:n]
+// DgemmRows is Dgemm(1, n, k, −1, A[p·lda:], lda, B, ldb, 1, C[to[p]·ldc:],
+// ldc) on each row p < len(to) of A with to[p] ≥ 0: C[to[p],:] ←
+// C[to[p],:] − A[p,:k]·B, bit for bit, with gemmSmall's per-element
+// order (ascending q) and zero-skip rule. A row whose target is negative
+// is skipped. No target may index B's storage.
+func DgemmRows(n, k int, a []float64, lda int, to []int32, b []float64, ldb int, c []float64, ldc int) {
+	for p, g := range to {
+		if g < 0 {
+			continue
+		}
+		arow := a[p*lda:][:k]
+		crow := c[int(g)*ldc:][:n]
 		for q, v := range arow {
 			aip := -1 * v
 			if aip == 0 {
@@ -116,33 +120,34 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 			for ic := 0; ic < m; ic += packMC {
 				mc := min(m-ic, packMC)
 				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s.pa[:], s.off[:], s.kept[:])
-				runTiles(finite, 0, mc, nc, kc, s.pa[:], s.off[:], s.kept[:], s.pb[:], c[ic*ldc+jc:], ldc)
+				runTiles(finite, nil, mc, nc, kc, s.pa[:], s.off[:], s.kept[:], s.pb[:], c[ic*ldc+jc:], ldc)
 			}
 		}
 	}
 	putScratch(s)
 }
 
-// DgemmPanel computes C ← C + Â[r0:r0+m, :]·B, where Â = α·A is the
-// packed operand p (alpha folded in by Pack), B is p.K×n (ldb) and C is
-// m×n (ldc). It is bitwise Dgemm(m, n, p.K, α, A[r0:], lda, B, ldb, 1, C,
-// ldc) on the rows of the window, which may start and end inside a
-// micro-panel: runTiles takes a micro-panel that straddles either end
-// through its edge tile and discards the rows outside the window. The
-// columns such a micro-panel keeps for the sake of an outside row are
-// zero in the window's rows, and the kernels skip or exactly absorb
-// them, so each C element's operation sequence is Dgemm's. Only B is
-// packed per call, in one pass: p.K ≤ packKC (Pack checks it) and n ≤
-// packNC (the numeric phase's n is a block width, at most 32).
-func DgemmPanel(p *Panel, r0, m, n int, b []float64, ldb int, c []float64, ldc int) {
-	if m <= 0 || n <= 0 || p.K == 0 {
+// DgemmPanel computes C[to[i],:] ← C[to[i],:] + Â[i,:]·B for every row i
+// of the packed operand p with to[i] ≥ 0, where Â = α·A (alpha folded in
+// by Pack), B is p.K×n (ldb) and C has leading dimension ldc; a row
+// whose target is negative is computed and dropped. len(to) must be
+// p.M. Each listed row is bitwise Dgemm(1, n, p.K, α, A[i:], lda, B, ldb,
+// 1, C[to[i]:], ldc): runTiles runs every micro-panel whose four targets
+// are not four consecutive rows through its edge tile, whose rows it
+// reads and writes through to. The columns a micro-panel keeps for the
+// sake of one row are zero in the others, and the kernels skip or
+// exactly absorb them, so each C element's operation sequence is
+// Dgemm's. Only B is packed per call, in one pass: p.K ≤ packKC (Pack
+// checks it) and n ≤ packNC (the numeric phase's n is a block width, at
+// most 32).
+func DgemmPanel(p *Panel, to []int32, n int, b []float64, ldb int, c []float64, ldc int) {
+	if p.M == 0 || n <= 0 || p.K == 0 {
 		return
 	}
 	s := getScratch()
 	k, nmp := p.K, (p.M+gemmMR-1)/gemmMR
-	i0, lane0 := r0/gemmMR, r0%gemmMR
 	finite := packBPanel(k, n, b, ldb, s)
-	runTiles(finite, lane0, m, n, k, p.Vals[i0*gemmMR*k:], p.Ints[i0*k:], p.Ints[nmp*k+i0:], s.pb[:], c, ldc)
+	runTiles(finite, to[:p.M], p.M, n, k, p.Vals, p.Ints, p.Ints[nmp*k:], s.pb[:], c, ldc)
 	putScratch(s)
 }
 
@@ -157,38 +162,52 @@ func packBPanel(kc, nc int, b []float64, ldb int, s *gemmScratch) bool {
 // runTiles is the register-tile loop of both packed paths: it adds the
 // product of packed A micro-panels (pa, off, kept; stride gemmMR·kc
 // values and kc offsets, as packA lays them out) and the packed kc×nc B
-// panel pb into the mc rows of c. Row lane0 of the first micro-panel
-// meets row 0 of c, so micro-panel i covers rows [4i−lane0, 4i−lane0+4).
-// A micro-panel that kept no column has no tile to run. A tile that is
-// not a full gemmMR×gemmNR block of c — it straddles row 0 or row mc, or
-// has fewer than gemmNR columns — runs the same kernel on a zero-padded
-// copy whose padding rows and lanes are discarded, so every C element
-// goes through one kernel whatever its position. The AVX2 kernel runs
-// only when finite and on tiles that hold no −0; every other tile takes
-// the Go kernel. The kernel is called directly, not through a func
-// value, so that escape analysis keeps the edge tile on the stack.
-func runTiles(finite bool, lane0, mc, nc, kc int, pa []float64, off, kept []int32, pb, c []float64, ldc int) {
+// panel pb into the rows of c: row i of A meets row to[i] of c, or row i
+// when to is nil, and a negative target drops the row. A micro-panel that
+// kept no column has no tile to run. A tile that is not a full
+// gemmMR×gemmNR block of c — its rows are fewer than gemmMR or not
+// consecutive in c, or it has fewer than gemmNR columns — runs the same
+// kernel on a zero-padded copy whose padding rows and lanes are
+// discarded, so every C element goes through one kernel whatever its
+// position. The AVX2 kernel runs only when finite and on tiles that hold
+// no −0; every other tile takes the Go kernel. The kernel is called
+// directly, not through a func value, so that escape analysis keeps the
+// edge tile on the stack.
+func runTiles(finite bool, to []int32, mc, nc, kc int, pa []float64, off, kept []int32, pb, c []float64, ldc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		nr := min(nc-jr, gemmNR)
 		pbp := pb[jr*kc:]
-		for i, lo := 0, -lane0; lo < mc; i, lo = i+1, lo+gemmMR {
+		for i, lo := 0, 0; lo < mc; i, lo = i+1, lo+gemmMR {
 			nk := int(kept[i])
 			if nk == 0 {
 				continue
 			}
 			pai, offi := pa[i*gemmMR*kc:], off[i*kc:]
-			if lo >= 0 && lo+gemmMR <= mc && nr == gemmNR {
-				microKernel4x8(nk, pai, offi, pbp, c[lo*ldc+jr:], ldc, finite)
+			nrow := min(mc-lo, gemmMR)
+			row := [gemmMR]int{-1, -1, -1, -1}
+			full := nrow == gemmMR && nr == gemmNR
+			for r := 0; r < nrow; r++ {
+				row[r] = lo + r
+				if to != nil {
+					row[r] = int(to[lo+r])
+				}
+				full = full && row[r] >= 0 && row[r] == row[0]+r
+			}
+			if full {
+				microKernel4x8(nk, pai, offi, pbp, c[row[0]*ldc+jr:], ldc, finite)
 				continue
 			}
-			r0, r1 := max(-lo, 0), min(mc-lo, gemmMR)
 			var tile [gemmMR * gemmNR]float64
-			for r := r0; r < r1; r++ {
-				copy(tile[r*gemmNR:][:nr], c[(lo+r)*ldc+jr:][:nr])
+			for r, g := range row {
+				if g >= 0 {
+					copy(tile[r*gemmNR:][:nr], c[g*ldc+jr:][:nr])
+				}
 			}
 			microKernel4x8(nk, pai, offi, pbp, tile[:], gemmNR, finite)
-			for r := r0; r < r1; r++ {
-				copy(c[(lo+r)*ldc+jr:][:nr], tile[r*gemmNR:][:nr])
+			for r, g := range row {
+				if g >= 0 {
+					copy(c[g*ldc+jr:][:nr], tile[r*gemmNR:][:nr])
+				}
 			}
 		}
 	}

@@ -4,83 +4,108 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestDgemmPanelParity pins DgemmPanel to the seed kernel bit for bit:
-// an operand is packed once, and every row window [r0, r0+m) of it is
-// multiplied into C and compared with seedDgemm on the same rows of the
-// unpacked operand. r0 runs over every residue mod gemmMR, so windows
-// start and end inside a micro-panel and take the straddling edge tile,
-// whose rows outside the window must be discarded. A is zero-laced with
-// whole all-zero 4-lane columns (dropped at packing) and columns that
-// are zero in one lane only (kept for the other lanes). Three regimes:
-// a −0-free C; a −0 planted in C on a row whose A row is zero; and a row
-// p of B that is all Inf or NaN, where column p of A is zero exactly on
-// the window's rows — so a straddling micro-panel keeps column p for its
-// outside rows, and only the skip and the discard keep the Inf/NaN out
-// (this regime packs once per window).
+// an operand is packed once and multiplied into C through row maps, and
+// each mapped row is compared with seedDgemm on the same row of the
+// unpacked operand. The maps mix runs of consecutive targets (full
+// tiles, and runs that start or end inside a micro-panel), isolated
+// targets, descending targets and dropped rows (−1), whose C rows must
+// stay as they were. A is zero-laced with whole all-zero 4-lane columns
+// (dropped at packing) and columns that are zero in one lane only (kept
+// for the other lanes). Three regimes: a −0-free C; a −0 planted in C on
+// a row whose A row is zero; and a row p of B that is all Inf or NaN,
+// where column p of A is zero exactly on the mapped rows — so a
+// micro-panel keeps column p for its dropped rows, and only the skip and
+// the discard keep the Inf/NaN out.
 func TestDgemmPanelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
-	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 45}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32}
-	const rows = 2*gemmMR + 37 + gemmMR // room for every r0 ∈ [4, 8) with every m
-	pack := func(alpha float64, a []float64, k int) *Panel {
-		vals, ints := PanelSize(rows, k)
-		p := &Panel{M: rows, K: k, Vals: make([]float64, vals), Ints: make([]int32, ints)}
-		p.Pack(alpha, a, k)
-		return p
-	}
 	for _, k := range []int{1, 6, 28, 32} {
 		for _, alpha := range []float64{-1, 0.5} {
 			for _, regime := range []string{"-0-free C", "planted -0", "Inf/NaN row of B"} {
-				a := laneZeroMat(rows, k, -1, rng)
-				dead := rng.Intn(k)
-				for i0 := 0; i0 < rows; i0 += gemmMR {
-					if rng.Intn(2) == 0 { // an all-zero 4-lane column
-						for r := i0; r < min(i0+gemmMR, rows); r++ {
-							a[r*k+dead] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+				for _, m := range ms {
+					to, crows := rowMap(m, rng)
+					a := laneZeroMat(m, k, -1, rng)
+					dead := rng.Intn(k)
+					for i0 := 0; i0 < m; i0 += gemmMR {
+						if rng.Intn(2) == 0 { // an all-zero 4-lane column
+							for r := i0; r < min(i0+gemmMR, m); r++ {
+								a[r*k+dead] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+							}
 						}
 					}
-				}
-				if regime == "planted -0" {
-					clear(a[13*k : 14*k]) // row 13 contributes nothing
-				}
-				p := pack(alpha, a, k)
-				for _, n := range ns {
-					b := zeroLacedMat(k, n, rng)
-					c0 := withoutNegZero(zeroLacedMat(rows, n, rng))
+					planted := rng.Intn(m)
 					if regime == "planted -0" {
-						c0[13*n+rng.Intn(n)] = math.Copysign(0, -1)
+						clear(a[planted*k : (planted+1)*k]) // the row contributes nothing
 					}
 					if regime == "Inf/NaN row of B" {
-						bad := []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[rng.Intn(3)]
-						for j := 0; j < n; j++ {
-							b[dead*n+j] = bad
+						for r := 0; r < m; r++ {
+							a[r*k+dead] = 0
+							if to[r] < 0 {
+								a[r*k+dead] = 1
+							}
 						}
 					}
-					for _, m := range ms {
-						for r0 := gemmMR; r0 < 2*gemmMR; r0++ {
-							if regime == "Inf/NaN row of B" {
-								for r := 0; r < rows; r++ {
-									a[r*k+dead] = 1
-									if r >= r0 && r < r0+m {
-										a[r*k+dead] = 0
-									}
-								}
-								p = pack(alpha, a, k)
-							}
-							c1 := append([]float64(nil), c0[r0*n:(r0+m)*n]...)
-							c2 := append([]float64(nil), c1...)
-							DgemmPanel(p, r0, m, n, b, n, c1, n)
-							seedDgemm(m, n, k, alpha, a[r0*k:], k, b, n, 1, c2, n)
-							bitsEqual(t, fmt.Sprintf("DgemmPanel rows [%d,%d) n=%d k=%d α=%g %s", r0, r0+m, n, k, alpha, regime), c1, c2)
+					vals, ints := PanelSize(m, k)
+					p := &Panel{M: m, K: k, Vals: make([]float64, vals), Ints: make([]int32, ints)}
+					p.Pack(alpha, a, k)
+					for _, n := range ns {
+						b := zeroLacedMat(k, n, rng)
+						c0 := withoutNegZero(zeroLacedMat(crows, n, rng))
+						if regime == "planted -0" && to[planted] >= 0 {
+							c0[int(to[planted])*n+rng.Intn(n)] = math.Copysign(0, -1)
 						}
+						if regime == "Inf/NaN row of B" {
+							bad := []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[rng.Intn(3)]
+							for j := 0; j < n; j++ {
+								b[dead*n+j] = bad
+							}
+						}
+						c1 := append([]float64(nil), c0...)
+						c2 := append([]float64(nil), c0...)
+						DgemmPanel(p, to, n, b, n, c1, n)
+						for i, g := range to {
+							if g >= 0 {
+								seedDgemm(1, n, k, alpha, a[i*k:], k, b, n, 1, c2[int(g)*n:], n)
+							}
+						}
+						bitsEqual(t, fmt.Sprintf("DgemmPanel m=%d map %v n=%d k=%d α=%g %s", m, to, n, k, alpha, regime), c1, c2)
 					}
 				}
 			}
 		}
 	}
+}
+
+// rowMap returns a target map of m rows into a C of crows rows: runs of
+// one to six consecutive targets with gaps between them, one run of
+// them descending, and about one row in five dropped (−1). Every target
+// is distinct.
+func rowMap(m int, rng *rand.Rand) (to []int32, crows int) {
+	to = make([]int32, m)
+	g := rng.Intn(3)
+	for i := 0; i < m; {
+		run := min(1+rng.Intn(6), m-i)
+		for r := 0; r < run; r++ {
+			to[i+r] = int32(g + r)
+		}
+		if rng.Intn(5) == 0 {
+			slices.Reverse(to[i : i+run])
+		}
+		g += run + rng.Intn(3)
+		i += run
+	}
+	for i := range to {
+		if rng.Intn(5) == 0 {
+			to[i] = -1
+		}
+	}
+	return to, g + 1
 }
 
 // TestPanelSize pins the storage contract the packed slab of a

@@ -119,9 +119,9 @@ type AnalysisStats struct {
 	SplitBlocks       int     // extra blocks the load-balance Split created
 	MaxBlockWidth     int     // widest supernode block of the final partition
 	AvgBlockWidth     float64 // mean block width of the final partition
-	StoredBlocks      int     // blocks that hold an entry of Ā: the ones a factorization allocates
-	StoredEntries     int     // their total dense area
-	ExplicitZeros     int     // StoredEntries − NNZFactors
+	StoredBlocks      int     // blocks that hold an entry of Ā: the block structure the numeric phase runs on
+	StoredEntries     int     // their total dense area; a factorization stores less (Symbolic.SlabEntries: of the sub-diagonal blocks, only the planned rows)
+	ExplicitZeros     int     // StoredEntries − NNZFactors: the zeros of the dense blocks, not of the slab
 	ExplicitZeroRatio float64 // ExplicitZeros / StoredEntries
 	// AnalyzeSeconds is the wall-clock duration of the Analyze call
 	// that produced this Symbolic. It is the only non-structural field:

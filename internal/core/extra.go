@@ -42,20 +42,29 @@ func (f *Factorization) fwdStepT(k int, y []float64) {
 }
 
 // bwdStepT is the transpose backward-sweep step of block column k:
-// subtract the sub-diagonal blocks' contributions, solve L_Kᵀ and then
-// undo σ_K (apply its swaps in reverse order). It sweeps whole blocks,
-// not the row plan (DESIGN §11).
+// subtract the planned rows' contributions, solve L_Kᵀ and then undo σ_K
+// (apply its swaps in reverse order). It is Dgemv(true, …, −1, …) on the
+// planned rows, bitwise the sweep over whole sub-diagonal blocks unless
+// y holds an Inf or a NaN in a row the layout does not store, or a
+// y_K entry is −0 that an unstored ±0 product would have made +0
+// (DESIGN §11).
 func (f *Factorization) bwdStepT(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
 	lo := f.S.Part.BlockStart[k]
 	yk := y[lo : lo+w]
-	for t := c.diagIdx + 1; t < len(c.blockRows); t++ {
-		ilo, ihi := f.S.Part.Range(c.blockRows[t])
-		blas.Dgemv(true, ihi-ilo, w, -1, c.data[c.offsets[t]*w:], w, y[ilo:ihi], 1, yk)
+	po := c.panelOffset()
+	sub := c.data[(po+w)*w:]
+	for p, g := range c.plan {
+		xi := -1 * y[g]
+		if xi == 0 {
+			continue
+		}
+		for j, v := range sub[p*w:][:w] {
+			yk[j] += float64(xi * v)
+		}
 	}
-	diag := c.data[c.panelOffset()*w:]
-	blas.Dtrsvt(true, true, w, diag, w, yk) // (unit lower L)ᵀ solve
+	blas.Dtrsvt(true, true, w, c.data[po*w:], w, yk) // (unit lower L)ᵀ solve
 	for lc := len(f.ipiv[k]) - 1; lc >= 0; lc-- {
 		if r, g := lo+lc, f.ipiv[k][lc]; g != r {
 			y[r], y[g] = y[g], y[r]

@@ -58,29 +58,37 @@ func (e *SingularError) Error() string {
 // Unwrap exposes the ErrNumericallySingular sentinel to errors.Is.
 func (e *SingularError) Unwrap() error { return ErrNumericallySingular }
 
-// colLayout is the structural half of one block column's dense stacked
-// storage: the blocks of Symbolic.Stored in that column, concatenated by
-// ascending block row, and where each one starts. The L panel (diagonal
-// block and below) is the contiguous tail, which is what the panel
-// factorization and the TRSM/GEMM kernels operate on. It depends only on
-// the pattern, so it is built once per Symbolic (newLayout) and shared
-// by every factorization.
+// colLayout is the structural half of one block column's stacked
+// storage: the stored U blocks of the column by ascending block row, then
+// the diagonal block, then the planned rows below it — the rows that can
+// be non-zero (George–Ng), one row each, by ascending global row. The L
+// panel (diagonal block and planned rows) is the contiguous tail, which is
+// what the panel factorization and the TRSM/GEMM kernels operate on. It
+// depends only on the pattern, so it is built once per Symbolic
+// (newLayout) and shared by every factorization.
 type colLayout struct {
 	width     int
-	blockRows []int // ascending block-row ids stored in this column
+	blockRows []int // ascending block rows of the stored U blocks, then the diagonal block
 	offsets   []int // row offset of each block within data (parallel to blockRows)
-	diagIdx   int   // index into blockRows of the diagonal block
-	rows      int   // total scalar rows stacked
-	// plan lists the rows below the diagonal block that can be
-	// non-zero, as (stacked row, global row) pairs by ascending row: the
-	// rows that hold an entry of Ā in the column's columns. Every other
-	// sub-diagonal row is ±0 after every factorization (George–Ng), so
-	// the solve skips it. A window of one slice for the whole layout.
+	diagIdx   int   // index into blockRows of the diagonal block, the last one
+	rows      int   // total scalar rows stacked: the blocks and the plan
+	// plan lists, ascending, the global rows below the diagonal block
+	// that hold an entry of Ā in the column's columns; plan entry p is
+	// stacked row panelOffset()+width+p. Every other row of the column's
+	// sub-diagonal blocks is ±0 after every factorization (George–Ng), so
+	// it is not stored. A window of one slice for the whole layout.
 	plan []int32
-	// packEnd ends the window of the column's packed sub-diagonal L
-	// rows in a factorization's packed slab (packSlab): the window is
-	// [packEnd of the previous column (0 for the first), packEnd), and it
-	// is empty unless some run of a U(K,·) takes the packed path.
+	// maps holds the target map of each stored U block (K,J) of this
+	// column J, back to back in blockRows order: entry p of the map of
+	// block t, maps[mapStart[t]+p], is the stacked row of J that plan
+	// entry p of column K lands in, or −1 when J does not store it (its
+	// product with U(K,J) is ±0). Windows of one slice for the layout.
+	maps     []int32
+	mapStart []int32 // parallel to blockRows[:diagIdx]
+	// packEnd ends the window of the column's packed planned rows in a
+	// factorization's packed slab (packSlab): the window is [packEnd of
+	// the previous column (0 for the first), packEnd), and it is empty
+	// unless some U(K,·) takes the packed path.
 	packEnd int
 }
 
@@ -91,73 +99,116 @@ type blockCol struct {
 	data []float64 // rows × width, row-major, lda = width
 }
 
-// newLayout lays the block columns of stored out for the partition,
-// places the rows of plan (column K: the global rows below K's diagonal
-// block that can be non-zero, ascending, as supernode.BlockPatternOrdered
-// returns them) in the stacks, and plans the packed slab (planPacking).
+// newLayout lays the block columns of stored out for the partition with
+// the rows of plan (column K: the global rows below K's diagonal block
+// that can be non-zero, ascending, as supernode.BlockPatternOrdered
+// returns them) below each diagonal block, records the target map of
+// every stored U block, and plans the packed slab (planPacking).
 func newLayout(stored *symbolic.Result, part *supernode.Partition, plan *sparse.Pattern) []colLayout {
 	lay := make([]colLayout, stored.N)
-	blockRows := make([]int, 0, stored.NNZ())
-	offsets := make([]int, 0, stored.NNZ())
-	pairs := make([]int32, 0, 2*plan.NNZ())
 	u := stored.UCols()
+	blockRows := make([]int, 0, u.NNZ())
+	offsets := make([]int, 0, u.NNZ())
+	rows := make([]int32, 0, plan.NNZ())
 	for j := range lay {
 		c := &lay[j]
 		c.width = part.Size(j)
-		ublocks := u.Col(j) // rows ≤ j, ends at diagonal
-		c.diagIdx = len(ublocks) - 1
 		lo := len(blockRows)
-		blockRows = append(append(blockRows, ublocks[:c.diagIdx]...), stored.L.Col(j)...)
+		blockRows = append(blockRows, u.Col(j)...) // rows ≤ j, ends at diagonal
 		c.blockRows = blockRows[lo:len(blockRows):len(blockRows)]
+		c.diagIdx = len(c.blockRows) - 1
 		for _, br := range c.blockRows {
 			offsets = append(offsets, c.rows)
 			c.rows += part.Size(br)
 		}
 		c.offsets = offsets[lo:len(offsets):len(offsets)]
-		start, t := len(pairs), c.diagIdx+1
+		start, lblocks := len(rows), stored.L.Col(j) // from the diagonal block
 		for _, g := range plan.Col(j) {
 			br := part.ColToBlock[g]
-			for t < len(c.blockRows) && c.blockRows[t] < br {
-				t++
+			for len(lblocks) > 0 && lblocks[0] < br {
+				lblocks = lblocks[1:]
 			}
-			if t == len(c.blockRows) || c.blockRows[t] != br {
+			if br <= j || len(lblocks) == 0 || lblocks[0] != br {
 				panic(fmt.Sprintf("core: planned row %d of block column %d lies in no stored block", g, j))
 			}
-			pairs = append(pairs, int32(c.offsets[t]+g-part.BlockStart[br]), int32(g))
+			rows = append(rows, int32(g))
 		}
-		c.plan = pairs[start:len(pairs):len(pairs)]
+		c.plan = rows[start:len(rows):len(rows)]
+		c.rows += len(c.plan)
 	}
+	mapLayout(lay, part)
 	planPacking(lay)
 	return lay
 }
 
+// mapLayout fills the target maps: for every stored U block (K,J), the
+// stacked row of J that each planned row of K lands in, −1 for a row J
+// does not store. While column J is mapped, stamp[g] == J+1 marks the
+// rows it stores and at[g] holds their stacked rows.
+func mapLayout(lay []colLayout, part *supernode.Partition) {
+	n, nu := 0, 0
+	for j := range lay {
+		for _, k := range lay[j].blockRows[:lay[j].diagIdx] {
+			n += len(lay[k].plan)
+		}
+		nu += lay[j].diagIdx
+	}
+	maps := make([]int32, 0, n)
+	starts := make([]int32, 0, nu)
+	at := make([]int32, part.BlockStart[len(lay)])
+	stamp := make([]int32, len(at))
+	for j := range lay {
+		c := &lay[j]
+		for t, br := range c.blockRows {
+			lo, hi := part.Range(br)
+			for g := lo; g < hi; g++ {
+				at[g], stamp[g] = int32(c.offsets[t]+g-lo), int32(j+1)
+			}
+		}
+		sub := c.panelOffset() + c.width
+		for q, g := range c.plan {
+			at[g], stamp[g] = int32(sub+q), int32(j+1)
+		}
+		lo, slo := len(maps), len(starts)
+		for _, k := range c.blockRows[:c.diagIdx] {
+			starts = append(starts, int32(len(maps)-lo))
+			for _, g := range lay[k].plan {
+				to := int32(-1)
+				if stamp[g] == int32(j+1) {
+					to = at[g]
+				}
+				maps = append(maps, to)
+			}
+		}
+		c.maps = maps[lo:len(maps):len(maps)]
+		c.mapStart = starts[slo:len(starts):len(starts)]
+	}
+}
+
+// target returns the target map of column c's stored U block at index
+// t < diagIdx, whose block row's plan has planLen rows.
+func (c *colLayout) target(t, planLen int) []int32 {
+	return c.maps[c.mapStart[t]:][:planLen]
+}
+
 // planPacking lays out the packed slab: it gives panel K a window of
-// blas.PanelSize ints when at least one Schur run of a stored U(K,J)
-// has a shape blas.PackedShape sends down the packed path — the
-// dispatch predicate of Dgemm, so exactly the runs that would pack
-// L(·,K) themselves read it packed — and an empty window otherwise.
+// blas.PanelSize ints of its planned rows when the Schur product of at
+// least one stored U(K,J) has a shape blas.PackedShape sends down the
+// packed path — the dispatch predicate of Dgemm — and an empty window
+// otherwise.
 func planPacking(lay []colLayout) {
 	need := make([]bool, len(lay))
 	for j := range lay {
 		colJ := &lay[j]
-		for tk, k := range colJ.blockRows[:colJ.diagIdx] {
+		for _, k := range colJ.blockRows[:colJ.diagIdx] {
 			colK := &lay[k]
-			t, tj := colK.diagIdx+1, tk+1
-			for !need[k] {
-				var n int
-				t, tj, n = nextRun(colK.blockRows, colJ.blockRows, t, tj)
-				if n == 0 {
-					break
-				}
-				need[k] = blas.PackedShape(colK.rowEnd(t+n-1)-colK.offsets[t], colJ.width, colK.width)
-				t, tj = t+n, tj+n
-			}
+			need[k] = need[k] || blas.PackedShape(len(colK.plan), colJ.width, colK.width)
 		}
 	}
 	end := 0
 	for k := range lay {
 		if c := &lay[k]; need[k] {
-			_, ints := blas.PanelSize(c.subRows(), c.width)
+			_, ints := blas.PanelSize(len(c.plan), c.width)
 			end += ints
 		}
 		lay[k].packEnd = end
@@ -176,30 +227,26 @@ func findBlock(blockRows []int, br int) int {
 // panelOffset returns the row offset where the L panel starts.
 func (c *colLayout) panelOffset() int { return c.offsets[c.diagIdx] }
 
-// subRows returns the number of rows of the L panel below its diagonal
-// block.
-func (c *colLayout) subRows() int { return c.rows - c.panelOffset() - c.width }
-
-// globalRow returns the global scalar row of stacked row r.
-func (c *colLayout) globalRow(part *supernode.Partition, r int) int {
-	t, ok := slices.BinarySearch(c.offsets, r)
-	if !ok {
-		t--
+// stackedRow returns the stacked row of global scalar row g in block
+// column c; ok is false when c stores no such row: its block is not
+// stored there, or it lies below the diagonal block outside the plan.
+func (c *colLayout) stackedRow(part *supernode.Partition, g int) (r int, ok bool) {
+	bi := part.ColToBlock[g]
+	if bi > c.blockRows[c.diagIdx] {
+		p, ok := slices.BinarySearch(c.plan, int32(g))
+		return c.panelOffset() + c.width + p, ok
 	}
-	return part.BlockStart[c.blockRows[t]] + r - c.offsets[t]
+	t := findBlock(c.blockRows, bi)
+	if t < 0 {
+		return 0, false
+	}
+	return c.offsets[t] + g - part.BlockStart[bi], true
 }
 
-// rowEnd returns the row offset just past the block at index t.
-func (c *colLayout) rowEnd(t int) int {
-	if t+1 < len(c.offsets) {
-		return c.offsets[t+1]
-	}
-	return c.rows
-}
-
-// values returns the length of a factorization's value slab: the block
-// columns' dense stacks, back to back in column order.
-func (s *Symbolic) values() int {
+// SlabEntries returns the float64 values one factorization allocates:
+// the block columns' stacks — stored U blocks, diagonal block and
+// planned rows — back to back in column order.
+func (s *Symbolic) SlabEntries() int {
 	n := 0
 	for j := range s.layout {
 		n += s.layout[j].rows * s.layout[j].width
@@ -433,7 +480,7 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 	}
 	f.badCol.Store(-1)
 	part := s.Part
-	data := make([]float64, s.values())
+	data := make([]float64, s.SlabEntries())
 	ipiv := make([]int, s.N)
 	for j, off := 0, 0; j < nb; j++ {
 		c := &s.layout[j]
@@ -465,24 +512,18 @@ func newFactorization(s *Symbolic, a *sparse.CSC, eff NumericOptions) (*Factoriz
 			rec.Record(0, trace.NoTask, trace.KindScale, -1, start)
 		}
 	}
-	// Block column by block column, so that planned[i] == bj+1 marks
-	// the rows of bj's plan: an entry below the diagonal block must lie
-	// in one, since the solve skips every other row.
+	// An entry below a diagonal block must lie in a planned row: the
+	// layout stores no other.
 	colOf := s.SymPerm.Inverse()
-	planned := make([]int, s.N)
 	for bj := range f.cols {
 		c := &f.cols[bj]
-		for p := 1; p < len(c.plan); p += 2 {
-			planned[c.plan[p]] = bj + 1
-		}
-		sub := c.panelOffset() + c.width
 		for j := part.BlockStart[bj]; j < part.BlockStart[bj+1]; j++ {
 			lc := j - part.BlockStart[bj]
 			rows, vals := a.Col(colOf[j])
 			for k, io := range rows {
 				i := s.SolvePerm[io]
-				off, ok := f.rowOffset(c, i)
-				if !ok || off >= sub && planned[i] != bj+1 {
+				off, ok := c.stackedRow(part, i)
+				if !ok {
 					return nil, fmt.Errorf("core: entry (%d,%d) outside the block structure", i, j)
 				}
 				c.data[off*c.width+lc] = f.a2(vals[k], i, j)
@@ -536,18 +577,6 @@ func (f *Factorization) normInfA2(a *sparse.CSC, colOf []int) float64 {
 	return m
 }
 
-// rowOffset locates the stacked row offset of global scalar row g in
-// block column c; ok is false when the row's block is not stored there.
-func (f *Factorization) rowOffset(c *blockCol, g int) (off int, ok bool) {
-	part := f.S.Part
-	bi := part.ColToBlock[g]
-	t := findBlock(c.blockRows, bi)
-	if t < 0 {
-		return 0, false
-	}
-	return c.offsets[t] + g - part.BlockStart[bi], true
-}
-
 // runTask dispatches one task of the dependence graph.
 func (f *Factorization) runTask(id int) error {
 	t := f.S.Graph.Tasks[id]
@@ -595,7 +624,7 @@ func (f *Factorization) factorPanel(k int) error {
 		if r < w {
 			ipiv[lc] = base + r
 		} else {
-			ipiv[lc] = c.globalRow(f.S.Part, po+r)
+			ipiv[lc] = int(c.plan[r-w])
 		}
 	}
 	if firstZero >= 0 {
@@ -612,15 +641,15 @@ func (f *Factorization) factorPanel(k int) error {
 		return fmt.Errorf("core: panel %d entry (%d,%d) is %v: %w",
 			k, i/w, i%w, panel[i], ErrNonFinite)
 	}
-	// Pack the sub-diagonal rows once, α = −1 folded in, for every
-	// U(K,J) of the panel: they are final from here on.
+	// Pack the planned rows once, α = −1 folded in, for every U(K,J) of
+	// the panel: they are final from here on.
 	if p, ok := f.panel(k); ok {
 		p.Pack(-1, panel[w*w:], w)
 	}
 	return nil
 }
 
-// panel returns the packed view of panel k's sub-diagonal rows, or
+// panel returns the packed view of panel k's planned rows, or
 // false when the plan gave it no window or the numeric phase runs
 // without a slab.
 func (f *Factorization) panel(k int) (blas.Panel, bool) {
@@ -633,47 +662,53 @@ func (f *Factorization) panel(k int) (blas.Panel, bool) {
 		return blas.Panel{}, false
 	}
 	c := &lay[k]
-	nv, _ := blas.PanelSize(c.subRows(), c.width)
-	return blas.Panel{M: c.subRows(), K: c.width, Vals: f.pack.vals[4*start:][:nv], Ints: f.pack.ints[start:end]}, true
+	nv, _ := blas.PanelSize(len(c.plan), c.width)
+	return blas.Panel{M: len(c.plan), K: c.width, Vals: f.pack.vals[4*start:][:nv], Ints: f.pack.ints[start:end]}, true
 }
 
 // update performs task U(K, J): replay panel K's pivot interchanges on
 // block column J, solve for the U block with the unit-lower diagonal
-// factor of K, and apply the Schur updates of K's sub-diagonal blocks —
-// all on the stored blocks only. Symbolic.Graph has a task only for a
-// stored block (K,J); the early return for one that is not stored serves
-// only the copies that run the block-level closure graph on the stored
-// layout (the experiments' real-mode timings), where such a task has
-// nothing to do. An interchange or a Schur update whose other block is
-// missing from column J is skipped too. That drops no non-zero because Ā
-// is closed under elimination for every pivot sequence: the candidate
-// rows of a step share the pivot row's structure to its right, so a row
-// without a block in column J exchanges with a row that is zero there,
-// and (i,k), (k,j) ∈ Ā imply (i,j) ∈ Ā, so a missing target block would
-// only receive products with a structurally zero factor. The first of
-// the two is checked, and its violation returned as an error so the
-// executor can report which task failed.
+// factor of K, and apply the Schur update of K's planned rows — all on
+// the rows J stores, through the target map of U(K,J). Symbolic.Graph
+// has a task only for a stored block (K,J); the early return for one
+// that is not stored serves only the copies that run the block-level
+// closure graph on the stored layout (the experiments' real-mode
+// timings), where such a task has nothing to do. An interchange or a
+// product whose row J does not store is skipped too. That drops no
+// non-zero because Ā is closed under elimination for every pivot
+// sequence: the candidate rows of a step share the pivot row's structure
+// to its right, so a row J does not store exchanges with a row that is
+// zero there, and (i,k), (k,j) ∈ Ā imply (i,j) ∈ Ā, so a row J does not
+// store only receives products with a structurally zero factor. The
+// first of the two is checked, and its violation returned as an error
+// so the executor can report which task failed.
 func (f *Factorization) update(k, j int) error {
 	colK := &f.cols[k]
 	colJ := &f.cols[j]
-	tk := findBlock(colJ.blockRows, k)
+	tk := findBlock(colJ.blockRows[:colJ.diagIdx], k)
 	if tk < 0 {
 		return nil
 	}
 	wk, wj := colK.width, colJ.width
 	bkjOff := colJ.offsets[tk]
+	to := colJ.target(tk, len(colK.plan))
 
-	// 1. Replay σ_K on the rows of column J that lie in panel K. Global
-	// row base+c is row c of the diagonal block, so of block (K,J).
+	// 1. Replay σ_K on the rows of column J that lie in panel K. Row c of
+	// the diagonal block is row c of block (K,J); a planned row of K lands
+	// where the map sends it.
 	base := f.S.Part.BlockStart[k]
 	for c, g := range f.ipiv[k] {
 		if g == base+c {
 			continue
 		}
 		rowC := colJ.data[(bkjOff+c)*wj:][:wj]
-		o2, ok := f.rowOffset(colJ, g)
-		if !ok {
-			// Row r is zero throughout column J, so row c must be too
+		o2 := bkjOff + g - base
+		if g >= base+wk {
+			p, _ := slices.BinarySearch(colK.plan, int32(g))
+			o2 = int(to[p])
+		}
+		if o2 < 0 {
+			// Row g is zero throughout column J, so row c must be too
 			// and there is nothing to exchange. A corrupted value is
 			// reported as what it is, not as a structural mismatch.
 			if i := firstNonFinite(rowC); i >= 0 {
@@ -681,7 +716,7 @@ func (f *Factorization) update(k, j int) error {
 			}
 			for _, v := range rowC {
 				if v != 0 {
-					return fmt.Errorf("core: panel %d exchanges row %d with row %d, whose block is missing in column %d, but the former holds %v there",
+					return fmt.Errorf("core: panel %d exchanges row %d with row %d, which is missing in column %d, but the former holds %v there",
 						k, base+c, g, j, v)
 				}
 			}
@@ -703,30 +738,16 @@ func (f *Factorization) update(k, j int) error {
 			k, j, i/wj, i%wj, bkj[i], ErrNonFinite)
 	}
 
-	// 3. B(I,J) ← B(I,J) − L(I,K)·U(K,J) for every sub-diagonal block of
-	// panel K whose target is stored, one Dgemm per run of such blocks
-	// (nextRun): a run's rows are contiguous in both slabs. A run that
-	// Dgemm would send down its packed path reads the rows F(K) packed,
-	// bitwise the same product.
-	pk, packed := f.panel(k)
-	sub := colK.panelOffset() + wk
-	t, tj := colK.diagIdx+1, tk+1
-	for {
-		var n int
-		t, tj, n = nextRun(colK.blockRows, colJ.blockRows, t, tj)
-		if n == 0 {
-			return nil
-		}
-		rows := colK.rowEnd(t+n-1) - colK.offsets[t]
-		lik := colK.data[colK.offsets[t]*wk:]
-		dst := colJ.data[colJ.offsets[tj]*wj:]
-		if packed && blas.PackedShape(rows, wj, wk) {
-			blas.DgemmPanel(&pk, colK.offsets[t]-sub, rows, wj, bkj, wj, dst, wj)
-		} else {
-			blas.Dgemm(rows, wj, wk, -1, lik, wk, bkj, wj, 1, dst, wj)
-		}
-		t, tj = t+n, tj+n
+	// 3. C ← C − L(P,K)·U(K,J), P the plan of K, one product whose row p
+	// lands in row to[p] of column J. A shape Dgemm would send down its
+	// packed path reads the rows F(K) packed, bitwise the same product.
+	if pk, ok := f.panel(k); ok && blas.PackedShape(len(colK.plan), wj, wk) {
+		blas.DgemmPanel(&pk, to, wj, bkj, wj, colJ.data, wj)
+		return nil
 	}
+	sub := colK.panelOffset() + wk
+	blas.DgemmRows(wj, wk, colK.data[sub*wk:], wk, to, bkj, wj, colJ.data, wj)
+	return nil
 }
 
 // packSlab is one factorization's storage of packed L panels: the
@@ -793,31 +814,4 @@ func putPackSlab(s *packSlab) {
 	if cap(packFree[small].ints) < cap(s.ints) {
 		packFree[small] = s
 	}
-}
-
-// nextRun is one step of the merge walk of update's Schur step over
-// panel K's block rows rowsK and column J's rowsJ, both ascending:
-// starting at index t of rowsK and tj of rowsJ, it finds the first block
-// row present in both and extends it over the following entries that
-// are equal in both lists. It returns where the run starts in each list
-// and its length n, 0 when no common block row is left. The blocks of a
-// run are stacked back to back in both columns, so one Dgemm covers
-// them, and Dgemm computes every row of C on its own, so the merged call
-// is bitwise the per-block calls.
-func nextRun(rowsK, rowsJ []int, t, tj int) (int, int, int) {
-	for t < len(rowsK) && tj < len(rowsJ) {
-		switch {
-		case rowsJ[tj] < rowsK[t]:
-			tj++
-		case rowsJ[tj] > rowsK[t]:
-			t++
-		default:
-			n := 1
-			for t+n < len(rowsK) && tj+n < len(rowsJ) && rowsK[t+n] == rowsJ[tj+n] {
-				n++
-			}
-			return t, tj, n
-		}
-	}
-	return t, tj, 0
 }

@@ -12,11 +12,12 @@ import (
 
 // TestPackPlanMatchesDispatch pins the packing plan Analyze records to
 // the dispatch of update: panel K gets a window in the packed slab
-// exactly when some Schur run of a stored U(K,J) has a shape
-// blas.PackedShape sends down the packed path, so every such run reads
-// a packed panel and no panel is packed for nothing; and the window
-// holds blas.PanelSize ints of the panel's sub-diagonal rows. It runs on
-// the four workload matrices and on every family of matgen.GenPatterns.
+// exactly when the Schur product of some stored U(K,J) — K's planned
+// rows times U(K,J) — has a shape blas.PackedShape sends down the packed
+// path, so every such product reads a packed panel and no panel is
+// packed for nothing; and the window holds blas.PanelSize ints of the
+// panel's planned rows. It runs on the four workload matrices and on
+// every family of matgen.GenPatterns.
 func TestPackPlanMatchesDispatch(t *testing.T) {
 	type input struct {
 		name string
@@ -44,25 +45,16 @@ func TestPackPlanMatchesDispatch(t *testing.T) {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		need := make([]bool, len(s.layout))
-		runs, packedRuns := 0, 0
+		updates, packed := 0, 0
 		for _, task := range s.Graph.Tasks {
 			if task.Kind != taskgraph.Update {
 				continue
 			}
+			updates++
 			colK, colJ := &s.layout[task.K], &s.layout[task.J]
-			r, rj := colK.diagIdx+1, findBlock(colJ.blockRows, task.K)+1
-			for {
-				var n int
-				r, rj, n = nextRun(colK.blockRows, colJ.blockRows, r, rj)
-				if n == 0 {
-					break
-				}
-				runs++
-				if blas.PackedShape(colK.rowEnd(r+n-1)-colK.offsets[r], colJ.width, colK.width) {
-					need[task.K] = true
-					packedRuns++
-				}
-				r, rj = r+n, rj+n
+			if blas.PackedShape(len(colK.plan), colJ.width, colK.width) {
+				need[task.K] = true
+				packed++
 			}
 		}
 		start := 0
@@ -70,18 +62,18 @@ func TestPackPlanMatchesDispatch(t *testing.T) {
 			c := &s.layout[k]
 			want := 0
 			if need[k] {
-				_, want = blas.PanelSize(c.subRows(), c.width)
+				_, want = blas.PanelSize(len(c.plan), c.width)
 			}
 			if got := c.packEnd - start; got != want {
 				t.Fatalf("%s: panel %d has a window of %d ints, want %d (packed runs read it: %v)", in.name, k, got, want, need[k])
 			}
 			start = c.packEnd
 		}
-		packedAnywhere = packedAnywhere || packedRuns > 0
-		t.Logf("%s: %d of %d runs packed, slab of %d ints", in.name, packedRuns, runs, s.packLen())
+		packedAnywhere = packedAnywhere || packed > 0
+		t.Logf("%s: %d of %d updates packed, slab of %d ints", in.name, packed, updates, s.packLen())
 	}
 	if !packedAnywhere {
-		t.Fatal("no run takes the packed path: the plan is never exercised")
+		t.Fatal("no update takes the packed path: the plan is never exercised")
 	}
 }
 
@@ -105,7 +97,7 @@ func TestFactorizeRecyclesPackSlab(t *testing.T) {
 	if _, err := FactorizeWithOpts(s, a, nil); err != nil {
 		t.Fatal(err)
 	}
-	values := 8 * uint64(s.values())
+	values := 8 * uint64(s.SlabEntries())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f, err := FactorizeWithOpts(s, a, nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,35 +12,18 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestPlanHoldsEveryNonZeroRow checks the solve's row plan on the
-// numbers: after a factorization, every stored sub-diagonal L entry in a
-// row outside its column's plan is ±0, and every pivot row ipiv records
-// lies in its column's diagonal block or in its plan. The plan is where
-// the forward sweep and the transposed L̄ᵀ sweep look, so a row it
-// missed would drop a non-zero from the solve. Each pair of the plan must
-// also name the stacked row its global row lives in. The inputs are the
-// small suite and GenPatterns seeds 1–60, with their own values and with
-// N(0,1) values that make the panels interchange rows, under PivotFail
-// and PivotPerturb.
+// TestPlanHoldsEveryNonZeroRow checks the row plan on the numbers: every
+// pivot row ipiv records lies in its column's diagonal block or in its
+// plan, and each plan lists, ascending, rows of stored blocks below the
+// diagonal block. The layout stores no other row below a diagonal
+// block, so a pivot row outside the plan would be one the panel LU
+// never saw; that the rows left out are ±0 is the second check of
+// TestLayoutFreeOracleParity. The inputs are the small suite and GenPatterns
+// seeds 1–60, with their own values and with N(0,1) values that make the
+// panels interchange rows, under PivotFail and PivotPerturb.
 func TestPlanHoldsEveryNonZeroRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(5417))
-	type input struct {
-		name string
-		a    *sparse.CSC
-	}
-	var inputs []input
-	add := func(name string, a *sparse.CSC) {
-		inputs = append(inputs, input{name, a}, input{name + "/random", randomValues(a, rng)})
-	}
-	for _, sp := range matgen.SmallSuite() {
-		add(sp.Name, sp.Gen())
-	}
-	for seed := int64(1); seed <= 60; seed++ {
-		for _, pc := range matgen.GenPatterns(seed) {
-			add(fmt.Sprintf("%s/seed=%d", pc.Name, seed), pc.A)
-		}
-	}
-	var zeroRows, subPivots, nonFinite int
+	var subPivots, nonFinite int
+	inputs := oracleInputs()
 	for _, in := range inputs {
 		s, err := Analyze(in.a, nil)
 		if err != nil {
@@ -55,45 +39,54 @@ func TestPlanHoldsEveryNonZeroRow(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			z, p := checkPlan(t, ctx, f)
-			zeroRows += z
-			subPivots += p
+			subPivots += checkPlan(t, ctx, f)
 		}
 	}
-	t.Logf("%d inputs: %d stored sub-diagonal rows outside the plans, all ±0; %d pivots below the diagonal block, all planned; %d factorizations hit a non-finite value",
-		len(inputs), zeroRows, subPivots, nonFinite)
-	if zeroRows == 0 || subPivots == 0 {
-		t.Fatalf("the inputs never reached an unplanned row (%d) or a sub-diagonal pivot (%d)", zeroRows, subPivots)
+	t.Logf("%d inputs: %d pivots below the diagonal block, all planned; %d factorizations hit a non-finite value",
+		len(inputs), subPivots, nonFinite)
+	if subPivots == 0 {
+		t.Fatal("the inputs never reached a sub-diagonal pivot")
 	}
 }
 
+// oracleInput is one matrix of the layout oracles.
+type oracleInput struct {
+	name string
+	a    *sparse.CSC
+}
+
+// oracleInputs returns the small suite and GenPatterns seeds 1–60, each
+// with its own values and with N(0,1) values that make the panels
+// interchange rows.
+func oracleInputs() []oracleInput {
+	rng := rand.New(rand.NewSource(5417))
+	var inputs []oracleInput
+	add := func(name string, a *sparse.CSC) {
+		inputs = append(inputs, oracleInput{name, a}, oracleInput{name + "/random", randomValues(a, rng)})
+	}
+	for _, sp := range matgen.SmallSuite() {
+		add(sp.Name, sp.Gen())
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		for _, pc := range matgen.GenPatterns(seed) {
+			add(fmt.Sprintf("%s/seed=%d", pc.Name, seed), pc.A)
+		}
+	}
+	return inputs
+}
+
 // checkPlan runs TestPlanHoldsEveryNonZeroRow's checks on one
-// factorization and returns how many unplanned rows it read and how many
-// pivots came from below the diagonal block.
-func checkPlan(t *testing.T, ctx string, f *Factorization) (zeroRows, subPivots int) {
+// factorization and returns how many pivots came from below the
+// diagonal block.
+func checkPlan(t *testing.T, ctx string, f *Factorization) (subPivots int) {
 	t.Helper()
 	part := f.S.Part
 	for k := range f.cols {
 		c := &f.cols[k]
 		w := c.width
-		planned := make(map[int]bool, len(c.plan)/2)
-		for p := 0; p < len(c.plan); p += 2 {
-			s, g := int(c.plan[p]), int(c.plan[p+1])
-			if s < c.panelOffset()+w || s >= c.rows || c.globalRow(part, s) != g {
-				t.Fatalf("%s: column %d plans stacked row %d as global row %d", ctx, k, s, g)
-			}
-			planned[g] = true
-		}
-		for s := c.panelOffset() + w; s < c.rows; s++ {
-			g := c.globalRow(part, s)
-			if planned[g] {
-				continue
-			}
-			zeroRows++
-			for j, v := range c.data[s*w : (s+1)*w] {
-				if v != 0 {
-					t.Fatalf("%s: column %d row %d is outside the plan but holds %v at local column %d", ctx, k, g, v, j)
-				}
+		for p, g := range c.plan {
+			if br := part.ColToBlock[g]; br <= k || !f.S.Stored.L.Has(br, k) || p > 0 && c.plan[p-1] >= g {
+				t.Fatalf("%s: column %d plans row %d at entry %d", ctx, k, g, p)
 			}
 		}
 		base := part.BlockStart[k]
@@ -102,12 +95,12 @@ func checkPlan(t *testing.T, ctx string, f *Factorization) (zeroRows, subPivots 
 				continue
 			}
 			subPivots++
-			if !planned[g] {
+			if _, ok := slices.BinarySearch(c.plan, int32(g)); !ok {
 				t.Fatalf("%s: column %d pivots local column %d on row %d, which is outside the plan", ctx, k, lc, g)
 			}
 		}
 	}
-	return zeroRows, subPivots
+	return subPivots
 }
 
 // TestFactorizeRejectsUnplannedEntry factors each small-suite matrix with
@@ -155,13 +148,12 @@ func TestFactorizeRejectsUnplannedEntry(t *testing.T) {
 func unplannedEntry(s *Symbolic) (i, j int, ok bool) {
 	for k := range s.layout {
 		c := &s.layout[k]
-		planned := make(map[int32]bool, len(c.plan)/2)
-		for p := 0; p < len(c.plan); p += 2 {
-			planned[c.plan[p]] = true
-		}
-		for r := c.panelOffset() + c.width; r < c.rows; r++ {
-			if !planned[int32(r)] {
-				return c.globalRow(s.Part, r), s.Part.BlockStart[k], true
+		for _, br := range s.Stored.L.Col(k)[1:] {
+			ilo, ihi := s.Part.Range(br)
+			for g := ilo; g < ihi; g++ {
+				if _, planned := slices.BinarySearch(c.plan, int32(g)); !planned {
+					return g, s.Part.BlockStart[k], true
+				}
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func fingerprint(s *Symbolic) symbolicFingerprint {
 	for i := range s.layout {
 		c := &s.layout[i]
 		add(c.blockRows, c.offsets, []int{c.width, c.diagIdx, c.rows, c.packEnd})
-		fp.ints32 = append(fp.ints32, slices.Clone(c.plan))
+		fp.ints32 = append(fp.ints32, slices.Clone(c.plan), slices.Clone(c.maps), slices.Clone(c.mapStart))
 	}
 	for _, succ := range s.Graph.Succ {
 		fp.ints32 = append(fp.ints32, slices.Clone(succ))

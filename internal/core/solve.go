@@ -20,8 +20,8 @@ import (
 // phase's pooled pack buffers.
 type SolveWorkspace struct {
 	buf []float64
-	// gather holds the planned rows of one L panel and of the
-	// right-hand-side panel for fwdPanelStep's packed product.
+	// gather holds the planned rows of the right-hand-side panel for
+	// fwdPanelStep's packed product.
 	gather []float64
 }
 
@@ -253,10 +253,8 @@ func (f *Factorization) solve(xs, bs [][]float64, transpose bool, nopts *Numeric
 
 // fwdStep is the forward-sweep step of block column k on one
 // right-hand side: replay the panel's interchanges at its step, solve
-// the unit-lower diagonal block, then propagate to the planned rows of
-// the sub-diagonal blocks, four at a time. A row outside the plan is ±0,
-// so the full product would leave its y_i as it is, bit for bit, unless
-// y_K holds an Inf or a NaN (DESIGN §11).
+// the unit-lower diagonal block, then propagate to the planned rows below
+// it, four at a time.
 func (f *Factorization) fwdStep(k int, y []float64) {
 	c := &f.cols[k]
 	w := c.width
@@ -267,8 +265,9 @@ func (f *Factorization) fwdStep(k int, y []float64) {
 		}
 	}
 	yk := y[lo : lo+w]
-	blas.Dtrsv(true, true, w, c.data[c.panelOffset()*w:], w, yk)
-	blas.DgemvRows(w, c.data, w, c.plan, yk, y)
+	po := c.panelOffset()
+	blas.Dtrsv(true, true, w, c.data[po*w:], w, yk)
+	blas.DgemvRows(w, c.data[(po+w)*w:], w, c.plan, yk, y)
 }
 
 // bwdStep is the backward-sweep step of block column k: solve the
@@ -280,30 +279,30 @@ func (f *Factorization) bwdStep(k int, y []float64) {
 	lo := f.S.Part.BlockStart[k]
 	xk := y[lo : lo+w]
 	blas.Dtrsv(false, false, w, c.data[c.panelOffset()*w:], w, xk)
-	var rows [8]int32 // four (stacked row, global row) pairs
-	n := 0
+	// The U blocks are stacked rows [0, panelOffset()), in order.
+	var to [4]int32
+	s, n := 0, 0
 	for t := 0; t < c.diagIdx; t++ {
 		ilo, ihi := f.S.Part.Range(c.blockRows[t])
-		for s, g := c.offsets[t], ilo; g < ihi; s, g = s+1, g+1 {
-			rows[n], rows[n+1] = int32(s), int32(g)
-			if n += 2; n == len(rows) {
-				blas.DgemvRows(w, c.data, w, rows[:], xk, y)
-				n = 0
+		for g := ilo; g < ihi; g++ {
+			to[n] = int32(g)
+			if n++; n == len(to) {
+				blas.DgemvRows(w, c.data[s*w:], w, to[:], xk, y)
+				s, n = s+n, 0
 			}
 		}
 	}
-	blas.DgemvRows(w, c.data, w, rows[:n], xk, y)
+	blas.DgemvRows(w, c.data[s*w:], w, to[:n], xk, y)
 }
 
 // fwdPanelStep is fwdStep on an n×nrhs row-major panel: Dswap replays
 // the interchanges across all right-hand sides, Dtrsm solves the
-// unit-lower diagonal block, and only the planned sub-diagonal rows are
-// updated. When the planned rows make a shape Dgemm sends down its
-// packed path, they are gathered into ws with their rows of the panel,
-// multiplied there by one Dgemm and scattered back; otherwise DgemmRows
-// updates them in place. Both compute each row on its own with Dgemm's
-// per-element order and skip a zero multiplier, so leaving out the ±0
-// rows changes no bit, Inf or not.
+// unit-lower diagonal block, and the planned rows are updated. When they
+// make a shape Dgemm sends down its packed path, their rows of the
+// right-hand-side panel are gathered into ws, updated there by one Dgemm
+// on the contiguous planned rows of L and scattered back; otherwise
+// DgemmRows updates them in place. Both compute each row on its own with
+// Dgemm's per-element order.
 func (f *Factorization) fwdPanelStep(k int, y []float64, nrhs int, ws *SolveWorkspace) {
 	c := &f.cols[k]
 	w := c.width
@@ -314,25 +313,24 @@ func (f *Factorization) fwdPanelStep(k int, y []float64, nrhs int, ws *SolveWork
 		}
 	}
 	yk := y[lo*nrhs:]
-	blas.Dtrsm(true, true, w, nrhs, 1, c.data[c.panelOffset()*w:], w, yk, nrhs)
-	m := len(c.plan) / 2
+	po := c.panelOffset()
+	blas.Dtrsm(true, true, w, nrhs, 1, c.data[po*w:], w, yk, nrhs)
+	a := c.data[(po+w)*w:]
+	m := len(c.plan)
 	if !blas.PackedShape(m, nrhs, w) {
-		blas.DgemmRows(nrhs, w, c.data, w, c.plan, yk, nrhs, y, nrhs)
+		blas.DgemmRows(nrhs, w, a, w, c.plan, yk, nrhs, y, nrhs)
 		return
 	}
-	if cap(ws.gather) < m*(w+nrhs) {
-		ws.gather = make([]float64, m*(w+nrhs))
+	if cap(ws.gather) < m*nrhs {
+		ws.gather = make([]float64, m*nrhs)
 	}
-	a, b := ws.gather[:m*w], ws.gather[m*w:m*(w+nrhs)]
-	for i := 0; i < m; i++ {
-		s, g := int(c.plan[2*i]), int(c.plan[2*i+1])
-		copy(a[i*w:(i+1)*w], c.data[s*w:])
-		copy(b[i*nrhs:(i+1)*nrhs], y[g*nrhs:])
+	b := ws.gather[:m*nrhs]
+	for i, g := range c.plan {
+		copy(b[i*nrhs:(i+1)*nrhs], y[int(g)*nrhs:])
 	}
 	blas.Dgemm(m, nrhs, w, -1, a, w, yk, nrhs, 1, b, nrhs)
-	for i := 0; i < m; i++ {
-		g := int(c.plan[2*i+1])
-		copy(y[g*nrhs:(g+1)*nrhs], b[i*nrhs:])
+	for i, g := range c.plan {
+		copy(y[int(g)*nrhs:(int(g)+1)*nrhs], b[i*nrhs:])
 	}
 }
 

@@ -18,8 +18,8 @@ const solveGoldenFile = "testdata/solve_golden.json"
 
 // factorHash is the sha256 of every numeric value a Factorization
 // keeps: the block-column data in storage order and the pivot rows, the
-// latter as the panel rows the golden table recorded them in (ipiv
-// holds global rows; each maps to one stacked row of its panel).
+// latter as panel rows (ipiv holds global rows; each maps to one stacked
+// row of its panel: the diagonal block's rows, then the plan's).
 func factorHash(f *Factorization) string {
 	g := &goldenHasher{h: sha256.New()}
 	for _, c := range f.cols {
@@ -29,7 +29,7 @@ func factorHash(f *Factorization) string {
 		c := &f.cols[k]
 		local := make([]int, len(p))
 		for lc, row := range p {
-			off, _ := f.rowOffset(c, row)
+			off, _ := c.stackedRow(f.S.Part, row)
 			local[lc] = off - c.panelOffset()
 		}
 		g.ints(local)

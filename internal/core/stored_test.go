@@ -40,14 +40,12 @@ func closureStorage(t *testing.T, s *Symbolic) *Symbolic {
 	return &c
 }
 
-// planRows returns the plan of s's layout as newLayout takes it: column
-// K lists the global rows of its planned pairs.
+// planRows returns the plan of s's layout as newLayout takes it.
 func planRows(s *Symbolic) *sparse.Pattern {
 	p := &sparse.Pattern{NRows: s.N, NCols: len(s.layout), ColPtr: make([]int, len(s.layout)+1)}
 	for k := range s.layout {
-		plan := s.layout[k].plan
-		for i := 1; i < len(plan); i += 2 {
-			p.RowInd = append(p.RowInd, int(plan[i]))
+		for _, g := range s.layout[k].plan {
+			p.RowInd = append(p.RowInd, int(g))
 		}
 		p.ColPtr[k+1] = len(p.RowInd)
 	}
@@ -68,8 +66,8 @@ func randomValues(a *sparse.CSC, rng *rand.Rand) *sparse.CSC {
 // skips counts what a finished factorization on the stored structure
 // left out of the closure's work: tasks of its graph whose block is not
 // stored (none, on the stored-block graph), interchanges with a row that
-// has no block in the destination column, and Schur updates whose target
-// block is not stored.
+// the destination column does not store, and sub-diagonal blocks of a
+// panel whose target block is not stored.
 type skips struct{ tasks, swaps, targets, exchanged int }
 
 // noOps counts the update tasks of g whose block (K,J) s does not store:
@@ -85,12 +83,13 @@ func noOps(g *taskgraph.Graph, s *Symbolic) int {
 }
 
 func countSkips(f *Factorization) (n skips) {
+	stored := f.S.Stored
 	for _, task := range f.S.Graph.Tasks {
 		if task.Kind != taskgraph.Update {
 			continue
 		}
-		colK, colJ := &f.cols[task.K], &f.cols[task.J]
-		if findBlock(colJ.blockRows, task.K) < 0 {
+		colJ := &f.cols[task.J]
+		if !stored.URows.Has(task.J, task.K) {
 			n.tasks++
 			continue
 		}
@@ -100,12 +99,12 @@ func countSkips(f *Factorization) (n skips) {
 				continue
 			}
 			n.exchanged++
-			if _, ok := f.rowOffset(colJ, g); !ok {
+			if _, ok := colJ.stackedRow(f.S.Part, g); !ok {
 				n.swaps++
 			}
 		}
-		for _, i := range colK.blockRows[colK.diagIdx+1:] {
-			if findBlock(colJ.blockRows, i) < 0 {
+		for _, i := range stored.L.Col(task.K)[1:] {
+			if i <= task.J && !stored.URows.Has(task.J, i) || i > task.J && !stored.L.Has(i, task.J) {
 				n.targets++
 			}
 		}
@@ -115,10 +114,10 @@ func countSkips(f *Factorization) (n skips) {
 
 // sameFactors requires the factorization on the stored structure and the
 // one on the closure to agree bit for bit: the pivot rows (global rows,
-// the same on both layouts), every entry of every stored block, and
-// the singularity and perturbation records. Whatever else the closure
-// holds must still be zero (−0 where a zero multiplier met a negative
-// pivot).
+// the same on both layouts), every entry of every stored block and of
+// the planned rows (the same plan on both), and the singularity and
+// perturbation records. Whatever else the closure holds must still be
+// zero (−0 where a zero multiplier met a negative pivot).
 func sameFactors(t *testing.T, ctx string, fs, fc *Factorization) {
 	t.Helper()
 	for k := range fs.cols {
@@ -129,18 +128,20 @@ func sameFactors(t *testing.T, ctx string, fs, fc *Factorization) {
 			}
 		}
 		w := cs.width
+		same := func(what string, want, got []float64) {
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: %s entry %d = %x on the stored structure, %x on the closure",
+						ctx, what, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
+				}
+			}
+		}
 		ts := 0
 		for tc, br := range cc.blockRows {
 			sz := fc.S.Part.Size(br) * w
 			got := cc.data[cc.offsets[tc]*w:][:sz]
 			if ts < len(cs.blockRows) && cs.blockRows[ts] == br {
-				want := cs.data[cs.offsets[ts]*w:][:sz]
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s: block (%d,%d) entry %d = %x on the stored structure, %x on the closure",
-							ctx, br, k, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
-					}
-				}
+				same(fmt.Sprintf("block (%d,%d)", br, k), cs.data[cs.offsets[ts]*w:][:sz], got)
 				ts++
 				continue
 			}
@@ -153,6 +154,7 @@ func sameFactors(t *testing.T, ctx string, fs, fc *Factorization) {
 		if ts != len(cs.blockRows) {
 			t.Fatalf("%s: column %d stores a block the closure lacks", ctx, k)
 		}
+		same(fmt.Sprintf("column %d's planned rows", k), cs.data[(cs.panelOffset()+w)*w:], cc.data[(cc.panelOffset()+w)*w:])
 	}
 	if fs.Singular() != fc.Singular() || fs.SingularColumn() != fc.SingularColumn() {
 		t.Fatalf("%s: singular %v at column %d, closure storage %v at %d",
@@ -281,9 +283,9 @@ func TestStoredBlocksParity(t *testing.T) {
 						entries += len(fs.cols[k].data)
 						blocks += len(fs.cols[k].blockRows)
 					}
-					if entries != s.Stats.StoredEntries || blocks != s.Stats.StoredBlocks {
-						t.Fatalf("%s: %d blocks / %d entries allocated, Stats report %d / %d",
-							ctx, blocks, entries, s.Stats.StoredBlocks, s.Stats.StoredEntries)
+					if entries != s.SlabEntries() || blocks != s.Stored.URows.NNZ() {
+						t.Fatalf("%s: %d U and diagonal blocks / %d entries allocated, want %d / %d",
+							ctx, blocks, entries, s.Stored.URows.NNZ(), s.SlabEntries())
 					}
 					n := countSkips(fs)
 					total.tasks += n.tasks

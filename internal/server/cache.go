@@ -27,26 +27,31 @@ func patternKey(m *sparse.CSC, opts *core.Options) string {
 // the block-level closure; the scalar Ā and eforest are transients of
 // Analyze, and a structure keeps Ū by rows only. Per block of the
 // closure 8 B (L̄ by columns and Ū by rows, 8-byte indices); per
-// stored block 32 B (its L̄ and Ū-row views and its slot in the
-// block-column layout); per column 80 B (the three permutations, the
-// column-to-block map, the per-block arrays and the solve's row plan,
-// 8 B per planned row); per task of the stored graph 90 B with its
-// costs and priorities, and 4 B an edge. 0.99–1.02× the live heap one
-// Analyze adds on the seven full-size suite matrices
-// (TestSymBytesTracksRetainedHeap); the closure is 27–51 % of that heap.
+// stored block 32 B (its L̄ and Ū-row views and, for a Ū block, its slot
+// in the block-column layout); per column 80 B (the three permutations,
+// the column-to-block map, the per-block arrays and the row plan, 4 B
+// per planned row); per task of the stored graph 90 B with its costs and
+// priorities, and 4 B an edge; and for the layout's target maps (one
+// int32 per planned row of K and stored U(K,J)) half a byte per value of
+// a factorization's slab: the maps hold 0.10–0.14 int32 per slab value
+// on the seven full-size suite matrices. 0.99–1.09× the live heap one
+// Analyze adds on them (TestSymBytesTracksRetainedHeap); the closure is
+// 27–51 % of that heap.
 func symBytes(s *core.Symbolic) int64 {
 	st := s.Stats
 	return int64(st.BlockNNZ)*8 + int64(st.StoredBlocks)*32 +
-		int64(st.N)*80 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4
+		int64(st.N)*80 + int64(st.StoredTasks)*90 + int64(st.StoredEdges)*4 +
+		int64(s.SlabEntries())/2
 }
 
 // factorBytes estimates the bytes one factorization of a pattern
-// allocates: the dense values of the stored blocks plus the per-column
-// and per-block-column index arrays. |Ā| alone undercounts it by the
-// explicit zeros of the dense blocks, a factor of 2–2.5.
+// allocates: its value slab (the stored U blocks, the diagonal blocks
+// and the planned rows of L) plus the per-column and per-block-column
+// index arrays. |Ā| alone undercounts it by the explicit zeros the
+// slab still stores.
 func factorBytes(s *core.Symbolic) int64 {
 	st := s.Stats
-	return int64(st.StoredEntries)*8 + int64(st.N)*16 + int64(st.Blocks)*80
+	return int64(s.SlabEntries())*8 + int64(st.N)*16 + int64(st.Blocks)*80
 }
 
 // cacheEntry is one cached analysis. ready is closed when sym/err are

@@ -867,8 +867,7 @@ func TestNearPatternMissAnalyzes(t *testing.T) {
 }
 
 // TestMemoryBudgetOnStoredSize pins that a handle is budgeted at what a
-// factorization allocates — the dense values of the stored blocks, not
-// |Ā| — by setting budgets the |Ā|-based estimate would have passed: one
+// factorization allocates — its value slab, not |Ā| — by setting budgets the |Ā|-based estimate would have passed: one
 // below a single handle (the too_large refusal trips) and one between
 // one handle and two (the second factorization evicts the first).
 func TestMemoryBudgetOnStoredSize(t *testing.T) {
@@ -881,9 +880,9 @@ func TestMemoryBudgetOnStoredSize(t *testing.T) {
 	matrixBytes := int64(m.NNZ())*16 + int64(m.NCols)*64
 	real := factorBytes(sym) + matrixBytes
 	byFill := int64(sym.Stats.NNZFactors)*8 + matrixBytes
-	if factorBytes(sym) < int64(sym.Stats.StoredEntries)*8 || 2*byFill > 3*real/2 {
-		t.Fatalf("estimate %d B for %d stored entries (|Ā|-based %d B): the budgets below need it well above",
-			real, sym.Stats.StoredEntries, byFill)
+	if factorBytes(sym) < int64(sym.SlabEntries())*8 || 2*byFill > 3*real/2 {
+		t.Fatalf("estimate %d B for a slab of %d values (|Ā|-based %d B): the budgets below need it well above",
+			real, sym.SlabEntries(), byFill)
 	}
 
 	_, ts = newTestServer(t, Config{Workers: 1, MemoryBudget: (byFill + real) / 2})

@@ -125,7 +125,9 @@ func (p *Pattern) PermuteSym(perm Perm) *Pattern {
 // Entry (i, j) of AᵀA is structurally nonzero iff columns i and j of A
 // share a row. Runs in O(Σ_r nnz(row r)²) time, which is fine for the
 // benchmark suite (rows are short); a dense row would make this
-// quadratic.
+// quadratic. The columns are gathered unsorted and sorted by one
+// counting-sort transpose: AᵀA is symmetric, so the transpose of the
+// unsorted pattern is the same pattern with every column ascending.
 func ATAPattern(a *CSC) *Pattern {
 	n := a.NCols
 	at := PatternView(a).Transpose() // rows of A as "columns"
@@ -145,7 +147,6 @@ func ATAPattern(a *CSC) *Pattern {
 	// For column j of AᵀA: union of rows(A) structure over rows r with
 	// a_rj ≠ 0, i.e. all columns i such that ∃r: a_ri ≠ 0 and a_rj ≠ 0.
 	for j := 0; j < n; j++ {
-		start := len(rowInd)
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
 			r := a.RowInd[k]
 			for kk := at.ColPtr[r]; kk < at.ColPtr[r+1]; kk++ {
@@ -156,10 +157,10 @@ func ATAPattern(a *CSC) *Pattern {
 				}
 			}
 		}
-		sort.Ints(rowInd[start:])
 		colPtr[j+1] = len(rowInd)
 	}
-	return &Pattern{NRows: n, NCols: n, ColPtr: colPtr, RowInd: rowInd}
+	unsorted := &Pattern{NRows: n, NCols: n, ColPtr: colPtr, RowInd: rowInd}
+	return unsorted.Transpose()
 }
 
 // SymmetrizePattern returns the structure of A + Aᵀ for a square matrix.
