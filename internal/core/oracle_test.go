@@ -25,9 +25,9 @@ import (
 // off writes a product into the wrong row (the residual grows). The
 // inputs are the small suite and GenPatterns seeds 1–60 with their own
 // values and N(0,1) values, analysed with the default amalgamation and
-// with a loose one (MaxFill 0.75: at the default, the workload and suite
-// maps drop no product), under PivotFail and PivotPerturb at P ∈ {1, 2,
-// 4, 8}. Its name ends in Parity so that check.sh chaos runs it
+// with a loose one (MaxFill 0.75: at the default, the maps of these
+// small inputs drop no product), under PivotFail and PivotPerturb at
+// P ∈ {1, 2, 4, 8}. Its name ends in Parity so that check.sh chaos runs it
 // under the race detector with the engine's other parity suites.
 func TestLayoutFreeOracleParity(t *testing.T) {
 	const bound = 8 // in units of ε·‖|L|·|U|‖∞
